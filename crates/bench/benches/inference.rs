@@ -1,31 +1,26 @@
-//! `inference_steady_state` — the acceptance benchmark for the
-//! prepack/execute split: repeated forward passes at a GPT-ish layer shape
+//! `inference_steady_state` — the acceptance benchmark for packing the
+//! weight plane once: repeated forward passes at a GPT-ish layer shape
 //! (32 tokens × 512 features into a 4× FFN expansion, MX6 weights and
 //! activations), comparing
 //!
-//! - `per_call_packing` — the PR 2 behavior: every call re-lowers the
-//!   static weight matrix to shift-aligned codes (`quantized_gemm`);
-//! - `prepacked_weights` — the weight plane is packed once and only the
-//!   activations are lowered per call (`quantized_gemm_prepacked`) — the
-//!   steady state `mx-nn`'s generation-keyed weight cache reaches after
-//!   the first forward pass;
-//! - `prepacked_scratch` — additionally reuses a caller-provided
-//!   `PackScratch` for the activation plane
-//!   (`quantized_gemm_prepacked_scratch`), eliminating the last per-call
-//!   allocation — the steady state `mx-nn` reaches through its
-//!   thread-local scratch;
+//! - `per_call_packing` — every call re-lowers the static weight matrix to
+//!   shift-aligned codes before executing (the PR 2 behavior);
+//! - `prepacked_scratch` — the weight plane is packed once and each call
+//!   goes through the one execute entry
+//!   (`quantized_gemm_prepacked_scratch`) with a reused `PackScratch` —
+//!   the steady state `mx-nn` reaches through its generation-keyed weight
+//!   cache and thread-local scratch;
 //! - `weight_pack_only` — the packing cost itself, i.e. what each
 //!   `per_call_packing` iteration wastes;
 //! - `linear_layer_cached` — the same product through `mx_nn::Linear`
 //!   with a warm cache, confirming the plumbing adds nothing material.
 //!
 //! The `inference_small_m_*` groups sweep the serving-shaped row counts
-//! M ∈ {1, 4, 8, 32} against the same warm weight plane, comparing the
-//! **fused** pack-on-the-fly path (`quantized_gemm_fused` — what the
-//! automatic dispatch picks at these shapes), the **two-pass**
-//! prepacked-scratch path (`quantized_gemm_twopass_scratch` — the pre-fuse
-//! behavior), and the unquantized FP32 `fgemm` kernel as the floor the
-//! fused path is closing on.
+//! M ∈ {1, 4, 8, 32} against the same warm weight plane: the entry (which
+//! lowers activations with its fused strategy at these shapes — row
+//! `fused`) against the unquantized FP32 `fgemm` kernel as the floor it
+//! must beat. (`results/inference_steady_state.md` also records rows from
+//! entry points that no longer exist; its provenance note says which.)
 //!
 //! All cases run serial (`threads = 1`; override with `MX_BENCH_THREADS`):
 //! the interesting quantity is the per-call activation-lowering work, not
@@ -35,10 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mx_bench::bench_threads;
 use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
-use mx_core::gemm::{
-    quantized_gemm, quantized_gemm_fused, quantized_gemm_prepacked,
-    quantized_gemm_prepacked_scratch, quantized_gemm_twopass_scratch, PackScratch, PackedOperand,
-};
+use mx_core::gemm::{quantized_gemm_prepacked_scratch, PackScratch, PackedOperand};
 use mx_nn::format::TensorFormat;
 use mx_nn::layers::{Layer, Linear};
 use mx_nn::qflow::QuantConfig;
@@ -73,21 +65,16 @@ fn inference_steady_state(c: &mut Criterion) {
     group.sample_size(10);
     // One multiply-accumulate per element of the M×N×K iteration space.
     group.throughput(Throughput::Elements((M * N * K) as u64));
+    let mut scratch = PackScratch::new();
+    let mut run = |pw: &PackedOperand| {
+        quantized_gemm_prepacked_scratch(&a, M, fmt, pw, threads, &mut scratch).unwrap()
+    };
     group.bench_function("per_call_packing", |bench| {
-        bench.iter(|| black_box(quantized_gemm(&a, &w, M, K, N, fmt, fmt, threads).unwrap()))
-    });
-    group.bench_function("prepacked_weights", |bench| {
-        let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-        bench.iter(|| black_box(quantized_gemm_prepacked(&a, M, fmt, &pw, threads).unwrap()))
+        bench.iter(|| black_box(run(&PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap())))
     });
     group.bench_function("prepacked_scratch", |bench| {
         let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-        let mut scratch = PackScratch::new();
-        bench.iter(|| {
-            black_box(
-                quantized_gemm_prepacked_scratch(&a, M, fmt, &pw, threads, &mut scratch).unwrap(),
-            )
-        })
+        bench.iter(|| black_box(run(&pw)))
     });
     group.bench_function("weight_pack_only", |bench| {
         bench.iter(|| black_box(PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap()))
@@ -108,9 +95,9 @@ fn inference_steady_state(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serving-shaped row counts: fused pack-on-the-fly vs the two-pass
-/// prepacked-scratch path vs the FP32 `fgemm` floor, one group per M so
-/// each reports its own throughput.
+/// Serving-shaped row counts: the one entry (fused activation lowering at
+/// these shapes) vs the FP32 `fgemm` floor, one group per M so each
+/// reports its own throughput.
 fn inference_small_m(c: &mut Criterion) {
     let fmt = BdrFormat::MX6;
     let threads = bench_threads(1);
@@ -124,14 +111,9 @@ fn inference_small_m(c: &mut Criterion) {
         group.bench_function("fused", |bench| {
             let mut scratch = PackScratch::new();
             bench.iter(|| {
-                black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
-            })
-        });
-        group.bench_function("twopass_scratch", |bench| {
-            let mut scratch = PackScratch::new();
-            bench.iter(|| {
                 black_box(
-                    quantized_gemm_twopass_scratch(&a, m, fmt, &pw, threads, &mut scratch).unwrap(),
+                    quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                        .unwrap(),
                 )
             })
         });

@@ -15,7 +15,8 @@
 //! - `fgemm_f32` — the unquantized FP32 kernel, the floor the fused path
 //!   must beat at **every** M.
 //!
-//! All cases run the fused activation path against a warm weight plane at
+//! All cases run the one execute entry (fused activation lowering at these
+//! shapes) against a warm weight plane at
 //! the same GPT-ish layer shape as `inference_steady_state` (K = 512 into
 //! an N = 2048 FFN expansion, MX6 × MX6), serial by default
 //! (`MX_BENCH_THREADS` overrides). A backend the CPU cannot run is
@@ -30,7 +31,7 @@ use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
 use mx_core::gemm::{
     force_deferred_scale_out, force_kernel_backend, force_vnni, kernel_backend_name,
-    quantized_gemm_fused, KernelBackend, PackScratch, PackedOperand,
+    quantized_gemm_prepacked_scratch, KernelBackend, PackScratch, PackedOperand,
 };
 use std::hint::black_box;
 
@@ -46,6 +47,18 @@ fn test_matrix(len: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
+/// One swept row: `(name, backend, vnni, deferral)`. The `_bw` /
+/// `_nodefer` rows switch one speedup layer off to isolate it.
+const VARIANTS: [(&str, KernelBackend, bool, bool); 7] = [
+    ("scalar", KernelBackend::Scalar, true, true),
+    ("sse2", KernelBackend::Sse2, true, true),
+    ("avx2", KernelBackend::Avx2, true, true),
+    ("avx512", KernelBackend::Avx512, true, true),
+    ("avx512_bw", KernelBackend::Avx512, false, true),
+    ("avx512_nodefer", KernelBackend::Avx512, true, false),
+    ("avx2_nodefer", KernelBackend::Avx2, true, false),
+];
+
 fn kernel_sweep(c: &mut Criterion) {
     let fmt = BdrFormat::MX6;
     let threads = bench_threads(1);
@@ -59,70 +72,28 @@ fn kernel_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("kernel_sweep_m{m}"));
         group.sample_size(10);
         group.throughput(Throughput::Elements((m * N * K) as u64));
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Sse2,
-            KernelBackend::Avx2,
-            KernelBackend::Avx512,
-        ] {
+        for (name, backend, vnni, defer) in VARIANTS {
             if force_kernel_backend(Some(backend)).is_err() {
-                eprintln!(
-                    "kernel_sweep: skipping {} (unavailable on this CPU)",
-                    backend.name()
-                );
+                eprintln!("kernel_sweep: skipping {name} (unavailable on this CPU)");
                 continue;
             }
-            group.bench_function(backend.name(), |bench| {
-                force_kernel_backend(Some(backend)).unwrap();
+            group.bench_function(name, |bench| {
+                force_vnni(Some(vnni));
+                force_deferred_scale_out(Some(defer));
+                // Packed after forcing, so the plane has this row's layout.
                 let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
                 let mut scratch = PackScratch::new();
                 bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
+                    black_box(
+                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                            .unwrap(),
+                    )
                 });
-                force_kernel_backend(None).unwrap();
             });
+            force_vnni(None);
+            force_deferred_scale_out(None);
+            force_kernel_backend(None).unwrap();
         }
-        // Deferral-off and VNNI-off variants isolate each speedup layer;
-        // a variant whose backend this CPU lacks is skipped above already,
-        // so only availability needs re-checking here.
-        if force_kernel_backend(Some(KernelBackend::Avx512)).is_ok() {
-            group.bench_function("avx512_bw", |bench| {
-                force_kernel_backend(Some(KernelBackend::Avx512)).unwrap();
-                force_vnni(Some(false));
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
-                });
-                force_vnni(None);
-                force_kernel_backend(None).unwrap();
-            });
-            group.bench_function("avx512_nodefer", |bench| {
-                force_kernel_backend(Some(KernelBackend::Avx512)).unwrap();
-                force_deferred_scale_out(Some(false));
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
-                });
-                force_deferred_scale_out(None);
-                force_kernel_backend(None).unwrap();
-            });
-        }
-        if force_kernel_backend(Some(KernelBackend::Avx2)).is_ok() {
-            group.bench_function("avx2_nodefer", |bench| {
-                force_kernel_backend(Some(KernelBackend::Avx2)).unwrap();
-                force_deferred_scale_out(Some(false));
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
-                });
-                force_deferred_scale_out(None);
-                force_kernel_backend(None).unwrap();
-            });
-        }
-        force_kernel_backend(None).unwrap();
         group.bench_function("fgemm_f32", |bench| {
             bench.iter(|| black_box(fgemm::matmul(&a, &w, m, K, N, threads)))
         });

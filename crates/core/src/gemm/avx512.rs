@@ -51,7 +51,7 @@
 //! of the portable kernel, so the backend is bit-identical to
 //! [`super::scalar`] — and to `super::reference_gemm` — everywhere. The
 //! deferred paths lean on the widened headroom derivation documented at
-//! [`super::backend::defer_ctx`]: under the static `blocks · Dmax ≤ 2²⁴`
+//! [`super::pair::FormatPair::defer`]: under the static `blocks · Dmax ≤ 2²⁴`
 //! gate each 32-lane accumulator's `i32` lane partial stays ≤ 2²⁰.
 
 use super::pack::{PlaneView, MIXED_EXP};
@@ -329,7 +329,7 @@ unsafe fn panel4_deferred<const R: usize, const VNNI: bool>(
 /// chunk) and a masked half-chunk step for the lone block of an odd
 /// reduction, returned as one `[d0 .. d3]` vector per row ([`reduce4`]).
 /// Lane partials stay ≤ 2²⁰ under the deferral gate (see
-/// [`super::backend::defer_ctx`]), so the `i32` reduce is exact.
+/// [`super::pair::FormatPair::defer`]), so the `i32` reduce is exact.
 ///
 /// # Safety
 ///

@@ -90,8 +90,15 @@
 //!    `vpdpwssd` on its own `is_x86_feature_detected!` probe, and the
 //!    kernel keeps a same-speed-class `vpmaddwd`+`vpaddd` variant behind
 //!    the same call signature so the backend (and its bit-identity) never
-//!    depends on the optional instruction. `MX_KERNEL_VNNI=0` (or
-//!    [`force_vnni`]) selects the fallback for A/B measurement.
+//!    depends on the optional instruction. [`force_vnni`] selects the
+//!    fallback for tests and the `kernel_sweep` bench.
+//! 9. **Consume `FormatPair`, never re-derive.** Kernel class, `k1`, the
+//!    scale-out constant `c`, and the deferral headroom all come from the
+//!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
+//!    them as its `c` / [`DeferCtx`] arguments and the plane's recorded
+//!    layout). A backend that recomputes any of them from the formats —
+//!    or asks whether a plane fits by running it — gives the decision a
+//!    second home that can drift from the first.
 //!
 //! # Selection
 //!
@@ -109,7 +116,7 @@
 //! actually ran.
 //!
 //! The choice is honored at **pack time**: each panel backend consumes a
-//! panel-major B plane of its own width (8 columns for AVX2, 16 for
+//! panel-major B plane of its own width (8 columns for AVX2, 4 for
 //! AVX-512), the others vector-major, so
 //! [`super::PackedOperand::pack_cols`] lays the plane out for the backend
 //! selected when it runs, and execution always follows the plane's
@@ -119,8 +126,7 @@
 
 use super::pack::PlaneView;
 use super::DeferCtx;
-use crate::bdr::BdrFormat;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// The ISA tier executing the narrow (`i16`-code) integer GEMM path. The
@@ -368,139 +374,45 @@ pub fn force_kernel_backend(backend: Option<KernelBackend>) -> Result<(), Backen
     Ok(())
 }
 
-/// Deferral override slot: 0 = unset, 1 = force on, 2 = force off.
-static DEFER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Set while [`force_deferred_scale_out`] holds deferral off.
+static DEFER_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Whether deferred scale-out is armed: the [`force_deferred_scale_out`]
-/// override, else `MX_KERNEL_DEFER` (`0` / `off` disables), else on.
-/// Disabling it never changes results — deferral is applied only where it
-/// is provably exact — it only forces the per-block scale-out everywhere,
-/// which is what the `kernel_sweep` bench and the equivalence tests use to
-/// isolate the deferral win.
+/// Whether deferred scale-out is armed: on, unless
+/// [`force_deferred_scale_out`] switched it off. Disabling it never changes
+/// results — deferral is applied only where it is provably exact — it only
+/// forces the per-block scale-out everywhere, which is what the
+/// `kernel_sweep` bench and the equivalence tests use to isolate the
+/// deferral win.
 pub fn deferred_scale_out_enabled() -> bool {
-    match DEFER_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                !matches!(
-                    crate::knobs::raw("MX_KERNEL_DEFER").as_deref(),
-                    Some("0") | Some("off") | Some("false")
-                )
-            })
-        }
-    }
+    !DEFER_OFF.load(Ordering::Relaxed)
 }
 
-/// Forces deferred scale-out on/off (process-wide), or back to the
-/// environment default with `None`. Results are bit-identical either way.
+/// Forces deferred scale-out off with `Some(false)` (process-wide); `None`
+/// and `Some(true)` both restore the default (on). Results are
+/// bit-identical either way.
 pub fn force_deferred_scale_out(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    DEFER_OVERRIDE.store(v, Ordering::Relaxed);
+    DEFER_OFF.store(enabled == Some(false), Ordering::Relaxed);
 }
 
-/// VNNI override slot: 0 = unset, 1 = force on, 2 = force off.
-static VNNI_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Set while [`force_vnni`] holds the AVX-512 kernel on its fallback dots.
+static VNNI_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Whether the AVX-512 kernel uses `vpdpwssd` for its block dots: the
-/// [`force_vnni`] override, else `MX_KERNEL_VNNI` (`0` / `off` / `false`
-/// selects the `vpmaddwd`+`vpaddd` fallback), else on — always clamped to
-/// what [`avx512_vnni_available`] detected. Both paths are bit-identical
-/// (`vpdpwssd` computes exactly the fused chain per lane); the knob only
+/// Whether the AVX-512 kernel uses `vpdpwssd` for its block dots: on
+/// wherever [`avx512_vnni_available`] detected it, unless [`force_vnni`]
+/// selected the `vpmaddwd`+`vpaddd` fallback. Both paths are bit-identical
+/// (`vpdpwssd` computes exactly the fused chain per lane); the hook only
 /// isolates the instruction-count win for the `kernel_sweep` bench.
 pub(super) fn vnni_enabled() -> bool {
-    avx512_vnni_available()
-        && match VNNI_OVERRIDE.load(Ordering::Relaxed) {
-            1 => true,
-            2 => false,
-            _ => {
-                static ENV: OnceLock<bool> = OnceLock::new();
-                *ENV.get_or_init(|| {
-                    !matches!(
-                        crate::knobs::raw("MX_KERNEL_VNNI").as_deref(),
-                        Some("0") | Some("off") | Some("false")
-                    )
-                })
-            }
-        }
+    avx512_vnni_available() && !VNNI_OFF.load(Ordering::Relaxed)
 }
 
-/// Forces the AVX-512 kernel's VNNI block dots on/off (process-wide), or
-/// back to the environment default with `None`. "On" still requires the
-/// CPU to have AVX-512-VNNI — like `MX_KERNEL_BACKEND`, the knob can only
-/// narrow the ISA, never fake one. Results are bit-identical either way.
+/// Forces the AVX-512 kernel onto its `vpmaddwd`+`vpaddd` fallback with
+/// `Some(false)` (process-wide); `None` and `Some(true)` both restore the
+/// default — VNNI wherever the CPU has it (like `MX_KERNEL_BACKEND`, the
+/// hook can only narrow the ISA, never fake one). Results are
+/// bit-identical either way.
 pub fn force_vnni(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    VNNI_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Builds the per-GEMM deferral context for an `(fa, fb)` pair whose
-/// reduction spans `blocks` `k1`-blocks, with scale-out constant `c`.
-///
-/// # The deferred scale-out headroom invariant
-///
-/// The per-block path computes `acc ← f32(acc + f32(dotⱼ · 2^(eⱼ+c)))`
-/// block by block. Deferral instead sums the integer dots of **all** K
-/// blocks of one output element and applies a single scale — exact (bit
-/// for bit equal to the per-block chain) precisely when every `f32`
-/// addition in that chain was itself exact, which this context guarantees
-/// structurally before any kernel looks at data:
-///
-/// - **Static headroom** (`enabled`): `blocks · Dmax ≤ 2²⁴`, where
-///   `Dmax = k1 · (max_code_a ≪ β_a) · (max_code_b ≪ β_b)` bounds any
-///   single block dot. Then every partial sum of dots is an integer of
-///   magnitude ≤ 2²⁴ — exactly representable in `f32`'s 24-bit mantissa.
-/// - **Uniform exponents** (checked per output element by the kernels):
-///   all nonzero blocks of the A row share one shared exponent `e_a`, and
-///   likewise `e_b` for the B column — so every nonzero contribution sits
-///   on the single fixed-point grid `2^(e_a+e_b+c)` (all-zero blocks
-///   contribute exactly `+0.0` on both paths and are exempt).
-/// - **Grid window** (`e_lo ..= e_hi`): `e_a + e_b + c ∈ [−149, 103]`, so
-///   the grid unit is at or above `f32`'s subnormal floor and
-///   `2²⁴ · 2^(e+c)` stays below `f32::MAX` — integer multiples of the
-///   unit up to 2²⁴ are all exact `f32`s.
-///
-/// Under all three, the per-block chain never rounds, its result is the
-/// exact sum, and the deferred single scale-out reproduces it bit for bit.
-/// Any element (or format pair, or block count) failing a condition takes
-/// the per-block scale-out instead — deferral is an optimization, never a
-/// semantics change.
-///
-/// ## The same bound under 32-lane (AVX-512) accumulation and VNNI
-///
-/// The `2²⁴` bound above is about the *`f32` mantissa*, not about any
-/// SIMD register, so widening the accumulator vector does not move it —
-/// but each backend must also show its `i32` lanes cannot wrap before the
-/// reduce. The AVX-512 kernel splits the deferred total across 16 `i32`
-/// lanes (32 `i16` products feed 16 lanes per `vpdpwssd` / `vpmaddwd`
-/// step), so any single lane's partial is at most
-/// `blocks · Dmax / 16 ≤ 2²⁰` under the same static gate — four doubling
-/// steps below the AVX2 kernel's per-lane bound of `blocks · Dmax / 8`,
-/// and far inside `i32`. VNNI adds nothing to prove: `vpdpwssd` is
-/// lane-for-lane `vpmaddwd` (two `i16 × i16` products summed in `i32` —
-/// exact, since the narrow-pair class guarantees `w_a + w_b ≤ 30`)
-/// followed by `vpaddd` into the same accumulator, so the fused and
-/// fallback paths produce identical lanes, and both reduce to the same
-/// integer total the scalar chain would have produced.
-pub(super) fn defer_ctx(fa: &BdrFormat, fb: &BdrFormat, blocks: usize, c: i32) -> DeferCtx {
-    let dmax =
-        fa.k1() as u64 * (fa.max_code() << fa.max_shift()) * (fb.max_code() << fb.max_shift());
-    let enabled =
-        deferred_scale_out_enabled() && dmax > 0 && (blocks as u64).saturating_mul(dmax) <= 1 << 24;
-    DeferCtx {
-        enabled,
-        e_lo: -149 - c,
-        e_hi: 103 - c,
-    }
+    VNNI_OFF.store(enabled == Some(false), Ordering::Relaxed);
 }
 
 /// A span kernel: computes output rows `r0 .. r0 + rows` (written at

@@ -1,6 +1,6 @@
-//! Integer-domain quantized GEMM fused with the quantization engine, split
-//! into a **prepack / execute** architecture with a multi-backend kernel
-//! dispatch layer.
+//! Integer-domain quantized GEMM fused with the quantization engine:
+//! **pack the weights once, execute through one entry, and the plane says
+//! what it accepts.**
 //!
 //! The point of the paper's Fig. 8 compute flow is that a BDR datapath never
 //! multiplies wide floats: each operand element is a narrow sign/magnitude
@@ -23,30 +23,43 @@
 //!    kernels, and once per whole K reduction where **deferred scale-out**
 //!    proves that exact (see below).
 //!
-//! # Prepack / execute
+//! # The surface
 //!
-//! Lowering an operand to shift-aligned codes (the *pack*) is the only part
-//! of the pipeline that touches `f32` data — it runs the engine's block plan
-//! and rounding rule per element. For inference the weight operand is
-//! static, so that cost is pure waste when paid per call. The module
-//! therefore separates the two stages:
+//! - [`PackedOperand::pack_cols`] lowers the static weight operand **once**
+//!   to a reusable code plane (through the engine's single-pass block
+//!   lowering — the same plan and rounding rule as
+//!   [`crate::engine::QuantEngine::quantize_block_codes`]). Packing is the
+//!   only stage that reads weight `f32` data; `mx-nn` caches the plane on
+//!   the weight tensor (see `mx_nn::qflow` for the invalidation contract).
+//! - [`quantized_gemm_prepacked_scratch`] is the **one** execute entry: it
+//!   multiplies fresh activations against a plane, quantizing the
+//!   activation rows as a stage of the same call — quantize is a pipeline
+//!   stage of the dot product, not a separate kernel to choose.
+//! - [`PackedOperand::accepts`] answers, without running anything, whether
+//!   an activation format can execute against a plane; the entry returns
+//!   `None` exactly when it is false.
 //!
-//! - [`PackedOperand::pack_rows`] / [`PackedOperand::pack_cols`] lower an
-//!   operand **once** to a reusable code plane (through the engine's
-//!   single-pass block lowering — the same plan and rounding rule as
-//!   [`crate::engine::QuantEngine::quantize_block_codes`]);
-//! - [`quantized_gemm_prepacked`] multiplies fresh activations against a
-//!   prepacked weight plane, packing only the A side;
-//! - [`quantized_gemm_packed`] executes over two prepacked planes — the
-//!   pure integer GEMM with zero packing cost;
-//! - [`quantized_gemm`] is a thin wrapper that packs both sides ad hoc
-//!   (the PR 2 behavior, bit-identical then and now).
+//! Everything the pipeline derives from the `(fa, fb)` pair — kernel class
+//! (`i16` vs `i32` codes), block size, scale-out constant, deferral
+//! headroom — is computed once by the module-private `FormatPair::new` and
+//! carried as a value; [`code_domain_supported`] is its boolean view.
 //!
-//! `mx-nn` caches the weight-side [`PackedOperand`] on the tensor itself
-//! (keyed by format pair and invalidated through a generation counter on
-//! the tensor's data), so repeated forward passes skip B-side lowering
-//! entirely — see `mx_nn::qflow` for the invalidation contract. The
-//! `inference_steady_state` bench group measures the amortization.
+//! # Activation lowering
+//!
+//! The entry picks one of two private, **bit-invisible** ways to lower A,
+//! by shape alone:
+//!
+//! - **fused** (`m ≤` [`FUSED_MAX_M`], the serving shapes) — each span of
+//!   rows is quantized through the engine's tile-granular block lowering
+//!   into a scratch tile ring and consumed immediately by the kernels on
+//!   the same thread, so the codes never leave L1 and the A plane is never
+//!   materialized;
+//! - **two-pass** (larger, training-shaped calls) — all of A is lowered in
+//!   one long `f32` sweep, then the integer GEMM runs over the two planes.
+//!
+//! Both run the identical block plan, rounding rule, kernels, and
+//! accumulation order, so the result equals [`reference_gemm`] bit for bit
+//! on either side of the boundary (`tests/gemm_fused.rs`).
 //!
 //! # Kernel backends
 //!
@@ -63,81 +76,45 @@
 //! The panel backends (generation-2 AVX2, generation-3 AVX-512)
 //! additionally apply **deferred scale-out**: where the block-plan
 //! exponent metadata proves the per-block `f32` accumulation chain exact
-//! (see [`backend::defer_ctx`] for the headroom invariant), the integer
-//! dots of all K blocks accumulate in registers and the scale-out runs
-//! once per output element instead of once per block pair. The invariant
-//! is lane-width independent — the `blocks · Dmax ≤ 2²⁴` bound protects
-//! the `f32` mantissa, not any SIMD register — so widening from AVX2's
-//! 8-lane to AVX-512's 16-lane `i32` accumulation (and to VNNI's fused
-//! multiply-add) only *loosens* each lane's integer headroom
-//! (`defer_ctx` documents the per-backend derivation). Elements that
-//! cannot be proven exact fall back to the per-block chain — deferral
-//! never changes results, and `MX_KERNEL_DEFER=0` (or
-//! [`force_deferred_scale_out`]) switches it off wholesale for A/B
-//! measurement.
-//!
-//! # Fused activation lowering (pack-on-the-fly) and the dispatch contract
-//!
-//! With B amortized, the remaining per-call quantization cost is the A
-//! (activation) side. Two ways to pay it:
-//!
-//! - **two-pass** ([`quantized_gemm_twopass_scratch`]) — lower all of A to
-//!   a code plane first, then execute over the two planes. One sweep of
-//!   `f32` work, one sweep of integer work; the A plane is materialized in
-//!   full between them.
-//! - **fused** ([`quantized_gemm_fused`]) — quantize A one
-//!   [`FUSED_MAX_M`]-row strip at a time *inside* the execute loop, through the engine's
-//!   tile-granular block-lowering entry, into a small scratch tile ring
-//!   that is consumed immediately by the same kernels. The strip's codes
-//!   never leave L1, the full A plane is never materialized, and the
-//!   per-sub-block ulp reciprocal is hoisted out of the element loop —
-//!   this is the paper's Fig. 8 compute flow, where quantization is a
-//!   pipeline stage of the consuming dot-product datapath rather than a
-//!   separate kernel.
-//!
-//! [`quantized_gemm_prepacked_scratch`] (and therefore
-//! [`quantized_gemm_prepacked`], `mx-nn`'s `quantized_matmul_ab`, and the
-//! whole `mx-serve` batch path) is the **single shape-aware dispatch
-//! point**: serving-shaped calls (`m ≤` [`FUSED_MAX_M`] rows) take the
-//! fused path, larger (training-shaped) calls keep the two-pass prepack,
-//! whose single long `f32` sweep streams A once instead of interleaving
-//! float and integer phases per tile. Both paths run the identical block
-//! plan, rounding rule, kernels, and accumulation order, so the choice is
-//! **bit-invisible**: fused == two-pass == [`reference_gemm`] bit for bit
-//! for every supported format pair (`tests/gemm_fused.rs` proves it across
-//! presets, ragged K, degenerate shapes, and thread counts). The format
-//! gate itself stays [`pair_class`]-driven exactly as before; the shape
-//! gate only picks *how* A is lowered, never *whether* the code domain
-//! applies.
+//! (`FormatPair::defer` documents the headroom invariant and its
+//! per-backend derivation), the integer dots of all K blocks accumulate in
+//! registers and the scale-out runs once per output element instead of
+//! once per block pair. Elements that cannot be proven exact fall back to
+//! the per-block chain — deferral never changes results, and
+//! [`force_deferred_scale_out`] switches it off wholesale for tests and
+//! the `kernel_sweep` bench.
 //!
 //! # Exactness
 //!
-//! For every supported format pair (see [`code_domain_supported`]) the
-//! integer path is **bit-identical** to the quantize → dequantize → `f32`
-//! matmul reference ([`reference_gemm`]): dequantized values are exact
-//! integer multiples of their block's ulp, block-pair products and sums fit
-//! in the 52-bit exact-integer range of `f64`, and both paths round once
-//! per block pair before accumulating in `f32` in the same K-block order —
-//! with deferred scale-out applied only where that chain provably never
-//! rounds at all. This is an equality, not a tolerance — the consistency
-//! and `gemm_backends` suites assert it bit for bit, prepacked or not, on
-//! every backend.
+//! For every supported format pair the integer path is **bit-identical**
+//! to the quantize → dequantize → `f32` matmul reference
+//! ([`reference_gemm`]): dequantized values are exact integer multiples of
+//! their block's ulp, block-pair products and sums fit in the 52-bit
+//! exact-integer range of `f64`, and both paths round once per block pair
+//! before accumulating in `f32` in the same K-block order — with deferred
+//! scale-out applied only where that chain provably never rounds at all.
+//! This is an equality, not a tolerance — the consistency and
+//! `gemm_backends` suites assert it bit for bit on every backend.
 //!
 //! # Examples
 //!
 //! ```
 //! use mx_core::bdr::BdrFormat;
-//! use mx_core::gemm::{quantized_gemm, quantized_gemm_prepacked, PackedOperand};
+//! use mx_core::gemm::{
+//!     quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand,
+//! };
 //!
 //! let fmt = BdrFormat::MX6;
 //! let b: Vec<f32> = (0..32 * 3).map(|i| (i as f32 * 0.13).cos()).collect();
 //! // Pack the static operand once ...
 //! let pb = PackedOperand::pack_cols(&b, 32, 3, fmt, fmt).unwrap();
-//! // ... and reuse it across calls with fresh activations.
+//! assert!(pb.accepts(&fmt));
+//! // ... and reuse it (and the activation scratch) across calls.
+//! let mut scratch = PackScratch::new();
 //! for step in 0..3 {
 //!     let a: Vec<f32> = (0..2 * 32).map(|i| ((i + step) as f32 * 0.17).sin()).collect();
-//!     let y = quantized_gemm_prepacked(&a, 2, fmt, &pb, 1).unwrap();
-//!     assert_eq!(y, quantized_gemm(&a, &b, 2, 32, 3, fmt, fmt, 1).unwrap());
+//!     let y = quantized_gemm_prepacked_scratch(&a, 2, fmt, &pb, 1, &mut scratch).unwrap();
+//!     assert_eq!(y, reference_gemm(&a, &b, 2, 32, 3, fmt, fmt));
 //! }
 //! ```
 
@@ -151,6 +128,7 @@ mod avx2;
 mod avx512;
 pub mod backend;
 mod pack;
+mod pair;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
@@ -162,7 +140,8 @@ pub use backend::{
 pub use pack::{PackScratch, PackedOperand};
 
 use backend::SpanKernel;
-use pack::{pack_into, Plane, PlaneView, MIXED_EXP};
+use pack::{pack_into, CodeBuf, Plane, PlaneView, UniformExp};
+use pair::{DeferCtx, FormatPair};
 
 /// Rows of A processed per tile: each loaded B column-block is reused for
 /// this many output rows, cutting B-code traffic by the tile height.
@@ -185,56 +164,11 @@ const PANEL_N: usize = 8;
 /// (see [`pack::panel_slot`] for the slot order).
 const PANEL_N_512: usize = 4;
 
-/// How a supported format pair runs on the integer path: `Narrow` pairs use
-/// `i16` codes with an `i32` block accumulator (the packed 16-bit MAC
-/// datapath), `Wide` pairs fall back to `i32` codes with an `i64`
-/// accumulator. This classification — together with the `None` rejection in
-/// [`pair_class`] — is the **single** gate deciding between the code-domain
-/// kernels and the dequantize fallback; every dispatch and packing decision
-/// derives from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairClass {
-    Narrow,
-    Wide,
-}
-
-/// The one place exotic-format fallback is decided. Returns the kernel
-/// class for a supported `(fa, fb)` pair, or `None` when the pair must take
-/// the dequantize path. Requirements for support:
-///
-/// - matching first-level block size (`k1`), so A-row and B-column blocks
-///   tile the reduction dimension identically;
-/// - per operand, `m + β ≤ 30`: shift-aligned codes fit an `i32`;
-/// - `(m_a + β_a) + (m_b + β_b) + ⌈log2 k1⌉ ≤ 52`: block-pair dot products
-///   accumulate without `i64` overflow *and* convert to `f64` exactly;
-/// - per operand, the smallest representable ulp stays at or above `2^-149`,
-///   so dequantized values are exact `f32`s and the dequantize reference
-///   sees the same numbers the codes encode.
-fn pair_class(fa: &BdrFormat, fb: &BdrFormat) -> Option<PairClass> {
-    if fa.k1() != fb.k1() {
-        return None;
-    }
-    let wa = fa.m() + fa.max_shift();
-    let wb = fb.m() + fb.max_shift();
-    if wa > 30 || wb > 30 {
-        return None;
-    }
-    if wa + wb + ceil_log2(fa.k1()) > 52 {
-        return None;
-    }
-    if !exact_dequantize(fa) || !exact_dequantize(fb) {
-        return None;
-    }
-    if wa <= 15 && wb <= 15 && wa + wb + ceil_log2(fa.k1()) <= 31 {
-        Some(PairClass::Narrow)
-    } else {
-        Some(PairClass::Wide)
-    }
-}
-
 /// Whether the `(fa, fb)` operand pair can run on the integer code-domain
-/// path with an exactness guarantee (see [`pair_class`]'s requirement list;
-/// this is its boolean view).
+/// path with an exactness guarantee — the boolean view of the
+/// module-private `FormatPair::new`, whose requirement list is: matching
+/// `k1`; per operand `m + β ≤ 30`; `(m_a + β_a) + (m_b + β_b) + ⌈log2 k1⌉
+/// ≤ 52`; and per operand a smallest ulp at or above `2^-149`.
 ///
 /// Every preset in the repository (MX4/MX6/MX9, MSFP12/MSFP16) qualifies;
 /// exotic custom formats fall back to the dequantize path.
@@ -253,23 +187,7 @@ fn pair_class(fa: &BdrFormat, fb: &BdrFormat) -> Option<PairClass> {
 /// assert!(!code_domain_supported(&BdrFormat::MX6, &k32));
 /// ```
 pub fn code_domain_supported(fa: &BdrFormat, fb: &BdrFormat) -> bool {
-    pair_class(fa, fb).is_some()
-}
-
-/// The format's smallest ulp (`2^(E_min − β − (m − 1))`) is representable in
-/// `f32` subnormal space, so every code dequantizes to an exact `f32`.
-fn exact_dequantize(fmt: &BdrFormat) -> bool {
-    fmt.min_shared_exp() - fmt.max_shift() as i32 - (fmt.m() as i32 - 1) >= -149
-}
-
-fn ceil_log2(n: usize) -> u32 {
-    debug_assert!(n > 0);
-    usize::BITS - (n - 1).leading_zeros()
-}
-
-/// This operand's half of the scale-out constant `c`: `−(m − 1) − β`.
-fn c_half(fmt: &BdrFormat) -> i32 {
-    -((fmt.m() as i32 - 1) + fmt.max_shift() as i32)
+    FormatPair::new(fa, fb).is_some()
 }
 
 /// Storage type for shift-aligned signed codes. Narrow format pairs (every
@@ -277,7 +195,7 @@ fn c_half(fmt: &BdrFormat) -> i32 {
 /// the CPU's packed 16-bit MAC instructions; wide pairs fall back to `i32`
 /// codes with an `i64` accumulator. The storage width itself (and the
 /// lossless narrowing from aligned `i32` codes, guaranteed to fit by the
-/// [`pair_class`] width gates) lives in [`engine::AlignedCode`], which the
+/// `FormatPair` width gates) lives in [`engine::AlignedCode`], which the
 /// engine's tile-granular lowering writes directly.
 trait Code: engine::AlignedCode {
     /// Exact integer dot product of two equal-length blocks, using the
@@ -340,27 +258,6 @@ impl Code for i32 {
     fn dot_scalar(a: &[Self], b: &[Self]) -> i64 {
         Self::dot(a, b)
     }
-}
-
-/// Which GEMM operand a [`PackedOperand`] holds: A packs its **rows** along
-/// the reduction dimension, B packs its **columns**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// The left operand `A[M,K]`, one code vector per row.
-    Rows,
-    /// The right operand `B[K,N]`, one code vector per column.
-    Cols,
-}
-
-/// Per-GEMM deferred-scale-out context, built by [`backend::defer_ctx`]
-/// (which documents the exactness invariant): whether the static headroom
-/// bound holds for this format pair and block count, and the exponent grid
-/// window an output element's `E_a + E_b` must land in to defer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DeferCtx {
-    pub(crate) enabled: bool,
-    pub(crate) e_lo: i32,
-    pub(crate) e_hi: i32,
 }
 
 /// Panel width a B-side pack of this block size should use under the
@@ -429,251 +326,130 @@ pub(crate) fn gemm_workers(m: usize, n: usize, k: usize, threads: usize) -> usiz
     }
 }
 
-/// Executes the integer GEMM over two prepacked operands — the pure
-/// "execute" half of the split, with zero packing cost.
-///
-/// Returns `None` (rather than silently repacking) when the operands are
-/// not executable together: `pa` must be a [`Side::Rows`] plane and `pb` a
-/// [`Side::Cols`] plane over the same reduction length, their format pair
-/// must pass [`code_domain_supported`], and both planes must hold the code
-/// width that pair requires (which they do whenever each was packed for a
-/// partner in the same kernel class — see [`PackedOperand`]).
-///
-/// `threads` follows [`quantized_gemm`]'s convention (`0` = all cores; the
-/// row split is block-aligned, so the result is bit-identical regardless of
-/// thread count).
-pub fn quantized_gemm_packed(
-    pa: &PackedOperand,
-    pb: &PackedOperand,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    if pa.side != Side::Rows || pb.side != Side::Cols || pa.len != pb.len {
-        return None;
-    }
-    let class = pair_class(&pa.fmt, &pb.fmt)?;
-    let views = match (&pa.plane, &pb.plane) {
-        (Plane::Narrow(ap), Plane::Narrow(bp)) => PairViews::Narrow(ap.view(), bp.view()),
-        (Plane::Wide(ap), Plane::Wide(bp)) => PairViews::Wide(ap.view(), bp.view()),
-        // The executed pair holds mismatched code widths (each side packed
-        // for a partner in a different kernel class); callers fall back
-        // rather than silently re-lowering.
-        _ => return None,
-    };
-    let c = pa.c_half + pb.c_half;
-    let ctx = backend::defer_ctx(&pa.fmt, &pb.fmt, blocks_of(pa.len, &pa.fmt), c);
-    execute(
-        views, pb.panel_n, class, pa.vectors, pb.vectors, pa.len, c, ctx, threads,
-    )
-}
-
-/// A matched pair of A/B plane views sharing one code width.
-enum PairViews<'a> {
-    Narrow(PlaneView<'a, i16>, PlaneView<'a, i16>),
-    Wide(PlaneView<'a, i32>, PlaneView<'a, i32>),
-}
-
-/// The shared execute stage: runs the integer GEMM over two already-lowered
-/// planes on the backend the dispatch layer selects. Returns `None` when
-/// the planes' code width disagrees with what `class` requires (packed for
-/// a partner in the other kernel class).
-#[allow(clippy::too_many_arguments)] // a GEMM is dims + operands + dispatch knobs
-fn execute(
-    views: PairViews<'_>,
-    b_panel_n: usize,
-    class: PairClass,
-    m: usize,
-    n: usize,
-    k: usize,
-    c: i32,
-    ctx: DeferCtx,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    let mut out = vec![0.0f32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return Some(out);
-    }
-    let workers = gemm_workers(m, n, k, threads);
-    match views {
-        PairViews::Narrow(ap, bp) if class == PairClass::Narrow => {
-            let kernel = backend::narrow_span_kernel(b_panel_n);
-            dispatch_rows(m, n, workers, &mut out, |start, rows, part| {
-                kernel(ap, start, rows, bp, n, c, ctx, part);
-            });
-        }
-        PairViews::Wide(ap, bp) if class == PairClass::Wide => {
-            let kernel = backend::wide_span_kernel();
-            dispatch_rows(m, n, workers, &mut out, |start, rows, part| {
-                kernel(ap, start, rows, bp, n, c, ctx, part);
-            });
-        }
-        _ => return None,
-    }
-    Some(out)
-}
-
-/// Largest `M` (activation rows) the automatic dispatch in
-/// [`quantized_gemm_prepacked_scratch`] routes to the fused
-/// pack-on-the-fly path. Serving shapes — autoregressive decode (`m = 1`)
-/// up to coalesced micro-batches (`m = 32`) — quantize their activation
-/// strips inside the execute loop; larger training-shaped GEMMs keep the
-/// two-pass prepack, whose single long `f32` sweep streams A once instead
-/// of interleaving float and integer phases per tile.
+/// Largest `M` (activation rows) [`quantized_gemm_prepacked_scratch`]
+/// lowers with the fused pack-on-the-fly strategy. Serving shapes —
+/// autoregressive decode (`m = 1`) up to coalesced micro-batches
+/// (`m = 32`) — quantize their activation rows inside the execute loop;
+/// larger training-shaped GEMMs take the two-pass strategy, whose single
+/// long `f32` sweep streams A once instead of interleaving float and
+/// integer phases per span.
 pub const FUSED_MAX_M: usize = 32;
 
-/// The fused inner loop over one span of output rows `r0 .. r0 + rows`:
-/// for each strip of up to [`FUSED_MAX_M`] rows, lower the strip's A rows
-/// block by block through [`engine::lower_block_into`] into the scratch
-/// tile ring (`codes` / `exps` / `uexp`, reused across strips), then
-/// execute `kernel` over the freshly quantized strip against the cached B
-/// plane. The strip's codes are consumed while still cache-hot and the
-/// full A plane is never materialized. Strips are as tall as the fused
-/// dispatch cap so the kernel sees the widest row span it can block over —
-/// the kernel's own row tiling (not the strip height) decides how often
-/// the B plane is re-streamed, which is what bounds B traffic at serving
-/// shapes. The per-row uniform-exponent metadata the deferral decision
-/// needs is collected during lowering, so the fused path sees the same
-/// [`DeferCtx`] coverage as the prepacked paths.
-///
-/// Per output element the K-block loop order, rounding points, and
-/// accumulation are identical to the two-pass path, so the result is
-/// bit-identical to it (and to [`reference_gemm`]).
-#[allow(clippy::too_many_arguments)] // a GEMM span is dims + operands + buffers
-fn fused_span<C: Code>(
-    a: &[f32],
-    k: usize,
-    fa: &BdrFormat,
-    bp: PlaneView<'_, C>,
-    n: usize,
-    c: i32,
-    ctx: DeferCtx,
-    r0: usize,
-    rows: usize,
-    codes: &mut Vec<C>,
-    exps: &mut Vec<i32>,
-    uexp: &mut Vec<i32>,
-    shifts: &mut Vec<u32>,
-    out: &mut [f32],
-    kernel: SpanKernel<C>,
-) {
-    let k1 = fa.k1();
-    let blocks = blocks_of(k, fa);
-    let kcodes = blocks * k1;
-    let ring_rows = FUSED_MAX_M.min(rows);
-    codes.clear();
-    codes.resize(ring_rows * kcodes, C::ZERO);
-    exps.clear();
-    exps.resize(ring_rows * blocks, 0);
-    uexp.clear();
-    uexp.resize(ring_rows, 0);
-    let mut i0 = 0;
-    while i0 < rows {
-        let tm = ring_rows.min(rows - i0);
-        for t in 0..tm {
-            let row = &a[(r0 + i0 + t) * k..][..k];
-            let slot0 = t * blocks;
-            let mut seen: Option<i32> = None;
-            let mut mixed = false;
-            for kb in 0..blocks {
-                let start = kb * k1;
-                let blen = k1.min(k - start);
-                // `lower_block_into` writes every slot of its block
-                // (zeroing the ragged tail and all-zero blocks), so the
-                // ring needs no per-tile clear.
-                let e = engine::lower_block_into(
-                    fa,
-                    &row[start..start + blen],
-                    shifts,
-                    &mut codes[(slot0 + kb) * k1..][..k1],
-                );
-                exps[slot0 + kb] = e.unwrap_or(0);
-                if let Some(e) = e {
-                    match seen {
-                        None => seen = Some(e),
-                        Some(u) if u != e => mixed = true,
-                        _ => {}
-                    }
-                }
-            }
-            uexp[t] = if mixed { MIXED_EXP } else { seen.unwrap_or(0) };
-        }
-        let ap = PlaneView {
-            codes,
-            exps,
-            uexp,
-            blocks,
-            k1,
-        };
-        kernel(ap, 0, tm, bp, n, c, ctx, &mut out[i0 * n..][..tm * n]);
-        i0 += tm;
-    }
-}
-
-/// Runs [`fused_span`] serially through the caller's scratch buffers, or
-/// row-parallel with small per-worker tile rings (each span's tile ring is
-/// at most [`FUSED_MAX_M`] rows — cheap next to the per-span output buffer
-/// the parallel dispatch already allocates). Spans are whole rows, so the output is
-/// bit-identical either way.
-#[allow(clippy::too_many_arguments)] // a GEMM is dims + operands + dispatch knobs
-fn fused_dispatch<C: Code>(
-    a: &[f32],
-    k: usize,
-    fa: &BdrFormat,
-    bp: PlaneView<'_, C>,
+/// One admitted GEMM: the activation operand, the geometry, and the
+/// constants its [`FormatPair`] fixed. The kernel-class-typed parts (B
+/// view, span kernel, scratch) arrive as arguments of [`Gemm::run`].
+struct Gemm<'a> {
+    a: &'a [f32],
+    fa: &'a BdrFormat,
     m: usize,
+    k: usize,
     n: usize,
     c: i32,
     ctx: DeferCtx,
     workers: usize,
-    codes: &mut Vec<C>,
-    exps: &mut Vec<i32>,
-    uexp: &mut Vec<i32>,
-    shifts: &mut Vec<u32>,
-    out: &mut Vec<f32>,
-    kernel: SpanKernel<C>,
-) {
-    if workers <= 1 {
-        fused_span(
-            a, k, fa, bp, n, c, ctx, 0, m, codes, exps, uexp, shifts, out, kernel,
-        );
-    } else {
-        dispatch_rows(m, n, workers, out, |r0, rows, part| {
-            fused_span(
-                a,
-                k,
-                fa,
-                bp,
-                n,
-                c,
-                ctx,
-                r0,
-                rows,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &mut Vec::new(),
-                part,
-                kernel,
-            );
-        });
+}
+
+impl Gemm<'_> {
+    /// Lowers A by the strategy `m` selects and executes `kernel` over
+    /// whole-row spans (serially or on `workers` threads — bit-identical
+    /// either way). Per output element the K-block loop order, rounding
+    /// points, and accumulation are the same under both strategies.
+    fn run<C: Code>(
+        &self,
+        bp: PlaneView<'_, C>,
+        kernel: SpanKernel<C>,
+        buf: &mut CodeBuf<C>,
+        out: &mut Vec<f32>,
+    ) {
+        let (m, k, n, c, ctx) = (self.m, self.k, self.n, self.c, self.ctx);
+        if m > FUSED_MAX_M {
+            // Two-pass: the whole A plane into the caller's scratch, then
+            // the pure integer GEMM over the two planes.
+            let blocks = k.div_ceil(bp.k1);
+            let vector_major = |v, kb| v * blocks + kb;
+            pack_into(self.a, m, k, |i| i * k, 1, vector_major, self.fa, buf);
+            let ap = buf.view(blocks, bp.k1);
+            dispatch_rows(m, n, self.workers, out, |r0, rows, part| {
+                kernel(ap, r0, rows, bp, n, c, ctx, part);
+            });
+        } else if self.workers <= 1 {
+            kernel(self.lower_rows(0, m, buf), 0, m, bp, n, c, ctx, out);
+        } else {
+            // Each worker quantizes its own span into a small private ring
+            // (at most `FUSED_MAX_M` rows — cheap next to the per-span
+            // output buffer the parallel dispatch already allocates).
+            dispatch_rows(m, n, self.workers, out, |r0, rows, part| {
+                let mut ring = CodeBuf::default();
+                kernel(
+                    self.lower_rows(r0, rows, &mut ring),
+                    0,
+                    rows,
+                    bp,
+                    n,
+                    c,
+                    ctx,
+                    part,
+                );
+            });
+        }
+    }
+
+    /// The fused strategy's quantize stage: lowers rows `r0 .. r0 + rows`
+    /// block by block through [`engine::lower_block_into`] into `ring`
+    /// (vector-major), collecting the per-row uniform-exponent metadata
+    /// the deferral decision needs. The kernel consumes the returned view
+    /// while the codes are still cache-hot.
+    fn lower_rows<'b, C: Code>(
+        &self,
+        r0: usize,
+        rows: usize,
+        ring: &'b mut CodeBuf<C>,
+    ) -> PlaneView<'b, C> {
+        let (k, k1) = (self.k, self.fa.k1());
+        let blocks = k.div_ceil(k1);
+        ring.reset(rows, blocks, k1);
+        for t in 0..rows {
+            let row = &self.a[(r0 + t) * k..][..k];
+            let mut uniform = UniformExp::default();
+            for kb in 0..blocks {
+                let slot = t * blocks + kb;
+                let start = kb * k1;
+                // `lower_block_into` writes every slot of its block
+                // (zeroing the ragged tail and all-zero blocks).
+                if let Some(e) = engine::lower_block_into(
+                    self.fa,
+                    &row[start..k.min(start + k1)],
+                    &mut ring.shifts,
+                    &mut ring.codes[slot * k1..][..k1],
+                ) {
+                    ring.exps[slot] = e;
+                    uniform.note(e);
+                }
+            }
+            ring.uexp[t] = uniform.finish();
+        }
+        ring.view(blocks, k1)
     }
 }
 
-/// [`quantized_gemm_prepacked`] with the activation operand quantized
-/// **inside the execute loop** (pack-on-the-fly): each strip of up to
-/// [`FUSED_MAX_M`] rows of A is lowered into a scratch tile ring and consumed
-/// immediately by the integer kernels, so the A code plane is never
-/// materialized and the strip stays cache-hot between its `f32` and
-/// integer phases. This is the serving hot path for small `m` — the
-/// automatic dispatch in [`quantized_gemm_prepacked_scratch`] routes
-/// `m ≤` [`FUSED_MAX_M`] here.
+/// Quantized matrix product `A[m,k] × B[k,n]` against a **prepacked** B
+/// operand, computed entirely in the integer code domain (see the module
+/// docs for the datapath mapping) — the single execute entry of the
+/// module. A's rows are quantized as a stage of this call, into `scratch`
+/// (no allocation on the steady-state path beyond the output); B-side
+/// packing was paid once in [`PackedOperand::pack_cols`]. The GEMM is
+/// row-tiled per backend and dispatched row-parallel across `threads`
+/// workers (`0` = all cores; spans are whole rows, so the result is
+/// bit-identical regardless of thread count).
 ///
-/// Bit-identical to [`quantized_gemm_twopass_scratch`] (and therefore to
-/// [`quantized_gemm`] and [`reference_gemm`]) for every supported pairing,
-/// at every thread count: both paths run the same block plan, rounding
-/// rule, kernels, and accumulation order.
+/// Bit-identical to [`reference_gemm`] for every accepted pairing, at
+/// every shape and thread count.
 ///
-/// Returns `None` under exactly the same conditions as
-/// [`quantized_gemm_prepacked`].
+/// Returns `None` exactly when `!packed_b.accepts(&fa)`: the
+/// `(fa, packed_b.format())` pair is unsupported, or it needs a different
+/// code width than the plane holds (it was packed for a partner in the
+/// other kernel class). Callers ask [`PackedOperand::accepts`] up front
+/// instead of probing.
 ///
 /// # Panics
 ///
@@ -684,100 +460,22 @@ fn fused_dispatch<C: Code>(
 /// ```
 /// use mx_core::bdr::BdrFormat;
 /// use mx_core::gemm::{
-///     quantized_gemm_fused, quantized_gemm_twopass_scratch, PackScratch, PackedOperand,
+///     quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand,
+///     FUSED_MAX_M,
 /// };
 ///
 /// let fmt = BdrFormat::MX6;
 /// let b: Vec<f32> = (0..48 * 5).map(|i| (i as f32 * 0.11).cos()).collect();
 /// let pb = PackedOperand::pack_cols(&b, 48, 5, fmt, fmt).unwrap();
-/// let a: Vec<f32> = (0..2 * 48).map(|i| (i as f32 * 0.23).sin()).collect();
 /// let mut scratch = PackScratch::new();
-/// let fused = quantized_gemm_fused(&a, 2, fmt, &pb, 1, &mut scratch).unwrap();
-/// let two_pass = quantized_gemm_twopass_scratch(&a, 2, fmt, &pb, 1, &mut scratch).unwrap();
-/// // The strategies are bit-invisible: same plan, same rounding, same order.
-/// assert!(fused.iter().zip(&two_pass).all(|(x, y)| x.to_bits() == y.to_bits()));
+/// // Either side of the strategy boundary: same bits as the reference.
+/// for m in [2, FUSED_MAX_M + 1] {
+///     let a: Vec<f32> = (0..m * 48).map(|i| (i as f32 * 0.23).sin()).collect();
+///     let y = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
+///     let want = reference_gemm(&a, &b, m, 48, 5, fmt, fmt);
+///     assert!(y.iter().zip(&want).all(|(x, w)| x.to_bits() == w.to_bits()));
+/// }
 /// ```
-pub fn quantized_gemm_fused(
-    a: &[f32],
-    m: usize,
-    fa: BdrFormat,
-    packed_b: &PackedOperand,
-    threads: usize,
-    scratch: &mut PackScratch,
-) -> Option<Vec<f32>> {
-    let (class, k, n, c) = a_side_gate(a, m, &fa, packed_b)?;
-    // Reject a plane holding the other kernel class's code width *before*
-    // the degenerate-dims early return, so the rejection conditions stay
-    // exactly those of the two-pass entry at every shape.
-    match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(_)) | (PairClass::Wide, Plane::Wide(_)) => {}
-        _ => return None,
-    }
-    let mut out = vec![0.0f32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return Some(out);
-    }
-    let workers = gemm_workers(m, n, k, threads);
-    let ctx = backend::defer_ctx(&fa, &packed_b.fmt, blocks_of(k, &fa), c);
-    match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(bpl)) => fused_dispatch(
-            a,
-            k,
-            &fa,
-            bpl.view(),
-            m,
-            n,
-            c,
-            ctx,
-            workers,
-            &mut scratch.narrow_codes,
-            &mut scratch.narrow_exps,
-            &mut scratch.uexp,
-            &mut scratch.shifts,
-            &mut out,
-            backend::narrow_span_kernel(packed_b.panel_n),
-        ),
-        (PairClass::Wide, Plane::Wide(bpl)) => fused_dispatch(
-            a,
-            k,
-            &fa,
-            bpl.view(),
-            m,
-            n,
-            c,
-            ctx,
-            workers,
-            &mut scratch.wide_codes,
-            &mut scratch.wide_exps,
-            &mut scratch.uexp,
-            &mut scratch.shifts,
-            &mut out,
-            backend::wide_span_kernel(),
-        ),
-        // `packed_b` was packed for a partner in the other kernel class;
-        // callers fall back rather than silently re-lowering B.
-        _ => return None,
-    }
-    Some(out)
-}
-
-/// [`quantized_gemm_prepacked`] with a caller-provided [`PackScratch`] —
-/// the **shape-aware dispatch point** between the two activation-lowering
-/// strategies (see the module docs): calls with `m ≤` [`FUSED_MAX_M`]
-/// activation rows take the fused pack-on-the-fly path
-/// ([`quantized_gemm_fused`]); larger calls take the two-pass prepack
-/// ([`quantized_gemm_twopass_scratch`]). The choice is bit-invisible —
-/// both strategies run the identical block plan, rounding rule, kernels,
-/// and accumulation order — so callers (`mx-nn`'s `quantized_matmul_ab`,
-/// and through it every layer and the `mx-serve` batch path) pick up the
-/// fused serving hot path with no call-site changes.
-///
-/// Returns `None` under exactly the same conditions as
-/// [`quantized_gemm_prepacked`].
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
 pub fn quantized_gemm_prepacked_scratch(
     a: &[f32],
     m: usize,
@@ -786,202 +484,39 @@ pub fn quantized_gemm_prepacked_scratch(
     threads: usize,
     scratch: &mut PackScratch,
 ) -> Option<Vec<f32>> {
-    if m <= FUSED_MAX_M {
-        quantized_gemm_fused(a, m, fa, packed_b, threads, scratch)
-    } else {
-        quantized_gemm_twopass_scratch(a, m, fa, packed_b, threads, scratch)
+    let pair = packed_b.pair_with(&fa)?;
+    let (k, n) = (packed_b.len, packed_b.vectors);
+    assert_eq!(a.len(), m * k, "A is not {m}x{k}");
+    let mut out = vec![0.0f32; m * n];
+    if m == 0 || n == 0 || k == 0 {
+        return Some(out);
     }
-}
-
-/// The two-pass activation strategy: lowers **all** of A to a code plane in
-/// `scratch`'s buffers (no fresh allocations on the steady-state path),
-/// then executes the pure integer GEMM over the two planes. This was the
-/// only strategy before the fused path existed; it remains the dispatch
-/// choice for training-shaped calls (`m >` [`FUSED_MAX_M`]), where one
-/// long `f32` sweep over A streams better than per-tile phase
-/// interleaving. Bit-identical to [`quantized_gemm_fused`].
-///
-/// Returns `None` under exactly the same conditions as
-/// [`quantized_gemm_prepacked`].
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
-pub fn quantized_gemm_twopass_scratch(
-    a: &[f32],
-    m: usize,
-    fa: BdrFormat,
-    packed_b: &PackedOperand,
-    threads: usize,
-    scratch: &mut PackScratch,
-) -> Option<Vec<f32>> {
-    let (class, k, _n, c) = a_side_gate(a, m, &fa, packed_b)?;
-    let views = match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(bp)) => {
-            let blocks = pack_into::<i16>(
-                a,
-                m,
-                k,
-                |i| i * k,
-                1,
-                |v, kb| v * blocks_of(k, &fa) + kb,
-                &fa,
-                &mut scratch.narrow_codes,
-                &mut scratch.narrow_exps,
-                &mut scratch.uexp,
-                &mut scratch.shifts,
-            );
-            PairViews::Narrow(
-                PlaneView {
-                    codes: &scratch.narrow_codes,
-                    exps: &scratch.narrow_exps,
-                    uexp: &scratch.uexp,
-                    blocks,
-                    k1: fa.k1(),
-                },
-                bp.view(),
-            )
-        }
-        (PairClass::Wide, Plane::Wide(bp)) => {
-            let blocks = pack_into::<i32>(
-                a,
-                m,
-                k,
-                |i| i * k,
-                1,
-                |v, kb| v * blocks_of(k, &fa) + kb,
-                &fa,
-                &mut scratch.wide_codes,
-                &mut scratch.wide_exps,
-                &mut scratch.uexp,
-                &mut scratch.shifts,
-            );
-            PairViews::Wide(
-                PlaneView {
-                    codes: &scratch.wide_codes,
-                    exps: &scratch.wide_exps,
-                    uexp: &scratch.uexp,
-                    blocks,
-                    k1: fa.k1(),
-                },
-                bp.view(),
-            )
-        }
-        // `packed_b` was packed for a partner in the other kernel class;
-        // callers fall back rather than silently re-lowering B.
-        _ => return None,
-    };
-    let ctx = backend::defer_ctx(&fa, &packed_b.fmt, blocks_of(k, &fa), c);
-    execute(
-        views,
-        packed_b.panel_n,
-        class,
+    let blocks = k.div_ceil(pair.k1);
+    let gemm = Gemm {
+        a,
+        fa: &fa,
         m,
-        packed_b.vectors,
         k,
-        c,
-        ctx,
-        threads,
-    )
-}
-
-/// The admission gate both activation strategies share — the plane-side
-/// check, the [`pair_class`] format gate, the operand-shape assertion, and
-/// the execute geometry `(class, k, n, c)`. Keeping it in one place is
-/// what makes "fused and two-pass return `None` under exactly the same
-/// conditions" a structural fact rather than a convention (the remaining
-/// per-strategy rejection — a B plane holding the other kernel class's
-/// code width — lives in each entry's plane match).
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
-fn a_side_gate(
-    a: &[f32],
-    m: usize,
-    fa: &BdrFormat,
-    packed_b: &PackedOperand,
-) -> Option<(PairClass, usize, usize, i32)> {
-    if packed_b.side != Side::Cols {
-        return None;
+        n,
+        c: pair.c,
+        ctx: pair.defer(blocks),
+        workers: gemm_workers(m, n, k, threads),
+    };
+    match &packed_b.plane {
+        Plane::Narrow(b) => gemm.run(
+            b.view(blocks, pair.k1),
+            backend::narrow_span_kernel(packed_b.panel_n),
+            &mut scratch.narrow,
+            &mut out,
+        ),
+        Plane::Wide(b) => gemm.run(
+            b.view(blocks, pair.k1),
+            backend::wide_span_kernel(),
+            &mut scratch.wide,
+            &mut out,
+        ),
     }
-    let class = pair_class(fa, &packed_b.fmt)?;
-    let k = packed_b.len;
-    assert_eq!(a.len(), m * k, "A is not {m}x{k}");
-    Some((class, k, packed_b.vectors, c_half(fa) + packed_b.c_half))
-}
-
-/// Block count per vector of a `len`-long reduction in `fmt`.
-fn blocks_of(len: usize, fmt: &BdrFormat) -> usize {
-    len.div_ceil(fmt.k1())
-}
-
-/// Quantized matrix product `A[m,k] × B[k,n]` against a **prepacked** B
-/// operand: only A's rows are lowered to codes, B-side packing is skipped
-/// entirely. This is the inference steady-state entry point — weights are
-/// static, so their [`PackedOperand`] is built once and reused across
-/// forward passes. Routes through the shape-aware dispatch of
-/// [`quantized_gemm_prepacked_scratch`] (fused pack-on-the-fly at serving
-/// shapes, two-pass prepack otherwise; callers on a hot loop should use
-/// the scratch variant directly to also reuse the activation buffers).
-///
-/// Bit-identical to [`quantized_gemm`] (and therefore to
-/// [`reference_gemm`]) for every supported pairing.
-///
-/// Returns `None` when `packed_b` is not a [`Side::Cols`] plane, or the
-/// `(fa, packed_b.format())` pair is unsupported, or that pair needs a
-/// different code width than `packed_b` holds (it was packed for a partner
-/// in the other kernel class) — callers fall back to the dequantize path.
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
-pub fn quantized_gemm_prepacked(
-    a: &[f32],
-    m: usize,
-    fa: BdrFormat,
-    packed_b: &PackedOperand,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    quantized_gemm_prepacked_scratch(a, m, fa, packed_b, threads, &mut PackScratch::new())
-}
-
-/// Quantized matrix product `A[m,k] × B[k,n]` computed entirely in the
-/// integer code domain (see the module docs for the datapath mapping).
-///
-/// A thin wrapper over the prepack/execute split that packs **both** sides
-/// ad hoc: A's rows and B's columns are quantized to aligned integer codes
-/// once per call, then the GEMM runs over codes, row-tiled per backend
-/// and dispatched row-parallel across `threads` workers
-/// (`0` = all cores; the split is block-aligned, so the result is
-/// bit-identical regardless of thread count). Callers with a static B
-/// should pack it once with [`PackedOperand::pack_cols`] and call
-/// [`quantized_gemm_prepacked`] instead.
-///
-/// Returns `None` when [`code_domain_supported`] rejects the format pair —
-/// callers fall back to the dequantize path.
-///
-/// # Panics
-///
-/// Panics if `a.len() != m·k` or `b.len() != k·n`.
-#[allow(clippy::too_many_arguments)] // a GEMM is dims + operands + formats
-pub fn quantized_gemm(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    fa: BdrFormat,
-    fb: BdrFormat,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    if !code_domain_supported(&fa, &fb) {
-        return None;
-    }
-    assert_eq!(a.len(), m * k, "A is not {m}x{k}");
-    assert_eq!(b.len(), k * n, "B is not {k}x{n}");
-    let pb = PackedOperand::pack_cols(b, k, n, fa, fb).expect("pair gated above");
-    quantized_gemm_prepacked(a, m, fa, &pb, threads)
+    Some(out)
 }
 
 /// The quantize → dequantize → `f32` matmul reference the code-domain path
@@ -989,7 +524,7 @@ pub fn quantized_gemm(
 /// the engine's strided kernels, then multiplied block by block — each
 /// `k1`-block pair's products summed exactly in `f64`, rounded to `f32`
 /// once, and accumulated across K blocks in `f32`, the same order and
-/// rounding points as [`quantized_gemm`].
+/// rounding points as [`quantized_gemm_prepacked_scratch`].
 ///
 /// # Panics
 ///
@@ -1000,14 +535,18 @@ pub fn quantized_gemm(
 ///
 /// ```
 /// use mx_core::bdr::BdrFormat;
-/// use mx_core::gemm::{quantized_gemm, reference_gemm};
+/// use mx_core::gemm::{
+///     quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand,
+/// };
 ///
 /// let fmt = BdrFormat::MX9;
 /// let a: Vec<f32> = (0..3 * 40).map(|i| (i as f32 * 0.19).sin()).collect();
 /// let b: Vec<f32> = (0..40 * 2).map(|i| (i as f32 * 0.23).cos()).collect();
 /// let want = reference_gemm(&a, &b, 3, 40, 2, fmt, fmt);
 /// // The integer code-domain path reproduces the reference bit for bit.
-/// assert_eq!(quantized_gemm(&a, &b, 3, 40, 2, fmt, fmt, 1).unwrap(), want);
+/// let pb = PackedOperand::pack_cols(&b, 40, 2, fmt, fmt).unwrap();
+/// let got = quantized_gemm_prepacked_scratch(&a, 3, fmt, &pb, 1, &mut PackScratch::new());
+/// assert_eq!(got.unwrap(), want);
 /// ```
 pub fn reference_gemm(
     a: &[f32],
@@ -1050,7 +589,10 @@ pub fn reference_gemm(
 
 #[cfg(test)]
 mod tests {
+    use super::pair::{ceil_log2, exact_dequantize, PairClass};
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ramp(n: usize, salt: usize) -> Vec<f32> {
         (0..n)
@@ -1058,11 +600,39 @@ mod tests {
             .collect()
     }
 
+    fn bits_eq(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Pack B for the pair, execute through the one entry.
+    #[allow(clippy::too_many_arguments)] // a GEMM is dims + operands + formats
+    fn gemm(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        fa: BdrFormat,
+        fb: BdrFormat,
+        threads: usize,
+    ) -> Option<Vec<f32>> {
+        let pb = PackedOperand::pack_cols(b, k, n, fa, fb)?;
+        assert!(
+            pb.accepts(&fa),
+            "{fa}/{fb}: a plane accepts its own partner"
+        );
+        quantized_gemm_prepacked_scratch(a, m, fa, &pb, threads, &mut PackScratch::new())
+    }
+
     /// A wide-but-supported custom format: `m + β = 16 > 15` forces the
     /// `i32` code plane while every support requirement still holds.
     fn wide_fmt() -> BdrFormat {
         let fmt = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
-        assert_eq!(pair_class(&fmt, &fmt), Some(PairClass::Wide));
+        assert_eq!(FormatPair::new(&fmt, &fmt).unwrap().class, PairClass::Wide);
         fmt
     }
 
@@ -1076,7 +646,12 @@ mod tests {
             BdrFormat::MSFP16,
         ] {
             for fb in [BdrFormat::MX4, BdrFormat::MX9, BdrFormat::MSFP16] {
-                assert_eq!(pair_class(&fa, &fb), Some(PairClass::Narrow), "{fa} x {fb}");
+                let pair = FormatPair::new(&fa, &fb).unwrap_or_else(|| panic!("{fa} x {fb}"));
+                assert_eq!(
+                    (pair.class, pair.k1),
+                    (PairClass::Narrow, 16),
+                    "{fa} x {fb}"
+                );
             }
         }
     }
@@ -1086,7 +661,6 @@ mod tests {
         // Mismatched k1.
         let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
         assert!(!code_domain_supported(&BdrFormat::MX6, &k32));
-        assert!(quantized_gemm(&[0.0; 16], &[0.0; 16], 1, 16, 1, BdrFormat::MX6, k32, 1).is_none());
         assert!(PackedOperand::pack_cols(&[0.0; 16], 16, 1, BdrFormat::MX6, k32).is_none());
         // m + β too wide for an i32 aligned code.
         let wide = BdrFormat::new(23, 8, 4, 16, 2).unwrap();
@@ -1096,18 +670,111 @@ mod tests {
         assert!(!exact_dequantize(&deep));
     }
 
+    /// Draws from the whole legal `BdrFormat::new(m, d1, d2, k1, k2)`
+    /// lattice — every mantissa and scale width the constructor admits,
+    /// any block size up to 64 with any sub-block size dividing it.
+    fn random_format(rng: &mut StdRng, k1: Option<usize>) -> BdrFormat {
+        use crate::bdr::{MAX_D1, MAX_D2, MAX_MANTISSA_BITS};
+        let k1 = k1.unwrap_or_else(|| rng.gen_range(1..=64usize));
+        let divisors: Vec<usize> = (1..=k1).filter(|&d| k1.is_multiple_of(d)).collect();
+        BdrFormat::new(
+            rng.gen_range(1..=MAX_MANTISSA_BITS),
+            rng.gen_range(1..=MAX_D1),
+            rng.gen_range(0..=MAX_D2),
+            k1,
+            divisors[rng.gen_range(0..divisors.len())],
+        )
+        .expect("legal by construction")
+    }
+
+    /// Values spanning zeros, sign flips, and a wide magnitude spread.
+    fn random_values(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1.0f32..1.0) * 1e4,
+                3 => rng.gen_range(-1.0f32..1.0) * 1e-4,
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generated_format_lattice_agrees_with_the_plane_and_the_reference() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let (mut narrow_run, mut wide_run, mut rejected) = (0, 0, 0);
+        for _ in 0..4000 {
+            let fb = random_format(&mut rng, None);
+            // Most partners share fb's block size, or nothing is supported.
+            let shared_k1 = (rng.gen_range(0..4u32) != 0).then_some(fb.k1());
+            let fa = random_format(&mut rng, shared_k1);
+            let pair = FormatPair::new(&fa, &fb);
+            assert_eq!(pair.is_some(), code_domain_supported(&fa, &fb), "{fa}/{fb}");
+            let (k, n) = (rng.gen_range(1..70usize), rng.gen_range(1..12usize));
+            let b = random_values(&mut rng, k * n);
+            let Some(pb) = PackedOperand::pack_cols(&b, k, n, fa, fb) else {
+                assert!(pair.is_none(), "{fa}/{fb}: supported pair failed to pack");
+                rejected += 1;
+                continue;
+            };
+            let pair = pair.unwrap_or_else(|| panic!("{fa}/{fb}: packed an unsupported pair"));
+            assert!(pb.accepts(&fa), "{fa}/{fb}");
+            // Any third format: `accepts` is false exactly when the entry
+            // returns `None` (asked at a degenerate and a real shape).
+            let other = random_format(&mut rng, shared_k1);
+            let mut scratch = PackScratch::new();
+            for m in [0usize, 2] {
+                let a = random_values(&mut rng, m * k);
+                let ran = quantized_gemm_prepacked_scratch(&a, m, other, &pb, 1, &mut scratch);
+                assert_eq!(
+                    ran.is_some(),
+                    pb.accepts(&other),
+                    "{other} on {fa}/{fb} m={m}"
+                );
+            }
+            // Sample bit-identity runs, capped per class to keep this quick.
+            let runs = match pair.class {
+                PairClass::Narrow => &mut narrow_run,
+                PairClass::Wide => &mut wide_run,
+            };
+            if *runs >= 24 {
+                continue;
+            }
+            *runs += 1;
+            for m in [1, FUSED_MAX_M, FUSED_MAX_M + 1, 100] {
+                let a = random_values(&mut rng, m * k);
+                let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+                for threads in [1usize, 3, 0] {
+                    let got =
+                        quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch)
+                            .unwrap();
+                    assert!(
+                        bits_eq(&got, &want),
+                        "{fa}/{fb} {m}x{k}x{n} threads={threads}"
+                    );
+                }
+            }
+        }
+        assert!(
+            narrow_run == 24 && wide_run == 24,
+            "{narrow_run} narrow, {wide_run} wide"
+        );
+        assert!(
+            rejected > 100,
+            "the lattice must reach unsupported pairs ({rejected})"
+        );
+    }
+
     #[test]
     fn matches_reference_exactly() {
         for fmt in [BdrFormat::MX4, BdrFormat::MX6, BdrFormat::MX9] {
             let (m, k, n) = (5, 48, 7);
             let a = ramp(m * k, 1);
             let b = ramp(k * n, 2);
-            let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
-            let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+            let got = gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
             assert!(
-                got.iter()
-                    .zip(want.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                bits_eq(&got, &reference_gemm(&a, &b, m, k, n, fmt, fmt)),
                 "{fmt}"
             );
         }
@@ -1118,56 +785,29 @@ mod tests {
         let (m, k, n) = (3, 40, 4);
         let a = ramp(m * k, 3);
         let b = ramp(k * n, 4);
-        let got = quantized_gemm(&a, &b, m, k, n, BdrFormat::MX9, BdrFormat::MX4, 1).unwrap();
+        let got = gemm(&a, &b, m, k, n, BdrFormat::MX9, BdrFormat::MX4, 1).unwrap();
         let want = reference_gemm(&a, &b, m, k, n, BdrFormat::MX9, BdrFormat::MX4);
         assert_eq!(got, want);
     }
 
     #[test]
-    fn prepacked_matches_ad_hoc_packing() {
-        for (fa, fb) in [
-            (BdrFormat::MX6, BdrFormat::MX6),
-            (BdrFormat::MX9, BdrFormat::MX4),
-            (BdrFormat::MSFP12, BdrFormat::MX6),
-        ] {
-            let (m, k, n) = (5, 40, 7); // ragged K tail
-            let a = ramp(m * k, 21);
-            let b = ramp(k * n, 22);
-            let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-            let via_prepack = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
-            let ad_hoc = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
-            assert!(
-                via_prepack
-                    .iter()
-                    .zip(ad_hoc.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{fa}/{fb}"
-            );
-            // A prepacked B is reusable: a second call sees identical bits.
-            let again = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
-            assert_eq!(via_prepack, again);
-        }
-    }
-
-    #[test]
-    fn packed_pair_execute_matches_reference() {
-        let fmt = BdrFormat::MX6;
-        let (m, k, n) = (4, 48, 6);
-        let a = ramp(m * k, 31);
-        let b = ramp(k * n, 32);
-        let pa = PackedOperand::pack_rows(&a, m, k, fmt, fmt).unwrap();
-        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        let got = quantized_gemm_packed(&pa, &pb, 1).unwrap();
-        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-        assert!(got
-            .iter()
-            .zip(want.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(pa.side(), Side::Rows);
-        assert_eq!(pb.side(), Side::Cols);
-        assert_eq!((pb.k(), pb.vectors()), (k, n));
-        assert_eq!(pb.format(), fmt);
+    fn packed_plane_is_reusable_and_reports_its_geometry() {
+        let (fa, fb) = (BdrFormat::MSFP12, BdrFormat::MX6);
+        let (m, k, n) = (5, 40, 7); // ragged K tail
+        let b = ramp(k * n, 22);
+        let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
+        assert_eq!((pb.k(), pb.vectors(), pb.format()), (k, n, fb));
         assert!(pb.packed_bytes() > 0);
+        let mut scratch = PackScratch::new();
+        for pass in 0..2 {
+            // Fresh activations per pass, same plane.
+            let a = ramp(m * k, 21 + pass);
+            let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
+            assert!(
+                bits_eq(&got, &reference_gemm(&a, &b, m, k, n, fa, fb)),
+                "pass {pass}"
+            );
+        }
     }
 
     #[test]
@@ -1179,12 +819,9 @@ mod tests {
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
         assert!(matches!(pb.plane, Plane::Wide(_)));
         assert_eq!(pb.panel_n, 0);
-        let got = quantized_gemm_prepacked(&a, m, fmt, &pb, 1).unwrap();
-        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-        assert!(got
-            .iter()
-            .zip(want.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        let got =
+            quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut PackScratch::new()).unwrap();
+        assert!(bits_eq(&got, &reference_gemm(&a, &b, m, k, n, fmt, fmt)));
     }
 
     #[test]
@@ -1195,14 +832,19 @@ mod tests {
         let (m, k, n) = (3, 40, 4);
         let a = ramp(m * k, 61);
         let b = ramp(k * n, 62);
-        let pb_for_mx6 =
-            PackedOperand::pack_cols(&b, k, n, BdrFormat::MX6, BdrFormat::MX4).unwrap();
-        let got = quantized_gemm_prepacked(&a, m, BdrFormat::MX9, &pb_for_mx6, 1).unwrap();
+        let pb = PackedOperand::pack_cols(&b, k, n, BdrFormat::MX6, BdrFormat::MX4).unwrap();
+        assert!(pb.accepts(&BdrFormat::MX9));
+        let got = quantized_gemm_prepacked_scratch(
+            &a,
+            m,
+            BdrFormat::MX9,
+            &pb,
+            1,
+            &mut PackScratch::new(),
+        )
+        .unwrap();
         let want = reference_gemm(&a, &b, m, k, n, BdrFormat::MX9, BdrFormat::MX4);
-        assert!(got
-            .iter()
-            .zip(want.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(bits_eq(&got, &want));
     }
 
     #[test]
@@ -1212,28 +854,31 @@ mod tests {
         let (m, k, n) = (2, 16, 3);
         let a = ramp(m * k, 51);
         let b = ramp(k * n, 52);
-        // B packed for a narrow partner cannot execute against a wide A.
+        let mut scratch = PackScratch::new();
+        // B packed for a narrow partner cannot execute against a wide A,
+        // and a wide-class plane refuses the narrow partner it would
+        // otherwise pair with.
         let pb = PackedOperand::pack_cols(&b, k, n, narrow, narrow).unwrap();
-        assert!(quantized_gemm_prepacked(&a, m, wide, &pb, 1).is_none());
-        // Two Rows planes (or swapped sides) are not a valid pairing.
-        let pa = PackedOperand::pack_rows(&a, m, k, narrow, narrow).unwrap();
-        assert!(quantized_gemm_packed(&pa, &pa, 1).is_none());
-        assert!(quantized_gemm_packed(&pb, &pa, 1).is_none());
-        // Mismatched reduction lengths are rejected.
-        let b2 = ramp(32 * n, 53);
-        let pb2 = PackedOperand::pack_cols(&b2, 32, n, narrow, narrow).unwrap();
-        assert!(quantized_gemm_packed(&pa, &pb2, 1).is_none());
+        assert!(!pb.accepts(&wide));
+        assert!(quantized_gemm_prepacked_scratch(&a, m, wide, &pb, 1, &mut scratch).is_none());
+        let pb = PackedOperand::pack_cols(&b, k, n, wide, narrow).unwrap();
+        assert!(pb.accepts(&wide) && !pb.accepts(&narrow));
+        assert!(quantized_gemm_prepacked_scratch(&a, m, narrow, &pb, 1, &mut scratch).is_none());
+        // The rejection precedes the degenerate-dims early return.
+        let pb0 = PackedOperand::pack_cols(&[], 0, n, narrow, narrow).unwrap();
+        assert!(quantized_gemm_prepacked_scratch(&[], m, wide, &pb0, 1, &mut scratch).is_none());
     }
 
     #[test]
     fn scratch_packing_is_bit_identical_and_reusable() {
-        // One scratch serves alternating shapes, formats, and kernel
-        // classes; every call is bit-identical to the allocating path.
+        // One scratch serves alternating shapes, formats, kernel classes,
+        // and both activation strategies; every call is bit-identical to a
+        // fresh-scratch run.
         let mut scratch = PackScratch::new();
         let wide = wide_fmt();
         for (round, (fa, fb, m, k, n)) in [
             (BdrFormat::MX6, BdrFormat::MX6, 5, 40, 7),
-            (BdrFormat::MX9, BdrFormat::MX4, 3, 48, 4),
+            (BdrFormat::MX9, BdrFormat::MX4, FUSED_MAX_M + 3, 48, 4),
             (wide, wide, 2, 40, 3),
             (BdrFormat::MX6, BdrFormat::MX6, 9, 16, 2),
         ]
@@ -1243,22 +888,12 @@ mod tests {
             let a = ramp(m * k, 70 + round);
             let b = ramp(k * n, 80 + round);
             let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-            let with_scratch =
-                quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-            let fresh = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
-            assert!(
-                with_scratch
-                    .iter()
-                    .zip(fresh.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{fa}/{fb} round {round}"
-            );
+            let reused = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
+            let fresh =
+                quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut PackScratch::new())
+                    .unwrap();
+            assert!(bits_eq(&reused, &fresh), "{fa}/{fb} round {round}");
         }
-        // Class mismatch is still rejected, not silently repacked.
-        let b = ramp(16 * 3, 90);
-        let pb = PackedOperand::pack_cols(&b, 16, 3, BdrFormat::MX6, BdrFormat::MX6).unwrap();
-        let a = ramp(2 * 16, 91);
-        assert!(quantized_gemm_prepacked_scratch(&a, 2, wide, &pb, 1, &mut scratch).is_none());
     }
 
     #[test]
@@ -1269,7 +904,7 @@ mod tests {
         let (m, k, n) = (4, 16, 4);
         let a = ramp(m * k, 5);
         let b = ramp(k * n, 6);
-        let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+        let got = gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
         let e = QuantEngine::new(fmt);
         let mut aq = a.clone();
         e.quantize_dequantize_rows(&mut aq, k);
@@ -1289,29 +924,14 @@ mod tests {
     #[test]
     fn empty_and_degenerate_dims() {
         let fmt = BdrFormat::MX6;
-        assert_eq!(
-            quantized_gemm(&[], &[], 0, 16, 0, fmt, fmt, 1).unwrap(),
-            vec![]
-        );
+        assert_eq!(gemm(&[], &[], 0, 16, 0, fmt, fmt, 1).unwrap(), vec![]);
         let a = ramp(16, 7);
-        assert_eq!(
-            quantized_gemm(&a, &[], 1, 16, 0, fmt, fmt, 1).unwrap(),
-            vec![]
-        );
+        assert_eq!(gemm(&a, &[], 1, 16, 0, fmt, fmt, 1).unwrap(), vec![]);
         // k = 0: all-zero output.
+        assert_eq!(gemm(&[], &[], 2, 0, 3, fmt, fmt, 1).unwrap(), vec![0.0; 6]);
+        // m = 0 against a real plane.
         assert_eq!(
-            quantized_gemm(&[], &[], 2, 0, 3, fmt, fmt, 1).unwrap(),
-            vec![0.0; 6]
-        );
-        // Degenerate dims through the prepacked entry points too.
-        let pb = PackedOperand::pack_cols(&[], 0, 3, fmt, fmt).unwrap();
-        assert_eq!(
-            quantized_gemm_prepacked(&[], 2, fmt, &pb, 1).unwrap(),
-            vec![0.0; 6]
-        );
-        let pb = PackedOperand::pack_cols(&[], 16, 0, fmt, fmt).unwrap();
-        assert_eq!(
-            quantized_gemm_prepacked(&a, 1, fmt, &pb, 1).unwrap(),
+            gemm(&[], &ramp(16 * 4, 8), 0, 16, 4, fmt, fmt, 1).unwrap(),
             vec![]
         );
     }
@@ -1321,36 +941,27 @@ mod tests {
         let fmt = BdrFormat::MX9;
         let a = vec![0.0f32; 3 * 33];
         let b = ramp(33 * 5, 9);
-        let got = quantized_gemm(&a, &b, 3, 33, 5, fmt, fmt, 1).unwrap();
+        let got = gemm(&a, &b, 3, 33, 5, fmt, fmt, 1).unwrap();
         assert!(got.iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]
     fn parallel_dispatch_is_bit_identical() {
         let fmt = BdrFormat::MX6;
-        // Large enough to cross the parallel work threshold.
-        let (m, k, n) = (64, 96, 48);
-        let a = ramp(m * k, 11);
+        // Large enough to cross the parallel work threshold, under both
+        // activation strategies.
+        let (k, n) = (96, 48);
         let b = ramp(k * n, 12);
-        let serial = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        for threads in [2usize, 3, 7, 0] {
-            let par = quantized_gemm(&a, &b, m, k, n, fmt, fmt, threads).unwrap();
-            assert!(
-                serial
-                    .iter()
-                    .zip(par.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "threads={threads}"
-            );
-            let pre = quantized_gemm_prepacked(&a, m, fmt, &pb, threads).unwrap();
-            assert!(
-                serial
-                    .iter()
-                    .zip(pre.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "prepacked threads={threads}"
-            );
+        let mut scratch = PackScratch::new();
+        for m in [FUSED_MAX_M, 64] {
+            let a = ramp(m * k, 11);
+            let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+            for threads in [1usize, 2, 3, 7, 0] {
+                let got = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch)
+                    .unwrap();
+                assert!(bits_eq(&got, &want), "m={m} threads={threads}");
+            }
         }
     }
 
@@ -1378,8 +989,8 @@ mod tests {
             panic!("preset pair must pack narrow");
         };
         assert_eq!(plane.uexp.len(), 3);
-        assert_ne!(plane.uexp[0], MIXED_EXP);
-        assert_eq!(plane.uexp[1], MIXED_EXP);
+        assert_ne!(plane.uexp[0], pack::MIXED_EXP);
+        assert_eq!(plane.uexp[1], pack::MIXED_EXP);
         assert_eq!(plane.uexp[2], 0);
     }
 
@@ -1387,7 +998,7 @@ mod tests {
     fn forced_backends_and_deferral_match_reference() {
         // The in-module smoke version of the `gemm_backends` suite: every
         // backend × deferral on/off reproduces the reference bit for bit.
-        // (Serialized against other tests by the env override being
+        // (Serialized against other tests by the override being
         // process-wide: this is the only in-module test that touches it.)
         let fmt = BdrFormat::MX6;
         let (m, k, n) = (9, 80, 11);
@@ -1407,13 +1018,11 @@ mod tests {
                     continue;
                 }
                 force_deferred_scale_out(Some(defer));
-                let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+                let got = gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
                 force_kernel_backend(None).unwrap();
                 force_deferred_scale_out(None);
                 assert!(
-                    got.iter()
-                        .zip(want.iter())
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    bits_eq(&got, &want),
                     "backend={} defer={defer}",
                     backend.name()
                 );

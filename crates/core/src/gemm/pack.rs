@@ -1,5 +1,5 @@
-//! Operand lowering: code planes, the prepack entry points, and the
-//! reusable pack scratch.
+//! Operand lowering: code planes, the weight-side prepack, and the
+//! reusable activation-side scratch.
 //!
 //! Packing is the only stage of the integer GEMM that reads `f32` data.
 //! Every pack in this module lowers blocks through the engine's
@@ -15,7 +15,8 @@
 //! its nonzero blocks agree on, or [`MIXED_EXP`] when they differ (all-zero
 //! vectors report 0 — their dots vanish, so any grid is correct).
 
-use super::{c_half, pair_class, panel_layout, Code, PairClass, Side, PANEL_N_512};
+use super::pair::{FormatPair, PairClass};
+use super::{panel_layout, Code, PANEL_N_512};
 use crate::bdr::BdrFormat;
 use crate::engine;
 
@@ -23,11 +24,27 @@ use crate::engine;
 /// deferral is off for every output element the vector touches.
 pub(super) const MIXED_EXP: i32 = i32::MIN;
 
-/// One GEMM operand lowered to shift-aligned integer codes: `vectors`
-/// reduction-dimension vectors (A rows or B columns), each split into
-/// `blocks` `k1`-blocks, zero-padded so every block is exactly `k1` codes.
+/// Borrowed view of a code plane — what the execute kernels actually
+/// consume: `vectors` reduction-dimension vectors (A rows or B columns),
+/// each split into `blocks` `k1`-blocks, zero-padded so every block is
+/// exactly `k1` codes. A [`PackedOperand`]'s plane and a
+/// [`PackScratch`]-backed activation plane both lower to this, so the
+/// kernels are oblivious to who owns the buffers.
+#[derive(Clone, Copy)]
+pub(super) struct PlaneView<'a, C> {
+    pub(super) codes: &'a [C],
+    pub(super) exps: &'a [i32],
+    /// Per-vector uniform exponent or [`MIXED_EXP`].
+    pub(super) uexp: &'a [i32],
+    pub(super) blocks: usize,
+    pub(super) k1: usize,
+}
+
+/// The storage of one code plane, in one code width — owned by a
+/// [`PackedOperand`] for good, or by a [`PackScratch`] that clears and
+/// refills it per call (reusing the capacity).
 #[derive(Clone)]
-pub(super) struct CodePlane<C> {
+pub(super) struct CodeBuf<C> {
     /// Signed, shift-aligned codes `± code · 2^(β − τ)`, laid out
     /// `[vector][block][k1]` — contiguous along the reduction dimension —
     /// or panel-major for the AVX2/AVX-512 panel kernels (see
@@ -39,46 +56,77 @@ pub(super) struct CodePlane<C> {
     /// Per-vector uniform shared exponent, or [`MIXED_EXP`] — the
     /// deferred-scale-out metadata.
     pub(super) uexp: Vec<i32>,
-    pub(super) blocks: usize,
-    pub(super) k1: usize,
+    /// Per-block microexponent shift workspace for the engine's planner.
+    pub(super) shifts: Vec<u32>,
 }
 
-impl<C> CodePlane<C> {
-    pub(super) fn view(&self) -> PlaneView<'_, C> {
-        PlaneView {
-            codes: &self.codes,
-            exps: &self.exps,
-            uexp: &self.uexp,
-            blocks: self.blocks,
-            k1: self.k1,
+impl<C> Default for CodeBuf<C> {
+    fn default() -> Self {
+        CodeBuf {
+            codes: Vec::new(),
+            exps: Vec::new(),
+            uexp: Vec::new(),
+            shifts: Vec::new(),
         }
     }
 }
 
-/// Borrowed view of a code plane — what the execute kernels actually
-/// consume. Owned [`CodePlane`]s (inside a [`PackedOperand`]) and
-/// [`PackScratch`]-backed ad-hoc planes both lower to this, so the kernels
-/// are oblivious to who owns the buffers.
-#[derive(Clone, Copy)]
-pub(super) struct PlaneView<'a, C> {
-    pub(super) codes: &'a [C],
-    pub(super) exps: &'a [i32],
-    /// Per-vector uniform exponent or [`MIXED_EXP`].
-    pub(super) uexp: &'a [i32],
-    pub(super) blocks: usize,
-    pub(super) k1: usize,
+impl<C: Code> CodeBuf<C> {
+    /// Zero-fills the buffers for `vectors` vectors of `blocks` blocks.
+    pub(super) fn reset(&mut self, vectors: usize, blocks: usize, k1: usize) {
+        self.codes.clear();
+        self.codes.resize(vectors * blocks * k1, C::ZERO);
+        self.exps.clear();
+        self.exps.resize(vectors * blocks, 0);
+        self.uexp.clear();
+        self.uexp.resize(vectors, 0);
+    }
+
+    pub(super) fn view(&self, blocks: usize, k1: usize) -> PlaneView<'_, C> {
+        PlaneView {
+            codes: &self.codes,
+            exps: &self.exps,
+            uexp: &self.uexp,
+            blocks,
+            k1,
+        }
+    }
 }
 
-/// Lowers `vectors` strided vectors of `len` elements to aligned codes,
-/// writing into caller-provided buffers (cleared and resized; capacity is
-/// reused across calls — the point of [`PackScratch`]). Vector `v` reads
-/// `data[base_of(v) + i·stride]` — rows use `(|i| i·len, 1)`, columns of a
-/// `[len, vectors]` matrix use `(|j| j, vectors)`. `slot_of(v, kb)` picks
-/// the storage layout: the generic kernels use vector-major
-/// `v·blocks + kb`, the panel kernels consume B packed panel-major (see
-/// [`PackedOperand::pack_cols`]). `uexp` receives one entry per vector
-/// (see [`MIXED_EXP`]). Returns the block count per vector.
-#[allow(clippy::too_many_arguments)] // operand geometry + layout + four buffers
+/// Folds one vector's block exponents into its [`PlaneView::uexp`] entry.
+#[derive(Default)]
+pub(super) struct UniformExp {
+    seen: Option<i32>,
+    mixed: bool,
+}
+
+impl UniformExp {
+    /// Records a nonzero block's shared exponent.
+    pub(super) fn note(&mut self, e: i32) {
+        match self.seen {
+            None => self.seen = Some(e),
+            Some(prev) if prev != e => self.mixed = true,
+            _ => {}
+        }
+    }
+
+    /// The uniform exponent, [`MIXED_EXP`], or 0 for an all-zero vector.
+    pub(super) fn finish(self) -> i32 {
+        if self.mixed {
+            MIXED_EXP
+        } else {
+            self.seen.unwrap_or(0)
+        }
+    }
+}
+
+/// Lowers `vectors` strided vectors of `len` elements to aligned codes in
+/// `buf`. Vector `v` reads `data[base_of(v) + i·stride]` — rows use
+/// `(|i| i·len, 1)`, columns of a `[len, vectors]` matrix use
+/// `(|j| j, vectors)`. `slot_of(v, kb)` picks the storage layout: the
+/// generic kernels use vector-major `v·blocks + kb`, the panel kernels
+/// consume B packed panel-major (see [`PackedOperand::pack_cols`]).
+#[allow(clippy::too_many_arguments)] // operand geometry + layout + buffers
 pub(super) fn pack_into<C: Code>(
     data: &[f32],
     vectors: usize,
@@ -87,23 +135,14 @@ pub(super) fn pack_into<C: Code>(
     stride: usize,
     slot_of: impl Fn(usize, usize) -> usize,
     fmt: &BdrFormat,
-    codes: &mut Vec<C>,
-    exps: &mut Vec<i32>,
-    uexp: &mut Vec<i32>,
-    shifts: &mut Vec<u32>,
-) -> usize {
+    buf: &mut CodeBuf<C>,
+) {
     let k1 = fmt.k1();
     let blocks = len.div_ceil(k1);
-    codes.clear();
-    codes.resize(vectors * blocks * k1, C::ZERO);
-    exps.clear();
-    exps.resize(vectors * blocks, 0);
-    uexp.clear();
-    uexp.resize(vectors, 0);
-    for (v, u) in uexp.iter_mut().enumerate() {
+    buf.reset(vectors, blocks, k1);
+    for v in 0..vectors {
         let base = base_of(v);
-        let mut seen: Option<i32> = None;
-        let mut mixed = false;
+        let mut uniform = UniformExp::default();
         for kb in 0..blocks {
             let start = kb * k1;
             let blen = k1.min(len - start);
@@ -116,20 +155,15 @@ pub(super) fn pack_into<C: Code>(
                 base + start * stride,
                 stride,
                 blen,
-                shifts,
-                &mut codes[slot * k1..][..k1],
+                &mut buf.shifts,
+                &mut buf.codes[slot * k1..][..k1],
             ) {
-                exps[slot] = e;
-                match seen {
-                    None => seen = Some(e),
-                    Some(prev) if prev != e => mixed = true,
-                    _ => {}
-                }
+                buf.exps[slot] = e;
+                uniform.note(e);
             }
         }
-        *u = if mixed { MIXED_EXP } else { seen.unwrap_or(0) };
+        buf.uexp[v] = uniform.finish();
     }
-    blocks
 }
 
 /// Block-slot index of `(column v, block kb)` in a panel-major plane of
@@ -167,80 +201,53 @@ pub(super) fn panel_slot(
     }
 }
 
-/// [`pack_into`] into freshly allocated buffers, returning an owned plane.
-fn pack<C: Code>(
-    data: &[f32],
-    vectors: usize,
-    len: usize,
-    base_of: impl Fn(usize) -> usize,
-    stride: usize,
+/// Lowers `B[k,n]`'s columns into a freshly allocated buffer.
+fn pack_cols_buf<C: Code>(
+    b: &[f32],
+    k: usize,
+    n: usize,
     slot_of: impl Fn(usize, usize) -> usize,
     fmt: &BdrFormat,
-) -> CodePlane<C> {
-    let mut codes = Vec::new();
-    let mut exps = Vec::new();
-    let mut uexp = Vec::new();
-    let mut shifts = Vec::new();
-    let blocks = pack_into(
-        data,
-        vectors,
-        len,
-        base_of,
-        stride,
-        slot_of,
-        fmt,
-        &mut codes,
-        &mut exps,
-        &mut uexp,
-        &mut shifts,
-    );
-    CodePlane {
-        codes,
-        exps,
-        uexp,
-        blocks,
-        k1: fmt.k1(),
-    }
+) -> CodeBuf<C> {
+    let mut buf = CodeBuf::default();
+    pack_into(b, n, k, |j| j, n, slot_of, fmt, &mut buf);
+    buf
 }
 
-/// The concrete code storage behind a [`PackedOperand`].
+/// The concrete code storage behind a [`PackedOperand`]; the variant is the
+/// record of which kernel class the plane was packed for.
 #[derive(Clone)]
 pub(super) enum Plane {
     /// `i16` codes (narrow pairs — every MX/MSFP preset).
-    Narrow(CodePlane<i16>),
+    Narrow(CodeBuf<i16>),
     /// `i32` codes (wide custom formats).
-    Wide(CodePlane<i32>),
+    Wide(CodeBuf<i32>),
 }
 
-/// A GEMM operand lowered **once** to shift-aligned sign/magnitude codes
-/// plus per-block shared exponents — the reusable "prepack" half of the
-/// prepack/execute split.
+/// The weight operand `B[k,n]` lowered **once** to shift-aligned
+/// sign/magnitude codes plus per-block shared exponents — the reusable
+/// "prepack" half of the prepack/execute split.
 ///
-/// Built by [`PackedOperand::pack_rows`] (A side) or
-/// [`PackedOperand::pack_cols`] (B side) against a *partner* format. The
-/// codes themselves depend only on the operand's own format; the partner
-/// decides the code width (`i16` vs `i32`) and, for the B side, the
-/// storage layout (panel-major when the AVX2 kernels will consume it). A
-/// plane is therefore executable against any partner format that lands in
-/// the same kernel class as the one it was packed for — e.g. a plane
-/// packed for an MX6 partner also serves MX9 activations, since every
-/// preset pair is narrow — and
-/// [`super::quantized_gemm_packed`] returns `None` (rather than silently
-/// re-lowering) when the executed pair needs a different code width than
-/// the plane holds.
+/// Built by [`PackedOperand::pack_cols`] against a *partner* (activation)
+/// format. The codes themselves depend only on the weight format; the
+/// partner decides the kernel class — code width (`i16` vs `i32`) and
+/// storage layout (panel-major when a panel backend will consume it). The
+/// plane records that class and answers [`PackedOperand::accepts`] for any
+/// activation format: every partner landing in the same class executes
+/// against it — e.g. a plane packed for an MX6 partner also serves MX9
+/// activations, since every preset pair is narrow — and
+/// [`super::quantized_gemm_prepacked_scratch`] returns `None` exactly when
+/// `accepts` is false (it never silently re-lowers).
 ///
-/// Packing is the only stage that reads `f32` data; executing a GEMM over
-/// two packed operands is pure integer work plus the scale-outs. Weights
-/// are static across inference steps, so `mx-nn` caches the weight-side
-/// plane and amortizes this cost to zero.
+/// Packing is the only stage that reads weight `f32` data. Weights are
+/// static across inference steps, so `mx-nn` caches the plane on the
+/// tensor and amortizes this cost to zero.
 #[derive(Clone)]
 pub struct PackedOperand {
-    pub(super) side: Side,
     pub(super) fmt: BdrFormat,
     /// Reduction-dimension length `K`.
     pub(super) len: usize,
-    /// Number of packed vectors: `M` for a [`Side::Rows`] plane, `N` for a
-    /// [`Side::Cols`] plane.
+    /// Number of packed columns `N`.
     pub(super) vectors: usize,
     /// Panel width of the codes' layout: 0 for vector-major, else the
     /// columns-per-panel the plane was packed with ([`super::PANEL_N`] for
@@ -248,8 +255,6 @@ pub struct PackedOperand {
     /// [`panel_slot`]). Execution always follows this recorded width, not
     /// the currently selected backend.
     pub(super) panel_n: usize,
-    /// This operand's half of the scale-out constant: `−(m − 1) − β`.
-    pub(super) c_half: i32,
     pub(super) plane: Plane,
 }
 
@@ -257,8 +262,7 @@ impl std::fmt::Debug for PackedOperand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "PackedOperand({:?}, {} x{} vectors, k={}, {}{})",
-            self.side,
+            "PackedOperand({} x{} columns, k={}, {}{})",
             self.fmt,
             self.vectors,
             self.len,
@@ -275,48 +279,6 @@ impl std::fmt::Debug for PackedOperand {
 }
 
 impl PackedOperand {
-    /// Lowers `A[m,k]`'s rows to aligned integer codes for multiplication
-    /// against a `fb`-format B operand. Returns `None` when the `(fa, fb)`
-    /// pair is unsupported (see [`super::code_domain_supported`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m·k`.
-    pub fn pack_rows(a: &[f32], m: usize, k: usize, fa: BdrFormat, fb: BdrFormat) -> Option<Self> {
-        let class = pair_class(&fa, &fb)?;
-        assert_eq!(a.len(), m * k, "A is not {m}x{k}");
-        let blocks = k.div_ceil(fa.k1());
-        let plane = match class {
-            PairClass::Narrow => Plane::Narrow(pack::<i16>(
-                a,
-                m,
-                k,
-                |i| i * k,
-                1,
-                |v, kb| v * blocks + kb,
-                &fa,
-            )),
-            PairClass::Wide => Plane::Wide(pack::<i32>(
-                a,
-                m,
-                k,
-                |i| i * k,
-                1,
-                |v, kb| v * blocks + kb,
-                &fa,
-            )),
-        };
-        Some(PackedOperand {
-            side: Side::Rows,
-            fmt: fa,
-            len: k,
-            vectors: m,
-            panel_n: 0,
-            c_half: c_half(&fa),
-            plane,
-        })
-    }
-
     /// Lowers `B[k,n]`'s columns to aligned integer codes for multiplication
     /// against `fa`-format activations. Returns `None` when the `(fa, fb)`
     /// pair is unsupported (see [`super::code_domain_supported`]).
@@ -340,49 +302,62 @@ impl PackedOperand {
     ///
     /// Panics if `b.len() != k·n`.
     pub fn pack_cols(b: &[f32], k: usize, n: usize, fa: BdrFormat, fb: BdrFormat) -> Option<Self> {
-        let class = pair_class(&fa, &fb)?;
+        let pair = FormatPair::new(&fa, &fb)?;
         assert_eq!(b.len(), k * n, "B is not {k}x{n}");
-        let blocks = k.div_ceil(fb.k1());
-        let panel_n = if class == PairClass::Narrow {
-            panel_layout(fb.k1())
-        } else {
-            0
+        let blocks = k.div_ceil(pair.k1);
+        let panel_n = match pair.class {
+            PairClass::Narrow => panel_layout(pair.k1),
+            PairClass::Wide => 0,
         };
-        let plane = match class {
-            PairClass::Narrow => Plane::Narrow(pack::<i16>(
-                b,
-                n,
-                k,
-                |j| j,
-                n,
-                |v, kb| {
-                    if panel_n != 0 {
-                        panel_slot(v, kb, n, blocks, panel_n)
-                    } else {
-                        v * blocks + kb
-                    }
-                },
-                &fb,
-            )),
-            PairClass::Wide => {
-                Plane::Wide(pack::<i32>(b, n, k, |j| j, n, |v, kb| v * blocks + kb, &fb))
-            }
+        let slot_of = |v: usize, kb: usize| match panel_n {
+            0 => v * blocks + kb,
+            w => panel_slot(v, kb, n, blocks, w),
+        };
+        let plane = match pair.class {
+            PairClass::Narrow => Plane::Narrow(pack_cols_buf(b, k, n, slot_of, &fb)),
+            PairClass::Wide => Plane::Wide(pack_cols_buf(b, k, n, slot_of, &fb)),
         };
         Some(PackedOperand {
-            side: Side::Cols,
             fmt: fb,
             len: k,
             vectors: n,
             panel_n,
-            c_half: c_half(&fb),
             plane,
         })
     }
 
-    /// The operand side this plane packs ([`Side::Rows`] for A,
-    /// [`Side::Cols`] for B).
-    pub fn side(&self) -> Side {
-        self.side
+    /// The pair descriptor for executing `fa`-format activations against
+    /// this plane, or `None` when the plane does not accept them.
+    pub(super) fn pair_with(&self, fa: &BdrFormat) -> Option<FormatPair> {
+        let held = match self.plane {
+            Plane::Narrow(_) => PairClass::Narrow,
+            Plane::Wide(_) => PairClass::Wide,
+        };
+        FormatPair::new(fa, &self.fmt).filter(|pair| pair.class == held)
+    }
+
+    /// Whether `fa`-format activations can execute against this plane: the
+    /// `(fa, self.format())` pair is supported **and** lands in the kernel
+    /// class the plane was packed for.
+    /// [`super::quantized_gemm_prepacked_scratch`] returns `None` exactly
+    /// when this is false, so callers decide by asking the plane — never by
+    /// running a GEMM.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mx_core::bdr::BdrFormat;
+    /// use mx_core::gemm::PackedOperand;
+    ///
+    /// let w = vec![0.5f32; 16 * 2];
+    /// let plane = PackedOperand::pack_cols(&w, 16, 2, BdrFormat::MX6, BdrFormat::MX6).unwrap();
+    /// // Every preset pair is narrow: one plane serves them all ...
+    /// assert!(plane.accepts(&BdrFormat::MX9));
+    /// // ... but a 16-bit-mantissa partner needs i32 codes this plane lacks.
+    /// assert!(!plane.accepts(&BdrFormat::new(16, 8, 0, 16, 16).unwrap()));
+    /// ```
+    pub fn accepts(&self, fa: &BdrFormat) -> bool {
+        self.pair_with(fa).is_some()
     }
 
     /// The BDR format the codes were quantized in.
@@ -395,7 +370,7 @@ impl PackedOperand {
         self.len
     }
 
-    /// Number of packed vectors (`M` rows or `N` columns).
+    /// Number of packed columns `N`.
     pub fn vectors(&self) -> usize {
         self.vectors
     }
@@ -414,28 +389,20 @@ impl PackedOperand {
     }
 }
 
-/// Reusable buffers for ad-hoc A-side lowering, shared by both activation
-/// strategies: the **two-pass** path
-/// ([`super::quantized_gemm_twopass_scratch`]) lowers the whole activation
-/// plane into the code and exponent vectors, while the **fused** path
-/// ([`super::quantized_gemm_fused`]) reuses the same vectors as its
-/// tile ring, so a steady-state forward pass allocates nothing for the
-/// activation side whichever way the dispatch goes. Narrow and wide widths
-/// keep separate buffers, so one scratch serves interleaved format classes
-/// without reallocation churn.
+/// Reusable buffers for activation-side lowering, shared by both private
+/// strategies of [`super::quantized_gemm_prepacked_scratch`]: the
+/// **two-pass** strategy lowers the whole activation plane into them, the
+/// **fused** strategy uses them as its tile ring, so a steady-state forward
+/// pass allocates nothing for the activation side whichever way the
+/// dispatch goes. Narrow and wide widths keep separate buffers, so one
+/// scratch serves interleaved format classes without reallocation churn.
 ///
 /// A scratch is plain storage — it carries no format or shape state, so one
 /// instance can serve any sequence of GEMMs (`mx-nn` keeps one per thread).
 #[derive(Default)]
 pub struct PackScratch {
-    pub(super) narrow_codes: Vec<i16>,
-    pub(super) narrow_exps: Vec<i32>,
-    pub(super) wide_codes: Vec<i32>,
-    pub(super) wide_exps: Vec<i32>,
-    /// Per-vector uniform-exponent metadata (either width's plane).
-    pub(super) uexp: Vec<i32>,
-    /// Per-block microexponent shift workspace for the engine's planner.
-    pub(super) shifts: Vec<u32>,
+    pub(super) narrow: CodeBuf<i16>,
+    pub(super) wide: CodeBuf<i32>,
 }
 
 impl PackScratch {

@@ -7,7 +7,7 @@
 //! with the `pmaddwd` dot) and [`super::Code::dot_scalar`] (pure Rust), so
 //! the scalar and SSE2 tiers share one traversal and differ only in the
 //! block-dot instruction. Deferred scale-out (see
-//! [`super::backend::defer_ctx`]) is applied per output element whenever
+//! [`super::pair::FormatPair::defer`]) is applied per output element whenever
 //! the element's exponent metadata qualifies, with the per-block scale-out
 //! chain as the exact fallback.
 

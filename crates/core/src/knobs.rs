@@ -24,14 +24,6 @@ pub const KNOBS: &[(&str, &str)] = &[
         "force the quantized-GEMM kernel backend: auto | scalar | sse2 | avx2 | avx512 (can only narrow the ISA, never fake one)",
     ),
     (
-        "MX_KERNEL_DEFER",
-        "0 / off / false disables deferred scale-out (bit-identical either way; isolates the deferral speedup)",
-    ),
-    (
-        "MX_KERNEL_VNNI",
-        "0 / off / false selects the vpmaddwd+vpaddd fallback inside the AVX-512 kernel (bit-identical either way; isolates the VNNI speedup)",
-    ),
-    (
         "MX_BENCH_THREADS",
         "worker-thread budget for the parallel bench cases (0 = all cores)",
     ),
@@ -46,10 +38,6 @@ pub const KNOBS: &[(&str, &str)] = &[
     (
         "MX_SERVE_SHARDS",
         "default registry shard count for the serve_loadgen simulator (each shard owns a queue, dispatcher, and worker pool)",
-    ),
-    (
-        "MX_PLAN",
-        "0 / off / false disables compiled execution plans in mx-serve (bit-identical either way; isolates the plan-cache speedup)",
     ),
 ];
 

@@ -13,8 +13,11 @@
 //!   and planned execution read the *same* plane bits). Weight staleness is
 //!   checked once per execute via the cache key (see `plan_token` on the
 //!   model zoo), not once per layer.
-//! - **Format gate hoist** — the `pair_class` support decision runs once
-//!   per GEMM at plan time: a plan either compiles with the code-domain
+//! - **Format gate hoist** — the format-pair support decision runs once
+//!   per GEMM at plan time, as the same `(weight format, kernel class)`
+//!   plane lookup the dynamic path performs per call (`qflow::weight_plane`
+//!   asks each cached plane whether it `accepts` the activation format —
+//!   no probe GEMM): a plan either compiles with the code-domain
 //!   path (or the `f32` identity path) or fails with a typed
 //!   [`PlanError`], instead of silently re-checking per call.
 //! - **Fusion** — quantize → GEMM → bias → activation → element-wise cast
@@ -660,10 +663,11 @@ impl Stage {
     }
 }
 
-/// The hoisted format-support gate (the per-call `pair_class` check of the
-/// dynamic path, run once at plan time): identity pairs take the `f32`
-/// path, supported BDR pairs pin a code plane, anything else is a typed
-/// compile error.
+/// The hoisted format-support gate (the per-call check of the dynamic
+/// path, run once at plan time): identity pairs take the `f32` path,
+/// supported BDR pairs pin the code plane that accepts `fa` — fetched from
+/// (or packed into) the same generation-keyed per-tensor cache the dynamic
+/// path uses — anything else is a typed compile error.
 fn lower_weights(
     w: &Tensor,
     fa: TensorFormat,
@@ -677,43 +681,12 @@ fn lower_weights(
         });
     }
     if let (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) = (fa, fb) {
-        if gemm::code_domain_supported(&ba, &bb) {
-            let plane = pin_plane(w, ba, bb, k, n)?;
+        if let Some(plane) = weight_plane(w, ba, bb, k, n) {
             PREPACK_HOISTS.fetch_add(1, Ordering::Relaxed);
             return Ok(GemmWeights::Code { fa: ba, plane });
         }
     }
     Err(PlanError::UnsupportedFormats { fa, fb })
-}
-
-/// Fetches (or packs) `w`'s plane from the same generation-keyed cache the
-/// dynamic path uses, then proves it matches `fa`'s kernel class with a
-/// one-row probe — the cross-class retry the dynamic path does per call,
-/// hoisted to plan time.
-fn pin_plane(
-    w: &Tensor,
-    ba: BdrFormat,
-    bb: BdrFormat,
-    k: usize,
-    n: usize,
-) -> Result<Arc<PackedOperand>, PlanError> {
-    let probe_row = vec![0.0f32; k];
-    let mut scratch = PackScratch::new();
-    let mut probe = |plane: &PackedOperand| {
-        gemm::quantized_gemm_prepacked_scratch(&probe_row, 1, ba, plane, 1, &mut scratch).is_some()
-    };
-    let plane = weight_plane(w, ba, bb, k, n, false);
-    if probe(&plane) {
-        return Ok(plane);
-    }
-    // Cached plane was packed for the other kernel class: repack for this
-    // exact pair (replacing the cache entry, as the dynamic retry does).
-    let plane = weight_plane(w, ba, bb, k, n, true);
-    if probe(&plane) {
-        Ok(plane)
-    } else {
-        Err(PlanError::Internal("freshly packed plane failed its probe"))
-    }
 }
 
 /// Lowers a model forward into a [`CompiledPlan`]: collects stages,

@@ -12,28 +12,29 @@
 //! # The weight-plane cache and its invalidation contract
 //!
 //! When both operands of [`quantized_matmul_ab`] are BDR formats, the
-//! product runs on `mx_core::gemm`'s prepack/execute split: the right
-//! (weight) operand must be lowered to a shift-aligned integer code plane
-//! ([`mx_core::gemm::PackedOperand`]) before the integer GEMM executes.
-//! The left (activation) operand goes through the gemm module's
-//! shape-aware dispatch (`quantized_gemm_prepacked_scratch`): at serving
-//! shapes (`m ≤ FUSED_MAX_M` rows) it is quantized per row tile *inside*
-//! the execute loop (pack-on-the-fly), at training shapes it is lowered in
-//! one two-pass sweep — bit-identical either way, so every layer and the
-//! `mx-serve` batch path picked the fused hot path up with no call-site
-//! changes.
-//! That lowering is cached **on the weight tensor itself**, keyed by the
-//! weight format (the codes depend only on it, so one plane serves every
-//! activation format in the same kernel class), and attention, linear,
-//! RNN, and conv im2col all amortize packing across forward passes with no
-//! call-site changes — at inference steady state the weight operand is
-//! never re-quantized. The cache holds one plane *per weight format* (see
-//! [`MAX_CACHED_PLANES`]) behind a mutex, so concurrent serving threads
-//! that select formats per request share the same warm planes instead of
-//! evicting each other — `mx-serve` leans on exactly this to lower each
-//! model's weights once across all in-flight requests, and
-//! [`plane_cache_counters`] exposes the hit/pack tallies its `ServeStats`
-//! reports as "packs avoided".
+//! product runs on `mx_core::gemm`: the right (weight) operand is lowered
+//! once to a shift-aligned integer code plane
+//! ([`mx_core::gemm::PackedOperand`]), and the one execute entry
+//! (`quantized_gemm_prepacked_scratch`) quantizes the left (activation)
+//! operand as a stage of the same call — so every layer and the
+//! `mx-serve` batch path ride the serving hot path with no call-site
+//! choices to make.
+//! The plane is cached **on the weight tensor itself**, keyed by
+//! `(weight format, kernel class)`: the codes depend only on the weight
+//! format, the class (`i16` vs `i32` codes) on the activation partner, and
+//! a lookup asks each candidate plane whether it
+//! [`accepts`](mx_core::gemm::PackedOperand::accepts) the activation
+//! format — no GEMM is ever run to find out. One plane therefore serves
+//! every activation format in its class, a narrow-class and a wide-class
+//! plane for the same weight format coexist, and attention, linear, RNN,
+//! and conv im2col all amortize packing across forward passes — at
+//! inference steady state the weight operand is never re-quantized. The
+//! cache is bounded (see [`MAX_CACHED_PLANES`]) and sits behind a mutex,
+//! so concurrent serving threads that select formats per request share
+//! the same warm planes instead of evicting each other — `mx-serve` leans
+//! on exactly this to lower each model's weights once across all
+//! in-flight requests, and [`plane_cache_counters`] exposes the hit/pack
+//! tallies its `ServeStats` reports as "packs avoided".
 //!
 //! The invalidation contract is generation-based and cannot go stale:
 //!
@@ -57,7 +58,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Most weight code planes a tensor caches at once (one per weight format).
+/// Most weight code planes a tensor caches at once (one per weight format
+/// and kernel class).
 /// Large enough for every preset plus headroom; past it the oldest entry is
 /// evicted. Serving traffic that cycles through the presets therefore never
 /// repacks after warmup, and a pathological format fuzzer cannot hoard
@@ -65,10 +67,10 @@ use std::sync::Arc;
 const MAX_CACHED_PLANES: usize = 8;
 
 /// Process-wide count of weight-plane cache hits (a B-side lowering that
-/// was skipped because a cached plane matched).
+/// was skipped because a cached plane accepted the pair).
 static PLANE_HITS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of weight-plane packs actually performed (cold slot,
-/// stale generation, new format, or forced cross-class repack).
+/// stale generation, new weight format, or new kernel class).
 static PLANE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide weight-plane cache counters as
@@ -210,12 +212,10 @@ pub fn quantized_matmul(a: &Tensor, b: &Tensor, format: TensorFormat) -> Tensor 
 /// quantizes in `fa`, `b` (weights) in `fb`.
 ///
 /// When both operands are block (BDR) formats the product runs on
-/// [`mx_core::gemm`]'s integer code-domain path through its
-/// prepack/execute split: `b`'s shift-aligned code plane is fetched from
-/// the tensor's generation-keyed cache (packed on a miss — see the module
-/// docs for the invalidation contract), `a`'s rows are lowered fresh —
-/// fused into the execute loop per row tile at serving shapes, two-pass at
-/// training shapes (the gemm module's shape-aware dispatch) — and
+/// [`mx_core::gemm`]'s integer code-domain path: `b`'s shift-aligned code
+/// plane is fetched from the tensor's generation-keyed cache (packed on a
+/// miss — see the module docs for the invalidation contract), `a`'s rows
+/// are quantized inside the one execute entry, and
 /// every K-block dot product is computed in integer arithmetic with a
 /// single `f32` scale-out per block pair — bit-identical to the dequantize
 /// reference with blocked accumulation (and exactly equal to the naive
@@ -226,35 +226,23 @@ pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorF
         return a.matmul(b);
     }
     if let (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) = (fa, fb) {
-        if gemm::code_domain_supported(&ba, &bb) {
-            let (m, k) = (a.rows(), a.cols());
-            assert_eq!(b.shape().len(), 2, "rhs of matmul must be 2-D");
-            let (kb, n) = (b.shape()[0], b.shape()[1]);
-            assert_eq!(k, kb, "inner dims: {k} vs {kb}");
-            let threads = parallel::default_threads();
-            let plane = weight_plane(b, ba, bb, k, n, false);
-            let run = |plane: &PackedOperand| {
-                PACK_SCRATCH.with(|scratch| {
-                    gemm::quantized_gemm_prepacked_scratch(
-                        a.data(),
-                        m,
-                        ba,
-                        plane,
-                        threads,
-                        &mut scratch.borrow_mut(),
-                    )
-                })
-            };
-            let out = match run(&plane) {
-                Some(out) => out,
-                // The cached plane was packed for a partner in the other
-                // kernel class (exotic mixed-format direct cast): repack
-                // for this pair and replace the entry.
-                None => {
-                    let plane = weight_plane(b, ba, bb, k, n, true);
-                    run(&plane).expect("plane freshly packed for this exact pair")
-                }
-            };
+        let (m, k) = (a.rows(), a.cols());
+        assert_eq!(b.shape().len(), 2, "rhs of matmul must be 2-D");
+        let (kb, n) = (b.shape()[0], b.shape()[1]);
+        assert_eq!(k, kb, "inner dims: {k} vs {kb}");
+        let out = weight_plane(b, ba, bb, k, n).and_then(|plane| {
+            PACK_SCRATCH.with(|scratch| {
+                gemm::quantized_gemm_prepacked_scratch(
+                    a.data(),
+                    m,
+                    ba,
+                    &plane,
+                    parallel::default_threads(),
+                    &mut scratch.borrow_mut(),
+                )
+            })
+        });
+        if let Some(out) = out {
             let mut shape = a.shape()[..a.shape().len() - 1].to_vec();
             shape.push(n);
             return Tensor::from_vec(out, &shape);
@@ -265,24 +253,24 @@ pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorF
     aq.matmul(&bq)
 }
 
-/// Returns `b`'s cached weight code plane for weight format `fb`, packing
-/// (for the `(fa, fb)` pair) and caching on a cold or stale slot, or
-/// unconditionally when `force` is set. A hit requires the stored
-/// generation stamp to equal [`Tensor::generation`] — the contract that
-/// makes optimizer steps and direct weight writes invalidate automatically.
-/// Stale entries (from any older generation) are purged wholesale on the
-/// first lookup after a mutation.
+/// Returns a weight code plane of `b` in format `fb` that accepts
+/// `fa`-format activations: the cached one when the tensor holds it,
+/// otherwise packed for the `(fa, fb)` pair and cached — or `None` when
+/// the pair has no code-domain path (the caller's dequantize fallback;
+/// this is the only support gate the callers need). A hit requires the
+/// stored generation stamp to equal [`Tensor::generation`] — the contract
+/// that makes optimizer steps and direct weight writes invalidate
+/// automatically. Stale entries (from any older generation) are purged
+/// wholesale on the first lookup after a mutation.
 ///
-/// The cache holds one plane **per weight format** (up to
-/// [`MAX_CACHED_PLANES`], oldest evicted): serving traffic that selects
-/// formats per request keeps every live format's plane warm instead of
-/// thrashing a single slot. The activation format is deliberately not part
-/// of the key: the codes depend only on `fb`, so one plane serves every
-/// activation format in the same kernel class (direct-cast sweeps that
-/// alternate activation formats against one weight tensor keep hitting).
-/// The rare cross-class pairing is caught by the prepacked GEMM returning
-/// `None`, and the caller retries with `force`, which replaces that
-/// format's entry.
+/// The cache key is `(fb, kernel class)`, asked of each plane through
+/// [`PackedOperand::accepts`]: the codes depend only on `fb`, so one plane
+/// serves every activation format in its class (direct-cast sweeps that
+/// alternate activation formats against one weight tensor keep hitting),
+/// and the rare cross-class pairing gets its own entry beside it instead
+/// of evicting it. Up to [`MAX_CACHED_PLANES`] entries, oldest evicted:
+/// serving traffic that selects formats per request keeps every live
+/// plane warm.
 ///
 /// The packing work is needed by the GEMM either way, so caching costs no
 /// extra compute; for short-lived activation tensors that pass through as
@@ -293,7 +281,7 @@ pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorF
 /// caches.)
 ///
 /// Hits and packs are tallied in the process-wide counters behind
-/// [`plane_cache_counters`]. `pub(crate)` so the `plan` module can pin the
+/// [`plane_cache_counters`]. `pub(crate)` so the `plan` module pins the
 /// same planes (same cache, same bits) at plan-compile time.
 pub(crate) fn weight_plane(
     b: &Tensor,
@@ -301,34 +289,28 @@ pub(crate) fn weight_plane(
     fb: BdrFormat,
     k: usize,
     n: usize,
-    force: bool,
-) -> Arc<PackedOperand> {
+) -> Option<Arc<PackedOperand>> {
     let mut slot = b.plane_slot().lock().expect("plane cache poisoned");
     let gen = b.generation();
     // The data changed since these planes were packed: all of them are dead.
     slot.retain(|c| c.gen == gen);
-    if !force {
-        if let Some(cached) = slot.iter().find(|c| c.fb == fb) {
-            PLANE_HITS.fetch_add(1, Ordering::Relaxed);
-            return cached.plane.clone();
-        }
+    let cached = slot
+        .iter()
+        .find(|c| c.plane.format() == fb && c.plane.accepts(&fa));
+    if let Some(cached) = cached {
+        PLANE_HITS.fetch_add(1, Ordering::Relaxed);
+        return Some(cached.plane.clone());
     }
+    let plane = Arc::new(PackedOperand::pack_cols(b.data(), k, n, fa, fb)?);
     PLANE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let plane = Arc::new(
-        PackedOperand::pack_cols(b.data(), k, n, fa, fb).expect("pair passed the support gate"),
-    );
-    // A forced repack replaces this format's entry (it was packed for the
-    // other kernel class); bounded eviction drops the oldest format.
-    slot.retain(|c| c.fb != fb);
     if slot.len() >= MAX_CACHED_PLANES {
         slot.remove(0);
     }
     slot.push(CachedPlane {
         gen,
-        fb,
         plane: plane.clone(),
     });
-    plane
+    Some(plane)
 }
 
 #[cfg(test)]

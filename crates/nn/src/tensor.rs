@@ -5,7 +5,6 @@
 //! row-wise bias case. The quantized compute flow of Fig. 8 lives in
 //! [`crate::qflow`]; this module provides the exact arithmetic underneath.
 
-use mx_core::bdr::BdrFormat;
 use mx_core::gemm::PackedOperand;
 use mx_core::{fgemm, parallel};
 use std::fmt;
@@ -24,22 +23,22 @@ fn next_gen() -> u64 {
 }
 
 /// A weight code plane cached on a tensor: the [`PackedOperand`] built for
-/// one weight format, stamped with the generation of the data it was
-/// packed from. A lookup only hits when the stamp still matches
+/// one `(weight format, kernel class)`, stamped with the generation of the
+/// data it was packed from. A lookup only hits when the stamp still matches
 /// [`Tensor::generation`] — any in-place mutation (optimizer steps
 /// included) bumps the generation and thereby invalidates the entry. The
-/// activation format is not part of the key: the codes depend only on the
-/// weight format (see `crate::qflow`).
+/// key itself lives on the plane (`format()` / `accepts(fa)`): the codes
+/// depend only on the weight format, the class on the activation partner
+/// (see `crate::qflow`).
 #[derive(Clone)]
 pub(crate) struct CachedPlane {
     pub(crate) gen: u64,
-    pub(crate) fb: BdrFormat,
     pub(crate) plane: Arc<PackedOperand>,
 }
 
 /// Per-tensor plane cache: a small set of [`CachedPlane`]s, one per weight
-/// format, allocated lazily so tensors that never serve as quantized
-/// weights pay nothing. Holding every live format (rather than one entry)
+/// format and kernel class, allocated lazily so tensors that never serve
+/// as quantized weights pay nothing. Holding every live format (rather than one entry)
 /// is what makes the cache safe to share under serving traffic: requests
 /// that alternate weight formats against one model each keep their own
 /// plane instead of perpetually evicting each other's (see `crate::qflow`
@@ -208,7 +207,8 @@ impl Tensor {
     }
 
     /// Number of weight code planes currently cached on this tensor (one
-    /// per weight format seen since the last data mutation).
+    /// per weight format and kernel class seen since the last data
+    /// mutation).
     pub fn cached_plane_count(&self) -> usize {
         self.plane
             .get()

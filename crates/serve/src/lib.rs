@@ -86,7 +86,7 @@ use mx_nn::qflow::QuantConfig;
 use stats::StatsInner;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -218,20 +218,6 @@ struct Batch {
     len: usize,
     out_len: usize,
     jobs: Vec<Job>,
-}
-
-/// Whether workers execute batches through compiled plans (the `MX_PLAN`
-/// knob; default on — `0` / `off` / `false` falls back to the dynamic
-/// layer-walk everywhere, which is bit-identical but repays per-batch
-/// planning, gating, and allocation).
-fn plan_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            mx_core::knobs::raw("MX_PLAN").as_deref(),
-            Some("0" | "off" | "false")
-        )
-    })
 }
 
 /// Soft cap on cached plans per model: `formats × buckets` in practice is
@@ -710,8 +696,8 @@ fn forward_guarded(
 }
 
 /// Executes the batch through the model's compiled-plan cache. `None`
-/// means "take the dynamic layer-walk" — the knob is off, the key is
-/// unplannable, or the plan failed at execute time; correctness never
+/// means "take the dynamic layer-walk" — the key is unplannable, or the
+/// plan failed at execute time; correctness never
 /// depends on the planner, only steady-state overhead does.
 ///
 /// Called with the model mutex held, so the weight-generation token, the
@@ -727,9 +713,6 @@ fn planned_forward(
     eff: usize,
     stats: &StatsInner,
 ) -> Option<Vec<f32>> {
-    if !plan_enabled() {
-        return None;
-    }
     let token = model.plan_token();
     let mut plans = entry.plans.lock().unwrap_or_else(|p| p.into_inner());
     // Evict a slot whose weights moved since compilation (an optimizer

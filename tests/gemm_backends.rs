@@ -10,17 +10,19 @@
 //! `f32` grid window, and block counts exceeding the static headroom
 //! bound).
 //!
-//! The backend and deferral knobs are process-wide, so every test that
+//! The backend, deferral, and VNNI overrides are process-wide, so every test that
 //! touches them serializes on one mutex and restores automatic selection
 //! before releasing it.
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard};
 
+use common::{assert_bits_eq, gemm, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    force_deferred_scale_out, force_kernel_backend, quantized_gemm, quantized_gemm_fused,
-    quantized_gemm_prepacked, quantized_gemm_twopass_scratch, reference_gemm, selected_backend,
-    KernelBackend, PackScratch, PackedOperand,
+    force_deferred_scale_out, force_kernel_backend, force_vnni, quantized_gemm_prepacked_scratch,
+    reference_gemm, selected_backend, KernelBackend, PackScratch, PackedOperand, FUSED_MAX_M,
 };
 
 const PRESETS: [BdrFormat; 5] = [
@@ -60,28 +62,8 @@ impl Drop for KnobGuard<'_> {
     fn drop(&mut self) {
         force_kernel_backend(None).expect("clearing the backend override cannot fail");
         force_deferred_scale_out(None);
+        force_vnni(None);
     }
-}
-
-/// Deterministic stress data: outliers, sign flips, scattered zeros, wide
-/// magnitude spread, and periodic all-zero `k1 = 16` blocks.
-fn stress_vector(n: usize, salt: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| {
-            if (i / 16) % 4 == 3 {
-                return 0.0;
-            }
-            let h = (i.wrapping_mul(2654435761).wrapping_add(salt * 97)) % 10_007;
-            let base = h as f32 / 10_007.0 - 0.5;
-            match i % 7 {
-                0 => 0.0,
-                1 => base * 1e4,
-                2 => -base * 1e-4,
-                3 => -0.0,
-                _ => base,
-            }
-        })
-        .collect()
 }
 
 /// Adversarial exponent spreads for the deferral gates: vector `salt`
@@ -125,18 +107,6 @@ fn exponent_spread_vector(n: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
-    assert_eq!(got.len(), want.len(), "{ctx}: length");
-    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            g.to_bits() == w.to_bits(),
-            "{ctx}: element {i} differs: {g} ({:#x}) vs {w} ({:#x})",
-            g.to_bits(),
-            w.to_bits()
-        );
-    }
-}
-
 /// Every backend × the full preset matrix × ragged K × all serving Ms
 /// (both sides of the `FUSED_MAX_M` boundary and the tile boundary)
 /// reproduces the reference bit for bit. Packing happens after forcing, so
@@ -156,7 +126,7 @@ fn forced_backend_matrix_is_bit_identical_to_reference() {
                     let a = stress_vector(m * k, 3 * m + 1);
                     let b = stress_vector(k * n, 5 * m + 2);
                     let want = reference_gemm(&a, &b, m, k, n, fa, fb);
-                    let got = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
+                    let got = gemm(&a, &b, m, k, n, fa, fb, 1);
                     assert_bits_eq(
                         &got,
                         &want,
@@ -169,7 +139,7 @@ fn forced_backend_matrix_is_bit_identical_to_reference() {
 }
 
 /// Forced backends stay bit-identical under row-parallel dispatch at every
-/// thread count, through the prepacked and fused entries alike.
+/// thread count, on both sides of the `FUSED_MAX_M` strategy boundary.
 #[test]
 fn forced_backends_are_thread_count_invariant() {
     let _guard = lock_knobs();
@@ -184,8 +154,10 @@ fn forced_backends_are_thread_count_invariant() {
             let b = stress_vector(k * n, 11 * m);
             let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+            let mut scratch = PackScratch::new();
             for threads in [1usize, 2, 3, 7, 0] {
-                let got = quantized_gemm_prepacked(&a, m, fmt, &pb, threads).unwrap();
+                let got = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch)
+                    .unwrap();
                 assert_bits_eq(
                     &got,
                     &want,
@@ -216,7 +188,8 @@ fn planes_packed_under_one_backend_execute_under_another() {
             if !try_force(runner) {
                 continue;
             }
-            let got = quantized_gemm_prepacked(&a, m, fmt, &pb, 1).unwrap();
+            let got = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut PackScratch::new())
+                .unwrap();
             assert_bits_eq(
                 &got,
                 &want,
@@ -253,9 +226,7 @@ fn deferral_is_bit_invisible_on_adversarial_exponent_spreads() {
                     let mut runs = Vec::new();
                     for defer in [true, false] {
                         force_deferred_scale_out(Some(defer));
-                        let got =
-                            quantized_gemm(&a, &b, m, k, n, BdrFormat::MX6, BdrFormat::MX6, 1)
-                                .unwrap();
+                        let got = gemm(&a, &b, m, k, n, BdrFormat::MX6, BdrFormat::MX6, 1);
                         assert_bits_eq(
                             &got,
                             &want,
@@ -291,7 +262,7 @@ fn headroom_exceeded_pairs_fall_back_exactly() {
         }
         for defer in [true, false] {
             force_deferred_scale_out(Some(defer));
-            let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+            let got = gemm(&a, &b, m, k, n, fmt, fmt, 1);
             assert_bits_eq(
                 &got,
                 &want,
@@ -302,15 +273,15 @@ fn headroom_exceeded_pairs_fall_back_exactly() {
     }
 }
 
-/// The fused and two-pass activation strategies agree bit for bit under
-/// every forced backend (the strategy seam and the backend seam are
-/// independent).
+/// The fused and two-pass activation strategies (either side of
+/// `FUSED_MAX_M`) both match the reference under every forced backend,
+/// with deferral and — where the backend has it — VNNI forced both ways:
+/// the strategy seam and the backend seams are independent.
 #[test]
 fn fused_and_two_pass_agree_under_forced_backends() {
     let _guard = lock_knobs();
     let fmt = BdrFormat::MX6;
-    let (m, k, n) = (9, 80, 11);
-    let a = exponent_spread_vector(m * k, 10);
+    let (k, n) = (80, 11);
     let b = exponent_spread_vector(k * n, 11);
     for backend in BACKENDS {
         if !try_force(backend) {
@@ -318,25 +289,29 @@ fn fused_and_two_pass_agree_under_forced_backends() {
         }
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
         let mut scratch = PackScratch::new();
-        let fused = quantized_gemm_fused(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
-        let two_pass = quantized_gemm_twopass_scratch(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
-        assert_bits_eq(
-            &fused,
-            &two_pass,
-            &format!("{} fused vs two-pass", backend.name()),
-        );
-        assert_bits_eq(
-            &fused,
-            &reference_gemm(&a, &b, m, k, n, fmt, fmt),
-            &format!("{} fused vs reference", backend.name()),
-        );
+        for m in [9, FUSED_MAX_M, FUSED_MAX_M + 1] {
+            let a = exponent_spread_vector(m * k, 10);
+            let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+            for (defer, vnni) in [(true, true), (false, true), (true, false), (false, false)] {
+                force_deferred_scale_out(Some(defer));
+                force_vnni(Some(vnni));
+                let got = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut scratch);
+                assert_bits_eq(
+                    &got.unwrap(),
+                    &want,
+                    &format!("{} m={m} defer={defer} vnni={vnni}", backend.name()),
+                );
+            }
+        }
+        force_deferred_scale_out(None);
+        force_vnni(None);
     }
 }
 
 /// The deferral gate sits exactly at `blocks · Dmax ≤ 2²⁴` — and the
 /// 32-lane AVX-512 kernel inherits that bound *unchanged* (it protects the
 /// `f32` mantissa of the deferred sum, not any SIMD register; each `i32`
-/// lane partial stays ≤ 2²⁰ under it, see `gemm::backend::defer_ctx`).
+/// lane partial stays ≤ 2²⁰ under it, see `FormatPair::defer` in `gemm/pair.rs`).
 /// Drive every backend with the block count sitting exactly on the bound
 /// and one past it; bits must match the reference with deferral forced
 /// both ways.
@@ -362,7 +337,7 @@ fn headroom_edge_blocks_sit_exactly_on_the_deferral_bound() {
             }
             for defer in [true, false] {
                 force_deferred_scale_out(Some(defer));
-                let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+                let got = gemm(&a, &b, m, k, n, fmt, fmt, 1);
                 assert_bits_eq(
                     &got,
                     &want,
@@ -394,7 +369,7 @@ fn mask_tail_shapes_cover_every_ragged_k_and_n() {
                     if !try_force(backend) {
                         continue;
                     }
-                    let got = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
+                    let got = gemm(&a, &b, m, k, n, fa, fb, 1);
                     assert_bits_eq(
                         &got,
                         &want,
@@ -432,7 +407,7 @@ fn mixed_exponent_vectors_force_the_per_block_fallback() {
                 if !try_force(backend) {
                     continue;
                 }
-                let got = quantized_gemm(a, b, m, k, n, fmt, fmt, 1).unwrap();
+                let got = gemm(a, b, m, k, n, fmt, fmt, 1);
                 assert_bits_eq(&got, &want, &format!("{} {case} k={k}", backend.name()));
             }
         }
@@ -453,7 +428,7 @@ fn wide_pairs_are_backend_invariant() {
         if !try_force(backend) {
             continue;
         }
-        let got = quantized_gemm(&a, &b, m, k, n, wide, wide, 1).unwrap();
+        let got = gemm(&a, &b, m, k, n, wide, wide, 1);
         assert_bits_eq(&got, &want, &format!("wide pair under {}", backend.name()));
     }
 }

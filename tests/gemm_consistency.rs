@@ -1,16 +1,19 @@
 //! Consistency suite for the integer code-domain GEMM: on every supported
 //! format pair and shape — including ragged K tails, all-zero blocks, and
-//! degenerate 1×N / M×1 edges — the integer path must be **bit-identical**
-//! to the quantize → dequantize → `f32` matmul reference, through both the
-//! ad-hoc (`quantized_gemm`) and prepack/execute
-//! (`PackedOperand` + `quantized_gemm_prepacked`) entry points, and the
-//! nn-layer `quantized_matmul` must route through it without call-site
-//! changes. The blocked FP32 `matmul` is held to the same standard against
-//! the seed's naive triple loop.
+//! degenerate 1×N / M×1 edges — `PackedOperand::pack_cols` + the one
+//! execute entry must be **bit-identical** to the quantize → dequantize →
+//! `f32` matmul reference, a plane packed once must stay so across calls,
+//! and the nn-layer `quantized_matmul` must route through it without
+//! call-site changes. The blocked FP32 `matmul` is held to the same
+//! standard against the seed's naive triple loop.
 
+mod common;
+
+use common::{assert_bits_eq, gemm, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    code_domain_supported, quantized_gemm, quantized_gemm_prepacked, reference_gemm, PackedOperand,
+    code_domain_supported, quantized_gemm_prepacked_scratch, reference_gemm, PackScratch,
+    PackedOperand,
 };
 use mx::nn::format::TensorFormat;
 use mx::nn::qflow::quantized_matmul_ab;
@@ -23,36 +26,6 @@ const FORMATS: [BdrFormat; 4] = [
     BdrFormat::MSFP12,
 ];
 
-/// Deterministic pseudo-random data with outliers, sign changes, zeros, and
-/// a wide magnitude spread — the shapes block formats find hardest.
-fn stress_vector(n: usize, salt: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| {
-            let h = (i.wrapping_mul(2654435761).wrapping_add(salt * 97)) % 10_007;
-            let base = h as f32 / 10_007.0 - 0.5;
-            match i % 7 {
-                0 => 0.0,
-                1 => base * 1e4,
-                2 => -base * 1e-4,
-                3 => -0.0,
-                _ => base,
-            }
-        })
-        .collect()
-}
-
-fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
-    assert_eq!(got.len(), want.len(), "{ctx}: length");
-    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            g.to_bits() == w.to_bits(),
-            "{ctx}: element {i} differs: {g} ({:#x}) vs {w} ({:#x})",
-            g.to_bits(),
-            w.to_bits()
-        );
-    }
-}
-
 /// Random shapes across every preset format pair (including mixed weight /
 /// activation formats): code domain == dequantize reference, bit for bit.
 #[test]
@@ -63,7 +36,7 @@ fn code_domain_matches_dequantize_reference() {
             for (m, k, n) in [(4, 64, 8), (3, 48, 5), (8, 512, 2)] {
                 let a = stress_vector(m * k, m + k);
                 let b = stress_vector(k * n, k + n + 1);
-                let got = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
+                let got = gemm(&a, &b, m, k, n, fa, fb, 1);
                 let want = reference_gemm(&a, &b, m, k, n, fa, fb);
                 assert_bits_eq(&got, &want, &format!("{fa}x{fb} {m}x{k}x{n}"));
             }
@@ -81,7 +54,7 @@ fn ragged_k_tail_blocks() {
             let (m, n) = (3, 4);
             let a = stress_vector(m * k, k);
             let b = stress_vector(k * n, k + 3);
-            let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+            let got = gemm(&a, &b, m, k, n, fmt, fmt, 1);
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
             assert_bits_eq(&got, &want, &format!("{fmt} K={k}"));
         }
@@ -97,7 +70,7 @@ fn all_zero_blocks() {
     // Whole operands zero.
     let zeros = vec![0.0f32; m * k];
     let b = stress_vector(k * n, 5);
-    let got = quantized_gemm(&zeros, &b, m, k, n, fmt, fmt, 1).unwrap();
+    let got = gemm(&zeros, &b, m, k, n, fmt, fmt, 1);
     assert!(got.iter().all(|v| v.to_bits() == 0), "0 * B must be +0.0");
     // Zeros covering exactly the middle k1-block of each row/column.
     let mut a = stress_vector(m * k, 7);
@@ -112,7 +85,7 @@ fn all_zero_blocks() {
             bz[p * n + j] = 0.0;
         }
     }
-    let got = quantized_gemm(&a, &bz, m, k, n, fmt, fmt, 1).unwrap();
+    let got = gemm(&a, &bz, m, k, n, fmt, fmt, 1);
     let want = reference_gemm(&a, &bz, m, k, n, fmt, fmt);
     assert_bits_eq(&got, &want, "zero middle block");
 }
@@ -124,14 +97,14 @@ fn row_and_column_vector_shapes() {
         for (m, k, n) in [(1, 40, 9), (7, 33, 1), (1, 16, 1), (1, 5, 1)] {
             let a = stress_vector(m * k, m + 11);
             let b = stress_vector(k * n, n + 13);
-            let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+            let got = gemm(&a, &b, m, k, n, fmt, fmt, 1);
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
             assert_bits_eq(&got, &want, &format!("{fmt} {m}x{k}x{n}"));
         }
     }
 }
 
-/// Row-parallel dispatch is bit-identical to the serial GEMM for every
+/// Row-parallel dispatch is bit-identical to the reference for every
 /// thread count, including the "all cores" knob.
 #[test]
 fn parallel_gemm_is_bit_identical() {
@@ -139,10 +112,10 @@ fn parallel_gemm_is_bit_identical() {
     let (m, k, n) = (48, 80, 32);
     let a = stress_vector(m * k, 17);
     let b = stress_vector(k * n, 19);
-    let serial = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
-    for threads in [2usize, 3, 5, 8, 0] {
-        let par = quantized_gemm(&a, &b, m, k, n, fmt, fmt, threads).unwrap();
-        assert_bits_eq(&par, &serial, &format!("threads={threads}"));
+    let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+    for threads in [1usize, 2, 3, 5, 8, 0] {
+        let got = gemm(&a, &b, m, k, n, fmt, fmt, threads);
+        assert_bits_eq(&got, &want, &format!("threads={threads}"));
     }
 }
 
@@ -172,10 +145,11 @@ fn nn_matmul_routes_through_code_domain() {
     assert_eq!(exact, a.matmul(&b));
 }
 
-/// Formats that cannot take the AVX2 kernel (block size ≠ 16, or operand
+/// Formats that cannot take a panel kernel (block size ≠ 16, or operand
 /// codes wider than `i16`) dispatch to the portable generic kernels; those
-/// must honor the same bit-identity guarantee. Covers `run::<i16>` via a
-/// `k1 = 32` narrow format and `run::<i32>` via a 16-bit-mantissa format.
+/// must honor the same bit-identity guarantee. Covers the `i16` kernel via
+/// a `k1 = 32` narrow format and the `i32` one via a 16-bit-mantissa
+/// format.
 #[test]
 fn generic_fallback_kernels_match_reference() {
     // k1 = 32, d2 = 2: narrow i16 codes, but not the AVX2 block size.
@@ -187,41 +161,39 @@ fn generic_fallback_kernels_match_reference() {
         for (m, k, n) in [(3, 80, 5), (2, 37, 4), (1, 100, 1)] {
             let a = stress_vector(m * k, m + k + 41);
             let b = stress_vector(k * n, k + n + 43);
-            let got = quantized_gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+            let got = gemm(&a, &b, m, k, n, fmt, fmt, 1);
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
             assert_bits_eq(&got, &want, &format!("{fmt} {m}x{k}x{n}"));
         }
     }
 }
 
-/// The prepack/execute split must change nothing observable: for every
-/// preset format pair, ragged K tails included, a B plane packed once and
-/// executed repeatedly is bit-identical to the ad-hoc `quantized_gemm` and
-/// to the dequantize reference.
+/// Packing once must change nothing observable: for every preset format
+/// pair, ragged K tails included, one B plane and one scratch reused
+/// across calls with fresh activations stay bit-identical to the
+/// dequantize reference.
 #[test]
-fn prepacked_execute_matches_ad_hoc_and_reference() {
+fn prepacked_plane_reused_across_calls_matches_reference() {
+    let mut scratch = PackScratch::new();
     for fa in FORMATS {
         for fb in FORMATS {
             for (m, k, n) in [(4, 64, 8), (3, 37, 5), (1, 7, 1)] {
                 let b = stress_vector(k * n, k + n + 51);
                 let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
                 for pass in 0..2 {
-                    // Fresh activations per pass, same plane.
                     let a = stress_vector(m * k, m + k + pass);
-                    let pre = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
-                    let ad_hoc = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
+                    let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch);
                     let want = reference_gemm(&a, &b, m, k, n, fa, fb);
                     let ctx = format!("{fa}x{fb} {m}x{k}x{n} pass={pass}");
-                    assert_bits_eq(&pre, &ad_hoc, &ctx);
-                    assert_bits_eq(&pre, &want, &ctx);
+                    assert_bits_eq(&got.unwrap(), &want, &ctx);
                 }
             }
         }
     }
 }
 
-/// Prepacked execution under row-parallel dispatch: bit-identical for
-/// every thread count, like the ad-hoc path.
+/// One plane under row-parallel dispatch with a mixed format pair:
+/// bit-identical to the reference for every thread count.
 #[test]
 fn prepacked_parallel_is_bit_identical() {
     let (fa, fb) = (BdrFormat::MX6, BdrFormat::MX9);
@@ -229,33 +201,39 @@ fn prepacked_parallel_is_bit_identical() {
     let a = stress_vector(m * k, 61);
     let b = stress_vector(k * n, 63);
     let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-    let serial = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
-    assert_bits_eq(
-        &serial,
-        &reference_gemm(&a, &b, m, k, n, fa, fb),
-        "serial vs reference",
-    );
-    for threads in [2usize, 3, 5, 8, 0] {
-        let par = quantized_gemm_prepacked(&a, m, fa, &pb, threads).unwrap();
-        assert_bits_eq(&par, &serial, &format!("threads={threads}"));
+    let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+    let mut scratch = PackScratch::new();
+    for threads in [1usize, 2, 3, 5, 8, 0] {
+        let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch);
+        assert_bits_eq(&got.unwrap(), &want, &format!("threads={threads}"));
     }
 }
 
-/// The generic (non-AVX2-layout) kernels honor the prepack split too:
-/// `k1 = 32` narrow codes and 16-bit-mantissa wide codes.
+/// A plane in a generic (non-panel) layout serves every partner of its
+/// kernel class: a `k1 = 32` narrow plane packed for one partner executes
+/// another, and a wide plane refuses a narrow-class partner outright.
 #[test]
 fn prepacked_generic_kernels_match_reference() {
     let k32 = BdrFormat::new(4, 8, 2, 32, 4).unwrap();
+    let k32_partner = BdrFormat::new(7, 8, 1, 32, 8).unwrap();
     let wide = BdrFormat::new(16, 4, 0, 16, 2).unwrap();
-    for fmt in [k32, wide] {
-        let (m, k, n) = (3, 80, 5);
-        let a = stress_vector(m * k, 71);
-        let b = stress_vector(k * n, 73);
-        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        let got = quantized_gemm_prepacked(&a, m, fmt, &pb, 1).unwrap();
-        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-        assert_bits_eq(&got, &want, &format!("{fmt}"));
-    }
+    let (m, k, n) = (3, 80, 5);
+    let a = stress_vector(m * k, 71);
+    let b = stress_vector(k * n, 73);
+    let mut scratch = PackScratch::new();
+    let pb = PackedOperand::pack_cols(&b, k, n, k32, k32).unwrap();
+    assert!(pb.accepts(&k32_partner));
+    let got = quantized_gemm_prepacked_scratch(&a, m, k32_partner, &pb, 1, &mut scratch);
+    let want = reference_gemm(&a, &b, m, k, n, k32_partner, k32);
+    assert_bits_eq(&got.unwrap(), &want, "k1=32 plane, swapped partner");
+    let pb = PackedOperand::pack_cols(&b, k, n, wide, BdrFormat::MX6).unwrap();
+    assert!(pb.accepts(&wide) && !pb.accepts(&BdrFormat::MX6));
+    let got = quantized_gemm_prepacked_scratch(&a, m, wide, &pb, 1, &mut scratch);
+    let want = reference_gemm(&a, &b, m, k, n, wide, BdrFormat::MX6);
+    assert_bits_eq(&got.unwrap(), &want, "wide-class MX6 plane");
+    assert!(
+        quantized_gemm_prepacked_scratch(&a, m, BdrFormat::MX6, &pb, 1, &mut scratch).is_none()
+    );
 }
 
 /// The blocked, vectorized FP32 `Tensor::matmul` is bit-identical to the

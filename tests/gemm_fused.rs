@@ -1,18 +1,19 @@
-//! Consistency suite for the fused (pack-on-the-fly) activation path: for
-//! every supported format pair and shape — M = 1 decode strips, ragged K
-//! tails, all-zero blocks, tile-boundary row counts, wide custom formats,
-//! every thread count — the fused execute loop must be **bit-identical**
-//! to the two-pass prepack path, to the allocating prepacked entry, and to
-//! the quantize → dequantize → `f32` matmul reference. The automatic
-//! shape-aware dispatch in `quantized_gemm_prepacked_scratch` is held to
-//! the same standard on both sides of its `FUSED_MAX_M` boundary, and the
-//! `mx-nn` matmul that serving rides is asserted to pick the fused path up
-//! with no call-site changes.
+//! Consistency suite for the activation-lowering strategies behind the one
+//! GEMM entry: for every supported format pair and shape — M = 1 decode
+//! rows, ragged K tails, all-zero blocks, wide custom formats, every
+//! thread count — `quantized_gemm_prepacked_scratch` must be
+//! **bit-identical** to the quantize → dequantize → `f32` matmul reference
+//! on **both sides** of its `FUSED_MAX_M` strategy boundary (fused
+//! pack-on-the-fly at or below it, two-pass above), reject exactly what
+//! the plane does not accept on both sides, and the `mx-nn` matmul that
+//! serving rides must stay on it with no call-site changes.
 
+mod common;
+
+use common::{assert_bits_eq, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    quantized_gemm_fused, quantized_gemm_prepacked, quantized_gemm_prepacked_scratch,
-    quantized_gemm_twopass_scratch, reference_gemm, PackScratch, PackedOperand, FUSED_MAX_M,
+    quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand, FUSED_MAX_M,
 };
 use mx::nn::format::TensorFormat;
 use mx::nn::qflow::quantized_matmul_ab;
@@ -26,181 +27,135 @@ const PRESETS: [BdrFormat; 5] = [
     BdrFormat::MSFP16,
 ];
 
-/// Deterministic stress data: outliers, sign flips, scattered zeros, wide
-/// magnitude spread, and every fourth `k1 = 16` block entirely zero (the
-/// all-zero-block case the planner answers with `None`).
-fn stress_vector(n: usize, salt: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| {
-            if (i / 16) % 4 == 3 {
-                return 0.0;
-            }
-            let h = (i.wrapping_mul(2654435761).wrapping_add(salt * 97)) % 10_007;
-            let base = h as f32 / 10_007.0 - 0.5;
-            match i % 7 {
-                0 => 0.0,
-                1 => base * 1e4,
-                2 => -base * 1e-4,
-                3 => -0.0,
-                _ => base,
-            }
-        })
-        .collect()
-}
-
-fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
-    assert_eq!(got.len(), want.len(), "{ctx}: length");
-    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            g.to_bits() == w.to_bits(),
-            "{ctx}: element {i} differs: {g} ({:#x}) vs {w} ({:#x})",
-            g.to_bits(),
-            w.to_bits()
-        );
+/// Runs one `k × n` weight plane against `m`-row activations for each `m`,
+/// through one reused scratch, asserting bit equality with the reference.
+fn check(ms: &[usize], k: usize, n: usize, fa: BdrFormat, fb: BdrFormat, salt: usize) {
+    let b = stress_vector(k * n, salt + 1);
+    let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).expect("supported pair");
+    let mut scratch = PackScratch::new();
+    for &m in ms {
+        let a = stress_vector(m * k, salt + m);
+        let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
+        let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+        assert_bits_eq(&got, &want, &format!("{fa}/{fb} {m}x{k}x{n}"));
     }
 }
 
-/// Runs one shape through all four entry points and the reference,
-/// asserting bit equality everywhere.
-fn check_all_paths(m: usize, k: usize, n: usize, fa: BdrFormat, fb: BdrFormat, salt: usize) {
-    let a = stress_vector(m * k, salt);
-    let b = stress_vector(k * n, salt + 1);
-    let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).expect("supported pair");
-    let want = reference_gemm(&a, &b, m, k, n, fa, fb);
-    let ctx = format!("{fa}/{fb} {m}x{k}x{n}");
-    let mut scratch = PackScratch::new();
-    let fused = quantized_gemm_fused(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-    assert_bits_eq(&fused, &want, &format!("{ctx} fused vs reference"));
-    let two_pass = quantized_gemm_twopass_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-    assert_bits_eq(&fused, &two_pass, &format!("{ctx} fused vs two-pass"));
-    let prepacked = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
-    assert_bits_eq(&fused, &prepacked, &format!("{ctx} fused vs prepacked"));
-    let auto = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-    assert_bits_eq(&fused, &auto, &format!("{ctx} fused vs auto dispatch"));
-}
-
 /// Every preset × preset pair (mixed activation/weight formats included),
-/// at an M = 1 decode shape with a ragged K tail, a multi-tile row count,
-/// and a single-block K.
+/// at an M = 1 decode shape, a multi-tile row count, and both sides of the
+/// boundary, with a ragged K tail and with a single-block K.
 #[test]
 fn fused_matches_reference_across_preset_pairs() {
     for fa in PRESETS {
         for fb in PRESETS {
-            check_all_paths(1, 40, 7, fa, fb, 11);
-            check_all_paths(9, 48, 5, fa, fb, 23);
-            check_all_paths(4, 16, 3, fa, fb, 37);
+            check(&[1, 9, FUSED_MAX_M, FUSED_MAX_M + 1], 40, 7, fa, fb, 11);
+            check(&[4], 16, 3, fa, fb, 37);
         }
     }
 }
 
 /// Zero activations (every block all-zero) and a zero weight operand both
-/// produce exact +0.0 outputs on the fused path.
+/// produce exact +0.0 outputs under either strategy.
 #[test]
 fn fused_zero_operands_give_zero_bits() {
     let fmt = BdrFormat::MX6;
-    let (m, k, n) = (3, 40, 5);
+    let (k, n) = (40, 5);
     let b = stress_vector(k * n, 41);
     let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-    let mut scratch = PackScratch::new();
-    let y = quantized_gemm_fused(&vec![0.0; m * k], m, fmt, &pb, 1, &mut scratch).unwrap();
-    assert!(y.iter().all(|v| v.to_bits() == 0), "zero A");
     let pb0 = PackedOperand::pack_cols(&vec![0.0; k * n], k, n, fmt, fmt).unwrap();
-    let a = stress_vector(m * k, 42);
-    let y = quantized_gemm_fused(&a, m, fmt, &pb0, 1, &mut scratch).unwrap();
-    assert!(y.iter().all(|v| v.to_bits() == 0), "zero B");
+    let mut scratch = PackScratch::new();
+    for m in [3, FUSED_MAX_M + 1] {
+        let zeros = vec![0.0; m * k];
+        let y = quantized_gemm_prepacked_scratch(&zeros, m, fmt, &pb, 1, &mut scratch).unwrap();
+        assert!(y.iter().all(|v| v.to_bits() == 0), "zero A, m={m}");
+        let a = stress_vector(m * k, 42);
+        let y = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb0, 1, &mut scratch).unwrap();
+        assert!(y.iter().all(|v| v.to_bits() == 0), "zero B, m={m}");
+    }
 }
 
-/// Degenerate dimensions flow through the fused entry unchanged.
+/// Degenerate dimensions flow through the entry unchanged.
 #[test]
 fn fused_degenerate_dims() {
     let fmt = BdrFormat::MX9;
     let mut scratch = PackScratch::new();
+    let mut run = |a: &[f32], m, pb: &PackedOperand| {
+        quantized_gemm_prepacked_scratch(a, m, fmt, pb, 1, &mut scratch).unwrap()
+    };
     let pb = PackedOperand::pack_cols(&[], 0, 3, fmt, fmt).unwrap();
+    assert_eq!(run(&[], 2, &pb), vec![0.0; 6]);
     assert_eq!(
-        quantized_gemm_fused(&[], 2, fmt, &pb, 1, &mut scratch).unwrap(),
-        vec![0.0; 6]
+        run(&[], FUSED_MAX_M + 1, &pb),
+        vec![0.0; 3 * (FUSED_MAX_M + 1)]
     );
     let pb = PackedOperand::pack_cols(&[], 16, 0, fmt, fmt).unwrap();
-    let a = stress_vector(16, 43);
-    assert_eq!(
-        quantized_gemm_fused(&a, 1, fmt, &pb, 1, &mut scratch).unwrap(),
-        vec![]
-    );
+    assert_eq!(run(&stress_vector(16, 43), 1, &pb), vec![]);
     let pb = PackedOperand::pack_cols(&stress_vector(16 * 4, 44), 16, 4, fmt, fmt).unwrap();
-    assert_eq!(
-        quantized_gemm_fused(&[], 0, fmt, &pb, 1, &mut scratch).unwrap(),
-        vec![]
-    );
+    assert_eq!(run(&[], 0, &pb), vec![]);
 }
 
-/// Row-parallel fused execution is bit-identical to serial at every thread
-/// count, fused or two-pass, on both sides of the dispatch boundary.
+/// Row-parallel execution is bit-identical to the reference at every
+/// thread count, on both sides of the strategy boundary.
 #[test]
 fn fused_thread_counts_are_bit_identical() {
     let fmt = BdrFormat::MX6;
+    let (k, n) = (96, 48);
+    let b = stress_vector(k * n, 52);
+    let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+    let mut scratch = PackScratch::new();
     for m in [FUSED_MAX_M, FUSED_MAX_M + 1] {
-        let (k, n) = (96, 48);
         let a = stress_vector(m * k, 51);
-        let b = stress_vector(k * n, 52);
-        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        let mut scratch = PackScratch::new();
-        let serial = quantized_gemm_fused(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
-        assert_bits_eq(
-            &serial,
-            &reference_gemm(&a, &b, m, k, n, fmt, fmt),
-            &format!("m={m} serial fused vs reference"),
-        );
-        for threads in [2usize, 3, 7, 0] {
-            let par = quantized_gemm_fused(&a, m, fmt, &pb, threads, &mut scratch).unwrap();
-            assert_bits_eq(&par, &serial, &format!("m={m} fused threads={threads}"));
-            let auto =
+        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+        for threads in [1usize, 2, 3, 7, 0] {
+            let got =
                 quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch).unwrap();
-            assert_bits_eq(&auto, &serial, &format!("m={m} auto threads={threads}"));
+            assert_bits_eq(&got, &want, &format!("m={m} threads={threads}"));
         }
     }
 }
 
 /// A wide custom format pair (i32 codes, i64 accumulation) takes the
-/// generic fused kernel and still matches the reference exactly.
+/// generic kernel under either strategy and still matches the reference.
 #[test]
 fn fused_wide_format_pair() {
     let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
-    check_all_paths(2, 40, 5, wide, wide, 61);
-    check_all_paths(1, 16, 1, wide, wide, 62);
+    check(&[2, FUSED_MAX_M + 1], 40, 5, wide, wide, 61);
+    check(&[1], 16, 1, wide, wide, 62);
 }
 
 /// A narrow pair with a non-preset block size runs the generic
-/// (vector-major, non-AVX2) fused kernel.
+/// (vector-major, non-panel) kernel.
 #[test]
 fn fused_non_panel_major_narrow_pair() {
     let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
-    check_all_paths(3, 80, 4, k32, k32, 71);
-    check_all_paths(1, 32, 6, k32, k32, 72);
+    check(&[3, FUSED_MAX_M + 1], 80, 4, k32, k32, 71);
+    check(&[1], 32, 6, k32, k32, 72);
 }
 
-/// The fused entry rejects exactly what the two-pass entry rejects: wrong
-/// plane side, and a B plane packed for the other kernel class.
+/// Both strategies reject exactly what the plane does not accept — a B
+/// plane packed for the other kernel class, an unsupported pair — and the
+/// rejection precedes the degenerate-dims early return.
 #[test]
 fn fused_rejections_match_two_pass() {
     let narrow = BdrFormat::MX6;
     let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
-    let (m, k, n) = (2, 16, 3);
-    let a = stress_vector(m * k, 81);
+    let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
+    let (k, n) = (16, 3);
     let b = stress_vector(k * n, 82);
-    let mut scratch = PackScratch::new();
-    // B packed for a narrow partner cannot execute against a wide A.
     let pb = PackedOperand::pack_cols(&b, k, n, narrow, narrow).unwrap();
-    assert!(quantized_gemm_fused(&a, m, wide, &pb, 1, &mut scratch).is_none());
-    assert!(quantized_gemm_twopass_scratch(&a, m, wide, &pb, 1, &mut scratch).is_none());
-    // ... including at degenerate dims (k = 0): class rejection must come
-    // before the empty-output early return on every path.
     let pb0 = PackedOperand::pack_cols(&[], 0, n, narrow, narrow).unwrap();
-    assert!(quantized_gemm_fused(&[], m, wide, &pb0, 1, &mut scratch).is_none());
-    assert!(quantized_gemm_twopass_scratch(&[], m, wide, &pb0, 1, &mut scratch).is_none());
-    assert!(quantized_gemm_prepacked_scratch(&[], m, wide, &pb0, 1, &mut scratch).is_none());
-    // A Rows plane is not a valid B operand.
-    let pa = PackedOperand::pack_rows(&a, m, k, narrow, narrow).unwrap();
-    assert!(quantized_gemm_fused(&a, m, narrow, &pa, 1, &mut scratch).is_none());
+    let mut scratch = PackScratch::new();
+    for fa in [narrow, BdrFormat::MX9, wide, k32] {
+        let accepted = pb.accepts(&fa);
+        assert_eq!(accepted, fa != wide && fa != k32, "{fa}");
+        for m in [2, FUSED_MAX_M + 1] {
+            let a = stress_vector(m * k, 81);
+            let ran = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch);
+            assert_eq!(ran.is_some(), accepted, "{fa} m={m}");
+            let ran = quantized_gemm_prepacked_scratch(&[], m, fa, &pb0, 1, &mut scratch);
+            assert_eq!(ran.is_some(), accepted, "{fa} m={m} k=0");
+        }
+    }
 }
 
 /// One scratch serves interleaved shapes, formats, kernel classes, and
@@ -212,9 +167,10 @@ fn fused_scratch_reuse_is_bit_identical() {
     let mut scratch = PackScratch::new();
     for (round, (fa, fb, m, k, n)) in [
         (BdrFormat::MX6, BdrFormat::MX6, 5, 40, 7),
-        (BdrFormat::MX9, BdrFormat::MX4, 1, 48, 4),
+        (BdrFormat::MX9, BdrFormat::MX4, FUSED_MAX_M + 2, 48, 4),
         (wide, wide, 2, 40, 3),
         (BdrFormat::MSFP12, BdrFormat::MX6, 9, 16, 2),
+        (wide, wide, FUSED_MAX_M + 1, 24, 3),
     ]
     .into_iter()
     .enumerate()
@@ -222,18 +178,19 @@ fn fused_scratch_reuse_is_bit_identical() {
         let a = stress_vector(m * k, 90 + round);
         let b = stress_vector(k * n, 95 + round);
         let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-        let reused = quantized_gemm_fused(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-        let fresh = quantized_gemm_fused(&a, m, fa, &pb, 1, &mut PackScratch::new()).unwrap();
-        assert_bits_eq(&reused, &fresh, &format!("round {round} {fa}/{fb}"));
-        // Interleave a two-pass call through the same scratch.
-        let two_pass = quantized_gemm_twopass_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-        assert_bits_eq(&reused, &two_pass, &format!("round {round} two-pass"));
+        let reused = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
+        let fresh = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut PackScratch::new());
+        assert_bits_eq(
+            &reused,
+            &fresh.unwrap(),
+            &format!("round {round} {fa}/{fb}"),
+        );
     }
 }
 
-/// The nn-layer matmul — the call site serving rides — picks the fused
-/// path up with no call-site changes and stays bit-identical to the
-/// reference at serving shapes.
+/// The nn-layer matmul — the call site serving rides — stays on the entry
+/// with no call-site changes and is bit-identical to the reference at
+/// serving shapes.
 #[test]
 fn nn_matmul_routes_through_fused_dispatch() {
     let (m, k, n) = (1, 40, 6);

@@ -454,10 +454,10 @@ fn weight_planes_are_shared_across_requests_and_formats() {
         assert_bits_eq(&y9, &warm9, &format!("MX9 round {round}"));
     }
     let after = handle.stats();
-    // Each warm request must reuse lowered weights: under compiled plans
-    // (the default) it hits the plan cache, whose plan pinned the weight
-    // plane at compile time; with `MX_PLAN` off it skips the pack via the
-    // qflow plane cache. Either way no warm batch re-lowers weights.
+    // Each warm request must reuse lowered weights: it hits the plan
+    // cache, whose plan pinned the weight plane at compile time (an
+    // unplannable key would skip the pack via the qflow plane cache
+    // instead). Either way no warm batch re-lowers weights.
     // (The pack counters are process-wide, so concurrent suites can only
     // inflate them — the ≥ direction is race-free.)
     let reused = after.packs_avoided.saturating_sub(before.packs_avoided)

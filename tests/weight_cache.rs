@@ -5,8 +5,11 @@
 //! an optimizer step or a direct weight write, layer outputs are
 //! bit-identical to a cold-cache run over the updated weights, and while
 //! the weights are untouched, repeated forwards are bit-identical to the
-//! first.
+//! first. The cache key is `(weight format, kernel class)`: activation
+//! formats of both classes alternating against one weight tensor pack once
+//! per class, never per call.
 
+use mx::core::bdr::BdrFormat;
 use mx::core::gemm::reference_gemm;
 use mx::nn::attention::TransformerBlock;
 use mx::nn::conv::Conv2d;
@@ -14,11 +17,22 @@ use mx::nn::format::TensorFormat;
 use mx::nn::layers::{Layer, Linear};
 use mx::nn::optim::{Adam, Sgd};
 use mx::nn::param::HasParams;
-use mx::nn::qflow::{quantized_matmul_ab, QuantConfig};
+use mx::nn::qflow::{plane_cache_counters, quantized_matmul_ab, QuantConfig};
 use mx::nn::rnn::Gru;
 use mx::nn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// The pack counters are process-wide: the one test asserting an exact
+/// delta takes this exclusively, every other test (they all pack) shares.
+static PACK_COUNTERS: RwLock<()> = RwLock::new(());
+
+/// Shared hold on [`PACK_COUNTERS`] (a failed exclusive holder must not
+/// fail the rest of the suite, so poisoning is ignored).
+fn packing() -> RwLockReadGuard<'static, ()> {
+    PACK_COUNTERS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn rng() -> StdRng {
     StdRng::seed_from_u64(1234)
@@ -59,6 +73,7 @@ fn linear_reference(l: &Linear, x: &Tensor) -> Vec<f32> {
 
 #[test]
 fn linear_forward_warms_cache_and_repeats_bit_identically() {
+    let _shared = packing();
     let mut l = Linear::new(
         &mut rng(),
         48,
@@ -84,6 +99,7 @@ fn linear_forward_warms_cache_and_repeats_bit_identically() {
 
 #[test]
 fn sgd_step_invalidates_cached_plane() {
+    let _shared = packing();
     let mut l = Linear::new(
         &mut rng(),
         32,
@@ -113,6 +129,7 @@ fn sgd_step_invalidates_cached_plane() {
 
 #[test]
 fn adam_step_invalidates_cached_plane() {
+    let _shared = packing();
     let mut l = Linear::new(
         &mut rng(),
         16,
@@ -131,6 +148,7 @@ fn adam_step_invalidates_cached_plane() {
 
 #[test]
 fn direct_weight_writes_invalidate_cached_plane() {
+    let _shared = packing();
     let mut l = Linear::new(
         &mut rng(),
         32,
@@ -162,6 +180,7 @@ fn direct_weight_writes_invalidate_cached_plane() {
 /// freshly constructed (cold-cache) copy fed the same weights.
 #[test]
 fn composite_layers_repeat_bit_identically_and_match_cold_runs() {
+    let _shared = packing();
     let cfg = QuantConfig::uniform(TensorFormat::MX6);
     // Attention block over [batch, seq, d_model].
     let mut block = TransformerBlock::new(&mut rng(), 32, 4, true, cfg);
@@ -203,6 +222,7 @@ fn composite_layers_repeat_bit_identically_and_match_cold_runs() {
 /// thrash, no corruption, no deadlock.
 #[test]
 fn concurrent_matmuls_against_one_weight_tensor_match_serial() {
+    let _shared = packing();
     let (m, k, n) = (4, 48, 6);
     let b = input(k, n, 20);
     let weight_formats = [TensorFormat::MX6, TensorFormat::MX9];
@@ -253,6 +273,7 @@ fn concurrent_matmuls_against_one_weight_tensor_match_serial() {
 /// weights into a cold layer each step).
 #[test]
 fn training_loop_with_cache_matches_per_step_cold_runs() {
+    let _shared = packing();
     let cfg = QuantConfig::uniform(TensorFormat::MX6);
     let mut l = Linear::new(&mut rng(), 16, 2, false, cfg);
     let opt = Sgd::new(0.1);
@@ -268,4 +289,32 @@ fn training_loop_with_cache_matches_per_step_cold_runs() {
         opt.step(&mut l);
         l.zero_grads();
     }
+}
+
+/// Alternating a narrow-class and a wide-class activation format against
+/// one weight tensor keeps both planes warm — two packs for twenty calls:
+/// the class is part of the cache key, so neither lookup evicts the other
+/// class's plane.
+#[test]
+fn alternating_kernel_classes_pack_once_per_class() {
+    let _exclusive = PACK_COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+    let (m, k, n) = (3, 40, 5);
+    let a = input(m, k, 11);
+    let b = input(k, n, 12);
+    let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
+    let (_, packs_before) = plane_cache_counters();
+    for round in 0..10 {
+        for fa in [BdrFormat::MX6, wide] {
+            let y = quantized_matmul_ab(&a, &b, TensorFormat::Bdr(fa), TensorFormat::MX6);
+            let want = reference_gemm(a.data(), b.data(), m, k, n, fa, BdrFormat::MX6);
+            assert_bits_eq(y.data(), &want, &format!("round {round} {fa}"));
+        }
+    }
+    let (_, packs_after) = plane_cache_counters();
+    assert_eq!(packs_after - packs_before, 2, "one pack per kernel class");
+    assert_eq!(
+        b.cached_plane_count(),
+        2,
+        "both classes' planes stay cached"
+    );
 }
