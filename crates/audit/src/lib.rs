@@ -5,8 +5,9 @@
 //! every `#[target_feature]` kernel is reachable only behind runtime CPU
 //! detection, every test suite and bench harness is actually wired into
 //! CI, every `MX_*` environment knob is declared in one registry and
-//! documented, and the serving request path never panics. `mx-audit`
-//! turns those conventions into CI failures.
+//! documented, the serving request path never panics, and the core-count
+//! query and every `mx-core` / `mx-nn` thread spawn stay inside
+//! `mx_core::parallel`. `mx-audit` turns those conventions into CI failures.
 //!
 //! The binary is dependency-free by design (the build container has no
 //! crates.io access, so `syn` is off the table): [`lexer`] is a small

@@ -1,4 +1,4 @@
-//! The five rule families `mx-audit` enforces, each a pure function from a
+//! The six rule families `mx-audit` enforces, each a pure function from a
 //! [`Workspace`] to findings.
 //!
 //! | id | contract |
@@ -8,6 +8,7 @@
 //! | `ci-wiring` | every test suite and bench harness is named in the CI workflow |
 //! | `env-knobs` | `MX_*` env reads ⊆ knob registry ⊆ README table, and back |
 //! | `serve-panic` | no panic paths in `crates/serve` request handling |
+//! | `thread-budget` | the core-count query and `mx-core`/`mx-nn` thread spawns live only in `parallel.rs` |
 //!
 //! A finding on a specific line can be suppressed with a comment
 //! `audit:allow(<rule-id>): <reason>` on the same line or in the comment
@@ -75,6 +76,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     rule_ci_wiring(ws, &mut findings);
     rule_env_knobs(ws, &mut findings);
     rule_serve_panic(ws, &mut findings);
+    rule_thread_budget(ws, &mut findings);
     findings
 }
 
@@ -517,6 +519,53 @@ fn rule_serve_panic(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Rule `thread-budget`: `mx_core::parallel` is the one place that asks the
+/// OS for the core count (once per process — the query is a 12–17 µs
+/// syscall round that used to run once per GEMM) and the one place `mx-core`
+/// and `mx-nn` start threads (so every fan-out goes through its grain and
+/// span policy). Outside `crates/core/src/parallel.rs`, production code
+/// under `crates/` must not name `available_parallelism`, and production
+/// code in `crates/core` / `crates/nn` must not spawn or scope threads.
+fn rule_thread_budget(ws: &Workspace, findings: &mut Vec<Finding>) {
+    const RULE: &str = "thread-budget";
+    const HOME: &str = "crates/core/src/parallel.rs";
+    const SPAWNS: &[&str] = &["thread::scope", "thread::spawn", "thread::Builder"];
+    for f in &ws.files {
+        if !f.path.starts_with("crates/") || f.path == HOME {
+            continue;
+        }
+        let spawn_free = matches!(f.crate_key().as_str(), "crates/core" | "crates/nn");
+        let mask = f.test_mask();
+        for (idx, code) in f.lex.code.iter().enumerate() {
+            if mask.get(idx).copied().unwrap_or(false) || f.allowed(RULE, idx) {
+                continue;
+            }
+            let mut report = |message: String| {
+                findings.push(Finding {
+                    rule: RULE,
+                    path: PathBuf::from(&f.path),
+                    line: idx + 1,
+                    message,
+                });
+            };
+            if !find_word(code, "available_parallelism").is_empty() {
+                report(format!(
+                    "`available_parallelism` outside {HOME}: call \
+                     mx_core::parallel::default_threads(), which resolves it once"
+                ));
+            }
+            for pat in SPAWNS {
+                if spawn_free && code.contains(pat) {
+                    report(format!(
+                        "`{pat}` in {}: fan out through mx_core::parallel instead",
+                        f.crate_key()
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// True when the line contains `expr[...]` indexing: a `[` whose previous
 /// non-space character ends an expression (identifier, `)`, or `]`).
 /// Attribute (`#[...]`), macro (`vec![...]`), and type/array positions do
@@ -757,6 +806,47 @@ mod tests {
         let w = ws(vec![file("crates/serve/src/lib.rs", src)]);
         let mut found = Vec::new();
         rule_serve_panic(&w, &mut found);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn thread_budget_flags_core_count_queries_and_ad_hoc_spawns() {
+        let query = "fn n() -> usize {\n    std::thread::available_parallelism().map_or(4, |n| n.get())\n}\n";
+        let spawn = "fn go() {\n    std::thread::scope(|s| {\n        s.spawn(|| ());\n    });\n    let _ = std::thread::spawn(|| ());\n}\n";
+        let w = ws(vec![
+            file("crates/bench/src/lib.rs", query),
+            file("crates/nn/src/tensor.rs", query),
+            file("crates/core/src/gemm/mod.rs", spawn),
+            file("crates/nn/src/plan.rs", spawn),
+        ]);
+        let mut found = Vec::new();
+        rule_thread_budget(&w, &mut found);
+        assert_eq!(found.len(), 6, "{found:?}");
+        assert!(found.iter().all(|f| f.rule == "thread-budget"));
+        assert_eq!(
+            found.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [2, 2, 2, 5, 2, 5]
+        );
+    }
+
+    #[test]
+    fn thread_budget_allows_parallel_rs_tests_other_crates_and_waivers() {
+        let both = "fn n() -> usize {\n    std::thread::scope(|_| ());\n    std::thread::available_parallelism().map_or(4, |n| n.get())\n}\n";
+        let spawn = "fn go() {\n    let _ = std::thread::spawn(|| ());\n}\n";
+        let in_test = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        std::thread::spawn(|| ()).join().unwrap();\n    }\n}\n";
+        let waived = "fn go() {\n    // audit:allow(thread-budget): fixture.\n    let _ = std::thread::spawn(|| ());\n}\n// available_parallelism and thread::spawn in a comment\nconst S: &str = \"thread::scope available_parallelism\";\n";
+        let w = ws(vec![
+            file("crates/core/src/parallel.rs", both),
+            // mx-serve owns its worker threads; the benchmark package and
+            // the integration suites are outside `crates/`.
+            file("crates/serve/src/lib.rs", spawn),
+            file("benchmark/src/env.rs", both),
+            file("tests/weight_cache.rs", both),
+            file("crates/nn/src/qflow.rs", in_test),
+            file("crates/core/src/engine.rs", waived),
+        ]);
+        let mut found = Vec::new();
+        rule_thread_budget(&w, &mut found);
         assert!(found.is_empty(), "{found:?}");
     }
 

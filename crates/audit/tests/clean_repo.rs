@@ -48,8 +48,8 @@ fn workspace_audits_clean() {
 #[test]
 fn every_rule_family_is_exercised_by_the_workspace() {
     // The clean pass must not be vacuous: the audited tree really contains
-    // unsafe kernels, target_feature attributes, MX_ knobs, and serve
-    // sources — i.e. each rule had something to look at.
+    // unsafe kernels, target_feature attributes, MX_ knobs, serve sources,
+    // and a core-count query — i.e. each rule had something to look at.
     let ws = mx_audit::load_workspace(&repo_root()).expect("workspace loads");
     let any_line = |pat: &str| {
         ws.files
@@ -67,5 +67,9 @@ fn every_rule_family_is_exercised_by_the_workspace() {
             .iter()
             .any(|f| f.path.starts_with("crates/serve/src")),
         "serve sources missing"
+    );
+    assert!(
+        any_line("available_parallelism") && any_line("thread::scope"),
+        "no thread-budget code found to audit"
     );
 }

@@ -50,10 +50,11 @@ use crate::bits::{BitReader, BitWriter};
 use crate::parallel;
 use crate::util::{exponent_of, pow2, round_half_even};
 
-/// Minimum number of elements each worker thread must receive before the
-/// engine bothers spawning it; below `2×` this the kernels stay serial.
+/// Minimum number of *elements* each worker thread must receive before
+/// the engine bothers spawning it; below `2×` this the kernels stay serial.
 /// Scoped threads are spawned per call, so tiny tensors must not pay the
-/// spawn cost.
+/// spawn cost. (The GEMMs count multiply-accumulates against a grain of
+/// their own, in [`crate::gemm`].)
 pub const PARALLEL_GRAIN: usize = 16 * 1024;
 
 /// Block-quantization engine for one [`BdrFormat`].
@@ -79,7 +80,8 @@ impl QuantEngine {
     }
 
     /// Sets the worker-thread budget. `0` means "all available cores"
-    /// ([`parallel::default_threads`]). Regardless of the budget, inputs
+    /// ([`parallel::default_threads`], resolved once per process — building
+    /// an engine never makes a system call). Regardless of the budget, inputs
     /// smaller than `2 ×` [`PARALLEL_GRAIN`] are processed serially, and
     /// the parallel result is always bit-identical to the serial one.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -154,7 +156,7 @@ impl QuantEngine {
     pub fn quantize_dequantize_in_place(&self, xs: &mut [f32]) {
         let threads = self.effective_threads(xs.len());
         let fmt = self.format;
-        parallel::for_each_span_mut(xs, fmt.k1(), threads, |span| {
+        parallel::for_each_span_mut(xs, fmt.k1(), threads, |_, span| {
             qdq_slice(&fmt, span, &mut Vec::new());
         });
     }
@@ -180,7 +182,7 @@ impl QuantEngine {
         );
         let threads = self.effective_threads(data.len());
         let fmt = self.format;
-        parallel::for_each_span_mut(data, cols, threads, |span| {
+        parallel::for_each_span_mut(data, cols, threads, |_, span| {
             let mut shifts = Vec::new();
             for row in span.chunks_mut(cols) {
                 qdq_slice(&fmt, row, &mut shifts);
@@ -214,7 +216,7 @@ impl QuantEngine {
         let k1 = fmt.k1();
         // Split on bands of k1 rows: every column block lies entirely
         // inside one band, so bands are independent (and parallel-safe).
-        parallel::for_each_span_mut(data, k1 * cols, threads, |band| {
+        parallel::for_each_span_mut(data, k1 * cols, threads, |_, band| {
             let band_rows = band.len() / cols;
             let mut shifts = Vec::new();
             for block_start in (0..band_rows).step_by(k1) {

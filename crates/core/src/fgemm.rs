@@ -81,7 +81,7 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize
     #[cfg(target_arch = "x86_64")]
     let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
     let workers = gemm_workers(m, n, k, threads);
-    dispatch_rows(m, n, workers, &mut out, |r0, rows, part| {
+    dispatch_rows(n, workers, &mut out, |r0, rows, part| {
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             for i0 in (0..rows).step_by(MR) {
@@ -523,13 +523,16 @@ mod tests {
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
-        let (m, k, n) = (64, 96, 48);
-        let a = ramp(m * k, 5);
-        let b = ramp(k * n, 6);
-        let serial = matmul(&a, &b, m, k, n, 1);
-        for threads in [2usize, 3, 7, 0] {
-            let par = matmul(&a, &b, m, k, n, threads);
-            assert_bits_eq(&par, &serial, &format!("threads={threads}"));
+        // The second shape is above the fan-out threshold (3 ragged row
+        // spans of 34, 34, 32); the first stays serial at any budget.
+        for (m, k, n) in [(64, 96, 48), (100, 256, 128)] {
+            let a = ramp(m * k, 5);
+            let b = ramp(k * n, 6);
+            let serial = matmul(&a, &b, m, k, n, 1);
+            for threads in [2usize, 3, 7, 0] {
+                let par = matmul(&a, &b, m, k, n, threads);
+                assert_bits_eq(&par, &serial, &format!("m={m} threads={threads}"));
+            }
         }
     }
 

@@ -119,7 +119,7 @@
 //! ```
 
 use crate::bdr::BdrFormat;
-use crate::engine::{self, QuantEngine, PARALLEL_GRAIN};
+use crate::engine::{self, QuantEngine};
 use crate::parallel;
 
 #[cfg(target_arch = "x86_64")]
@@ -278,40 +278,47 @@ fn panel_layout(_k1: usize) -> usize {
     0
 }
 
-/// Runs `kernel(start_row, rows, out_span)` over row spans, serially or on
-/// `workers` threads; spans are whole rows, so the output is bit-identical
-/// either way. Shared with the blocked FP32 kernel in [`crate::fgemm`].
+/// Runs `kernel(start_row, rows, out_span)` over whole-row spans of the
+/// `m × n` output `out`, in place: serially for `workers <= 1`, otherwise
+/// through [`parallel::for_each_span_mut`] — the caller takes the first
+/// span, every other span runs on a scoped thread writing its disjoint
+/// rows of `out` directly (nothing is allocated or copied). The partition
+/// is a pure function of `(m, workers)` and each output row is computed
+/// the same way whichever span holds it, so the result is bit-identical
+/// for every `workers`. Shared with the blocked FP32 kernel in
+/// [`crate::fgemm`].
 pub(crate) fn dispatch_rows(
-    m: usize,
     n: usize,
     workers: usize,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
     kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
-    if workers <= 1 {
-        kernel(0, m, out);
-    } else {
-        let rows_per = m.div_ceil(workers);
-        let spans: Vec<(usize, usize)> = (0..m.div_ceil(rows_per))
-            .map(|w| (w * rows_per, rows_per.min(m - w * rows_per)))
-            .collect();
-        let parts = parallel::map(&spans, workers, |&(start, rows)| {
-            let mut part = vec![0.0f32; rows * n];
-            kernel(start, rows, &mut part);
-            part
-        });
-        out.clear();
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
-    }
+    parallel::for_each_span_mut(out, n, workers, |offset, span| {
+        kernel(offset / n, span.len() / n, span);
+    });
 }
 
-/// Worker count for an `m × n × k` GEMM under a `threads` budget (`0` = all
-/// cores): the same grain policy as the engine's kernels — every worker
-/// must receive at least [`PARALLEL_GRAIN`] multiply-accumulates, so a
-/// small layer never pays scoped-thread spawn cost for microseconds of
-/// work. Shared with [`crate::fgemm`].
+/// Multiply-accumulates a GEMM worker must receive before fanning out pays:
+/// one span's kernel time has to cover the scoped-thread spawn that runs
+/// it. Measured on the 2-vCPU box the benchmark was sized on,
+/// `thread::scope` + one spawn costs 15–25 µs (p10–p50; ~50 µs at p90),
+/// and one thread of the quantized kernels retires 13–19 GMAC/s at M = 1
+/// and 25–38 at M = 32 (512×2048; the FP32 kernel is slower), so 1 Mi MACs
+/// is 28–80 µs of kernel — a median spawn at the fastest rate, a p90 spawn
+/// at the typical one. A measured constant, not a knob: at the engine's
+/// element grain (16 Ki) every `Gpt::tiny` product (≤ 64 Ki MACs, 2–9 µs
+/// serial) was fanned out to threads that cost five times the product.
+/// Deliberately *not* [`engine::PARALLEL_GRAIN`], which counts elements of
+/// a memory-bound sweep, not MACs.
+const GEMM_PARALLEL_GRAIN: usize = 1 << 20;
+
+/// Number of row spans an `m × n × k` GEMM is split into under a `threads`
+/// budget (`0` = [`parallel::default_threads`], resolved once per process,
+/// so this function never makes a system call): every span must hold at
+/// least [`GEMM_PARALLEL_GRAIN`] MACs, and at least two such spans must
+/// exist, or the GEMM runs serially on the caller. The count is exact —
+/// [`dispatch_rows`] produces this many spans and spawns one thread fewer.
+/// Shared with [`crate::fgemm`].
 pub(crate) fn gemm_workers(m: usize, n: usize, k: usize, threads: usize) -> usize {
     let threads = if threads == 0 {
         parallel::default_threads()
@@ -319,10 +326,12 @@ pub(crate) fn gemm_workers(m: usize, n: usize, k: usize, threads: usize) -> usiz
         threads
     };
     let macs = m.saturating_mul(n).saturating_mul(k);
-    if threads <= 1 || macs < 2 * PARALLEL_GRAIN {
+    let workers = threads.min(m).min(macs / GEMM_PARALLEL_GRAIN);
+    if workers <= 1 {
         1
     } else {
-        threads.min(m).min(macs / PARALLEL_GRAIN).max(1)
+        // Spans are `⌈m / workers⌉` rows; report how many that makes.
+        m.div_ceil(m.div_ceil(workers))
     }
 }
 
@@ -359,7 +368,7 @@ impl Gemm<'_> {
         bp: PlaneView<'_, C>,
         kernel: SpanKernel<C>,
         buf: &mut CodeBuf<C>,
-        out: &mut Vec<f32>,
+        out: &mut [f32],
     ) {
         let (m, k, n, c, ctx) = (self.m, self.k, self.n, self.c, self.ctx);
         if m > FUSED_MAX_M {
@@ -369,16 +378,15 @@ impl Gemm<'_> {
             let vector_major = |v, kb| v * blocks + kb;
             pack_into(self.a, m, k, |i| i * k, 1, vector_major, self.fa, buf);
             let ap = buf.view(blocks, bp.k1);
-            dispatch_rows(m, n, self.workers, out, |r0, rows, part| {
+            dispatch_rows(n, self.workers, out, |r0, rows, part| {
                 kernel(ap, r0, rows, bp, n, c, ctx, part);
             });
         } else if self.workers <= 1 {
             kernel(self.lower_rows(0, m, buf), 0, m, bp, n, c, ctx, out);
         } else {
             // Each worker quantizes its own span into a small private ring
-            // (at most `FUSED_MAX_M` rows — cheap next to the per-span
-            // output buffer the parallel dispatch already allocates).
-            dispatch_rows(m, n, self.workers, out, |r0, rows, part| {
+            // (at most `FUSED_MAX_M` rows).
+            dispatch_rows(n, self.workers, out, |r0, rows, part| {
                 let mut ring = CodeBuf::default();
                 kernel(
                     self.lower_rows(r0, rows, &mut ring),
@@ -438,9 +446,11 @@ impl Gemm<'_> {
 /// module. A's rows are quantized as a stage of this call, into `scratch`
 /// (no allocation on the steady-state path beyond the output); B-side
 /// packing was paid once in [`PackedOperand::pack_cols`]. The GEMM is
-/// row-tiled per backend and dispatched row-parallel across `threads`
-/// workers (`0` = all cores; spans are whole rows, so the result is
-/// bit-identical regardless of thread count).
+/// row-tiled per backend and, when it is large enough that every span
+/// covers the thread spawn that runs it (2 Mi MACs and up), split into
+/// whole-row spans across up to `threads` threads, the caller's included
+/// (`0` = all cores; the result is bit-identical regardless of thread
+/// count). Smaller products run on the calling thread at no extra cost.
 ///
 /// Bit-identical to [`reference_gemm`] for every accepted pairing, at
 /// every shape and thread count.
@@ -947,22 +957,83 @@ mod tests {
 
     #[test]
     fn parallel_dispatch_is_bit_identical() {
-        let fmt = BdrFormat::MX6;
-        // Large enough to cross the parallel work threshold, under both
-        // activation strategies.
-        let (k, n) = (96, 48);
+        // Above the fan-out threshold (2 × `GEMM_PARALLEL_GRAIN` MACs)
+        // under both activation strategies and both kernel classes: 4 Mi
+        // MACs at m = 32 (up to 4 spans), 8 Mi at m = 64 (up to 7, ragged).
+        let (k, n) = (512, 256);
         let b = ramp(k * n, 12);
-        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
         let mut scratch = PackScratch::new();
-        for m in [FUSED_MAX_M, 64] {
-            let a = ramp(m * k, 11);
-            let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-            for threads in [1usize, 2, 3, 7, 0] {
-                let got = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch)
-                    .unwrap();
-                assert!(bits_eq(&got, &want), "m={m} threads={threads}");
+        for fmt in [BdrFormat::MX6, wide_fmt()] {
+            let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+            for m in [FUSED_MAX_M, 64] {
+                assert!(gemm_workers(m, n, k, 7) > 2, "m={m} must fan out");
+                let a = ramp(m * k, 11);
+                let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+                for threads in [1usize, 2, 3, 7, 0] {
+                    let got =
+                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch)
+                            .unwrap();
+                    assert!(bits_eq(&got, &want), "{fmt} m={m} threads={threads}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn dispatch_rows_spans_match_serial_on_ragged_m() {
+        // Drives the span dispatch directly, below any grain: every row
+        // reaches the kernel exactly once with the right start row and its
+        // own slice of `out`, for spans that divide `m`, leave a ragged
+        // tail, and outnumber the rows (the real kernels go through the
+        // same spans in `parallel_dispatch_is_bit_identical`).
+        let n = 5;
+        let row_kernel = |r0: usize, rows: usize, part: &mut [f32]| {
+            assert_eq!(part.len(), rows * n);
+            for (i, x) in part.iter_mut().enumerate() {
+                *x += ((r0 * n + i) as f32 * 0.37).sin();
+            }
+        };
+        for m in [1usize, 2, 5, 6, 7, 23] {
+            let mut want = vec![0.0f32; m * n];
+            dispatch_rows(n, 1, &mut want, row_kernel);
+            for workers in [2usize, 3, 7] {
+                let mut got = vec![0.0f32; m * n];
+                dispatch_rows(n, workers, &mut got, row_kernel);
+                assert!(bits_eq(&got, &want), "m={m} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_workers_fans_out_only_where_a_span_covers_its_spawn() {
+        // Every product a `Gpt::tiny` plan (d = 32, 2 heads, ffn 128, vocab
+        // 24) issues for one request at buckets 4 / 8 / 16: q/k/v/o
+        // projections, fc1, fc2, the head, and per head the score and mix
+        // products. All serial under any budget — so `execute` spawns
+        // nothing and (the budget being cached) makes no system call.
+        for t in [4usize, 8, 16] {
+            for (k, n) in [(32, 32), (32, 128), (128, 32), (32, 24), (16, t), (t, 16)] {
+                for threads in [0usize, 1, 2, 8, 64] {
+                    assert_eq!(gemm_workers(t, n, k, threads), 1, "{t}x{k}x{n}");
+                }
+            }
+        }
+        // The dense serving layer (512 → 2048): M = 1 never fans out, a
+        // coalesced batch does, and an explicit budget of 1 never does.
+        let (k, n) = (512, 2048);
+        for threads in [0usize, 1, 2, 8] {
+            assert_eq!(gemm_workers(1, n, k, threads), 1);
+        }
+        for m in [2usize, 20, 32] {
+            assert_eq!(gemm_workers(m, n, k, 2), 2, "m={m}");
+            assert_eq!(gemm_workers(m, n, k, 1), 1, "m={m}");
+        }
+        // The count is the number of spans `dispatch_rows` makes: 5 rows
+        // on a budget of 4 are 3 spans of 2, 2, 1.
+        assert_eq!(gemm_workers(5, n, k, 4), 3);
+        assert_eq!(gemm_workers(32, n, k, 64), 32);
+        // One span short of two grains' worth stays serial.
+        assert_eq!(gemm_workers(2, 1 << 10, (1 << 10) - 1, 8), 1);
     }
 
     #[test]

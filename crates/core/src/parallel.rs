@@ -1,83 +1,107 @@
-//! Shared chunked data-parallel utilities (crossbeam scoped threads).
+//! Shared chunked data-parallel utilities (`std::thread::scope`).
 //!
 //! Every multi-core code path in the workspace routes through these two
 //! primitives — the quantization engine's value kernels
-//! ([`crate::engine::QuantEngine`]) and the design-space sweep's
-//! Monte-Carlo evaluation — so the partitioning policy (contiguous spans,
-//! order-preserving, no work stealing) lives in exactly one place.
+//! ([`crate::engine::QuantEngine`]), the row-span GEMM dispatch
+//! (`gemm::dispatch_rows`, shared with [`crate::fgemm`]) and the
+//! design-space sweep's Monte-Carlo evaluation — so the partitioning policy
+//! (contiguous spans, order-preserving, no work stealing) and every thread
+//! spawn in `mx-core` / `mx-nn` live in exactly one place (`mx-audit` rule
+//! `thread-budget` keeps it that way).
 //!
 //! Both primitives are *deterministic*: work is split into contiguous,
 //! caller-aligned spans and every output lands in its input's slot, so the
 //! result is bit-identical to a serial run regardless of thread count or
-//! scheduling.
+//! scheduling. The calling thread takes the first span itself, so a call
+//! that fans out to `w` spans spawns `w − 1` threads, and a call that does
+//! not fan out costs nothing beyond the closure call.
+
+use std::sync::OnceLock;
 
 /// Number of worker threads to use when the caller asks for "all of them":
 /// the machine's available parallelism, or 4 if that cannot be determined.
+///
+/// Resolved **once per process** and cached: the query behind it reads the
+/// cgroup quota files and the affinity mask (12–17 µs per call where this
+/// was measured — more than a small GEMM), and it sits on the path of every
+/// matmul. Affinity or cgroup changes made after the first call are
+/// therefore not observed.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    static BUDGET: OnceLock<usize> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Splits `data` into at most `threads` contiguous spans whose lengths are
 /// multiples of `align` (except the last, which takes the remainder) and
-/// runs `f` on each span, in parallel.
+/// runs `f(offset, span)` on each, in parallel, where `offset` is the
+/// span's starting index in `data`.
 ///
-/// With `threads <= 1`, or when the data is too small to split, `f` runs
-/// once on the whole slice on the calling thread — no threads are spawned.
+/// The partition is a pure function of `(data.len(), align, threads)`. The
+/// first span runs on the calling thread and every further span on a scoped
+/// thread of its own; with `threads <= 1`, or when the data is too small to
+/// split, `f` runs once on the whole slice and no thread is spawned.
 /// Alignment is what makes parallel quantization bit-identical to serial:
 /// spans never split a quantization block.
 ///
 /// # Panics
 ///
-/// Panics if `align` is zero or if a worker panics.
+/// Panics if `align` is zero, or — after every span has finished — if `f`
+/// panicked on any span.
 ///
 /// # Examples
 ///
 /// ```
 /// # use mx_core::parallel::for_each_span_mut;
-/// let mut xs: Vec<u32> = (0..100).collect();
-/// for_each_span_mut(&mut xs, 8, 4, |span| {
-///     for x in span.iter_mut() {
-///         *x *= 2;
+/// let mut xs = vec![0usize; 100];
+/// for_each_span_mut(&mut xs, 8, 4, |offset, span| {
+///     for (i, x) in span.iter_mut().enumerate() {
+///         *x = 2 * (offset + i);
 ///     }
 /// });
-/// assert!(xs.iter().enumerate().all(|(i, &x)| x == 2 * i as u32));
+/// assert!(xs.iter().enumerate().all(|(i, &x)| x == 2 * i));
 /// ```
 pub fn for_each_span_mut<T, F>(data: &mut [T], align: usize, threads: usize, f: F)
 where
     T: Send,
-    F: Fn(&mut [T]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(align > 0, "span alignment must be nonzero");
     let units = data.len().div_ceil(align);
     let workers = threads.min(units).max(1);
     if workers <= 1 {
         if !data.is_empty() {
-            f(data);
+            f(0, data);
         }
         return;
     }
     let span = units.div_ceil(workers) * align;
-    crossbeam::thread::scope(|s| {
-        for chunk in data.chunks_mut(span) {
-            let f = &f;
-            s.spawn(move |_| f(chunk));
+    let (first, rest) = data.split_at_mut(span);
+    let f = &f;
+    // `scope` joins every spawned span before it returns or unwinds, then
+    // re-raises a span's panic on this thread.
+    std::thread::scope(|s| {
+        for (i, chunk) in rest.chunks_mut(span).enumerate() {
+            s.spawn(move || f((i + 1) * span, chunk));
         }
-    })
-    .expect("parallel span worker panicked");
+        f(0, first);
+    });
 }
 
 /// Order-preserving parallel map: returns `f(item)` for every item of
-/// `items`, computed on up to `threads` worker threads.
+/// `items`, computed on up to `threads` threads (the caller's included).
 ///
 /// With `threads <= 1` (or a single item) the map runs on the calling
-/// thread. Items are split into contiguous chunks, one per worker, so
-/// results are deterministic and land in input order.
+/// thread. Items are split into contiguous chunks by
+/// [`for_each_span_mut`], so results are deterministic and land in input
+/// order.
 ///
 /// # Panics
 ///
-/// Panics if a worker panics.
+/// Panics if `f` panics on any item.
 ///
 /// # Examples
 ///
@@ -92,24 +116,16 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let workers = threads.min(items.len()).max(1);
-    if workers <= 1 {
+    if threads.min(items.len()) <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
     let mut results: Vec<Option<O>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-    crossbeam::thread::scope(|s| {
-        for (slots, chunk_items) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            s.spawn(move |_| {
-                for (slot, item) in slots.iter_mut().zip(chunk_items.iter()) {
-                    *slot = Some(f(item));
-                }
-            });
+    for_each_span_mut(&mut results, 1, threads, |offset, slots| {
+        for (slot, item) in slots.iter_mut().zip(&items[offset..]) {
+            *slot = Some(f(item));
         }
-    })
-    .expect("parallel map worker panicked");
+    });
     results
         .into_iter()
         .map(|r| r.expect("all slots filled"))
@@ -119,18 +135,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn spans_cover_all_elements_once() {
         for threads in [1, 2, 3, 8, 64] {
             for len in [0usize, 1, 7, 16, 17, 100] {
-                let mut xs = vec![0u32; len];
-                for_each_span_mut(&mut xs, 4, threads, |span| {
-                    for x in span.iter_mut() {
-                        *x += 1;
+                let mut xs = vec![0usize; len];
+                for_each_span_mut(&mut xs, 4, threads, |offset, span| {
+                    for (i, x) in span.iter_mut().enumerate() {
+                        *x += offset + i + 1;
                     }
                 });
-                assert!(xs.iter().all(|&x| x == 1), "threads={threads} len={len}");
+                assert!(
+                    xs.iter().enumerate().all(|(i, &x)| x == i + 1),
+                    "threads={threads} len={len}"
+                );
             }
         }
     }
@@ -140,7 +161,7 @@ mod tests {
         // With align 8 over 20 elements and 2 workers, the split must fall
         // on a multiple of 8 (16), never mid-unit.
         let mut xs = vec![0usize; 20];
-        for_each_span_mut(&mut xs, 8, 2, |span| {
+        for_each_span_mut(&mut xs, 8, 2, |_, span| {
             let len = span.len();
             for x in span.iter_mut() {
                 *x = len;
@@ -148,6 +169,46 @@ mod tests {
         });
         assert_eq!(xs[0], 16);
         assert_eq!(xs[19], 4);
+    }
+
+    #[test]
+    fn first_span_runs_on_the_caller_and_the_rest_elsewhere() {
+        let caller = std::thread::current().id();
+        let mut ran_on = vec![None; 3 * 4];
+        for_each_span_mut(&mut ran_on, 4, 3, |_, span| {
+            span.fill(Some(std::thread::current().id()));
+        });
+        assert!(ran_on[..4].iter().all(|&id| id == Some(caller)));
+        assert!(ran_on[4..].iter().all(|&id| id != Some(caller)));
+        // Three spans ran on three distinct threads: two were spawned.
+        assert_ne!(ran_on[4], ran_on[8]);
+        let on_caller = map(&[(); 4], 2, |_| std::thread::current().id() == caller);
+        assert_eq!(on_caller, [true, true, false, false]);
+    }
+
+    #[test]
+    fn a_panicking_span_surfaces_in_the_caller_after_the_others_finish() {
+        // Each of the three spans panics in turn (0 = the caller's own).
+        // The barrier holds every span until all three are running, so the
+        // survivors demonstrably finish after the panic was raised.
+        for bad in 0..3 {
+            let finished = AtomicUsize::new(0);
+            let all_running = Barrier::new(3);
+            let mut xs = vec![0u8; 3];
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for_each_span_mut(&mut xs, 1, 3, |offset, _| {
+                    all_running.wait();
+                    if offset == bad {
+                        panic!("span {offset} fails");
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            assert!(outcome.is_err(), "bad={bad}");
+            assert_eq!(finished.load(Ordering::SeqCst), 2, "bad={bad}");
+        }
+        let outcome = std::panic::catch_unwind(|| map(&[1, 2, 3], 3, |&x| assert_ne!(x, 2)));
+        assert!(outcome.is_err());
     }
 
     #[test]
@@ -172,5 +233,11 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn default_threads_returns_the_same_value_on_every_call() {
+        let budget = default_threads();
+        assert!((0..100).all(|_| default_threads() == budget));
     }
 }

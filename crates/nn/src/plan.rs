@@ -46,8 +46,8 @@ use crate::layers::{normalize_rows, scale_shift_rows, Activation, Embedding, Lay
 use crate::qflow::{weight_plane, QuantConfig};
 use crate::tensor::Tensor;
 use mx_core::bdr::BdrFormat;
+use mx_core::fgemm;
 use mx_core::gemm::{self, PackScratch, PackedOperand};
-use mx_core::{fgemm, parallel};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1233,8 +1233,9 @@ impl CompiledPlan {
     }
 }
 
-/// Runs the GEMM core of a node on its plan-time-chosen path, with the
-/// per-execute thread count the dynamic path also reads.
+/// Runs the GEMM core of a node on its plan-time-chosen path, under the
+/// same thread budget the dynamic path passes (`0`: the process-wide
+/// budget; the GEMM's MAC grain decides per call whether to fan out).
 fn run_gemm(
     weights: &GemmWeights,
     a: &[f32],
@@ -1243,11 +1244,10 @@ fn run_gemm(
     n: usize,
     scratch: &mut PackScratch,
 ) -> Result<Vec<f32>, PlanError> {
-    let threads = parallel::default_threads();
     match weights {
-        GemmWeights::F32 { w } => Ok(fgemm::matmul(a, w, m, k, n, threads)),
+        GemmWeights::F32 { w } => Ok(fgemm::matmul(a, w, m, k, n, 0)),
         GemmWeights::Code { fa, plane } => {
-            gemm::quantized_gemm_prepacked_scratch(a, m, *fa, plane, threads, scratch)
+            gemm::quantized_gemm_prepacked_scratch(a, m, *fa, plane, 0, scratch)
                 .ok_or(PlanError::Internal("pinned plane lost its kernel class"))
         }
     }

@@ -52,7 +52,6 @@ use crate::format::{quantize_along, Axis, TensorFormat};
 use crate::tensor::{CachedPlane, Tensor};
 use mx_core::bdr::BdrFormat;
 use mx_core::gemm::{self, PackScratch, PackedOperand};
-use mx_core::parallel;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,7 +236,7 @@ pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorF
                     m,
                     ba,
                     &plane,
-                    parallel::default_threads(),
+                    0,
                     &mut scratch.borrow_mut(),
                 )
             })

@@ -5,8 +5,8 @@
 //! row-wise bias case. The quantized compute flow of Fig. 8 lives in
 //! [`crate::qflow`]; this module provides the exact arithmetic underneath.
 
+use mx_core::fgemm;
 use mx_core::gemm::PackedOperand;
-use mx_core::{fgemm, parallel};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -267,14 +267,7 @@ impl Tensor {
         assert_eq!(other.shape.len(), 2, "rhs of matmul must be 2-D");
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "inner dims: {k} vs {k2}");
-        let out = fgemm::matmul(
-            &self.data,
-            &other.data,
-            m,
-            k,
-            n,
-            parallel::default_threads(),
-        );
+        let out = fgemm::matmul(&self.data, &other.data, m, k, n, 0);
         let mut shape: Vec<usize> = self.shape[..self.shape.len() - 1].to_vec();
         shape.push(n);
         Tensor::from_vec(out, &shape)

@@ -144,12 +144,20 @@ fn forced_backend_matrix_is_bit_identical_to_reference() {
 fn forced_backends_are_thread_count_invariant() {
     let _guard = lock_knobs();
     let fmt = BdrFormat::MX6;
-    let (k, n) = (96, 24);
     for backend in BACKENDS {
         if !try_force(backend) {
             continue;
         }
-        for m in [8usize, 32, 33] {
+        // The last two shapes (4 Mi MACs) are above the GEMM's fan-out
+        // threshold — up to four row spans, ragged at M = 33; the first
+        // three stay serial under any budget.
+        for (m, k, n) in [
+            (8usize, 96, 24),
+            (32, 96, 24),
+            (33, 96, 24),
+            (32, 512, 256),
+            (33, 512, 256),
+        ] {
             let a = stress_vector(m * k, 7 * m);
             let b = stress_vector(k * n, 11 * m);
             let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();

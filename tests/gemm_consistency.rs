@@ -104,18 +104,24 @@ fn row_and_column_vector_shapes() {
     }
 }
 
+/// Shapes for the thread-count loops: the first is small enough that the
+/// GEMM's MAC grain keeps it serial under any budget, the second (3.1 Mi
+/// MACs) is fanned out to up to three ragged row spans (34, 34, 32).
+const PARALLEL_SHAPES: [(usize, usize, usize); 2] = [(48, 80, 32), (100, 256, 128)];
+
 /// Row-parallel dispatch is bit-identical to the reference for every
 /// thread count, including the "all cores" knob.
 #[test]
 fn parallel_gemm_is_bit_identical() {
     let fmt = BdrFormat::MX9;
-    let (m, k, n) = (48, 80, 32);
-    let a = stress_vector(m * k, 17);
-    let b = stress_vector(k * n, 19);
-    let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-    for threads in [1usize, 2, 3, 5, 8, 0] {
-        let got = gemm(&a, &b, m, k, n, fmt, fmt, threads);
-        assert_bits_eq(&got, &want, &format!("threads={threads}"));
+    for (m, k, n) in PARALLEL_SHAPES {
+        let a = stress_vector(m * k, 17);
+        let b = stress_vector(k * n, 19);
+        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+        for threads in [1usize, 2, 3, 5, 8, 0] {
+            let got = gemm(&a, &b, m, k, n, fmt, fmt, threads);
+            assert_bits_eq(&got, &want, &format!("m={m} threads={threads}"));
+        }
     }
 }
 
@@ -197,15 +203,16 @@ fn prepacked_plane_reused_across_calls_matches_reference() {
 #[test]
 fn prepacked_parallel_is_bit_identical() {
     let (fa, fb) = (BdrFormat::MX6, BdrFormat::MX9);
-    let (m, k, n) = (48, 80, 32);
-    let a = stress_vector(m * k, 61);
-    let b = stress_vector(k * n, 63);
-    let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-    let want = reference_gemm(&a, &b, m, k, n, fa, fb);
     let mut scratch = PackScratch::new();
-    for threads in [1usize, 2, 3, 5, 8, 0] {
-        let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch);
-        assert_bits_eq(&got.unwrap(), &want, &format!("threads={threads}"));
+    for (m, k, n) in PARALLEL_SHAPES {
+        let a = stress_vector(m * k, 61);
+        let b = stress_vector(k * n, 63);
+        let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
+        let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+        for threads in [1usize, 2, 3, 5, 8, 0] {
+            let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch);
+            assert_bits_eq(&got.unwrap(), &want, &format!("m={m} threads={threads}"));
+        }
     }
 }
 

@@ -99,17 +99,21 @@ fn fused_degenerate_dims() {
 #[test]
 fn fused_thread_counts_are_bit_identical() {
     let fmt = BdrFormat::MX6;
-    let (k, n) = (96, 48);
-    let b = stress_vector(k * n, 52);
-    let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
     let mut scratch = PackScratch::new();
-    for m in [FUSED_MAX_M, FUSED_MAX_M + 1] {
-        let a = stress_vector(m * k, 51);
-        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-        for threads in [1usize, 2, 3, 7, 0] {
-            let got =
-                quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch).unwrap();
-            assert_bits_eq(&got, &want, &format!("m={m} threads={threads}"));
+    // (96, 48) stays serial under the GEMM's MAC grain at these M; (512,
+    // 256) is 4 Mi MACs and fans out to up to four row spans (ragged at
+    // M = 33: 9, 9, 9, 6).
+    for (k, n) in [(96, 48), (512, 256)] {
+        let b = stress_vector(k * n, 52);
+        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+        for m in [FUSED_MAX_M, FUSED_MAX_M + 1] {
+            let a = stress_vector(m * k, 51);
+            let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+            for threads in [1usize, 2, 3, 7, 0] {
+                let got = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, threads, &mut scratch)
+                    .unwrap();
+                assert_bits_eq(&got, &want, &format!("{m}x{k}x{n} threads={threads}"));
+            }
         }
     }
 }
