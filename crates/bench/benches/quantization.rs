@@ -1,6 +1,7 @@
 //! Criterion performance benches: quantization throughput per format, the
-//! bit-accurate dot-product engine, the QSNR harness, one sweep step, and
-//! a quantized training step — the hot paths of every experiment binary.
+//! engine's value path, the bit-accurate dot-product engine, the QSNR
+//! harness, a 64-configuration sweep pass, and a quantized training step —
+//! the hot paths of every experiment binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mx_core::bdr::{BdrFormat, BdrQuantizer};
@@ -15,6 +16,7 @@ use mx_core::vsq::VsqQuantizer;
 use mx_core::VectorQuantizer;
 use mx_hw::cost::{CostModel, FormatConfig};
 use mx_hw::pipeline::{DotProductPipeline, PipelineConfig};
+use mx_sweep::eval::{evaluate_all, SweepSettings};
 use std::hint::black_box;
 
 fn test_vector(n: usize) -> Vec<f32> {
@@ -51,6 +53,60 @@ fn quant_throughput(c: &mut Criterion) {
     for (name, q) in cases.iter_mut() {
         group.bench_function(*name, |b| b.iter(|| black_box(q.quantize_dequantize(&x))));
     }
+    group.finish();
+}
+
+/// The engine's value path on the shape the QSNR harness feeds it — 64 rows
+/// of 1024, in place — for the three MX presets and the grid's finest
+/// sub-block split (`k1 = 128, k2 = 1`: one scale per element, the most
+/// planning per value).
+fn qdq_value_path(c: &mut Criterion) {
+    let (rows, cols) = (64usize, 1024usize);
+    let x = test_vector(rows * cols);
+    let fine = BdrFormat::new(4, 8, 1, 128, 1).expect("in the Fig. 7 grid");
+    let mut group = c.benchmark_group("qdq_value_path");
+    group.throughput(Throughput::Elements((rows * cols) as u64));
+    for (name, fmt) in [
+        ("mx9", BdrFormat::MX9),
+        ("mx6", BdrFormat::MX6),
+        ("mx4", BdrFormat::MX4),
+        ("k1=128_k2=1", fine),
+    ] {
+        let engine = QuantEngine::new(fmt);
+        let mut buf = x.clone();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&x);
+                engine.quantize_dequantize_rows(&mut buf, cols);
+                black_box(buf[0])
+            })
+        });
+    }
+    group.finish();
+}
+
+/// One serial sweep pass over 64 configurations spread evenly over the
+/// Fig. 7 space, at the repo benchmark's Monte-Carlo size: one draw of the
+/// sample set plus 64 measurements on it.
+fn sweep_pass(c: &mut Criterion) {
+    let space = mx_sweep::space::full_space();
+    let configs: Vec<FormatConfig> = (0..64)
+        .map(|j| space[j * space.len() / 64].clone())
+        .collect();
+    let settings = SweepSettings {
+        qsnr: QsnrConfig {
+            vectors: 64,
+            vector_len: 1024,
+            seed: 7,
+        },
+        distribution: Distribution::NormalVariableVariance,
+        threads: 1,
+    };
+    let mut group = c.benchmark_group("sweep");
+    group.sample_size(10);
+    group.bench_function("sweep_pass_64cfg", |b| {
+        b.iter(|| black_box(evaluate_all(&configs, &settings)))
+    });
     group.finish();
 }
 
@@ -225,6 +281,8 @@ fn train_step(c: &mut Criterion) {
 criterion_group!(
     benches,
     quant_throughput,
+    qdq_value_path,
+    sweep_pass,
     packed_encode,
     engine_vs_naive,
     parallel_scaling,

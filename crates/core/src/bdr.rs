@@ -18,6 +18,7 @@
 use crate::engine::QuantEngine;
 use crate::error::FormatError;
 use crate::VectorQuantizer;
+use rand::Rng;
 use std::fmt;
 
 /// Maximum supported explicit mantissa bits (an `f32` mantissa cannot carry
@@ -146,6 +147,24 @@ impl BdrFormat {
             k2,
             name: None,
         })
+    }
+
+    /// Draws a format from the whole legal [`Self::new`] lattice — every
+    /// mantissa and scale width the constructor admits, block size `k1`
+    /// (any size up to 64 when `None`) and any sub-block size dividing it.
+    /// The generator of the differential suites, which assert bit-identity
+    /// on formats off the preset list.
+    pub fn random<R: Rng + ?Sized>(rng: &mut R, k1: Option<usize>) -> Self {
+        let k1 = k1.unwrap_or_else(|| rng.gen_range(1..=64usize));
+        let divisors: Vec<usize> = (1..=k1).filter(|&d| k1.is_multiple_of(d)).collect();
+        Self::new(
+            rng.gen_range(1..=MAX_MANTISSA_BITS),
+            rng.gen_range(1..=MAX_D1),
+            rng.gen_range(0..=MAX_D2),
+            k1,
+            divisors[rng.gen_range(0..divisors.len())],
+        )
+        .expect("legal by construction")
     }
 
     /// Explicit mantissa bits per element (excluding the sign bit).
@@ -407,6 +426,12 @@ impl VectorQuantizer for BdrQuantizer {
 
     fn quantize_dequantize(&mut self, xs: &[f32]) -> Vec<f32> {
         self.format.quantize_dequantize(xs)
+    }
+
+    fn quantize_dequantize_into(&mut self, xs: &[f32], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(xs);
+        self.format.quantize_dequantize_in_place(out);
     }
 }
 

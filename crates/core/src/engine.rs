@@ -11,7 +11,11 @@
 //!
 //! - **Value path** — [`QuantEngine::quantize_dequantize`] /
 //!   [`QuantEngine::quantize_dequantize_in_place`] fake-quantize contiguous
-//!   vectors.
+//!   vectors. It runs on the same fast block core as the GEMM's code
+//!   lowering (integer exponent scan, exact power-of-two reciprocal,
+//!   branch-free ties-to-even); the division form (`plan_into` +
+//!   `quantize_code`) stays as the packed encoder's path and the oracle
+//!   the suites compare against.
 //! - **Packed bit streams** — [`QuantEngine::encode`] /
 //!   [`QuantEngine::decode`] produce and consume the Fig. 4 layout;
 //!   [`crate::mx::MxTensor`] delegates here.
@@ -146,18 +150,23 @@ impl QuantEngine {
 
     /// Quantizes `xs` (any length; the tail may form a partial block) and
     /// returns the dequantized values.
+    ///
+    /// Allocates the output and nothing else: the output starts as a copy
+    /// of `xs` (its initialization — a zero fill would cost the same) and
+    /// is quantized in place.
     pub fn quantize_dequantize(&self, xs: &[f32]) -> Vec<f32> {
         let mut out = xs.to_vec();
         self.quantize_dequantize_in_place(&mut out);
         out
     }
 
-    /// Quantizes `xs` in place.
+    /// Quantizes `xs` in place, without allocating (formats with more than
+    /// 128 sub-blocks per block take one scratch per span).
     pub fn quantize_dequantize_in_place(&self, xs: &mut [f32]) {
         let threads = self.effective_threads(xs.len());
         let fmt = self.format;
         parallel::for_each_span_mut(xs, fmt.k1(), threads, |_, span| {
-            qdq_slice(&fmt, span, &mut Vec::new());
+            with_sub_block_scratch(&fmt, |scratch| qdq_slice(&fmt, span, scratch));
         });
     }
 
@@ -183,10 +192,11 @@ impl QuantEngine {
         let threads = self.effective_threads(data.len());
         let fmt = self.format;
         parallel::for_each_span_mut(data, cols, threads, |_, span| {
-            let mut shifts = Vec::new();
-            for row in span.chunks_mut(cols) {
-                qdq_slice(&fmt, row, &mut shifts);
-            }
+            with_sub_block_scratch(&fmt, |scratch| {
+                for row in span.chunks_mut(cols) {
+                    qdq_slice(&fmt, row, scratch);
+                }
+            });
         });
     }
 
@@ -218,14 +228,15 @@ impl QuantEngine {
         // inside one band, so bands are independent (and parallel-safe).
         parallel::for_each_span_mut(data, k1 * cols, threads, |_, band| {
             let band_rows = band.len() / cols;
-            let mut shifts = Vec::new();
-            for block_start in (0..band_rows).step_by(k1) {
-                let block_len = k1.min(band_rows - block_start);
-                let row_base = block_start * cols;
-                for c in 0..cols {
-                    qdq_block_strided(&fmt, band, row_base + c, cols, block_len, &mut shifts);
+            with_sub_block_scratch(&fmt, |scratch| {
+                for block_start in (0..band_rows).step_by(k1) {
+                    let block_len = k1.min(band_rows - block_start);
+                    let row_base = block_start * cols;
+                    for c in 0..cols {
+                        qdq_block(&fmt, band, row_base + c, cols, block_len, scratch);
+                    }
                 }
-            }
+            });
         });
     }
 
@@ -454,9 +465,9 @@ impl AlignedCode for i32 {
 /// [`round_half_even`].
 const ROUND_BIAS: f64 = 4_503_599_627_370_496.0;
 
-/// Branch-free [`round_half_even`] for the magnitudes the code-lowering
-/// loop produces, bit-identical to the `floor`-based helper everywhere the
-/// two are composed with the `min(max_code)` clamp:
+/// Branch-free [`round_half_even`] for the magnitudes the fast block core
+/// produces, bit-identical to the `floor`-based helper everywhere the two
+/// are composed with the `min(max_code)` clamp:
 ///
 /// - for `0 ≤ v < 2^52`, `(v + 2^52) − 2^52` rounds `v` at integer
 ///   granularity under the default IEEE round-to-nearest-even mode and the
@@ -470,175 +481,71 @@ fn round_half_even_fast(v: f64) -> f64 {
     (v + ROUND_BIAS) - ROUND_BIAS
 }
 
-/// Plans one contiguous block (`block.len() ≤ k1`) and lowers it straight
-/// to shift-aligned signed integer codes — the tile-granular entry the
-/// fused GEMM path ([`crate::gemm`]) quantizes A-row strips through, one
-/// `k1`-block of one row at a time, inside the execute loop.
-///
-/// `codes` must hold exactly `k1` slots; every slot is written (the ragged
-/// tail past `block.len()` is zeroed, as is the whole slot array for an
-/// all-zero block, which returns `None` like [`plan_into`]).
-///
-/// This is [`plan_into`] + [`quantize_code`] restructured for the hot loop
-/// without moving a single decision or rounding point:
-///
-/// - the exponent scans become **one branch-light integer pass** over the
-///   IEEE-754 abs bit patterns: the exponent is monotone in them, so each
-///   sub-block's largest exponent is the exponent of its largest-`|x|`
-///   finite element ([`exponent_of`] itself, the clamp, and the shift
-///   formula are reused verbatim, and a debug-build assertion cross-checks
-///   the plan against [`plan_into`]);
-/// - the per-element division becomes a multiplication by the sub-block
-///   ulp's reciprocal, hoisted out of the element loop — for every format
-///   pair admitted to the code domain the ulp is an exact power of two no
-///   smaller than `2^-149` (`crate::gemm`'s `exact_dequantize` gate), so
-///   the reciprocal is exact and both scalings are exact exponent
-///   adjustments comfortably inside `f64`'s normal range;
-/// - the `floor`-based tie break becomes the branch-free
-///   [`round_half_even_fast`] bias trick.
-///
-/// All three substitutions are value-preserving, so every code is
-/// bit-identical to the two-pass pack (the `gemm_fused` consistency suite
-/// asserts it across all preset pairs and stress data).
-pub(crate) fn lower_block_into<C: AlignedCode>(
-    fmt: &BdrFormat,
-    block: &[f32],
-    shifts: &mut Vec<u32>,
-    codes: &mut [C],
-) -> Option<i32> {
-    debug_assert_eq!(codes.len(), fmt.k1());
-    let k2 = fmt.k2();
-    let beta = fmt.max_shift();
-    // Pass 1: per-sub-block max |x| as raw abs bits (0 ⇔ no finite nonzero
-    // element), staged in `shifts`; the block max is the max over them.
-    shifts.clear();
-    let mut block_max = 0u32;
-    let mut sub_start = 0;
-    while sub_start < block.len() {
-        let end = (sub_start + k2).min(block.len());
-        let mut sub_max = 0u32;
-        for &x in &block[sub_start..end] {
-            let abs = x.to_bits() & 0x7fff_ffff;
-            // Exactly `plan_into`'s filter: x != 0.0 && x.is_finite().
-            if abs < 0x7f80_0000 && abs > sub_max {
-                sub_max = abs;
-            }
-        }
-        shifts.push(sub_max);
-        block_max = block_max.max(sub_max);
-        sub_start = end;
+/// Folds one element into a running maximum of IEEE-754 abs bit patterns,
+/// skipping exactly what [`plan_into`] skips (`x != 0.0 && x.is_finite()`
+/// ⇔ `0 < abs bits < 0x7f80_0000`; zero never raises the maximum).
+#[inline(always)]
+fn fold_abs_bits(acc: u32, x: f32) -> u32 {
+    let abs = x.to_bits() & 0x7fff_ffff;
+    if abs < 0x7f80_0000 && abs > acc {
+        abs
+    } else {
+        acc
     }
-    if block_max == 0 {
-        shifts.clear();
-        codes.fill(C::ZERO);
-        return None;
-    }
-    let shared_exp =
-        exponent_of(f32::from_bits(block_max)).clamp(fmt.min_shared_exp(), fmt.max_shared_exp());
-    // Pass 2: staged maxima → microexponent shifts, the same formula as
-    // `plan_into` (all-zero sub-blocks take the maximum shift).
-    for s in shifts.iter_mut() {
-        *s = if *s == 0 {
-            beta
-        } else {
-            let e_i = exponent_of(f32::from_bits(*s));
-            (shared_exp.saturating_sub(e_i).max(0) as u32).min(beta)
-        };
-    }
-    #[cfg(debug_assertions)]
-    {
-        let mut check = Vec::new();
-        let check_exp = plan_into(fmt, block, 0, 1, block.len(), &mut check);
-        debug_assert_eq!(check_exp, Some(shared_exp), "fused plan: shared exp");
-        debug_assert_eq!(&check, shifts, "fused plan: shifts");
-    }
-    let max_code = fmt.max_code();
-    let m1 = fmt.m() as i32 - 1;
-    let mut done = 0;
-    for &tau in shifts.iter() {
-        let sub_len = k2.min(block.len() - done);
-        let inv_ulp = pow2(-(shared_exp - tau as i32 - m1));
-        let align = beta - tau;
-        for (dst, &x) in codes[done..done + sub_len].iter_mut().zip(&block[done..]) {
-            *dst = if x == 0.0 {
-                // Zeros (incl. -0.0) carry sign 0, matching the engine's
-                // value and packed paths.
-                C::ZERO
-            } else {
-                let rounded = round_half_even_fast(x.abs() as f64 * inv_ulp);
-                let code = (rounded as u64).min(max_code);
-                let aligned = (code as i32) << align;
-                C::from_aligned(if x.is_sign_negative() {
-                    -aligned
-                } else {
-                    aligned
-                })
-            };
-        }
-        done += sub_len;
-    }
-    codes[done..].fill(C::ZERO);
-    Some(shared_exp)
 }
 
-/// Strided sibling of [`lower_block_into`]: plans the block
-/// `data[base + i·stride], i in 0..len` and lowers it to shift-aligned
-/// codes in one pass — the entry [`crate::gemm`]'s column packer walks
-/// `B[K,N]`'s columns through (stride `n`) without materializing a
-/// transpose. Also returns the block's shared exponent via the same
-/// `Option` convention, which is the plan metadata the packer's
-/// deferred-scale-out bookkeeping (per-vector exponent uniformity)
-/// consumes.
+/// The planning half of the fast block core — [`plan_into`] restructured
+/// for the hot loops without moving a single decision — shared by the code
+/// lowering ([`lower_block_strided_into`]) and the value kernel
+/// ([`qdq_block`]).
 ///
-/// `codes` must hold exactly `k1` slots; every slot is written (the ragged
-/// tail past `len` is zeroed, as is the whole slot array for an all-zero
-/// block). The planning filter, clamp, shift formula, reciprocal-multiply
-/// scaling, and branch-free rounding are the same substitutions as
-/// [`lower_block_into`] — the two must stay in step, decision for decision
-/// (both are debug-checked against [`plan_into`] and proven bit-identical
-/// to the division path by the packing consistency suites).
-pub(crate) fn lower_block_strided_into<C: AlignedCode>(
+/// Plans the block `data[base + i·stride], i in 0..len` into `shifts`,
+/// which must hold exactly one slot per `k2`-sub-block
+/// (`len.div_ceil(k2)`), and returns the shared exponent, or `None` for a
+/// block with no finite nonzero element (`shifts` is then unspecified).
+///
+/// - Pass 1 is **one branch-light integer scan** over the abs bit
+///   patterns: the exponent is monotone in them, so each sub-block's
+///   largest exponent is the exponent of its largest-`|x|` finite element.
+///   The per-sub-block maxima are staged in `shifts`; the block maximum is
+///   the maximum over them.
+/// - Pass 2 turns the staged maxima into microexponent shifts with
+///   [`exponent_of`], the clamp and the shift formula reused verbatim
+///   (all-zero sub-blocks take the maximum shift).
+///
+/// A debug-build assertion cross-checks the plan against [`plan_into`].
+#[inline(always)]
+fn plan_fast(
     fmt: &BdrFormat,
     data: &[f32],
     base: usize,
     stride: usize,
     len: usize,
-    shifts: &mut Vec<u32>,
-    codes: &mut [C],
+    shifts: &mut [u32],
 ) -> Option<i32> {
-    debug_assert_eq!(codes.len(), fmt.k1());
-    debug_assert!(len <= fmt.k1());
+    debug_assert!(len <= fmt.k1(), "block of {len} exceeds k1 = {}", fmt.k1());
     let k2 = fmt.k2();
+    debug_assert_eq!(shifts.len(), len.div_ceil(k2));
     let beta = fmt.max_shift();
-    // Pass 1: per-sub-block max |x| as raw abs bits, staged in `shifts`.
-    shifts.clear();
     let mut block_max = 0u32;
-    let mut sub_start = 0;
-    while sub_start < len {
-        let sub_len = k2.min(len - sub_start);
-        let mut sub_max = 0u32;
-        let mut idx = base + sub_start * stride;
+    let mut idx = base;
+    let mut left = len;
+    for slot in shifts.iter_mut() {
+        let sub_len = k2.min(left);
+        let mut acc = 0;
         for _ in 0..sub_len {
-            let abs = data[idx].to_bits() & 0x7fff_ffff;
-            // Exactly `plan_into`'s filter: x != 0.0 && x.is_finite().
-            if abs < 0x7f80_0000 && abs > sub_max {
-                sub_max = abs;
-            }
+            acc = fold_abs_bits(acc, data[idx]);
             idx += stride;
         }
-        shifts.push(sub_max);
-        block_max = block_max.max(sub_max);
-        sub_start += sub_len;
+        left -= sub_len;
+        *slot = acc;
+        block_max = block_max.max(acc);
     }
     if block_max == 0 {
-        shifts.clear();
-        codes.fill(C::ZERO);
         return None;
     }
     let shared_exp =
         exponent_of(f32::from_bits(block_max)).clamp(fmt.min_shared_exp(), fmt.max_shared_exp());
-    // Pass 2: staged maxima → microexponent shifts (same formula as
-    // `plan_into`; all-zero sub-blocks take the maximum shift).
     for s in shifts.iter_mut() {
         *s = if *s == 0 {
             beta
@@ -651,9 +558,99 @@ pub(crate) fn lower_block_strided_into<C: AlignedCode>(
     {
         let mut check = Vec::new();
         let check_exp = plan_into(fmt, data, base, stride, len, &mut check);
-        debug_assert_eq!(check_exp, Some(shared_exp), "strided plan: shared exp");
-        debug_assert_eq!(&check, shifts, "strided plan: shifts");
+        debug_assert_eq!(check_exp, Some(shared_exp), "fast plan: shared exp");
+        debug_assert_eq!(&check[..], &shifts[..], "fast plan: shifts");
     }
+    Some(shared_exp)
+}
+
+/// The rounding half of the fast block core: `|x| / ulp` rounded to the
+/// nearest integer, ties to even, with the per-element division replaced
+/// by a multiplication by the ulp's reciprocal `inv_ulp` (hoisted out of
+/// the element loop by the callers) and the `floor`-based tie break by
+/// [`round_half_even_fast`].
+///
+/// Composed with the `max_code` clamp this is [`quantize_code`], bit for
+/// bit, for every format [`BdrFormat::new`] admits and every `f32` input —
+/// including the formats the code domain rejects, which only the value
+/// path serves:
+///
+/// - the ulp is `2^e` with `e = shared_exp − τ − (m − 1)` and
+///   `shared_exp ∈ [−127, 128]`, `τ ≤ 15`, `m ≤ 23`, so `e ∈ [−164, 128]`
+///   (`d1 = 8` with a deep mantissa reaches far below `f32`'s subnormal
+///   floor): [`pow2`] is exact for `|e| ≤ 1022`, hence so is the
+///   reciprocal `2^−e`, and scaling a finite `|x| ∈ [2^−149, 2^128)` by it
+///   is an exact exponent adjustment inside `f64`'s normal range — the
+///   quotient the division yields;
+/// - a narrow `d1` clamps the shared exponent far below a large input's
+///   own (`d1 = 4`: at most 8), so quotients reach `2^120`: any `v ≥ 2^52`
+///   saturates at `max_code` on both rounding forms (see
+///   [`round_half_even_fast`]);
+/// - `±Inf` stays `+Inf` (clamps to `max_code`) and NaN stays NaN (code 0:
+///   what `as u64` makes of it on the division path).
+#[inline(always)]
+fn rounded_quotient(x: f32, inv_ulp: f64) -> f64 {
+    round_half_even_fast(x.abs() as f64 * inv_ulp)
+}
+
+/// [`rounded_quotient`] clamped and lowered to the shift-aligned signed
+/// integer code the GEMM kernels consume. Zeros (incl. `-0.0`) carry
+/// sign 0, matching the engine's value and packed paths.
+#[inline(always)]
+fn aligned_code_fast<C: AlignedCode>(x: f32, inv_ulp: f64, max_code: u64, align: u32) -> C {
+    if x == 0.0 {
+        C::ZERO
+    } else {
+        let code = (rounded_quotient(x, inv_ulp) as u64).min(max_code);
+        let aligned = (code as i32) << align;
+        C::from_aligned(if x.is_sign_negative() {
+            -aligned
+        } else {
+            aligned
+        })
+    }
+}
+
+/// Plans the block `data[base + i·stride], i in 0..len` (`len ≤ k1`) and
+/// lowers it straight to shift-aligned signed integer codes in one pass —
+/// the entry [`crate::gemm`]'s column packer walks `B[K,N]`'s columns
+/// through (stride `n`) without materializing a transpose. Returns the
+/// block's shared exponent, which is also the plan metadata the packer's
+/// deferred-scale-out bookkeeping (per-vector exponent uniformity)
+/// consumes, or `None` for an all-zero block like [`plan_into`].
+///
+/// `codes` must hold exactly `k1` slots; every slot is written (the ragged
+/// tail past `len` is zeroed, as is the whole slot array for an all-zero
+/// block). `shifts` is the caller's sub-block scratch: it never outgrows
+/// `k1 / k2` slots, and since [`plan_fast`] overwrites every slot, a
+/// scratch already of the right size — every block but a ragged tail — is
+/// used as it is.
+///
+/// This is [`plan_into`] + [`quantize_code`] on the fast block core
+/// ([`plan_fast`] + [`rounded_quotient`]): every code is bit-identical to
+/// the two-pass pack (the `gemm_fused` consistency suite asserts it across
+/// all preset pairs and stress data).
+#[inline(always)]
+pub(crate) fn lower_block_strided_into<C: AlignedCode>(
+    fmt: &BdrFormat,
+    data: &[f32],
+    base: usize,
+    stride: usize,
+    len: usize,
+    shifts: &mut Vec<u32>,
+    codes: &mut [C],
+) -> Option<i32> {
+    debug_assert_eq!(codes.len(), fmt.k1());
+    let k2 = fmt.k2();
+    let slots = len.div_ceil(k2);
+    if shifts.len() != slots {
+        shifts.resize(slots, 0);
+    }
+    let Some(shared_exp) = plan_fast(fmt, data, base, stride, len, shifts) else {
+        codes.fill(C::ZERO);
+        return None;
+    };
+    let beta = fmt.max_shift();
     let max_code = fmt.max_code();
     let m1 = fmt.m() as i32 - 1;
     let mut done = 0;
@@ -663,22 +660,8 @@ pub(crate) fn lower_block_strided_into<C: AlignedCode>(
         let align = beta - tau;
         let mut idx = base + done * stride;
         for dst in codes[done..done + sub_len].iter_mut() {
-            let x = data[idx];
+            *dst = aligned_code_fast(data[idx], inv_ulp, max_code, align);
             idx += stride;
-            *dst = if x == 0.0 {
-                // Zeros (incl. -0.0) carry sign 0, matching the engine's
-                // value and packed paths.
-                C::ZERO
-            } else {
-                let rounded = round_half_even_fast(x.abs() as f64 * inv_ulp);
-                let code = (rounded as u64).min(max_code);
-                let aligned = (code as i32) << align;
-                C::from_aligned(if x.is_sign_negative() {
-                    -aligned
-                } else {
-                    aligned
-                })
-            };
         }
         done += sub_len;
     }
@@ -686,16 +669,77 @@ pub(crate) fn lower_block_strided_into<C: AlignedCode>(
     Some(shared_exp)
 }
 
-/// Fake-quantizes one strided block in place.
-fn qdq_block_strided(
+/// [`lower_block_strided_into`] for one contiguous block
+/// (`block.len() ≤ k1`) — the tile-granular entry the fused GEMM path
+/// ([`crate::gemm`]) quantizes A-row strips through, one `k1`-block of one
+/// row at a time, inside the execute loop. The same body with the stride a
+/// literal 1, so the two cannot drift.
+pub(crate) fn lower_block_into<C: AlignedCode>(
+    fmt: &BdrFormat,
+    block: &[f32],
+    shifts: &mut Vec<u32>,
+    codes: &mut [C],
+) -> Option<i32> {
+    lower_block_strided_into(fmt, block, 0, 1, block.len(), shifts, codes)
+}
+
+/// Sub-block counts up to this plan on the stack in the value kernels
+/// (covers every format of the Fig. 7 grid, `k1 = 128, k2 = 1` included);
+/// a finer split takes one heap scratch per span.
+const STACK_SUB_BLOCKS: usize = 128;
+
+/// Runs `f` with a sub-block scratch of `k1 / k2` slots: an array on the
+/// stack when that fits [`STACK_SUB_BLOCKS`], else one `Vec` that `f`
+/// reuses across all of its span's blocks and rows.
+#[inline(always)]
+fn with_sub_block_scratch(fmt: &BdrFormat, f: impl FnOnce(&mut [u32])) {
+    let slots = fmt.k1() / fmt.k2();
+    if slots <= STACK_SUB_BLOCKS {
+        f(&mut [0u32; STACK_SUB_BLOCKS][..slots]);
+    } else {
+        f(&mut vec![0u32; slots]);
+    }
+}
+
+/// One element of the value path: `x` rounded onto the grid of ulp `ulp`
+/// (`inv_ulp` its exact reciprocal) and back — the division oracle's
+/// `(quantize_code(x, ulp, max_code) as f64 * ulp) as f32` with its sign.
+///
+/// The clamp stays in `f64` (`max_code` is passed converted), which spares
+/// the integer round trip: the
+/// [`rounded_quotient`] is integer-valued, `+Inf` or NaN; the comparison
+/// clamps the first two exactly as `min(max_code)` does, and a NaN — which
+/// passes through it and the product — is replaced by the oracle's code-0
+/// magnitude. The dequantize product and cast are the oracle's own, and
+/// `copysign` onto a non-negative magnitude is its sign branch. Zeros
+/// (incl. `-0.0`) come back as `+0.0`.
+#[inline(always)]
+fn qdq_value(x: f32, inv_ulp: f64, ulp: f64, max_code: f64) -> f32 {
+    let r = rounded_quotient(x, inv_ulp);
+    let code = if r > max_code { max_code } else { r };
+    let mag = if x.is_nan() { 0.0 } else { (code * ulp) as f32 };
+    if x == 0.0 {
+        0.0
+    } else {
+        mag.copysign(x)
+    }
+}
+
+/// Fake-quantizes the block `data[base + i·stride], i in 0..len` in place,
+/// on the fast block core. `scratch` holds at least `k1 / k2` slots.
+#[inline(always)]
+fn qdq_block(
     fmt: &BdrFormat,
     data: &mut [f32],
     base: usize,
     stride: usize,
     len: usize,
-    shifts: &mut Vec<u32>,
+    scratch: &mut [u32],
 ) {
-    let Some(shared_exp) = plan_into(fmt, data, base, stride, len, shifts) else {
+    let k2 = fmt.k2();
+    let shifts = &mut scratch[..len.div_ceil(k2)];
+    let Some(shared_exp) = plan_fast(fmt, data, base, stride, len, shifts) else {
+        // No finite nonzero element: the block quantizes to zeros.
         let mut idx = base;
         for _ in 0..len {
             data[idx] = 0.0;
@@ -703,37 +747,27 @@ fn qdq_block_strided(
         }
         return;
     };
-    let max_code = fmt.max_code();
-    let k2 = fmt.k2();
+    let max_code = fmt.max_code() as f64;
+    let m1 = fmt.m() as i32 - 1;
     let mut idx = base;
-    let mut done = 0;
-    for &shift in shifts.iter() {
-        let ulp = ulp_of(fmt, shared_exp, shift);
-        let sub_len = k2.min(len - done);
+    let mut left = len;
+    for &tau in shifts.iter() {
+        let e = shared_exp - tau as i32 - m1;
+        let (inv_ulp, ulp) = (pow2(-e), pow2(e));
+        let sub_len = k2.min(left);
         for _ in 0..sub_len {
-            let x = data[idx];
-            data[idx] = if x == 0.0 {
-                0.0
-            } else {
-                let mag = (quantize_code(x, ulp, max_code) as f64 * ulp) as f32;
-                if x.is_sign_negative() {
-                    -mag
-                } else {
-                    mag
-                }
-            };
+            data[idx] = qdq_value(data[idx], inv_ulp, ulp, max_code);
             idx += stride;
         }
-        done += sub_len;
+        left -= sub_len;
     }
 }
 
 /// Fake-quantizes a contiguous slice in place, block by block.
-fn qdq_slice(fmt: &BdrFormat, xs: &mut [f32], shifts: &mut Vec<u32>) {
+fn qdq_slice(fmt: &BdrFormat, xs: &mut [f32], scratch: &mut [u32]) {
     let k1 = fmt.k1();
     for start in (0..xs.len()).step_by(k1) {
-        let len = k1.min(xs.len() - start);
-        qdq_block_strided(fmt, xs, start, 1, len, shifts);
+        qdq_block(fmt, xs, start, 1, k1.min(xs.len() - start), scratch);
     }
 }
 

@@ -680,23 +680,6 @@ mod tests {
         assert!(!exact_dequantize(&deep));
     }
 
-    /// Draws from the whole legal `BdrFormat::new(m, d1, d2, k1, k2)`
-    /// lattice — every mantissa and scale width the constructor admits,
-    /// any block size up to 64 with any sub-block size dividing it.
-    fn random_format(rng: &mut StdRng, k1: Option<usize>) -> BdrFormat {
-        use crate::bdr::{MAX_D1, MAX_D2, MAX_MANTISSA_BITS};
-        let k1 = k1.unwrap_or_else(|| rng.gen_range(1..=64usize));
-        let divisors: Vec<usize> = (1..=k1).filter(|&d| k1.is_multiple_of(d)).collect();
-        BdrFormat::new(
-            rng.gen_range(1..=MAX_MANTISSA_BITS),
-            rng.gen_range(1..=MAX_D1),
-            rng.gen_range(0..=MAX_D2),
-            k1,
-            divisors[rng.gen_range(0..divisors.len())],
-        )
-        .expect("legal by construction")
-    }
-
     /// Values spanning zeros, sign flips, and a wide magnitude spread.
     fn random_values(rng: &mut StdRng, n: usize) -> Vec<f32> {
         (0..n)
@@ -715,10 +698,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let (mut narrow_run, mut wide_run, mut rejected) = (0, 0, 0);
         for _ in 0..4000 {
-            let fb = random_format(&mut rng, None);
+            let fb = BdrFormat::random(&mut rng, None);
             // Most partners share fb's block size, or nothing is supported.
             let shared_k1 = (rng.gen_range(0..4u32) != 0).then_some(fb.k1());
-            let fa = random_format(&mut rng, shared_k1);
+            let fa = BdrFormat::random(&mut rng, shared_k1);
             let pair = FormatPair::new(&fa, &fb);
             assert_eq!(pair.is_some(), code_domain_supported(&fa, &fb), "{fa}/{fb}");
             let (k, n) = (rng.gen_range(1..70usize), rng.gen_range(1..12usize));
@@ -732,7 +715,7 @@ mod tests {
             assert!(pb.accepts(&fa), "{fa}/{fb}");
             // Any third format: `accepts` is false exactly when the entry
             // returns `None` (asked at a degenerate and a real shape).
-            let other = random_format(&mut rng, shared_k1);
+            let other = BdrFormat::random(&mut rng, shared_k1);
             let mut scratch = PackScratch::new();
             for m in [0usize, 2] {
                 let a = random_values(&mut rng, m * k);

@@ -116,6 +116,15 @@ pub trait VectorQuantizer {
     /// values.
     fn quantize_dequantize(&mut self, xs: &[f32]) -> Vec<f32>;
 
+    /// [`Self::quantize_dequantize`] into a caller-owned buffer, so a loop
+    /// over many vectors (the QSNR harness) can reuse one allocation.
+    /// `out` is overwritten and resized to `xs.len()`. The default
+    /// allocates as usual and moves the result in; quantizers that can
+    /// write in place override it.
+    fn quantize_dequantize_into(&mut self, xs: &[f32], out: &mut Vec<f32>) {
+        *out = self.quantize_dequantize(xs);
+    }
+
     /// Clears any accumulated scaling state (no-op for stateless formats).
     fn reset(&mut self) {}
 }

@@ -112,8 +112,9 @@ pub struct QsnrConfig {
 }
 
 impl Default for QsnrConfig {
-    /// A fast default suitable for tests; the Fig. 7 harness raises
-    /// `vectors` to the paper's 10K.
+    /// A fast default suitable for tests. (The Fig. 7 harness measures on
+    /// 256 vectors of 1024 too, 2048 under `MX_FULL`; the paper's run used
+    /// 10K.)
     fn default() -> Self {
         QsnrConfig {
             vectors: 256,
@@ -137,63 +138,115 @@ impl Default for QsnrConfig {
 /// assert!((q - 20.0).abs() < 1e-4); // noise power ~0.02 vs signal 2.0
 /// ```
 pub fn qsnr_db(original: &[f32], quantized: &[f32]) -> f64 {
-    let signal = power(original);
+    power_ratio_db(power(original), noise_power(original, quantized))
+}
+
+/// Eq. 3 on accumulated powers: NaN without signal, `+∞` without noise.
+fn power_ratio_db(signal: f64, noise: f64) -> f64 {
     if signal == 0.0 {
         return f64::NAN;
     }
-    let noise = noise_power(original, quantized);
     if noise == 0.0 {
         return f64::INFINITY;
     }
     -10.0 * (noise / signal).log10()
 }
 
-/// Measures the expected QSNR of `quantizer` over `cfg.vectors` independent
-/// vectors from `dist`, as the ratio of expected noise power to expected
-/// signal power (matching Eq. 3's `E[·]/E[·]` form).
+/// A Monte-Carlo sample set: the `cfg.vectors` vectors one QSNR measurement
+/// quantizes, drawn once and measurable against any number of quantizers.
 ///
-/// Vectors are fed sequentially so that delayed-scaling quantizers build up
-/// realistic history; the quantizer is reset first.
+/// A design-space sweep measures every configuration on the same seed and
+/// distribution, i.e. on the same numbers; drawing them once and sharing the
+/// set read-only (it is `Sync`) removes the sampling cost from all but one
+/// configuration. The set holds `vectors × vector_len × 4` bytes.
+#[derive(Debug)]
+pub struct SampleSet {
+    /// The vectors back to back, in drawing order.
+    data: Vec<f32>,
+    vectors: usize,
+    vector_len: usize,
+    /// `Σ power(x)` over the vectors, summed in drawing order.
+    signal: f64,
+}
+
+impl SampleSet {
+    /// Draws `cfg.vectors` vectors of `cfg.vector_len` values from `dist`
+    /// with a [`StdRng`] seeded by `cfg.seed`, one
+    /// [`Distribution::sample_vector`] call per vector.
+    pub fn draw(dist: Distribution, cfg: QsnrConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut data = Vec::with_capacity(cfg.vectors * cfg.vector_len);
+        let mut signal = 0.0f64;
+        for _ in 0..cfg.vectors {
+            let x = dist.sample_vector(&mut rng, cfg.vector_len);
+            signal += power(&x);
+            data.extend_from_slice(&x);
+        }
+        SampleSet {
+            data,
+            vectors: cfg.vectors,
+            vector_len: cfg.vector_len,
+            signal,
+        }
+    }
+
+    /// The vectors, in drawing order.
+    pub fn vectors(&self) -> impl Iterator<Item = &[f32]> {
+        (0..self.vectors).map(|i| &self.data[i * self.vector_len..][..self.vector_len])
+    }
+
+    /// The expected QSNR of `quantizer` over the set, as the ratio of
+    /// expected noise power to expected signal power (matching Eq. 3's
+    /// `E[·]/E[·]` form).
+    ///
+    /// Vectors are fed sequentially so that delayed-scaling quantizers
+    /// build up realistic history; the quantizer is reset first. One output
+    /// buffer serves every vector
+    /// ([`VectorQuantizer::quantize_dequantize_into`]).
+    pub fn measure(&self, quantizer: &mut dyn VectorQuantizer) -> f64 {
+        quantizer.reset();
+        let mut q = Vec::new();
+        let mut noise = 0.0f64;
+        for x in self.vectors() {
+            quantizer.quantize_dequantize_into(x, &mut q);
+            noise += noise_power(x, &q);
+        }
+        power_ratio_db(self.signal, noise)
+    }
+
+    /// Per-vector QSNR samples of `quantizer` (for variance/robustness
+    /// analysis rather than the pooled estimate of [`Self::measure`]); the
+    /// quantizer is reset first.
+    pub fn samples(&self, quantizer: &mut dyn VectorQuantizer) -> Vec<f64> {
+        quantizer.reset();
+        let mut q = Vec::new();
+        self.vectors()
+            .map(|x| {
+                quantizer.quantize_dequantize_into(x, &mut q);
+                qsnr_db(x, &q)
+            })
+            .collect()
+    }
+}
+
+/// Measures the expected QSNR of `quantizer` over `cfg.vectors` independent
+/// vectors from `dist`: [`SampleSet::draw`] + [`SampleSet::measure`]. To
+/// measure several quantizers on one `(dist, cfg)`, draw the set once.
 pub fn measure_qsnr(
     quantizer: &mut dyn VectorQuantizer,
     dist: Distribution,
     cfg: QsnrConfig,
 ) -> f64 {
-    quantizer.reset();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut signal = 0.0f64;
-    let mut noise = 0.0f64;
-    for _ in 0..cfg.vectors {
-        let x = dist.sample_vector(&mut rng, cfg.vector_len);
-        let q = quantizer.quantize_dequantize(&x);
-        signal += power(&x);
-        noise += noise_power(&x, &q);
-    }
-    if signal == 0.0 {
-        return f64::NAN;
-    }
-    if noise == 0.0 {
-        return f64::INFINITY;
-    }
-    -10.0 * (noise / signal).log10()
+    SampleSet::draw(dist, cfg).measure(quantizer)
 }
 
-/// Per-vector QSNR samples (for variance/robustness analysis rather than the
-/// pooled estimate of [`measure_qsnr`]).
+/// Per-vector QSNR samples: [`SampleSet::draw`] + [`SampleSet::samples`].
 pub fn qsnr_samples(
     quantizer: &mut dyn VectorQuantizer,
     dist: Distribution,
     cfg: QsnrConfig,
 ) -> Vec<f64> {
-    quantizer.reset();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    (0..cfg.vectors)
-        .map(|_| {
-            let x = dist.sample_vector(&mut rng, cfg.vector_len);
-            let q = quantizer.quantize_dequantize(&x);
-            qsnr_db(&x, &q)
-        })
-        .collect()
+    SampleSet::draw(dist, cfg).samples(quantizer)
 }
 
 #[cfg(test)]
@@ -225,6 +278,57 @@ mod tests {
         let a = measure_qsnr(&mut q1, Distribution::NormalVariableVariance, cfg);
         let b = measure_qsnr(&mut q2, Distribution::NormalVariableVariance, cfg);
         assert_eq!(a, b);
+    }
+
+    /// `measure_qsnr` / `qsnr_samples` are draw + measure on the set: same
+    /// bits as measuring a set drawn by hand, for a stateless and a
+    /// history-keeping quantizer — and a dirty quantizer measures like a
+    /// fresh one, because every measurement resets it first.
+    #[test]
+    fn measuring_is_draw_plus_measure_and_resets_the_quantizer() {
+        let cfg = QsnrConfig {
+            vectors: 12,
+            vector_len: 200,
+            seed: 14,
+        };
+        let d = Distribution::NormalVariableVariance;
+        let set = SampleSet::draw(d, cfg);
+        assert_eq!(set.vectors().count(), 12);
+        assert!(set.vectors().all(|x| x.len() == 200));
+        // The set is what the per-call loop drew: same generator, same order.
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        for x in set.vectors() {
+            assert_eq!(x, &d.sample_vector(&mut rng, 200)[..]);
+        }
+
+        let mut bdr = BdrQuantizer::new(BdrFormat::MX6);
+        let mut delayed = IntQuantizer::new(8, 64, ScaleStrategy::Delayed { window: 4 });
+        let quantizers: [&mut dyn VectorQuantizer; 2] = [&mut bdr, &mut delayed];
+        for q in quantizers {
+            let pooled = measure_qsnr(q, d, cfg);
+            assert!(pooled.is_finite());
+            // `q` now carries the history of a whole measurement.
+            assert_eq!(set.measure(q).to_bits(), pooled.to_bits(), "{}", q.label());
+            let per_vector = qsnr_samples(q, d, cfg);
+            assert_eq!(set.samples(q), per_vector, "{}", q.label());
+            assert_eq!(set.measure(q).to_bits(), pooled.to_bits(), "{}", q.label());
+        }
+    }
+
+    /// No vectors, or empty ones, carry no signal power: NaN, as for a pair.
+    #[test]
+    fn degenerate_sets() {
+        let d = Distribution::Normal { sigma: 1.0 };
+        let mut q = BdrQuantizer::new(BdrFormat::MX9);
+        for (vectors, vector_len) in [(0, 16), (4, 0)] {
+            let cfg = QsnrConfig {
+                vectors,
+                vector_len,
+                seed: 1,
+            };
+            assert!(measure_qsnr(&mut q, d, cfg).is_nan());
+            assert_eq!(qsnr_samples(&mut q, d, cfg).len(), vectors);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (normalized area-memory product), the two axes of Fig. 7.
 
 use crate::space;
-use mx_core::qsnr::{measure_qsnr, Distribution, QsnrConfig};
+use mx_core::qsnr::{Distribution, QsnrConfig, SampleSet};
 use mx_core::scaling::ScaleStrategy;
 use mx_hw::cost::{CostModel, FormatConfig};
 
@@ -51,15 +51,15 @@ impl Default for SweepSettings {
     }
 }
 
-/// Evaluates one configuration.
-pub fn evaluate_point(
+/// Evaluates one configuration against an already drawn sample set.
+fn evaluate_on(
+    samples: &SampleSet,
     config: &FormatConfig,
     label: String,
     model: &CostModel,
-    settings: &SweepSettings,
 ) -> SweepPoint {
     let mut q = config.quantizer(ScaleStrategy::default());
-    let qsnr_db = measure_qsnr(q.as_mut(), settings.distribution, settings.qsnr);
+    let qsnr_db = samples.measure(q.as_mut());
     let cost = model.evaluate(config);
     SweepPoint {
         label,
@@ -72,15 +72,34 @@ pub fn evaluate_point(
     }
 }
 
+/// Evaluates one configuration, drawing the sample set for it alone. To
+/// evaluate several on the same settings use [`evaluate_all`], which draws
+/// once.
+pub fn evaluate_point(
+    config: &FormatConfig,
+    label: String,
+    model: &CostModel,
+    settings: &SweepSettings,
+) -> SweepPoint {
+    let samples = SampleSet::draw(settings.distribution, settings.qsnr);
+    evaluate_on(&samples, config, label, model)
+}
+
 /// Evaluates a list of configurations in parallel (order preserved).
 ///
-/// Work is distributed by the shared [`mx_core::parallel::map`] utility —
-/// the same chunked front-end the quantization engine uses — so the result
-/// is deterministic and identical to a serial evaluation.
+/// Every configuration is measured on the same seed and distribution —
+/// the same numbers — so the Monte-Carlo set is drawn once, before the
+/// fan-out, and shared read-only by the workers; it lives for this call
+/// only (`vectors × vector_len × 4` bytes). Work is distributed by the
+/// shared [`mx_core::parallel::map`] utility — the same chunked front-end
+/// the quantization engine uses — so the result is deterministic and
+/// bit-identical to evaluating each configuration with
+/// [`evaluate_point`].
 pub fn evaluate_all(configs: &[FormatConfig], settings: &SweepSettings) -> Vec<SweepPoint> {
     let model = CostModel::new();
+    let samples = SampleSet::draw(settings.distribution, settings.qsnr);
     mx_core::parallel::map(configs, settings.threads, |cfg| {
-        evaluate_point(cfg, cfg.label(), &model, settings)
+        evaluate_on(&samples, cfg, cfg.label(), &model)
     })
 }
 
@@ -106,18 +125,47 @@ mod tests {
         }
     }
 
+    /// One shared draw, fanned out, equals one draw per configuration on
+    /// one thread — bit for bit, for every quantizer family (the
+    /// software-scaled ones keep history across a measurement's vectors, so
+    /// this also shows each configuration starts from a reset quantizer) and
+    /// at every worker count, including more workers than some spans hold.
     #[test]
     fn parallel_matches_sequential() {
+        use mx_core::scalar::ScalarFormat;
         let configs: Vec<FormatConfig> = vec![
             FormatConfig::Bdr(BdrFormat::MX9),
             FormatConfig::Bdr(BdrFormat::MX4),
+            FormatConfig::Bdr(BdrFormat::new(5, 4, 2, 128, 1).unwrap()),
+            FormatConfig::ScalarSw {
+                format: ScalarFormat::E4M3,
+                k1: 10_000,
+            },
+            FormatConfig::ScalarSw {
+                format: ScalarFormat::FP4_E2M1,
+                k1: 10_000,
+            },
+            FormatConfig::Int { bits: 8, k1: 1024 },
+            FormatConfig::Int { bits: 4, k1: 1024 },
+            FormatConfig::Vsq {
+                bits: 4,
+                d2: 6,
+                k1: 1024,
+            },
         ];
-        let settings = fast_settings();
-        let par = evaluate_all(&configs, &settings);
         let model = CostModel::new();
-        for (p, c) in par.iter().zip(configs.iter()) {
-            let seq = evaluate_point(c, c.label(), &model, &settings);
-            assert_eq!(p, &seq);
+        for threads in [1, 2, 3] {
+            let settings = SweepSettings {
+                threads,
+                ..fast_settings()
+            };
+            let all = evaluate_all(&configs, &settings);
+            assert_eq!(all.len(), configs.len());
+            for (p, c) in all.iter().zip(configs.iter()) {
+                let alone = evaluate_point(c, c.label(), &model, &settings);
+                assert_eq!(p.qsnr_db.to_bits(), alone.qsnr_db.to_bits(), "{c}");
+                assert_eq!(p, &alone, "{c} threads={threads}");
+            }
         }
     }
 

@@ -2,9 +2,9 @@
 //! of an MX format is perturbed — the evidence behind the paper's choice of
 //! `d2 = 1`, `k2 = 2`, `k1 = 16`.
 
-use crate::eval::{evaluate_point, SweepPoint, SweepSettings};
+use crate::eval::{evaluate_all, SweepPoint, SweepSettings};
 use mx_core::bdr::BdrFormat;
-use mx_hw::cost::{CostModel, FormatConfig};
+use mx_hw::cost::FormatConfig;
 
 /// One perturbation result.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,33 +29,32 @@ impl KneeStep {
     }
 }
 
-fn eval(fmt: BdrFormat, model: &CostModel, settings: &SweepSettings) -> SweepPoint {
-    let cfg = FormatConfig::Bdr(fmt);
-    evaluate_point(&cfg, cfg.label(), model, settings)
-}
-
 /// Runs the paper's three knee perturbations around a base MX format:
-/// `d2: 1→2`, `k2: 8→2`, and `k2: 2→1`.
+/// `d2: 1→2`, `k2: 8→2`, and `k2: 2→1`. The four formats involved are
+/// evaluated in one [`evaluate_all`] call, on one drawn sample set.
 pub fn knee_analysis(base: BdrFormat, settings: &SweepSettings) -> Vec<KneeStep> {
-    let model = CostModel::new();
     let (m, d1, k1) = (base.m(), base.d1(), base.k1());
     let mk = |d2: u32, k2: usize| BdrFormat::new(m, d1, d2, k1, k2).expect("valid variant");
-    let base_pt = eval(base, &model, settings);
+    let formats = [base, mk(2, base.k2()), mk(base.d2(), 8), mk(base.d2(), 1)];
+    let [base_pt, d2_up, k2_coarse, k2_fine]: [SweepPoint; 4] =
+        evaluate_all(&formats.map(FormatConfig::Bdr), settings)
+            .try_into()
+            .expect("one point per format");
     vec![
         KneeStep {
             change: "d2: 1 -> 2".into(),
             base: base_pt.clone(),
-            variant: eval(mk(2, base.k2()), &model, settings),
+            variant: d2_up,
         },
         KneeStep {
             change: "k2: 8 -> 2".into(),
-            base: eval(mk(base.d2(), 8), &model, settings),
+            base: k2_coarse,
             variant: base_pt.clone(),
         },
         KneeStep {
             change: "k2: 2 -> 1".into(),
             base: base_pt,
-            variant: eval(mk(base.d2(), 1), &model, settings),
+            variant: k2_fine,
         },
     ]
 }

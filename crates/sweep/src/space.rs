@@ -83,7 +83,9 @@ pub fn named_formats() -> Vec<(String, FormatConfig)> {
     out
 }
 
-/// Full sweep: the grid plus the named formats (deduplicated by label).
+/// Full sweep: the grid plus every named format whose configuration is not
+/// already in it (configs compare by value; the legend names are dropped —
+/// [`FormatConfig::label`] regenerates a label per point).
 pub fn full_space() -> Vec<FormatConfig> {
     let mut out = bdr_grid();
     for (_, c) in named_formats() {

@@ -4,11 +4,16 @@
 //! must produce identical values, and the parallel front-end must be
 //! bit-identical to serial execution.
 
+mod common;
+
+use common::{assert_bits_eq, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::engine::{QuantEngine, PARALLEL_GRAIN};
 use mx::core::mx::MxTensor;
 use mx::nn::format::{quantize_along, Axis, TensorFormat};
 use mx::nn::tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const FORMATS: [BdrFormat; 5] = [
     BdrFormat::MX4,
@@ -17,24 +22,6 @@ const FORMATS: [BdrFormat; 5] = [
     BdrFormat::MSFP12,
     BdrFormat::MSFP16,
 ];
-
-/// Deterministic pseudo-random data with outliers, sign changes, zeros, and
-/// a wide magnitude spread — the shapes block formats find hardest.
-fn stress_vector(n: usize, salt: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| {
-            let h = (i.wrapping_mul(2654435761).wrapping_add(salt * 97)) % 10_007;
-            let base = h as f32 / 10_007.0 - 0.5;
-            match i % 7 {
-                0 => 0.0,
-                1 => base * 1e4,
-                2 => -base * 1e-4,
-                3 => -0.0,
-                _ => base,
-            }
-        })
-        .collect()
-}
 
 /// `MxTensor::encode(...).decode()`, the engine value path, and the
 /// format's own method agree exactly, for every format, across lengths
@@ -95,6 +82,135 @@ fn strided_column_path_matches_transpose_oracle() {
             // Engine: strided kernel through quantize_along.
             let got = quantize_along(&t, TensorFormat::Bdr(fmt), Axis::Col);
             assert_eq!(got, oracle, "{fmt} {rows}x{cols}");
+        }
+    }
+}
+
+/// The retained division oracle, through public API only:
+/// `quantize_block_codes` is `plan_into` + `quantize_code` (per-element
+/// `f64` division, `floor`-based tie break) and `dequantize` the code × ulp
+/// product — per `k1`-block of `xs`.
+fn division_oracle(fmt: BdrFormat, xs: &[f32]) -> Vec<f32> {
+    xs.chunks(fmt.k1())
+        .flat_map(|block| fmt.quantize_block_codes(block).dequantize())
+        .collect()
+}
+
+/// `stress_vector` with the values no arithmetic shortcut may mishandle
+/// scattered over it — NaN of both signs, ±Inf, ±0, the smallest and
+/// largest denormals, `f32::MIN_POSITIVE`, ±`f32::MAX`, `2^120` (saturates
+/// every narrow-`d1` grid far above `2^52` ulps) — and one 64-element run of
+/// nothing but non-finite values and zeros (a block the planner answers
+/// with `None` although it is not all-zero).
+fn hostile_vector(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    const SPECIALS: [f32; 14] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        1.329_228e36, // 2^120
+        -1.329_228e36,
+        1.0,
+        -1.5,
+        0.75,
+    ];
+    let mut x = stress_vector(n, rng.gen_range(0..1000usize));
+    let special = |rng: &mut StdRng| match rng.gen_range(0..18u32) {
+        14 => f32::from_bits(1),            // 2^-149
+        15 => -f32::from_bits(0x007f_ffff), // largest denormal
+        16 => -f32::NAN,
+        17 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+        i => SPECIALS[i as usize],
+    };
+    for _ in 0..n.div_ceil(5) {
+        let at = rng.gen_range(0..n);
+        x[at] = special(rng);
+    }
+    let run = rng.gen_range(0..n);
+    for v in x[run..n.min(run + 64)].iter_mut() {
+        *v = SPECIALS[rng.gen_range(0..5usize)];
+    }
+    x
+}
+
+/// The value path on the fast block core (integer exponent scan, hoisted
+/// power-of-two reciprocal, bias-trick rounding, `f64` clamp) is bit-equal
+/// to the retained division oracle and to `decode(encode(x))` — on formats
+/// drawn from the whole legal `BdrFormat::new` lattice (plus block shapes
+/// the draw cannot reach: 128 sub-blocks, the on-stack limit, and 256,
+/// past it), on hostile data, for the contiguous, row and column kernels,
+/// ragged in every direction, at threads 1 / 3 / all. Every sixteenth
+/// format runs shapes past the parallel threshold so the fan-out is real.
+#[test]
+fn value_path_matches_division_oracle_on_the_format_lattice() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut formats: Vec<BdrFormat> = [
+        (4, 8, 1, 128, 1),
+        (3, 8, 2, 256, 1),
+        (8, 4, 0, 512, 512),
+        (1, 4, 2, 8, 1),
+        (23, 8, 4, 16, 2),
+        (8, 8, 4, 32, 4),
+    ]
+    .into_iter()
+    .map(|(m, d1, d2, k1, k2)| BdrFormat::new(m, d1, d2, k1, k2).expect("legal"))
+    .collect();
+    formats.extend((0..250).map(|_| BdrFormat::random(&mut rng, None)));
+    assert!(formats.iter().any(|f| f.d1() <= 4) && formats.iter().any(|f| f.m() > 16));
+
+    for (i, fmt) in formats.into_iter().enumerate() {
+        let k1 = fmt.k1();
+        let big = i % 16 == 0;
+        // Contiguous, ragged tail.
+        let n = if big {
+            2 * PARALLEL_GRAIN + 3 * k1 + 5
+        } else {
+            rng.gen_range(1..4 * k1 + 40)
+        };
+        let x = hostile_vector(&mut rng, n);
+        let want = division_oracle(fmt, &x);
+        let serial = QuantEngine::new(fmt);
+        assert_bits_eq(
+            &serial.decode(&serial.encode(&x), n),
+            &want,
+            &format!("{fmt} n={n}: decode(encode(x)) vs division oracle"),
+        );
+        // 2-D, ragged against k1 along the quantized axis.
+        let (rows, cols) = if big {
+            (150, 2 * PARALLEL_GRAIN / 150 + 7)
+        } else {
+            (rng.gen_range(1..2 * k1 + 9), rng.gen_range(1..2 * k1 + 9))
+        };
+        let m = hostile_vector(&mut rng, rows * cols);
+        let want_rows: Vec<f32> = m
+            .chunks(cols)
+            .flat_map(|row| division_oracle(fmt, row))
+            .collect();
+        let mut want_cols = vec![0.0f32; rows * cols];
+        for c in 0..cols {
+            let col: Vec<f32> = (0..rows).map(|r| m[r * cols + c]).collect();
+            for (r, v) in division_oracle(fmt, &col).into_iter().enumerate() {
+                want_cols[r * cols + c] = v;
+            }
+        }
+        for threads in [1usize, 3, 0] {
+            let engine = serial.with_threads(threads);
+            let ctx = |kernel: &str| format!("{fmt} {kernel} threads={threads}");
+            assert_bits_eq(&engine.quantize_dequantize(&x), &want, &ctx("contiguous"));
+            let mut in_place = x.clone();
+            engine.quantize_dequantize_in_place(&mut in_place);
+            assert_bits_eq(&in_place, &want, &ctx("in place"));
+            let mut by_rows = m.clone();
+            engine.quantize_dequantize_rows(&mut by_rows, cols);
+            assert_bits_eq(&by_rows, &want_rows, &ctx(&format!("{rows}x{cols} rows")));
+            let mut by_cols = m.clone();
+            engine.quantize_dequantize_cols(&mut by_cols, cols);
+            assert_bits_eq(&by_cols, &want_cols, &ctx(&format!("{rows}x{cols} cols")));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! reproduce the paper's qualitative frontier.
 
 use mx::core::bdr::BdrFormat;
-use mx::core::qsnr::QsnrConfig;
+use mx::core::qsnr::{Distribution, QsnrConfig};
 use mx::hw::cost::FormatConfig;
 use mx::sweep::eval::{evaluate_all, SweepSettings};
 use mx::sweep::pareto::{db_below_frontier, pareto_indices};
@@ -83,6 +83,69 @@ fn compact_fig7_shape() {
             db_below_frontier(&points, p) < 3.0,
             "{} off-frontier",
             p.label
+        );
+    }
+}
+
+/// The QSNR of sixteen configurations — twelve spread over the BDR grid,
+/// one or two of every software-scaled family — pinned to the bit for one
+/// seed. The values were produced by the per-element division path
+/// (`plan_into` + `quantize_code`) with one draw per configuration, before
+/// the sweep shared its draw and the value path moved onto the fast block
+/// core; any drift in either now fails here, not only in the repo
+/// benchmark's `sweep.qsnr_checksum`. (The samples come from `f64::ln` /
+/// `cos`, so a platform whose libm rounds those differently needs the
+/// table regenerated — as it would the checksum.)
+#[test]
+fn qsnr_bits_are_pinned_for_a_sixteen_config_sample() {
+    const PINNED: [(&str, u64); 16] = [
+        ("BDR(m=1,d1=4,d2=2,k1=8,k2=4)", 0x4020a862146919a2), // 8.329 dB
+        ("BDR(m=1,d1=8,d2=1,k1=32,k2=16)", 0x401ad88659f7c352), // 6.711 dB
+        ("BDR(m=2,d1=4,d2=1,k1=128,k2=1)", 0x402f0ab6fd0bda2e), // 15.521 dB
+        ("BDR(m=3,d1=4,d2=2,k1=8,k2=8)", 0x4034492c5825eb48), // 20.286 dB
+        ("BDR(m=3,d1=8,d2=2,k1=32,k2=1)", 0x40386a9d3e7f4a8d), // 24.416 dB
+        ("BDR(m=4,d1=4,d2=1,k1=128,k2=2)", 0x403b723472b1c70e), // 27.446 dB
+        ("BDR(m=5,d1=4,d2=0,k1=16,k2=16)", 0x403f528daa430415), // 31.322 dB
+        ("BDR(m=5,d1=8,d2=2,k1=32,k2=2)", 0x4041b934b06dabe1), // 35.447 dB
+        ("BDR(m=6,d1=4,d2=1,k1=128,k2=4)", 0x40437a73d659ecfb), // 38.957 dB
+        ("BDR(m=7,d1=4,d2=1,k1=16,k2=1)", 0x4047e776011aaf9e), // 47.808 dB
+        ("BDR(m=7,d1=8,d2=2,k1=32,k2=4)", 0x4046e628318500c3), // 45.798 dB
+        ("BDR(m=8,d1=4,d2=1,k1=128,k2=8)", 0x40493e6fe025497c), // 50.488 dB
+        ("FP8-E4M3", 0x403511a5df997c49),                     // 21.069 dB
+        ("FP4-E2M1", 0x402dc140062cbf9e),                     // 14.877 dB
+        ("scaled INT8", 0x40354ae31a2591da),                  // 21.293 dB
+        ("VSQ4(d2=6)", 0x4032bc4044517405),                   // 18.735 dB
+    ];
+    let grid = space::bdr_grid();
+    let mut configs: Vec<FormatConfig> = (0..12)
+        .map(|j| grid[(7 + 71 * j) % grid.len()].clone())
+        .collect();
+    for name in ["FP8-E4M3", "FP4-E2M1", "scaled INT8", "VSQ4-d6"] {
+        let (_, config) = space::named_formats()
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .expect("in the legend");
+        configs.push(config);
+    }
+    let settings = SweepSettings {
+        qsnr: QsnrConfig {
+            vectors: 16,
+            vector_len: 512,
+            seed: 14,
+        },
+        distribution: Distribution::NormalVariableVariance,
+        threads: 2,
+    };
+    let points = evaluate_all(&configs, &settings);
+    assert_eq!(points.len(), PINNED.len());
+    for (p, (label, bits)) in points.iter().zip(PINNED) {
+        assert_eq!(p.label, label);
+        assert_eq!(
+            p.qsnr_db.to_bits(),
+            bits,
+            "{label}: {} dB, pinned {} dB",
+            p.qsnr_db,
+            f64::from_bits(bits)
         );
     }
 }
