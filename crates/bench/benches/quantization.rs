@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mx_core::bdr::{BdrFormat, BdrQuantizer};
 use mx_core::engine::QuantEngine;
 use mx_core::fp_scaled::FpScaledQuantizer;
+use mx_core::gemm::{force_kernel_backend, KernelBackend};
 use mx_core::int_quant::IntQuantizer;
 use mx_core::mx::MxTensor;
 use mx_core::qsnr::{measure_qsnr, Distribution, QsnrConfig};
@@ -57,31 +58,44 @@ fn quant_throughput(c: &mut Criterion) {
 }
 
 /// The engine's value path on the shape the QSNR harness feeds it — 64 rows
-/// of 1024, in place — for the three MX presets and the grid's finest
+/// of 1024, in place — for the three MX presets, the grid's finest
 /// sub-block split (`k1 = 128, k2 = 1`: one scale per element, the most
-/// planning per value).
+/// planning per value) and plain BFP (`k2 = k1`, no sub-block scan), each
+/// on both tiers of the block core: `scalar` forced, then `avx512` where
+/// the CPU has it.
 fn qdq_value_path(c: &mut Criterion) {
     let (rows, cols) = (64usize, 1024usize);
     let x = test_vector(rows * cols);
     let fine = BdrFormat::new(4, 8, 1, 128, 1).expect("in the Fig. 7 grid");
     let mut group = c.benchmark_group("qdq_value_path");
     group.throughput(Throughput::Elements((rows * cols) as u64));
-    for (name, fmt) in [
-        ("mx9", BdrFormat::MX9),
-        ("mx6", BdrFormat::MX6),
-        ("mx4", BdrFormat::MX4),
-        ("k1=128_k2=1", fine),
-    ] {
-        let engine = QuantEngine::new(fmt);
-        let mut buf = x.clone();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                buf.copy_from_slice(&x);
-                engine.quantize_dequantize_rows(&mut buf, cols);
-                black_box(buf[0])
-            })
-        });
+    for tier in [KernelBackend::Scalar, KernelBackend::Avx512] {
+        if force_kernel_backend(Some(tier)).is_err() {
+            eprintln!(
+                "qdq_value_path: skipping {} (unavailable on this CPU)",
+                tier.name()
+            );
+            continue;
+        }
+        for (name, fmt) in [
+            ("mx9", BdrFormat::MX9),
+            ("mx6", BdrFormat::MX6),
+            ("mx4", BdrFormat::MX4),
+            ("k1=128_k2=1", fine),
+            ("bfp_k2=k1", BdrFormat::MSFP16),
+        ] {
+            let engine = QuantEngine::new(fmt);
+            let mut buf = x.clone();
+            group.bench_function(format!("{name}/{}", tier.name()), |b| {
+                b.iter(|| {
+                    buf.copy_from_slice(&x);
+                    engine.quantize_dequantize_rows(&mut buf, cols);
+                    black_box(buf[0])
+                })
+            });
+        }
     }
+    force_kernel_backend(None).expect("clearing the override cannot fail");
     group.finish();
 }
 

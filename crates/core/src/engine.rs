@@ -13,9 +13,12 @@
 //!   [`QuantEngine::quantize_dequantize_in_place`] fake-quantize contiguous
 //!   vectors. It runs on the same fast block core as the GEMM's code
 //!   lowering (integer exponent scan, exact power-of-two reciprocal,
-//!   branch-free ties-to-even); the division form (`plan_into` +
-//!   `quantize_code`) stays as the packed encoder's path and the oracle
-//!   the suites compare against.
+//!   branch-free ties-to-even) — [`BlockCore`]: a scalar tier that serves
+//!   every block, and an AVX-512 tier, bit-identical to it, that takes
+//!   contiguous whole blocks when the selected kernel backend
+//!   ([`crate::gemm::selected_backend`]) is `avx512`. The division form
+//!   (`plan_into` + `quantize_code`) stays as the packed encoder's path
+//!   and the oracle the suites compare against.
 //! - **Packed bit streams** — [`QuantEngine::encode`] /
 //!   [`QuantEngine::decode`] produce and consume the Fig. 4 layout;
 //!   [`crate::mx::MxTensor`] delegates here.
@@ -48,6 +51,9 @@
 //! let bytes = engine.encode(&x);
 //! assert_eq!(engine.decode(&bytes, x.len()), q);
 //! ```
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 use crate::bdr::{BdrFormat, BlockPlan, QuantizedBlock};
 use crate::bits::{BitReader, BitWriter};
@@ -165,8 +171,9 @@ impl QuantEngine {
     pub fn quantize_dequantize_in_place(&self, xs: &mut [f32]) {
         let threads = self.effective_threads(xs.len());
         let fmt = self.format;
+        let core = BlockCore::new(&fmt);
         parallel::for_each_span_mut(xs, fmt.k1(), threads, |_, span| {
-            with_sub_block_scratch(&fmt, |scratch| qdq_slice(&fmt, span, scratch));
+            with_sub_block_scratch(&fmt, |scratch| qdq_slice(&core, span, scratch));
         });
     }
 
@@ -191,10 +198,11 @@ impl QuantEngine {
         );
         let threads = self.effective_threads(data.len());
         let fmt = self.format;
+        let core = BlockCore::new(&fmt);
         parallel::for_each_span_mut(data, cols, threads, |_, span| {
             with_sub_block_scratch(&fmt, |scratch| {
                 for row in span.chunks_mut(cols) {
-                    qdq_slice(&fmt, row, scratch);
+                    qdq_slice(&core, row, scratch);
                 }
             });
         });
@@ -430,11 +438,11 @@ pub(crate) fn quantize_code(x: f32, ulp: f64, max_code: u64) -> u64 {
 }
 
 /// Storage width for shift-aligned signed integer codes (`i16` for narrow
-/// format pairs, `i32` for wide ones) — lets [`lower_block_into`] write the
+/// format pairs, `i32` for wide ones) — lets [`BlockCore::lower_block_into`] write the
 /// consuming kernel's width directly, with no intermediate staging pass.
 /// The conversion must be lossless for every value the code-domain
 /// dispatch admits (`crate::gemm`'s pair-class width gates guarantee it).
-pub(crate) trait AlignedCode: Copy + Send + Sync {
+pub(crate) trait AlignedCode: Copy + Send + Sync + PartialEq + std::fmt::Debug {
     /// All-zero code (block padding).
     const ZERO: Self;
     /// Lossless narrowing from the aligned `i32` code.
@@ -496,7 +504,7 @@ fn fold_abs_bits(acc: u32, x: f32) -> u32 {
 
 /// The planning half of the fast block core — [`plan_into`] restructured
 /// for the hot loops without moving a single decision — shared by the code
-/// lowering ([`lower_block_strided_into`]) and the value kernel
+/// lowering ([`lower_block_scalar`]) and the value kernel
 /// ([`qdq_block`]).
 ///
 /// Plans the block `data[base + i·stride], i in 0..len` into `shifts`,
@@ -611,27 +619,98 @@ fn aligned_code_fast<C: AlignedCode>(x: f32, inv_ulp: f64, max_code: u64, align:
     }
 }
 
-/// Plans the block `data[base + i·stride], i in 0..len` (`len ≤ k1`) and
-/// lowers it straight to shift-aligned signed integer codes in one pass —
-/// the entry [`crate::gemm`]'s column packer walks `B[K,N]`'s columns
-/// through (stride `n`) without materializing a transpose. Returns the
-/// block's shared exponent, which is also the plan metadata the packer's
-/// deferred-scale-out bookkeeping (per-vector exponent uniformity)
-/// consumes, or `None` for an all-zero block like [`plan_into`].
-///
-/// `codes` must hold exactly `k1` slots; every slot is written (the ragged
-/// tail past `len` is zeroed, as is the whole slot array for an all-zero
-/// block). `shifts` is the caller's sub-block scratch: it never outgrows
-/// `k1 / k2` slots, and since [`plan_fast`] overwrites every slot, a
-/// scratch already of the right size — every block but a ragged tail — is
-/// used as it is.
-///
-/// This is [`plan_into`] + [`quantize_code`] on the fast block core
-/// ([`plan_fast`] + [`rounded_quotient`]): every code is bit-identical to
-/// the two-pass pack (the `gemm_fused` consistency suite asserts it across
-/// all preset pairs and stress data).
+/// The fast block core for one format, with its tier resolved: the scalar
+/// core ([`plan_fast`] + [`rounded_quotient`]) serves every block, and on a
+/// CPU with AVX-512 F/CD/DQ/BW/VL — while the selected kernel backend is
+/// `avx512`, so `MX_KERNEL_BACKEND` and
+/// [`crate::gemm::force_kernel_backend`] narrow this tier together with
+/// the GEMM kernels — contiguous whole blocks of a shape the vector core
+/// covers go through the `avx512` submodule instead, bit-identically.
+/// Build one per slice / `lower_rows` / pack call, not per block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockCore<'a> {
+    fmt: &'a BdrFormat,
+    #[cfg(target_arch = "x86_64")]
+    simd: Option<avx512::Kernel>,
+}
+
+impl<'a> BlockCore<'a> {
+    /// Resolves the tier for `fmt` from the selected backend and the
+    /// detected CPU features.
+    pub(crate) fn new(fmt: &'a BdrFormat) -> Self {
+        BlockCore {
+            fmt,
+            #[cfg(target_arch = "x86_64")]
+            simd: (crate::gemm::selected_backend() == crate::gemm::KernelBackend::Avx512)
+                .then(|| avx512::Kernel::new(fmt))
+                .flatten(),
+        }
+    }
+
+    /// Plans the block `data[base + i·stride], i in 0..len` (`len ≤ k1`)
+    /// and lowers it straight to shift-aligned signed integer codes in one
+    /// pass — the entry [`crate::gemm`]'s packer walks rows (stride 1) and
+    /// `B[K,N]`'s columns (stride `n`, no transpose materialized) through.
+    /// Returns the block's shared exponent, which is also the plan
+    /// metadata the packer's deferred-scale-out bookkeeping (per-vector
+    /// exponent uniformity) consumes, or `None` for an all-zero block like
+    /// [`plan_into`].
+    ///
+    /// `codes` must hold exactly `k1` slots; every slot is written (the
+    /// ragged tail past `len` is zeroed, as is the whole slot array for an
+    /// all-zero block). `shifts` is the caller's sub-block scratch: it
+    /// never outgrows `k1 / k2` slots, and since [`plan_fast`] overwrites
+    /// every slot, a scratch already of the right size — every block but a
+    /// ragged tail — is used as it is.
+    ///
+    /// This is [`plan_into`] + [`quantize_code`] on the fast block core:
+    /// every code is bit-identical to the two-pass pack on either tier (the
+    /// `gemm_fused` and `engine_consistency` suites assert it across preset
+    /// pairs, random formats and stress data).
+    #[inline(always)]
+    pub(crate) fn lower_block_strided_into<C: AlignedCode>(
+        &self,
+        data: &[f32],
+        base: usize,
+        stride: usize,
+        len: usize,
+        shifts: &mut Vec<u32>,
+        codes: &mut [C],
+    ) -> Option<i32> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(simd) = self.simd.filter(|s| stride == 1 && s.lowers(len)) {
+            let shared_exp = simd.lower_block(&data[base..base + len], codes);
+            #[cfg(debug_assertions)]
+            {
+                let mut check = vec![C::ZERO; codes.len()];
+                let check_exp =
+                    lower_block_scalar(self.fmt, data, base, 1, len, shifts, &mut check);
+                debug_assert_eq!(check_exp, shared_exp, "vector core: shared exp");
+                debug_assert_eq!(&check[..], &codes[..], "vector core: codes");
+            }
+            return shared_exp;
+        }
+        lower_block_scalar(self.fmt, data, base, stride, len, shifts, codes)
+    }
+
+    /// [`Self::lower_block_strided_into`] for one contiguous block
+    /// (`block.len() ≤ k1`) — the tile-granular entry the fused GEMM path
+    /// ([`crate::gemm`]) quantizes A-row strips through, one `k1`-block of
+    /// one row at a time, inside the execute loop. The same body with the
+    /// stride a literal 1, so the two cannot drift.
+    pub(crate) fn lower_block_into<C: AlignedCode>(
+        &self,
+        block: &[f32],
+        shifts: &mut Vec<u32>,
+        codes: &mut [C],
+    ) -> Option<i32> {
+        self.lower_block_strided_into(block, 0, 1, block.len(), shifts, codes)
+    }
+}
+
+/// The scalar tier of [`BlockCore::lower_block_strided_into`].
 #[inline(always)]
-pub(crate) fn lower_block_strided_into<C: AlignedCode>(
+fn lower_block_scalar<C: AlignedCode>(
     fmt: &BdrFormat,
     data: &[f32],
     base: usize,
@@ -667,20 +746,6 @@ pub(crate) fn lower_block_strided_into<C: AlignedCode>(
     }
     codes[done..].fill(C::ZERO);
     Some(shared_exp)
-}
-
-/// [`lower_block_strided_into`] for one contiguous block
-/// (`block.len() ≤ k1`) — the tile-granular entry the fused GEMM path
-/// ([`crate::gemm`]) quantizes A-row strips through, one `k1`-block of one
-/// row at a time, inside the execute loop. The same body with the stride a
-/// literal 1, so the two cannot drift.
-pub(crate) fn lower_block_into<C: AlignedCode>(
-    fmt: &BdrFormat,
-    block: &[f32],
-    shifts: &mut Vec<u32>,
-    codes: &mut [C],
-) -> Option<i32> {
-    lower_block_strided_into(fmt, block, 0, 1, block.len(), shifts, codes)
 }
 
 /// Sub-block counts up to this plan on the stack in the value kernels
@@ -763,10 +828,34 @@ fn qdq_block(
     }
 }
 
-/// Fake-quantizes a contiguous slice in place, block by block.
-fn qdq_slice(fmt: &BdrFormat, xs: &mut [f32], scratch: &mut [u32]) {
+/// Fake-quantizes a contiguous slice in place, block by block: the leading
+/// whole blocks on the core's vector tier where it has one, the rest (all
+/// of it otherwise) on the scalar tier.
+fn qdq_slice(core: &BlockCore<'_>, xs: &mut [f32], scratch: &mut [u32]) {
+    let fmt = core.fmt;
     let k1 = fmt.k1();
-    for start in (0..xs.len()).step_by(k1) {
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    #[cfg(target_arch = "x86_64")]
+    let done = core.simd.map_or(0, |simd| {
+        #[cfg(debug_assertions)]
+        let mut check = xs.to_vec();
+        let done = simd.qdq_prefix(xs);
+        #[cfg(debug_assertions)]
+        {
+            check.truncate(done);
+            for start in (0..done).step_by(k1) {
+                qdq_block(fmt, &mut check, start, 1, k1, scratch);
+            }
+            let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
+            debug_assert!(
+                check.iter().zip(&xs[..done]).all(same),
+                "vector core: values differ from the scalar core ({fmt})"
+            );
+        }
+        done
+    });
+    for start in (done..xs.len()).step_by(k1) {
         qdq_block(fmt, xs, start, 1, k1.min(xs.len() - start), scratch);
     }
 }
@@ -1006,6 +1095,61 @@ mod tests {
         );
         engine.quantize_dequantize_in_place(&mut x);
         assert!(x.iter().all(|v| v.to_bits() == 0));
+    }
+
+    /// The vector core's code epilogue against the scalar core, code for
+    /// code and at both storage widths — what the `engine_consistency`
+    /// suite can only see through the products the codes feed.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_core_lowers_the_scalar_cores_codes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut blocks = 0;
+        for _ in 0..400 {
+            let k1 = [16, 32, 64, 128][rng.gen_range(0..4usize)];
+            let fmt = BdrFormat::random(&mut rng, Some(k1));
+            let width = fmt.m() + fmt.max_shift();
+            // `None`: a `k2` the vector core leaves alone, or no CPU support.
+            let Some(simd) = avx512::Kernel::new(&fmt).filter(|s| s.lowers(k1) && width <= 30)
+            else {
+                continue;
+            };
+            for mode in 0..6u32 {
+                let lift = rng.gen_range(1..250u32) << 23;
+                let block: Vec<f32> = (0..k1)
+                    .map(|_| {
+                        let bits = rng.gen::<u32>();
+                        f32::from_bits(match mode {
+                            0 => bits,                                    // anything, NaN and Inf included
+                            1 => bits & 0x807f_ffff,                      // subnormals and zeros
+                            2 => bits & 0x8000_0000,                      // ±0 only
+                            3 => bits | 0x7fc0_0000,                      // ±NaN only
+                            _ => (bits & 0x81ff_ffff).wrapping_add(lift), // four binades apart at most
+                        })
+                    })
+                    .collect();
+                let mut shifts = Vec::new();
+                let mut want = vec![0i32; k1];
+                let want_exp = lower_block_scalar(&fmt, &block, 0, 1, k1, &mut shifts, &mut want);
+                let mut got = vec![-1i32; k1];
+                assert_eq!(simd.lower_block(&block, &mut got), want_exp, "{fmt}");
+                assert_eq!(got, want, "{fmt} mode {mode}: i32 codes");
+                if width <= 15 {
+                    let mut got = vec![-1i16; k1];
+                    assert_eq!(simd.lower_block(&block, &mut got), want_exp, "{fmt}");
+                    let want: Vec<i16> = want.iter().map(|&c| i16::from_aligned(c)).collect();
+                    assert_eq!(got, want, "{fmt} mode {mode}: i16 codes");
+                }
+                blocks += 1;
+            }
+        }
+        if blocks == 0 {
+            eprintln!(
+                "SKIPPED vector_core_lowers_the_scalar_cores_codes: no AVX-512 F/CD/DQ/BW/VL"
+            );
+        }
     }
 
     #[test]

@@ -290,7 +290,9 @@ fn env_backend() -> Option<KernelBackend> {
 
 /// The backend the dispatch layer is currently selecting: the
 /// [`force_kernel_backend`] override, else `MX_KERNEL_BACKEND`, else the
-/// best the CPU supports — always capped at what can actually run.
+/// best the CPU supports — always capped at what can actually run. The
+/// engine's block core ([`crate::engine`]) follows the same selection: its
+/// AVX-512 tier runs only while this returns [`KernelBackend::Avx512`].
 pub fn selected_backend() -> KernelBackend {
     let req = match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
         1 => KernelBackend::Scalar,

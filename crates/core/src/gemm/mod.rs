@@ -403,7 +403,7 @@ impl Gemm<'_> {
     }
 
     /// The fused strategy's quantize stage: lowers rows `r0 .. r0 + rows`
-    /// block by block through [`engine::lower_block_into`] into `ring`
+    /// block by block through [`engine::BlockCore::lower_block_into`] into `ring`
     /// (vector-major), collecting the per-row uniform-exponent metadata
     /// the deferral decision needs. The kernel consumes the returned view
     /// while the codes are still cache-hot.
@@ -416,6 +416,7 @@ impl Gemm<'_> {
         let (k, k1) = (self.k, self.fa.k1());
         let blocks = k.div_ceil(k1);
         ring.reset(rows, blocks, k1);
+        let core = engine::BlockCore::new(self.fa);
         for t in 0..rows {
             let row = &self.a[(r0 + t) * k..][..k];
             let mut uniform = UniformExp::default();
@@ -424,8 +425,7 @@ impl Gemm<'_> {
                 let start = kb * k1;
                 // `lower_block_into` writes every slot of its block
                 // (zeroing the ragged tail and all-zero blocks).
-                if let Some(e) = engine::lower_block_into(
-                    self.fa,
+                if let Some(e) = core.lower_block_into(
                     &row[start..k.min(start + k1)],
                     &mut ring.shifts,
                     &mut ring.codes[slot * k1..][..k1],

@@ -3,11 +3,12 @@
 //!
 //! Packing is the only stage of the integer GEMM that reads `f32` data.
 //! Every pack in this module lowers blocks through the engine's
-//! single-pass strided entry (`engine::lower_block_strided_into` — one
-//! branch-light integer scan for the plan, a hoisted reciprocal multiply
-//! and branch-free round-to-even per element), the same substitutions the
-//! fused path quantizes activation strips with, so prepacked planes and
-//! fused strips are bit-identical by construction.
+//! single-pass strided entry (`engine::BlockCore::lower_block_strided_into`
+//! — one branch-light integer scan for the plan, a hoisted reciprocal
+//! multiply and branch-free round-to-even per element; contiguous whole
+//! blocks, i.e. rows, on the core's vector tier where it has one), the same
+//! substitutions the fused path quantizes activation strips with, so
+//! prepacked planes and fused strips are bit-identical by construction.
 //!
 //! While lowering, the packer also records the per-vector **exponent
 //! uniformity** metadata ([`PlaneView::uexp`]) the deferred-scale-out
@@ -140,6 +141,7 @@ pub(super) fn pack_into<C: Code>(
     let k1 = fmt.k1();
     let blocks = len.div_ceil(k1);
     buf.reset(vectors, blocks, k1);
+    let core = engine::BlockCore::new(fmt);
     for v in 0..vectors {
         let base = base_of(v);
         let mut uniform = UniformExp::default();
@@ -149,8 +151,7 @@ pub(super) fn pack_into<C: Code>(
             let slot = slot_of(v, kb);
             // The single-pass lowering writes all k1 slots (zeroing the
             // ragged tail, and the whole block when it is all-zero).
-            if let Some(e) = engine::lower_block_strided_into(
-                fmt,
+            if let Some(e) = core.lower_block_strided_into(
                 data,
                 base + start * stride,
                 stride,

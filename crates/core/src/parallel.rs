@@ -5,18 +5,21 @@
 //! ([`crate::engine::QuantEngine`]), the row-span GEMM dispatch
 //! (`gemm::dispatch_rows`, shared with [`crate::fgemm`]) and the
 //! design-space sweep's Monte-Carlo evaluation — so the partitioning policy
-//! (contiguous spans, order-preserving, no work stealing) and every thread
-//! spawn in `mx-core` / `mx-nn` live in exactly one place (`mx-audit` rule
-//! `thread-budget` keeps it that way).
+//! and every thread spawn in `mx-core` / `mx-nn` live in exactly one place
+//! (`mx-audit` rule `thread-budget` keeps it that way).
 //!
-//! Both primitives are *deterministic*: work is split into contiguous,
-//! caller-aligned spans and every output lands in its input's slot, so the
-//! result is bit-identical to a serial run regardless of thread count or
-//! scheduling. The calling thread takes the first span itself, so a call
-//! that fans out to `w` spans spawns `w − 1` threads, and a call that does
-//! not fan out costs nothing beyond the closure call.
+//! Both primitives are *deterministic*: every output lands in its input's
+//! slot and each unit of work is computed the same way whichever thread
+//! runs it, so the result is bit-identical to a serial run regardless of
+//! thread count or scheduling. [`for_each_span_mut`] splits uniform work
+//! (elements, rows) into contiguous, caller-aligned spans, one per worker;
+//! [`map`] hands out items of uneven cost one at a time from a shared
+//! queue. The calling thread works alongside the threads it spawns, so a
+//! call that fans out to `w` workers spawns `w − 1` threads, and a call
+//! that does not fan out costs nothing beyond the closure call.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Number of worker threads to use when the caller asks for "all of them":
 /// the machine's available parallelism, or 4 if that cannot be determined.
@@ -95,13 +98,16 @@ where
 /// `items`, computed on up to `threads` threads (the caller's included).
 ///
 /// With `threads <= 1` (or a single item) the map runs on the calling
-/// thread. Items are split into contiguous chunks by
-/// [`for_each_span_mut`], so results are deterministic and land in input
-/// order.
+/// thread. Otherwise the workers claim items one at a time from a shared
+/// index, so items of very different cost (the design-space sweep's
+/// software-scaled configurations take ten times a BDR one) spread evenly
+/// instead of stacking up in one worker's share; each result lands in its
+/// own slot, so the output is in input order whoever computed it.
 ///
 /// # Panics
 ///
-/// Panics if `f` panics on any item.
+/// Panics if `f` panics on any item — after every other worker has worked
+/// the queue dry.
 ///
 /// # Examples
 ///
@@ -116,26 +122,42 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    if threads.min(items.len()) <= 1 {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let mut results: Vec<Option<O>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    for_each_span_mut(&mut results, 1, threads, |offset, slots| {
-        for (slot, item) in slots.iter_mut().zip(&items[offset..]) {
-            *slot = Some(f(item));
+    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    // Publishes nothing but the claim itself (items are shared read-only,
+    // results go through their slot's lock), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let result = f(item);
+        *slots[i].lock().expect("a slot is locked only to store") = Some(result);
+    };
+    // `scope` joins every spawned worker before it returns or unwinds,
+    // then re-raises a worker's panic on this thread.
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
         }
+        work();
     });
-    results
+    slots
         .into_iter()
-        .map(|r| r.expect("all slots filled"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot is locked only to store")
+                .expect("all slots filled")
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::HashSet;
     use std::sync::Barrier;
 
     #[test]
@@ -182,8 +204,19 @@ mod tests {
         assert!(ran_on[4..].iter().all(|&id| id != Some(caller)));
         // Three spans ran on three distinct threads: two were spawned.
         assert_ne!(ran_on[4], ran_on[8]);
-        let on_caller = map(&[(); 4], 2, |_| std::thread::current().id() == caller);
-        assert_eq!(on_caller, [true, true, false, false]);
+        // `map` places no item: whoever claims it runs it. What holds is
+        // the order, that a budget of one stays on the caller, and that a
+        // budget of `t` spawns at most `t − 1` threads.
+        let items: Vec<usize> = (0..64).collect();
+        let whereabouts = |threads| map(&items, threads, |&i| (i, std::thread::current().id()));
+        assert!(whereabouts(1).iter().all(|&(_, id)| id == caller));
+        for threads in [2, 3] {
+            let ran = whereabouts(threads);
+            assert!(ran.iter().enumerate().all(|(at, &(i, _))| i == at));
+            let spawned: HashSet<_> = ran.iter().map(|&(_, id)| id).collect();
+            let spawned = spawned.iter().filter(|&&id| id != caller).count();
+            assert!(spawned < threads, "threads={threads}: {spawned} spawned");
+        }
     }
 
     #[test]
@@ -207,8 +240,17 @@ mod tests {
             assert!(outcome.is_err(), "bad={bad}");
             assert_eq!(finished.load(Ordering::SeqCst), 2, "bad={bad}");
         }
-        let outcome = std::panic::catch_unwind(|| map(&[1, 2, 3], 3, |&x| assert_ne!(x, 2)));
+        // `map`: whichever worker claims the bad item, the others work the
+        // queue dry before the panic surfaces.
+        let finished = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map(&[0, 1, 2, 3, 4, 5, 6, 7], 3, |&x| {
+                assert_ne!(x, 2);
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
         assert!(outcome.is_err());
+        assert_eq!(finished.load(Ordering::SeqCst), 7);
     }
 
     #[test]

@@ -1002,8 +1002,10 @@ impl CompiledPlan {
                 let out = &mut buf[d..d + m * n];
                 match bias {
                     Some(bias) => {
-                        for (i, v) in out.iter_mut().enumerate() {
-                            *v = y[i] + bias[i % n];
+                        for (row, y_row) in out.chunks_exact_mut(n).zip(y.chunks_exact(n)) {
+                            for ((v, &y), &b) in row.iter_mut().zip(y_row).zip(&bias[..n]) {
+                                *v = y + b;
+                            }
                         }
                     }
                     None => out.copy_from_slice(&y),

@@ -6,12 +6,14 @@
 
 mod common;
 
-use common::{assert_bits_eq, stress_vector};
+use common::{assert_bits_eq, gemm, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::engine::{QuantEngine, PARALLEL_GRAIN};
+use mx::core::gemm::{code_domain_supported, force_kernel_backend, KernelBackend};
 use mx::core::mx::MxTensor;
 use mx::nn::format::{quantize_along, Axis, TensorFormat};
 use mx::nn::tensor::Tensor;
+use mx::sweep::space::bdr_grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -213,6 +215,119 @@ fn value_path_matches_division_oracle_on_the_format_lattice() {
             assert_bits_eq(&by_cols, &want_cols, &ctx(&format!("{rows}x{cols} cols")));
         }
     }
+}
+
+/// Whether this CPU runs the AVX-512 tier of the engine's block core.
+fn vector_tier_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512cd")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// `hostile_vector` plus the whole-block cases: `k1`-aligned runs of
+/// nothing but zeros, of nothing but NaN, of subnormals, and of ordinary
+/// values scaled to 1e-38 (straddling `f32::MIN_POSITIVE`).
+fn hostile_blocks(rng: &mut StdRng, n: usize, k1: usize) -> Vec<f32> {
+    let mut x = hostile_vector(rng, n);
+    for (b, block) in x.chunks_mut(k1).enumerate() {
+        match (b + rng.gen_range(0..2usize)) % 8 {
+            1 => block.fill(0.0),
+            3 => block.fill(if b % 2 == 0 { f32::NAN } else { -f32::NAN }),
+            5 => block.iter_mut().for_each(|v| {
+                *v = f32::from_bits(rng.gen_range(0..0x0080_0000u32) | (rng.gen::<u32>() << 31));
+            }),
+            7 => block
+                .iter_mut()
+                .for_each(|v| *v = (rng.gen::<f32>() - 0.5) * 4e-38),
+            _ => {}
+        }
+    }
+    x
+}
+
+/// Everything the block core feeds, computed under whatever backend is
+/// forced right now: the three value kernels (contiguous with a ragged
+/// tail, rows ragged against `k1`, strided columns) and — where the code
+/// domain admits the format — the products whose A side is lowered to
+/// codes by the fused strategy (`m = 3`) and by the two-pass one
+/// (`m = 40`), against a column-packed (strided) B.
+fn block_core_outputs(fmt: BdrFormat, x: &[f32], rows: usize, cols: usize) -> Vec<Vec<f32>> {
+    let engine = QuantEngine::new(fmt);
+    let matrix = &x[..rows * cols];
+    let mut by_rows = matrix.to_vec();
+    engine.quantize_dequantize_rows(&mut by_rows, cols);
+    let mut by_cols = matrix.to_vec();
+    engine.quantize_dequantize_cols(&mut by_cols, cols);
+    let mut out = vec![engine.quantize_dequantize(x), by_rows, by_cols];
+    if code_domain_supported(&fmt, &fmt) {
+        let (k, n) = (cols, 5);
+        let b = stress_vector(k * n, rows);
+        for m in [3, 40] {
+            out.push(gemm(&x[..m * k], &b, m, k, n, fmt, fmt, 1));
+        }
+    }
+    out
+}
+
+/// The AVX-512 tier of the block core equals the scalar tier, bit for
+/// bit, toggled in-process with `force_kernel_backend`: values and — through
+/// the products they feed — `i16` and `i32` codes, for every `(m, d1, d2,
+/// k1, k2)` of the Fig. 7 grid and 256 formats drawn from the whole legal
+/// lattice (half of them on the block sizes the vector core covers), on
+/// data mixing NaN of both signs, ±Inf, ±0, subnormals, `MIN_POSITIVE`,
+/// `MAX`, all-zero, all-NaN and 1e-38-scaled blocks, with ragged tails and
+/// strided blocks (which stay on the scalar tier under either setting).
+#[test]
+fn vector_tier_matches_scalar_tier_bit_for_bit() {
+    if !vector_tier_available() {
+        eprintln!("SKIPPED vector_tier_matches_scalar_tier_bit_for_bit: no AVX-512 F/CD/DQ/BW/VL");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(22);
+    let mut formats: Vec<BdrFormat> = bdr_grid()
+        .into_iter()
+        .map(|c| match c {
+            mx::hw::cost::FormatConfig::Bdr(fmt) => fmt,
+            other => panic!("bdr_grid yields BDR formats, got {other}"),
+        })
+        .collect();
+    for i in 0..256 {
+        let k1 = (i % 2 == 1).then(|| [8, 16, 32, 128][i / 2 % 4]);
+        formats.push(BdrFormat::random(&mut rng, k1));
+    }
+    let (mut narrow, mut wide) = (0, 0);
+    for fmt in formats {
+        let k1 = fmt.k1();
+        // 40 rows for the two-pass product; `cols` ragged against k1.
+        let (rows, cols) = (40, 2 * k1 + rng.gen_range(0..k1));
+        let n = rows * cols + rng.gen_range(0..k1);
+        let x = hostile_blocks(&mut rng, n, k1);
+        force_kernel_backend(Some(KernelBackend::Scalar)).expect("scalar always runs");
+        let scalar = block_core_outputs(fmt, &x, rows, cols);
+        force_kernel_backend(Some(KernelBackend::Avx512)).expect("AVX-512 was detected");
+        let vector = block_core_outputs(fmt, &x, rows, cols);
+        let kernels = ["contiguous", "rows", "cols", "gemm m=3", "gemm m=40"];
+        for ((s, v), kernel) in scalar.iter().zip(&vector).zip(kernels) {
+            assert_bits_eq(v, s, &format!("{fmt} {kernel}: avx512 vs scalar"));
+        }
+        if code_domain_supported(&fmt, &fmt) {
+            // The code width the pair class picks (`pair_class`'s gate).
+            if fmt.m() + fmt.max_shift() <= 15 {
+                narrow += 1;
+            } else {
+                wide += 1;
+            }
+        }
+    }
+    force_kernel_backend(None).expect("clearing the override cannot fail");
+    assert!(narrow > 500 && wide > 20, "i16: {narrow}, i32: {wide}");
 }
 
 /// Row-axis quantization through the engine matches per-row vector
