@@ -7,12 +7,13 @@
 //!   bare model (warm weight plane): what an unbatched server's worker
 //!   does;
 //! - `direct_batched_32` — one `forward_batch(32)` call: the coalesced
-//!   batch GEMM the dispatcher builds, with B-code traffic and per-call
+//!   batch GEMM a server worker builds, with B-code traffic and per-call
 //!   overhead amortized over all 32 rows;
-//! - `server_max_batch_1` — the full server loop (queue, dispatcher,
-//!   worker, response channels) forced to one-at-a-time execution;
+//! - `server_max_batch_1` — the full server loop (shard queue, worker,
+//!   response channels) forced to one-at-a-time execution;
 //! - `server_max_batch_32` — the full server loop with coalescing enabled
-//!   (requests are submitted as a burst, so the dispatcher can batch).
+//!   (requests are submitted as a burst, so the worker that drains the
+//!   queue can batch them).
 //!
 //! Every variant computes bit-identical responses (`serve_end_to_end`
 //! proves that); the quantity measured here is throughput. All GEMMs run
@@ -30,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-/// Requests per burst (the batch the dispatcher can coalesce).
+/// Requests per burst (the batch a worker can coalesce).
 const BATCH: usize = 32;
 /// Features per request / model width.
 const K: usize = 512;

@@ -37,7 +37,7 @@ pub const KNOBS: &[(&str, &str)] = &[
     ),
     (
         "MX_SERVE_SHARDS",
-        "default registry shard count for the serve_loadgen simulator (each shard owns a queue, dispatcher, and worker pool)",
+        "default registry shard count for the serve_loadgen simulator (each shard owns a queue and a pool of coalescing workers)",
     ),
 ];
 

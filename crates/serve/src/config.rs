@@ -151,18 +151,22 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Worker threads **per shard** executing batches. Distinct models
-    /// execute concurrently; one model's batches serialize on its mutex.
+    /// Worker threads **per shard**. Each worker takes jobs straight off
+    /// the shard queue, coalesces up to `max_batch` of them, and executes
+    /// the batches itself. Distinct models execute concurrently; one
+    /// model's batches serialize on its mutex. When one drain holds
+    /// several models' jobs, its groups run in turn on the worker that
+    /// drained them, while idle siblings take later jobs from the queue.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
     /// Registry shards. Each model lives on exactly one shard (registration
-    /// order, round-robin), with its own queue, dispatcher, and worker
-    /// pool — so a model's prepacked weight planes stay hot on the workers
-    /// that serve it, and one model's overload cannot starve another
-    /// shard's queue.
+    /// order, round-robin), with its own queue and worker pool — so a
+    /// model's prepacked weight planes stay hot on the workers that serve
+    /// it, and one model's overload cannot starve another shard's queue.
+    /// A server runs `shards × workers` threads.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self

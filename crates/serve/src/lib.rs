@@ -10,9 +10,9 @@
 //! - a **sharded registry** of zoo models
 //!   ([`mx_models::zoo::BatchModel`]): each model lives on exactly one
 //!   shard (round-robin by registration order), and each shard owns its
-//!   queue, dispatcher, and worker pool — so a model's prepacked weight
-//!   planes stay hot on the workers that serve it, and one model's
-//!   overload cannot starve another shard;
+//!   job queue and worker pool — so a model's prepacked weight planes
+//!   stay hot on the workers that serve it, and one model's overload
+//!   cannot starve another shard;
 //! - a typed **[`Request`] builder** carrying the payload plus per-request
 //!   knobs (quant format, deadline, priority), validated and routed to its
 //!   model's shard at [`ServerHandle::submit`];
@@ -26,12 +26,17 @@
 //!   so same-bucket requests coalesce into one fixed-shape batch GEMM; the
 //!   response is the padded run's output sliced back to the request's own
 //!   length. Fixed-length models are the degenerate single-bucket case;
-//! - a per-shard **batcher** that drains the shard queue and coalesces
-//!   same-model / same-config / same-bucket requests into one
-//!   `forward_batch` call of at most `max_batch` requests — the
-//!   weight-side `PackedOperand` is fetched from `mx-nn`'s
-//!   generation-keyed, per-format plane cache, so it is lowered **once**
-//!   and shared by every request in every batch.
+//! - **coalescing workers**: each of a shard's workers takes one job off
+//!   the shard queue, drains up to `max_batch` jobs in total, and runs
+//!   them as same-model / same-config / same-bucket batches, one
+//!   `forward_batch` call each — the weight-side `PackedOperand` is
+//!   fetched from `mx-nn`'s generation-keyed, per-format plane cache, so
+//!   it is lowered **once** and shared by every request in every batch.
+//!   A request crosses two threads (client → worker); the bounded job
+//!   queue is the only buffer, so it alone carries backpressure. On a
+//!   shard with several workers and mixed keys, every group of one drain
+//!   runs on the worker that drained it, one after another, while idle
+//!   siblings take later jobs from the queue.
 //!
 //! Batching is **semantically invisible**: every tensor op on the zoo's
 //! inference path is row- (or sequence-) independent, so a request's
@@ -125,7 +130,7 @@ pub enum ServeError {
         model: String,
     },
     /// The request's deadline passed before its batch executed (checked at
-    /// submit, at dispatch, and just before execution).
+    /// submit and just before execution).
     DeadlineExceeded {
         /// Model name the request addressed.
         model: String,
@@ -309,8 +314,8 @@ impl Server {
     }
 
     /// Validates the configuration, captures every model's serving
-    /// contract, and starts per-shard dispatcher and worker threads,
-    /// returning the client handle. Dropping (or
+    /// contract, and starts `workers` threads per shard (`shards ×
+    /// workers` in all), returning the client handle. Dropping (or
     /// [`ServerHandle::shutdown`]ting) the handle drains in-flight
     /// requests and joins every thread.
     ///
@@ -358,41 +363,20 @@ impl Server {
         let registry = Arc::new(entries);
         let stats = Arc::new(StatsInner::new(self.config.max_batch, shards));
         let mut job_txs = Vec::with_capacity(shards);
-        let mut threads = Vec::with_capacity(shards * (self.config.workers + 1));
+        let mut threads = Vec::with_capacity(shards * self.config.workers);
         for shard in 0..shards {
             let (job_tx, job_rx) = match self.config.admission.queue_capacity {
                 Some(cap) => bounded(cap),
                 None => unbounded(),
             };
-            // The batch channel is bounded at the worker count so a busy
-            // shard stalls its dispatcher instead of draining the job
-            // queue into an invisible unbounded buffer — that is what lets
-            // a bounded job queue actually exert backpressure on (or shed)
-            // submitters.
-            let (batch_tx, batch_rx) = bounded::<Batch>(self.config.workers);
             job_txs.push(job_tx);
-            let max_batch = self.config.max_batch;
-            let dispatch_registry = registry.clone();
-            let dispatch_stats = stats.clone();
-            threads.push(std::thread::spawn(move || {
-                dispatch_loop(
-                    shard,
-                    job_rx,
-                    batch_tx,
-                    max_batch,
-                    &dispatch_registry,
-                    &dispatch_stats,
-                );
-            }));
             for _ in 0..self.config.workers {
-                let batch_rx = batch_rx.clone();
+                let job_rx = job_rx.clone();
                 let registry = registry.clone();
                 let stats = stats.clone();
                 let config = self.config.clone();
                 threads.push(std::thread::spawn(move || {
-                    while let Ok(batch) = batch_rx.recv() {
-                        execute_batch(shard, batch, &registry, &stats, &config);
-                    }
+                    worker_loop(shard, &job_rx, &registry, &stats, &config);
                 }));
             }
         }
@@ -406,50 +390,41 @@ impl Server {
     }
 }
 
-/// One shard's batcher: drains whatever is queued, answers expired
-/// requests, groups the rest by `(model, QuantConfig, bucket len)` in
-/// arrival order, and emits batches of at most `max_batch` requests onto
-/// the shard's bounded batch channel. Every drained job is flushed each
-/// round — partial groups become ragged batches rather than waiting for
-/// stragglers, so a burst of synchronous clients can never deadlock behind
-/// a half-full batch.
-fn dispatch_loop(
+/// One worker of a shard: blocks for a job, drains up to `max_batch` jobs
+/// in total from the shard queue, groups them by `(model, QuantConfig,
+/// bucket len)` in arrival order, and executes each group as one batch.
+/// Taking no more than one batch's worth leaves the rest queued for idle
+/// siblings, and every drained job runs this round — partial groups become
+/// ragged batches rather than waiting for stragglers, so a burst of
+/// synchronous clients can never deadlock behind a half-full batch. Returns
+/// once shutdown has dropped the senders and the queue is empty.
+fn worker_loop(
     shard: usize,
-    job_rx: Receiver<Job>,
-    batch_tx: Sender<Batch>,
-    max_batch: usize,
+    job_rx: &Receiver<Job>,
     registry: &[ModelEntry],
     stats: &StatsInner,
+    config: &ServerConfig,
 ) {
+    let max_batch = config.max_batch;
+    let top_up = |drained: &mut Vec<Job>| {
+        let room = max_batch.saturating_sub(drained.len());
+        drained.extend(std::iter::from_fn(|| job_rx.try_recv().ok()).take(room));
+    };
     while let Ok(first) = job_rx.recv() {
         let mut drained = vec![first];
-        let mut lingered = false;
-        loop {
-            while drained.len() < 4 * max_batch {
-                match job_rx.try_recv() {
-                    Ok(job) => drained.push(job),
-                    Err(_) => break,
-                }
-            }
-            if drained.len() >= max_batch || lingered {
-                break;
-            }
+        top_up(&mut drained);
+        if drained.len() < max_batch {
             // Micro-batch linger: one scheduler slot for the producers to
             // finish their burst. Without it, a single-core box ping-pongs —
-            // every submit wakes the dispatcher, which forwards a batch of
-            // one before the client can enqueue the next request. One yield
-            // bounds the added latency at a context switch while letting a
-            // burst coalesce.
-            lingered = true;
+            // every submit wakes a worker, which runs a batch of one before
+            // the client can enqueue the next request. One yield bounds the
+            // added latency at a context switch while letting a burst
+            // coalesce.
             std::thread::yield_now();
+            top_up(&mut drained);
         }
-        let now = Instant::now();
         let mut groups: Vec<Batch> = Vec::new();
         for job in drained {
-            if job.deadline.is_some_and(|d| now >= d) {
-                expire_job(shard, job, registry, stats);
-                continue;
-            }
             match groups
                 .iter_mut()
                 .find(|b| b.model == job.model && b.cfg == job.cfg && b.len == job.len)
@@ -464,48 +439,10 @@ fn dispatch_loop(
                 }),
             }
         }
-        for group in groups {
-            let Batch {
-                model,
-                cfg,
-                len,
-                out_len,
-                jobs,
-            } = group;
-            let mut chunk = Vec::with_capacity(max_batch.min(jobs.len()));
-            for job in jobs {
-                chunk.push(job);
-                if chunk.len() == max_batch
-                    && batch_tx
-                        .send(Batch {
-                            model,
-                            cfg,
-                            len,
-                            out_len,
-                            jobs: std::mem::take(&mut chunk),
-                        })
-                        .is_err()
-                {
-                    return;
-                }
-            }
-            if !chunk.is_empty()
-                && batch_tx
-                    .send(Batch {
-                        model,
-                        cfg,
-                        len,
-                        out_len,
-                        jobs: chunk,
-                    })
-                    .is_err()
-            {
-                return;
-            }
+        for batch in groups {
+            execute_batch(shard, batch, registry, stats, config);
         }
     }
-    // job_tx dropped (shutdown): queue drained, dropping batch_tx ends the
-    // workers once they finish what is in flight.
 }
 
 /// Answers one expired job with [`ServeError::DeadlineExceeded`] and
@@ -522,11 +459,12 @@ fn expire_job(shard: usize, job: Job, registry: &[ModelEntry], stats: &StatsInne
 
 /// Runs one coalesced batch on its model and answers every member request.
 ///
-/// Requests whose deadline passed while the batch waited for a worker are
-/// answered with [`ServeError::DeadlineExceeded`] and dropped from the
-/// batch first. Model failures — a poisoned mutex from an earlier panic, a
-/// panic during this batch, an output buffer that violates the length
-/// contract — are answered as [`ServeError`]s on every member request. The
+/// Requests whose deadline passed while they waited in the queue (or
+/// behind an earlier group of the same drain) are answered with
+/// [`ServeError::DeadlineExceeded`] and dropped from the batch first.
+/// Model failures — a poisoned mutex from an earlier panic, a panic during
+/// this batch, an output buffer that violates the length contract — are
+/// answered as [`ServeError`]s on every member request. The
 /// worker thread itself never unwinds, so one misbehaving model cannot
 /// take down the server: other models (and this one's error reporting)
 /// keep serving.
@@ -943,15 +881,15 @@ impl ServerHandle {
             .map(|e| e.shard)
     }
 
-    /// Graceful shutdown: stops accepting requests, drains everything in
-    /// flight, and joins every shard's dispatcher and workers. (Dropping
-    /// the handle does the same.)
+    /// Graceful shutdown: stops accepting requests, lets every shard's
+    /// workers drain their queue, and joins them. (Dropping the handle does
+    /// the same.)
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        self.job_txs.take(); // dispatchers see the disconnect after draining
+        self.job_txs.take(); // workers see the disconnect after draining
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1065,7 +1003,7 @@ mod tests {
         let want: Vec<Vec<f32>> = (0..12)
             .map(|i| handle.infer(dense_req(i)).unwrap())
             .collect();
-        // Burst: submit all, then wait — the dispatcher coalesces.
+        // Burst: submit all, then wait — the worker coalesces.
         let pending: Vec<Pending> = (0..12)
             .map(|i| handle.submit(dense_req(i)).unwrap())
             .collect();

@@ -16,17 +16,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Pixel model that parks its worker on a channel until the test releases
-/// (or drops) the sender — the stand-in for a slow tenant that lets the
-/// test fill queues deterministically.
+/// Pixel model that reports each batch's size on `entered`, then parks its
+/// worker on a channel until the test releases (or drops) the sender — the
+/// stand-in for a slow tenant that lets the test fill queues
+/// deterministically and observe how they were coalesced.
 struct Gate {
     release: mpsc::Receiver<()>,
+    entered: mpsc::Sender<usize>,
 }
 
 impl Gate {
-    fn new() -> (mpsc::Sender<()>, Self) {
+    /// `(release, entered, gate)`: drop or send on `release` to let parked
+    /// batches finish; `entered` yields every batch size as it starts.
+    fn new() -> (mpsc::Sender<()>, mpsc::Receiver<usize>, Self) {
         let (tx, release) = mpsc::channel();
-        (tx, Gate { release })
+        let (entered, entered_rx) = mpsc::channel();
+        (tx, entered_rx, Gate { release, entered })
     }
 }
 
@@ -46,6 +51,8 @@ impl BatchModel for Gate {
     fn set_quant(&mut self, _cfg: QuantConfig) {}
 
     fn forward_batch(&mut self, _input: ZooInput<'_>, batch: usize) -> Vec<f32> {
+        // A test that does not watch batch sizes drops the receiver.
+        let _ = self.entered.send(batch);
         // Blocks until the test sends a token or drops the sender; either
         // way the batch then completes normally.
         let _ = self.release.recv();
@@ -86,7 +93,7 @@ fn px() -> RequestInput {
 
 #[test]
 fn bounded_queue_backpressure_blocks_submitters() {
-    let (gate_tx, gate) = Gate::new();
+    let (gate_tx, _entered, gate) = Gate::new();
     let mut server = Server::new(
         ServerConfig::default()
             .workers(1)
@@ -96,9 +103,9 @@ fn bounded_queue_backpressure_blocks_submitters() {
     server.register("gate", Box::new(gate));
     let handle = server.start().expect("valid config");
 
-    // A submitter thread pushes far more requests than the pipeline
-    // (executing batch + batch channel + dispatcher drain + queue bound)
-    // can absorb while the worker is parked on the gate.
+    // A submitter thread pushes far more requests than the shard can
+    // absorb while the worker is parked on the gate: the job queue is the
+    // only buffer, so it holds one executing request plus the queue bound.
     const TOTAL: usize = 24;
     let submitted = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -116,9 +123,10 @@ fn bounded_queue_backpressure_blocks_submitters() {
         // wedge on the bounded queue well short of TOTAL.
         std::thread::sleep(Duration::from_millis(300));
         let blocked_at = submitted.load(Ordering::SeqCst);
-        assert!(
-            blocked_at < TOTAL,
-            "bounded queue never blocked: all {TOTAL} submissions went through"
+        assert_eq!(
+            blocked_at, 3,
+            "the submitter must wedge after one executing request plus a \
+             queue of 2 (no buffer hides between the queue and the worker)"
         );
         // Release the gate: every parked and queued batch completes, the
         // submitter unblocks, and every request is answered.
@@ -139,8 +147,80 @@ fn bounded_queue_backpressure_blocks_submitters() {
 }
 
 #[test]
+fn a_worker_coalesces_at_most_max_batch_per_drain() {
+    let (gate_tx, entered, gate) = Gate::new();
+    let mut server = Server::new(ServerConfig::default().workers(1).max_batch(4));
+    server.register("gate", Box::new(gate));
+    let handle = server.start().expect("valid config");
+
+    // Park the worker on a batch of one, then queue nine more behind it.
+    let mut pending = vec![handle.submit(Request::new("gate", px())).unwrap()];
+    assert_eq!(entered.recv().unwrap(), 1, "the head runs alone");
+    for _ in 0..9 {
+        pending.push(handle.submit(Request::new("gate", px())).unwrap());
+    }
+    drop(gate_tx);
+    for (i, p) in pending.into_iter().enumerate() {
+        assert!(p.wait().is_ok(), "request {i} must be answered");
+    }
+    // Each drain stops at max_batch, so the nine queued requests run as
+    // 4, 4, 1.
+    let sizes: Vec<usize> = entered.try_iter().collect();
+    assert_eq!(sizes, vec![4, 4, 1]);
+    let stats = handle.stats();
+    assert_eq!(stats.batch_histogram, vec![2, 0, 0, 2]);
+    assert_eq!(stats.completed, 10);
+    assert_eq!(stats.queue_depth, 0);
+    handle.shutdown();
+}
+
+#[test]
+fn an_idle_sibling_serves_another_model_while_one_worker_is_parked() {
+    let (gate_tx, entered, gate) = Gate::new();
+    let mut server = Server::new(ServerConfig::default().shards(1).workers(2).max_batch(4));
+    server.register("gate", Box::new(gate));
+    server.register(
+        "sleepy",
+        Box::new(Sleeper {
+            service: Duration::ZERO,
+        }),
+    );
+    let handle = server.start().expect("valid config");
+    assert_eq!(handle.shard_of("sleepy"), handle.shard_of("gate"));
+
+    let head = handle.submit(Request::new("gate", px())).unwrap();
+    assert_eq!(
+        entered.recv().unwrap(),
+        1,
+        "one worker is parked on the gate"
+    );
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let handle = &handle;
+        s.spawn(move || {
+            let _ = tx.send(handle.infer(Request::new("sleepy", px())));
+        });
+        let answered = rx.recv_timeout(Duration::from_secs(10));
+        let completed = handle.stats().completed;
+        // Release before asserting, so a failure cannot leave the scope
+        // joining a client stuck behind the gate.
+        drop(gate_tx);
+        assert!(
+            matches!(answered, Ok(Ok(_))),
+            "the idle sibling must answer the second model: {answered:?}"
+        );
+        assert_eq!(completed, 1, "the gated request was still parked");
+    });
+    assert!(
+        head.wait().is_ok(),
+        "the parked request completes on release"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn full_queue_sheds_with_typed_overloaded_and_never_silently_drops() {
-    let (gate_tx, gate) = Gate::new();
+    let (gate_tx, _entered, gate) = Gate::new();
     let mut server = Server::new(
         ServerConfig::default()
             .workers(1)
@@ -191,7 +271,7 @@ fn full_queue_sheds_with_typed_overloaded_and_never_silently_drops() {
 
 #[test]
 fn expired_deadlines_get_deadline_exceeded() {
-    let (gate_tx, gate) = Gate::new();
+    let (gate_tx, _entered, gate) = Gate::new();
     let mut server = Server::new(ServerConfig::default().workers(1).max_batch(1));
     server.register("gate", Box::new(gate));
     let handle = server.start().expect("valid config");
@@ -209,8 +289,8 @@ fn expired_deadlines_get_deadline_exceeded() {
     );
 
     // Park the worker, then enqueue a short-deadline request behind it;
-    // by the time the pipeline reaches it the deadline has passed, so the
-    // dispatch- or execute-side check answers it with the typed error.
+    // by the time the worker reaches it the deadline has passed, so the
+    // execute-side check answers it with the typed error.
     let head = handle.submit(Request::new("gate", px())).unwrap();
     let doomed = handle
         .submit(Request::new("gate", px()).deadline(Duration::from_millis(10)))

@@ -255,8 +255,8 @@ fn sharded_serving_is_bit_identical_across_shard_counts() {
 fn bucketed_mixed_length_serving_matches_padded_serial_reference() {
     let buckets = [4, 8, 16];
     let cycle = format_cycle();
-    // Lengths straddling every edge, in shuffling order so the dispatcher
-    // must keep the buckets apart while coalescing within them.
+    // Lengths straddling every edge, in shuffling order so the worker must
+    // keep the buckets apart while coalescing within them.
     let lens = [3, 16, 4, 9, 1, 8, 5, 12, 2, 16, 7, 11];
     let gpt_reqs: Vec<(QuantConfig, RequestInput)> = lens
         .iter()
@@ -322,7 +322,7 @@ fn bucketed_mixed_length_serving_matches_padded_serial_reference() {
 fn ragged_and_padded_batches_are_semantically_invisible() {
     let seq = GptConfig::tiny().seq_len;
     // 6 same-format requests against max_batch = 4 force a ragged tail of
-    // at most 2 whichever way the dispatcher slices the burst.
+    // at most 2 whichever way the worker slices the burst.
     let requests: Vec<(QuantConfig, RequestInput)> = (0..6)
         .map(|i| (mx6(), RequestInput::Tokens(tokens(100 + i, seq))))
         .collect();
@@ -394,7 +394,7 @@ fn mixed_zoo_serving_matches_per_request_serial_execution() {
         .collect();
 
     let handle = server.start().expect("valid config");
-    // Interleave submissions across models so the dispatcher has to keep
+    // Interleave submissions across models so the workers have to keep
     // the groups apart.
     let mut pending: Vec<(usize, &str, Pending)> = Vec::new();
     for i in 0..4 {
