@@ -17,9 +17,8 @@
 //!
 //! The `inference_small_m_*` groups sweep the serving-shaped row counts
 //! M ∈ {1, 4, 8, 32} against the same warm weight plane: the entry (which
-//! lowers activations with its fused strategy at these shapes — row
-//! `fused`) against the unquantized FP32 `fgemm` kernel as the floor it
-//! must beat. (`results/inference_steady_state.md` also records rows from
+//! lowers the activation rows inside the call — row `fused`) against the
+//! unquantized FP32 `fgemm` kernel as the floor it must beat. (`results/inference_steady_state.md` also records rows from
 //! entry points that no longer exist; its provenance note says which.)
 //!
 //! All cases run serial (`threads = 1`; override with `MX_BENCH_THREADS`):

@@ -2,10 +2,10 @@
 //! dispatch layer and the generation-2/3 SIMD kernels: one group per
 //! serving-relevant M ∈ {1, 4, 8, 16, 32}, sweeping
 //!
-//! - `scalar` / `sse2` / `avx2` / `avx512` — each backend forced via
+//! - `scalar` / `avx2` / `avx512` — each backend forced via
 //!   `force_kernel_backend` (the B plane is packed *after* forcing, so
 //!   each variant also measures its own plane layout — vector-major for
-//!   scalar/SSE2, 8-column panel-major for AVX2, 4-column chunk-paired
+//!   scalar, 8-column panel-major for AVX2, 4-column chunk-paired
 //!   panel-major for AVX-512);
 //! - `avx512_bw` — the AVX-512 kernel with VNNI forced off
 //!   (`force_vnni`), isolating the `vpdpwssd` win over the
@@ -15,8 +15,8 @@
 //! - `fgemm_f32` — the unquantized FP32 kernel, the floor the fused path
 //!   must beat at **every** M.
 //!
-//! All cases run the one execute entry (fused activation lowering at these
-//! shapes) against a warm weight plane at
+//! All cases run the one execute entry (activation lowering included)
+//! against a warm weight plane at
 //! the same GPT-ish layer shape as `inference_steady_state` (K = 512 into
 //! an N = 2048 FFN expansion, MX6 × MX6), serial by default
 //! (`MX_BENCH_THREADS` overrides). A backend the CPU cannot run is
@@ -49,9 +49,8 @@ fn test_matrix(len: usize, salt: usize) -> Vec<f32> {
 
 /// One swept row: `(name, backend, vnni, deferral)`. The `_bw` /
 /// `_nodefer` rows switch one speedup layer off to isolate it.
-const VARIANTS: [(&str, KernelBackend, bool, bool); 7] = [
+const VARIANTS: [(&str, KernelBackend, bool, bool); 6] = [
     ("scalar", KernelBackend::Scalar, true, true),
-    ("sse2", KernelBackend::Sse2, true, true),
     ("avx2", KernelBackend::Avx2, true, true),
     ("avx512", KernelBackend::Avx512, true, true),
     ("avx512_bw", KernelBackend::Avx512, false, true),

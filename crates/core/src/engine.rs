@@ -438,7 +438,7 @@ pub(crate) fn quantize_code(x: f32, ulp: f64, max_code: u64) -> u64 {
 }
 
 /// Storage width for shift-aligned signed integer codes (`i16` for narrow
-/// format pairs, `i32` for wide ones) — lets [`BlockCore::lower_block_into`] write the
+/// format pairs, `i32` for wide ones) — lets [`BlockCore::lower_block_strided_into`] write the
 /// consuming kernel's width directly, with no intermediate staging pass.
 /// The conversion must be lossless for every value the code-domain
 /// dispatch admits (`crate::gemm`'s pair-class width gates guarantee it).
@@ -626,7 +626,7 @@ fn aligned_code_fast<C: AlignedCode>(x: f32, inv_ulp: f64, max_code: u64, align:
 /// [`crate::gemm::force_kernel_backend`] narrow this tier together with
 /// the GEMM kernels — contiguous whole blocks of a shape the vector core
 /// covers go through the `avx512` submodule instead, bit-identically.
-/// Build one per slice / `lower_rows` / pack call, not per block.
+/// Build one per slice or pack call, not per block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockCore<'a> {
     fmt: &'a BdrFormat,
@@ -664,7 +664,7 @@ impl<'a> BlockCore<'a> {
     /// ragged tail — is used as it is.
     ///
     /// This is [`plan_into`] + [`quantize_code`] on the fast block core:
-    /// every code is bit-identical to the two-pass pack on either tier (the
+    /// every code is bit-identical to that division form on either tier (the
     /// `gemm_fused` and `engine_consistency` suites assert it across preset
     /// pairs, random formats and stress data).
     #[inline(always)]
@@ -691,20 +691,6 @@ impl<'a> BlockCore<'a> {
             return shared_exp;
         }
         lower_block_scalar(self.fmt, data, base, stride, len, shifts, codes)
-    }
-
-    /// [`Self::lower_block_strided_into`] for one contiguous block
-    /// (`block.len() ≤ k1`) — the tile-granular entry the fused GEMM path
-    /// ([`crate::gemm`]) quantizes A-row strips through, one `k1`-block of
-    /// one row at a time, inside the execute loop. The same body with the
-    /// stride a literal 1, so the two cannot drift.
-    pub(crate) fn lower_block_into<C: AlignedCode>(
-        &self,
-        block: &[f32],
-        shifts: &mut Vec<u32>,
-        codes: &mut [C],
-    ) -> Option<i32> {
-        self.lower_block_strided_into(block, 0, 1, block.len(), shifts, codes)
     }
 }
 

@@ -80,10 +80,8 @@ const CHUNK: usize = 2 * K1;
 /// the VNNI or BW block-dot twin once per span — the two are
 /// bit-identical, so the choice (like the backend itself) is a pure
 /// performance knob.
-#[allow(clippy::too_many_arguments)] // the SpanKernel signature: dims + operands + dispatch context
 pub(super) fn gemm_span(
     ap: PlaneView<'_, i16>,
-    r0: usize,
     rows: usize,
     bp: PlaneView<'_, i16>,
     n: usize,
@@ -96,12 +94,12 @@ pub(super) fn gemm_span(
         // SAFETY: a chunk-paired plane is only built when the backend
         // layer verified AVX-512 F/BW support at pack time, and
         // `vnni_enabled` additionally verified AVX-512-VNNI.
-        unsafe { gemm_span_avx512::<true>(ap, r0, rows, bp, n, c, ctx, out) }
+        unsafe { gemm_span_avx512::<true>(ap, rows, bp, n, c, ctx, out) }
     } else {
         // SAFETY: F/BW support was verified at pack time (the plane's
         // layout exists only then); the `false` instantiation uses no
         // VNNI instruction.
-        unsafe { gemm_span_avx512::<false>(ap, r0, rows, bp, n, c, ctx, out) }
+        unsafe { gemm_span_avx512::<false>(ap, rows, bp, n, c, ctx, out) }
     }
 }
 
@@ -121,13 +119,11 @@ fn aus_of<const R: usize>(ap: PlaneView<'_, i16>, row: usize) -> [i32; R] {
 /// chunk-paired plane exists); `VNNI = true` additionally requires
 /// AVX-512-VNNI (verified by `vnni_enabled`). `ap`/`bp` must be
 /// consistent planes (`k1 = 16`, codes/exponents sized to `blocks`),
-/// `r0 + rows` within the A plane, `n` within the B plane, and `out` at
+/// `rows` within the A plane, `n` within the B plane, and `out` at
 /// least `rows × n`.
 #[target_feature(enable = "avx512f,avx512bw")]
-#[allow(clippy::too_many_arguments)] // the SpanKernel signature: dims + operands + dispatch context
 unsafe fn gemm_span_avx512<const VNNI: bool>(
     ap: PlaneView<'_, i16>,
-    r0: usize,
     rows: usize,
     bp: PlaneView<'_, i16>,
     n: usize,
@@ -154,7 +150,7 @@ unsafe fn gemm_span_avx512<const VNNI: bool>(
             };
             let mut t = 0;
             while t < tm {
-                let row = r0 + i0 + t;
+                let row = i0 + t;
                 if ctx.enabled && panel_defers(ap.uexp[row]) {
                     // Group up to four consecutive deferring rows so each
                     // B chunk load feeds the whole group's accumulators.
@@ -240,7 +236,7 @@ unsafe fn gemm_span_avx512<const VNNI: bool>(
             let pbase = np * blocks;
             let width = n - np;
             for t in 0..tm {
-                let row = r0 + i0 + t;
+                let row = i0 + t;
                 let au = ap.uexp[row];
                 let acodes = &ap.codes[row * blocks * K1..][..blocks * K1];
                 let out_row = &mut out[(i0 + t) * n..][..n];

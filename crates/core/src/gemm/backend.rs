@@ -14,12 +14,12 @@
 //! `gemm_backends` integration suite enforces this by forcing every
 //! backend over the full preset matrix.
 //!
-//! Four backends exist today, each in its own sibling module:
+//! Three backends exist today, each in its own sibling module:
 //!
 //! - [`super::scalar`] — portable Rust, no intrinsics; the reference
-//!   implementation and the only backend off x86-64;
-//! - [`super::sse2`] — `pmaddwd` block dots (baseline x86-64 ABI),
-//!   vector-major B;
+//!   implementation, and the kernel every vector-major plane runs: block
+//!   sizes other than the panel kernels' `k1 = 16`, x86-64 CPUs without
+//!   AVX2, and every other architecture;
 //! - [`super::avx2`] — panel-major B, register-blocked 8-column panels
 //!   (two rows at a time where deferral holds) with deferred scale-out
 //!   (generation 2), and an in-register per-block scale-out panel as the
@@ -52,8 +52,9 @@
 //!    `pub`, and `X` is gated by `is_x86_feature_detected!("X")`**
 //!    somewhere in the crate (rule `target-feature`). The dispatch layer
 //!    here is that gate: a new ISA variant must only be selectable after
-//!    detection says so, exactly like [`KernelBackend::Avx2`]. (`sse2`
-//!    is exempt — it is part of the x86-64 baseline ABI.)
+//!    detection says so, exactly like [`KernelBackend::Avx2`]. Below the
+//!    lowest detected tier the selection is [`KernelBackend::Scalar`], so
+//!    no backend leans on the x86-64 baseline ISA.
 //! 3. **Wire the backend into CI** (rule `ci-wiring`): extend the
 //!    `gemm_backends` suite to force the new variant over the preset
 //!    matrix, and if you add a new test file or bench harness, name it
@@ -105,19 +106,20 @@
 //! [`selected_backend`] resolves, in priority order: the process-wide
 //! programmatic override ([`force_kernel_backend`], used by tests and the
 //! `kernel_sweep` bench), the `MX_KERNEL_BACKEND` environment variable
-//! (`auto` / `scalar` / `sse2` / `avx2` / `avx512`, read once), then the
-//! best backend the CPU supports. An environment request the CPU cannot
-//! honor degrades to the best available (forcing `avx512` on a non-AVX-512
+//! (`auto` / `scalar` / `avx2` / `avx512`, read once), then the best
+//! backend the CPU supports. An environment request the CPU cannot honor
+//! degrades to the best available (forcing `avx512` on a non-AVX-512
 //! machine runs AVX2) with a one-line stderr warning naming what actually
 //! runs — the knob can only *narrow* the ISA, never fake one — while the
 //! programmatic [`force_kernel_backend`] refuses outright with
-//! [`BackendUnavailable`]. [`kernel_backend_name`] reports the effective
-//! choice so benches and `serve_loadgen` can record which backend
-//! actually ran.
+//! [`BackendUnavailable`]. An unrecognized name warns the same way and
+//! runs the best available backend. [`kernel_backend_name`] reports the
+//! effective choice so benches and `serve_loadgen` can record which
+//! backend actually ran.
 //!
 //! The choice is honored at **pack time**: each panel backend consumes a
 //! panel-major B plane of its own width (8 columns for AVX2, 4 for
-//! AVX-512), the others vector-major, so
+//! AVX-512), the scalar kernel a vector-major one, so
 //! [`super::PackedOperand::pack_cols`] lays the plane out for the backend
 //! selected when it runs, and execution always follows the plane's
 //! recorded layout (a panel plane runs its backend's kernels even if the
@@ -137,8 +139,6 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// Portable Rust, no intrinsics.
     Scalar,
-    /// `pmaddwd` block dots (part of the x86-64 baseline ABI).
-    Sse2,
     /// Wide-tile deferred-scale-out kernel over 8-column panel-major B.
     Avx2,
     /// 512-bit kernel over 4-column chunk-paired panels, with masked
@@ -147,12 +147,10 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
-    /// The knob spelling of this backend
-    /// (`scalar` / `sse2` / `avx2` / `avx512`).
+    /// The knob spelling of this backend (`scalar` / `avx2` / `avx512`).
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Sse2 => "sse2",
             KernelBackend::Avx2 => "avx2",
             KernelBackend::Avx512 => "avx512",
         }
@@ -163,7 +161,6 @@ impl KernelBackend {
 fn parse_backend_name(name: &str) -> Option<KernelBackend> {
     match name {
         "scalar" => Some(KernelBackend::Scalar),
-        "sse2" => Some(KernelBackend::Sse2),
         "avx2" => Some(KernelBackend::Avx2),
         "avx512" => Some(KernelBackend::Avx512),
         _ => None,
@@ -216,27 +213,20 @@ pub(super) fn avx512_vnni_available() -> bool {
 
 /// The best backend the running CPU supports.
 fn best_available() -> KernelBackend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            KernelBackend::Avx512
-        } else if avx2_available() {
-            KernelBackend::Avx2
-        } else {
-            KernelBackend::Sse2
-        }
+    if avx512_available() {
+        KernelBackend::Avx512
+    } else if avx2_available() {
+        KernelBackend::Avx2
+    } else {
+        KernelBackend::Scalar
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    KernelBackend::Scalar
 }
 
 /// Caps a requested backend at what the CPU can actually run.
 fn clamp_available(req: KernelBackend) -> KernelBackend {
     match req {
         KernelBackend::Avx512 if !avx512_available() => clamp_available(KernelBackend::Avx2),
-        KernelBackend::Avx2 if !avx2_available() => clamp_available(KernelBackend::Sse2),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Sse2 => KernelBackend::Scalar,
+        KernelBackend::Avx2 if !avx2_available() => KernelBackend::Scalar,
         other => other,
     }
 }
@@ -257,7 +247,7 @@ fn env_backend_warning(
     match parsed {
         None => Some(format!(
             "mx-core: MX_KERNEL_BACKEND={value:?} is not a recognized backend \
-             (expected auto | scalar | sse2 | avx2 | avx512); using {}",
+             (expected auto | scalar | avx2 | avx512); using {}",
             resolved.name()
         )),
         Some(req) if req != resolved => Some(format!(
@@ -296,25 +286,21 @@ fn env_backend() -> Option<KernelBackend> {
 pub fn selected_backend() -> KernelBackend {
     let req = match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
         1 => KernelBackend::Scalar,
-        2 => KernelBackend::Sse2,
-        3 => KernelBackend::Avx2,
-        4 => KernelBackend::Avx512,
+        2 => KernelBackend::Avx2,
+        3 => KernelBackend::Avx512,
         _ => env_backend().unwrap_or_else(best_available),
     };
     clamp_available(req)
 }
 
-/// Name of the effective backend (`"scalar"` / `"sse2"` / `"avx2"` /
-/// `"avx512"`) — what benches and `serve_loadgen` report alongside their
-/// numbers.
+/// Name of the effective backend (`"scalar"` / `"avx2"` / `"avx512"`) —
+/// what benches and `serve_loadgen` report alongside their numbers.
 ///
 /// # Examples
 ///
 /// ```
-/// // Whatever the machine, the name is one of the four tiers.
-/// assert!(
-///     ["scalar", "sse2", "avx2", "avx512"].contains(&mx_core::gemm::kernel_backend_name())
-/// );
+/// // Whatever the machine, the name is one of the three tiers.
+/// assert!(["scalar", "avx2", "avx512"].contains(&mx_core::gemm::kernel_backend_name()));
 /// ```
 pub fn kernel_backend_name() -> &'static str {
     selected_backend().name()
@@ -368,9 +354,8 @@ pub fn force_kernel_backend(backend: Option<KernelBackend>) -> Result<(), Backen
     let v = match backend {
         None => 0,
         Some(KernelBackend::Scalar) => 1,
-        Some(KernelBackend::Sse2) => 2,
-        Some(KernelBackend::Avx2) => 3,
-        Some(KernelBackend::Avx512) => 4,
+        Some(KernelBackend::Avx2) => 2,
+        Some(KernelBackend::Avx512) => 3,
     };
     BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
     Ok(())
@@ -417,43 +402,33 @@ pub fn force_vnni(enabled: Option<bool>) {
     VNNI_OFF.store(enabled == Some(false), Ordering::Relaxed);
 }
 
-/// A span kernel: computes output rows `r0 .. r0 + rows` (written at
-/// offset 0 of `out`, a `rows × n` slice) from an A plane and a B plane —
-/// the unit of work the row-parallel dispatch and the fused per-tile path
-/// both schedule. See the module docs for the bit-identity contract.
+/// A span kernel: computes the `rows × n` output slice `out` from an A
+/// plane holding exactly those `rows` rows and a B plane — the unit of
+/// work the row-span dispatch schedules. See the module docs for the
+/// bit-identity contract.
 pub(super) type SpanKernel<C> =
-    fn(PlaneView<'_, C>, usize, usize, PlaneView<'_, C>, usize, i32, DeferCtx, &mut [f32]);
+    fn(PlaneView<'_, C>, usize, PlaneView<'_, C>, usize, i32, DeferCtx, &mut [f32]);
 
 /// The narrow-pair span kernel for a B plane packed with the given panel
 /// width: a 4-wide plane always runs the AVX-512 kernel and an 8-wide
 /// plane the AVX2 kernels (each layout is only ever built when the CPU
 /// supports its backend); a vector-major plane (`b_panel_n == 0`) runs
-/// the selected backend, with the panel backends degrading to SSE2
-/// (their kernels require their own layout).
+/// the scalar kernel whichever backend is selected (the panel kernels
+/// require their own layout).
 pub(super) fn narrow_span_kernel(b_panel_n: usize) -> SpanKernel<i16> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match b_panel_n {
-            super::PANEL_N_512 => return super::avx512::gemm_span,
-            super::PANEL_N => return super::avx2::gemm_span,
-            _ => {}
-        }
-        match selected_backend() {
-            KernelBackend::Scalar => super::scalar::gemm_span::<i16, false>,
-            _ => super::sse2::gemm_span,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = b_panel_n;
-        super::scalar::gemm_span::<i16, false>
+    match b_panel_n {
+        #[cfg(target_arch = "x86_64")]
+        super::PANEL_N_512 => super::avx512::gemm_span,
+        #[cfg(target_arch = "x86_64")]
+        super::PANEL_N => super::avx2::gemm_span,
+        _ => super::scalar::gemm_span::<i16>,
     }
 }
 
 /// The wide-pair span kernel (exotic custom formats): always the portable
 /// generic kernel with the chunked `i64`-accumulator dot.
 pub(super) fn wide_span_kernel() -> SpanKernel<i32> {
-    super::scalar::gemm_span::<i32, true>
+    super::scalar::gemm_span::<i32>
 }
 
 // These tests deliberately avoid mutating the process-wide override slots
@@ -464,14 +439,15 @@ pub(super) fn wide_span_kernel() -> SpanKernel<i32> {
 mod tests {
     use super::*;
 
+    const ALL: [KernelBackend; 3] = [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2,
+        KernelBackend::Avx512,
+    ];
+
     #[test]
     fn backend_names_round_trip_through_the_parser() {
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Sse2,
-            KernelBackend::Avx2,
-            KernelBackend::Avx512,
-        ] {
+        for backend in ALL {
             assert_eq!(parse_backend_name(backend.name()), Some(backend));
         }
         for bogus in ["auto", "", "AVX512", "avx-512", "neon", "avx9000"] {
@@ -492,6 +468,20 @@ mod tests {
     }
 
     #[test]
+    fn sse2_is_an_unrecognized_env_value() {
+        // There is no SSE2 tier: the spelling warns like any unknown name
+        // and runs the best backend this CPU has.
+        let best = best_available();
+        let warning =
+            env_backend_warning("sse2", parse_backend_name("sse2"), best).expect("sse2 must warn");
+        assert!(warning.contains("not a recognized backend"), "{warning}");
+        assert!(
+            warning.contains(&format!("using {}", best.name())),
+            "{warning}"
+        );
+    }
+
+    #[test]
     fn unavailable_env_value_warns_naming_the_resolved_backend() {
         let warning =
             env_backend_warning("avx512", Some(KernelBackend::Avx512), KernelBackend::Avx2)
@@ -502,10 +492,12 @@ mod tests {
 
     #[test]
     fn honorable_env_value_stays_silent() {
-        assert_eq!(
-            env_backend_warning("sse2", Some(KernelBackend::Sse2), KernelBackend::Sse2),
-            None
-        );
+        for backend in ALL {
+            assert_eq!(
+                env_backend_warning(backend.name(), Some(backend), backend),
+                None
+            );
+        }
     }
 
     #[test]

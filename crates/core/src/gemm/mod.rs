@@ -46,25 +46,19 @@
 //!
 //! # Activation lowering
 //!
-//! The entry picks one of two private, **bit-invisible** ways to lower A,
-//! by shape alone:
-//!
-//! - **fused** (`m ≤` [`FUSED_MAX_M`], the serving shapes) — each span of
-//!   rows is quantized through the engine's tile-granular block lowering
-//!   into a scratch tile ring and consumed immediately by the kernels on
-//!   the same thread, so the codes never leave L1 and the A plane is never
-//!   materialized;
-//! - **two-pass** (larger, training-shaped calls) — all of A is lowered in
-//!   one long `f32` sweep, then the integer GEMM runs over the two planes.
-//!
-//! Both run the identical block plan, rounding rule, kernels, and
-//! accumulation order, so the result equals [`reference_gemm`] bit for bit
-//! on either side of the boundary (`tests/gemm_fused.rs`).
+//! A is lowered one row span at a time, at every shape: each span's rows
+//! go through the same block loop that packs the weights (`pack_into`,
+//! vector-major), and the span kernel consumes them at once on the same
+//! thread. A serial GEMM lowers into the caller's [`PackScratch`]; under
+//! fan-out every span lowers its own rows into a ring of its own. The
+//! block plan, rounding rule, kernels, and accumulation order do not
+//! depend on the split, so the result equals [`reference_gemm`] bit for
+//! bit at every shape and thread count (`tests/gemm_fused.rs`).
 //!
 //! # Kernel backends
 //!
-//! The execute stage runs on one of four interchangeable **backends** —
-//! portable scalar, SSE2, AVX2, and AVX-512, each its own submodule behind
+//! The execute stage runs on one of three interchangeable **backends** —
+//! portable scalar, AVX2, and AVX-512, each its own submodule behind
 //! the span-kernel function-pointer seam in [`backend`] (where the full
 //! dispatch contract is documented). Selection is automatic (best the CPU
 //! supports), overridable with the `MX_KERNEL_BACKEND` env knob or
@@ -130,8 +124,6 @@ pub mod backend;
 mod pack;
 mod pair;
 mod scalar;
-#[cfg(target_arch = "x86_64")]
-mod sse2;
 
 pub use backend::{
     deferred_scale_out_enabled, force_deferred_scale_out, force_kernel_backend, force_vnni,
@@ -140,7 +132,7 @@ pub use backend::{
 pub use pack::{PackScratch, PackedOperand};
 
 use backend::SpanKernel;
-use pack::{pack_into, CodeBuf, Plane, PlaneView, UniformExp};
+use pack::{pack_into, CodeBuf, Plane, PlaneView};
 use pair::{DeferCtx, FormatPair};
 
 /// Rows of A processed per tile: each loaded B column-block is reused for
@@ -198,33 +190,14 @@ pub fn code_domain_supported(fa: &BdrFormat, fb: &BdrFormat) -> bool {
 /// `FormatPair` width gates) lives in [`engine::AlignedCode`], which the
 /// engine's tile-granular lowering writes directly.
 trait Code: engine::AlignedCode {
-    /// Exact integer dot product of two equal-length blocks, using the
-    /// best baseline-ISA instruction available.
+    /// Exact integer dot product of two equal-length blocks in portable
+    /// Rust — the block dot of the scalar kernel.
     fn dot(a: &[Self], b: &[Self]) -> i64;
-
-    /// Exact integer dot product in pure portable Rust — what the forced
-    /// `scalar` backend runs.
-    fn dot_scalar(a: &[Self], b: &[Self]) -> i64;
 }
 
 impl Code for i16 {
     #[inline(always)]
     fn dot(a: &[Self], b: &[Self]) -> i64 {
-        // `pmaddwd` (SSE2, part of the x86-64 baseline ABI) is the exact
-        // hardware form of this datapath: packed 16-bit multiplies with
-        // pairwise 32-bit accumulation — one instruction per 8 codes.
-        #[cfg(target_arch = "x86_64")]
-        {
-            sse2::dot(a, b) as i64
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Self::dot_scalar(a, b)
-        }
-    }
-
-    #[inline(always)]
-    fn dot_scalar(a: &[Self], b: &[Self]) -> i64 {
         // The i32 accumulator cannot overflow: pairwise i16 products are
         // below 2^31 because `w_a + w_b ≤ 30`, and the block total is
         // bounded by the `w_a + w_b + ⌈log2 k1⌉ ≤ 31` dispatch gate.
@@ -252,11 +225,6 @@ impl Code for i32 {
             acc += i64::from(x) * i64::from(y);
         }
         acc
-    }
-
-    #[inline(always)]
-    fn dot_scalar(a: &[Self], b: &[Self]) -> i64 {
-        Self::dot(a, b)
     }
 }
 
@@ -335,13 +303,11 @@ pub(crate) fn gemm_workers(m: usize, n: usize, k: usize, threads: usize) -> usiz
     }
 }
 
-/// Largest `M` (activation rows) [`quantized_gemm_prepacked_scratch`]
-/// lowers with the fused pack-on-the-fly strategy. Serving shapes —
-/// autoregressive decode (`m = 1`) up to coalesced micro-batches
-/// (`m = 32`) — quantize their activation rows inside the execute loop;
-/// larger training-shaped GEMMs take the two-pass strategy, whose single
-/// long `f32` sweep streams A once instead of interleaving float and
-/// integer phases per span.
+/// The row count the repo benchmark's layer probes
+/// (`benchmark/src/layers.rs`) compare against to label a probe
+/// `gemm.fused` or `gemm.twopass`. Nothing in the library reads it — every
+/// GEMM lowers A the same way (see the module docs) — and it stays `pub`
+/// only so that package keeps compiling.
 pub const FUSED_MAX_M: usize = 32;
 
 /// One admitted GEMM: the activation operand, the geometry, and the
@@ -359,10 +325,11 @@ struct Gemm<'a> {
 }
 
 impl Gemm<'_> {
-    /// Lowers A by the strategy `m` selects and executes `kernel` over
-    /// whole-row spans (serially or on `workers` threads — bit-identical
-    /// either way). Per output element the K-block loop order, rounding
-    /// points, and accumulation are the same under both strategies.
+    /// Executes `kernel` over whole-row spans, each span first lowering
+    /// its own rows of A: serially into the caller's `buf`, or on
+    /// `workers` threads into one ring per span. Per output element the
+    /// K-block loop order, rounding points, and accumulation do not depend
+    /// on the split, so every `workers` gives the same bits.
     fn run<C: Code>(
         &self,
         bp: PlaneView<'_, C>,
@@ -370,87 +337,37 @@ impl Gemm<'_> {
         buf: &mut CodeBuf<C>,
         out: &mut [f32],
     ) {
-        let (m, k, n, c, ctx) = (self.m, self.k, self.n, self.c, self.ctx);
-        if m > FUSED_MAX_M {
-            // Two-pass: the whole A plane into the caller's scratch, then
-            // the pure integer GEMM over the two planes.
-            let blocks = k.div_ceil(bp.k1);
-            let vector_major = |v, kb| v * blocks + kb;
-            pack_into(self.a, m, k, |i| i * k, 1, vector_major, self.fa, buf);
-            let ap = buf.view(blocks, bp.k1);
-            dispatch_rows(n, self.workers, out, |r0, rows, part| {
-                kernel(ap, r0, rows, bp, n, c, ctx, part);
-            });
-        } else if self.workers <= 1 {
-            kernel(self.lower_rows(0, m, buf), 0, m, bp, n, c, ctx, out);
+        let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
+        let blocks = k.div_ceil(bp.k1);
+        let lower = |r0: usize, rows: usize, buf: &mut CodeBuf<C>| {
+            let (row_base, vector_major) = (|i| (r0 + i) * k, |v, kb| v * blocks + kb);
+            pack_into(self.a, rows, k, row_base, 1, vector_major, self.fa, buf);
+        };
+        if self.workers <= 1 {
+            lower(0, self.m, buf);
+            kernel(buf.view(blocks, bp.k1), self.m, bp, n, c, ctx, out);
         } else {
-            // Each worker quantizes its own span into a small private ring
-            // (at most `FUSED_MAX_M` rows).
             dispatch_rows(n, self.workers, out, |r0, rows, part| {
                 let mut ring = CodeBuf::default();
-                kernel(
-                    self.lower_rows(r0, rows, &mut ring),
-                    0,
-                    rows,
-                    bp,
-                    n,
-                    c,
-                    ctx,
-                    part,
-                );
+                lower(r0, rows, &mut ring);
+                kernel(ring.view(blocks, bp.k1), rows, bp, n, c, ctx, part);
             });
         }
-    }
-
-    /// The fused strategy's quantize stage: lowers rows `r0 .. r0 + rows`
-    /// block by block through [`engine::BlockCore::lower_block_into`] into `ring`
-    /// (vector-major), collecting the per-row uniform-exponent metadata
-    /// the deferral decision needs. The kernel consumes the returned view
-    /// while the codes are still cache-hot.
-    fn lower_rows<'b, C: Code>(
-        &self,
-        r0: usize,
-        rows: usize,
-        ring: &'b mut CodeBuf<C>,
-    ) -> PlaneView<'b, C> {
-        let (k, k1) = (self.k, self.fa.k1());
-        let blocks = k.div_ceil(k1);
-        ring.reset(rows, blocks, k1);
-        let core = engine::BlockCore::new(self.fa);
-        for t in 0..rows {
-            let row = &self.a[(r0 + t) * k..][..k];
-            let mut uniform = UniformExp::default();
-            for kb in 0..blocks {
-                let slot = t * blocks + kb;
-                let start = kb * k1;
-                // `lower_block_into` writes every slot of its block
-                // (zeroing the ragged tail and all-zero blocks).
-                if let Some(e) = core.lower_block_into(
-                    &row[start..k.min(start + k1)],
-                    &mut ring.shifts,
-                    &mut ring.codes[slot * k1..][..k1],
-                ) {
-                    ring.exps[slot] = e;
-                    uniform.note(e);
-                }
-            }
-            ring.uexp[t] = uniform.finish();
-        }
-        ring.view(blocks, k1)
     }
 }
 
 /// Quantized matrix product `A[m,k] × B[k,n]` against a **prepacked** B
 /// operand, computed entirely in the integer code domain (see the module
 /// docs for the datapath mapping) — the single execute entry of the
-/// module. A's rows are quantized as a stage of this call, into `scratch`
-/// (no allocation on the steady-state path beyond the output); B-side
-/// packing was paid once in [`PackedOperand::pack_cols`]. The GEMM is
-/// row-tiled per backend and, when it is large enough that every span
-/// covers the thread spawn that runs it (2 Mi MACs and up), split into
-/// whole-row spans across up to `threads` threads, the caller's included
-/// (`0` = all cores; the result is bit-identical regardless of thread
-/// count). Smaller products run on the calling thread at no extra cost.
+/// module. A's rows are quantized as a stage of this call, span by span;
+/// a serial call lowers them into `scratch`, so the steady-state path
+/// allocates nothing beyond the output. B-side packing was paid once in
+/// [`PackedOperand::pack_cols`]. The GEMM is row-tiled per backend and,
+/// when it is large enough that every span covers the thread spawn that
+/// runs it (2 Mi MACs and up), split into whole-row spans across up to
+/// `threads` threads, the caller's included (`0` = all cores; the result
+/// is bit-identical regardless of thread count). Smaller products run on
+/// the calling thread at no extra cost.
 ///
 /// Bit-identical to [`reference_gemm`] for every accepted pairing, at
 /// every shape and thread count.
@@ -471,15 +388,15 @@ impl Gemm<'_> {
 /// use mx_core::bdr::BdrFormat;
 /// use mx_core::gemm::{
 ///     quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand,
-///     FUSED_MAX_M,
 /// };
 ///
 /// let fmt = BdrFormat::MX6;
 /// let b: Vec<f32> = (0..48 * 5).map(|i| (i as f32 * 0.11).cos()).collect();
 /// let pb = PackedOperand::pack_cols(&b, 48, 5, fmt, fmt).unwrap();
 /// let mut scratch = PackScratch::new();
-/// // Either side of the strategy boundary: same bits as the reference.
-/// for m in [2, FUSED_MAX_M + 1] {
+/// // A small call and one past a 32-row serving batch, through the same
+/// // scratch: same bits as the reference.
+/// for m in [2, 33] {
 ///     let a: Vec<f32> = (0..m * 48).map(|i| (i as f32 * 0.23).sin()).collect();
 ///     let y = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
 ///     let want = reference_gemm(&a, &b, m, 48, 5, fmt, fmt);
@@ -735,7 +652,7 @@ mod tests {
                 continue;
             }
             *runs += 1;
-            for m in [1, FUSED_MAX_M, FUSED_MAX_M + 1, 100] {
+            for m in [1, 32, 33, 100] {
                 let a = random_values(&mut rng, m * k);
                 let want = reference_gemm(&a, &b, m, k, n, fa, fb);
                 for threads in [1usize, 3, 0] {
@@ -864,14 +781,13 @@ mod tests {
 
     #[test]
     fn scratch_packing_is_bit_identical_and_reusable() {
-        // One scratch serves alternating shapes, formats, kernel classes,
-        // and both activation strategies; every call is bit-identical to a
-        // fresh-scratch run.
+        // One scratch serves alternating shapes, formats, and kernel
+        // classes; every call is bit-identical to a fresh-scratch run.
         let mut scratch = PackScratch::new();
         let wide = wide_fmt();
         for (round, (fa, fb, m, k, n)) in [
             (BdrFormat::MX6, BdrFormat::MX6, 5, 40, 7),
-            (BdrFormat::MX9, BdrFormat::MX4, FUSED_MAX_M + 3, 48, 4),
+            (BdrFormat::MX9, BdrFormat::MX4, 35, 48, 4),
             (wide, wide, 2, 40, 3),
             (BdrFormat::MX6, BdrFormat::MX6, 9, 16, 2),
         ]
@@ -940,15 +856,15 @@ mod tests {
 
     #[test]
     fn parallel_dispatch_is_bit_identical() {
-        // Above the fan-out threshold (2 × `GEMM_PARALLEL_GRAIN` MACs)
-        // under both activation strategies and both kernel classes: 4 Mi
-        // MACs at m = 32 (up to 4 spans), 8 Mi at m = 64 (up to 7, ragged).
+        // Above the fan-out threshold (2 × `GEMM_PARALLEL_GRAIN` MACs) in
+        // both kernel classes, every span lowering its own rows: 4 Mi MACs
+        // at m = 32 (up to 4 spans), 8 Mi at m = 64 (up to 7, ragged).
         let (k, n) = (512, 256);
         let b = ramp(k * n, 12);
         let mut scratch = PackScratch::new();
         for fmt in [BdrFormat::MX6, wide_fmt()] {
             let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-            for m in [FUSED_MAX_M, 64] {
+            for m in [32, 64] {
                 assert!(gemm_workers(m, n, k, 7) > 2, "m={m} must fan out");
                 let a = ramp(m * k, 11);
                 let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
@@ -1061,7 +977,6 @@ mod tests {
         let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
         for backend in [
             KernelBackend::Scalar,
-            KernelBackend::Sse2,
             KernelBackend::Avx2,
             KernelBackend::Avx512,
         ] {

@@ -1,14 +1,14 @@
 //! Operand lowering: code planes, the weight-side prepack, and the
 //! reusable activation-side scratch.
 //!
-//! Packing is the only stage of the integer GEMM that reads `f32` data.
-//! Every pack in this module lowers blocks through the engine's
-//! single-pass strided entry (`engine::BlockCore::lower_block_strided_into`
-//! — one branch-light integer scan for the plan, a hoisted reciprocal
-//! multiply and branch-free round-to-even per element; contiguous whole
-//! blocks, i.e. rows, on the core's vector tier where it has one), the same
-//! substitutions the fused path quantizes activation strips with, so
-//! prepacked planes and fused strips are bit-identical by construction.
+//! Packing is the only stage of the integer GEMM that reads `f32` data,
+//! and [`pack_into`] is its one block loop for both operands: the weight
+//! columns once per plane, each row span's activations on every execute
+//! call. It lowers blocks through the engine's single-pass strided entry
+//! (`engine::BlockCore::lower_block_strided_into` — one branch-light
+//! integer scan for the plan, a hoisted reciprocal multiply and
+//! branch-free round-to-even per element; contiguous whole blocks, i.e.
+//! rows, on the core's vector tier where it has one).
 //!
 //! While lowering, the packer also records the per-vector **exponent
 //! uniformity** metadata ([`PlaneView::uexp`]) the deferred-scale-out
@@ -124,9 +124,12 @@ impl UniformExp {
 /// Lowers `vectors` strided vectors of `len` elements to aligned codes in
 /// `buf`. Vector `v` reads `data[base_of(v) + i·stride]` — rows use
 /// `(|i| i·len, 1)`, columns of a `[len, vectors]` matrix use
-/// `(|j| j, vectors)`. `slot_of(v, kb)` picks the storage layout: the
-/// generic kernels use vector-major `v·blocks + kb`, the panel kernels
-/// consume B packed panel-major (see [`PackedOperand::pack_cols`]).
+/// `(|j| j, vectors)`. `slot_of(v, kb)` picks the storage layout: A and
+/// the scalar kernel's B use vector-major `v·blocks + kb`, the panel
+/// kernels consume B packed panel-major (see [`PackedOperand::pack_cols`]).
+/// Inlined so the execute entry's per-span call folds its stride and
+/// layout into the loop.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // operand geometry + layout + buffers
 pub(super) fn pack_into<C: Code>(
     data: &[f32],
@@ -390,13 +393,12 @@ impl PackedOperand {
     }
 }
 
-/// Reusable buffers for activation-side lowering, shared by both private
-/// strategies of [`super::quantized_gemm_prepacked_scratch`]: the
-/// **two-pass** strategy lowers the whole activation plane into them, the
-/// **fused** strategy uses them as its tile ring, so a steady-state forward
-/// pass allocates nothing for the activation side whichever way the
-/// dispatch goes. Narrow and wide widths keep separate buffers, so one
-/// scratch serves interleaved format classes without reallocation churn.
+/// Reusable buffers for activation-side lowering: a serial
+/// [`super::quantized_gemm_prepacked_scratch`] call lowers its A rows into
+/// them, so a steady-state forward pass allocates nothing for the
+/// activation side (a call that fans out gives each row span a ring of its
+/// own). Narrow and wide widths keep separate buffers, so one scratch
+/// serves interleaved format classes without reallocation churn.
 ///
 /// A scratch is plain storage — it carries no format or shape state, so one
 /// instance can serve any sequence of GEMMs (`mx-nn` keeps one per thread).

@@ -21,7 +21,7 @@
 pub const KNOBS: &[(&str, &str)] = &[
     (
         "MX_KERNEL_BACKEND",
-        "force the quantized-GEMM kernel backend: auto | scalar | sse2 | avx2 | avx512 (can only narrow the ISA, never fake one); the engine's block core follows it",
+        "force the quantized-GEMM kernel backend: auto | scalar | avx2 | avx512 (can only narrow the ISA, never fake one); the engine's block core follows it",
     ),
     (
         "MX_BENCH_THREADS",

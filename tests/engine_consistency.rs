@@ -256,8 +256,8 @@ fn hostile_blocks(rng: &mut StdRng, n: usize, k1: usize) -> Vec<f32> {
 /// forced right now: the three value kernels (contiguous with a ragged
 /// tail, rows ragged against `k1`, strided columns) and — where the code
 /// domain admits the format — the products whose A side is lowered to
-/// codes by the fused strategy (`m = 3`) and by the two-pass one
-/// (`m = 40`), against a column-packed (strided) B.
+/// codes at a single-tile (`m = 3`) and a multi-tile (`m = 40`) row count,
+/// against a column-packed (strided) B.
 fn block_core_outputs(fmt: BdrFormat, x: &[f32], rows: usize, cols: usize) -> Vec<Vec<f32>> {
     let engine = QuantEngine::new(fmt);
     let matrix = &x[..rows * cols];
@@ -305,7 +305,7 @@ fn vector_tier_matches_scalar_tier_bit_for_bit() {
     let (mut narrow, mut wide) = (0, 0);
     for fmt in formats {
         let k1 = fmt.k1();
-        // 40 rows for the two-pass product; `cols` ragged against k1.
+        // 40 rows for the multi-tile product; `cols` ragged against k1.
         let (rows, cols) = (40, 2 * k1 + rng.gen_range(0..k1));
         let n = rows * cols + rng.gen_range(0..k1);
         let x = hostile_blocks(&mut rng, n, k1);

@@ -1,5 +1,5 @@
-//! Forced-backend bit-identity suite: every kernel backend (scalar, SSE2,
-//! AVX2, AVX-512 where the CPU has them) must reproduce the quantize →
+//! Forced-backend bit-identity suite: every kernel backend (scalar, AVX2,
+//! AVX-512 where the CPU has them) must reproduce the quantize →
 //! dequantize → `f32` matmul reference **bit for bit** over the full
 //! preset matrix, ragged K tails (including every AVX-512 mask-tail
 //! shape), every serving-relevant M, and every thread count — and
@@ -22,7 +22,7 @@ use common::{assert_bits_eq, gemm, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
     force_deferred_scale_out, force_kernel_backend, force_vnni, quantized_gemm_prepacked_scratch,
-    reference_gemm, selected_backend, KernelBackend, PackScratch, PackedOperand, FUSED_MAX_M,
+    reference_gemm, selected_backend, KernelBackend, PackScratch, PackedOperand,
 };
 
 const PRESETS: [BdrFormat; 5] = [
@@ -33,9 +33,8 @@ const PRESETS: [BdrFormat; 5] = [
     BdrFormat::MSFP16,
 ];
 
-const BACKENDS: [KernelBackend; 4] = [
+const BACKENDS: [KernelBackend; 3] = [
     KernelBackend::Scalar,
-    KernelBackend::Sse2,
     KernelBackend::Avx2,
     KernelBackend::Avx512,
 ];
@@ -108,7 +107,7 @@ fn exponent_spread_vector(n: usize, salt: usize) -> Vec<f32> {
 }
 
 /// Every backend × the full preset matrix × ragged K × all serving Ms
-/// (both sides of the `FUSED_MAX_M` boundary and the tile boundary)
+/// (both sides of the 8-row tile and of a 32-row serving batch)
 /// reproduces the reference bit for bit. Packing happens after forcing, so
 /// each backend also exercises its own B-plane layout.
 #[test]
@@ -139,7 +138,7 @@ fn forced_backend_matrix_is_bit_identical_to_reference() {
 }
 
 /// Forced backends stay bit-identical under row-parallel dispatch at every
-/// thread count, on both sides of the `FUSED_MAX_M` strategy boundary.
+/// thread count, with every row span lowering its own rows of A.
 #[test]
 fn forced_backends_are_thread_count_invariant() {
     let _guard = lock_knobs();
@@ -148,8 +147,9 @@ fn forced_backends_are_thread_count_invariant() {
         if !try_force(backend) {
             continue;
         }
-        // The last two shapes (4 Mi MACs) are above the GEMM's fan-out
-        // threshold — up to four row spans, ragged at M = 33; the first
+        // The last three shapes are above the GEMM's fan-out threshold:
+        // 4 Mi MACs at M = 32 / 33 (up to four row spans, ragged at 33)
+        // and 12.5 Mi at M = 100 (up to seven ragged spans). The first
         // three stay serial under any budget.
         for (m, k, n) in [
             (8usize, 96, 24),
@@ -157,6 +157,7 @@ fn forced_backends_are_thread_count_invariant() {
             (33, 96, 24),
             (32, 512, 256),
             (33, 512, 256),
+            (100, 512, 256),
         ] {
             let a = stress_vector(m * k, 7 * m);
             let b = stress_vector(k * n, 11 * m);
@@ -281,12 +282,12 @@ fn headroom_exceeded_pairs_fall_back_exactly() {
     }
 }
 
-/// The fused and two-pass activation strategies (either side of
-/// `FUSED_MAX_M`) both match the reference under every forced backend,
-/// with deferral and — where the backend has it — VNNI forced both ways:
-/// the strategy seam and the backend seams are independent.
+/// Deferral × VNNI, each forced both ways, match the reference under every
+/// forced backend at row counts across the 8-row tile and a 32-row
+/// serving batch: the deferral, VNNI and backend seams are independent of
+/// each other and of M.
 #[test]
-fn fused_and_two_pass_agree_under_forced_backends() {
+fn deferral_and_vnni_agree_under_forced_backends() {
     let _guard = lock_knobs();
     let fmt = BdrFormat::MX6;
     let (k, n) = (80, 11);
@@ -297,7 +298,7 @@ fn fused_and_two_pass_agree_under_forced_backends() {
         }
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
         let mut scratch = PackScratch::new();
-        for m in [9, FUSED_MAX_M, FUSED_MAX_M + 1] {
+        for m in [9, 32, 33, 100] {
             let a = exponent_spread_vector(m * k, 10);
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
             for (defer, vnni) in [(true, true), (false, true), (true, false), (false, false)] {

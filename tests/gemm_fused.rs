@@ -1,19 +1,19 @@
-//! Consistency suite for the activation-lowering strategies behind the one
-//! GEMM entry: for every supported format pair and shape — M = 1 decode
-//! rows, ragged K tails, all-zero blocks, wide custom formats, every
+//! Consistency suite for the activation lowering behind the one GEMM
+//! entry: for every supported format pair and shape — M = 1 decode rows,
+//! row counts on both sides of the 8-row tile and the 32-row serving
+//! batch, ragged K tails, all-zero blocks, wide custom formats, every
 //! thread count — `quantized_gemm_prepacked_scratch` must be
-//! **bit-identical** to the quantize → dequantize → `f32` matmul reference
-//! on **both sides** of its `FUSED_MAX_M` strategy boundary (fused
-//! pack-on-the-fly at or below it, two-pass above), reject exactly what
-//! the plane does not accept on both sides, and the `mx-nn` matmul that
-//! serving rides must stay on it with no call-site changes.
+//! **bit-identical** to the quantize → dequantize → `f32` matmul
+//! reference, reject exactly what the plane does not accept, and the
+//! `mx-nn` matmul that serving rides must stay on it with no call-site
+//! changes.
 
 mod common;
 
 use common::{assert_bits_eq, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand, FUSED_MAX_M,
+    quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand,
 };
 use mx::nn::format::TensorFormat;
 use mx::nn::qflow::quantized_matmul_ab;
@@ -42,20 +42,20 @@ fn check(ms: &[usize], k: usize, n: usize, fa: BdrFormat, fb: BdrFormat, salt: u
 }
 
 /// Every preset × preset pair (mixed activation/weight formats included),
-/// at an M = 1 decode shape, a multi-tile row count, and both sides of the
-/// boundary, with a ragged K tail and with a single-block K.
+/// at an M = 1 decode shape, multi-tile row counts up to 100, with a
+/// ragged K tail and with a single-block K.
 #[test]
 fn fused_matches_reference_across_preset_pairs() {
     for fa in PRESETS {
         for fb in PRESETS {
-            check(&[1, 9, FUSED_MAX_M, FUSED_MAX_M + 1], 40, 7, fa, fb, 11);
+            check(&[1, 9, 32, 33, 100], 40, 7, fa, fb, 11);
             check(&[4], 16, 3, fa, fb, 37);
         }
     }
 }
 
 /// Zero activations (every block all-zero) and a zero weight operand both
-/// produce exact +0.0 outputs under either strategy.
+/// produce exact +0.0 outputs, at a single-tile and a multi-tile row count.
 #[test]
 fn fused_zero_operands_give_zero_bits() {
     let fmt = BdrFormat::MX6;
@@ -64,7 +64,7 @@ fn fused_zero_operands_give_zero_bits() {
     let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
     let pb0 = PackedOperand::pack_cols(&vec![0.0; k * n], k, n, fmt, fmt).unwrap();
     let mut scratch = PackScratch::new();
-    for m in [3, FUSED_MAX_M + 1] {
+    for m in [3, 33] {
         let zeros = vec![0.0; m * k];
         let y = quantized_gemm_prepacked_scratch(&zeros, m, fmt, &pb, 1, &mut scratch).unwrap();
         assert!(y.iter().all(|v| v.to_bits() == 0), "zero A, m={m}");
@@ -84,29 +84,26 @@ fn fused_degenerate_dims() {
     };
     let pb = PackedOperand::pack_cols(&[], 0, 3, fmt, fmt).unwrap();
     assert_eq!(run(&[], 2, &pb), vec![0.0; 6]);
-    assert_eq!(
-        run(&[], FUSED_MAX_M + 1, &pb),
-        vec![0.0; 3 * (FUSED_MAX_M + 1)]
-    );
+    assert_eq!(run(&[], 33, &pb), vec![0.0; 3 * 33]);
     let pb = PackedOperand::pack_cols(&[], 16, 0, fmt, fmt).unwrap();
     assert_eq!(run(&stress_vector(16, 43), 1, &pb), vec![]);
     let pb = PackedOperand::pack_cols(&stress_vector(16 * 4, 44), 16, 4, fmt, fmt).unwrap();
     assert_eq!(run(&[], 0, &pb), vec![]);
 }
 
-/// Row-parallel execution is bit-identical to the reference at every
-/// thread count, on both sides of the strategy boundary.
+/// Row-parallel execution, every span lowering its own rows, is
+/// bit-identical to the reference at every thread count.
 #[test]
 fn fused_thread_counts_are_bit_identical() {
     let fmt = BdrFormat::MX6;
     let mut scratch = PackScratch::new();
     // (96, 48) stays serial under the GEMM's MAC grain at these M; (512,
-    // 256) is 4 Mi MACs and fans out to up to four row spans (ragged at
-    // M = 33: 9, 9, 9, 6).
+    // 256) is 4 Mi MACs at M = 32 and fans out to up to four row spans
+    // (ragged at M = 33: 9, 9, 9, 6), and to up to seven at M = 100.
     for (k, n) in [(96, 48), (512, 256)] {
         let b = stress_vector(k * n, 52);
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        for m in [FUSED_MAX_M, FUSED_MAX_M + 1] {
+        for m in [32, 33, 100] {
             let a = stress_vector(m * k, 51);
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
             for threads in [1usize, 2, 3, 7, 0] {
@@ -119,11 +116,11 @@ fn fused_thread_counts_are_bit_identical() {
 }
 
 /// A wide custom format pair (i32 codes, i64 accumulation) takes the
-/// generic kernel under either strategy and still matches the reference.
+/// generic kernel and still matches the reference.
 #[test]
 fn fused_wide_format_pair() {
     let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
-    check(&[2, FUSED_MAX_M + 1], 40, 5, wide, wide, 61);
+    check(&[2, 33], 40, 5, wide, wide, 61);
     check(&[1], 16, 1, wide, wide, 62);
 }
 
@@ -132,15 +129,15 @@ fn fused_wide_format_pair() {
 #[test]
 fn fused_non_panel_major_narrow_pair() {
     let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
-    check(&[3, FUSED_MAX_M + 1], 80, 4, k32, k32, 71);
+    check(&[3, 33], 80, 4, k32, k32, 71);
     check(&[1], 32, 6, k32, k32, 72);
 }
 
-/// Both strategies reject exactly what the plane does not accept — a B
-/// plane packed for the other kernel class, an unsupported pair — and the
-/// rejection precedes the degenerate-dims early return.
+/// The entry rejects exactly what the plane does not accept — a B plane
+/// packed for the other kernel class, an unsupported pair — at every row
+/// count, and the rejection precedes the degenerate-dims early return.
 #[test]
-fn fused_rejections_match_two_pass() {
+fn fused_rejections_match_the_plane() {
     let narrow = BdrFormat::MX6;
     let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
     let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
@@ -152,7 +149,7 @@ fn fused_rejections_match_two_pass() {
     for fa in [narrow, BdrFormat::MX9, wide, k32] {
         let accepted = pb.accepts(&fa);
         assert_eq!(accepted, fa != wide && fa != k32, "{fa}");
-        for m in [2, FUSED_MAX_M + 1] {
+        for m in [2, 33] {
             let a = stress_vector(m * k, 81);
             let ran = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch);
             assert_eq!(ran.is_some(), accepted, "{fa} m={m}");
@@ -162,19 +159,18 @@ fn fused_rejections_match_two_pass() {
     }
 }
 
-/// One scratch serves interleaved shapes, formats, kernel classes, and
-/// strategies without cross-talk: every call is bit-identical to a
-/// fresh-scratch run.
+/// One scratch serves interleaved shapes, formats, and kernel classes
+/// without cross-talk: every call is bit-identical to a fresh-scratch run.
 #[test]
 fn fused_scratch_reuse_is_bit_identical() {
     let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
     let mut scratch = PackScratch::new();
     for (round, (fa, fb, m, k, n)) in [
         (BdrFormat::MX6, BdrFormat::MX6, 5, 40, 7),
-        (BdrFormat::MX9, BdrFormat::MX4, FUSED_MAX_M + 2, 48, 4),
+        (BdrFormat::MX9, BdrFormat::MX4, 34, 48, 4),
         (wide, wide, 2, 40, 3),
         (BdrFormat::MSFP12, BdrFormat::MX6, 9, 16, 2),
-        (wide, wide, FUSED_MAX_M + 1, 24, 3),
+        (wide, wide, 33, 24, 3),
     ]
     .into_iter()
     .enumerate()
