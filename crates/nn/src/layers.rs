@@ -9,7 +9,9 @@ use crate::format::{cast_elementwise, TensorFormat};
 use crate::init;
 use crate::param::{HasParams, Param};
 use crate::qflow::{quantized_matmul, QuantConfig};
+use crate::tanh::tanh;
 use crate::tensor::Tensor;
+use mx_core::gemm::{self, KernelBackend};
 use rand::rngs::StdRng;
 
 /// A differentiable module mapping one tensor to another.
@@ -115,6 +117,15 @@ impl Layer for Linear {
 }
 
 /// Element-wise activation functions.
+///
+/// GELU and Tanh evaluate `tanh` in-repo (module `tanh`), bit for bit
+/// fdlibm's `tanhf`, so their results do not depend on the host libm.
+/// Non-finite inputs follow from that:
+///
+/// - `Tanh`: `NaN → NaN`, `±∞ → ±1`, `±0 → ±0`, and `|x| ≥ 22 → ±1`.
+/// - `Gelu`: `+∞ → +∞` and `NaN → NaN`, but `−∞ → NaN`, because the tanh
+///   approximation computes `0.5·x·(1 + tanh(…))` and `1 + tanh(−∞)` is
+///   `0`, so it ends in `−∞ · 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Rectified linear unit.
@@ -127,18 +138,102 @@ pub enum Activation {
     Tanh,
 }
 
-impl Activation {
-    /// Scalar application, shared verbatim by the dynamic layer walk and the
-    /// `plan` executor's fused activation steps (bit-identity by sharing).
-    pub(crate) fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Gelu => {
-                let c = (2.0f32 / std::f32::consts::PI).sqrt();
-                0.5 * x * (1.0 + (c * (x + 0.044715 * x * x * x)).tanh())
+/// `√(2/π)`, GELU's tanh-approximation scale.
+#[inline(always)]
+fn gelu_scale() -> f32 {
+    (2.0f32 / std::f32::consts::PI).sqrt()
+}
+
+#[inline(always)]
+fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + tanh(gelu_scale() * (x + 0.044715 * x * x * x)))
+}
+
+#[inline(always)]
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// The activation loop with the `match` hoisted out of it. Inlined into
+/// each tier of [`Activation::apply_slice_on`], so every instantiation is
+/// compiled — and vectorized — with that tier's target features; the
+/// element functions are branch-free, so every tier computes the same bits.
+#[inline(always)]
+fn apply_lanes(act: Activation, xs: &mut [f32]) {
+    // Plain loops, not `for_each` closures: a closure is a function of its
+    // own, which a tier's target features do not reach.
+    match act {
+        Activation::Relu => {
+            for v in xs.iter_mut() {
+                *v = v.max(0.0);
             }
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
+        }
+        Activation::Gelu => {
+            for v in xs.iter_mut() {
+                *v = gelu(*v);
+            }
+        }
+        Activation::Sigmoid => {
+            for v in xs.iter_mut() {
+                *v = sigmoid(*v);
+            }
+        }
+        Activation::Tanh => {
+            for v in xs.iter_mut() {
+                *v = tanh(*v);
+            }
+        }
+    }
+}
+
+/// [`apply_lanes`] compiled for AVX-512F.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn apply_lanes_avx512(act: Activation, xs: &mut [f32]) {
+    apply_lanes(act, xs);
+}
+
+/// [`apply_lanes`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn apply_lanes_avx2(act: Activation, xs: &mut [f32]) {
+    apply_lanes(act, xs);
+}
+
+impl Activation {
+    /// Applies the activation to every element of `xs` in place, on the
+    /// instantiation [`gemm::selected_backend`] names — the same selection
+    /// the GEMM kernels and the engine's block core follow. The one loop
+    /// behind both the dynamic layer walk ([`ActivationLayer`]) and the
+    /// `plan` executor's fused epilogues, so the two paths share their bits
+    /// by sharing the code; every tier computes the same bits.
+    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
+        self.apply_slice_on(gemm::selected_backend(), xs);
+    }
+
+    /// [`Activation::apply_slice`] on the `backend` tier, or the portable
+    /// loop when this CPU lacks that tier's ISA.
+    pub(crate) fn apply_slice_on(self, backend: KernelBackend, xs: &mut [f32]) {
+        match backend {
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
+                // SAFETY: AVX-512F was detected on this CPU by the guard.
+                unsafe { apply_lanes_avx512(self, xs) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: AVX2 was detected on this CPU by the guard.
+                unsafe { apply_lanes_avx2(self, xs) }
+            }
+            _ => apply_lanes(self, xs),
         }
     }
 
@@ -152,18 +247,18 @@ impl Activation {
                 }
             }
             Activation::Gelu => {
-                let c = (2.0f32 / std::f32::consts::PI).sqrt();
+                let c = gelu_scale();
                 let u = c * (x + 0.044715 * x * x * x);
-                let t = u.tanh();
+                let t = tanh(u);
                 let du = c * (1.0 + 3.0 * 0.044715 * x * x);
                 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
             }
             Activation::Sigmoid => {
-                let s = Activation::Sigmoid.apply(x);
+                let s = sigmoid(x);
                 s * (1.0 - s)
             }
             Activation::Tanh => {
-                let t = x.tanh();
+                let t = tanh(x);
                 1.0 - t * t
             }
         }
@@ -205,8 +300,9 @@ impl Layer for ActivationLayer {
         if train {
             self.cached_x = Some(x.clone());
         }
-        let y = x.map(|v| self.act.apply(v));
-        cast_elementwise(&y, self.elem)
+        let mut y = x.data().to_vec();
+        self.act.apply_slice(&mut y);
+        cast_elementwise(&Tensor::from_vec(y, x.shape()), self.elem)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -518,6 +614,39 @@ mod tests {
     }
 
     #[test]
+    fn activation_non_finite_semantics() {
+        let inf = f32::INFINITY;
+        let on_every_tier = |act: Activation, x: f32| {
+            let ys = [
+                KernelBackend::Scalar,
+                KernelBackend::Avx2,
+                KernelBackend::Avx512,
+            ]
+            .map(|b| {
+                let mut y = [x];
+                act.apply_slice_on(b, &mut y);
+                y[0].to_bits()
+            });
+            assert!(ys.iter().all(|&y| y == ys[0]), "{act:?}({x}): tiers differ");
+            f32::from_bits(ys[0])
+        };
+        let tanh = |x| on_every_tier(Activation::Tanh, x);
+        assert!(tanh(f32::NAN).is_nan());
+        assert_eq!(tanh(inf), 1.0);
+        assert_eq!(tanh(-inf), -1.0);
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        for x in [22.0, 1e3, f32::MAX] {
+            assert_eq!((tanh(x), tanh(-x)), (1.0, -1.0), "{x}");
+        }
+        let gelu = |x| on_every_tier(Activation::Gelu, x);
+        assert_eq!(gelu(inf), inf);
+        assert!(gelu(f32::NAN).is_nan());
+        // 0.5·(−∞)·(1 + tanh(−∞)) = −∞ · 0.
+        assert!(gelu(-inf).is_nan());
+    }
+
+    #[test]
     fn linear_forward_known_values() {
         let mut l = Linear::new(&mut rng(), 2, 2, true, QuantConfig::fp32());
         l.w.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
@@ -602,10 +731,11 @@ mod tests {
 
     #[test]
     fn gelu_known_values() {
-        let a = Activation::Gelu;
-        assert!((a.apply(0.0)).abs() < 1e-7);
-        assert!((a.apply(100.0) - 100.0).abs() < 1e-3);
-        assert!(a.apply(-100.0).abs() < 1e-3);
+        let mut y = [0.0, 100.0, -100.0];
+        Activation::Gelu.apply_slice(&mut y);
+        assert!((y[0]).abs() < 1e-7);
+        assert!((y[1] - 100.0).abs() < 1e-3);
+        assert!(y[2].abs() < 1e-3);
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod param;
 pub mod plan;
 pub mod qflow;
 pub mod rnn;
+mod tanh;
 pub mod tensor;
 
 pub use format::TensorFormat;

@@ -27,14 +27,18 @@
 //!   transformer blocks) shares one node [`Template`]; per-layer weights
 //!   live in per-instance binding tables.
 //! - **Arena scratch** — one liveness-ordered first-fit layout maps every
-//!   intermediate into a single reusable buffer ([`PlanArena`]); steady
-//!   state allocates nothing beyond the arena and the GEMM outputs.
+//!   intermediate into a single reusable buffer ([`PlanArena`]). Steady
+//!   state still allocates per call beyond the arena: every GEMM's output
+//!   vector, the `Tensor`s `AttnMix` builds (its q/k/v copies and what
+//!   [`crate::attention::attention_mix`] returns), `Conv`'s `im2col`
+//!   matrix per image, and the returned output.
 //!
 //! Bit-identity with the dynamic path is by construction: every node
 //! executes through the *same* crate-internal helper the corresponding
 //! layer's `forward` uses (`gemm::quantized_gemm_prepacked_scratch`,
 //! [`crate::layers::normalize_rows`], [`crate::attention::attention_mix`],
-//! [`crate::conv::im2col`], [`crate::format::cast_rows`], …), with the same
+//! [`crate::conv::im2col`], [`crate::format::cast_rows`], the activation
+//! slice loop `Activation::apply_slice`, …), with the same
 //! thread count and the same operand values. The `plan_consistency` suite
 //! asserts equality to the bit for every zoo model × format preset ×
 //! batch bucket.
@@ -1011,9 +1015,7 @@ impl CompiledPlan {
                     None => out.copy_from_slice(&y),
                 }
                 if let Some(a) = act {
-                    for v in out.iter_mut() {
-                        *v = a.apply(*v);
-                    }
+                    a.apply_slice(out);
                 }
                 if let Some(f) = cast {
                     cast_rows(out, n, f);
@@ -1055,9 +1057,7 @@ impl CompiledPlan {
                 buf.copy_within(s..s + len, d);
                 let out = &mut buf[d..d + len];
                 if let Some(a) = act {
-                    for v in out.iter_mut() {
-                        *v = a.apply(*v);
-                    }
+                    a.apply_slice(out);
                 }
                 cast_rows(out, cols, cast);
             }
