@@ -41,8 +41,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
-/// Command-line knobs (every flag but `--pad`, `--shed`, and
-/// `--mixed-lens` takes a value; see module docs).
+/// Command-line knobs (every flag but `--shed` and `--mixed-lens` takes a
+/// value; see module docs).
 struct Args {
     /// Aggregate offered arrival rate, requests per second.
     rate: f64,
@@ -64,8 +64,6 @@ struct Args {
     d_in: usize,
     /// Model output width (`N`) for the dense tenants.
     d_out: usize,
-    /// Pad ragged batches to `max_batch`.
-    pad: bool,
     /// Variable-length GPT tenants with bucketed sequence lengths instead
     /// of fixed-width dense tenants.
     mixed_lens: bool,
@@ -104,7 +102,6 @@ impl Default for Args {
             burst: 1,
             d_in: 512,
             d_out: 2048,
-            pad: false,
             mixed_lens: false,
             queue_cap: 0,
             shed: false,
@@ -135,7 +132,6 @@ fn parse_args() -> Args {
             "--burst" => args.burst = take("--burst").parse().expect("--burst: int"),
             "--d-in" => args.d_in = take("--d-in").parse().expect("--d-in: int"),
             "--d-out" => args.d_out = take("--d-out").parse().expect("--d-out: int"),
-            "--pad" => args.pad = true,
             "--mixed-lens" => args.mixed_lens = true,
             "--queue-cap" => {
                 args.queue_cap = take("--queue-cap").parse().expect("--queue-cap: int")
@@ -147,7 +143,7 @@ fn parse_args() -> Args {
             }
             other => panic!(
                 "unknown flag {other:?} (flags: --rate --requests --workers --shards \
-                 --max-batch --tenants --zipf --burst --d-in --d-out --pad --mixed-lens \
+                 --max-batch --tenants --zipf --burst --d-in --d-out --mixed-lens \
                  --queue-cap --shed --slo-us --deadline-us)"
             ),
         }
@@ -209,7 +205,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .workers(args.workers)
             .shards(args.shards)
             .max_batch(args.max_batch)
-            .pad_batches(args.pad)
             .buckets(buckets)
             .admission(admission),
     );
@@ -263,7 +258,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cdf = zipf_cdf(args.tenants, args.zipf);
     println!(
         "open-loop: {} requests at {:.0} req/s aggregate (burst {}), {} tenant(s) zipf {:.2}, {}, \
-         shards={}, workers/shard={}, max_batch={}{}, queue_cap={}, shed={}, slo={}us, \
+         shards={}, workers/shard={}, max_batch={}, queue_cap={}, shed={}, slo={}us, \
          deadline={}us, kernel backend={}",
         args.requests,
         args.rate,
@@ -278,7 +273,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         args.shards,
         args.workers,
         args.max_batch,
-        if args.pad { ", padded" } else { "" },
         args.queue_cap,
         args.shed,
         args.slo_us,

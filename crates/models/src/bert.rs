@@ -62,32 +62,32 @@ impl BertQa {
         self.seq_len
     }
 
-    /// Lowers the inference forward into a [`CompiledPlan`] for a
-    /// `batch × t` bucket under `cfg` — the same skeleton as the GPT
-    /// lowering (embed → shared block template → final norm + head), with
-    /// non-causal attention and the two-logit span head.
+    /// Lowers the inference forward of one `t`-token request into a
+    /// [`CompiledPlan`] under `cfg` that executes batches of up to `batch`
+    /// such requests — the same skeleton as the GPT lowering (embed →
+    /// shared block template → final norm + head), with non-causal
+    /// attention and the two-logit span head.
     pub fn compile_plan(
         &self,
         cfg: QuantConfig,
         batch: usize,
         t: usize,
     ) -> Result<CompiledPlan, PlanError> {
-        if batch == 0 || t == 0 || t > self.seq_len {
+        if t == 0 || t > self.seq_len {
             return Err(PlanError::Unsupported("bucket outside the encoder window"));
         }
         let d = self.d_model;
-        let rows = batch * t;
         let mut p = Planner::new();
-        p.embed_stage(&self.tok_emb, &self.pos_emb, rows, t)?;
+        p.embed_stage(&self.tok_emb, &self.pos_emb, t)?;
         for blk in &self.blocks {
-            p.transformer_block_stage(blk, cfg, batch, t)?;
+            p.transformer_block_stage(blk, cfg, t)?;
         }
-        let mut s = Stage::new(rows * d, rows * 2);
-        let normed = s.alloc(rows * d);
-        s.norm(&self.ln, Loc::In, normed, rows);
-        s.gemm(&self.span_head, normed, Loc::Out, rows, cfg, None)?;
+        let mut s = Stage::new(t * d, t * 2);
+        let normed = s.alloc(t * d);
+        s.norm(&self.ln, Loc::In, normed, t);
+        s.gemm(&self.span_head, normed, Loc::Out, t, cfg, None)?;
         p.push_stage(s);
-        p.finish()
+        p.finish(batch)
     }
 
     /// Returns per-token `(start_logits, end_logits)` rows `[batch*seq, 2]`

@@ -276,12 +276,12 @@ impl Gpt {
         self.head.set_quant(qcfg);
     }
 
-    /// Lowers the inference forward into a [`CompiledPlan`] for a
-    /// `batch × t` bucket under `cfg` (the config the server direct-casts
-    /// to before every batch). The N transformer blocks dedupe into one
-    /// template; the embedding tables and every weight plane are hoisted
-    /// at plan time. Mixture-of-experts variants are unplannable (top-1
-    /// routing is data-dependent) and fail with a typed error.
+    /// Lowers the inference forward of one `t`-token request into a
+    /// [`CompiledPlan`] under `cfg` that executes batches of up to `batch`
+    /// such requests. The N transformer blocks dedupe into one template;
+    /// the embedding tables and every weight plane are hoisted at plan
+    /// time. Mixture-of-experts variants are unplannable (top-1 routing is
+    /// data-dependent) and fail with a typed error.
     pub fn compile_plan(
         &self,
         cfg: QuantConfig,
@@ -293,22 +293,21 @@ impl Gpt {
                 "mixture-of-experts routing is data-dependent",
             ));
         }
-        if batch == 0 || t == 0 || t > self.config.seq_len {
+        if t == 0 || t > self.config.seq_len {
             return Err(PlanError::Unsupported("bucket outside the context window"));
         }
         let d = self.config.d_model;
-        let rows = batch * t;
         let mut p = Planner::new();
-        p.embed_stage(&self.tok_emb, &self.pos_emb, rows, t)?;
+        p.embed_stage(&self.tok_emb, &self.pos_emb, t)?;
         for blk in &self.blocks {
-            p.transformer_block_stage(blk, cfg, batch, t)?;
+            p.transformer_block_stage(blk, cfg, t)?;
         }
-        let mut s = Stage::new(rows * d, rows * self.config.vocab);
-        let normed = s.alloc(rows * d);
-        s.norm(&self.ln_f, Loc::In, normed, rows);
-        s.gemm(&self.head, normed, Loc::Out, rows, cfg, None)?;
+        let mut s = Stage::new(t * d, t * self.config.vocab);
+        let normed = s.alloc(t * d);
+        s.norm(&self.ln_f, Loc::In, normed, t);
+        s.gemm(&self.head, normed, Loc::Out, t, cfg, None)?;
         p.push_stage(s);
-        p.finish()
+        p.finish(batch)
     }
 
     /// Forward pass over `tokens` (`batch × seq`, flattened), returning

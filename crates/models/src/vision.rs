@@ -55,36 +55,33 @@ impl TinyViT {
         }
     }
 
-    /// Lowers the inference forward into a [`CompiledPlan`] for a batch of
-    /// `IMAGE_SIDE × IMAGE_SIDE` images under `cfg`: patchify + embed, the
-    /// deduplicated transformer-block template over the patch sequence,
-    /// then norm → mean pool → head.
+    /// Lowers the inference forward of one `IMAGE_SIDE × IMAGE_SIDE`
+    /// image into a [`CompiledPlan`] under `cfg` that executes batches of
+    /// up to `batch` images: patchify + embed, the deduplicated
+    /// transformer-block template over the patch sequence, then norm →
+    /// mean pool → head.
     pub fn compile_plan(&self, cfg: QuantConfig, batch: usize) -> Result<CompiledPlan, PlanError> {
-        if batch == 0 {
-            return Err(PlanError::Unsupported("empty batch"));
-        }
         let (d, t) = (self.d_model, self.patches);
-        let rows = batch * t;
-        let pixels = batch * IMAGE_SIDE * IMAGE_SIDE;
+        let pixels = IMAGE_SIDE * IMAGE_SIDE;
         let mut p = Planner::new();
         p.pixels_input(pixels);
-        let mut s = Stage::new(pixels, rows * d);
-        let patches = s.alloc(rows * PATCH * PATCH);
-        s.patchify(Loc::In, patches, batch, IMAGE_SIDE, PATCH);
-        s.gemm(&self.patch_embed, patches, Loc::Out, rows, cfg, None)?;
+        let mut s = Stage::new(pixels, t * d);
+        let patches = s.alloc(t * PATCH * PATCH);
+        s.patchify(Loc::In, patches, IMAGE_SIDE, PATCH);
+        s.gemm(&self.patch_embed, patches, Loc::Out, t, cfg, None)?;
         p.push_stage(s);
         for blk in &self.blocks {
-            p.transformer_block_stage(blk, cfg, batch, t)?;
+            p.transformer_block_stage(blk, cfg, t)?;
         }
-        let mut s = Stage::new(rows * d, batch * SHAPE_CLASSES);
-        let normed = s.alloc(rows * d);
-        s.norm(&self.ln, Loc::In, normed, rows);
-        let pooled = s.alloc(batch * d);
-        s.mean_pool(normed, pooled, batch, t, d);
-        s.free(normed, rows * d);
-        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None)?;
+        let mut s = Stage::new(t * d, SHAPE_CLASSES);
+        let normed = s.alloc(t * d);
+        s.norm(&self.ln, Loc::In, normed, t);
+        let pooled = s.alloc(d);
+        s.mean_pool(normed, pooled, t, d);
+        s.free(normed, t * d);
+        s.gemm(&self.head, pooled, Loc::Out, 1, cfg, None)?;
         p.push_stage(s);
-        p.finish()
+        p.finish(batch)
     }
 
     fn patchify(&self, x: &Tensor) -> Tensor {
@@ -213,38 +210,36 @@ impl TinyResNet {
         }
     }
 
-    /// Lowers the inference forward into a [`CompiledPlan`] for a batch of
-    /// `IMAGE_SIDE × IMAGE_SIDE` images under `cfg`: stem conv+ReLU, one
-    /// deduplicated residual-block template (conv → conv → fused
-    /// add+ReLU), then global pool → head.
+    /// Lowers the inference forward of one `IMAGE_SIDE × IMAGE_SIDE`
+    /// image into a [`CompiledPlan`] under `cfg` that executes batches of
+    /// up to `batch` images: stem conv+ReLU, one deduplicated
+    /// residual-block template (conv → conv → fused add+ReLU), then global
+    /// pool → head.
     pub fn compile_plan(&self, cfg: QuantConfig, batch: usize) -> Result<CompiledPlan, PlanError> {
-        if batch == 0 {
-            return Err(PlanError::Unsupported("empty batch"));
-        }
         let ch = self.head.d_in();
         let (side, hw) = (IMAGE_SIDE, IMAGE_SIDE * IMAGE_SIDE);
-        let feat = batch * ch * hw;
+        let feat = ch * hw;
         let mut p = Planner::new();
-        p.pixels_input(batch * hw);
-        let mut s = Stage::new(batch * hw, feat);
-        s.conv(&self.stem, Loc::In, Loc::Out, batch, side, side, cfg, true)?;
+        p.pixels_input(hw);
+        let mut s = Stage::new(hw, feat);
+        s.conv(&self.stem, Loc::In, Loc::Out, side, side, cfg, true)?;
         p.push_stage(s);
         for (c1, c2) in &self.blocks {
             let mut s = Stage::new(feat, feat);
             let a1 = s.alloc(feat);
-            s.conv(c1, Loc::In, a1, batch, side, side, cfg, true)?;
+            s.conv(c1, Loc::In, a1, side, side, cfg, true)?;
             let a2 = s.alloc(feat);
-            s.conv(c2, a1, a2, batch, side, side, cfg, false)?;
+            s.conv(c2, a1, a2, side, side, cfg, false)?;
             s.free(a1, feat);
             s.add(Loc::In, a2, Loc::Out, feat, true);
             p.push_stage(s);
         }
-        let mut s = Stage::new(feat, batch * SHAPE_CLASSES);
-        let pooled = s.alloc(batch * ch);
-        s.avg_pool(Loc::In, pooled, batch * ch, hw);
-        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None)?;
+        let mut s = Stage::new(feat, SHAPE_CLASSES);
+        let pooled = s.alloc(ch);
+        s.avg_pool(Loc::In, pooled, ch, hw);
+        s.gemm(&self.head, pooled, Loc::Out, 1, cfg, None)?;
         p.push_stage(s);
-        p.finish()
+        p.finish(batch)
     }
 }
 
@@ -334,33 +329,31 @@ impl TinyMobileNet {
         }
     }
 
-    /// Lowers the inference forward into a [`CompiledPlan`] for a batch of
-    /// `IMAGE_SIDE × IMAGE_SIDE` images under `cfg`. Every pointwise layer
-    /// produces a structurally identical conv+ReLU stage, so they all
-    /// share a single template with per-layer weight bindings.
+    /// Lowers the inference forward of one `IMAGE_SIDE × IMAGE_SIDE`
+    /// image into a [`CompiledPlan`] under `cfg` that executes batches of
+    /// up to `batch` images. Every pointwise layer produces a structurally
+    /// identical conv+ReLU stage, so they all share a single template with
+    /// per-layer weight bindings.
     pub fn compile_plan(&self, cfg: QuantConfig, batch: usize) -> Result<CompiledPlan, PlanError> {
-        if batch == 0 {
-            return Err(PlanError::Unsupported("empty batch"));
-        }
         let ch = self.head.d_in();
         let (side, hw) = (IMAGE_SIDE, IMAGE_SIDE * IMAGE_SIDE);
-        let feat = batch * ch * hw;
+        let feat = ch * hw;
         let mut p = Planner::new();
-        p.pixels_input(batch * hw);
-        let mut s = Stage::new(batch * hw, feat);
-        s.conv(&self.stem, Loc::In, Loc::Out, batch, side, side, cfg, true)?;
+        p.pixels_input(hw);
+        let mut s = Stage::new(hw, feat);
+        s.conv(&self.stem, Loc::In, Loc::Out, side, side, cfg, true)?;
         p.push_stage(s);
         for c in &self.pointwise {
             let mut s = Stage::new(feat, feat);
-            s.conv(c, Loc::In, Loc::Out, batch, side, side, cfg, true)?;
+            s.conv(c, Loc::In, Loc::Out, side, side, cfg, true)?;
             p.push_stage(s);
         }
-        let mut s = Stage::new(feat, batch * SHAPE_CLASSES);
-        let pooled = s.alloc(batch * ch);
-        s.avg_pool(Loc::In, pooled, batch * ch, hw);
-        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None)?;
+        let mut s = Stage::new(feat, SHAPE_CLASSES);
+        let pooled = s.alloc(ch);
+        s.avg_pool(Loc::In, pooled, ch, hw);
+        s.gemm(&self.head, pooled, Loc::Out, 1, cfg, None)?;
         p.push_stage(s);
-        p.finish()
+        p.finish(batch)
     }
 }
 

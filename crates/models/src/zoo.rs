@@ -21,7 +21,7 @@
 //! planes.
 
 use crate::bert::BertQa;
-use crate::data::{IMAGE_SIDE, SHAPE_CLASSES};
+use crate::data::{IMAGE_SIDE, QA_VOCAB, SHAPE_CLASSES};
 use crate::gpt::Gpt;
 use crate::vision::{ImageClassifier, TinyMobileNet, TinyResNet, TinyViT};
 use mx_nn::layers::{Layer, Linear};
@@ -34,9 +34,7 @@ use rand::rngs::StdRng;
 /// Wrapping sum of every parameter tensor's generation counter — the
 /// weight-staleness token behind [`BatchModel::plan_token`]. Generations
 /// come from a process-global monotone counter, so any optimizer step or
-/// in-place weight edit strictly changes the sum: a cached
-/// [`CompiledPlan`] is valid exactly while the token it was compiled
-/// under still matches.
+/// in-place weight edit strictly changes the sum.
 fn weights_token<M: HasParams + ?Sized>(model: &mut M) -> u64 {
     let mut acc = 0u64;
     model.visit_params(&mut |p| acc = acc.wrapping_add(p.value.generation()));
@@ -131,15 +129,25 @@ pub trait BatchModel: Send {
     /// Panics if the payload kind or length disagrees with the model.
     fn forward_batch(&mut self, input: ZooInput<'_>, batch: usize) -> Vec<f32>;
 
-    /// Lowers this model's inference forward into a [`CompiledPlan`] for a
-    /// `(cfg, batch, len)` bucket, with all weight prepacking, format
-    /// gating, and scratch layout done at compile time. `len` is the
-    /// per-request input length (always `input_len()` for fixed-length
-    /// models). The plan's output is bit-identical to
-    /// [`BatchModel::forward_batch`] after `set_quant(cfg)` — until a
-    /// weight mutation changes [`BatchModel::plan_token`]. The default is
-    /// a typed refusal so unplannable models fall back to the dynamic
-    /// path.
+    /// Token ids this model embeds (`0..vocab`), for token models; `None`
+    /// (the default) for models that take no token ids or check none. A
+    /// server captures it once to reject an out-of-range id at submit,
+    /// before it can reach a forward.
+    fn vocab(&self) -> Option<usize> {
+        None
+    }
+
+    /// Lowers this model's inference forward for one request of `len`
+    /// input elements (always `input_len()` for fixed-length models) under
+    /// `cfg` into a [`CompiledPlan`] that executes any batch of
+    /// `1..=batch` such requests, with all weight prepacking, format
+    /// gating, and scratch layout done at compile time. Executed at batch
+    /// `b`, the plan's output is bit-identical to
+    /// [`BatchModel::forward_batch`] at batch `b` after `set_quant(cfg)`,
+    /// for as long as the weights do not change (a mutation moves
+    /// [`BatchModel::plan_token`]; recompile then). The default is a typed
+    /// refusal: callers serve unplannable models through the dynamic
+    /// walk.
     fn compile_plan(
         &self,
         _cfg: QuantConfig,
@@ -150,8 +158,10 @@ pub trait BatchModel: Send {
     }
 
     /// Weight-staleness token: changes whenever any parameter tensor is
-    /// mutated (optimizer step, in-place edit). Plan caches key their
-    /// entries on this to invalidate stale plans.
+    /// mutated (optimizer step, in-place edit), so a caller that trains or
+    /// edits a model between compiles can tell that its plans are stale.
+    /// It walks every parameter; a server, whose models never change
+    /// weights, does not call it.
     fn plan_token(&mut self) -> u64 {
         0
     }
@@ -212,6 +222,10 @@ impl BatchModel for Gpt {
         self.forward(tokens, batch, false).into_data()
     }
 
+    fn vocab(&self) -> Option<usize> {
+        Some(self.config().vocab)
+    }
+
     fn compile_plan(
         &self,
         cfg: QuantConfig,
@@ -263,6 +277,11 @@ impl BatchModel for BertQa {
             "sequence too long"
         );
         self.span_logits(tokens, batch, false).into_data()
+    }
+
+    /// Every `BertQa` embeds the QA task's vocabulary.
+    fn vocab(&self) -> Option<usize> {
+        Some(QA_VOCAB)
     }
 
     fn compile_plan(
@@ -386,15 +405,15 @@ impl BatchModel for DenseGemm {
         batch: usize,
         len: usize,
     ) -> Result<CompiledPlan, PlanError> {
-        if batch == 0 || len != self.layer.d_in() {
+        if len != self.layer.d_in() {
             return Err(PlanError::Unsupported("dense layer input length is fixed"));
         }
         let mut p = Planner::new();
-        p.pixels_input(batch * len);
-        let mut s = Stage::new(batch * len, batch * self.layer.d_out());
-        s.gemm(&self.layer, Loc::In, Loc::Out, batch, cfg, None)?;
+        p.pixels_input(len);
+        let mut s = Stage::new(len, self.layer.d_out());
+        s.gemm(&self.layer, Loc::In, Loc::Out, 1, cfg, None)?;
         p.push_stage(s);
-        p.finish()
+        p.finish(batch)
     }
 
     fn plan_token(&mut self) -> u64 {

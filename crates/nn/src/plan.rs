@@ -5,14 +5,22 @@
 //! format support, re-consults the per-tensor weight-plane cache, and
 //! re-allocates every intermediate tensor on each call. A [`CompiledPlan`]
 //! hoists all of that to plan-compile time for one `(QuantConfig,
-//! batch-bucket)` key:
+//! sequence-length bucket)` key, and serves every batch size up to the
+//! capacity it was compiled for:
 //!
+//! - **Batch at run time** — a lowering describes *one* request. Every
+//!   batch-proportional extent (GEMM rows, norm rows, element counts, the
+//!   images / sequences of the attention, conv and pool nodes) and every
+//!   arena offset is per-request data, so [`CompiledPlan::execute`] scales
+//!   them all by the number of requests the payload carries. The first-fit
+//!   layout is scale-invariant, so executing at batch `b` is the plan a
+//!   lowering at batch `b` would have built.
 //! - **Prepack hoist** — every weight-side `pack_cols` runs at plan time;
 //!   the shift-aligned code planes are pinned on the plan as
 //!   `Arc<PackedOperand>`s (shared with the tensor's own cache, so dynamic
-//!   and planned execution read the *same* plane bits). Weight staleness is
-//!   checked once per execute via the cache key (see `plan_token` on the
-//!   model zoo), not once per layer.
+//!   and planned execution read the *same* plane bits). A plan is a
+//!   snapshot of the weights it was compiled from: a caller that mutates
+//!   them recompiles.
 //! - **Format gate hoist** — the format-pair support decision runs once
 //!   per GEMM at plan time, as the same `(weight format, kernel class)`
 //!   plane lookup the dynamic path performs per call (`qflow::weight_plane`
@@ -27,9 +35,10 @@
 //!   transformer blocks) shares one node [`Template`]; per-layer weights
 //!   live in per-instance binding tables.
 //! - **Arena scratch** — one liveness-ordered first-fit layout maps every
-//!   intermediate into a single reusable buffer ([`PlanArena`]). Steady
-//!   state still allocates per call beyond the arena: every GEMM's output
-//!   vector, the `Tensor`s `AttnMix` builds (its q/k/v copies and what
+//!   intermediate into a single reusable buffer ([`PlanArena`]), grown to
+//!   the executed batch's size. Steady state still allocates per call
+//!   beyond the arena: every GEMM's output vector, the `Tensor`s `AttnMix`
+//!   builds (its q/k/v copies and what
 //!   [`crate::attention::attention_mix`] returns), `Conv`'s `im2col`
 //!   matrix per image, and the returned output.
 //!
@@ -41,7 +50,7 @@
 //! slice loop `Activation::apply_slice`, …), with the same
 //! thread count and the same operand values. The `plan_consistency` suite
 //! asserts equality to the bit for every zoo model × format preset ×
-//! batch bucket.
+//! bucket, at every executed batch up to the compiled capacity.
 
 use crate::attention::{attention_mix, TransformerBlock};
 use crate::conv::{im2col, Conv2d};
@@ -76,8 +85,9 @@ pub fn plan_counters() -> (u64, u64, u64) {
 }
 
 /// Typed plan-compile / plan-execute failure. Compilation errors are
-/// decided **once** at plan time (the hoisted format-support gate);
-/// executors treat any error as "fall back to the dynamic path".
+/// decided **once** at plan time (the hoisted format-support gate), so a
+/// caller may serve a refused key another way; an execute-time error
+/// means the payload (or the plan) is wrong, and the batch fails.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The model (or one of its layers) has no plan lowering — e.g.
@@ -95,7 +105,8 @@ pub enum PlanError {
         fb: TensorFormat,
     },
     /// The execute-time input does not match what the plan was compiled
-    /// for (wrong kind, wrong length, or an out-of-range token index).
+    /// for (wrong kind, not a whole number of requests, more requests than
+    /// the plan's capacity, or an out-of-range token index).
     Input(&'static str),
     /// An invariant the planner established did not hold at execute time.
     Internal(&'static str),
@@ -121,20 +132,23 @@ impl std::error::Error for PlanError {}
 
 /// Where a node reads or writes, resolved against the arena at execute
 /// time. Stages flow through two ping-pong buffers; everything else lives
-/// at liveness-ordered offsets in the stage's locals region.
+/// at liveness-ordered offsets in the stage's locals region. Offsets are
+/// per request: execution scales them by the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loc {
     /// The executing stage's flow input (the previous stage's output).
     In,
     /// The executing stage's flow output (the next stage's input).
     Out,
-    /// Offset into the locals region of the arena.
+    /// Offset into the locals region of the arena, for one request.
     Local(usize),
 }
 
-/// One operator of the compiled IR. Weight-like state (planes, biases,
-/// tables) is *not* stored on the node — nodes reference per-instance
-/// binding slots, which is what lets repeated structure share a template.
+/// One operator of the compiled IR, with the extents of **one request**;
+/// execution scales every batch-proportional extent by the batch. Weight-like
+/// state (planes, biases, tables) is *not* stored on the node — nodes
+/// reference per-instance binding slots, which is what lets repeated
+/// structure share a template.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Fused quantize → GEMM → bias → activation → element-wise cast. The
@@ -145,7 +159,7 @@ pub enum PlanNode {
         src: Loc,
         /// Output location, `m × n` row-major.
         dst: Loc,
-        /// Row count.
+        /// Rows per request.
         m: usize,
         /// Reduction dimension.
         k: usize,
@@ -165,7 +179,7 @@ pub enum PlanNode {
         src: Loc,
         /// Output location.
         dst: Loc,
-        /// Row count.
+        /// Rows per request.
         rows: usize,
         /// Normalized width.
         cols: usize,
@@ -179,7 +193,7 @@ pub enum PlanNode {
         src: Loc,
         /// Output location.
         dst: Loc,
-        /// Element count.
+        /// Elements per request.
         len: usize,
         /// Row width for block-format casts.
         cols: usize,
@@ -197,15 +211,15 @@ pub enum PlanNode {
         b: Loc,
         /// Output location.
         dst: Loc,
-        /// Element count.
+        /// Elements per request.
         len: usize,
         /// Fuse `max(·, 0)` after the sum.
         relu: bool,
     },
     /// Token-embedding gather plus positional add, from tables hoisted
-    /// (and pre-cast) at plan time.
+    /// (and pre-cast) at plan time. Gathers one row per payload token.
     Embed {
-        /// Output location, `rows × dim`.
+        /// Output location, `t × dim` per request.
         dst: Loc,
         /// Relative binding slot of the token [`Binding::Table`].
         table: usize,
@@ -216,19 +230,17 @@ pub enum PlanNode {
         /// Embedding width.
         dim: usize,
     },
-    /// The attention head mix: per (batch, head) `softmax(Q·Kᵀ/√dh)·V`,
+    /// The attention head mix: per (request, head) `softmax(Q·Kᵀ/√dh)·V`,
     /// executed by the exact helper the dynamic path uses.
     AttnMix {
-        /// Q location, `b·t × d`.
+        /// Q location, `t × d` per request.
         q: Loc,
-        /// K location, `b·t × d`.
+        /// K location, `t × d` per request.
         k: Loc,
-        /// V location, `b·t × d`.
+        /// V location, `t × d` per request.
         v: Loc,
-        /// Concat output location, `b·t × d`.
+        /// Concat output location, `t × d` per request.
         dst: Loc,
-        /// Batch size.
-        b: usize,
         /// Sequence length.
         t: usize,
         /// Model width.
@@ -243,16 +255,14 @@ pub enum PlanNode {
         elem: TensorFormat,
     },
     /// 2-D convolution (im2col → packed GEMM → bias → channel-major
-    /// reorder), optionally fused with a ReLU.
+    /// reorder) per image, optionally fused with a ReLU.
     Conv {
-        /// Input location, `b × in_ch × h × w`.
+        /// Input location, `in_ch × h × w` per image.
         src: Loc,
-        /// Output location, `b × out_ch × h × w`.
+        /// Output location, `out_ch × h × w` per image.
         dst: Loc,
         /// Relative binding slot of the [`Binding::Conv`].
         slot: usize,
-        /// Batch size.
-        b: usize,
         /// Image height.
         h: usize,
         /// Image width.
@@ -260,30 +270,26 @@ pub enum PlanNode {
         /// Fuse `max(·, 0)` into the reorder.
         relu: bool,
     },
-    /// ViT patch extraction: `b × side×side` pixels into
-    /// `b·patches × patch²` rows.
+    /// ViT patch extraction: each image's `side × side` pixels into
+    /// `patches × patch²` rows.
     Patchify {
         /// Input location (flat images).
         src: Loc,
         /// Output location (patch rows).
         dst: Loc,
-        /// Batch size.
-        b: usize,
         /// Image side length.
         side: usize,
         /// Patch side length.
         patch: usize,
     },
-    /// Mean over `groups` rows per batch item (the ViT pooling loop,
+    /// Mean over `groups` rows per request (the ViT pooling loop,
     /// divide-then-accumulate to match the dynamic path bit-for-bit).
     MeanPool {
-        /// Input location, `b·groups × cols`.
+        /// Input location, `groups × cols` per request.
         src: Loc,
-        /// Output location, `b × cols`.
+        /// Output location, `cols` per request.
         dst: Loc,
-        /// Batch size.
-        b: usize,
-        /// Rows averaged per batch item.
+        /// Rows averaged per request.
         groups: usize,
         /// Row width.
         cols: usize,
@@ -291,11 +297,11 @@ pub enum PlanNode {
     /// Global average pool: mean over each `spatial`-sized chunk
     /// (sum-then-divide, matching `GlobalAvgPool`).
     AvgPool {
-        /// Input location, `chunks × spatial`.
+        /// Input location, `chunks × spatial` per request.
         src: Loc,
-        /// Output location, `chunks`.
+        /// Output location, `chunks` per request.
         dst: Loc,
-        /// Number of `(batch, channel)` chunks.
+        /// Chunks (channels) per request.
         chunks: usize,
         /// Elements per chunk (`h·w`).
         spatial: usize,
@@ -362,17 +368,18 @@ struct Instance {
     base: usize,
 }
 
-/// How the plan's first stage consumes the request payload.
+/// How the plan's first stage consumes one request's payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InputSpec {
-    /// Flat pixel payload of exactly `len` values, copied into the flow.
+    /// Flat pixel payload of `len` values per request, copied into the flow.
     Pixels { len: usize },
-    /// Exactly `rows` token indices, consumed by an [`PlanNode::Embed`].
+    /// `rows` token indices per request, consumed by an [`PlanNode::Embed`].
     Tokens { rows: usize },
 }
 
-/// The input payload for [`CompiledPlan::execute`]. Mirrors the zoo's
-/// input kinds without depending on the models crate.
+/// The input payload for [`CompiledPlan::execute`]: the concatenated
+/// requests of one batch. Mirrors the zoo's input kinds without depending
+/// on the models crate.
 #[derive(Debug, Clone, Copy)]
 pub enum PlanInput<'a> {
     /// Token indices (uniform batch, `batch · len` entries).
@@ -399,22 +406,24 @@ impl PlanArena {
 }
 
 /// A lowered, optimized, immutable forward pass for one
-/// `(QuantConfig, batch-bucket)` key. Shareable across threads (`Arc`);
-/// each executing thread brings its own [`PlanArena`].
+/// `(QuantConfig, sequence-length bucket)` key, executable at any batch of
+/// `1..=capacity` requests. Shareable across threads (`Arc`); each
+/// executing thread brings its own [`PlanArena`]. Sizes are per request.
 pub struct CompiledPlan {
     templates: Vec<Template>,
     instances: Vec<Instance>,
     bindings: Vec<Binding>,
     input: InputSpec,
+    capacity: usize,
     flow_len: usize,
     locals_len: usize,
     out_len: usize,
 }
 
-/// Builder for one stage: a node sequence that reads the stage's flow
-/// input and leaves its result in the flow output, with locals placed by
-/// a liveness-ordered first-fit allocator. Push completed stages into a
-/// [`Planner`].
+/// Builder for one stage of one request: a node sequence that reads the
+/// stage's flow input and leaves its result in the flow output, with locals
+/// placed by a liveness-ordered first-fit allocator. Push completed stages
+/// into a [`Planner`].
 pub struct Stage {
     nodes: Vec<PlanNode>,
     bindings: Vec<Binding>,
@@ -425,7 +434,8 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// Starts a stage transforming `in_len` flow elements into `out_len`.
+    /// Starts a stage transforming `in_len` flow elements per request into
+    /// `out_len`.
     pub fn new(in_len: usize, out_len: usize) -> Self {
         Stage {
             nodes: Vec::new(),
@@ -484,7 +494,7 @@ impl Stage {
     }
 
     /// Lowers a [`Linear`] into a fused [`PlanNode::PackedGemm`] over `m`
-    /// rows, running the hoisted format-support gate and pinning the
+    /// rows per request, running the hoisted format-support gate and pinning the
     /// weight plane. `fused` optionally folds a following activation
     /// layer's `(activation, element-wise format)` into the node.
     pub fn gemm(
@@ -513,7 +523,8 @@ impl Stage {
         Ok(())
     }
 
-    /// Lowers a [`LayerNorm`] over `rows` rows into a [`PlanNode::Norm`].
+    /// Lowers a [`LayerNorm`] over `rows` rows per request into a
+    /// [`PlanNode::Norm`].
     pub fn norm(&mut self, ln: &LayerNorm, src: Loc, dst: Loc, rows: usize) {
         let (eps, elem) = ln.plan_parts();
         let cols = ln.gamma.value.numel();
@@ -563,9 +574,9 @@ impl Stage {
         });
     }
 
-    /// Pushes the attention head mix for `b × t × d` with `heads` heads.
-    /// Six locations/dimensions plus the two formats genuinely vary per
-    /// call site, so this mirrors the dynamic helper's signature.
+    /// Pushes the attention head mix for one `t × d` sequence with `heads`
+    /// heads. The four locations, the dimensions and the formats genuinely
+    /// vary per call site, so this mirrors the dynamic helper's signature.
     #[allow(clippy::too_many_arguments)]
     pub fn attn_mix(
         &mut self,
@@ -573,7 +584,6 @@ impl Stage {
         k: Loc,
         v: Loc,
         dst: Loc,
-        b: usize,
         t: usize,
         d: usize,
         heads: usize,
@@ -585,7 +595,6 @@ impl Stage {
             k,
             v,
             dst,
-            b,
             t,
             d,
             heads,
@@ -595,16 +604,15 @@ impl Stage {
         });
     }
 
-    /// Lowers a [`Conv2d`] over a `b × in_ch × h × w` input, running the
+    /// Lowers a [`Conv2d`] over one `in_ch × h × w` image, running the
     /// hoisted format gate on the im2col GEMM and pinning its plane.
-    /// The geometry triplet plus fusion flag genuinely vary per call site.
+    /// The geometry plus fusion flag genuinely vary per call site.
     #[allow(clippy::too_many_arguments)]
     pub fn conv(
         &mut self,
         conv: &Conv2d,
         src: Loc,
         dst: Loc,
-        b: usize,
         h: usize,
         w: usize,
         cfg: QuantConfig,
@@ -625,7 +633,6 @@ impl Stage {
             src,
             dst,
             slot,
-            b,
             h,
             w,
             relu,
@@ -633,30 +640,28 @@ impl Stage {
         Ok(())
     }
 
-    /// Pushes ViT patch extraction for `b` images of `side × side` pixels.
-    pub fn patchify(&mut self, src: Loc, dst: Loc, b: usize, side: usize, patch: usize) {
+    /// Pushes ViT patch extraction for one image of `side × side` pixels.
+    pub fn patchify(&mut self, src: Loc, dst: Loc, side: usize, patch: usize) {
         self.nodes.push(PlanNode::Patchify {
             src,
             dst,
-            b,
             side,
             patch,
         });
     }
 
-    /// Pushes the ViT-style mean pool over `groups` rows per batch item.
-    pub fn mean_pool(&mut self, src: Loc, dst: Loc, b: usize, groups: usize, cols: usize) {
+    /// Pushes the ViT-style mean pool over a request's `groups` rows.
+    pub fn mean_pool(&mut self, src: Loc, dst: Loc, groups: usize, cols: usize) {
         self.nodes.push(PlanNode::MeanPool {
             src,
             dst,
-            b,
             groups,
             cols,
         });
     }
 
-    /// Pushes a global average pool over `chunks` chunks of `spatial`
-    /// elements.
+    /// Pushes a global average pool over a request's `chunks` chunks of
+    /// `spatial` elements.
     pub fn avg_pool(&mut self, src: Loc, dst: Loc, chunks: usize, spatial: usize) {
         self.nodes.push(PlanNode::AvgPool {
             src,
@@ -693,9 +698,9 @@ fn lower_weights(
     Err(PlanError::UnsupportedFormats { fa, fb })
 }
 
-/// Lowers a model forward into a [`CompiledPlan`]: collects stages,
+/// Lowers one request's forward into a [`CompiledPlan`]: collects stages,
 /// deduplicates structurally identical ones into shared templates, and
-/// computes the arena layout.
+/// computes the per-request arena layout.
 #[derive(Default)]
 pub struct Planner {
     templates: Vec<Template>,
@@ -713,7 +718,8 @@ impl Planner {
         Self::default()
     }
 
-    /// Declares the plan's input as a flat pixel payload of `len` values.
+    /// Declares the plan's input as a flat pixel payload of `len` values
+    /// per request.
     pub fn pixels_input(&mut self, len: usize) {
         self.input = Some(InputSpec::Pixels { len });
     }
@@ -748,14 +754,13 @@ impl Planner {
 
     /// Builds the token-embedding stage shared by the GPT/BERT lowerings:
     /// hoists (and pre-casts) the token table and the first `t` positional
-    /// rows, for `rows = batch · t` output rows. Fails for storage formats
-    /// whose cast is not element-wise (per-tensor scaled), where hoisting
-    /// would change bits.
+    /// rows, for `t` tokens per request. Fails for storage formats whose
+    /// cast is not element-wise (per-tensor scaled), where hoisting would
+    /// change bits.
     pub fn embed_stage(
         &mut self,
         tok: &Embedding,
         pos: &Embedding,
-        rows: usize,
         t: usize,
     ) -> Result<(), PlanError> {
         let (vocab, dim) = (tok.table.value.shape()[0], tok.table.value.shape()[1]);
@@ -764,7 +769,7 @@ impl Planner {
         }
         let table = hoist_table(tok)?;
         let pos_block = hoist_table(pos)?[..t * dim].to_vec();
-        let mut s = Stage::new(0, rows * dim);
+        let mut s = Stage::new(0, t * dim);
         let table = s.bind(Binding::Table {
             data: table,
             rows: vocab,
@@ -778,80 +783,83 @@ impl Planner {
             t,
             dim,
         });
-        self.input = Some(InputSpec::Tokens { rows });
+        self.input = Some(InputSpec::Tokens { rows: t });
         self.push_stage(s);
         Ok(())
     }
 
-    /// Lowers one pre-norm [`TransformerBlock`] over `b × t` rows into a
-    /// stage. All layers of all blocks of one model produce structurally
-    /// identical stages, so `push_stage` dedupes them into one template
-    /// with per-block weight bindings.
+    /// Lowers one pre-norm [`TransformerBlock`] over a request's `t` rows
+    /// into a stage. All layers of all blocks of one model produce
+    /// structurally identical stages, so `push_stage` dedupes them into one
+    /// template with per-block weight bindings.
     pub fn transformer_block_stage(
         &mut self,
         blk: &TransformerBlock,
         cfg: QuantConfig,
-        b: usize,
         t: usize,
     ) -> Result<(), PlanError> {
         let (ln1, attn, ln2, fc1, act, fc2) = blk.plan_parts();
         let (wq, wk, wv, wo, heads, causal) = attn.plan_parts();
         let d = wq.d_in();
-        let rows = b * t;
-        let len = rows * d;
+        let len = t * d;
         let mut s = Stage::new(len, len);
         let normed = s.alloc(len);
-        s.norm(ln1, Loc::In, normed, rows);
+        s.norm(ln1, Loc::In, normed, t);
         let (q, k, v) = (s.alloc(len), s.alloc(len), s.alloc(len));
-        s.gemm(wq, normed, q, rows, cfg, None)?;
-        s.gemm(wk, normed, k, rows, cfg, None)?;
-        s.gemm(wv, normed, v, rows, cfg, None)?;
+        s.gemm(wq, normed, q, t, cfg, None)?;
+        s.gemm(wk, normed, k, t, cfg, None)?;
+        s.gemm(wv, normed, v, t, cfg, None)?;
         s.free(normed, len);
         let concat = s.alloc(len);
-        s.attn_mix(q, k, v, concat, b, t, d, heads, causal, cfg);
+        s.attn_mix(q, k, v, concat, t, d, heads, causal, cfg);
         s.free(q, len);
         s.free(k, len);
         s.free(v, len);
         let attn_out = s.alloc(len);
-        s.gemm(wo, concat, attn_out, rows, cfg, None)?;
+        s.gemm(wo, concat, attn_out, t, cfg, None)?;
         s.free(concat, len);
         let x1 = s.alloc(len);
         s.add(Loc::In, attn_out, x1, len, false);
         s.free(attn_out, len);
         let normed2 = s.alloc(len);
-        s.norm(ln2, x1, normed2, rows);
-        let h = s.alloc(rows * fc1.d_out());
-        s.gemm(fc1, normed2, h, rows, cfg, Some(act.plan_parts()))?;
+        s.norm(ln2, x1, normed2, t);
+        let h = s.alloc(t * fc1.d_out());
+        s.gemm(fc1, normed2, h, t, cfg, Some(act.plan_parts()))?;
         s.free(normed2, len);
         let h2 = s.alloc(len);
-        s.gemm(fc2, h, h2, rows, cfg, None)?;
-        s.free(h, rows * fc1.d_out());
+        s.gemm(fc2, h, h2, t, cfg, None)?;
+        s.free(h, t * fc1.d_out());
         s.add(x1, h2, Loc::Out, len, false);
         self.push_stage(s);
         Ok(())
     }
 
-    /// Seals the plan. Fails if no stage declared the input contract.
-    pub fn finish(self) -> Result<CompiledPlan, PlanError> {
+    /// Seals the plan for batches of up to `capacity` requests. Fails if
+    /// no stage declared the input contract or `capacity` is zero.
+    pub fn finish(self, capacity: usize) -> Result<CompiledPlan, PlanError> {
         let input = self.input.ok_or(PlanError::Internal("plan has no input"))?;
         if self.instances.is_empty() {
             return Err(PlanError::Internal("plan has no stages"));
         }
-        PLANS_COMPILED.fetch_add(1, Ordering::Relaxed);
-        let arena = 2 * self.flow_len + self.locals_len;
-        ARENA_BYTES.fetch_add(
-            (arena * std::mem::size_of::<f32>()) as u64,
-            Ordering::Relaxed,
-        );
-        Ok(CompiledPlan {
+        if capacity == 0 {
+            return Err(PlanError::Unsupported("a plan serves at least one request"));
+        }
+        let plan = CompiledPlan {
             templates: self.templates,
             instances: self.instances,
             bindings: self.bindings,
             input,
+            capacity,
             flow_len: self.flow_len,
             locals_len: self.locals_len,
             out_len: self.out_len,
-        })
+        };
+        PLANS_COMPILED.fetch_add(1, Ordering::Relaxed);
+        ARENA_BYTES.fetch_add(
+            (plan.arena_elems() * std::mem::size_of::<f32>()) as u64,
+            Ordering::Relaxed,
+        );
+        Ok(plan)
     }
 }
 
@@ -878,9 +886,31 @@ impl fmt::Debug for CompiledPlan {
             .field("templates", &self.templates.len())
             .field("instances", &self.instances.len())
             .field("bindings", &self.bindings.len())
+            .field("capacity", &self.capacity)
             .field("arena_elems", &self.arena_elems())
             .field("out_len", &self.out_len)
             .finish()
+    }
+}
+
+/// Where one execution's stage resolves its [`Loc`]s: the two flow
+/// buffers and the locals region of the arena, plus the batch `nb` that
+/// scales every per-request offset and extent.
+#[derive(Clone, Copy)]
+struct Frame {
+    input: usize,
+    output: usize,
+    locals: usize,
+    nb: usize,
+}
+
+impl Frame {
+    fn off(&self, loc: Loc) -> usize {
+        match loc {
+            Loc::In => self.input,
+            Loc::Out => self.output,
+            Loc::Local(o) => self.locals + o * self.nb,
+        }
     }
 }
 
@@ -895,45 +925,52 @@ impl CompiledPlan {
         self.instances.len()
     }
 
-    /// Arena footprint in `f32` elements (two flow buffers plus locals).
+    /// Arena footprint in `f32` elements (two flow buffers plus locals) of
+    /// a batch at full capacity.
     pub fn arena_elems(&self) -> usize {
-        2 * self.flow_len + self.locals_len
+        (2 * self.flow_len + self.locals_len) * self.capacity
     }
 
-    /// Output length in elements.
+    /// Output length per request, in elements.
     pub fn out_len(&self) -> usize {
         self.out_len
     }
 
-    /// Executes the plan against `input` using `arena` for all scratch,
-    /// returning the flat output. Thread-safe on a shared `&self`; each
-    /// calling thread must bring its own arena.
+    /// Executes the plan against `input` — `1..=capacity` concatenated
+    /// requests — using `arena` for all scratch, returning the flat output
+    /// (`out_len()` per request, request-major). Thread-safe on a shared
+    /// `&self`; each calling thread must bring its own arena.
     pub fn execute(
         &self,
         input: PlanInput<'_>,
         arena: &mut PlanArena,
     ) -> Result<Vec<f32>, PlanError> {
-        let flow = self.flow_len;
-        let need = 2 * flow + self.locals_len;
+        let (per, got) = match (input, self.input) {
+            (PlanInput::Pixels(px), InputSpec::Pixels { len }) => (len, px.len()),
+            (PlanInput::Tokens(tk), InputSpec::Tokens { rows }) => (rows, tk.len()),
+            _ => return Err(PlanError::Input("input kind")),
+        };
+        if per == 0 || got == 0 || got % per != 0 {
+            return Err(PlanError::Input(
+                "payload is not a whole number of requests",
+            ));
+        }
+        let nb = got / per;
+        if nb > self.capacity {
+            return Err(PlanError::Input("more requests than the plan's capacity"));
+        }
+        let flow = self.flow_len * nb;
+        let need = 2 * flow + self.locals_len * nb;
         if arena.buf.len() < need {
             arena.buf.resize(need, 0.0);
         }
         let PlanArena { buf, scratch } = arena;
-        let tokens = match (input, self.input) {
-            (PlanInput::Pixels(px), InputSpec::Pixels { len }) => {
-                if px.len() != len {
-                    return Err(PlanError::Input("pixel payload length"));
-                }
-                buf[..len].copy_from_slice(px);
+        let tokens = match input {
+            PlanInput::Pixels(px) => {
+                buf[..got].copy_from_slice(px);
                 None
             }
-            (PlanInput::Tokens(tk), InputSpec::Tokens { rows }) => {
-                if tk.len() != rows {
-                    return Err(PlanError::Input("token count"));
-                }
-                Some(tk)
-            }
-            _ => return Err(PlanError::Input("input kind")),
+            PlanInput::Tokens(tk) => Some(tk),
         };
         let mut parity = 0usize;
         for inst in &self.instances {
@@ -941,23 +978,20 @@ impl CompiledPlan {
                 .templates
                 .get(inst.template)
                 .ok_or(PlanError::Internal("template index"))?;
-            let (in_base, out_base) = if parity == 0 { (0, flow) } else { (flow, 0) };
+            let (input, output) = if parity == 0 { (0, flow) } else { (flow, 0) };
+            let frame = Frame {
+                input,
+                output,
+                locals: 2 * flow,
+                nb,
+            };
             for node in &tpl.nodes {
-                self.run_node(
-                    node,
-                    inst.base,
-                    in_base,
-                    out_base,
-                    2 * flow,
-                    buf,
-                    scratch,
-                    tokens,
-                )?;
+                self.run_node(node, inst.base, frame, buf, scratch, tokens)?;
             }
             parity ^= 1;
         }
         let final_base = if parity == 0 { 0 } else { flow };
-        Ok(buf[final_base..final_base + self.out_len].to_vec())
+        Ok(buf[final_base..final_base + self.out_len * nb].to_vec())
     }
 
     fn binding(&self, base: usize, slot: usize) -> Result<&Binding, PlanError> {
@@ -966,26 +1000,20 @@ impl CompiledPlan {
             .ok_or(PlanError::Internal("binding slot"))
     }
 
-    /// Executes one node. The base offsets resolve `Loc`s against the
-    /// arena; `base` is the instance's binding window. Internal, but the
-    /// offsets genuinely vary per instance.
-    #[allow(clippy::too_many_arguments)]
+    /// Executes one node for the frame's `nb` requests: every
+    /// batch-proportional extent is the node's per-request extent times
+    /// `nb`. `base` is the instance's binding window.
     fn run_node(
         &self,
         node: &PlanNode,
         base: usize,
-        in_base: usize,
-        out_base: usize,
-        locals_base: usize,
+        frame: Frame,
         buf: &mut [f32],
         scratch: &mut PackScratch,
         tokens: Option<&[usize]>,
     ) -> Result<(), PlanError> {
-        let off = |loc: Loc| match loc {
-            Loc::In => in_base,
-            Loc::Out => out_base,
-            Loc::Local(o) => locals_base + o,
-        };
+        let nb = frame.nb;
+        let off = |loc: Loc| frame.off(loc);
         match *node {
             PlanNode::PackedGemm {
                 src,
@@ -1000,6 +1028,7 @@ impl CompiledPlan {
                 let Binding::Gemm { weights, bias } = self.binding(base, slot)? else {
                     return Err(PlanError::Internal("gemm binding type"));
                 };
+                let m = m * nb;
                 let s = off(src);
                 let y = run_gemm(weights, &buf[s..s + m * k], m, k, n, scratch)?;
                 let d = off(dst);
@@ -1037,7 +1066,7 @@ impl CompiledPlan {
                 else {
                     return Err(PlanError::Internal("norm binding type"));
                 };
-                let len = rows * cols;
+                let len = rows * nb * cols;
                 let (s, d) = (off(src), off(dst));
                 buf.copy_within(s..s + len, d);
                 let out = &mut buf[d..d + len];
@@ -1053,6 +1082,7 @@ impl CompiledPlan {
                 act,
                 cast,
             } => {
+                let len = len * nb;
                 let (s, d) = (off(src), off(dst));
                 buf.copy_within(s..s + len, d);
                 let out = &mut buf[d..d + len];
@@ -1069,7 +1099,7 @@ impl CompiledPlan {
                 relu,
             } => {
                 let (ao, bo, d) = (off(a), off(b), off(dst));
-                for i in 0..len {
+                for i in 0..len * nb {
                     let v = buf[ao + i] + buf[bo + i];
                     buf[d + i] = if relu { v.max(0.0) } else { v };
                 }
@@ -1114,7 +1144,6 @@ impl CompiledPlan {
                 k,
                 v,
                 dst,
-                b,
                 t,
                 d,
                 heads,
@@ -1122,11 +1151,12 @@ impl CompiledPlan {
                 fwd,
                 elem,
             } => {
-                let len = b * t * d;
-                let grab =
-                    |o: usize, buf: &[f32]| Tensor::from_vec(buf[o..o + len].to_vec(), &[b * t, d]);
+                let len = nb * t * d;
+                let grab = |o: usize, buf: &[f32]| {
+                    Tensor::from_vec(buf[o..o + len].to_vec(), &[nb * t, d])
+                };
                 let (qt, kt, vt) = (grab(off(q), buf), grab(off(k), buf), grab(off(v), buf));
-                let concat = attention_mix(&qt, &kt, &vt, b, t, heads, causal, fwd, elem, None);
+                let concat = attention_mix(&qt, &kt, &vt, nb, t, heads, causal, fwd, elem, None);
                 let o = off(dst);
                 buf[o..o + len].copy_from_slice(concat.data());
             }
@@ -1134,7 +1164,6 @@ impl CompiledPlan {
                 src,
                 dst,
                 slot,
-                b,
                 h,
                 w,
                 relu,
@@ -1152,7 +1181,7 @@ impl CompiledPlan {
                 };
                 let (chw, ohw, patch) = (in_ch * h * w, h * w, in_ch * k * k);
                 let (s, d) = (off(src), off(dst));
-                for bi in 0..b {
+                for bi in 0..nb {
                     let cols = im2col(
                         &buf[s + bi * chw..s + (bi + 1) * chw],
                         *in_ch,
@@ -1177,7 +1206,6 @@ impl CompiledPlan {
             PlanNode::Patchify {
                 src,
                 dst,
-                b,
                 side,
                 patch,
             } => {
@@ -1185,7 +1213,7 @@ impl CompiledPlan {
                 let grid = side / patch;
                 let (s, d) = (off(src), off(dst));
                 let mut idx = d;
-                for bi in 0..b {
+                for bi in 0..nb {
                     let img = s + bi * per;
                     for py in 0..grid {
                         for px in 0..grid {
@@ -1203,13 +1231,12 @@ impl CompiledPlan {
             PlanNode::MeanPool {
                 src,
                 dst,
-                b,
                 groups,
                 cols,
             } => {
                 let (s, d) = (off(src), off(dst));
-                buf[d..d + b * cols].fill(0.0);
-                for bi in 0..b {
+                buf[d..d + nb * cols].fill(0.0);
+                for bi in 0..nb {
                     for p in 0..groups {
                         for c in 0..cols {
                             buf[d + bi * cols + c] +=
@@ -1225,7 +1252,7 @@ impl CompiledPlan {
                 spatial,
             } => {
                 let (s, d) = (off(src), off(dst));
-                for i in 0..chunks {
+                for i in 0..chunks * nb {
                     let sum: f32 = buf[s + i * spatial..s + (i + 1) * spatial].iter().sum();
                     buf[d + i] = sum / spatial as f32;
                 }
@@ -1298,22 +1325,23 @@ mod tests {
             QuantConfig::weights_activations(TensorFormat::MX4, TensorFormat::MX9),
         ] {
             let mut lin = Linear::new(&mut rng(), 32, 8, true, cfg);
-            let x: Vec<f32> = (0..3 * 32).map(|i| (i as f32 * 0.23).sin()).collect();
-            let want = lin
-                .forward(&Tensor::from_vec(x.clone(), &[3, 32]), false)
-                .into_data();
             let mut p = Planner::new();
-            p.pixels_input(3 * 32);
-            let mut s = Stage::new(3 * 32, 3 * 8);
-            s.gemm(&lin, Loc::In, Loc::Out, 3, cfg, None).unwrap();
+            p.pixels_input(32);
+            let mut s = Stage::new(32, 8);
+            s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
             p.push_stage(s);
-            let plan = p.finish().unwrap();
+            let plan = p.finish(3).unwrap();
             let mut arena = PlanArena::new();
-            let got = plan.execute(PlanInput::Pixels(&x), &mut arena).unwrap();
-            assert!(bits(&want, &got), "{cfg}");
-            // Re-executing with the warm arena stays identical.
-            let again = plan.execute(PlanInput::Pixels(&x), &mut arena).unwrap();
-            assert!(bits(&want, &again), "{cfg} (warm arena)");
+            // Largest batch first, so the smaller ones run over a warm,
+            // oversized arena.
+            for batch in [3, 1, 2] {
+                let x: Vec<f32> = (0..batch * 32).map(|i| (i as f32 * 0.23).sin()).collect();
+                let want = lin
+                    .forward(&Tensor::from_vec(x.clone(), &[batch, 32]), false)
+                    .into_data();
+                let got = plan.execute(PlanInput::Pixels(&x), &mut arena).unwrap();
+                assert!(bits(&want, &got), "{cfg} batch {batch}");
+            }
         }
     }
 
@@ -1335,10 +1363,13 @@ mod tests {
         let mut s = Stage::new(8, 2);
         s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
         p.push_stage(s);
-        let plan = p.finish().unwrap();
+        let plan = p.finish(1).unwrap();
         let mut arena = PlanArena::new();
         assert!(plan
             .execute(PlanInput::Pixels(&[0.0; 7]), &mut arena)
+            .is_err());
+        assert!(plan
+            .execute(PlanInput::Pixels(&[0.0; 16]), &mut arena)
             .is_err());
         assert!(plan
             .execute(PlanInput::Tokens(&[1, 2]), &mut arena)
@@ -1358,7 +1389,7 @@ mod tests {
         let mut s = Stage::new(32, 4);
         s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
         p.push_stage(s);
-        let plan = p.finish().unwrap();
+        let plan = p.finish(1).unwrap();
         let (p1, h1, a1) = plan_counters();
         assert!(p1 > p0, "plans compiled must advance");
         assert!(h1 > h0, "the MX9 weight plane was a prepack hoist");

@@ -129,21 +129,18 @@ pub struct ServerConfig {
     pub(crate) workers: usize,
     pub(crate) shards: usize,
     pub(crate) max_batch: usize,
-    pub(crate) pad_batches: bool,
     pub(crate) buckets: Vec<usize>,
     pub(crate) admission: AdmissionConfig,
 }
 
 impl Default for ServerConfig {
-    /// One shard, one worker, batches of up to 8, no padding, no length
-    /// buckets (every model serves at its native length), admit-everything
+    /// One shard, one worker, batches of up to 8, no length buckets (every model serves at its native length), admit-everything
     /// admission.
     fn default() -> Self {
         ServerConfig {
             workers: 1,
             shards: 1,
             max_batch: 8,
-            pad_batches: false,
             buckets: Vec::new(),
             admission: AdmissionConfig::default(),
         }
@@ -153,8 +150,9 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Worker threads **per shard**. Each worker takes jobs straight off
     /// the shard queue, coalesces up to `max_batch` of them, and executes
-    /// the batches itself. Distinct models execute concurrently; one
-    /// model's batches serialize on its mutex. When one drain holds
+    /// the batches itself. Batches with a cached plan execute concurrently,
+    /// also on one model; a model's plan compiles and its unplannable keys
+    /// serialize on the model's mutex. When one drain holds
     /// several models' jobs, its groups run in turn on the worker that
     /// drained them, while idle siblings take later jobs from the queue.
     pub fn workers(mut self, workers: usize) -> Self {
@@ -172,19 +170,10 @@ impl ServerConfig {
         self
     }
 
-    /// Most requests coalesced into one `forward_batch` call.
+    /// Most requests coalesced into one batch, and the capacity every
+    /// compiled plan is built for.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Pad every ragged batch up to `max_batch` with zero requests whose
-    /// outputs are discarded. Costs compute, but keeps the GEMM shape (and
-    /// therefore the per-thread activation-pack scratch size) constant —
-    /// the classic fixed-shape serving trade. Semantically invisible either
-    /// way.
-    pub fn pad_batches(mut self, pad: bool) -> Self {
-        self.pad_batches = pad;
         self
     }
 

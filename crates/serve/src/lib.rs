@@ -28,22 +28,28 @@
 //!   length. Fixed-length models are the degenerate single-bucket case;
 //! - **coalescing workers**: each of a shard's workers takes one job off
 //!   the shard queue, drains up to `max_batch` jobs in total, and runs
-//!   them as same-model / same-config / same-bucket batches, one
-//!   `forward_batch` call each — the weight-side `PackedOperand` is
-//!   fetched from `mx-nn`'s generation-keyed, per-format plane cache, so
-//!   it is lowered **once** and shared by every request in every batch.
-//!   A request crosses two threads (client → worker); the bounded job
-//!   queue is the only buffer, so it alone carries backpressure. On a
-//!   shard with several workers and mixed keys, every group of one drain
-//!   runs on the worker that drained it, one after another, while idle
-//!   siblings take later jobs from the queue.
+//!   them as same-model / same-config / same-bucket batches. A request
+//!   crosses two threads (client → worker); the bounded job queue is the
+//!   only buffer, so it alone carries backpressure. On a shard with
+//!   several workers and mixed keys, every group of one drain runs on the
+//!   worker that drained it, one after another, while idle siblings take
+//!   later jobs from the queue;
+//! - **one compiled plan per (model, format, bucket)**: the first batch of
+//!   a key compiles the model's [`mx_nn::plan::CompiledPlan`] at
+//!   `max_batch` capacity, with every weight plane lowered **once** and
+//!   pinned on the plan; every later batch of that key, whatever its size,
+//!   executes the shared plan on the worker's own arena **outside** the
+//!   model's lock, so several workers serve one model at once. A key the
+//!   model cannot plan (BF16, scalar-scaled FP8, MoE routing, a model
+//!   without a lowering) runs `set_quant` + `forward_batch` under the
+//!   model's lock instead.
 //!
 //! Batching is **semantically invisible**: every tensor op on the zoo's
 //! inference path is row- (or sequence-) independent, so a request's
 //! response is bit-identical to running the same (bucket-padded) request
-//! alone — across formats, batch sizes, shard counts, ragged final
-//! batches, and zero-padded batches (the workspace's `serve_end_to_end`
-//! suite asserts this bit for bit). What batching buys is throughput:
+//! alone — across formats, batch sizes, shard counts and ragged final
+//! batches (the workspace's `serve_end_to_end` suite asserts this bit for
+//! bit). What batching buys is throughput:
 //! B-side code traffic, kernel dispatch, and the A-side pack's per-call
 //! overhead amortize over the coalesced rows (measured in the
 //! `serving_throughput` bench and the multi-tenant `serve_loadgen`
@@ -121,6 +127,16 @@ pub enum ServeError {
         /// Elements the request carried.
         got: usize,
     },
+    /// A token id is outside the model's vocabulary. Checked at submit,
+    /// so the id never reaches the model.
+    TokenOutOfRange {
+        /// Model name the request addressed.
+        model: String,
+        /// The first offending id.
+        token: usize,
+        /// The model's vocabulary size (valid ids are `0..vocab`).
+        vocab: usize,
+    },
     /// Admission control refused the request: the shard's queue was full
     /// under a shedding policy, or the latency-SLO estimate predicted the
     /// request could not be answered in time. Shedding is always typed —
@@ -141,6 +157,15 @@ pub enum ServeError {
     ModelPanicked {
         /// Model name whose `forward_batch` (or quant switch) panicked.
         model: String,
+    },
+    /// The model's compiled plan failed while executing the batch. Every
+    /// member request gets this answer; the batch is not re-run another
+    /// way.
+    PlanFailed {
+        /// Model name whose plan failed.
+        model: String,
+        /// The plan's error, rendered.
+        reason: String,
     },
     /// The model returned a buffer whose length is not
     /// `batch · output_len(len)`, so per-request rows cannot be sliced
@@ -174,6 +199,14 @@ impl fmt::Display for ServeError {
                 f,
                 "model {model:?} serves up to {expected} elements per request, got {got}"
             ),
+            ServeError::TokenOutOfRange {
+                model,
+                token,
+                vocab,
+            } => write!(
+                f,
+                "model {model:?} embeds token ids below {vocab}, got {token}"
+            ),
             ServeError::Overloaded { model } => {
                 write!(f, "model {model:?}'s shard shed the request (overloaded)")
             }
@@ -182,6 +215,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::ModelPanicked { model } => {
                 write!(f, "model {model:?} panicked while executing a batch")
+            }
+            ServeError::PlanFailed { model, reason } => {
+                write!(f, "model {model:?}'s plan failed: {reason}")
             }
             ServeError::BadModelOutput {
                 model,
@@ -237,31 +273,31 @@ thread_local! {
     static PLAN_ARENA: RefCell<PlanArena> = RefCell::new(PlanArena::new());
 }
 
-/// State of one plan-cache slot. `Failed` is negative caching: a key the
-/// model cannot lower (unsupported format pair, data-dependent routing) is
-/// probed once and then served dynamically without re-planning per batch.
-enum PlanState {
-    /// A compiled plan plus the weight-generation token it was built at.
-    Ready { plan: Arc<CompiledPlan>, token: u64 },
-    /// Plan compilation failed for this key; use the dynamic path.
-    Failed,
-}
-
-/// One cached plan keyed by `(QuantConfig, bucket len, padded batch)`.
+/// One plan-cache slot, keyed by `(QuantConfig, bucket len)`. `plan` is
+/// `None` for a key the model cannot lower (unsupported format pair,
+/// data-dependent routing): it is probed once and then served by the
+/// dynamic walk without re-planning per batch.
 struct PlanSlot {
     cfg: QuantConfig,
     len: usize,
-    eff: usize,
-    state: PlanState,
+    plan: Option<Arc<CompiledPlan>>,
 }
 
 /// A registered model plus the request contract captured at
 /// [`Server::start`].
+///
+/// After `start` the server owns the model and calls only inference
+/// methods on it (`compile_plan`, `set_quant`, `forward_batch`). Nothing
+/// changes its weights, so a compiled plan stays valid for the server's
+/// life: the plan cache needs no staleness check, and a cached plan runs
+/// without the model's lock.
 struct ModelEntry {
     name: String,
     kind: InputKind,
     input_len: usize,
     variable: bool,
+    /// Token ids the model embeds, checked at submit (token models only).
+    vocab: Option<usize>,
     shard: usize,
     /// Bucket edges this model serves, ascending; the last is always the
     /// native `input_len`. A request of length `L` pads to the smallest
@@ -272,10 +308,17 @@ struct ModelEntry {
     /// model.
     out_for: Vec<usize>,
     model: Mutex<Box<dyn BatchModel>>,
-    /// Compiled-plan cache: one slot per `(cfg, bucket, padded batch)` key
-    /// this model has served. Stale slots (weight-generation token moved)
-    /// are evicted and recompiled on the next batch.
+    /// Compiled-plan cache: one slot per `(cfg, bucket)` key this model
+    /// has served, oldest first. Slots are only added under `model`'s lock.
     plans: Mutex<Vec<PlanSlot>>,
+}
+
+impl ModelEntry {
+    fn panicked(&self) -> ServeError {
+        ServeError::ModelPanicked {
+            model: self.name.clone(),
+        }
+    }
 }
 
 /// A server under construction: register models, then [`Server::start`].
@@ -352,6 +395,7 @@ impl Server {
                     kind: model.input_kind(),
                     input_len,
                     variable,
+                    vocab: model.vocab(),
                     shard: i % shards,
                     admitted,
                     out_for,
@@ -463,11 +507,11 @@ fn expire_job(shard: usize, job: Job, registry: &[ModelEntry], stats: &StatsInne
 /// behind an earlier group of the same drain) are answered with
 /// [`ServeError::DeadlineExceeded`] and dropped from the batch first.
 /// Model failures — a poisoned mutex from an earlier panic, a panic during
-/// this batch, an output buffer that violates the length contract — are
-/// answered as [`ServeError`]s on every member request. The
-/// worker thread itself never unwinds, so one misbehaving model cannot
-/// take down the server: other models (and this one's error reporting)
-/// keep serving.
+/// this batch, a plan that fails to execute, an output buffer that
+/// violates the length contract — are answered as [`ServeError`]s on every
+/// member request. The worker thread itself never unwinds, so one
+/// misbehaving model cannot take down the server: other models (and this
+/// one's error reporting) keep serving.
 fn execute_batch(
     shard: usize,
     mut batch: Batch,
@@ -526,68 +570,32 @@ fn run_batch(
 ) -> Result<Vec<Vec<f32>>, ServeError> {
     let entry = registry.get(batch.model).ok_or(ServeError::Disconnected)?; // index minted at submit; defensive
     let n = batch.jobs.len();
-    // Padding keeps the executed GEMM at the full batch shape; the padded
-    // rows are zero requests whose outputs are sliced away below.
-    let eff = if config.pad_batches {
-        config.max_batch
-    } else {
-        n
-    };
-    let per_in = batch.len;
     // Concatenate the (submit-validated, bucket-padded) payloads. A kind
     // mismatch here would be an internal bug; report it as the kind error
     // rather than killing the worker.
-    let out = match entry.kind {
-        InputKind::Tokens => {
-            let mut buf = Vec::with_capacity(eff * per_in);
-            for job in &batch.jobs {
-                let RequestInput::Tokens(t) = &job.input else {
-                    return Err(ServeError::WrongInputKind {
-                        model: entry.name.clone(),
-                        expected: InputKind::Tokens,
-                        got: job.input.kind(),
-                    });
-                };
-                buf.extend_from_slice(t);
-            }
-            buf.resize(eff * per_in, 0);
-            forward_guarded(
-                entry,
-                batch.cfg,
-                ZooInput::Tokens(&buf),
-                batch.len,
-                eff,
-                stats,
-            )?
-        }
-        InputKind::Pixels => {
-            let mut buf = Vec::with_capacity(eff * per_in);
-            for job in &batch.jobs {
-                let RequestInput::Pixels(p) = &job.input else {
-                    return Err(ServeError::WrongInputKind {
-                        model: entry.name.clone(),
-                        expected: InputKind::Pixels,
-                        got: job.input.kind(),
-                    });
-                };
-                buf.extend_from_slice(p);
-            }
-            buf.resize(eff * per_in, 0.0);
-            forward_guarded(
-                entry,
-                batch.cfg,
-                ZooInput::Pixels(&buf),
-                batch.len,
-                eff,
-                stats,
-            )?
-        }
+    let mut payload = match entry.kind {
+        InputKind::Tokens => RequestInput::Tokens(Vec::with_capacity(n * batch.len)),
+        InputKind::Pixels => RequestInput::Pixels(Vec::with_capacity(n * batch.len)),
     };
+    for job in &batch.jobs {
+        match (&mut payload, &job.input) {
+            (RequestInput::Tokens(buf), RequestInput::Tokens(t)) => buf.extend_from_slice(t),
+            (RequestInput::Pixels(buf), RequestInput::Pixels(p)) => buf.extend_from_slice(p),
+            _ => {
+                return Err(ServeError::WrongInputKind {
+                    model: entry.name.clone(),
+                    expected: entry.kind,
+                    got: job.input.kind(),
+                })
+            }
+        }
+    }
+    let out = forward_guarded(entry, batch.cfg, &payload, batch.len, n, config, stats)?;
     let per_out = batch.out_len;
-    if out.len() != eff * per_out {
+    if out.len() != n * per_out {
         return Err(ServeError::BadModelOutput {
             model: entry.name.clone(),
-            expected: eff * per_out,
+            expected: n * per_out,
             got: out.len(),
         });
     }
@@ -595,125 +603,102 @@ fn run_batch(
         // Zero-width outputs: every row is empty; `chunks(0)` would panic.
         return Ok(vec![Vec::new(); n]);
     }
-    Ok(out.chunks(per_out).take(n).map(<[f32]>::to_vec).collect())
+    Ok(out.chunks(per_out).map(<[f32]>::to_vec).collect())
 }
 
-/// Locks the model and runs `set_quant` + the planned (or dynamic)
-/// forward with a panic guard. A panic inside the model poisons its mutex
-/// (the guard is moved into the unwinding closure and dropped mid-panic),
-/// so later batches for the same model fail fast with
-/// [`ServeError::ModelPanicked`] while the worker — and every other model
-/// — keeps running.
+/// Runs `n` concatenated requests of one `(cfg, len)` key with a panic
+/// guard: through the key's cached plan, outside the model's lock, or —
+/// for a key the model cannot plan — as `set_quant` + `forward_batch`
+/// under the lock. A panic under the lock poisons the model's mutex (the
+/// guard drops mid-unwind), so later batches that need the lock fail fast
+/// with [`ServeError::ModelPanicked`] while the worker — and every other
+/// model — keeps running. Cached plans never read the model, so they keep
+/// serving.
 fn forward_guarded(
     entry: &ModelEntry,
     cfg: QuantConfig,
-    input: ZooInput<'_>,
+    payload: &RequestInput,
     len: usize,
-    eff: usize,
+    n: usize,
+    config: &ServerConfig,
     stats: &StatsInner,
 ) -> Result<Vec<f32>, ServeError> {
-    let Ok(guard) = entry.model.lock() else {
-        return Err(ServeError::ModelPanicked {
-            model: entry.name.clone(),
-        });
-    };
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut model = guard;
-        // Per-request format selection = direct cast on the shared model.
-        // Weights are untouched, so each format's cached weight plane stays
-        // warm across config switches.
-        model.set_quant(cfg);
-        if let Some(out) = planned_forward(entry, &mut **model, cfg, &input, len, eff, stats) {
-            return out;
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match plan_for(entry, cfg, len, config.max_batch, stats)? {
+            Some(plan) => {
+                let input = match payload {
+                    RequestInput::Tokens(t) => PlanInput::Tokens(t),
+                    RequestInput::Pixels(p) => PlanInput::Pixels(p),
+                };
+                PLAN_ARENA
+                    .with(|arena| plan.execute(input, &mut arena.borrow_mut()))
+                    .map_err(|e| ServeError::PlanFailed {
+                        model: entry.name.clone(),
+                        reason: e.to_string(),
+                    })
+            }
+            None => {
+                let mut model = entry.model.lock().map_err(|_| entry.panicked())?;
+                // Per-request format selection = direct cast on the shared
+                // model. Weights are untouched, so each format's cached
+                // weight plane stays warm across config switches.
+                model.set_quant(cfg);
+                let input = match payload {
+                    RequestInput::Tokens(t) => ZooInput::Tokens(t),
+                    RequestInput::Pixels(p) => ZooInput::Pixels(p),
+                };
+                Ok(model.forward_batch(input, n))
+            }
         }
-        model.forward_batch(input, eff)
     }))
-    .map_err(|_| ServeError::ModelPanicked {
-        model: entry.name.clone(),
-    })
+    .unwrap_or_else(|_| Err(entry.panicked()))
 }
 
-/// Executes the batch through the model's compiled-plan cache. `None`
-/// means "take the dynamic layer-walk" — the key is unplannable, or the
-/// plan failed at execute time; correctness never
-/// depends on the planner, only steady-state overhead does.
-///
-/// Called with the model mutex held, so the weight-generation token, the
-/// cache lookup, and any recompile are atomic with respect to other
-/// batches of the same model.
-#[allow(clippy::too_many_arguments)] // mirrors forward_guarded's signature
-fn planned_forward(
+/// The model's plan for `(cfg, len)`, or `None` for a key the model
+/// cannot plan. A hit takes only the cache's lock. A miss compiles at
+/// `capacity` requests under the model's lock, after looking again, so a
+/// key that several workers miss at once compiles once.
+fn plan_for(
     entry: &ModelEntry,
-    model: &mut dyn BatchModel,
     cfg: QuantConfig,
-    input: &ZooInput<'_>,
     len: usize,
-    eff: usize,
+    capacity: usize,
     stats: &StatsInner,
-) -> Option<Vec<f32>> {
-    let token = model.plan_token();
-    let mut plans = entry.plans.lock().unwrap_or_else(|p| p.into_inner());
-    // Evict a slot whose weights moved since compilation (an optimizer
-    // step, a hot-swap): the recompile below picks up the new weights.
-    if let Some(i) = plans
-        .iter()
-        .position(|s| s.cfg == cfg && s.len == len && s.eff == eff)
-    {
-        let stale = matches!(
-            plans.get(i).map(|s| &s.state),
-            Some(PlanState::Ready { token: t, .. }) if *t != token
-        );
-        if stale {
-            plans.swap_remove(i);
+) -> Result<Option<Arc<CompiledPlan>>, ServeError> {
+    // The cached slot's plan: `None` on a miss, `Some(None)` for a key
+    // the model cannot plan.
+    let cached = || {
+        let plans = entry.plans.lock().unwrap_or_else(|p| p.into_inner());
+        let slot = plans.iter().find(|s| s.cfg == cfg && s.len == len);
+        slot.map(|s| s.plan.clone())
+    };
+    let hit = |plan: Option<Arc<CompiledPlan>>| {
+        if plan.is_some() {
+            stats.record_plan_hit();
         }
+        Ok(plan)
+    };
+    if let Some(plan) = cached() {
+        return hit(plan);
     }
-    let plan = match plans
-        .iter()
-        .find(|s| s.cfg == cfg && s.len == len && s.eff == eff)
-    {
-        Some(slot) => match &slot.state {
-            PlanState::Ready { plan, .. } => {
-                stats.record_plan_hit();
-                Arc::clone(plan)
-            }
-            PlanState::Failed => return None,
-        },
-        None => {
-            if plans.len() >= PLAN_CACHE_CAP {
-                plans.remove(0); // oldest-first soft eviction
-            }
-            match model.compile_plan(cfg, eff, len) {
-                Ok(plan) => {
-                    let plan = Arc::new(plan);
-                    plans.push(PlanSlot {
-                        cfg,
-                        len,
-                        eff,
-                        state: PlanState::Ready {
-                            plan: Arc::clone(&plan),
-                            token,
-                        },
-                    });
-                    plan
-                }
-                Err(_) => {
-                    plans.push(PlanSlot {
-                        cfg,
-                        len,
-                        eff,
-                        state: PlanState::Failed,
-                    });
-                    return None;
-                }
-            }
-        }
-    };
-    drop(plans);
-    let pin = match input {
-        ZooInput::Tokens(t) => PlanInput::Tokens(t),
-        ZooInput::Pixels(p) => PlanInput::Pixels(p),
-    };
-    PLAN_ARENA.with(|arena| plan.execute(pin, &mut arena.borrow_mut()).ok())
+    let model = entry.model.lock().map_err(|_| entry.panicked())?;
+    if let Some(plan) = cached() {
+        return hit(plan);
+    }
+    let plan = model.compile_plan(cfg, capacity, len).ok().map(Arc::new);
+    if plan.is_some() {
+        stats.record_plan_compiled();
+    }
+    let mut plans = entry.plans.lock().unwrap_or_else(|p| p.into_inner());
+    if plans.len() >= PLAN_CACHE_CAP {
+        plans.remove(0); // oldest-first soft eviction
+    }
+    plans.push(PlanSlot {
+        cfg,
+        len,
+        plan: plan.clone(),
+    });
+    Ok(plan)
 }
 
 /// Client handle to a running server: submit requests (from any thread —
@@ -784,6 +769,15 @@ impl ServerHandle {
                 expected: entry.input_len,
                 got,
             });
+        }
+        if let (Some(vocab), RequestInput::Tokens(t)) = (entry.vocab, &input) {
+            if let Some(&token) = t.iter().find(|&&id| id >= vocab) {
+                return Err(ServeError::TokenOutOfRange {
+                    model,
+                    token,
+                    vocab,
+                });
+            }
         }
         // Bucket: the smallest admitted edge that fits the request. The
         // native length is always the final edge, so the search cannot
@@ -905,7 +899,10 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mx_core::bdr::BdrFormat;
     use mx_models::zoo::DenseGemm;
+    use mx_nn::layers::Linear;
+    use mx_nn::plan::{Loc, PlanError, Planner, Stage};
     use mx_nn::TensorFormat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1144,6 +1141,111 @@ mod tests {
         // The worker survives to answer another (still broken) request.
         let err = handle.infer(req()).unwrap_err();
         assert!(matches!(err, ServeError::BadModelOutput { .. }));
+        handle.shutdown();
+    }
+
+    /// Token model whose plan was lowered for pixels, so every execute
+    /// fails with `PlanError::Input`; its dynamic walk panics, so a batch
+    /// that silently fell back to it would answer `ModelPanicked`.
+    struct Mislowered {
+        lin: Linear,
+    }
+
+    impl BatchModel for Mislowered {
+        fn input_kind(&self) -> InputKind {
+            InputKind::Tokens
+        }
+
+        fn input_len(&self) -> usize {
+            4
+        }
+
+        fn output_len(&self, _len: usize) -> usize {
+            2
+        }
+
+        fn set_quant(&mut self, _cfg: QuantConfig) {}
+
+        fn forward_batch(&mut self, _input: ZooInput<'_>, _batch: usize) -> Vec<f32> {
+            panic!("a planned key must not take the dynamic walk")
+        }
+
+        fn compile_plan(
+            &self,
+            cfg: QuantConfig,
+            batch: usize,
+            _len: usize,
+        ) -> Result<CompiledPlan, PlanError> {
+            let mut p = Planner::new();
+            p.pixels_input(4);
+            let mut s = Stage::new(4, 2);
+            s.gemm(&self.lin, Loc::In, Loc::Out, 1, cfg, None)?;
+            p.push_stage(s);
+            p.finish(batch)
+        }
+    }
+
+    #[test]
+    fn plan_execute_error_is_a_typed_answer_not_a_dynamic_rerun() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let lin = Linear::new(&mut rng, 4, 2, false, QuantConfig::fp32());
+        let mut server = Server::new(ServerConfig::default());
+        server.register("mislowered", Box::new(Mislowered { lin }));
+        let handle = server.start().unwrap();
+        for _ in 0..2 {
+            let err = handle
+                .infer(Request::new("mislowered", RequestInput::Tokens(vec![0; 4])))
+                .unwrap_err();
+            match err {
+                ServeError::PlanFailed { model, reason } => {
+                    assert_eq!(model, "mislowered");
+                    assert!(reason.contains("input kind"), "{reason}");
+                }
+                other => panic!("expected PlanFailed, got {other:?}"),
+            }
+        }
+        assert_eq!(handle.stats().plans_compiled, 1);
+        handle.shutdown();
+    }
+
+    /// Config churn past the cache bound: `PLAN_CACHE_CAP + 1` distinct
+    /// plannable configs cycled twice through one model. Oldest-first
+    /// eviction makes every request a miss, the cache never exceeds the
+    /// cap, and every answer matches the serial reference bit for bit.
+    #[test]
+    fn config_churn_past_the_cache_cap_stays_bounded_and_exact() {
+        let build = || DenseGemm::new(&mut StdRng::seed_from_u64(9), 32, 16, QuantConfig::fp32());
+        let mx = |m: u32| TensorFormat::Bdr(BdrFormat::new(m, 8, 1, 16, 2).unwrap());
+        let configs: Vec<QuantConfig> = (2..=7)
+            .flat_map(|w| (2..=7).map(move |a| QuantConfig::weights_activations(mx(w), mx(a))))
+            .take(PLAN_CACHE_CAP + 1)
+            .collect();
+        assert_eq!(configs.len(), PLAN_CACHE_CAP + 1);
+        let mut reference = build();
+        let want: Vec<Vec<f32>> = configs
+            .iter()
+            .enumerate()
+            .map(|(i, &cfg)| {
+                reference.set_quant(cfg);
+                reference.forward_batch(ZooInput::Pixels(&row(i)), 1)
+            })
+            .collect();
+        let mut server = Server::new(ServerConfig::default().max_batch(4));
+        server.register("dense", Box::new(build()));
+        let handle = server.start().unwrap();
+        for round in 0..2 {
+            for (i, &cfg) in configs.iter().enumerate() {
+                let req = Request::new("dense", RequestInput::Pixels(row(i))).quant(cfg);
+                let got = handle.infer(req).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want[i]), "round {round} config {i}");
+                let cached = handle.registry[0].plans.lock().unwrap().len();
+                assert!(cached <= PLAN_CACHE_CAP, "cache holds {cached} slots");
+            }
+        }
+        let stats = handle.stats();
+        assert_eq!(stats.plans_compiled, 2 * configs.len() as u64);
+        assert_eq!(stats.plan_cache_hits, 0);
         handle.shutdown();
     }
 

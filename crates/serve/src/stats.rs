@@ -40,18 +40,19 @@ pub(crate) struct StatsInner {
     shed: AtomicU64,
     expired: AtomicU64,
     batches: AtomicU64,
-    /// `hist[s - 1]` counts executed batches that coalesced `s` requests
-    /// (before padding).
+    /// `hist[s - 1]` counts executed batches that coalesced `s` requests.
     hist: Mutex<Vec<u64>>,
     latencies: Mutex<LatencyRing>,
     /// `(hits, packs)` baseline at server start.
     packs_baseline: (u64, u64),
+    /// Plans this server compiled.
+    plans_compiled: AtomicU64,
     /// Batches served straight from a model's compiled-plan cache.
     plan_hits: AtomicU64,
-    /// `(plans compiled, prepack hoists, arena bytes)` baseline at server
-    /// start — the process-wide `mx_nn::plan` counters, snapshotted so the
-    /// reported numbers are deltas attributable to this server.
-    plans_baseline: (u64, u64, u64),
+    /// `(prepack hoists, arena bytes)` baseline at server start — the
+    /// process-wide `mx_nn::plan` counters, snapshotted so the reported
+    /// numbers are deltas over this server's life.
+    plans_baseline: (u64, u64),
 }
 
 struct LatencyRing {
@@ -61,6 +62,7 @@ struct LatencyRing {
 
 impl StatsInner {
     pub(crate) fn new(max_batch: usize, shards: usize) -> Self {
+        let (_, hoists, arena) = mx_nn::plan::plan_counters();
         StatsInner {
             in_flight: AtomicUsize::new(0),
             shard_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
@@ -76,9 +78,15 @@ impl StatsInner {
                 next: 0,
             }),
             packs_baseline: mx_nn::qflow::plane_cache_counters(),
+            plans_compiled: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
-            plans_baseline: mx_nn::plan::plan_counters(),
+            plans_baseline: (hoists, arena),
         }
+    }
+
+    /// Counts one plan this server compiled.
+    pub(crate) fn record_plan_compiled(&self) {
+        self.plans_compiled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one batch served from the compiled-plan cache (no planning,
@@ -202,7 +210,7 @@ impl StatsInner {
             .clone();
         sorted.sort_unstable();
         let (hits, packs) = mx_nn::qflow::plane_cache_counters();
-        let (plans, hoists, arena) = mx_nn::plan::plan_counters();
+        let (_, hoists, arena) = mx_nn::plan::plan_counters();
         ServeStats {
             queue_depth: self.in_flight.load(Ordering::Relaxed),
             shard_depths: self
@@ -220,10 +228,10 @@ impl StatsInner {
             p999_latency_us: percentile_permille(&sorted, 999),
             packs_avoided: hits.saturating_sub(self.packs_baseline.0),
             packs_performed: packs.saturating_sub(self.packs_baseline.1),
-            plans_compiled: plans.saturating_sub(self.plans_baseline.0),
+            plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_hits.load(Ordering::Relaxed),
-            prepack_hoists: hoists.saturating_sub(self.plans_baseline.1),
-            plan_arena_bytes: arena.saturating_sub(self.plans_baseline.2),
+            prepack_hoists: hoists.saturating_sub(self.plans_baseline.0),
+            plan_arena_bytes: arena.saturating_sub(self.plans_baseline.1),
         }
     }
 }
@@ -260,10 +268,11 @@ pub struct ServeStats {
     /// Requests whose deadline expired before execution
     /// ([`crate::ServeError::DeadlineExceeded`]).
     pub expired: u64,
-    /// Batches executed (each is one coalesced `forward_batch` call).
+    /// Batches executed (each is one plan execute, or one `forward_batch`
+    /// call for a key the model cannot plan).
     pub batches: u64,
     /// `batch_histogram[s - 1]` = number of executed batches that coalesced
-    /// `s` requests (pre-padding); length is the server's `max_batch`.
+    /// `s` requests; length is the server's `max_batch`.
     pub batch_histogram: Vec<u64>,
     /// Median end-to-end request latency (submit → response), microseconds.
     pub p50_latency_us: u64,
@@ -277,8 +286,9 @@ pub struct ServeStats {
     /// Weight code-plane packs actually performed since the server started
     /// (ideally: one per model × weight-format pair).
     pub packs_performed: u64,
-    /// Execution plans compiled since the server started (ideally: one per
-    /// model × config × bucket key ever served).
+    /// Execution plans this server compiled: one per model × config ×
+    /// bucket key it served, plus one per recompile of a key the bounded
+    /// plan cache evicted.
     pub plans_compiled: u64,
     /// Batches served straight from a model's compiled-plan cache — the
     /// steady-state path that does zero planning, gating, or allocation
@@ -342,6 +352,7 @@ mod tests {
         s.record_shed();
         s.record_expired(2);
         s.record_plan_hit();
+        s.record_plan_compiled();
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.shard_depths, vec![1, 0]);
@@ -354,10 +365,12 @@ mod tests {
         assert_eq!(snap.p99_latency_us, 30);
         assert_eq!(snap.p999_latency_us, 30);
         assert!((snap.mean_batch_size() - 1.5).abs() < 1e-12);
-        // The hit counter is per-server; the compile/hoist/arena counters
-        // are process-wide deltas, so other tests in the same process may
-        // move them — only the local counter has an exact expectation.
+        // The hit and compile counters are per-server; the hoist/arena
+        // counters are process-wide deltas, so other tests in the same
+        // process may move them — only the local counters have exact
+        // expectations.
         assert_eq!(snap.plan_cache_hits, 1);
+        assert_eq!(snap.plans_compiled, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bit-identity suite for compiled execution plans: for every zoo model ×
-//! preset format pair × batch bucket, executing the [`CompiledPlan`]
-//! produced by `BatchModel::compile_plan` must match the dynamic
-//! layer-walk (`forward_batch`) to the bit. Also covers the hoisted
+//! preset format pair × sequence bucket, the [`CompiledPlan`] produced by
+//! `BatchModel::compile_plan` once at a capacity must match the dynamic
+//! layer-walk (`forward_batch`) to the bit at every batch it executes. Also covers the hoisted
 //! format-support gate (typed plan-time errors instead of silent per-call
 //! fallbacks), plan-cache invalidation via the weight-generation token,
 //! and concurrent execution of one shared plan from many threads with
@@ -37,66 +37,91 @@ fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
     }
 }
 
-/// Builds the input payloads for one `(model, batch, len)` bucket.
-fn tokens_for(batch: usize, len: usize, vocab: usize, salt: usize) -> Vec<usize> {
-    (0..batch * len).map(|i| (i * 7 + salt) % vocab).collect()
+/// An owned batch payload, viewable as either executor's input.
+enum Payload {
+    Tokens(Vec<usize>),
+    Pixels(Vec<f32>),
 }
 
-fn pixels_for(batch: usize, len: usize, salt: usize) -> Vec<f32> {
-    (0..batch * len)
-        .map(|i| ((i + salt) as f32 * 0.173).sin())
-        .collect()
+impl Payload {
+    /// `elems` deterministic elements: token ids below `vocab` for token
+    /// models (`Some`), pixel values otherwise.
+    fn new(elems: usize, vocab: Option<usize>, salt: usize) -> Self {
+        match vocab {
+            Some(v) => Payload::Tokens((0..elems).map(|i| (i * 7 + salt) % v).collect()),
+            None => Payload::Pixels(
+                (0..elems)
+                    .map(|i| ((i + salt) as f32 * 0.173).sin())
+                    .collect(),
+            ),
+        }
+    }
+
+    fn zoo(&self) -> ZooInput<'_> {
+        match self {
+            Payload::Tokens(t) => ZooInput::Tokens(t),
+            Payload::Pixels(p) => ZooInput::Pixels(p),
+        }
+    }
+
+    fn plan(&self) -> PlanInput<'_> {
+        match self {
+            Payload::Tokens(t) => PlanInput::Tokens(t),
+            Payload::Pixels(p) => PlanInput::Pixels(p),
+        }
+    }
 }
 
-/// Runs every preset × bucket over one model, comparing planned vs dynamic
-/// bit for bit. `buckets` are `(batch, len)` pairs; `vocab` is `Some` for
-/// token models.
+/// Runs every preset × bucket `len` over one model: each plan is compiled
+/// once at capacity `cap` and executed at batches 1, 2, `cap − 1` and
+/// `cap`, each compared bit for bit with the dynamic walk at that batch.
+/// Past capacity, and on a payload that is not a whole number of
+/// requests, execute must refuse with `PlanError::Input`. `vocab` is
+/// `Some` for token models.
 fn check_model<M: BatchModel>(
     model: &mut M,
     name: &str,
-    buckets: &[(usize, usize)],
+    cap: usize,
+    lens: &[usize],
     vocab: Option<usize>,
 ) {
+    let mut batches = vec![1, 2, cap.saturating_sub(1), cap];
+    batches.retain(|&b| (1..=cap).contains(&b));
+    batches.sort_unstable();
+    batches.dedup();
     for cfg in presets() {
         model.set_quant(cfg);
-        for &(batch, len) in buckets {
-            let ctx = format!("{name} cfg={cfg} batch={batch} len={len}");
+        for &len in lens {
+            let ctx = format!("{name} cfg={cfg} cap={cap} len={len}");
             let plan = model
-                .compile_plan(cfg, batch, len)
+                .compile_plan(cfg, cap, len)
                 .unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
             let mut arena = PlanArena::new();
-            let (dynamic, planned) = match vocab {
-                Some(v) => {
-                    let toks = tokens_for(batch, len, v, batch + len);
-                    (
-                        model.forward_batch(ZooInput::Tokens(&toks), batch),
-                        plan.execute(PlanInput::Tokens(&toks), &mut arena),
-                    )
-                }
-                None => {
-                    let px = pixels_for(batch, len, batch);
-                    (
-                        model.forward_batch(ZooInput::Pixels(&px), batch),
-                        plan.execute(PlanInput::Pixels(&px), &mut arena),
-                    )
-                }
-            };
-            let planned = planned.unwrap_or_else(|e| panic!("{ctx}: execute failed: {e}"));
-            assert_eq!(planned.len(), batch * model.output_len(len), "{ctx}");
-            assert_bits_eq(&planned, &dynamic, &ctx);
-            // A second execute over the warm arena must not drift.
-            let again = match vocab {
-                Some(v) => {
-                    let toks = tokens_for(batch, len, v, batch + len);
-                    plan.execute(PlanInput::Tokens(&toks), &mut arena)
-                }
-                None => {
-                    let px = pixels_for(batch, len, batch);
-                    plan.execute(PlanInput::Pixels(&px), &mut arena)
+            let mut first = None;
+            for &batch in &batches {
+                let ctx = format!("{ctx} batch={batch}");
+                let payload = Payload::new(batch * len, vocab, batch + len);
+                let dynamic = model.forward_batch(payload.zoo(), batch);
+                let planned = plan
+                    .execute(payload.plan(), &mut arena)
+                    .unwrap_or_else(|e| panic!("{ctx}: execute failed: {e}"));
+                assert_eq!(planned.len(), batch * model.output_len(len), "{ctx}");
+                assert_bits_eq(&planned, &dynamic, &ctx);
+                first.get_or_insert((payload, dynamic));
+            }
+            // The smallest batch again, over the arena the largest grew
+            // (and left dirty), must not drift.
+            let (payload, dynamic) = first.expect("at least one batch");
+            let again = plan
+                .execute(payload.plan(), &mut arena)
+                .expect("warm re-execute");
+            assert_bits_eq(&again, &dynamic, &format!("{ctx} (warm arena)"));
+            for (elems, what) in [((cap + 1) * len, "past capacity"), (len + 1, "ragged")] {
+                match plan.execute(Payload::new(elems, vocab, 1).plan(), &mut arena) {
+                    Err(PlanError::Input(_)) => {}
+                    other => panic!("{ctx}: {what} payload gave {other:?}"),
                 }
             }
-            .expect("warm re-execute");
-            assert_bits_eq(&again, &dynamic, &format!("{ctx} (warm arena)"));
         }
     }
 }
@@ -105,7 +130,7 @@ fn check_model<M: BatchModel>(
 fn dense_gemm_planned_matches_dynamic() {
     let mut rng = rand::SeedableRng::seed_from_u64(31);
     let mut m = DenseGemm::new(&mut rng, 64, 32, QuantConfig::fp32());
-    check_model(&mut m, "DenseGemm", &[(1, 64), (4, 64), (32, 64)], None);
+    check_model(&mut m, "DenseGemm", 32, &[64], None);
 }
 
 #[test]
@@ -114,24 +139,14 @@ fn gpt_planned_matches_dynamic_across_buckets() {
     let mut m = Gpt::new(&mut rng, GptConfig::tiny(), QuantConfig::fp32());
     let t = BatchModel::input_len(&m);
     // Native window plus a shorter variable-length bucket.
-    check_model(
-        &mut m,
-        "Gpt",
-        &[(1, t), (3, t), (2, t / 2)],
-        Some(data::LM_VOCAB),
-    );
+    check_model(&mut m, "Gpt", 4, &[t, t / 2], Some(data::LM_VOCAB));
 }
 
 #[test]
 fn bert_planned_matches_dynamic_across_buckets() {
     let mut rng = rand::SeedableRng::seed_from_u64(33);
     let mut m = BertQa::new(&mut rng, 16, 1, 12, QuantConfig::fp32());
-    check_model(
-        &mut m,
-        "BertQa",
-        &[(1, 12), (2, 12), (3, 7)],
-        Some(data::QA_VOCAB),
-    );
+    check_model(&mut m, "BertQa", 3, &[12, 7], Some(data::QA_VOCAB));
 }
 
 #[test]
@@ -139,16 +154,11 @@ fn vision_models_planned_match_dynamic() {
     let px_len = data::IMAGE_SIDE * data::IMAGE_SIDE;
     let mut rng = rand::SeedableRng::seed_from_u64(34);
     let mut vit = TinyViT::new(&mut rng, 16, 2, QuantConfig::fp32());
-    check_model(&mut vit, "TinyViT", &[(1, px_len), (3, px_len)], None);
+    check_model(&mut vit, "TinyViT", 3, &[px_len], None);
     let mut resnet = TinyResNet::new(&mut rng, 4, 2, QuantConfig::fp32());
-    check_model(&mut resnet, "TinyResNet", &[(1, px_len), (2, px_len)], None);
+    check_model(&mut resnet, "TinyResNet", 3, &[px_len], None);
     let mut mobile = TinyMobileNet::new(&mut rng, 4, 3, QuantConfig::fp32());
-    check_model(
-        &mut mobile,
-        "TinyMobileNet",
-        &[(1, px_len), (2, px_len)],
-        None,
-    );
+    check_model(&mut mobile, "TinyMobileNet", 3, &[px_len], None);
 }
 
 /// Repeated structure must share templates: the GPT blocks collapse to one
@@ -211,12 +221,12 @@ fn weight_mutation_invalidates_and_recompile_tracks() {
     let mut rng = rand::SeedableRng::seed_from_u64(37);
     let cfg = QuantConfig::uniform(TensorFormat::MX6);
     let mut m = DenseGemm::new(&mut rng, 32, 16, cfg);
-    let px = pixels_for(2, 32, 9);
+    let px = Payload::new(2 * 32, None, 9);
 
     let token_before = m.plan_token();
     let plan_before = m.compile_plan(cfg, 2, 32).expect("plan");
     let out_before = plan_before
-        .execute(PlanInput::Pixels(&px), &mut PlanArena::new())
+        .execute(px.plan(), &mut PlanArena::new())
         .expect("execute");
 
     // In-place weight mutation (what an optimizer step does).
@@ -226,9 +236,9 @@ fn weight_mutation_invalidates_and_recompile_tracks() {
 
     let plan_after = m.compile_plan(cfg, 2, 32).expect("recompile");
     let out_after = plan_after
-        .execute(PlanInput::Pixels(&px), &mut PlanArena::new())
+        .execute(px.plan(), &mut PlanArena::new())
         .expect("execute");
-    let dynamic_after = m.forward_batch(ZooInput::Pixels(&px), 2);
+    let dynamic_after = m.forward_batch(px.zoo(), 2);
     assert_bits_eq(&out_after, &dynamic_after, "recompiled plan");
     assert_ne!(
         out_before.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -247,7 +257,9 @@ fn shared_plan_is_thread_safe_with_per_worker_arenas() {
     let mut m = Gpt::new(&mut rng, GptConfig::tiny(), cfg);
     assert_eq!(m.input_kind(), InputKind::Tokens);
     let t = BatchModel::input_len(&m);
-    let toks = tokens_for(2, t, data::LM_VOCAB, 3);
+    let Payload::Tokens(toks) = Payload::new(2 * t, Some(data::LM_VOCAB), 3) else {
+        unreachable!("a vocabulary asks for tokens")
+    };
     let want = m.forward_batch(ZooInput::Tokens(&toks), 2);
     let plan: Arc<CompiledPlan> = Arc::new(m.compile_plan(cfg, 2, t).expect("plan"));
 

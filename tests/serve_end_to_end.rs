@@ -1,7 +1,7 @@
 //! End-to-end suite for `mx-serve`: batching must be **semantically
 //! invisible**. Every response a server produces — whatever the batch
 //! coalescing, request interleaving, format mix, shard count, length
-//! bucket, ragged final batch, or zero-padding — must be bit-identical to
+//! bucket, or ragged final batch — must be bit-identical to
 //! running that request alone on an identically constructed model
 //! (bucket-padded requests compare against the same padded request run
 //! alone, sliced back to the request's own length). Also covers the
@@ -16,7 +16,7 @@ use mx::models::vision::TinyViT;
 use mx::models::zoo::{BatchModel, DenseGemm, ZooInput};
 use mx::nn::qflow::QuantConfig;
 use mx::nn::TensorFormat;
-use mx::serve::{Pending, Request, RequestInput, Server, ServerConfig, ServerHandle};
+use mx::serve::{Pending, Request, RequestInput, ServeError, Server, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -319,7 +319,7 @@ fn bucketed_mixed_length_serving_matches_padded_serial_reference() {
 }
 
 #[test]
-fn ragged_and_padded_batches_are_semantically_invisible() {
+fn ragged_batches_are_semantically_invisible() {
     let seq = GptConfig::tiny().seq_len;
     // 6 same-format requests against max_batch = 4 force a ragged tail of
     // at most 2 whichever way the worker slices the burst.
@@ -327,23 +327,114 @@ fn ragged_and_padded_batches_are_semantically_invisible() {
         .map(|i| (mx6(), RequestInput::Tokens(tokens(100 + i, seq))))
         .collect();
     let want = serial_reference(&mut gpt(7), &requests);
-    for pad_batches in [false, true] {
-        let mut server = Server::new(
-            ServerConfig::default()
-                .max_batch(4)
-                .pad_batches(pad_batches),
-        );
-        server.register("gpt", Box::new(gpt(7)));
-        let handle = server.start().expect("valid config");
-        let got = run_burst(&handle, "gpt", &requests);
-        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert_bits_eq(g, w, &format!("pad={pad_batches}, request {i}"));
-        }
-        // Padding is invisible in the histogram too: sizes are pre-padding.
-        let stats = handle.stats();
-        assert_eq!(stats.completed, 6);
-        handle.shutdown();
+    let mut server = Server::new(ServerConfig::default().max_batch(4));
+    server.register("gpt", Box::new(gpt(7)));
+    let handle = server.start().expect("valid config");
+    let got = run_burst(&handle, "gpt", &requests);
+    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+        assert_bits_eq(g, w, &format!("request {i}"));
     }
+    assert_eq!(handle.stats().completed, 6);
+    handle.shutdown();
+}
+
+/// One compile per (model, format, bucket): ragged bursts of every size
+/// `1..=max_batch` over 2 formats × 2 buckets, served by two workers that
+/// race to miss the same keys, compile exactly 4 plans, and every reply
+/// matches the bucket-padded serial reference bit for bit.
+#[test]
+fn one_plan_per_format_and_bucket_serves_every_batch_size() {
+    let buckets = [8];
+    let seq = GptConfig::tiny().seq_len;
+    let formats = [
+        mx6(),
+        QuantConfig::weights_activations(TensorFormat::MX9, TensorFormat::MX9),
+    ];
+    let max_batch = 4;
+    // Burst `s` carries `s` requests of every (format, bucket) key,
+    // interleaved, so each key sees batches of every size up to the cap.
+    let mut bursts: Vec<Vec<(QuantConfig, RequestInput)>> = Vec::new();
+    for size in 1..=max_batch {
+        let mut burst = Vec::new();
+        for i in 0..size {
+            for (f, cfg) in formats.iter().enumerate() {
+                for len in [5, seq] {
+                    let salt = 40 * size + 4 * i + 2 * f + usize::from(len == seq);
+                    burst.push((*cfg, RequestInput::Tokens(tokens(salt, len))));
+                }
+            }
+        }
+        bursts.push(burst);
+    }
+    let mut server = Server::new(
+        ServerConfig::default()
+            .workers(2)
+            .max_batch(max_batch)
+            .buckets(buckets),
+    );
+    server.register("gpt", Box::new(gpt(88)));
+    let handle = server.start().expect("valid config");
+    let mut reference = gpt(88);
+    for (b, burst) in bursts.iter().enumerate() {
+        let want = bucketed_reference(&mut reference, &buckets, burst);
+        let got = run_burst(&handle, "gpt", burst);
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            assert_bits_eq(g, w, &format!("burst {} request {i}", b + 1));
+        }
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.plans_compiled, 4, "one plan per (format, bucket)");
+    assert_eq!(stats.plan_cache_hits + stats.plans_compiled, stats.batches);
+    handle.shutdown();
+}
+
+/// A token id outside the vocabulary is a typed rejection at submit, and
+/// the tenant keeps serving: the next valid request matches the serial
+/// reference bit for bit, on a planned and an unplannable format alike.
+#[test]
+fn out_of_vocabulary_token_is_rejected_and_the_tenant_keeps_serving() {
+    let qa_seq = 12;
+    let build_bert = || {
+        BertQa::new(
+            &mut StdRng::seed_from_u64(63),
+            16,
+            1,
+            qa_seq,
+            QuantConfig::fp32(),
+        )
+    };
+    let mut server = Server::new(ServerConfig::default());
+    server.register("gpt", Box::new(gpt(64)));
+    server.register("bert", Box::new(build_bert()));
+    let handle = server.start().expect("valid config");
+    let bf16 = QuantConfig::uniform(TensorFormat::Bf16);
+    let cases: [(&str, usize, &mut dyn BatchModel); 2] = [
+        ("gpt", data::LM_VOCAB, &mut gpt(64)),
+        ("bert", data::QA_VOCAB, &mut build_bert()),
+    ];
+    for (name, vocab, reference) in cases {
+        for cfg in [mx6(), bf16] {
+            let bad = vec![1, 2, vocab + 7, 4];
+            let err = handle
+                .infer(Request::new(name, RequestInput::Tokens(bad)).quant(cfg))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::TokenOutOfRange {
+                    model: name.into(),
+                    token: vocab + 7,
+                    vocab,
+                },
+                "{name} {cfg}"
+            );
+            let good = (0..4).map(|t| t * 3 % vocab).collect();
+            let requests = [(cfg, RequestInput::Tokens(good))];
+            let want = bucketed_reference(reference, &[], &requests);
+            let got = run_burst(&handle, name, &requests);
+            assert_bits_eq(&got[0], &want[0], &format!("{name} {cfg} after the bad id"));
+        }
+    }
+    handle.shutdown();
 }
 
 #[test]
