@@ -6,14 +6,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mx_core::bdr::{BdrFormat, BdrQuantizer};
 use mx_core::engine::QuantEngine;
-use mx_core::fp_scaled::FpScaledQuantizer;
 use mx_core::gemm::{force_kernel_backend, KernelBackend};
-use mx_core::int_quant::IntQuantizer;
 use mx_core::mx::MxTensor;
 use mx_core::qsnr::{measure_qsnr, Distribution, QsnrConfig};
 use mx_core::scalar::ScalarFormat;
-use mx_core::scaling::ScaleStrategy;
-use mx_core::vsq::VsqQuantizer;
+use mx_core::scaling::{ElementCode, ScaleStrategy, ScaledQuantizer, DEFAULT_TENSOR_BLOCK};
 use mx_core::VectorQuantizer;
 use mx_hw::cost::{CostModel, FormatConfig};
 use mx_hw::pipeline::{DotProductPipeline, PipelineConfig};
@@ -37,18 +34,30 @@ fn quant_throughput(c: &mut Criterion) {
         ("MSFP12", Box::new(BdrQuantizer::new(BdrFormat::MSFP12))),
         (
             "FP8-E4M3",
-            Box::new(FpScaledQuantizer::new(
-                ScalarFormat::E4M3,
+            Box::new(ScaledQuantizer::new(
+                ElementCode::Float(ScalarFormat::E4M3),
+                None,
+                DEFAULT_TENSOR_BLOCK,
                 ScaleStrategy::Amax,
             )),
         ),
         (
             "INT8",
-            Box::new(IntQuantizer::new(8, 1024, ScaleStrategy::Amax)),
+            Box::new(ScaledQuantizer::new(
+                ElementCode::Int { bits: 8 },
+                None,
+                1024,
+                ScaleStrategy::Amax,
+            )),
         ),
         (
             "VSQ4",
-            Box::new(VsqQuantizer::new(4, 4, 1024, ScaleStrategy::Amax)),
+            Box::new(ScaledQuantizer::new(
+                ElementCode::Int { bits: 4 },
+                Some(4),
+                1024,
+                ScaleStrategy::Amax,
+            )),
         ),
     ];
     for (name, q) in cases.iter_mut() {

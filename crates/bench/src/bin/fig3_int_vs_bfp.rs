@@ -5,9 +5,8 @@
 
 use mx_bench::{fmt, print_table, write_csv};
 use mx_core::bdr::{BdrFormat, BdrQuantizer};
-use mx_core::int_quant::IntQuantizer;
 use mx_core::qsnr::{measure_qsnr, Distribution, QsnrConfig};
-use mx_core::scaling::ScaleStrategy;
+use mx_core::scaling::{ElementCode, ScaleStrategy, ScaledQuantizer};
 use mx_core::VectorQuantizer;
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
             ("amax", ScaleStrategy::Amax),
             ("delayed", ScaleStrategy::default()),
         ] {
-            let mut q = IntQuantizer::new(8, k1, strat);
+            let mut q = ScaledQuantizer::new(ElementCode::Int { bits: 8 }, None, k1, strat);
             let qsnr = measure_qsnr(&mut q, dist, cfg);
             let bits = q.bits_per_element();
             rows.push(vec![

@@ -253,8 +253,7 @@ pub fn qsnr_samples(
 mod tests {
     use super::*;
     use crate::bdr::{BdrFormat, BdrQuantizer};
-    use crate::int_quant::IntQuantizer;
-    use crate::scaling::ScaleStrategy;
+    use crate::scaling::{ElementCode, ScaleStrategy, ScaledQuantizer};
 
     #[test]
     fn qsnr_db_basics() {
@@ -302,7 +301,12 @@ mod tests {
         }
 
         let mut bdr = BdrQuantizer::new(BdrFormat::MX6);
-        let mut delayed = IntQuantizer::new(8, 64, ScaleStrategy::Delayed { window: 4 });
+        let mut delayed = ScaledQuantizer::new(
+            ElementCode::Int { bits: 8 },
+            None,
+            64,
+            ScaleStrategy::Delayed { window: 4 },
+        );
         let quantizers: [&mut dyn VectorQuantizer; 2] = [&mut bdr, &mut delayed];
         for q in quantizers {
             let pooled = measure_qsnr(q, d, cfg);
@@ -369,7 +373,8 @@ mod tests {
             vector_len: 128,
             seed: 3,
         };
-        let mut q = IntQuantizer::new(8, 128, ScaleStrategy::Amax);
+        let mut q =
+            ScaledQuantizer::new(ElementCode::Int { bits: 8 }, None, 128, ScaleStrategy::Amax);
         let samples = qsnr_samples(&mut q, Distribution::NormalVariableVariance, cfg);
         assert_eq!(samples.len(), 32);
         assert!(samples.iter().all(|s| s.is_finite() && *s > 10.0));

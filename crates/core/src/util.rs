@@ -20,6 +20,10 @@
 /// assert_eq!(exponent_of(-6.5), 2);
 /// assert_eq!(exponent_of(0.75), -1);
 /// ```
+// `#[inline]` on the per-element helpers (this one, `round_half_even`,
+// `pow2`): the engine's block core calls them from another module, and
+// without it their inlining depends on which codegen unit each lands in.
+#[inline]
 pub fn exponent_of(x: f32) -> i32 {
     debug_assert!(
         x.is_finite() && x != 0.0,
@@ -67,6 +71,7 @@ pub fn max_exponent(xs: &[f32]) -> Option<i32> {
 /// assert_eq!(round_half_even(-2.5), -2.0);
 /// assert_eq!(round_half_even(2.4), 2.0);
 /// ```
+#[inline]
 pub fn round_half_even(v: f64) -> f64 {
     let floor = v.floor();
     let diff = v - floor;
@@ -94,6 +99,7 @@ pub fn round_half_even(v: f64) -> f64 {
 /// assert_eq!(pow2(3), 8.0);
 /// assert_eq!(pow2(-2), 0.25);
 /// ```
+#[inline]
 pub fn pow2(e: i32) -> f64 {
     debug_assert!(
         (-1022..=1022).contains(&e),

@@ -306,7 +306,7 @@ impl AreaModel {
     /// sub-scale multiplier per vector, then alignment and reduction.
     pub fn vsq_unit(&self, bits: u32, d2: u32, geom: PipelineGeometry) -> AreaBreakdown {
         let r = geom.r as f64;
-        let vectors = (geom.r / mx_core::vsq::VSQ_VECTOR).max(1) as f64;
+        let vectors = (geom.r / mx_core::scaling::VSQ_VECTOR).max(1) as f64;
         let w_vec = 2 * bits + 4; // products + carry growth over 16 elements
         let f = DEFAULT_F_CAP;
         let log2_v = (vectors.log2().ceil() as u32).max(1);
@@ -316,7 +316,9 @@ impl AreaModel {
                 + vectors * self.multiplier(w_vec, 2 * d2), // rescale vector sum
             sign_logic: r * self.costs.xor2,
             tc_convert: r * self.tc(2 * bits),
-            block_tree: vectors * (mx_core::vsq::VSQ_VECTOR as u32 - 1) as f64 * self.adder(w_vec),
+            block_tree: vectors
+                * (mx_core::scaling::VSQ_VECTOR as u32 - 1) as f64
+                * self.adder(w_vec),
             align_shift: vectors * self.shifter(f, f),
             fixed_sum: (vectors - 1.0).max(0.0) * self.adder(f + log2_v),
             fp32_tail: self.lzc(f + log2_v) + self.costs.fp32_tail,
@@ -324,7 +326,7 @@ impl AreaModel {
             ..AreaBreakdown::default()
         };
         if geom.io_registered {
-            let elem_bits = bits as f64 + d2 as f64 / mx_core::vsq::VSQ_VECTOR as f64;
+            let elem_bits = bits as f64 + d2 as f64 / mx_core::scaling::VSQ_VECTOR as f64;
             a.registers = self.costs.register_bit * (2.0 * r * elem_bits + 32.0);
         }
         a

@@ -5,11 +5,8 @@
 use crate::area::{AreaModel, PipelineGeometry};
 use crate::memory::memory_cost_rel_fp8;
 use mx_core::bdr::{BdrFormat, BdrQuantizer};
-use mx_core::fp_scaled::FpScaledQuantizer;
-use mx_core::int_quant::{IntQuantizer, FP32_SCALE_BITS};
 use mx_core::scalar::ScalarFormat;
-use mx_core::scaling::ScaleStrategy;
-use mx_core::vsq::{VsqQuantizer, VSQ_VECTOR};
+use mx_core::scaling::{ElementCode, ScaleStrategy, ScaledQuantizer, FP32_SCALE_BITS, VSQ_VECTOR};
 use mx_core::VectorQuantizer;
 use std::fmt;
 
@@ -108,16 +105,13 @@ impl FormatConfig {
     /// Builds the matching [`VectorQuantizer`] with the given software
     /// scaling strategy (ignored by hardware-scaled BDR formats).
     pub fn quantizer(&self, strategy: ScaleStrategy) -> Box<dyn VectorQuantizer + Send> {
-        match self {
-            FormatConfig::Bdr(f) => Box::new(BdrQuantizer::new(*f)),
-            FormatConfig::ScalarSw { format, k1 } => {
-                Box::new(FpScaledQuantizer::new(*format, strategy).with_block(*k1))
-            }
-            FormatConfig::Int { bits, k1 } => Box::new(IntQuantizer::new(*bits, *k1, strategy)),
-            FormatConfig::Vsq { bits, d2, k1 } => {
-                Box::new(VsqQuantizer::new(*bits, *d2, *k1, strategy))
-            }
-        }
+        let (code, d2, k1) = match *self {
+            FormatConfig::Bdr(f) => return Box::new(BdrQuantizer::new(f)),
+            FormatConfig::ScalarSw { format, k1 } => (ElementCode::Float(format), None, k1),
+            FormatConfig::Int { bits, k1 } => (ElementCode::Int { bits }, None, k1),
+            FormatConfig::Vsq { bits, d2, k1 } => (ElementCode::Int { bits }, Some(d2), k1),
+        };
+        Box::new(ScaledQuantizer::new(code, d2, k1, strategy))
     }
 }
 

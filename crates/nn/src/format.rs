@@ -25,6 +25,7 @@ use crate::tensor::Tensor;
 use mx_core::bdr::BdrFormat;
 use mx_core::engine::QuantEngine;
 use mx_core::scalar::ScalarFormat;
+use mx_core::scaling::{ElementCode, ScaleStrategy, ScaledQuantizer, DEFAULT_TENSOR_BLOCK};
 use std::fmt;
 
 /// Numeric format for a tensor operand.
@@ -36,6 +37,9 @@ pub enum TensorFormat {
     Bf16,
     /// Scalar narrow float with per-tensor amax scaling (FP8-style; the
     /// scale maps the tensor's amax onto the format's max finite value).
+    /// The cast is [`ScaledQuantizer::quantize_block`] over the whole
+    /// tensor — the block routine of the Fig. 7 FP8 rows — so a tensor
+    /// whose amax is zero (all ±0 or NaN) becomes `+0.0`.
     ScalarScaled(ScalarFormat),
     /// Block format quantized along the reduction dimension.
     Bdr(BdrFormat),
@@ -52,6 +56,13 @@ impl TensorFormat {
     /// Whether this format leaves values untouched.
     pub fn is_identity(&self) -> bool {
         matches!(self, TensorFormat::Fp32)
+    }
+
+    /// Whether one scale spans the whole tensor, so the cast of a value
+    /// depends on every other value in it: a gathered or batched tensor
+    /// casts differently from its rows alone.
+    pub fn is_per_tensor_scaled(&self) -> bool {
+        matches!(self, TensorFormat::ScalarScaled(_))
     }
 
     /// Average storage bits per element.
@@ -141,16 +152,13 @@ pub(crate) fn cast_rows(data: &mut [f32], cols: usize, format: TensorFormat) {
                 *v = ScalarFormat::BF16.cast(*v);
             }
         }
-        TensorFormat::ScalarScaled(f) => {
-            let amax = data.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            if amax == 0.0 {
-                return;
-            }
-            let s = amax as f64 / f.max_finite() as f64;
-            for v in data.iter_mut() {
-                *v = (f.cast((*v as f64 / s) as f32) as f64 * s) as f32;
-            }
-        }
+        TensorFormat::ScalarScaled(f) => ScaledQuantizer::new(
+            ElementCode::Float(f),
+            None,
+            DEFAULT_TENSOR_BLOCK,
+            ScaleStrategy::Amax,
+        )
+        .quantize_block(data),
         TensorFormat::Bdr(fmt) => QuantEngine::auto(fmt).quantize_dequantize_rows(data, cols),
     }
 }

@@ -869,7 +869,7 @@ impl Planner {
 /// amax scaling does not (its scale depends on the gathered values).
 fn hoist_table(e: &Embedding) -> Result<Vec<f32>, PlanError> {
     let fmt = e.plan_format();
-    if matches!(fmt, TensorFormat::ScalarScaled(_)) {
+    if fmt.is_per_tensor_scaled() {
         return Err(PlanError::Unsupported(
             "per-tensor-scaled embedding tables cannot be hoisted",
         ));

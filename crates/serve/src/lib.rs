@@ -28,9 +28,10 @@
 //!   length. Fixed-length models are the degenerate single-bucket case;
 //! - **coalescing workers**: each of a shard's workers takes one job off
 //!   the shard queue, drains up to `max_batch` jobs in total, and runs
-//!   them as same-model / same-config / same-bucket batches. A request
-//!   crosses two threads (client → worker); the bounded job queue is the
-//!   only buffer, so it alone carries backpressure. On a shard with
+//!   them as same-model / same-config / same-bucket batches (a request in
+//!   a per-tensor-scaled format is a batch of its own, see below). A
+//!   request crosses two threads (client → worker); the bounded job queue
+//!   is the only buffer, so it alone carries backpressure. On a shard with
 //!   several workers and mixed keys, every group of one drain runs on the
 //!   worker that drained it, one after another, while idle siblings take
 //!   later jobs from the queue;
@@ -49,11 +50,16 @@
 //! response is bit-identical to running the same (bucket-padded) request
 //! alone — across formats, batch sizes, shard counts and ragged final
 //! batches (the workspace's `serve_end_to_end` suite asserts this bit for
-//! bit). What batching buys is throughput:
-//! B-side code traffic, kernel dispatch, and the A-side pack's per-call
-//! overhead amortize over the coalesced rows (measured in the
-//! `serving_throughput` bench and the multi-tenant `serve_loadgen`
-//! simulator).
+//! bit). The one exception is a per-tensor-scaled format
+//! ([`mx_nn::TensorFormat::is_per_tensor_scaled`], the scalar-scaled FP8
+//! family) on the activations or element-wise outputs: its single scale
+//! spans the whole batch tensor, so one large request would re-scale a
+//! small neighbour. Such a request is never coalesced: it always runs as
+//! a batch of one, so its answer is its solo answer too. What batching
+//! buys is throughput: B-side code traffic, kernel dispatch, and the
+//! A-side pack's per-call overhead amortize over the coalesced rows
+//! (measured in the `serving_throughput` bench and the multi-tenant
+//! `serve_loadgen` simulator).
 //!
 //! ## Example
 //!
@@ -469,9 +475,14 @@ fn worker_loop(
         }
         let mut groups: Vec<Batch> = Vec::new();
         for job in drained {
+            // One scale over the whole batch tensor would couple the
+            // requests batched together: such a job runs alone.
+            let alone = [job.cfg.fwd, job.cfg.elementwise]
+                .iter()
+                .any(|f| f.is_per_tensor_scaled());
             match groups
                 .iter_mut()
-                .find(|b| b.model == job.model && b.cfg == job.cfg && b.len == job.len)
+                .find(|b| !alone && b.model == job.model && b.cfg == job.cfg && b.len == job.len)
             {
                 Some(b) => b.jobs.push(job),
                 None => groups.push(Batch {

@@ -9,6 +9,7 @@
 //! batcher exists to exploit.
 
 use mx::core::gemm::{force_kernel_backend, kernel_backend_name, KernelBackend};
+use mx::core::scalar::ScalarFormat;
 use mx::models::bert::BertQa;
 use mx::models::data;
 use mx::models::gpt::{Gpt, GptConfig};
@@ -335,6 +336,57 @@ fn ragged_batches_are_semantically_invisible() {
         assert_bits_eq(g, w, &format!("request {i}"));
     }
     assert_eq!(handle.stats().completed, 6);
+    handle.shutdown();
+}
+
+/// A per-tensor-scaled format (scalar-scaled FP8) puts one scale over the
+/// whole activation tensor, so a batch of a small request (|x| ≈ 1e-3)
+/// and a large one (|x| ≈ 100) re-scales the small one: every output of
+/// its row moves. The server never coalesces such requests, so across
+/// many two-request bursts on one worker the small request keeps its solo
+/// answer, bit for bit, and every batch is a batch of one.
+#[test]
+fn per_tensor_scaled_requests_are_never_coupled_by_batching() {
+    let fp8 = TensorFormat::ScalarScaled(ScalarFormat::E4M3);
+    let cfg = QuantConfig::weights_activations(fp8, fp8);
+    let dense = || DenseGemm::new(&mut StdRng::seed_from_u64(5), 64, 32, QuantConfig::fp32());
+    let row = |scale: f32| -> Vec<f32> {
+        (0..64)
+            .map(|i| {
+                scale * (1.0 + ((i * 37) % 11) as f32 / 11.0) * if i % 3 == 0 { -1.0 } else { 1.0 }
+            })
+            .collect()
+    };
+    let (small, large) = (row(1e-3), row(100.0));
+    let requests = vec![
+        (cfg, RequestInput::Pixels(small.clone())),
+        (cfg, RequestInput::Pixels(large.clone())),
+    ];
+    let want = serial_reference(&mut dense(), &requests);
+
+    // The premise: one forward over both rows changes every output of the
+    // small row.
+    let mut model = dense();
+    model.set_quant(cfg);
+    let both = model.forward_batch(ZooInput::Pixels(&[small, large].concat()), 2);
+    assert!(both[..32].iter().zip(&want[0]).all(|(b, w)| b != w));
+
+    let mut server = Server::new(ServerConfig::default().shards(1).workers(1).max_batch(4));
+    server.register("dense", Box::new(dense()));
+    let handle = server.start().expect("valid config");
+    let bursts = 50;
+    for burst in 0..bursts {
+        let got = run_burst(&handle, "dense", &requests);
+        assert_bits_eq(&got[0], &want[0], &format!("burst {burst}, small request"));
+        assert_bits_eq(&got[1], &want[1], &format!("burst {burst}, large request"));
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.completed, 2 * bursts);
+    assert_eq!(
+        stats.batch_histogram[0],
+        2 * bursts,
+        "every batch ran alone"
+    );
     handle.shutdown();
 }
 

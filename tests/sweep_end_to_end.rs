@@ -3,7 +3,8 @@
 //! reproduce the paper's qualitative frontier.
 
 use mx::core::bdr::BdrFormat;
-use mx::core::qsnr::{Distribution, QsnrConfig};
+use mx::core::qsnr::{Distribution, QsnrConfig, SampleSet};
+use mx::core::scaling::ScaleStrategy;
 use mx::hw::cost::FormatConfig;
 use mx::sweep::eval::{evaluate_all, SweepSettings};
 use mx::sweep::pareto::{db_below_frontier, pareto_indices};
@@ -147,6 +148,121 @@ fn qsnr_bits_are_pinned_for_a_sixteen_config_sample() {
             p.qsnr_db,
             f64::from_bits(bits)
         );
+    }
+}
+
+/// The 22 software-scaled configurations of the Fig. 7 legend (8 scalar
+/// floats, 2 scaled INTs, 12 VSQ variants), in legend order.
+fn software_scaled_formats() -> Vec<FormatConfig> {
+    let configs: Vec<FormatConfig> = space::named_formats()
+        .into_iter()
+        .map(|(_, c)| c)
+        .filter(|c| !matches!(c, FormatConfig::Bdr(_)))
+        .collect();
+    assert_eq!(configs.len(), 22);
+    configs
+}
+
+fn assert_pinned(label: &str, qsnr_db: f64, bits: u64) {
+    assert_eq!(
+        qsnr_db.to_bits(),
+        bits,
+        "{label}: {qsnr_db} dB, pinned {} dB",
+        f64::from_bits(bits)
+    );
+}
+
+/// The QSNR bits of every software-scaled configuration under the sweep's
+/// delayed scaling, at the sixteen-config sample's settings. The values
+/// were produced by one quantizer per Table I row (INT, FP, VSQ), each
+/// with its own block loop, before the three became one
+/// `ScaledQuantizer`.
+#[test]
+fn qsnr_bits_are_pinned_for_every_software_scaled_format() {
+    const PINNED: [(&str, u64); 22] = [
+        ("FP8-E5M2", 0x40343cf1bed573cc),    // 20.238 dB
+        ("FP8-E4M3", 0x403511a5df997c49),    // 21.069 dB
+        ("FP8-E3M4", 0x4035531505de34f0),    // 21.325 dB
+        ("FP6-E3M2", 0x40343cb95a4b1a69),    // 20.237 dB
+        ("FP6-E2M3", 0x4034bcf1fb882efe),    // 20.738 dB
+        ("FP4-E2M1", 0x402dc140062cbf9e),    // 14.877 dB
+        ("FP4-E1M2", 0x40286e93ef1c5cde),    // 12.216 dB
+        ("FP4-E3M0", 0x402c1885015fafe8),    // 14.048 dB
+        ("scaled INT4", 0x40286e93ef1c5cde), // 12.216 dB
+        ("scaled INT8", 0x40354ae31a2591da), // 21.293 dB
+        ("VSQ4(d2=4)", 0x40326cb1d82a11ec),  // 18.425 dB
+        ("VSQ4(d2=6)", 0x4032bc4044517405),  // 18.735 dB
+        ("VSQ4(d2=8)", 0x4032d43eba6dd5f7),  // 18.829 dB
+        ("VSQ4(d2=10)", 0x4032d8730d2d7fc4), // 18.846 dB
+        ("VSQ6(d2=4)", 0x403533cda540def8),  // 21.202 dB
+        ("VSQ6(d2=6)", 0x40353815595f1a2a),  // 21.219 dB
+        ("VSQ6(d2=8)", 0x40353b144c33a6ea),  // 21.231 dB
+        ("VSQ6(d2=10)", 0x40353c85484bf6de), // 21.236 dB
+        ("VSQ8(d2=4)", 0x40356585ea2e9f75),  // 21.397 dB
+        ("VSQ8(d2=6)", 0x403565e606a2f029),  // 21.398 dB
+        ("VSQ8(d2=8)", 0x403565f946a02528),  // 21.398 dB
+        ("VSQ8(d2=10)", 0x403566156391bcfc), // 21.399 dB
+    ];
+    let settings = SweepSettings {
+        qsnr: QsnrConfig {
+            vectors: 16,
+            vector_len: 512,
+            seed: 14,
+        },
+        distribution: Distribution::NormalVariableVariance,
+        threads: 2,
+    };
+    let points = evaluate_all(&software_scaled_formats(), &settings);
+    assert_eq!(points.len(), PINNED.len());
+    for (p, (label, bits)) in points.iter().zip(PINNED) {
+        assert_eq!(p.label, label);
+        assert_pinned(label, p.qsnr_db, bits);
+    }
+}
+
+/// The same 22 configurations under per-block amax scaling, on vectors of
+/// 2048 elements: every INT and VSQ vector spans two `k1 = 1024` blocks,
+/// so the block loop (not just the block routine) is pinned. Values from
+/// the same three-quantizer code as above.
+#[test]
+fn qsnr_bits_are_pinned_for_every_software_scaled_format_under_amax() {
+    const PINNED: [(&str, u64); 22] = [
+        ("FP8-E5M2", 0x40399170aef1a3b6),    // 25.568 dB
+        ("FP8-E4M3", 0x403faaf0ac5c2bdd),    // 31.668 dB
+        ("FP8-E3M4", 0x4042ccbc8dad9e38),    // 37.600 dB
+        ("FP6-E3M2", 0x4039915befa293a8),    // 25.568 dB
+        ("FP6-E2M3", 0x403ec565e7372af3),    // 30.771 dB
+        ("FP4-E2M1", 0x40322c66b19be10f),    // 18.173 dB
+        ("FP4-E1M2", 0x402e59376438a23b),    // 15.174 dB
+        ("FP4-E3M0", 0x402c81f252ad6620),    // 14.254 dB
+        ("scaled INT4", 0x40300cde1d1ed969), // 16.050 dB
+        ("scaled INT8", 0x4044a7cb590a9df2), // 41.311 dB
+        ("VSQ4(d2=4)", 0x403491a4fe3f608b),  // 20.569 dB
+        ("VSQ4(d2=6)", 0x40353a2064af8614),  // 21.227 dB
+        ("VSQ4(d2=8)", 0x40355bded5091333),  // 21.359 dB
+        ("VSQ4(d2=10)", 0x403562e8fb0e7a96), // 21.386 dB
+        ("VSQ6(d2=4)", 0x4040cee4db814ef5),  // 33.616 dB
+        ("VSQ6(d2=6)", 0x4040fbc0021887d3),  // 33.967 dB
+        ("VSQ6(d2=8)", 0x4041258847ac0899),  // 34.293 dB
+        ("VSQ6(d2=10)", 0x40412f4e7ed6b5e9), // 34.370 dB
+        ("VSQ8(d2=4)", 0x4046f0b68ee7b169),  // 45.881 dB
+        ("VSQ8(d2=6)", 0x40471635872abcc5),  // 46.174 dB
+        ("VSQ8(d2=8)", 0x40472cb98dfca2c8),  // 46.349 dB
+        ("VSQ8(d2=10)", 0x40474b488cbfc07b), // 46.588 dB
+    ];
+    let set = SampleSet::draw(
+        Distribution::NormalVariableVariance,
+        QsnrConfig {
+            vectors: 16,
+            vector_len: 2048,
+            seed: 14,
+        },
+    );
+    let configs = software_scaled_formats();
+    for (config, (label, bits)) in configs.iter().zip(PINNED) {
+        assert_eq!(config.label(), label);
+        let mut q = config.quantizer(ScaleStrategy::Amax);
+        assert_pinned(label, set.measure(q.as_mut()), bits);
     }
 }
 
