@@ -65,7 +65,7 @@ impl BertQa {
     /// Lowers the inference forward of one `t`-token request into a
     /// [`CompiledPlan`] under `cfg` that executes batches of up to `batch`
     /// such requests — the same skeleton as the GPT lowering (embed →
-    /// shared block template → final norm + head), with non-causal
+    /// one stage per block → final norm + head), with non-causal
     /// attention and the two-logit span head.
     pub fn compile_plan(
         &self,

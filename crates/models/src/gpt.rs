@@ -278,9 +278,8 @@ impl Gpt {
 
     /// Lowers the inference forward of one `t`-token request into a
     /// [`CompiledPlan`] under `cfg` that executes batches of up to `batch`
-    /// such requests. The N transformer blocks dedupe into one template;
-    /// the embedding tables and every weight plane are hoisted at plan
-    /// time. Mixture-of-experts variants are unplannable (top-1 routing is
+    /// such requests: one stage per transformer block, with the embedding
+    /// tables and every weight plane hoisted at plan time. Mixture-of-experts variants are unplannable (top-1 routing is
     /// data-dependent) and fail with a typed error.
     pub fn compile_plan(
         &self,

@@ -122,7 +122,7 @@ pub fn auc(scores: &[f32], labels: &[bool]) -> f64 {
         / (positives as f64 * negatives as f64)
 }
 
-/// Normalized [cross] entropy: logloss divided by the entropy of the base
+/// Normalized \[cross\] entropy: logloss divided by the entropy of the base
 /// click rate — the recommendation-model metric of Table VI (lower is
 /// better; 1.0 = no better than predicting the base rate).
 pub fn normalized_entropy(probs: &[f32], labels: &[bool]) -> f64 {

@@ -57,9 +57,8 @@ impl TinyViT {
 
     /// Lowers the inference forward of one `IMAGE_SIDE × IMAGE_SIDE`
     /// image into a [`CompiledPlan`] under `cfg` that executes batches of
-    /// up to `batch` images: patchify + embed, the deduplicated
-    /// transformer-block template over the patch sequence, then norm →
-    /// mean pool → head.
+    /// up to `batch` images: patchify + embed, one transformer-block stage
+    /// per block over the patch sequence, then norm → mean pool → head.
     pub fn compile_plan(&self, cfg: QuantConfig, batch: usize) -> Result<CompiledPlan, PlanError> {
         let (d, t) = (self.d_model, self.patches);
         let pixels = IMAGE_SIDE * IMAGE_SIDE;
@@ -212,9 +211,8 @@ impl TinyResNet {
 
     /// Lowers the inference forward of one `IMAGE_SIDE × IMAGE_SIDE`
     /// image into a [`CompiledPlan`] under `cfg` that executes batches of
-    /// up to `batch` images: stem conv+ReLU, one deduplicated
-    /// residual-block template (conv → conv → fused add+ReLU), then global
-    /// pool → head.
+    /// up to `batch` images: stem conv+ReLU, one stage per residual block
+    /// (conv → conv → fused add+ReLU), then global pool → head.
     pub fn compile_plan(&self, cfg: QuantConfig, batch: usize) -> Result<CompiledPlan, PlanError> {
         let ch = self.head.d_in();
         let (side, hw) = (IMAGE_SIDE, IMAGE_SIDE * IMAGE_SIDE);
@@ -331,9 +329,8 @@ impl TinyMobileNet {
 
     /// Lowers the inference forward of one `IMAGE_SIDE × IMAGE_SIDE`
     /// image into a [`CompiledPlan`] under `cfg` that executes batches of
-    /// up to `batch` images. Every pointwise layer produces a structurally
-    /// identical conv+ReLU stage, so they all share a single template with
-    /// per-layer weight bindings.
+    /// up to `batch` images: stem conv+ReLU, one conv+ReLU stage per
+    /// pointwise layer, then global pool → head.
     pub fn compile_plan(&self, cfg: QuantConfig, batch: usize) -> Result<CompiledPlan, PlanError> {
         let ch = self.head.d_in();
         let (side, hw) = (IMAGE_SIDE, IMAGE_SIDE * IMAGE_SIDE);

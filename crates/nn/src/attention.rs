@@ -290,7 +290,7 @@ impl TransformerBlock {
     }
 
     /// `(ln1, attn, ln2, fc1, act, fc2)` — what the `plan` module needs to
-    /// lower one pre-norm block into a shared node template.
+    /// lower one pre-norm block into a stage.
     pub(crate) fn plan_parts(
         &self,
     ) -> (

@@ -29,17 +29,19 @@
 //!   path (or the `f32` identity path) or fails with a typed
 //!   [`PlanError`], instead of silently re-checking per call.
 //! - **Fusion** — quantize → GEMM → bias → activation → element-wise cast
-//!   chains collapse into single [`PlanNode::PackedGemm`] nodes (the A-side
-//!   quantize is already fused into the gemm kernel's execute loop).
-//! - **Template dedup** — repeated subgraph structure (e.g. the N identical
-//!   transformer blocks) shares one node [`Template`]; per-layer weights
-//!   live in per-instance binding tables.
+//!   chains collapse into single fused GEMM nodes (the A-side quantize is
+//!   already fused into the gemm kernel's execute loop).
+//! - **Self-contained nodes** — a plan is a list of stages, each a list of
+//!   nodes, and every node owns what it reads: a GEMM its pinned plane (or
+//!   `f32` weights) and bias, a norm its gain, shift and epsilon, an embed
+//!   its hoisted tables, a conv its weights and geometry. A plan holds
+//!   nothing of the model it was lowered from.
 //! - **Arena scratch** — one liveness-ordered first-fit layout maps every
 //!   intermediate into a single reusable buffer ([`PlanArena`]), grown to
 //!   the executed batch's size. Steady state still allocates per call
-//!   beyond the arena: every GEMM's output vector, the `Tensor`s `AttnMix`
-//!   builds (its q/k/v copies and what
-//!   [`crate::attention::attention_mix`] returns), `Conv`'s `im2col`
+//!   beyond the arena: every GEMM's output vector, the `Tensor`s the
+//!   attention mix builds (its q/k/v copies and what
+//!   [`crate::attention::attention_mix`] returns), a conv's `im2col`
 //!   matrix per image, and the returned output.
 //!
 //! Bit-identity with the dynamic path is by construction: every node
@@ -62,27 +64,7 @@ use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
 use mx_core::gemm::{self, PackScratch, PackedOperand};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide count of plans compiled ([`Planner::finish`] calls).
-static PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of weight planes pinned at plan time (prepack hoists).
-static PREPACK_HOISTS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide cumulative arena bytes laid out by compiled plans.
-static ARENA_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide plan counters as
-/// `(plans_compiled, prepack_hoists, arena_bytes)`. Cumulative over the
-/// process; consumers such as `mx-serve`'s `ServeStats` report deltas
-/// against a baseline.
-pub fn plan_counters() -> (u64, u64, u64) {
-    (
-        PLANS_COMPILED.load(Ordering::Relaxed),
-        PREPACK_HOISTS.load(Ordering::Relaxed),
-        ARENA_BYTES.load(Ordering::Relaxed),
-    )
-}
 
 /// Typed plan-compile / plan-execute failure. Compilation errors are
 /// decided **once** at plan time (the hoisted format-support gate), so a
@@ -144,166 +126,123 @@ pub enum Loc {
     Local(usize),
 }
 
-/// One operator of the compiled IR, with the extents of **one request**;
-/// execution scales every batch-proportional extent by the batch. Weight-like
-/// state (planes, biases, tables) is *not* stored on the node — nodes
-/// reference per-instance binding slots, which is what lets repeated
-/// structure share a template.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanNode {
-    /// Fused quantize → GEMM → bias → activation → element-wise cast. The
-    /// A-side quantize is fused inside the gemm kernel's execute loop; the
-    /// weight plane (or raw `f32` weights) lives in the binding at `slot`.
+/// One operator of the compiled IR: the extents of **one request**
+/// (execution scales every batch-proportional extent by the batch) and the
+/// state the operator reads, owned by the node.
+enum PlanNode {
+    /// Fused quantize → GEMM → bias → activation → element-wise cast over
+    /// `m × k` rows per request into `m × n`. The A-side quantize is fused
+    /// inside the gemm kernel's execute loop.
     PackedGemm {
-        /// Input location, `m × k` row-major.
         src: Loc,
-        /// Output location, `m × n` row-major.
         dst: Loc,
-        /// Rows per request.
         m: usize,
-        /// Reduction dimension.
         k: usize,
-        /// Output width.
         n: usize,
-        /// Relative binding slot of the [`Binding::Gemm`].
-        slot: usize,
-        /// Fused activation applied after the bias, if any.
+        weights: GemmWeights,
+        bias: Option<Vec<f32>>,
         act: Option<Activation>,
-        /// Fused element-wise cast applied last, if any.
         cast: Option<TensorFormat>,
     },
-    /// Layer norm over `rows × cols`, including the layer's element-wise
-    /// cast; gain/bias/epsilon live in the binding.
+    /// Layer norm over `rows × cols` per request, including the layer's
+    /// element-wise cast.
     Norm {
-        /// Input location.
         src: Loc,
-        /// Output location.
         dst: Loc,
-        /// Rows per request.
         rows: usize,
-        /// Normalized width.
         cols: usize,
-        /// Relative binding slot of the [`Binding::Norm`].
-        slot: usize,
+        gamma: Vec<f32>,
+        beta: Vec<f32>,
+        eps: f32,
+        elem: TensorFormat,
     },
-    /// Standalone element-wise node: optional activation then a
-    /// quantize/cast (either may be trivial).
+    /// Standalone element-wise node over `len` elements per request:
+    /// optional activation then a quantize/cast (either may be trivial);
+    /// `cols` is the row width block-format casts see.
     Eltwise {
-        /// Input location.
         src: Loc,
-        /// Output location.
         dst: Loc,
-        /// Elements per request.
         len: usize,
-        /// Row width for block-format casts.
         cols: usize,
-        /// Activation to apply, if any.
         act: Option<Activation>,
-        /// Element-wise cast format.
         cast: TensorFormat,
     },
-    /// Element-wise sum `dst = a + b`, optionally fused with a ReLU (the
-    /// residual-then-ReLU idiom of the CNN blocks).
+    /// Element-wise sum `dst = a + b` over `len` elements per request,
+    /// optionally fused with a ReLU (the residual-then-ReLU idiom of the
+    /// CNN blocks).
     Add {
-        /// Left operand location.
         a: Loc,
-        /// Right operand location.
         b: Loc,
-        /// Output location.
         dst: Loc,
-        /// Elements per request.
         len: usize,
-        /// Fuse `max(·, 0)` after the sum.
         relu: bool,
     },
     /// Token-embedding gather plus positional add, from tables hoisted
-    /// (and pre-cast) at plan time. Gathers one row per payload token.
+    /// (and pre-cast) at plan time: one `dim`-wide row per payload token
+    /// out of the `rows`-row `table`, plus row `r % t` of the `t`
+    /// positional rows `pos`.
     Embed {
-        /// Output location, `t × dim` per request.
         dst: Loc,
-        /// Relative binding slot of the token [`Binding::Table`].
-        table: usize,
-        /// Relative binding slot of the positional [`Binding::Rows`].
-        pos: usize,
-        /// Sequence length (positional rows repeat every `t` tokens).
+        table: Vec<f32>,
+        rows: usize,
+        pos: Vec<f32>,
         t: usize,
-        /// Embedding width.
         dim: usize,
     },
-    /// The attention head mix: per (request, head) `softmax(Q·Kᵀ/√dh)·V`,
-    /// executed by the exact helper the dynamic path uses.
+    /// The attention head mix: per (request, head) `softmax(Q·Kᵀ/√dh)·V`
+    /// over a `t × d` sequence, executed by the exact helper the dynamic
+    /// path uses. `fwd` is the tensor-op format of `Q·Kᵀ` and `P·V`,
+    /// `elem` the element-wise format of the probabilities.
     AttnMix {
-        /// Q location, `t × d` per request.
         q: Loc,
-        /// K location, `t × d` per request.
         k: Loc,
-        /// V location, `t × d` per request.
         v: Loc,
-        /// Concat output location, `t × d` per request.
         dst: Loc,
-        /// Sequence length.
         t: usize,
-        /// Model width.
         d: usize,
-        /// Head count.
         heads: usize,
-        /// Causal masking.
         causal: bool,
-        /// Tensor-op format for `Q·Kᵀ` and `P·V`.
         fwd: TensorFormat,
-        /// Element-wise format the probabilities are cast to.
         elem: TensorFormat,
     },
     /// 2-D convolution (im2col → packed GEMM → bias → channel-major
-    /// reorder) per image, optionally fused with a ReLU.
+    /// reorder) of each `in_ch × h × w` image into `out_ch × h × w`,
+    /// optionally fused with a ReLU.
     Conv {
-        /// Input location, `in_ch × h × w` per image.
         src: Loc,
-        /// Output location, `out_ch × h × w` per image.
         dst: Loc,
-        /// Relative binding slot of the [`Binding::Conv`].
-        slot: usize,
-        /// Image height.
+        weights: GemmWeights,
+        bias: Vec<f32>,
+        in_ch: usize,
+        out_ch: usize,
+        k: usize,
+        pad: usize,
         h: usize,
-        /// Image width.
         w: usize,
-        /// Fuse `max(·, 0)` into the reorder.
         relu: bool,
     },
     /// ViT patch extraction: each image's `side × side` pixels into
     /// `patches × patch²` rows.
     Patchify {
-        /// Input location (flat images).
         src: Loc,
-        /// Output location (patch rows).
         dst: Loc,
-        /// Image side length.
         side: usize,
-        /// Patch side length.
         patch: usize,
     },
-    /// Mean over `groups` rows per request (the ViT pooling loop,
-    /// divide-then-accumulate to match the dynamic path bit-for-bit).
+    /// Mean over `groups` rows of `cols` per request (the ViT pooling
+    /// loop, divide-then-accumulate to match the dynamic path bit-for-bit).
     MeanPool {
-        /// Input location, `groups × cols` per request.
         src: Loc,
-        /// Output location, `cols` per request.
         dst: Loc,
-        /// Rows averaged per request.
         groups: usize,
-        /// Row width.
         cols: usize,
     },
-    /// Global average pool: mean over each `spatial`-sized chunk
-    /// (sum-then-divide, matching `GlobalAvgPool`).
+    /// Global average pool: mean over each of a request's `chunks`
+    /// `spatial`-sized chunks (sum-then-divide, matching `GlobalAvgPool`).
     AvgPool {
-        /// Input location, `chunks × spatial` per request.
         src: Loc,
-        /// Output location, `chunks` per request.
         dst: Loc,
-        /// Chunks (channels) per request.
         chunks: usize,
-        /// Elements per chunk (`h·w`).
         spatial: usize,
     },
 }
@@ -321,59 +260,12 @@ enum GemmWeights {
     },
 }
 
-/// Per-instance state a [`PlanNode`] references by relative slot.
-enum Binding {
-    /// A [`PlanNode::PackedGemm`]'s weights and optional bias.
-    Gemm {
-        weights: GemmWeights,
-        bias: Option<Vec<f32>>,
-    },
-    /// A [`PlanNode::Norm`]'s gain, bias, epsilon, and element-wise format.
-    Norm {
-        gamma: Vec<f32>,
-        beta: Vec<f32>,
-        eps: f32,
-        elem: TensorFormat,
-    },
-    /// A [`PlanNode::Conv`]'s weights, bias, and geometry.
-    Conv {
-        weights: GemmWeights,
-        bias: Vec<f32>,
-        in_ch: usize,
-        out_ch: usize,
-        k: usize,
-        pad: usize,
-    },
-    /// A hoisted (pre-cast) lookup table, `rows × dim`.
-    Table {
-        data: Vec<f32>,
-        rows: usize,
-        dim: usize,
-    },
-    /// A hoisted block of pre-computed rows (e.g. the positional slice).
-    Rows(Vec<f32>),
-}
-
-/// A deduplicated node sequence. Two stages with structurally identical
-/// node lists (same shapes, formats, and relative binding slots — e.g.
-/// the N transformer blocks of one model) share a single template; their
-/// weights stay per-instance in the binding table.
-struct Template {
-    nodes: Vec<PlanNode>,
-}
-
-/// One execution of a [`Template`] with its own binding window.
-struct Instance {
-    template: usize,
-    base: usize,
-}
-
 /// How the plan's first stage consumes one request's payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InputSpec {
     /// Flat pixel payload of `len` values per request, copied into the flow.
     Pixels { len: usize },
-    /// `rows` token indices per request, consumed by an [`PlanNode::Embed`].
+    /// `rows` token indices per request, consumed by an embed node.
     Tokens { rows: usize },
 }
 
@@ -410,9 +302,7 @@ impl PlanArena {
 /// `1..=capacity` requests. Shareable across threads (`Arc`); each
 /// executing thread brings its own [`PlanArena`]. Sizes are per request.
 pub struct CompiledPlan {
-    templates: Vec<Template>,
-    instances: Vec<Instance>,
-    bindings: Vec<Binding>,
+    stages: Vec<Vec<PlanNode>>,
     input: InputSpec,
     capacity: usize,
     flow_len: usize,
@@ -426,7 +316,6 @@ pub struct CompiledPlan {
 /// into a [`Planner`].
 pub struct Stage {
     nodes: Vec<PlanNode>,
-    bindings: Vec<Binding>,
     in_len: usize,
     out_len: usize,
     free: Vec<(usize, usize)>,
@@ -439,7 +328,6 @@ impl Stage {
     pub fn new(in_len: usize, out_len: usize) -> Self {
         Stage {
             nodes: Vec::new(),
-            bindings: Vec::new(),
             in_len,
             out_len,
             free: Vec::new(),
@@ -488,13 +376,8 @@ impl Stage {
         }
     }
 
-    fn bind(&mut self, b: Binding) -> usize {
-        self.bindings.push(b);
-        self.bindings.len() - 1
-    }
-
-    /// Lowers a [`Linear`] into a fused [`PlanNode::PackedGemm`] over `m`
-    /// rows per request, running the hoisted format-support gate and pinning the
+    /// Lowers a [`Linear`] into a fused GEMM node over `m` rows per
+    /// request, running the hoisted format-support gate and pinning the
     /// weight plane. `fused` optionally folds a following activation
     /// layer's `(activation, element-wise format)` into the node.
     pub fn gemm(
@@ -507,39 +390,33 @@ impl Stage {
         fused: Option<(Activation, TensorFormat)>,
     ) -> Result<(), PlanError> {
         let (k, n) = (lin.d_in(), lin.d_out());
-        let weights = lower_weights(&lin.w.value, cfg.fwd, cfg.fwd_w, k, n)?;
-        let bias = lin.b.as_ref().map(|b| b.value.data().to_vec());
-        let slot = self.bind(Binding::Gemm { weights, bias });
         self.nodes.push(PlanNode::PackedGemm {
             src,
             dst,
             m,
             k,
             n,
-            slot,
+            weights: lower_weights(&lin.w.value, cfg.fwd, cfg.fwd_w, k, n)?,
+            bias: lin.b.as_ref().map(|b| b.value.data().to_vec()),
             act: fused.map(|(a, _)| a),
             cast: fused.map(|(_, f)| f),
         });
         Ok(())
     }
 
-    /// Lowers a [`LayerNorm`] over `rows` rows per request into a
-    /// [`PlanNode::Norm`].
+    /// Lowers a [`LayerNorm`] over `rows` rows per request into a norm
+    /// node.
     pub fn norm(&mut self, ln: &LayerNorm, src: Loc, dst: Loc, rows: usize) {
         let (eps, elem) = ln.plan_parts();
-        let cols = ln.gamma.value.numel();
-        let slot = self.bind(Binding::Norm {
-            gamma: ln.gamma.value.data().to_vec(),
-            beta: ln.beta.value.data().to_vec(),
-            eps,
-            elem,
-        });
         self.nodes.push(PlanNode::Norm {
             src,
             dst,
             rows,
-            cols,
-            slot,
+            cols: ln.gamma.value.numel(),
+            gamma: ln.gamma.value.data().to_vec(),
+            beta: ln.beta.value.data().to_vec(),
+            eps,
+            elem,
         });
     }
 
@@ -620,19 +497,15 @@ impl Stage {
     ) -> Result<(), PlanError> {
         let (in_ch, out_ch, k, pad) = conv.plan_parts();
         let patch = in_ch * k * k;
-        let weights = lower_weights(&conv.w.value, cfg.fwd, cfg.fwd_w, patch, out_ch)?;
-        let slot = self.bind(Binding::Conv {
-            weights,
+        self.nodes.push(PlanNode::Conv {
+            src,
+            dst,
+            weights: lower_weights(&conv.w.value, cfg.fwd, cfg.fwd_w, patch, out_ch)?,
             bias: conv.b.value.data().to_vec(),
             in_ch,
             out_ch,
             k,
             pad,
-        });
-        self.nodes.push(PlanNode::Conv {
-            src,
-            dst,
-            slot,
             h,
             w,
             relu,
@@ -691,21 +564,17 @@ fn lower_weights(
     }
     if let (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) = (fa, fb) {
         if let Some(plane) = weight_plane(w, ba, bb, k, n) {
-            PREPACK_HOISTS.fetch_add(1, Ordering::Relaxed);
             return Ok(GemmWeights::Code { fa: ba, plane });
         }
     }
     Err(PlanError::UnsupportedFormats { fa, fb })
 }
 
-/// Lowers one request's forward into a [`CompiledPlan`]: collects stages,
-/// deduplicates structurally identical ones into shared templates, and
-/// computes the per-request arena layout.
+/// Lowers one request's forward into a [`CompiledPlan`]: collects stages
+/// in execution order and computes the per-request arena layout.
 #[derive(Default)]
 pub struct Planner {
-    templates: Vec<Template>,
-    instances: Vec<Instance>,
-    bindings: Vec<Binding>,
+    stages: Vec<Vec<PlanNode>>,
     input: Option<InputSpec>,
     flow_len: usize,
     locals_len: usize,
@@ -724,32 +593,12 @@ impl Planner {
         self.input = Some(InputSpec::Pixels { len });
     }
 
-    /// Appends a completed stage, deduplicating its node sequence against
-    /// existing templates and folding its sizes into the arena layout.
+    /// Appends a completed stage, folding its sizes into the arena layout.
     pub fn push_stage(&mut self, stage: Stage) {
-        let Stage {
-            nodes,
-            bindings,
-            in_len,
-            out_len,
-            high,
-            ..
-        } = stage;
-        self.flow_len = self.flow_len.max(in_len).max(out_len);
-        self.locals_len = self.locals_len.max(high);
-        let template = match self.templates.iter().position(|t| t.nodes == nodes) {
-            Some(i) => i,
-            None => {
-                self.templates.push(Template { nodes });
-                self.templates.len() - 1
-            }
-        };
-        self.instances.push(Instance {
-            template,
-            base: self.bindings.len(),
-        });
-        self.bindings.extend(bindings);
-        self.out_len = out_len;
+        self.flow_len = self.flow_len.max(stage.in_len).max(stage.out_len);
+        self.locals_len = self.locals_len.max(stage.high);
+        self.out_len = stage.out_len;
+        self.stages.push(stage.nodes);
     }
 
     /// Builds the token-embedding stage shared by the GPT/BERT lowerings:
@@ -768,18 +617,14 @@ impl Planner {
             return Err(PlanError::Unsupported("positional table shorter than seq"));
         }
         let table = hoist_table(tok)?;
-        let pos_block = hoist_table(pos)?[..t * dim].to_vec();
+        let mut pos_rows = hoist_table(pos)?;
+        pos_rows.truncate(t * dim);
         let mut s = Stage::new(0, t * dim);
-        let table = s.bind(Binding::Table {
-            data: table,
-            rows: vocab,
-            dim,
-        });
-        let pos = s.bind(Binding::Rows(pos_block));
         s.nodes.push(PlanNode::Embed {
             dst: Loc::Out,
             table,
-            pos,
+            rows: vocab,
+            pos: pos_rows,
             t,
             dim,
         });
@@ -789,9 +634,7 @@ impl Planner {
     }
 
     /// Lowers one pre-norm [`TransformerBlock`] over a request's `t` rows
-    /// into a stage. All layers of all blocks of one model produce
-    /// structurally identical stages, so `push_stage` dedupes them into one
-    /// template with per-block weight bindings.
+    /// into a stage of its own, with the block's weights on its nodes.
     pub fn transformer_block_stage(
         &mut self,
         blk: &TransformerBlock,
@@ -838,28 +681,20 @@ impl Planner {
     /// no stage declared the input contract or `capacity` is zero.
     pub fn finish(self, capacity: usize) -> Result<CompiledPlan, PlanError> {
         let input = self.input.ok_or(PlanError::Internal("plan has no input"))?;
-        if self.instances.is_empty() {
+        if self.stages.is_empty() {
             return Err(PlanError::Internal("plan has no stages"));
         }
         if capacity == 0 {
             return Err(PlanError::Unsupported("a plan serves at least one request"));
         }
-        let plan = CompiledPlan {
-            templates: self.templates,
-            instances: self.instances,
-            bindings: self.bindings,
+        Ok(CompiledPlan {
+            stages: self.stages,
             input,
             capacity,
             flow_len: self.flow_len,
             locals_len: self.locals_len,
             out_len: self.out_len,
-        };
-        PLANS_COMPILED.fetch_add(1, Ordering::Relaxed);
-        ARENA_BYTES.fetch_add(
-            (plan.arena_elems() * std::mem::size_of::<f32>()) as u64,
-            Ordering::Relaxed,
-        );
-        Ok(plan)
+        })
     }
 }
 
@@ -883,9 +718,8 @@ fn hoist_table(e: &Embedding) -> Result<Vec<f32>, PlanError> {
 impl fmt::Debug for CompiledPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledPlan")
-            .field("templates", &self.templates.len())
-            .field("instances", &self.instances.len())
-            .field("bindings", &self.bindings.len())
+            .field("stages", &self.stages.len())
+            .field("pinned_planes", &self.pinned_planes())
             .field("capacity", &self.capacity)
             .field("arena_elems", &self.arena_elems())
             .field("out_len", &self.out_len)
@@ -915,14 +749,27 @@ impl Frame {
 }
 
 impl CompiledPlan {
-    /// Number of deduplicated node templates.
+    /// Equal to [`CompiledPlan::instance_count`]: every stage owns its own
+    /// node list. Kept for callers that report both.
     pub fn template_count(&self) -> usize {
-        self.templates.len()
+        self.stages.len()
     }
 
-    /// Number of template instances (stages) executed per call.
+    /// Number of stages executed per call.
     pub fn instance_count(&self) -> usize {
-        self.instances.len()
+        self.stages.len()
+    }
+
+    /// Number of weight code planes the plan pins: one per code-domain
+    /// GEMM or conv node (the `f32` identity path pins none).
+    pub fn pinned_planes(&self) -> usize {
+        let pinned = |n: &PlanNode| match n {
+            PlanNode::PackedGemm { weights, .. } | PlanNode::Conv { weights, .. } => {
+                matches!(weights, GemmWeights::Code { .. })
+            }
+            _ => false,
+        };
+        self.stages.iter().flatten().filter(|n| pinned(n)).count()
     }
 
     /// Arena footprint in `f32` elements (two flow buffers plus locals) of
@@ -973,11 +820,7 @@ impl CompiledPlan {
             PlanInput::Tokens(tk) => Some(tk),
         };
         let mut parity = 0usize;
-        for inst in &self.instances {
-            let tpl = self
-                .templates
-                .get(inst.template)
-                .ok_or(PlanError::Internal("template index"))?;
+        for stage in &self.stages {
             let (input, output) = if parity == 0 { (0, flow) } else { (flow, 0) };
             let frame = Frame {
                 input,
@@ -985,281 +828,236 @@ impl CompiledPlan {
                 locals: 2 * flow,
                 nb,
             };
-            for node in &tpl.nodes {
-                self.run_node(node, inst.base, frame, buf, scratch, tokens)?;
+            for node in stage {
+                run_node(node, frame, buf, scratch, tokens)?;
             }
             parity ^= 1;
         }
         let final_base = if parity == 0 { 0 } else { flow };
         Ok(buf[final_base..final_base + self.out_len * nb].to_vec())
     }
+}
 
-    fn binding(&self, base: usize, slot: usize) -> Result<&Binding, PlanError> {
-        self.bindings
-            .get(base + slot)
-            .ok_or(PlanError::Internal("binding slot"))
-    }
-
-    /// Executes one node for the frame's `nb` requests: every
-    /// batch-proportional extent is the node's per-request extent times
-    /// `nb`. `base` is the instance's binding window.
-    fn run_node(
-        &self,
-        node: &PlanNode,
-        base: usize,
-        frame: Frame,
-        buf: &mut [f32],
-        scratch: &mut PackScratch,
-        tokens: Option<&[usize]>,
-    ) -> Result<(), PlanError> {
-        let nb = frame.nb;
-        let off = |loc: Loc| frame.off(loc);
-        match *node {
-            PlanNode::PackedGemm {
-                src,
-                dst,
-                m,
-                k,
-                n,
-                slot,
-                act,
-                cast,
-            } => {
-                let Binding::Gemm { weights, bias } = self.binding(base, slot)? else {
-                    return Err(PlanError::Internal("gemm binding type"));
-                };
-                let m = m * nb;
-                let s = off(src);
-                let y = run_gemm(weights, &buf[s..s + m * k], m, k, n, scratch)?;
-                let d = off(dst);
-                let out = &mut buf[d..d + m * n];
-                match bias {
-                    Some(bias) => {
-                        for (row, y_row) in out.chunks_exact_mut(n).zip(y.chunks_exact(n)) {
-                            for ((v, &y), &b) in row.iter_mut().zip(y_row).zip(&bias[..n]) {
-                                *v = y + b;
-                            }
-                        }
-                    }
-                    None => out.copy_from_slice(&y),
-                }
-                if let Some(a) = act {
-                    a.apply_slice(out);
-                }
-                if let Some(f) = cast {
-                    cast_rows(out, n, f);
-                }
-            }
-            PlanNode::Norm {
-                src,
-                dst,
-                rows,
-                cols,
-                slot,
-            } => {
-                let Binding::Norm {
-                    gamma,
-                    beta,
-                    eps,
-                    elem,
-                } = self.binding(base, slot)?
-                else {
-                    return Err(PlanError::Internal("norm binding type"));
-                };
-                let len = rows * nb * cols;
-                let (s, d) = (off(src), off(dst));
-                buf.copy_within(s..s + len, d);
-                let out = &mut buf[d..d + len];
-                let _ = normalize_rows(out, cols, *eps);
-                scale_shift_rows(out, cols, gamma, beta);
-                cast_rows(out, cols, *elem);
-            }
-            PlanNode::Eltwise {
-                src,
-                dst,
-                len,
-                cols,
-                act,
-                cast,
-            } => {
-                let len = len * nb;
-                let (s, d) = (off(src), off(dst));
-                buf.copy_within(s..s + len, d);
-                let out = &mut buf[d..d + len];
-                if let Some(a) = act {
-                    a.apply_slice(out);
-                }
-                cast_rows(out, cols, cast);
-            }
-            PlanNode::Add {
-                a,
-                b,
-                dst,
-                len,
-                relu,
-            } => {
-                let (ao, bo, d) = (off(a), off(b), off(dst));
-                for i in 0..len * nb {
-                    let v = buf[ao + i] + buf[bo + i];
-                    buf[d + i] = if relu { v.max(0.0) } else { v };
-                }
-            }
-            PlanNode::Embed {
-                dst,
-                table,
-                pos,
-                t,
-                dim,
-            } => {
-                let Binding::Table {
-                    data,
-                    rows,
-                    dim: tdim,
-                } = self.binding(base, table)?
-                else {
-                    return Err(PlanError::Internal("table binding type"));
-                };
-                let Binding::Rows(pos_block) = self.binding(base, pos)? else {
-                    return Err(PlanError::Internal("rows binding type"));
-                };
-                if *tdim != dim {
-                    return Err(PlanError::Internal("table width"));
-                }
-                let tk = tokens.ok_or(PlanError::Input("token plan fed pixels"))?;
-                let d = off(dst);
-                for (r, &idx) in tk.iter().enumerate() {
-                    if idx >= *rows {
-                        return Err(PlanError::Input("token index out of range"));
-                    }
-                    let row = &data[idx * dim..(idx + 1) * dim];
-                    let p = &pos_block[(r % t) * dim..(r % t + 1) * dim];
-                    let out = &mut buf[d + r * dim..d + (r + 1) * dim];
-                    for (o, (x, y)) in out.iter_mut().zip(row.iter().zip(p.iter())) {
-                        *o = x + y;
-                    }
-                }
-            }
-            PlanNode::AttnMix {
-                q,
-                k,
-                v,
-                dst,
-                t,
-                d,
-                heads,
-                causal,
-                fwd,
-                elem,
-            } => {
-                let len = nb * t * d;
-                let grab = |o: usize, buf: &[f32]| {
-                    Tensor::from_vec(buf[o..o + len].to_vec(), &[nb * t, d])
-                };
-                let (qt, kt, vt) = (grab(off(q), buf), grab(off(k), buf), grab(off(v), buf));
-                let concat = attention_mix(&qt, &kt, &vt, nb, t, heads, causal, fwd, elem, None);
-                let o = off(dst);
-                buf[o..o + len].copy_from_slice(concat.data());
-            }
-            PlanNode::Conv {
-                src,
-                dst,
-                slot,
-                h,
-                w,
-                relu,
-            } => {
-                let Binding::Conv {
-                    weights,
-                    bias,
-                    in_ch,
-                    out_ch,
-                    k,
-                    pad,
-                } = self.binding(base, slot)?
-                else {
-                    return Err(PlanError::Internal("conv binding type"));
-                };
-                let (chw, ohw, patch) = (in_ch * h * w, h * w, in_ch * k * k);
-                let (s, d) = (off(src), off(dst));
-                for bi in 0..nb {
-                    let cols = im2col(
-                        &buf[s + bi * chw..s + (bi + 1) * chw],
-                        *in_ch,
-                        *k,
-                        *pad,
-                        h,
-                        w,
-                    );
-                    let y = run_gemm(weights, cols.data(), ohw, patch, *out_ch, scratch)?;
-                    let bbase = d + bi * out_ch * ohw;
-                    for oc in 0..*out_ch {
-                        for p in 0..ohw {
-                            let mut v = y[p * out_ch + oc] + bias[oc];
-                            if relu {
-                                v = v.max(0.0);
-                            }
-                            buf[bbase + oc * ohw + p] = v;
+/// Executes one node for the frame's `nb` requests: every
+/// batch-proportional extent is the node's per-request extent times `nb`.
+fn run_node(
+    node: &PlanNode,
+    frame: Frame,
+    buf: &mut [f32],
+    scratch: &mut PackScratch,
+    tokens: Option<&[usize]>,
+) -> Result<(), PlanError> {
+    let nb = frame.nb;
+    let off = |loc: Loc| frame.off(loc);
+    match *node {
+        PlanNode::PackedGemm {
+            src,
+            dst,
+            m,
+            k,
+            n,
+            ref weights,
+            ref bias,
+            act,
+            cast,
+        } => {
+            let m = m * nb;
+            let s = off(src);
+            let y = run_gemm(weights, &buf[s..s + m * k], m, k, n, scratch)?;
+            let d = off(dst);
+            let out = &mut buf[d..d + m * n];
+            match bias {
+                Some(bias) => {
+                    for (row, y_row) in out.chunks_exact_mut(n).zip(y.chunks_exact(n)) {
+                        for ((v, &y), &b) in row.iter_mut().zip(y_row).zip(&bias[..n]) {
+                            *v = y + b;
                         }
                     }
                 }
+                None => out.copy_from_slice(&y),
             }
-            PlanNode::Patchify {
-                src,
-                dst,
-                side,
-                patch,
-            } => {
-                let per = side * side;
-                let grid = side / patch;
-                let (s, d) = (off(src), off(dst));
-                let mut idx = d;
-                for bi in 0..nb {
-                    let img = s + bi * per;
-                    for py in 0..grid {
-                        for px in 0..grid {
-                            for dy in 0..patch {
-                                for dx in 0..patch {
-                                    buf[idx] =
-                                        buf[img + (py * patch + dy) * side + px * patch + dx];
-                                    idx += 1;
-                                }
-                            }
-                        }
-                    }
+            if let Some(a) = act {
+                a.apply_slice(out);
+            }
+            if let Some(f) = cast {
+                cast_rows(out, n, f);
+            }
+        }
+        PlanNode::Norm {
+            src,
+            dst,
+            rows,
+            cols,
+            ref gamma,
+            ref beta,
+            eps,
+            elem,
+        } => {
+            let len = rows * nb * cols;
+            let (s, d) = (off(src), off(dst));
+            buf.copy_within(s..s + len, d);
+            let out = &mut buf[d..d + len];
+            let _ = normalize_rows(out, cols, eps);
+            scale_shift_rows(out, cols, gamma, beta);
+            cast_rows(out, cols, elem);
+        }
+        PlanNode::Eltwise {
+            src,
+            dst,
+            len,
+            cols,
+            act,
+            cast,
+        } => {
+            let len = len * nb;
+            let (s, d) = (off(src), off(dst));
+            buf.copy_within(s..s + len, d);
+            let out = &mut buf[d..d + len];
+            if let Some(a) = act {
+                a.apply_slice(out);
+            }
+            cast_rows(out, cols, cast);
+        }
+        PlanNode::Add {
+            a,
+            b,
+            dst,
+            len,
+            relu,
+        } => {
+            let (ao, bo, d) = (off(a), off(b), off(dst));
+            for i in 0..len * nb {
+                let v = buf[ao + i] + buf[bo + i];
+                buf[d + i] = if relu { v.max(0.0) } else { v };
+            }
+        }
+        PlanNode::Embed {
+            dst,
+            ref table,
+            rows,
+            ref pos,
+            t,
+            dim,
+        } => {
+            let tk = tokens.ok_or(PlanError::Input("token plan fed pixels"))?;
+            let d = off(dst);
+            for (r, &idx) in tk.iter().enumerate() {
+                if idx >= rows {
+                    return Err(PlanError::Input("token index out of range"));
                 }
-            }
-            PlanNode::MeanPool {
-                src,
-                dst,
-                groups,
-                cols,
-            } => {
-                let (s, d) = (off(src), off(dst));
-                buf[d..d + nb * cols].fill(0.0);
-                for bi in 0..nb {
-                    for p in 0..groups {
-                        for c in 0..cols {
-                            buf[d + bi * cols + c] +=
-                                buf[s + (bi * groups + p) * cols + c] / groups as f32;
-                        }
-                    }
-                }
-            }
-            PlanNode::AvgPool {
-                src,
-                dst,
-                chunks,
-                spatial,
-            } => {
-                let (s, d) = (off(src), off(dst));
-                for i in 0..chunks * nb {
-                    let sum: f32 = buf[s + i * spatial..s + (i + 1) * spatial].iter().sum();
-                    buf[d + i] = sum / spatial as f32;
+                let row = &table[idx * dim..(idx + 1) * dim];
+                let p = &pos[(r % t) * dim..(r % t + 1) * dim];
+                let out = &mut buf[d + r * dim..d + (r + 1) * dim];
+                for (o, (x, y)) in out.iter_mut().zip(row.iter().zip(p.iter())) {
+                    *o = x + y;
                 }
             }
         }
-        Ok(())
+        PlanNode::AttnMix {
+            q,
+            k,
+            v,
+            dst,
+            t,
+            d,
+            heads,
+            causal,
+            fwd,
+            elem,
+        } => {
+            let len = nb * t * d;
+            let grab =
+                |o: usize, buf: &[f32]| Tensor::from_vec(buf[o..o + len].to_vec(), &[nb * t, d]);
+            let (qt, kt, vt) = (grab(off(q), buf), grab(off(k), buf), grab(off(v), buf));
+            let concat = attention_mix(&qt, &kt, &vt, nb, t, heads, causal, fwd, elem, None);
+            let o = off(dst);
+            buf[o..o + len].copy_from_slice(concat.data());
+        }
+        PlanNode::Conv {
+            src,
+            dst,
+            ref weights,
+            ref bias,
+            in_ch,
+            out_ch,
+            k,
+            pad,
+            h,
+            w,
+            relu,
+        } => {
+            let (chw, ohw, patch) = (in_ch * h * w, h * w, in_ch * k * k);
+            let (s, d) = (off(src), off(dst));
+            for bi in 0..nb {
+                let cols = im2col(&buf[s + bi * chw..s + (bi + 1) * chw], in_ch, k, pad, h, w);
+                let y = run_gemm(weights, cols.data(), ohw, patch, out_ch, scratch)?;
+                let bbase = d + bi * out_ch * ohw;
+                for oc in 0..out_ch {
+                    for p in 0..ohw {
+                        let mut v = y[p * out_ch + oc] + bias[oc];
+                        if relu {
+                            v = v.max(0.0);
+                        }
+                        buf[bbase + oc * ohw + p] = v;
+                    }
+                }
+            }
+        }
+        PlanNode::Patchify {
+            src,
+            dst,
+            side,
+            patch,
+        } => {
+            let per = side * side;
+            let grid = side / patch;
+            let (s, d) = (off(src), off(dst));
+            let mut idx = d;
+            for bi in 0..nb {
+                let img = s + bi * per;
+                for py in 0..grid {
+                    for px in 0..grid {
+                        for dy in 0..patch {
+                            for dx in 0..patch {
+                                buf[idx] = buf[img + (py * patch + dy) * side + px * patch + dx];
+                                idx += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        PlanNode::MeanPool {
+            src,
+            dst,
+            groups,
+            cols,
+        } => {
+            let (s, d) = (off(src), off(dst));
+            buf[d..d + nb * cols].fill(0.0);
+            for bi in 0..nb {
+                for p in 0..groups {
+                    for c in 0..cols {
+                        buf[d + bi * cols + c] +=
+                            buf[s + (bi * groups + p) * cols + c] / groups as f32;
+                    }
+                }
+            }
+        }
+        PlanNode::AvgPool {
+            src,
+            dst,
+            chunks,
+            spatial,
+        } => {
+            let (s, d) = (off(src), off(dst));
+            for i in 0..chunks * nb {
+                let sum: f32 = buf[s + i * spatial..s + (i + 1) * spatial].iter().sum();
+                buf[d + i] = sum / spatial as f32;
+            }
+        }
     }
+    Ok(())
 }
 
 /// Runs the GEMM core of a node on its plan-time-chosen path, under the
@@ -1380,19 +1178,21 @@ mod tests {
     }
 
     #[test]
-    fn counters_move_on_compile() {
-        let (p0, h0, a0) = plan_counters();
-        let cfg = QuantConfig::uniform(TensorFormat::MX9);
-        let lin = Linear::new(&mut rng(), 32, 4, false, cfg);
-        let mut p = Planner::new();
-        p.pixels_input(32);
-        let mut s = Stage::new(32, 4);
-        s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
-        p.push_stage(s);
-        let plan = p.finish(1).unwrap();
-        let (p1, h1, a1) = plan_counters();
-        assert!(p1 > p0, "plans compiled must advance");
-        assert!(h1 > h0, "the MX9 weight plane was a prepack hoist");
-        assert!(a1 >= a0 + (plan.arena_elems() * 4) as u64);
+    fn plan_reports_its_pinned_planes_and_arena() {
+        for (cfg, planes) in [
+            (QuantConfig::fp32(), 0),
+            (QuantConfig::uniform(TensorFormat::MX9), 1),
+        ] {
+            let lin = Linear::new(&mut rng(), 32, 4, false, cfg);
+            let mut p = Planner::new();
+            p.pixels_input(32);
+            let mut s = Stage::new(32, 4);
+            s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
+            p.push_stage(s);
+            let plan = p.finish(3).unwrap();
+            assert_eq!(plan.pinned_planes(), planes, "{cfg}");
+            // Two 32-wide flow buffers and no locals, per request.
+            assert_eq!(plan.arena_elems(), 2 * 32 * 3, "{cfg}");
+        }
     }
 }

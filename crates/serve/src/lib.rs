@@ -697,8 +697,9 @@ fn plan_for(
         return hit(plan);
     }
     let plan = model.compile_plan(cfg, capacity, len).ok().map(Arc::new);
-    if plan.is_some() {
-        stats.record_plan_compiled();
+    if let Some(plan) = &plan {
+        let arena_bytes = plan.arena_elems() * std::mem::size_of::<f32>();
+        stats.record_plan_compiled(plan.pinned_planes(), arena_bytes);
     }
     let mut plans = entry.plans.lock().unwrap_or_else(|p| p.into_inner());
     if plans.len() >= PLAN_CACHE_CAP {

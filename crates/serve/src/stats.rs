@@ -49,10 +49,10 @@ pub(crate) struct StatsInner {
     plans_compiled: AtomicU64,
     /// Batches served straight from a model's compiled-plan cache.
     plan_hits: AtomicU64,
-    /// `(prepack hoists, arena bytes)` baseline at server start — the
-    /// process-wide `mx_nn::plan` counters, snapshotted so the reported
-    /// numbers are deltas over this server's life.
-    plans_baseline: (u64, u64),
+    /// Weight planes pinned by the plans this server compiled.
+    prepack_hoists: AtomicU64,
+    /// Full-capacity arena bytes of the plans this server compiled.
+    plan_arena_bytes: AtomicU64,
 }
 
 struct LatencyRing {
@@ -62,7 +62,6 @@ struct LatencyRing {
 
 impl StatsInner {
     pub(crate) fn new(max_batch: usize, shards: usize) -> Self {
-        let (_, hoists, arena) = mx_nn::plan::plan_counters();
         StatsInner {
             in_flight: AtomicUsize::new(0),
             shard_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
@@ -80,13 +79,19 @@ impl StatsInner {
             packs_baseline: mx_nn::qflow::plane_cache_counters(),
             plans_compiled: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
-            plans_baseline: (hoists, arena),
+            prepack_hoists: AtomicU64::new(0),
+            plan_arena_bytes: AtomicU64::new(0),
         }
     }
 
-    /// Counts one plan this server compiled.
-    pub(crate) fn record_plan_compiled(&self) {
+    /// Counts one plan this server compiled, with the weight planes it
+    /// pins and its arena bytes at full capacity.
+    pub(crate) fn record_plan_compiled(&self, planes: usize, arena_bytes: usize) {
         self.plans_compiled.fetch_add(1, Ordering::Relaxed);
+        self.prepack_hoists
+            .fetch_add(planes as u64, Ordering::Relaxed);
+        self.plan_arena_bytes
+            .fetch_add(arena_bytes as u64, Ordering::Relaxed);
     }
 
     /// Counts one batch served from the compiled-plan cache (no planning,
@@ -210,7 +215,6 @@ impl StatsInner {
             .clone();
         sorted.sort_unstable();
         let (hits, packs) = mx_nn::qflow::plane_cache_counters();
-        let (_, hoists, arena) = mx_nn::plan::plan_counters();
         ServeStats {
             queue_depth: self.in_flight.load(Ordering::Relaxed),
             shard_depths: self
@@ -230,8 +234,8 @@ impl StatsInner {
             packs_performed: packs.saturating_sub(self.packs_baseline.1),
             plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_hits.load(Ordering::Relaxed),
-            prepack_hoists: hoists.saturating_sub(self.plans_baseline.0),
-            plan_arena_bytes: arena.saturating_sub(self.plans_baseline.1),
+            prepack_hoists: self.prepack_hoists.load(Ordering::Relaxed),
+            plan_arena_bytes: self.plan_arena_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -294,11 +298,12 @@ pub struct ServeStats {
     /// steady-state path that does zero planning, gating, or allocation
     /// beyond the per-worker arena.
     pub plan_cache_hits: u64,
-    /// Weight-side `pack_cols` lowerings hoisted to plan time since the
-    /// server started (each one removed from every subsequent batch).
+    /// Weight code planes pinned by the plans this server compiled: one
+    /// per code-domain GEMM or conv node of each plan, each a weight-side
+    /// lowering no batch repeats.
     pub prepack_hoists: u64,
-    /// Scratch-arena bytes laid out by plan compilation since the server
-    /// started (liveness-ordered high-water total, not live memory).
+    /// Sum over the plans this server compiled of each plan's arena at
+    /// full capacity, in bytes (a layout total, not live memory).
     pub plan_arena_bytes: u64,
 }
 
@@ -352,7 +357,7 @@ mod tests {
         s.record_shed();
         s.record_expired(2);
         s.record_plan_hit();
-        s.record_plan_compiled();
+        s.record_plan_compiled(3, 4096);
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.shard_depths, vec![1, 0]);
@@ -365,12 +370,9 @@ mod tests {
         assert_eq!(snap.p99_latency_us, 30);
         assert_eq!(snap.p999_latency_us, 30);
         assert!((snap.mean_batch_size() - 1.5).abs() < 1e-12);
-        // The hit and compile counters are per-server; the hoist/arena
-        // counters are process-wide deltas, so other tests in the same
-        // process may move them — only the local counters have exact
-        // expectations.
         assert_eq!(snap.plan_cache_hits, 1);
         assert_eq!(snap.plans_compiled, 1);
+        assert_eq!((snap.prepack_hoists, snap.plan_arena_bytes), (3, 4096));
     }
 
     #[test]

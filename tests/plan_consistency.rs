@@ -161,10 +161,11 @@ fn vision_models_planned_match_dynamic() {
     check_model(&mut mobile, "TinyMobileNet", 3, &[px_len], None);
 }
 
-/// Repeated structure must share templates: the GPT blocks collapse to one
-/// template, and every MobileNet pointwise layer shares one stage shape.
+/// A plan runs one stage per layer: embed + 4 blocks + head for a 4-layer
+/// GPT, stem + 3 pointwise + head for MobileNet. Every stage owns its
+/// nodes, so the template count equals the stage count.
 #[test]
-fn repeated_layers_share_templates() {
+fn plans_run_one_stage_per_layer() {
     let mut rng = rand::SeedableRng::seed_from_u64(35);
     let cfg = QuantConfig::uniform(TensorFormat::MX6);
     let four_layers = GptConfig {
@@ -173,17 +174,43 @@ fn repeated_layers_share_templates() {
     };
     let m = Gpt::new(&mut rng, four_layers, cfg);
     let plan = m.compile_plan(cfg, 2, 16).expect("gpt plan");
-    // Stages: embed + 4 blocks + head; templates: embed + 1 shared block
-    // template + head.
     assert_eq!(plan.instance_count(), 6);
-    assert_eq!(plan.template_count(), 3, "blocks must dedupe");
+    assert_eq!(plan.template_count(), plan.instance_count());
 
     let mobile = TinyMobileNet::new(&mut rng, 4, 3, cfg);
     let plan = mobile.compile_plan(cfg, 1).expect("mobilenet plan");
-    assert_eq!(plan.instance_count(), 5); // stem + 3 pointwise + head
-                                          // Conv geometry lives in the per-instance binding, so the stem's
-                                          // single-conv stage shares the template with all pointwise stages.
-    assert_eq!(plan.template_count(), 2, "conv stages must dedupe");
+    assert_eq!(plan.instance_count(), 5);
+    assert_eq!(plan.template_count(), plan.instance_count());
+}
+
+/// A compiled plan owns everything it reads: executed after its model is
+/// dropped, it still matches the model's own forward bit for bit. GPT
+/// covers the embed, norm and GEMM nodes, ResNet the conv nodes.
+#[test]
+fn compiled_plan_outlives_its_model() {
+    let mut rng = rand::SeedableRng::seed_from_u64(39);
+    let cfg = QuantConfig::uniform(TensorFormat::MX6);
+    let mut gpt = Gpt::new(&mut rng, GptConfig::tiny(), cfg);
+    let t = BatchModel::input_len(&gpt);
+    let tokens = Payload::new(2 * t, Some(data::LM_VOCAB), 5);
+    let gpt_plan = gpt.compile_plan(cfg, 2, t).expect("gpt plan");
+    let gpt_want = gpt.forward_batch(tokens.zoo(), 2);
+    drop(gpt);
+
+    let mut resnet = TinyResNet::new(&mut rng, 4, 2, cfg);
+    let pixels = Payload::new(2 * data::IMAGE_SIDE * data::IMAGE_SIDE, None, 6);
+    let resnet_plan = resnet.compile_plan(cfg, 2).expect("resnet plan");
+    let resnet_want = resnet.forward_batch(pixels.zoo(), 2);
+    drop(resnet);
+
+    let mut arena = PlanArena::new();
+    for (plan, payload, want, name) in [
+        (&gpt_plan, &tokens, &gpt_want, "Gpt"),
+        (&resnet_plan, &pixels, &resnet_want, "TinyResNet"),
+    ] {
+        let got = plan.execute(payload.plan(), &mut arena).expect(name);
+        assert_bits_eq(&got, want, name);
+    }
 }
 
 /// The format-support gate is hoisted to plan time: a pair with neither an

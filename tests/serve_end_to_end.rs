@@ -440,6 +440,42 @@ fn one_plan_per_format_and_bucket_serves_every_batch_size() {
     handle.shutdown();
 }
 
+/// Plan telemetry is scoped per server: of two servers in one process,
+/// only the one that compiles reports pinned planes and arena bytes, and
+/// it reports exactly those of the plan it compiled.
+#[test]
+fn plan_counts_belong_to_the_server_that_compiled() {
+    let max_batch = 4;
+    let start = || {
+        let mut server = Server::new(ServerConfig::default().max_batch(max_batch));
+        server.register("gpt", Box::new(gpt(90)));
+        server.start().expect("valid config")
+    };
+    let (a, b) = (start(), start());
+    let seq = GptConfig::tiny().seq_len;
+    let req = |cfg| Request::new("gpt", RequestInput::Tokens(tokens(3, seq))).quant(cfg);
+    a.infer(req(mx6())).expect("planned request");
+    // BF16 has no plan path, so B serves through the dynamic walk.
+    b.infer(req(QuantConfig::uniform(TensorFormat::Bf16)))
+        .expect("dynamic request");
+    let plan = gpt(90).compile_plan(mx6(), max_batch, seq).expect("plan");
+    assert!(
+        plan.pinned_planes() > 0,
+        "an MX6 plan pins its weight planes"
+    );
+    let (sa, sb) = (a.stats(), b.stats());
+    assert_eq!(sa.plans_compiled, 1);
+    assert_eq!(sa.prepack_hoists, plan.pinned_planes() as u64);
+    assert_eq!(sa.plan_arena_bytes, (plan.arena_elems() * 4) as u64);
+    assert_eq!(
+        (sb.plans_compiled, sb.prepack_hoists, sb.plan_arena_bytes),
+        (0, 0, 0),
+        "B compiled nothing"
+    );
+    a.shutdown();
+    b.shutdown();
+}
+
 /// A token id outside the vocabulary is a typed rejection at submit, and
 /// the tenant keeps serving: the next valid request matches the serial
 /// reference bit for bit, on a planned and an unplannable format alike.
