@@ -27,8 +27,7 @@
 //! plane packed once per tenant and shared by every batch). Sweep `--rate`
 //! upward until p99 diverges to find the box's saturation knee, then
 //! offer a multiple of the knee with and without `--shed`/`--slo-us` to
-//! see admission control hold the accepted-request tail. `MX_SERVE_SHARDS`
-//! sets the default shard count.
+//! see admission control hold the accepted-request tail.
 
 use mx_models::gpt::{Gpt, GptConfig};
 use mx_models::zoo::DenseGemm;
@@ -50,7 +49,7 @@ struct Args {
     requests: usize,
     /// Server worker threads per shard.
     workers: usize,
-    /// Registry shards (default: `MX_SERVE_SHARDS`, else 1).
+    /// Registry shards (default 1).
     shards: usize,
     /// Dispatcher coalescing bound.
     max_batch: usize,
@@ -81,21 +80,16 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         // MX_BENCH_THREADS picks the default worker count (0 = all cores,
-        // matching the knob's contract everywhere else); MX_SERVE_SHARDS
-        // picks the default shard count.
+        // matching the knob's contract everywhere else).
         let workers = match mx_bench::bench_threads(1) {
             0 => mx_core::parallel::default_threads(),
             w => w,
         };
-        let shards = mx_core::knobs::raw("MX_SERVE_SHARDS")
-            .and_then(|v| v.parse().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(1);
         Args {
             rate: 200.0,
             requests: 2000,
             workers,
-            shards,
+            shards: 1,
             max_batch: 32,
             tenants: 1,
             zipf: 1.1,

@@ -241,27 +241,6 @@ impl BdrFormat {
         -((1 << (self.d1 - 1)) - 1)
     }
 
-    /// Computes the shared exponent and per-sub-block shifts for one block of
-    /// at most [`Self::k1`] values, or `None` for an all-zero block.
-    ///
-    /// The shared exponent is the exponent of the largest magnitude, clamped
-    /// to the `d1`-bit range; shift `τᵢ = min(E − Eᵢ, β)` where `Eᵢ` is the
-    /// local maximum exponent of sub-block `i` (all-zero sub-blocks get `β`).
-    ///
-    /// Delegates to the unified [`crate::engine::QuantEngine`] — the single
-    /// implementation of the plan in the workspace.
-    pub fn plan_block(&self, block: &[f32]) -> Option<BlockPlan> {
-        debug_assert!(block.len() <= self.k1);
-        QuantEngine::new(*self).plan_block(block)
-    }
-
-    /// Quantizes one block (length at most [`Self::k1`]) to the format's grid
-    /// and returns the dequantized values.
-    pub fn quantize_dequantize_block(&self, block: &[f32]) -> Vec<f32> {
-        debug_assert!(block.len() <= self.k1);
-        QuantEngine::new(*self).quantize_dequantize(block)
-    }
-
     /// Quantizes `xs` (any length; the tail may form a partial block) and
     /// returns the dequantized values.
     ///
@@ -286,9 +265,17 @@ impl BdrFormat {
     /// Quantizes one block (length at most [`Self::k1`]) down to raw integer
     /// codes — the form a hardware datapath consumes (see `mx-hw`).
     ///
-    /// All-zero blocks return a plan with shared exponent 0 and zero codes.
-    /// Dequantizing the result (see [`QuantizedBlock::dequantize`]) agrees
-    /// exactly with [`Self::quantize_dequantize_block`].
+    /// The shared exponent is the exponent of the largest magnitude, clamped
+    /// to the `d1`-bit range; shift `τᵢ = min(E − Eᵢ, β)` where `Eᵢ` is the
+    /// local maximum exponent of sub-block `i` (all-zero sub-blocks get
+    /// `β`). A block with no finite nonzero element returns shared exponent
+    /// 0, zero shifts and zero codes. Dequantizing the result (see
+    /// [`QuantizedBlock::dequantize`]) agrees exactly with
+    /// [`Self::quantize_dequantize`] on the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is longer than [`Self::k1`].
     ///
     /// # Examples
     ///
@@ -300,7 +287,6 @@ impl BdrFormat {
     /// assert_eq!(q.codes, vec![8, 4]); // 1.0 = 8 * 2^-3, 0.5 = 4 * 2^-3
     /// ```
     pub fn quantize_block_codes(&self, block: &[f32]) -> QuantizedBlock {
-        debug_assert!(block.len() <= self.k1);
         QuantEngine::new(*self).quantize_block_codes(block)
     }
 
@@ -326,16 +312,6 @@ impl fmt::Display for BdrFormat {
     }
 }
 
-/// Per-block scaling decisions: the shared exponent and one shift per
-/// sub-block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockPlan {
-    /// First-level shared exponent `E` (already clamped to `d1` bits).
-    pub shared_exp: i32,
-    /// Sub-block shifts `τᵢ ∈ [0, 2^d2 − 1]`, one per `k2`-element sub-block.
-    pub shifts: Vec<u32>,
-}
-
 /// One block quantized down to the integer codes a hardware datapath
 /// consumes: shared exponent, per-sub-block shifts, and per-element
 /// sign/magnitude codes.
@@ -355,7 +331,7 @@ pub struct QuantizedBlock {
 
 impl QuantizedBlock {
     /// Reconstructs the `f32` values the codes represent; agrees exactly with
-    /// [`BdrFormat::quantize_dequantize_block`] on the original input.
+    /// [`BdrFormat::quantize_dequantize`] on the original block.
     pub fn dequantize(&self) -> Vec<f32> {
         let fmt = &self.format;
         self.codes
@@ -481,7 +457,10 @@ mod tests {
         let fmt = BdrFormat::MX6;
         let x = vec![0.0f32; 16];
         assert_eq!(fmt.quantize_dequantize(&x), x);
-        assert!(fmt.plan_block(&x).is_none());
+        let qb = fmt.quantize_block_codes(&x);
+        assert_eq!(qb.shared_exp, 0);
+        assert_eq!(qb.shifts, vec![0; 8]);
+        assert_eq!(qb.codes, vec![0; 16]);
     }
 
     #[test]
@@ -489,7 +468,7 @@ mod tests {
         let fmt = BdrFormat::MX9;
         let mut x = vec![0.01f32; 16];
         x[5] = -6.5; // exponent 2
-        let plan = fmt.plan_block(&x).unwrap();
+        let plan = fmt.quantize_block_codes(&x);
         assert_eq!(plan.shared_exp, 2);
         assert_eq!(plan.shifts.len(), 8);
         // Sub-block holding x[5] (index 2) has local max exponent 2 -> shift 0.
@@ -531,8 +510,8 @@ mod tests {
             .collect();
         let max_code = (1u32 << fmt.m()) - 1;
         for (block_idx, block) in x.chunks(fmt.k1()).enumerate() {
-            let plan = fmt.plan_block(block).unwrap();
-            let q = fmt.quantize_dequantize_block(block);
+            let plan = fmt.quantize_block_codes(block);
+            let q = fmt.quantize_dequantize(block);
             for (i, (xi, qi)) in block.iter().zip(q.iter()).enumerate() {
                 let shift = plan.shifts[i / fmt.k2()];
                 let bound = fmt.error_bound(plan.shared_exp, shift);
@@ -622,7 +601,7 @@ mod tests {
         assert_eq!(fmt.min_shared_exp(), -7);
         let mut x = vec![0.0f32; 16];
         x[0] = 2.0f32.powi(20); // exponent 20, clamps to 8
-        let plan = fmt.plan_block(&x).unwrap();
+        let plan = fmt.quantize_block_codes(&x);
         assert_eq!(plan.shared_exp, 8);
         // The value saturates to the max code at the clamped exponent.
         let q = fmt.quantize_dequantize(&x);
@@ -652,7 +631,7 @@ mod tests {
                 .collect();
             let qb = fmt.quantize_block_codes(&x);
             assert_eq!(qb.len(), 16);
-            assert_eq!(qb.dequantize(), fmt.quantize_dequantize_block(&x), "{fmt}");
+            assert_eq!(qb.dequantize(), fmt.quantize_dequantize(&x), "{fmt}");
         }
     }
 
@@ -662,6 +641,12 @@ mod tests {
         assert_eq!(qb.codes, vec![0; 8]);
         assert_eq!(qb.shifts.len(), 4);
         assert_eq!(qb.dequantize(), vec![0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds k1")]
+    fn block_codes_reject_a_block_longer_than_k1() {
+        BdrFormat::MX6.quantize_block_codes(&[1.0; 17]);
     }
 
     #[test]

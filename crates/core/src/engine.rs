@@ -11,14 +11,7 @@
 //!
 //! - **Value path** — [`QuantEngine::quantize_dequantize`] /
 //!   [`QuantEngine::quantize_dequantize_in_place`] fake-quantize contiguous
-//!   vectors. It runs on the same fast block core as the GEMM's code
-//!   lowering (integer exponent scan, exact power-of-two reciprocal,
-//!   branch-free ties-to-even) — [`BlockCore`]: a scalar tier that serves
-//!   every block, and an AVX-512 tier, bit-identical to it, that takes
-//!   contiguous whole blocks when the selected kernel backend
-//!   ([`crate::gemm::selected_backend`]) is `avx512`. The division form
-//!   (`plan_into` + `quantize_code`) stays as the packed encoder's path
-//!   and the oracle the suites compare against.
+//!   vectors.
 //! - **Packed bit streams** — [`QuantEngine::encode`] /
 //!   [`QuantEngine::decode`] produce and consume the Fig. 4 layout;
 //!   [`crate::mx::MxTensor`] delegates here.
@@ -30,11 +23,21 @@
 //! - **Integer codes** — [`QuantEngine::quantize_block_codes`] lowers a
 //!   block to the sign/magnitude codes the `mx-hw` datapath consumes.
 //!
-//! All value kernels have a chunked data-parallel front-end (see
+//! Every one of them, and the GEMM's code lowering, plans and rounds on
+//! one **fast block core** (integer exponent scan, exact power-of-two
+//! reciprocal, branch-free ties-to-even): a scalar tier that serves every
+//! block, and an AVX-512 tier, bit-identical to it, that takes contiguous
+//! whole blocks when the selected kernel backend
+//! ([`crate::gemm::selected_backend`]) is `avx512`. The division form
+//! (per-element exponent scan and `f64` division) lives on only as
+//! [`oracle`], the reference the suites and debug builds compare against.
+//!
+//! The value kernels have a chunked data-parallel front-end (see
 //! [`crate::parallel`]): construct the engine with
 //! [`QuantEngine::with_threads`] and large tensors are split into
 //! block-aligned spans across worker threads. Because blocks are
 //! independent, the parallel result is **bit-identical** to the serial one.
+//! The packed codec and the block codes always run serially.
 //!
 //! # Examples
 //!
@@ -54,11 +57,12 @@
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+pub mod oracle;
 
-use crate::bdr::{BdrFormat, BlockPlan, QuantizedBlock};
+use crate::bdr::{BdrFormat, QuantizedBlock};
 use crate::bits::{BitReader, BitWriter};
 use crate::parallel;
-use crate::util::{exponent_of, pow2, round_half_even};
+use crate::util::{exponent_of, pow2};
 
 /// Minimum number of *elements* each worker thread must receive before
 /// the engine bothers spawning it; below `2×` this the kernels stay serial.
@@ -91,9 +95,10 @@ impl QuantEngine {
 
     /// Sets the worker-thread budget. `0` means "all available cores"
     /// ([`parallel::default_threads`], resolved once per process — building
-    /// an engine never makes a system call). Regardless of the budget, inputs
-    /// smaller than `2 ×` [`PARALLEL_GRAIN`] are processed serially, and
-    /// the parallel result is always bit-identical to the serial one.
+    /// an engine never makes a system call). The budget applies to the
+    /// value kernels; regardless of it, inputs smaller than `2 ×`
+    /// [`PARALLEL_GRAIN`] are processed serially, and the parallel result
+    /// is always bit-identical to the serial one.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
             parallel::default_threads()
@@ -119,35 +124,6 @@ impl QuantEngine {
         } else {
             self.threads.min(len / PARALLEL_GRAIN).max(1)
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Planning
-    // ------------------------------------------------------------------
-
-    /// Computes the block plan for one contiguous block of at most `k1`
-    /// values, or `None` for an all-zero block.
-    pub fn plan_block(&self, block: &[f32]) -> Option<BlockPlan> {
-        self.plan_block_strided(block, 0, 1, block.len())
-    }
-
-    /// Computes the block plan for a strided block: elements
-    /// `data[base + i·stride]` for `i in 0..len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `len` exceeds `k1`; panics if the last
-    /// index is out of bounds.
-    pub fn plan_block_strided(
-        &self,
-        data: &[f32],
-        base: usize,
-        stride: usize,
-        len: usize,
-    ) -> Option<BlockPlan> {
-        let mut shifts = Vec::new();
-        let shared_exp = plan_into(&self.format, data, base, stride, len, &mut shifts)?;
-        Some(BlockPlan { shared_exp, shifts })
     }
 
     // ------------------------------------------------------------------
@@ -254,103 +230,77 @@ impl QuantEngine {
 
     /// Encodes `values` into the packed Fig. 4 bit stream: per block, one
     /// `d1`-bit biased shared exponent, `k1/k2` microexponent shifts of
-    /// `d2` bits, then `k1` elements of (sign, `m`-bit magnitude).
-    ///
-    /// When the format's full-block footprint is byte-aligned and the
-    /// engine has a thread budget, blocks are encoded in parallel spans and
-    /// concatenated — bit-identical to the serial stream.
+    /// `d2` bits, then `k1` elements of (sign, `m`-bit magnitude). A block
+    /// with no finite nonzero element is written as all-zero fields.
     pub fn encode(&self, values: &[f32]) -> Vec<u8> {
-        let fmt = self.format;
-        let k1 = fmt.k1();
-        let threads = self.effective_threads(values.len());
-        let byte_aligned = fmt.block_bits(k1).is_multiple_of(8);
-        if threads > 1 && byte_aligned && values.len() > k1 {
-            let span = values.len().div_ceil(threads).div_ceil(k1) * k1;
-            let spans: Vec<&[f32]> = values.chunks(span).collect();
-            let parts = parallel::map(&spans, threads, |span| encode_slice(&fmt, span));
-            let mut bytes = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-            for part in parts {
-                bytes.extend_from_slice(&part);
+        let fmt = &self.format;
+        let mut w = BitWriter::new();
+        let (mut shifts, mut signs, mut codes) = (Vec::new(), Vec::new(), Vec::new());
+        for block in values.chunks(fmt.k1()) {
+            let exp_code = block_codes_into(fmt, block, &mut shifts, &mut signs, &mut codes)
+                .map_or(0, |e| (e as i64 + fmt.exp_bias()) as u64);
+            w.write(exp_code, fmt.d1());
+            for &shift in &shifts {
+                w.write(shift as u64, fmt.d2());
             }
-            bytes
-        } else {
-            encode_slice(&fmt, values)
+            for (&neg, &code) in signs.iter().zip(&codes) {
+                w.write(u64::from(neg), 1);
+                w.write(code as u64, fmt.m());
+            }
         }
+        w.into_bytes()
     }
 
     /// Decodes `len` elements from a packed bit stream produced by
     /// [`QuantEngine::encode`].
     ///
-    /// When the format's full-block footprint is byte-aligned and the
-    /// engine has a thread budget, the stream is split on block boundaries
-    /// and the spans are decoded in parallel, mirroring
-    /// [`QuantEngine::encode`] — bit-identical to the serial decode.
-    ///
     /// # Panics
     ///
     /// Panics if the stream is truncated.
     pub fn decode(&self, bytes: &[u8], len: usize) -> Vec<f32> {
-        let fmt = self.format;
-        let k1 = fmt.k1();
-        let threads = self.effective_threads(len);
-        let block_bits = fmt.block_bits(k1);
-        if threads > 1 && block_bits.is_multiple_of(8) && len > k1 {
-            let block_bytes = block_bits / 8;
-            let span = len.div_ceil(threads).div_ceil(k1) * k1;
-            let tasks: Vec<(&[u8], usize)> = (0..len.div_ceil(span))
-                .map(|s| {
-                    let start = s * span;
-                    let byte_off = (start / k1) * block_bytes;
-                    assert!(byte_off <= bytes.len(), "truncated stream");
-                    (&bytes[byte_off..], span.min(len - start))
-                })
-                .collect();
-            let parts = parallel::map(&tasks, threads, |&(span_bytes, n)| {
-                decode_slice(&fmt, span_bytes, n)
-            });
-            let mut out = Vec::with_capacity(len);
-            for part in parts {
-                out.extend_from_slice(&part);
+        let fmt = &self.format;
+        let mut r = BitReader::new(bytes);
+        let mut read = |bits| r.read(bits).expect("truncated stream");
+        let mut out = Vec::with_capacity(len);
+        let mut shifts = Vec::new();
+        while out.len() < len {
+            let block_len = (len - out.len()).min(fmt.k1());
+            let shared_exp = (read(fmt.d1()) as i64 - fmt.exp_bias()) as i32;
+            shifts.clear();
+            for _ in 0..block_len.div_ceil(fmt.k2()) {
+                shifts.push(read(fmt.d2()) as u32);
             }
-            out
-        } else {
-            decode_slice(&fmt, bytes, len)
+            for i in 0..block_len {
+                let ulp = ulp_of(fmt, shared_exp, shifts[i / fmt.k2()]);
+                let sign = read(1);
+                let mag = (read(fmt.m()) as f64 * ulp) as f32;
+                out.push(if sign == 1 { -mag } else { mag });
+            }
         }
+        out
     }
 
-    /// Lowers one block (length at most `k1`) to raw integer codes — the
-    /// form a hardware datapath consumes. All-zero blocks return shared
-    /// exponent 0 and zero codes.
+    /// Lowers one block to raw integer codes — the form a hardware datapath
+    /// consumes. A block with no finite nonzero element returns shared
+    /// exponent 0, zero shifts and zero codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is longer than `k1`: one shared exponent covers
+    /// at most `k1` elements.
     pub fn quantize_block_codes(&self, block: &[f32]) -> QuantizedBlock {
         let fmt = self.format;
-        debug_assert!(block.len() <= fmt.k1());
-        let sub_blocks = block.len().div_ceil(fmt.k2());
-        let mut shifts = Vec::new();
-        let Some(shared_exp) = plan_into(&fmt, block, 0, 1, block.len(), &mut shifts) else {
-            return QuantizedBlock {
-                format: fmt,
-                shared_exp: 0,
-                shifts: vec![0; sub_blocks],
-                signs: vec![false; block.len()],
-                codes: vec![0; block.len()],
-            };
-        };
-        let max_code = fmt.max_code();
-        let mut signs = Vec::with_capacity(block.len());
-        let mut codes = Vec::with_capacity(block.len());
-        for (i, sub) in block.chunks(fmt.k2()).enumerate() {
-            let ulp = ulp_of(&fmt, shared_exp, shifts[i]);
-            for &x in sub {
-                // Zeros (including -0.0) carry sign 0 so code lowering,
-                // packed streams, and the value path dequantize to the
-                // same bit pattern (+0.0).
-                signs.push(x != 0.0 && x.is_sign_negative());
-                codes.push(quantize_code(x, ulp, max_code) as u32);
-            }
-        }
+        assert!(
+            block.len() <= fmt.k1(),
+            "block of {} exceeds k1 = {}",
+            block.len(),
+            fmt.k1()
+        );
+        let (mut shifts, mut signs, mut codes) = (Vec::new(), Vec::new(), Vec::new());
+        let shared_exp = block_codes_into(&fmt, block, &mut shifts, &mut signs, &mut codes);
         QuantizedBlock {
             format: fmt,
-            shared_exp,
+            shared_exp: shared_exp.unwrap_or(0),
             shifts,
             signs,
             codes,
@@ -359,82 +309,15 @@ impl QuantEngine {
 }
 
 // ----------------------------------------------------------------------
-// The single implementation of the BDR block plan and its kernels.
+// The fast block core: the one implementation of the BDR block plan and
+// its rounding rule in production.
 // ----------------------------------------------------------------------
-
-/// Largest exponent over the strided elements, `None` if all are zero.
-#[inline]
-fn max_exp_strided(data: &[f32], base: usize, stride: usize, len: usize) -> Option<i32> {
-    let mut best: Option<i32> = None;
-    let mut idx = base;
-    for _ in 0..len {
-        let x = data[idx];
-        if x != 0.0 && x.is_finite() {
-            let e = exponent_of(x);
-            best = Some(match best {
-                Some(b) if b >= e => b,
-                _ => e,
-            });
-        }
-        idx += stride;
-    }
-    best
-}
-
-/// Computes the shared exponent and fills `shifts` (one per `k2`-sub-block)
-/// for the strided block `data[base + i·stride], i in 0..len`. Returns
-/// `None` (leaving `shifts` empty) for an all-zero block.
-///
-/// This is the *only* implementation of the paper's two-level plan: the
-/// shared exponent is the clamped exponent of the block's largest
-/// magnitude, and each sub-block's shift is `min(E − Eᵢ, 2^d2 − 1)`
-/// (all-zero sub-blocks take the maximum shift). `pub(crate)` so the
-/// integer-domain GEMM ([`crate::gemm`]) lowers its operands through the
-/// exact same plan without per-block allocations.
-pub(crate) fn plan_into(
-    fmt: &BdrFormat,
-    data: &[f32],
-    base: usize,
-    stride: usize,
-    len: usize,
-    shifts: &mut Vec<u32>,
-) -> Option<i32> {
-    debug_assert!(len <= fmt.k1(), "block of {len} exceeds k1 = {}", fmt.k1());
-    shifts.clear();
-    let e_raw = max_exp_strided(data, base, stride, len)?;
-    let shared_exp = e_raw.clamp(fmt.min_shared_exp(), fmt.max_shared_exp());
-    let beta = fmt.max_shift();
-    let k2 = fmt.k2();
-    let mut sub_start = 0;
-    while sub_start < len {
-        let sub_len = k2.min(len - sub_start);
-        let shift = match max_exp_strided(data, base + sub_start * stride, stride, sub_len) {
-            Some(e_i) => (shared_exp.saturating_sub(e_i).max(0) as u32).min(beta),
-            None => beta,
-        };
-        shifts.push(shift);
-        sub_start += k2;
-    }
-    Some(shared_exp)
-}
 
 /// One unit in the last place for a sub-block at `shared_exp − shift` with
 /// an `m`-bit mantissa of the form `b0.b1…b(m−1)`.
 #[inline]
 pub(crate) fn ulp_of(fmt: &BdrFormat, shared_exp: i32, shift: u32) -> f64 {
     pow2(shared_exp - shift as i32 - (fmt.m() as i32 - 1))
-}
-
-/// Quantizes one magnitude to its integer code (round-half-even, saturating
-/// at `max_code`). Shared with [`crate::gemm`] so code-domain operands are
-/// lowered by the identical rounding rule.
-#[inline]
-pub(crate) fn quantize_code(x: f32, ulp: f64, max_code: u64) -> u64 {
-    if x == 0.0 {
-        0
-    } else {
-        (round_half_even(x.abs() as f64 / ulp) as u64).min(max_code)
-    }
 }
 
 /// Storage width for shift-aligned signed integer codes (`i16` for narrow
@@ -470,12 +353,12 @@ impl AlignedCode for i32 {
 
 /// `2^52` — adding and subtracting it forces the FPU's round-to-nearest
 /// (ties-to-even) at integer granularity, the classic branch-free form of
-/// [`round_half_even`].
+/// [`crate::util::round_half_even`].
 const ROUND_BIAS: f64 = 4_503_599_627_370_496.0;
 
-/// Branch-free [`round_half_even`] for the magnitudes the fast block core
-/// produces, bit-identical to the `floor`-based helper everywhere the two
-/// are composed with the `min(max_code)` clamp:
+/// Branch-free [`crate::util::round_half_even`] for the magnitudes the
+/// fast block core produces, bit-identical to the `floor`-based helper
+/// everywhere the two are composed with the `min(max_code)` clamp:
 ///
 /// - for `0 ≤ v < 2^52`, `(v + 2^52) − 2^52` rounds `v` at integer
 ///   granularity under the default IEEE round-to-nearest-even mode and the
@@ -490,8 +373,9 @@ fn round_half_even_fast(v: f64) -> f64 {
 }
 
 /// Folds one element into a running maximum of IEEE-754 abs bit patterns,
-/// skipping exactly what [`plan_into`] skips (`x != 0.0 && x.is_finite()`
-/// ⇔ `0 < abs bits < 0x7f80_0000`; zero never raises the maximum).
+/// skipping exactly what [`oracle::plan_into`] skips
+/// (`x != 0.0 && x.is_finite()` ⇔ `0 < abs bits < 0x7f80_0000`; zero never
+/// raises the maximum).
 #[inline(always)]
 fn fold_abs_bits(acc: u32, x: f32) -> u32 {
     let abs = x.to_bits() & 0x7fff_ffff;
@@ -502,9 +386,10 @@ fn fold_abs_bits(acc: u32, x: f32) -> u32 {
     }
 }
 
-/// The planning half of the fast block core — [`plan_into`] restructured
-/// for the hot loops without moving a single decision — shared by the code
-/// lowering ([`lower_block_scalar`]) and the value kernel
+/// The planning half of the fast block core — [`oracle::plan_into`]
+/// restructured for the hot loops without moving a single decision —
+/// shared by the GEMM's code lowering ([`lower_block_scalar`]), the packed
+/// codec and block codes ([`block_codes_into`]) and the value kernel
 /// ([`qdq_block`]).
 ///
 /// Plans the block `data[base + i·stride], i in 0..len` into `shifts`,
@@ -521,7 +406,8 @@ fn fold_abs_bits(acc: u32, x: f32) -> u32 {
 ///   [`exponent_of`], the clamp and the shift formula reused verbatim
 ///   (all-zero sub-blocks take the maximum shift).
 ///
-/// A debug-build assertion cross-checks the plan against [`plan_into`].
+/// A debug-build assertion cross-checks the plan against
+/// [`oracle::plan_into`].
 #[inline(always)]
 fn plan_fast(
     fmt: &BdrFormat,
@@ -565,7 +451,7 @@ fn plan_fast(
     #[cfg(debug_assertions)]
     {
         let mut check = Vec::new();
-        let check_exp = plan_into(fmt, data, base, stride, len, &mut check);
+        let check_exp = oracle::plan_into(fmt, data, base, stride, len, &mut check);
         debug_assert_eq!(check_exp, Some(shared_exp), "fast plan: shared exp");
         debug_assert_eq!(&check[..], &shifts[..], "fast plan: shifts");
     }
@@ -578,8 +464,9 @@ fn plan_fast(
 /// the element loop by the callers) and the `floor`-based tie break by
 /// [`round_half_even_fast`].
 ///
-/// Composed with the `max_code` clamp this is [`quantize_code`], bit for
-/// bit, for every format [`BdrFormat::new`] admits and every `f32` input —
+/// Composed with the `max_code` clamp this is [`oracle::quantize_code`],
+/// bit for bit, for every format [`BdrFormat::new`] admits and every `f32`
+/// input —
 /// including the formats the code domain rejects, which only the value
 /// path serves:
 ///
@@ -654,7 +541,7 @@ impl<'a> BlockCore<'a> {
     /// Returns the block's shared exponent, which is also the plan
     /// metadata the packer's deferred-scale-out bookkeeping (per-vector
     /// exponent uniformity) consumes, or `None` for an all-zero block like
-    /// [`plan_into`].
+    /// [`oracle::plan_into`].
     ///
     /// `codes` must hold exactly `k1` slots; every slot is written (the
     /// ragged tail past `len` is zeroed, as is the whole slot array for an
@@ -663,10 +550,10 @@ impl<'a> BlockCore<'a> {
     /// every slot, a scratch already of the right size — every block but a
     /// ragged tail — is used as it is.
     ///
-    /// This is [`plan_into`] + [`quantize_code`] on the fast block core:
-    /// every code is bit-identical to that division form on either tier (the
-    /// `gemm_fused` and `engine_consistency` suites assert it across preset
-    /// pairs, random formats and stress data).
+    /// Every code is bit-identical to the division form
+    /// ([`oracle::plan_into`] + [`oracle::quantize_code`]) on either tier
+    /// (the `gemm_fused` and `engine_consistency` suites assert it across
+    /// preset pairs, random formats and stress data).
     #[inline(always)]
     pub(crate) fn lower_block_strided_into<C: AlignedCode>(
         &self,
@@ -731,6 +618,45 @@ fn lower_block_scalar<C: AlignedCode>(
         done += sub_len;
     }
     codes[done..].fill(C::ZERO);
+    Some(shared_exp)
+}
+
+/// Plans `block` (at most `k1` elements) on the fast core and lowers it to
+/// the unaligned sign/magnitude codes of the packed codec and
+/// [`QuantEngine::quantize_block_codes`]: `shifts` gets one shift per
+/// `k2`-sub-block, `signs` and `codes` one entry per element. Returns the
+/// shared exponent, or `None` — with every shift, sign and code zero — for
+/// a block with no finite nonzero element.
+fn block_codes_into(
+    fmt: &BdrFormat,
+    block: &[f32],
+    shifts: &mut Vec<u32>,
+    signs: &mut Vec<bool>,
+    codes: &mut Vec<u32>,
+) -> Option<i32> {
+    let k2 = fmt.k2();
+    shifts.clear();
+    shifts.resize(block.len().div_ceil(k2), 0);
+    signs.clear();
+    codes.clear();
+    let Some(shared_exp) = plan_fast(fmt, block, 0, 1, block.len(), shifts) else {
+        shifts.fill(0);
+        signs.resize(block.len(), false);
+        codes.resize(block.len(), 0);
+        return None;
+    };
+    let max_code = fmt.max_code();
+    let m1 = fmt.m() as i32 - 1;
+    for (sub, &tau) in block.chunks(k2).zip(shifts.iter()) {
+        let inv_ulp = pow2(-(shared_exp - tau as i32 - m1));
+        for &x in sub {
+            // Zeros (including -0.0) carry sign 0 so code lowering, packed
+            // streams and the value path dequantize to the same bit
+            // pattern (+0.0).
+            signs.push(x != 0.0 && x.is_sign_negative());
+            codes.push((rounded_quotient(x, inv_ulp) as u64).min(max_code) as u32);
+        }
+    }
     Some(shared_exp)
 }
 
@@ -846,74 +772,6 @@ fn qdq_slice(core: &BlockCore<'_>, xs: &mut [f32], scratch: &mut [u32]) {
     }
 }
 
-/// Serial packed decoding of `len` elements from the head of a bit stream
-/// (whole blocks plus an optional partial tail block).
-fn decode_slice(fmt: &BdrFormat, bytes: &[u8], len: usize) -> Vec<f32> {
-    let mut r = BitReader::new(bytes);
-    let exp_bias = fmt.exp_bias();
-    let mut out = Vec::with_capacity(len);
-    let mut shifts = Vec::new();
-    let mut remaining = len;
-    while remaining > 0 {
-        let block_len = remaining.min(fmt.k1());
-        let exp_code = r.read(fmt.d1()).expect("truncated stream") as i64;
-        let shared_exp = (exp_code - exp_bias) as i32;
-        let sub_blocks = block_len.div_ceil(fmt.k2());
-        shifts.clear();
-        for _ in 0..sub_blocks {
-            shifts.push(r.read(fmt.d2()).expect("truncated stream") as u32);
-        }
-        for i in 0..block_len {
-            let ulp = ulp_of(fmt, shared_exp, shifts[i / fmt.k2()]);
-            let sign = r.read(1).expect("truncated stream");
-            let code = r.read(fmt.m()).expect("truncated stream");
-            let mag = (code as f64 * ulp) as f32;
-            out.push(if sign == 1 { -mag } else { mag });
-        }
-        remaining -= block_len;
-    }
-    out
-}
-
-/// Serial packed encoding of a slice of whole blocks (plus an optional
-/// partial tail block).
-fn encode_slice(fmt: &BdrFormat, values: &[f32]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let mut shifts = Vec::new();
-    let exp_bias = fmt.exp_bias();
-    let max_code = fmt.max_code();
-    for block in values.chunks(fmt.k1()) {
-        match plan_into(fmt, block, 0, 1, block.len(), &mut shifts) {
-            None => {
-                // All-zero block: exponent code 0, shifts 0, elements 0.
-                w.write(0, fmt.d1());
-                for _ in block.chunks(fmt.k2()) {
-                    w.write(0, fmt.d2());
-                }
-                for _ in block {
-                    w.write(0, 1 + fmt.m());
-                }
-            }
-            Some(shared_exp) => {
-                w.write((shared_exp as i64 + exp_bias) as u64, fmt.d1());
-                for &shift in &shifts {
-                    w.write(shift as u64, fmt.d2());
-                }
-                for (i, sub) in block.chunks(fmt.k2()).enumerate() {
-                    let ulp = ulp_of(fmt, shared_exp, shifts[i]);
-                    for &x in sub {
-                        // Sign 0 for zeros (incl. -0.0): keeps the packed
-                        // stream bit-identical to the value path.
-                        w.write(u64::from(x != 0.0 && x.is_sign_negative()), 1);
-                        w.write(quantize_code(x, ulp, max_code), fmt.m());
-                    }
-                }
-            }
-        }
-    }
-    w.into_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,18 +789,6 @@ mod tests {
         BdrFormat::MSFP12,
         BdrFormat::MSFP16,
     ];
-
-    #[test]
-    fn strided_plan_matches_gathered_plan() {
-        let fmt = BdrFormat::MX6;
-        let engine = QuantEngine::new(fmt);
-        let data = ramp(64);
-        // Stride-4 block starting at 1: elements 1, 5, 9, ...
-        let gathered: Vec<f32> = (0..16).map(|i| data[1 + 4 * i]).collect();
-        let strided = engine.plan_block_strided(&data, 1, 4, 16).unwrap();
-        let direct = engine.plan_block(&gathered).unwrap();
-        assert_eq!(strided, direct);
-    }
 
     #[test]
     fn value_path_matches_format_method() {
@@ -1026,22 +872,6 @@ mod tests {
             .iter()
             .zip(par.iter())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn parallel_encode_matches_serial_bytes() {
-        for fmt in FORMATS {
-            let n = 2 * PARALLEL_GRAIN + 11;
-            let x = ramp(n);
-            let serial = QuantEngine::new(fmt).encode(&x);
-            let par = QuantEngine::new(fmt).with_threads(4).encode(&x);
-            assert_eq!(serial, par, "{fmt}");
-            assert_eq!(
-                QuantEngine::new(fmt).decode(&par, n),
-                fmt.quantize_dequantize(&x),
-                "{fmt}"
-            );
-        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   vector is reused `MR` times, instead of one load-add-store round
 //!   trip per element;
 //! - the column loop runs 16 lanes at a time under AVX2 (8 under the SSE2
-//!   x86-64 baseline, plain autovectorizable loops elsewhere), using
+//!   x86-64 baseline, plain autovectorizable loops elsewhere; the AVX2
+//!   tile runs unless the selected kernel backend,
+//!   [`crate::gemm::selected_backend`], is `scalar`), using
 //!   separate multiply and add instructions — **never FMA**, which would
 //!   skip the per-product rounding and break bit-identity with the scalar
 //!   loop;
@@ -33,6 +35,8 @@
 //! so the multi-threaded result is bit-identical to serial as well.
 
 use crate::gemm::{dispatch_rows, gemm_workers};
+#[cfg(target_arch = "x86_64")]
+use crate::gemm::{selected_backend, KernelBackend};
 use std::sync::OnceLock;
 
 /// Reduction-dimension panel: a `KC × n` slab of B (256 KiB of `f32` at
@@ -78,8 +82,12 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize
     // computes the scan, everyone else reuses the answer.
     let rhs_finite_memo: OnceLock<bool> = OnceLock::new();
     let rhs_finite = &|| *rhs_finite_memo.get_or_init(|| b.iter().all(|v| v.is_finite()));
+    // The AVX2 tile follows the kernel-backend selection
+    // (`MX_KERNEL_BACKEND=scalar` runs the SSE2 tile); the feature check
+    // is what makes the AVX2 tile safe to call.
     #[cfg(target_arch = "x86_64")]
-    let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
+    let use_avx2 =
+        selected_backend() != KernelBackend::Scalar && std::arch::is_x86_feature_detected!("avx2");
     let workers = gemm_workers(m, n, k, threads);
     dispatch_rows(n, workers, &mut out, |r0, rows, part| {
         for pc in (0..k).step_by(KC) {

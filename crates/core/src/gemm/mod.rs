@@ -26,8 +26,8 @@
 //! # The surface
 //!
 //! - [`PackedOperand::pack_cols`] lowers the static weight operand **once**
-//!   to a reusable code plane (through the engine's single-pass block
-//!   lowering — the same plan and rounding rule as
+//!   to a reusable code plane (through the engine's fast block core — the
+//!   one plan and rounding rule behind the value path, the packed codec and
 //!   [`crate::engine::QuantEngine::quantize_block_codes`]). Packing is the
 //!   only stage that reads weight `f32` data; `mx-nn` caches the plane on
 //!   the weight tensor (see `mx_nn::qflow` for the invalidation contract).

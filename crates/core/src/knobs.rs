@@ -21,7 +21,7 @@
 pub const KNOBS: &[(&str, &str)] = &[
     (
         "MX_KERNEL_BACKEND",
-        "force the quantized-GEMM kernel backend: auto | scalar | avx2 | avx512 (can only narrow the ISA, never fake one); the engine's block core follows it",
+        "force the quantized-GEMM kernel backend: auto | scalar | avx2 | avx512 (can only narrow the ISA, never fake one); the engine's block core and the FP32 GEMM follow it",
     ),
     (
         "MX_BENCH_THREADS",
@@ -34,10 +34,6 @@ pub const KNOBS: &[(&str, &str)] = &[
     (
         "MX_BENCH_MEASURE_MS",
         "per-benchmark wall-clock budget (ms) for the vendored criterion harness",
-    ),
-    (
-        "MX_SERVE_SHARDS",
-        "default registry shard count for the serve_loadgen simulator (each shard owns a queue and a pool of coalescing workers)",
     ),
 ];
 

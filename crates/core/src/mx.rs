@@ -10,10 +10,6 @@
 use crate::bdr::BdrFormat;
 use crate::engine::QuantEngine;
 
-/// Re-export of the Table II formats for discoverability next to the packed
-/// encoder.
-pub use crate::bdr::BdrFormat as MxFormat;
-
 /// A tensor encoded in a BDR/MX bit stream.
 ///
 /// # Examples
@@ -37,20 +33,12 @@ pub struct MxTensor {
 }
 
 impl MxTensor {
-    /// Quantizes `values` into a packed bit stream (serial engine; see
-    /// [`MxTensor::encode_with`] for the multi-core path).
+    /// Quantizes `values` into a packed bit stream.
     pub fn encode(format: BdrFormat, values: &[f32]) -> Self {
-        Self::encode_with(&QuantEngine::new(format), values)
-    }
-
-    /// Quantizes `values` into a packed bit stream with a caller-configured
-    /// [`QuantEngine`] (e.g. [`QuantEngine::auto`] to encode large tensors
-    /// across all cores; the stream is bit-identical either way).
-    pub fn encode_with(engine: &QuantEngine, values: &[f32]) -> Self {
         MxTensor {
-            format: engine.format(),
+            format,
             len: values.len(),
-            bytes: engine.encode(values),
+            bytes: QuantEngine::new(format).encode(values),
         }
     }
 

@@ -8,7 +8,7 @@ mod common;
 
 use common::{assert_bits_eq, gemm, stress_vector};
 use mx::core::bdr::BdrFormat;
-use mx::core::engine::{QuantEngine, PARALLEL_GRAIN};
+use mx::core::engine::{oracle, QuantEngine, PARALLEL_GRAIN};
 use mx::core::gemm::{code_domain_supported, force_kernel_backend, KernelBackend};
 use mx::core::mx::MxTensor;
 use mx::nn::format::{quantize_along, Axis, TensorFormat};
@@ -88,13 +88,13 @@ fn strided_column_path_matches_transpose_oracle() {
     }
 }
 
-/// The retained division oracle, through public API only:
-/// `quantize_block_codes` is `plan_into` + `quantize_code` (per-element
-/// `f64` division, `floor`-based tie break) and `dequantize` the code × ulp
-/// product — per `k1`-block of `xs`.
+/// The retained division oracle: `oracle::quantize_block_codes` is
+/// `plan_into` + `quantize_code` (per-element `f64` division, `floor`-based
+/// tie break) and `dequantize` the code × ulp product — per `k1`-block of
+/// `xs`.
 fn division_oracle(fmt: BdrFormat, xs: &[f32]) -> Vec<f32> {
     xs.chunks(fmt.k1())
-        .flat_map(|block| fmt.quantize_block_codes(block).dequantize())
+        .flat_map(|block| oracle::quantize_block_codes(&fmt, block).dequantize())
         .collect()
 }
 
@@ -142,7 +142,9 @@ fn hostile_vector(rng: &mut StdRng, n: usize) -> Vec<f32> {
 
 /// The value path on the fast block core (integer exponent scan, hoisted
 /// power-of-two reciprocal, bias-trick rounding, `f64` clamp) is bit-equal
-/// to the retained division oracle and to `decode(encode(x))` — on formats
+/// to the retained division oracle and to `decode(encode(x))`, and every
+/// block's integer codes (shared exponent, shifts, signs, codes) equal the
+/// oracle's — on formats
 /// drawn from the whole legal `BdrFormat::new` lattice (plus block shapes
 /// the draw cannot reach: 128 sub-blocks, the on-stack limit, and 256,
 /// past it), on hostile data, for the contiguous, row and column kernels,
@@ -176,6 +178,13 @@ fn value_path_matches_division_oracle_on_the_format_lattice() {
         };
         let x = hostile_vector(&mut rng, n);
         let want = division_oracle(fmt, &x);
+        for block in x.chunks(k1) {
+            assert_eq!(
+                fmt.quantize_block_codes(block),
+                oracle::quantize_block_codes(&fmt, block),
+                "{fmt} n={n}: block codes vs division oracle"
+            );
+        }
         let serial = QuantEngine::new(fmt);
         assert_bits_eq(
             &serial.decode(&serial.encode(&x), n),
