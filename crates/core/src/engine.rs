@@ -320,16 +320,28 @@ pub(crate) fn ulp_of(fmt: &BdrFormat, shared_exp: i32, shift: u32) -> f64 {
     pow2(shared_exp - shift as i32 - (fmt.m() as i32 - 1))
 }
 
-/// Storage width for shift-aligned signed integer codes (`i16` for narrow
-/// format pairs, `i32` for wide ones) — lets [`BlockCore::lower_block_strided_into`] write the
-/// consuming kernel's width directly, with no intermediate staging pass.
-/// The conversion must be lossless for every value the code-domain
-/// dispatch admits (`crate::gemm`'s pair-class width gates guarantee it).
+/// Storage width for shift-aligned signed integer codes (`i8` for a narrow
+/// weight plane whose format's aligned codes fit a byte, `i16` for other
+/// narrow planes and every narrow activation, `i32` for wide pairs) — lets
+/// [`BlockCore::lower_block_strided_into`] write the consuming kernel's
+/// width directly, with no intermediate staging pass. The conversion must
+/// be lossless for every value the code-domain dispatch admits
+/// (`crate::gemm`'s width rules guarantee it).
 pub(crate) trait AlignedCode: Copy + Send + Sync + PartialEq + std::fmt::Debug {
     /// All-zero code (block padding).
     const ZERO: Self;
     /// Lossless narrowing from the aligned `i32` code.
     fn from_aligned(aligned: i32) -> Self;
+}
+
+impl AlignedCode for i8 {
+    const ZERO: Self = 0;
+
+    #[inline(always)]
+    fn from_aligned(aligned: i32) -> Self {
+        debug_assert!(i32::from(aligned as i8) == aligned);
+        aligned as i8
+    }
 }
 
 impl AlignedCode for i16 {
@@ -914,8 +926,9 @@ mod tests {
     }
 
     /// The vector core's code epilogue against the scalar core, code for
-    /// code and at both storage widths — what the `engine_consistency`
-    /// suite can only see through the products the codes feed.
+    /// code and at every storage width (`i32`, `i16`, `i8`) — what the
+    /// `engine_consistency` suite can only see through the products the
+    /// codes feed.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_core_lowers_the_scalar_cores_codes() {
@@ -957,6 +970,12 @@ mod tests {
                     assert_eq!(simd.lower_block(&block, &mut got), want_exp, "{fmt}");
                     let want: Vec<i16> = want.iter().map(|&c| i16::from_aligned(c)).collect();
                     assert_eq!(got, want, "{fmt} mode {mode}: i16 codes");
+                }
+                if width <= 7 {
+                    let mut got = vec![-1i8; k1];
+                    assert_eq!(simd.lower_block(&block, &mut got), want_exp, "{fmt}");
+                    let want: Vec<i8> = want.iter().map(|&c| i8::from_aligned(c)).collect();
+                    assert_eq!(got, want, "{fmt} mode {mode}: i8 codes");
                 }
                 blocks += 1;
             }

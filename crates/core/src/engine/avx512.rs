@@ -310,9 +310,10 @@ impl Kernel {
                 // The narrowing is `AlignedCode::from_aligned`'s: lossless
                 // for every pair the code-domain dispatch admits.
                 match size_of::<C>() {
+                    1 => _mm_storeu_si128(dst.as_mut_ptr().cast(), _mm512_cvtepi32_epi8(out)),
                     2 => _mm256_storeu_si256(dst.as_mut_ptr().cast(), _mm512_cvtepi32_epi16(out)),
                     4 => _mm512_storeu_si512(dst.as_mut_ptr().cast(), out),
-                    _ => unreachable!("aligned codes are i16 or i32"),
+                    _ => unreachable!("aligned codes are i8, i16 or i32"),
                 }
             }
         }

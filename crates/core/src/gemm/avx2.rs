@@ -1,9 +1,11 @@
-//! The AVX2 backend: runtime-dispatched kernels for the `i16` code path
+//! The AVX2 backend: runtime-dispatched kernels for the narrow code path
 //! with the preset block size `k1 = 16`, consuming a **panel-major** B
 //! plane: columns grouped into [`PANEL_N`]-wide panels, `[block][lane][k1]`
 //! inside each panel, so one panel's entire reduction (`blocks · 8 · k1`
-//! codes ≈ 8 KB at the serving shapes) is one contiguous, L1-resident
-//! streak and one `vpmaddwd` covers a whole block.
+//! codes ≈ 4–8 KB at the serving shapes) is one contiguous, L1-resident
+//! streak and one `vpmaddwd` covers a whole block. Every kernel is generic
+//! over the B code width: `i16` codes load as they are, `i8` codes
+//! sign-extend on load ([`load16`]) into the same `i16` lanes.
 //!
 //! The kernel walks each panel [`TILE_ROWS`] rows at a time — the panel's
 //! B codes are streamed into L1 once per tile and stay resident across all
@@ -32,7 +34,7 @@
 //! `super::reference_gemm` — everywhere.
 
 use super::pack::{PlaneView, MIXED_EXP};
-use super::{DeferCtx, PANEL_N};
+use super::{DeferCtx, NarrowCode, PANEL_N};
 use crate::util::pow2;
 use std::arch::x86_64::*;
 
@@ -48,10 +50,10 @@ pub(super) const K1: usize = 16;
 const TILE_ROWS: usize = 16;
 
 /// The AVX2 span kernel ([`super::backend::SpanKernel`] shape).
-pub(super) fn gemm_span(
+pub(super) fn gemm_span<B: NarrowCode>(
     ap: PlaneView<'_, i16>,
     rows: usize,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     n: usize,
     c: i32,
     ctx: DeferCtx,
@@ -70,10 +72,10 @@ pub(super) fn gemm_span(
 /// `blocks`), `rows` within the A plane, `n` within the B plane, and
 /// `out` at least `rows × n`.
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_span_avx2(
+unsafe fn gemm_span_avx2<B: NarrowCode>(
     ap: PlaneView<'_, i16>,
     rows: usize,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     n: usize,
     c: i32,
     ctx: DeferCtx,
@@ -188,12 +190,12 @@ unsafe fn gemm_span_avx2(
 /// panel at `pbase` (columns `j .. j + PANEL_N`) must exist in `bp`.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // two rows' operands + panel addressing
-unsafe fn panel8x2_deferred(
+unsafe fn panel8x2_deferred<B: NarrowCode>(
     acodes0: &[i16],
     acodes1: &[i16],
     au0: i32,
     au1: i32,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     j: usize,
     c: i32,
@@ -229,10 +231,10 @@ unsafe fn panel8x2_deferred(
 /// `panel` must hold `blocks · PANEL_N · K1` codes, and `off + 4 ≤
 /// PANEL_N`.
 #[target_feature(enable = "avx2")]
-unsafe fn half4x2(
+unsafe fn half4x2<B: NarrowCode>(
     acodes0: &[i16],
     acodes1: &[i16],
-    panel: &[i16],
+    panel: &[B],
     off: usize,
     blocks: usize,
 ) -> (__m128i, __m128i) {
@@ -245,18 +247,18 @@ unsafe fn half4x2(
     let mut a12 = _mm256_setzero_si256();
     let mut a13 = _mm256_setzero_si256();
     for kb in 0..blocks {
-        // SAFETY: each 16-lane load reads `K1 = 16` i16s — the A loads at
+        // SAFETY: each 16-lane load reads `K1 = 16` codes — the A loads at
         // `kb·K1` (both slices hold `blocks·K1` codes) and the four B
         // column loads at `(kb·PANEL_N + off + 0..4)·K1` (in bounds since
         // `off + 4 ≤ PANEL_N` and `panel` holds `blocks·PANEL_N·K1`).
         unsafe {
             let va0 = _mm256_loadu_si256(acodes0[kb * K1..].as_ptr() as *const __m256i);
             let va1 = _mm256_loadu_si256(acodes1[kb * K1..].as_ptr() as *const __m256i);
-            let bptr = panel[(kb * PANEL_N + off) * K1..].as_ptr() as *const __m256i;
-            let b0 = _mm256_loadu_si256(bptr);
-            let b1 = _mm256_loadu_si256(bptr.add(1));
-            let b2 = _mm256_loadu_si256(bptr.add(2));
-            let b3 = _mm256_loadu_si256(bptr.add(3));
+            let bptr = panel[(kb * PANEL_N + off) * K1..].as_ptr();
+            let b0 = load16(bptr);
+            let b1 = load16(bptr.add(K1));
+            let b2 = load16(bptr.add(2 * K1));
+            let b3 = load16(bptr.add(3 * K1));
             a00 = _mm256_add_epi32(a00, _mm256_madd_epi16(va0, b0));
             a01 = _mm256_add_epi32(a01, _mm256_madd_epi16(va0, b1));
             a02 = _mm256_add_epi32(a02, _mm256_madd_epi16(va0, b2));
@@ -286,10 +288,10 @@ unsafe fn half4x2(
 /// must be at least `j + PANEL_N` wide, and the panel at `pbase` (columns
 /// `j .. j + PANEL_N`) must exist in `bp`.
 #[target_feature(enable = "avx2")]
-unsafe fn panel8_deferred(
+unsafe fn panel8_deferred<B: NarrowCode>(
     acodes: &[i16],
     au: i32,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     j: usize,
     c: i32,
@@ -306,21 +308,21 @@ unsafe fn panel8_deferred(
     let mut acc6 = _mm256_setzero_si256();
     let mut acc7 = _mm256_setzero_si256();
     for kb in 0..blocks {
-        // SAFETY: each 16-lane load reads `K1 = 16` i16s — the A load at
+        // SAFETY: each 16-lane load reads `K1 = 16` codes — the A load at
         // `kb·K1` (`acodes` holds `blocks·K1`) and the 8 panel-column
         // loads at `(kb·PANEL_N + 0..8)·K1` (`panel` holds
         // `blocks·PANEL_N·K1`).
         unsafe {
             let va = _mm256_loadu_si256(acodes[kb * K1..].as_ptr() as *const __m256i);
-            let bptr = panel[kb * PANEL_N * K1..].as_ptr() as *const __m256i;
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr)));
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(1))));
-            acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(2))));
-            acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(3))));
-            acc4 = _mm256_add_epi32(acc4, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(4))));
-            acc5 = _mm256_add_epi32(acc5, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(5))));
-            acc6 = _mm256_add_epi32(acc6, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(6))));
-            acc7 = _mm256_add_epi32(acc7, _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(7))));
+            let bptr = panel[kb * PANEL_N * K1..].as_ptr();
+            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, load16(bptr)));
+            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, load16(bptr.add(K1))));
+            acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, load16(bptr.add(2 * K1))));
+            acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, load16(bptr.add(3 * K1))));
+            acc4 = _mm256_add_epi32(acc4, _mm256_madd_epi16(va, load16(bptr.add(4 * K1))));
+            acc5 = _mm256_add_epi32(acc5, _mm256_madd_epi16(va, load16(bptr.add(5 * K1))));
+            acc6 = _mm256_add_epi32(acc6, _mm256_madd_epi16(va, load16(bptr.add(6 * K1))));
+            acc7 = _mm256_add_epi32(acc7, _mm256_madd_epi16(va, load16(bptr.add(7 * K1))));
         }
     }
     // One transpose/reduce per 8-column group: two hadd rounds + a
@@ -362,11 +364,11 @@ unsafe fn panel8_deferred(
 /// + PANEL_N`) must exist in `bp`.
 #[allow(clippy::too_many_arguments)] // one row's operands + panel addressing
 #[target_feature(enable = "avx2")]
-unsafe fn panel8_per_block(
+unsafe fn panel8_per_block<B: NarrowCode>(
     acodes: &[i16],
     ap: PlaneView<'_, i16>,
     row: usize,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     j: usize,
     c: i32,
@@ -380,21 +382,21 @@ unsafe fn panel8_per_block(
     let mut f47 = _mm_setzero_ps();
     for kb in 0..blocks {
         // SAFETY: the A load at `kb·K1` and the 8 panel-column loads at
-        // `(kb·PANEL_N + 0..8)·K1` read 16 i16s each, in bounds of slices
+        // `(kb·PANEL_N + 0..8)·K1` read 16 codes each, in bounds of slices
         // sized `blocks·K1` / `blocks·PANEL_N·K1`; the two 4-lane
         // exponent loads read `pexps[kb·PANEL_N .. kb·PANEL_N + 8]`
         // (`pexps` holds `blocks·PANEL_N`); `scale4` inherits AVX2.
         unsafe {
             let va = _mm256_loadu_si256(acodes[kb * K1..].as_ptr() as *const __m256i);
-            let bptr = panel[kb * PANEL_N * K1..].as_ptr() as *const __m256i;
-            let m0 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr));
-            let m1 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(1)));
-            let m2 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(2)));
-            let m3 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(3)));
-            let m4 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(4)));
-            let m5 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(5)));
-            let m6 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(6)));
-            let m7 = _mm256_madd_epi16(va, _mm256_loadu_si256(bptr.add(7)));
+            let bptr = panel[kb * PANEL_N * K1..].as_ptr();
+            let m0 = _mm256_madd_epi16(va, load16(bptr));
+            let m1 = _mm256_madd_epi16(va, load16(bptr.add(K1)));
+            let m2 = _mm256_madd_epi16(va, load16(bptr.add(2 * K1)));
+            let m3 = _mm256_madd_epi16(va, load16(bptr.add(3 * K1)));
+            let m4 = _mm256_madd_epi16(va, load16(bptr.add(4 * K1)));
+            let m5 = _mm256_madd_epi16(va, load16(bptr.add(5 * K1)));
+            let m6 = _mm256_madd_epi16(va, load16(bptr.add(6 * K1)));
+            let m7 = _mm256_madd_epi16(va, load16(bptr.add(7 * K1)));
             let q0 = _mm256_hadd_epi32(_mm256_hadd_epi32(m0, m1), _mm256_hadd_epi32(m2, m3));
             let d03 = _mm_add_epi32(_mm256_castsi256_si128(q0), _mm256_extracti128_si256(q0, 1));
             let q1 = _mm256_hadd_epi32(_mm256_hadd_epi32(m4, m5), _mm256_hadd_epi32(m6, m7));
@@ -443,20 +445,40 @@ unsafe fn scale4(dots: __m128i, es: __m128i) -> __m128 {
     ))
 }
 
-/// One i16 block dot with a whole-block `vpmaddwd` (no SSE2-width split,
-/// so the tail path needs no second kernel module).
+/// 16 B codes at `p` as 16 `i16` lanes: one 256-bit load for `i16` codes,
+/// one 128-bit load sign-extended by `vpmovsxbw` for `i8` codes — the same
+/// integers either way, so every kernel above is one body for both widths.
+///
+/// # Safety
+///
+/// Requires AVX2; `p` must point at 16 readable codes.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load16<B: NarrowCode>(p: *const B) -> __m256i {
+    // SAFETY: either load reads exactly 16 codes of `size_of::<B>()`
+    // bytes, readable by this fn's precondition.
+    unsafe {
+        match size_of::<B>() {
+            1 => _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast())),
+            _ => _mm256_loadu_si256(p.cast()),
+        }
+    }
+}
+
+/// One block dot with a whole-block `vpmaddwd` (no SSE2-width split, so
+/// the tail path needs no second kernel module).
 ///
 /// # Safety
 ///
 /// Requires AVX2; `a` and `b` must each hold at least `K1 = 16` codes.
 #[target_feature(enable = "avx2")]
-unsafe fn dot16(a: &[i16], b: &[i16]) -> i32 {
-    // SAFETY: both 16-lane loads read exactly `K1 = 16` i16s, in bounds by
+unsafe fn dot16<B: NarrowCode>(a: &[i16], b: &[B]) -> i32 {
+    // SAFETY: both 16-lane loads read exactly `K1 = 16` codes, in bounds by
     // this fn's precondition.
     let m = unsafe {
         _mm256_madd_epi16(
             _mm256_loadu_si256(a.as_ptr() as *const __m256i),
-            _mm256_loadu_si256(b.as_ptr() as *const __m256i),
+            load16(b.as_ptr()),
         )
     };
     let s = _mm_add_epi32(_mm256_castsi256_si128(m), _mm256_extracti128_si256(m, 1));
@@ -477,12 +499,12 @@ unsafe fn dot16(a: &[i16], b: &[i16]) -> i32 {
 /// block slots `pbase + kb·width + lane` must exist in `bp`.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // one output element's full addressing context
-unsafe fn col_one(
+unsafe fn col_one<B: NarrowCode>(
     acodes: &[i16],
     ap: PlaneView<'_, i16>,
     row: usize,
     au: i32,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     width: usize,
     lane: usize,

@@ -1,10 +1,14 @@
 //! The AVX-512 backend (kernel generation 3): 512-bit kernels for the
-//! `i16` code path with the preset block size `k1 = 16`, consuming a
+//! narrow code path with the preset block size `k1 = 16`, consuming a
 //! **chunk-paired panel-major** B plane: columns grouped into 4-wide
 //! panels ([`super::PANEL_N_512`]), and inside a panel two consecutive
 //! `k1`-blocks of one column sit in adjacent slots (see
 //! [`super::pack::panel_slot`]) — so one column's 32-code *chunk* is
 //! exactly one `zmm` load and one `vpmaddwd`/`vpdpwssd` covers two blocks.
+//! Every kernel is generic over the B code width: an `i16` chunk is one
+//! `zmm` load, an `i8` chunk one `ymm` load sign-extended by `vpmovsxbw`
+//! ([`load32`]) into the same 32 `i16` lanes — half the bytes per chunk,
+//! the same integers into the same `vpdpwssd`/`vpmaddwd` chains.
 //!
 //! Relative to the generation-2 AVX2 kernel, the panels are *narrower*
 //! (4 columns vs 8) because each column's K step is *deeper* (32 codes vs
@@ -32,14 +36,16 @@
 //!   `w_a + w_b ≤ 30` keeps each fused pair-sum exact in `i32`).
 //! - **Masked tails instead of remainder loops** — an odd block count
 //!   leaves one lone 16-code block per column (stored compactly by the
-//!   packer); it is read with `_mm512_maskz_loadu_epi16(0xFFFF, ..)`,
-//!   whose masked-out lanes are architecturally not accessed, so the same
-//!   chunk loop body covers ragged K with no scalar tail. Ragged N (at
-//!   most 3 columns) takes the per-column [`col_one`] path, which reuses
-//!   the identical masked loads; rows whose exponent metadata
-//!   disqualifies whole-panel deferral stay vectorized at full panel
-//!   width in [`panel4_per_block`] — one such row falling to the scalar
-//!   chain would cost more than the rest of its tile combined.
+//!   packer); it is read as the low half of a register whose high lanes
+//!   are zero ([`load16`]: `_mm512_maskz_loadu_epi16(0xFFFF, ..)`, whose
+//!   masked-out lanes are architecturally not accessed, or one 16-byte
+//!   `i8` load), so the same chunk loop body covers ragged K with no
+//!   scalar tail. Ragged N (at most 3 columns) takes the per-column
+//!   [`col_one`] path, which reuses the identical loads; rows whose
+//!   exponent metadata disqualifies whole-panel deferral stay vectorized
+//!   at full panel width in [`panel4_per_block`] — one such row falling
+//!   to the scalar chain would cost more than the rest of its tile
+//!   combined.
 //! - **Shared transpose/reduce and 4-lane scale-out** — integer dots
 //!   leave the accumulators through one `vpaddd` half-fold and the gen-2
 //!   two-round `vphaddd` tree ([`reduce4`]), four columns at a time, and
@@ -55,7 +61,7 @@
 //! gate each 32-lane accumulator's `i32` lane partial stays ≤ 2²⁰.
 
 use super::pack::{PlaneView, MIXED_EXP};
-use super::DeferCtx;
+use super::{DeferCtx, NarrowCode};
 use crate::util::pow2;
 use std::arch::x86_64::*;
 
@@ -80,10 +86,10 @@ const CHUNK: usize = 2 * K1;
 /// the VNNI or BW block-dot twin once per span — the two are
 /// bit-identical, so the choice (like the backend itself) is a pure
 /// performance knob.
-pub(super) fn gemm_span(
+pub(super) fn gemm_span<B: NarrowCode>(
     ap: PlaneView<'_, i16>,
     rows: usize,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     n: usize,
     c: i32,
     ctx: DeferCtx,
@@ -94,12 +100,12 @@ pub(super) fn gemm_span(
         // SAFETY: a chunk-paired plane is only built when the backend
         // layer verified AVX-512 F/BW support at pack time, and
         // `vnni_enabled` additionally verified AVX-512-VNNI.
-        unsafe { gemm_span_avx512::<true>(ap, rows, bp, n, c, ctx, out) }
+        unsafe { gemm_span_avx512::<B, true>(ap, rows, bp, n, c, ctx, out) }
     } else {
         // SAFETY: F/BW support was verified at pack time (the plane's
         // layout exists only then); the `false` instantiation uses no
         // VNNI instruction.
-        unsafe { gemm_span_avx512::<false>(ap, rows, bp, n, c, ctx, out) }
+        unsafe { gemm_span_avx512::<B, false>(ap, rows, bp, n, c, ctx, out) }
     }
 }
 
@@ -122,10 +128,10 @@ fn aus_of<const R: usize>(ap: PlaneView<'_, i16>, row: usize) -> [i32; R] {
 /// `rows` within the A plane, `n` within the B plane, and `out` at
 /// least `rows × n`.
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn gemm_span_avx512<const VNNI: bool>(
+unsafe fn gemm_span_avx512<B: NarrowCode, const VNNI: bool>(
     ap: PlaneView<'_, i16>,
     rows: usize,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     n: usize,
     c: i32,
     ctx: DeferCtx,
@@ -172,7 +178,7 @@ unsafe fn gemm_span_avx512<const VNNI: bool>(
                         // `j + PANEL ≤ np ≤ n` bounds the panel's columns
                         // and exponents.
                         4 => unsafe {
-                            panel4_deferred::<4, VNNI>(
+                            panel4_deferred::<B, 4, VNNI>(
                                 &acodes_of::<4>(ap, row),
                                 &aus_of::<4>(ap, row),
                                 bp,
@@ -185,7 +191,7 @@ unsafe fn gemm_span_avx512<const VNNI: bool>(
                         },
                         // SAFETY: as the 4-row arm, with 2 rows.
                         2 => unsafe {
-                            panel4_deferred::<2, VNNI>(
+                            panel4_deferred::<B, 2, VNNI>(
                                 &acodes_of::<2>(ap, row),
                                 &aus_of::<2>(ap, row),
                                 bp,
@@ -198,7 +204,7 @@ unsafe fn gemm_span_avx512<const VNNI: bool>(
                         },
                         // SAFETY: as the 4-row arm, with 1 row.
                         _ => unsafe {
-                            panel4_deferred::<1, VNNI>(
+                            panel4_deferred::<B, 1, VNNI>(
                                 &acodes_of::<1>(ap, row),
                                 &aus_of::<1>(ap, row),
                                 bp,
@@ -287,10 +293,10 @@ unsafe fn gemm_span_avx512<const VNNI: bool>(
 /// `uexp`).
 #[target_feature(enable = "avx512f,avx512bw")]
 #[allow(clippy::too_many_arguments)] // a row group's operands + panel addressing
-unsafe fn panel4_deferred<const R: usize, const VNNI: bool>(
+unsafe fn panel4_deferred<B: NarrowCode, const R: usize, const VNNI: bool>(
     acodes: &[&[i16]; R],
     aus: &[i32; R],
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     j: usize,
     c: i32,
@@ -303,10 +309,10 @@ unsafe fn panel4_deferred<const R: usize, const VNNI: bool>(
         // SAFETY: the panel-dot twins inherit this fn's preconditions
         // (F/BW enabled here, VNNI verified for this instantiation);
         // `panel` spans the whole panel.
-        unsafe { panel_dots_vnni::<R>(acodes, panel, blocks) }
+        unsafe { panel_dots_vnni::<B, R>(acodes, panel, blocks) }
     } else {
         // SAFETY: as above, without the VNNI requirement.
-        unsafe { panel_dots_bw::<R>(acodes, panel, blocks) }
+        unsafe { panel_dots_bw::<B, R>(acodes, panel, blocks) }
     };
     // SAFETY: `j + PANEL ≤ n` bounds the 4-lane exponent load (`uexp`
     // has one entry per column) and each row's 4-lane store into its
@@ -333,9 +339,9 @@ unsafe fn panel4_deferred<const R: usize, const VNNI: bool>(
 /// `blocks · K1` codes and `panel` must hold `blocks · PANEL · K1` codes
 /// laid out chunk-paired at width [`PANEL`].
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-unsafe fn panel_dots_vnni<const R: usize>(
+unsafe fn panel_dots_vnni<B: NarrowCode, const R: usize>(
     acodes: &[&[i16]; R],
-    panel: &[i16],
+    panel: &[B],
     blocks: usize,
 ) -> [__m128i; R] {
     let mut acc = [[_mm512_setzero_si512(); PANEL]; R];
@@ -346,10 +352,10 @@ unsafe fn panel_dots_vnni<const R: usize>(
         // codes.
         unsafe {
             let bptr = panel.as_ptr().add(t * 2 * PANEL * K1);
-            let b0 = _mm512_loadu_epi16(bptr);
-            let b1 = _mm512_loadu_epi16(bptr.add(CHUNK));
-            let b2 = _mm512_loadu_epi16(bptr.add(2 * CHUNK));
-            let b3 = _mm512_loadu_epi16(bptr.add(3 * CHUNK));
+            let b0 = load32(bptr);
+            let b1 = load32(bptr.add(CHUNK));
+            let b2 = load32(bptr.add(2 * CHUNK));
+            let b3 = load32(bptr.add(3 * CHUNK));
             for (r, a) in acodes.iter().enumerate() {
                 let va = _mm512_loadu_epi16(a.as_ptr().add(t * CHUNK));
                 acc[r][0] = _mm512_dpwssd_epi32(acc[r][0], va, b0);
@@ -367,10 +373,10 @@ unsafe fn panel_dots_vnni<const R: usize>(
         // `(blocks−1)·PANEL + 0..4` (see `pack::panel_slot`).
         unsafe {
             let bptr = panel.as_ptr().add(kb * PANEL * K1);
-            let b0 = _mm512_maskz_loadu_epi16(0xFFFF, bptr);
-            let b1 = _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(K1));
-            let b2 = _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(2 * K1));
-            let b3 = _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(3 * K1));
+            let b0 = load16(bptr);
+            let b1 = load16(bptr.add(K1));
+            let b2 = load16(bptr.add(2 * K1));
+            let b3 = load16(bptr.add(3 * K1));
             for (r, a) in acodes.iter().enumerate() {
                 let va = _mm512_maskz_loadu_epi16(0xFFFF, a.as_ptr().add(kb * K1));
                 acc[r][0] = _mm512_dpwssd_epi32(acc[r][0], va, b0);
@@ -401,9 +407,9 @@ unsafe fn panel_dots_vnni<const R: usize>(
 /// Requires AVX-512 F and BW. Same operand preconditions as
 /// [`panel_dots_vnni`].
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn panel_dots_bw<const R: usize>(
+unsafe fn panel_dots_bw<B: NarrowCode, const R: usize>(
     acodes: &[&[i16]; R],
-    panel: &[i16],
+    panel: &[B],
     blocks: usize,
 ) -> [__m128i; R] {
     let mut acc = [[_mm512_setzero_si512(); PANEL]; R];
@@ -412,10 +418,10 @@ unsafe fn panel_dots_bw<const R: usize>(
         // `t·2·PANEL·K1`, A chunk `t` within `blocks·K1` codes.
         unsafe {
             let bptr = panel.as_ptr().add(t * 2 * PANEL * K1);
-            let b0 = _mm512_loadu_epi16(bptr);
-            let b1 = _mm512_loadu_epi16(bptr.add(CHUNK));
-            let b2 = _mm512_loadu_epi16(bptr.add(2 * CHUNK));
-            let b3 = _mm512_loadu_epi16(bptr.add(3 * CHUNK));
+            let b0 = load32(bptr);
+            let b1 = load32(bptr.add(CHUNK));
+            let b2 = load32(bptr.add(2 * CHUNK));
+            let b3 = load32(bptr.add(3 * CHUNK));
             for (r, a) in acodes.iter().enumerate() {
                 let va = _mm512_loadu_epi16(a.as_ptr().add(t * CHUNK));
                 acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(va, b0));
@@ -431,10 +437,10 @@ unsafe fn panel_dots_bw<const R: usize>(
         // low-half masked loads access only one lone block each.
         unsafe {
             let bptr = panel.as_ptr().add(kb * PANEL * K1);
-            let b0 = _mm512_maskz_loadu_epi16(0xFFFF, bptr);
-            let b1 = _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(K1));
-            let b2 = _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(2 * K1));
-            let b3 = _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(3 * K1));
+            let b0 = load16(bptr);
+            let b1 = load16(bptr.add(K1));
+            let b2 = load16(bptr.add(2 * K1));
+            let b3 = load16(bptr.add(3 * K1));
             for (r, a) in acodes.iter().enumerate() {
                 let va = _mm512_maskz_loadu_epi16(0xFFFF, a.as_ptr().add(kb * K1));
                 acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(va, b0));
@@ -540,11 +546,11 @@ unsafe fn scale4(dots: __m128i, es: __m128i) -> __m128 {
 /// (columns `j .. j + PANEL`) must exist in `bp` (codes and exponents).
 #[target_feature(enable = "avx512f,avx512bw")]
 #[allow(clippy::too_many_arguments)] // one row's operands + panel addressing
-unsafe fn panel4_per_block(
+unsafe fn panel4_per_block<B: NarrowCode>(
     acodes: &[i16],
     ap: PlaneView<'_, i16>,
     row: usize,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     j: usize,
     c: i32,
@@ -570,10 +576,10 @@ unsafe fn panel4_per_block(
         unsafe {
             let bptr = panel.as_ptr().add(t * 2 * PANEL * K1);
             let va = _mm512_loadu_epi16(acodes.as_ptr().add(t * CHUNK));
-            let m0 = _mm512_madd_epi16(va, _mm512_loadu_epi16(bptr));
-            let m1 = _mm512_madd_epi16(va, _mm512_loadu_epi16(bptr.add(CHUNK)));
-            let m2 = _mm512_madd_epi16(va, _mm512_loadu_epi16(bptr.add(2 * CHUNK)));
-            let m3 = _mm512_madd_epi16(va, _mm512_loadu_epi16(bptr.add(3 * CHUNK)));
+            let m0 = _mm512_madd_epi16(va, load32(bptr));
+            let m1 = _mm512_madd_epi16(va, load32(bptr.add(CHUNK)));
+            let m2 = _mm512_madd_epi16(va, load32(bptr.add(2 * CHUNK)));
+            let m3 = _mm512_madd_epi16(va, load32(bptr.add(3 * CHUNK)));
             let dlo = hadd4(
                 _mm512_castsi512_si256(m0),
                 _mm512_castsi512_si256(m1),
@@ -608,10 +614,10 @@ unsafe fn panel4_per_block(
         unsafe {
             let bptr = panel.as_ptr().add(kb * PANEL * K1);
             let va = _mm512_maskz_loadu_epi16(0xFFFF, acodes.as_ptr().add(kb * K1));
-            let m0 = _mm512_madd_epi16(va, _mm512_maskz_loadu_epi16(0xFFFF, bptr));
-            let m1 = _mm512_madd_epi16(va, _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(K1)));
-            let m2 = _mm512_madd_epi16(va, _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(2 * K1)));
-            let m3 = _mm512_madd_epi16(va, _mm512_maskz_loadu_epi16(0xFFFF, bptr.add(3 * K1)));
+            let m0 = _mm512_madd_epi16(va, load16(bptr));
+            let m1 = _mm512_madd_epi16(va, load16(bptr.add(K1)));
+            let m2 = _mm512_madd_epi16(va, load16(bptr.add(2 * K1)));
+            let m3 = _mm512_madd_epi16(va, load16(bptr.add(3 * K1)));
             // The masked-out high lanes are zero, so the low halves
             // alone carry the lone block's pair-sums.
             let d = hadd4(
@@ -632,23 +638,66 @@ unsafe fn panel4_per_block(
     unsafe { _mm_storeu_ps(out_row[j..].as_mut_ptr(), f) };
 }
 
-/// One `i16` block dot via a low-half masked load pair — 16 codes in the
-/// masked-in lanes, `vpmaddwd`, horizontal reduce. The per-block
-/// workhorse of [`col_one`]'s fallback arm (and the shape both panel
-/// cores use for the lone-block tail).
+/// One chunk — 32 B codes at `p` — as 32 `i16` lanes: one `zmm` load for
+/// `i16` codes, one `ymm` load sign-extended by `vpmovsxbw` for `i8` codes.
+/// The same integers either way, so every kernel here is one body for both
+/// widths.
+///
+/// # Safety
+///
+/// Requires AVX-512 F and BW; `p` must point at 32 readable codes.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn load32<B: NarrowCode>(p: *const B) -> __m512i {
+    // SAFETY: either load reads exactly 32 codes of `size_of::<B>()`
+    // bytes, readable by this fn's precondition.
+    unsafe {
+        match size_of::<B>() {
+            1 => _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.cast())),
+            _ => _mm512_loadu_epi16(p.cast()),
+        }
+    }
+}
+
+/// One lone block — 16 B codes at `p` — as the low 16 `i16` lanes, the
+/// high 16 lanes zero: a low-half masked load for `i16` codes (masked-out
+/// lanes are architecturally not accessed), one 16-byte load
+/// sign-extended by `vpmovsxbw` for `i8` codes. Only the 16 codes are
+/// read, so the load is also the bounds guard of the odd-block tail.
+///
+/// # Safety
+///
+/// Requires AVX-512 F and BW; `p` must point at 16 readable codes.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn load16<B: NarrowCode>(p: *const B) -> __m512i {
+    // SAFETY: either load accesses exactly 16 codes of `size_of::<B>()`
+    // bytes, readable by this fn's precondition.
+    unsafe {
+        match size_of::<B>() {
+            1 => _mm512_zextsi256_si512(_mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast()))),
+            _ => _mm512_maskz_loadu_epi16(0xFFFF, p.cast()),
+        }
+    }
+}
+
+/// One block dot via a low-half load pair — 16 codes in the low lanes,
+/// `vpmaddwd`, horizontal reduce. The per-block workhorse of [`col_one`]'s
+/// fallback arm (and the shape both panel cores use for the lone-block
+/// tail).
 ///
 /// # Safety
 ///
 /// Requires AVX-512 F and BW; `a` and `b` must each hold at least
 /// `K1 = 16` codes.
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn dot16(a: &[i16], b: &[i16]) -> i32 {
-    // SAFETY: both low-half masked loads access only their 16 masked-in
-    // lanes — exactly the `K1` codes each slice is required to hold.
+unsafe fn dot16<B: NarrowCode>(a: &[i16], b: &[B]) -> i32 {
+    // SAFETY: both low-half loads access only 16 codes — exactly the `K1`
+    // codes each slice is required to hold.
     let m = unsafe {
         _mm512_madd_epi16(
             _mm512_maskz_loadu_epi16(0xFFFF, a.as_ptr()),
-            _mm512_maskz_loadu_epi16(0xFFFF, b.as_ptr()),
+            load16(b.as_ptr()),
         )
     };
     _mm512_reduce_add_epi32(m)
@@ -670,12 +719,12 @@ unsafe fn dot16(a: &[i16], b: &[i16]) -> i32 {
 /// `pack::panel_slot`) must exist in `bp`.
 #[target_feature(enable = "avx512f,avx512bw")]
 #[allow(clippy::too_many_arguments)] // one output element's full addressing context
-unsafe fn col_one(
+unsafe fn col_one<B: NarrowCode>(
     acodes: &[i16],
     ap: PlaneView<'_, i16>,
     row: usize,
     au: i32,
-    bp: PlaneView<'_, i16>,
+    bp: PlaneView<'_, B>,
     pbase: usize,
     width: usize,
     lane: usize,
@@ -709,7 +758,7 @@ unsafe fn col_one(
             // bounds by this fn's preconditions).
             unsafe {
                 let va = _mm512_loadu_epi16(acodes.as_ptr().add(t * CHUNK));
-                let vb = _mm512_loadu_epi16(bp.codes.as_ptr().add(slot(2 * t) * K1));
+                let vb = load32(bp.codes.as_ptr().add(slot(2 * t) * K1));
                 acc = _mm512_add_epi32(acc, _mm512_madd_epi16(va, vb));
             }
         }

@@ -1,6 +1,7 @@
 //! The kernel-backend dispatch layer: which ISA-specific tile kernel
-//! executes the narrow (`i16`) code-domain path, and whether the
-//! deferred-scale-out optimization is armed.
+//! executes the narrow (`i16` activation codes against `i8` or `i16`
+//! weight codes) code-domain path, and whether the deferred-scale-out
+//! optimization is armed.
 //!
 //! # The backend contract
 //!
@@ -127,11 +128,11 @@
 //! support its backend).
 
 use super::pack::PlaneView;
-use super::DeferCtx;
+use super::{DeferCtx, NarrowCode};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// The ISA tier executing the narrow (`i16`-code) integer GEMM path. The
+/// The ISA tier executing the narrow (`i16`/`i8`-code) integer GEMM path. The
 /// wide (`i32`-code) path for exotic custom formats always runs the
 /// portable scalar kernel — it is not serving-critical and keeps the
 /// backend matrix small.
@@ -403,32 +404,33 @@ pub fn force_vnni(enabled: Option<bool>) {
 }
 
 /// A span kernel: computes the `rows × n` output slice `out` from an A
-/// plane holding exactly those `rows` rows and a B plane — the unit of
-/// work the row-span dispatch schedules. See the module docs for the
-/// bit-identity contract.
-pub(super) type SpanKernel<C> =
-    fn(PlaneView<'_, C>, usize, PlaneView<'_, C>, usize, i32, DeferCtx, &mut [f32]);
+/// plane of `A` codes holding exactly those `rows` rows and a B plane of
+/// `B` codes — the unit of work the row-span dispatch schedules. See the
+/// module docs for the bit-identity contract.
+pub(super) type SpanKernel<A, B> =
+    fn(PlaneView<'_, A>, usize, PlaneView<'_, B>, usize, i32, DeferCtx, &mut [f32]);
 
 /// The narrow-pair span kernel for a B plane packed with the given panel
 /// width: a 4-wide plane always runs the AVX-512 kernel and an 8-wide
 /// plane the AVX2 kernels (each layout is only ever built when the CPU
 /// supports its backend); a vector-major plane (`b_panel_n == 0`) runs
 /// the scalar kernel whichever backend is selected (the panel kernels
-/// require their own layout).
-pub(super) fn narrow_span_kernel(b_panel_n: usize) -> SpanKernel<i16> {
+/// require their own layout). Every backend's one kernel body is generic
+/// over the weight code width `B`.
+pub(super) fn narrow_span_kernel<B: NarrowCode>(b_panel_n: usize) -> SpanKernel<i16, B> {
     match b_panel_n {
         #[cfg(target_arch = "x86_64")]
-        super::PANEL_N_512 => super::avx512::gemm_span,
+        super::PANEL_N_512 => super::avx512::gemm_span::<B>,
         #[cfg(target_arch = "x86_64")]
-        super::PANEL_N => super::avx2::gemm_span,
-        _ => super::scalar::gemm_span::<i16>,
+        super::PANEL_N => super::avx2::gemm_span::<B>,
+        _ => super::scalar::gemm_span::<i16, B>,
     }
 }
 
 /// The wide-pair span kernel (exotic custom formats): always the portable
 /// generic kernel with the chunked `i64`-accumulator dot.
-pub(super) fn wide_span_kernel() -> SpanKernel<i32> {
-    super::scalar::gemm_span::<i32>
+pub(super) fn wide_span_kernel() -> SpanKernel<i32, i32> {
+    super::scalar::gemm_span::<i32, i32>
 }
 
 // These tests deliberately avoid mutating the process-wide override slots

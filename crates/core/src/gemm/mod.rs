@@ -40,9 +40,19 @@
 //!   `None` exactly when it is false.
 //!
 //! Everything the pipeline derives from the `(fa, fb)` pair — kernel class
-//! (`i16` vs `i32` codes), block size, scale-out constant, deferral
+//! (narrow or wide codes), block size, scale-out constant, deferral
 //! headroom — is computed once by the module-private `FormatPair::new` and
 //! carried as a value; [`code_domain_supported`] is its boolean view.
+//!
+//! # Code widths
+//!
+//! A narrow pair multiplies `i16` activation codes against a weight plane
+//! whose width the **weight format alone** decides: `i8` when its largest
+//! shift-aligned magnitude `max_code ≪ β` is at most 127 (MX6, MX4, MSFP12,
+//! MSFP16), `i16` otherwise (MX9). The panel kernels sign-extend `i8`
+//! weight codes to `i16` lanes as they load them, so the integers — and
+//! every bit of the output — are the same as from an `i16` plane; only the
+//! bytes a product streams halve. Wide pairs use `i32` codes on both sides.
 //!
 //! # Activation lowering
 //!
@@ -182,28 +192,31 @@ pub fn code_domain_supported(fa: &BdrFormat, fb: &BdrFormat) -> bool {
     FormatPair::new(fa, fb).is_some()
 }
 
-/// Storage type for shift-aligned signed codes. Narrow format pairs (every
-/// MX/MSFP preset) use `i16`, whose widening multiply-accumulate maps onto
-/// the CPU's packed 16-bit MAC instructions; wide pairs fall back to `i32`
-/// codes with an `i64` accumulator. The storage width itself (and the
-/// lossless narrowing from aligned `i32` codes, guaranteed to fit by the
-/// `FormatPair` width gates) lives in [`engine::AlignedCode`], which the
-/// engine's tile-granular lowering writes directly.
+/// Storage type for shift-aligned signed **activation** codes, and the
+/// width a weight code widens to before it is multiplied. Narrow format
+/// pairs (every MX/MSFP preset) use `i16`, whose widening
+/// multiply-accumulate maps onto the CPU's packed 16-bit MAC instructions;
+/// wide pairs fall back to `i32` codes with an `i64` accumulator. The
+/// storage width itself (and the lossless narrowing from aligned `i32`
+/// codes, guaranteed to fit by the `FormatPair` width gates and the plane
+/// width rule) lives in [`engine::AlignedCode`], which the engine's
+/// tile-granular lowering writes directly.
 trait Code: engine::AlignedCode {
     /// Exact integer dot product of two equal-length blocks in portable
-    /// Rust — the block dot of the scalar kernel.
-    fn dot(a: &[Self], b: &[Self]) -> i64;
+    /// Rust — the block dot of the scalar kernel. `b` holds weight codes
+    /// of this width or a narrower one.
+    fn dot<B: Copy + Into<Self>>(a: &[Self], b: &[B]) -> i64;
 }
 
 impl Code for i16 {
     #[inline(always)]
-    fn dot(a: &[Self], b: &[Self]) -> i64 {
+    fn dot<B: Copy + Into<Self>>(a: &[Self], b: &[B]) -> i64 {
         // The i32 accumulator cannot overflow: pairwise i16 products are
         // below 2^31 because `w_a + w_b ≤ 30`, and the block total is
         // bounded by the `w_a + w_b + ⌈log2 k1⌉ ≤ 31` dispatch gate.
         let mut acc = 0i32;
         for (&x, &y) in a.iter().zip(b.iter()) {
-            acc += i32::from(x) * i32::from(y);
+            acc += i32::from(x) * i32::from(y.into());
         }
         acc as i64
     }
@@ -211,22 +224,31 @@ impl Code for i16 {
 
 impl Code for i32 {
     #[inline(always)]
-    fn dot(a: &[Self], b: &[Self]) -> i64 {
+    fn dot<B: Copy + Into<Self>>(a: &[Self], b: &[B]) -> i64 {
         let mut acc = 0i64;
         for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
             let mut lane = 0i64;
             for e in 0..8 {
-                lane += i64::from(ca[e]) * i64::from(cb[e]);
+                lane += i64::from(ca[e]) * i64::from(cb[e].into());
             }
             acc += lane;
         }
         let (ra, rb) = (a.chunks_exact(8).remainder(), b.chunks_exact(8).remainder());
         for (&x, &y) in ra.iter().zip(rb.iter()) {
-            acc += i64::from(x) * i64::from(y);
+            acc += i64::from(x) * i64::from(y.into());
         }
         acc
     }
 }
+
+/// A weight-plane code width of the narrow class: `i8` or `i16`. The panel
+/// kernels load either as `i16` lanes (`i8` sign-extended on load), so one
+/// kernel body per backend serves both.
+trait NarrowCode: engine::AlignedCode + Into<i16> {}
+
+impl NarrowCode for i8 {}
+
+impl NarrowCode for i16 {}
 
 /// Panel width a B-side pack of this block size should use under the
 /// currently selected backend: [`PANEL_N_512`] for the AVX-512 kernel,
@@ -330,16 +352,16 @@ impl Gemm<'_> {
     /// `workers` threads into one ring per span. Per output element the
     /// K-block loop order, rounding points, and accumulation do not depend
     /// on the split, so every `workers` gives the same bits.
-    fn run<C: Code>(
+    fn run<A: Code, B: engine::AlignedCode>(
         &self,
-        bp: PlaneView<'_, C>,
-        kernel: SpanKernel<C>,
-        buf: &mut CodeBuf<C>,
+        bp: PlaneView<'_, B>,
+        kernel: SpanKernel<A, B>,
+        buf: &mut CodeBuf<A>,
         out: &mut [f32],
     ) {
         let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
         let blocks = k.div_ceil(bp.k1);
-        let lower = |r0: usize, rows: usize, buf: &mut CodeBuf<C>| {
+        let lower = |r0: usize, rows: usize, buf: &mut CodeBuf<A>| {
             let (row_base, vector_major) = (|i| (r0 + i) * k, |v, kb| v * blocks + kb);
             pack_into(self.a, rows, k, row_base, 1, vector_major, self.fa, buf);
         };
@@ -430,13 +452,19 @@ pub fn quantized_gemm_prepacked_scratch(
         workers: gemm_workers(m, n, k, threads),
     };
     match &packed_b.plane {
-        Plane::Narrow(b) => gemm.run(
+        Plane::I8(b) => gemm.run(
             b.view(blocks, pair.k1),
             backend::narrow_span_kernel(packed_b.panel_n),
             &mut scratch.narrow,
             &mut out,
         ),
-        Plane::Wide(b) => gemm.run(
+        Plane::I16(b) => gemm.run(
+            b.view(blocks, pair.k1),
+            backend::narrow_span_kernel(packed_b.panel_n),
+            &mut scratch.narrow,
+            &mut out,
+        ),
+        Plane::I32(b) => gemm.run(
             b.view(blocks, pair.k1),
             backend::wide_span_kernel(),
             &mut scratch.wide,
@@ -614,6 +642,7 @@ mod tests {
     fn generated_format_lattice_agrees_with_the_plane_and_the_reference() {
         let mut rng = StdRng::seed_from_u64(12);
         let (mut narrow_run, mut wide_run, mut rejected) = (0, 0, 0);
+        let (mut byte_planes, mut half_planes) = (0, 0);
         for _ in 0..4000 {
             let fb = BdrFormat::random(&mut rng, None);
             // Most partners share fb's block size, or nothing is supported.
@@ -630,9 +659,26 @@ mod tests {
             };
             let pair = pair.unwrap_or_else(|| panic!("{fa}/{fb}: packed an unsupported pair"));
             assert!(pb.accepts(&fa), "{fa}/{fb}");
+            // The storage width is the weight format's alone: inside the
+            // narrow class, `i8` exactly when the largest aligned magnitude
+            // fits a byte.
+            let fits_byte = (fb.max_code() << fb.max_shift()) <= 127;
+            match (&pb.plane, pair.class) {
+                (Plane::I8(_), PairClass::Narrow) if fits_byte => byte_planes += 1,
+                (Plane::I16(_), PairClass::Narrow) if !fits_byte => half_planes += 1,
+                (Plane::I32(_), PairClass::Wide) => {}
+                _ => panic!("{fa}/{fb}: {pb:?} for a {:?} pair", pair.class),
+            }
             // Any third format: `accepts` is false exactly when the entry
-            // returns `None` (asked at a degenerate and a real shape).
+            // returns `None` (asked at a degenerate and a real shape), and
+            // it answers by kernel class alone — the plane's width never
+            // narrows what it accepts.
             let other = BdrFormat::random(&mut rng, shared_k1);
+            assert_eq!(
+                pb.accepts(&other),
+                FormatPair::new(&other, &fb).is_some_and(|p| p.class == pair.class),
+                "{other} on {fa}/{fb}"
+            );
             let mut scratch = PackScratch::new();
             for m in [0usize, 2] {
                 let a = random_values(&mut rng, m * k);
@@ -674,6 +720,51 @@ mod tests {
             rejected > 100,
             "the lattice must reach unsupported pairs ({rejected})"
         );
+        assert!(
+            byte_planes > 100 && half_planes > 100,
+            "{byte_planes} i8 planes, {half_planes} i16 planes"
+        );
+    }
+
+    #[test]
+    fn plane_width_follows_the_weight_format_alone() {
+        // MX9 is the one preset whose aligned codes (127 ≪ 1) need i16;
+        // the partner never changes the width, only the class.
+        let b = ramp(32 * 3, 90);
+        for fb in [
+            BdrFormat::MX4,
+            BdrFormat::MX6,
+            BdrFormat::MX9,
+            BdrFormat::MSFP12,
+            BdrFormat::MSFP16,
+        ] {
+            for fa in [BdrFormat::MX4, BdrFormat::MX9, BdrFormat::MSFP16] {
+                let pb = PackedOperand::pack_cols(&b, 32, 3, fa, fb).unwrap();
+                let byte = matches!(pb.plane, Plane::I8(_));
+                assert_eq!(byte, fb != BdrFormat::MX9, "{fa}/{fb}: {pb:?}");
+                assert!(byte || matches!(pb.plane, Plane::I16(_)), "{pb:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_bytes_of_the_served_plane() {
+        // The served 512 × 2048 layer: 32 blocks per column, one `i32`
+        // shared exponent per block (256 KiB) beside the codes — 1 MiB of
+        // `i8` codes for MX6, 2 MiB of `i16` codes for MX9.
+        let (k, n) = (512, 2048);
+        let b = ramp(k * n, 91);
+        let exps = (k / 16) * n * 4;
+        assert_eq!(exps, 256 << 10);
+        for (fmt, codes, width) in [
+            (BdrFormat::MX6, 1 << 20, "i8"),
+            (BdrFormat::MX9, 2 << 20, "i16"),
+        ] {
+            let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+            assert_eq!(pb.packed_bytes(), codes + exps, "{fmt}");
+            let shown = format!("{pb:?}");
+            assert!(shown.contains(&format!(", {width}")), "{shown}");
+        }
     }
 
     #[test]
@@ -727,7 +818,7 @@ mod tests {
         let a = ramp(m * k, 41);
         let b = ramp(k * n, 42);
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        assert!(matches!(pb.plane, Plane::Wide(_)));
+        assert!(matches!(pb.plane, Plane::I32(_)));
         assert_eq!(pb.panel_n, 0);
         let got =
             quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut PackScratch::new()).unwrap();
@@ -955,8 +1046,8 @@ mod tests {
                                                              // column 2 stays all-zero
         }
         let pb = PackedOperand::pack_cols(&b, k, 3, fmt, fmt).unwrap();
-        let Plane::Narrow(ref plane) = pb.plane else {
-            panic!("preset pair must pack narrow");
+        let Plane::I8(ref plane) = pb.plane else {
+            panic!("an MX6 plane must pack i8");
         };
         assert_eq!(plane.uexp.len(), 3);
         assert_ne!(plane.uexp[0], pack::MIXED_EXP);

@@ -16,10 +16,10 @@
 //! its nonzero blocks agree on, or [`MIXED_EXP`] when they differ (all-zero
 //! vectors report 0 — their dots vanish, so any grid is correct).
 
-use super::pair::{FormatPair, PairClass};
-use super::{panel_layout, Code, PANEL_N_512};
+use super::pair::{fits_i8, FormatPair, PairClass};
+use super::{panel_layout, PANEL_N_512};
 use crate::bdr::BdrFormat;
-use crate::engine;
+use crate::engine::{self, AlignedCode};
 
 /// Sentinel for "this vector's nonzero blocks do not share one exponent":
 /// deferral is off for every output element the vector touches.
@@ -72,7 +72,7 @@ impl<C> Default for CodeBuf<C> {
     }
 }
 
-impl<C: Code> CodeBuf<C> {
+impl<C: AlignedCode> CodeBuf<C> {
     /// Zero-fills the buffers for `vectors` vectors of `blocks` blocks.
     pub(super) fn reset(&mut self, vectors: usize, blocks: usize, k1: usize) {
         self.codes.clear();
@@ -91,6 +91,11 @@ impl<C: Code> CodeBuf<C> {
             blocks,
             k1,
         }
+    }
+
+    /// Bytes of code and exponent storage held.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.codes[..]) + std::mem::size_of_val(&self.exps[..])
     }
 }
 
@@ -131,7 +136,7 @@ impl UniformExp {
 /// layout into the loop.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // operand geometry + layout + buffers
-pub(super) fn pack_into<C: Code>(
+pub(super) fn pack_into<C: AlignedCode>(
     data: &[f32],
     vectors: usize,
     len: usize,
@@ -182,11 +187,11 @@ pub(super) fn pack_into<C: Code>(
 /// The AVX-512 layout (`panel_n == `[`PANEL_N_512`]) is additionally
 /// **chunk-paired**: blocks `2t` and `2t+1` of one lane occupy adjacent
 /// slots (`[chunk row t][lane][block parity]`), so with `k1 = 16` one
-/// column's two consecutive blocks are 32 contiguous `i16` codes — exactly
-/// one 512-bit load in the kernel's K loop. When `blocks` is odd the lone
-/// final block falls back to `[block][lane]` order (a compact half-chunk
-/// row the kernel reads with a 16-lane masked load); slot count stays
-/// exactly `blocks · width` either way.
+/// column's two consecutive blocks are 32 contiguous codes — exactly one
+/// 512-bit load (`i16`) or one sign-extending 256-bit load (`i8`) in the
+/// kernel's K loop. When `blocks` is odd the lone final block falls back
+/// to `[block][lane]` order (a compact half-chunk row the kernel reads 16
+/// codes at a time); slot count stays exactly `blocks · width` either way.
 pub(super) fn panel_slot(
     v: usize,
     kb: usize,
@@ -206,7 +211,7 @@ pub(super) fn panel_slot(
 }
 
 /// Lowers `B[k,n]`'s columns into a freshly allocated buffer.
-fn pack_cols_buf<C: Code>(
+fn pack_cols_buf<C: AlignedCode>(
     b: &[f32],
     k: usize,
     n: usize,
@@ -219,13 +224,28 @@ fn pack_cols_buf<C: Code>(
 }
 
 /// The concrete code storage behind a [`PackedOperand`]; the variant is the
-/// record of which kernel class the plane was packed for.
+/// record of which kernel class the plane was packed for (`I8` and `I16`
+/// are both narrow — the weight format alone picks between them, see
+/// [`fits_i8`]).
 #[derive(Clone)]
 pub(super) enum Plane {
-    /// `i16` codes (narrow pairs — every MX/MSFP preset).
-    Narrow(CodeBuf<i16>),
+    /// `i8` codes: a narrow pair whose weight format's aligned codes fit a
+    /// byte (MX6, MX4, MSFP12, MSFP16).
+    I8(CodeBuf<i8>),
+    /// `i16` codes: every other narrow pair (MX9 weights).
+    I16(CodeBuf<i16>),
     /// `i32` codes (wide custom formats).
-    Wide(CodeBuf<i32>),
+    I32(CodeBuf<i32>),
+}
+
+impl Plane {
+    /// The kernel class this plane serves.
+    fn class(&self) -> PairClass {
+        match self {
+            Plane::I8(_) | Plane::I16(_) => PairClass::Narrow,
+            Plane::I32(_) => PairClass::Wide,
+        }
+    }
 }
 
 /// The weight operand `B[k,n]` lowered **once** to shift-aligned
@@ -234,8 +254,11 @@ pub(super) enum Plane {
 ///
 /// Built by [`PackedOperand::pack_cols`] against a *partner* (activation)
 /// format. The codes themselves depend only on the weight format; the
-/// partner decides the kernel class — code width (`i16` vs `i32`) and
-/// storage layout (panel-major when a panel backend will consume it). The
+/// partner decides the kernel class — narrow or wide (`i32` codes) — and
+/// the storage layout (panel-major when a panel backend will consume it).
+/// Inside the narrow class the weight format alone picks the storage
+/// width: `i8` when its largest aligned magnitude `max_code ≪ β` is at
+/// most 127 (MX6, MX4, MSFP12, MSFP16), `i16` otherwise (MX9). The
 /// plane records that class and answers [`PackedOperand::accepts`] for any
 /// activation format: every partner landing in the same class executes
 /// against it — e.g. a plane packed for an MX6 partner also serves MX9
@@ -271,8 +294,9 @@ impl std::fmt::Debug for PackedOperand {
             self.vectors,
             self.len,
             match self.plane {
-                Plane::Narrow(_) => "i16",
-                Plane::Wide(_) => "i32",
+                Plane::I8(_) => "i8",
+                Plane::I16(_) => "i16",
+                Plane::I32(_) => "i32",
             },
             match self.panel_n {
                 0 => String::new(),
@@ -318,8 +342,9 @@ impl PackedOperand {
             w => panel_slot(v, kb, n, blocks, w),
         };
         let plane = match pair.class {
-            PairClass::Narrow => Plane::Narrow(pack_cols_buf(b, k, n, slot_of, &fb)),
-            PairClass::Wide => Plane::Wide(pack_cols_buf(b, k, n, slot_of, &fb)),
+            PairClass::Narrow if fits_i8(&fb) => Plane::I8(pack_cols_buf(b, k, n, slot_of, &fb)),
+            PairClass::Narrow => Plane::I16(pack_cols_buf(b, k, n, slot_of, &fb)),
+            PairClass::Wide => Plane::I32(pack_cols_buf(b, k, n, slot_of, &fb)),
         };
         Some(PackedOperand {
             fmt: fb,
@@ -333,11 +358,7 @@ impl PackedOperand {
     /// The pair descriptor for executing `fa`-format activations against
     /// this plane, or `None` when the plane does not accept them.
     pub(super) fn pair_with(&self, fa: &BdrFormat) -> Option<FormatPair> {
-        let held = match self.plane {
-            Plane::Narrow(_) => PairClass::Narrow,
-            Plane::Wide(_) => PairClass::Wide,
-        };
-        FormatPair::new(fa, &self.fmt).filter(|pair| pair.class == held)
+        FormatPair::new(fa, &self.fmt).filter(|pair| pair.class == self.plane.class())
     }
 
     /// Whether `fa`-format activations can execute against this plane: the
@@ -383,12 +404,9 @@ impl PackedOperand {
     /// weight cache retains to skip per-call packing.
     pub fn packed_bytes(&self) -> usize {
         match &self.plane {
-            Plane::Narrow(p) => {
-                std::mem::size_of_val(&p.codes[..]) + std::mem::size_of_val(&p.exps[..])
-            }
-            Plane::Wide(p) => {
-                std::mem::size_of_val(&p.codes[..]) + std::mem::size_of_val(&p.exps[..])
-            }
+            Plane::I8(p) => p.bytes(),
+            Plane::I16(p) => p.bytes(),
+            Plane::I32(p) => p.bytes(),
         }
     }
 }
@@ -397,8 +415,10 @@ impl PackedOperand {
 /// [`super::quantized_gemm_prepacked_scratch`] call lowers its A rows into
 /// them, so a steady-state forward pass allocates nothing for the
 /// activation side (a call that fans out gives each row span a ring of its
-/// own). Narrow and wide widths keep separate buffers, so one scratch
-/// serves interleaved format classes without reallocation churn.
+/// own). Activation codes are `i16` for every narrow pair, whatever width
+/// the weight plane stores, and `i32` for wide pairs; the two widths keep
+/// separate buffers, so one scratch serves interleaved format classes
+/// without reallocation churn.
 ///
 /// A scratch is plain storage — it carries no format or shape state, so one
 /// instance can serve any sequence of GEMMs (`mx-nn` keeps one per thread).

@@ -9,7 +9,8 @@ use super::backend::deferred_scale_out_enabled;
 use crate::bdr::BdrFormat;
 
 /// How a supported format pair runs on the integer path: `Narrow` pairs use
-/// `i16` codes with an `i32` block accumulator (the packed 16-bit MAC
+/// `i16` activation codes against `i8` or `i16` weight codes (see
+/// [`fits_i8`]) with an `i32` block accumulator (the packed 16-bit MAC
 /// datapath), `Wide` pairs fall back to `i32` codes with an `i64`
 /// accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +53,16 @@ fn pair_class(fa: &BdrFormat, fb: &BdrFormat) -> Option<PairClass> {
     }
 }
 
+/// The plane width rule: a weight format's shift-aligned codes fit `i8`
+/// when its largest aligned magnitude `max_code ≪ β` is at most 127 — MX6,
+/// MX4, MSFP12 and MSFP16 among the presets; MX9 (`127 ≪ 1`) needs `i16`.
+/// A property of the weight format alone: the narrow-class activation
+/// partner (always `i16`) does not enter, so the integers every kernel
+/// multiplies are the same whichever width the plane stores.
+pub(super) fn fits_i8(fmt: &BdrFormat) -> bool {
+    fmt.max_code() << fmt.max_shift() <= 127
+}
+
 /// The format's smallest ulp (`2^(E_min − β − (m − 1))`) is representable in
 /// `f32` subnormal space, so every code dequantizes to an exact `f32`.
 pub(super) fn exact_dequantize(fmt: &BdrFormat) -> bool {
@@ -74,7 +85,8 @@ fn c_half(fmt: &BdrFormat) -> i32 {
 /// [`pair_class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct FormatPair {
-    /// Code width both operands must be lowered to.
+    /// Kernel class: the code widths the operands are lowered to (see
+    /// [`PairClass`]).
     pub(super) class: PairClass,
     /// The shared first-level block size.
     pub(super) k1: usize,
@@ -150,7 +162,9 @@ impl FormatPair {
     /// guarantees `w_a + w_b ≤ 30`) followed by `vpaddd` into the same
     /// accumulator, so the fused and fallback paths produce identical
     /// lanes, and both reduce to the same integer total the scalar chain
-    /// would have produced.
+    /// would have produced. An `i8` weight plane adds nothing either: its
+    /// codes are sign-extended to `i16` lanes as they load, so the same
+    /// integers enter the same instructions.
     pub(super) fn defer(&self, blocks: usize) -> DeferCtx {
         DeferCtx {
             enabled: deferred_scale_out_enabled()

@@ -3,8 +3,9 @@
 //! class, narrow planes whose block size is not the panel kernels'
 //! `k1 = 16`, x86-64 CPUs without AVX2, and every other architecture.
 //!
-//! One generic implementation serves both code widths through
-//! [`super::Code::dot`]. Deferred scale-out (see
+//! One generic implementation serves every code width through
+//! [`super::Code::dot`]: `i16` activations against `i8` or `i16` weight
+//! codes, and `i32` against `i32`. Deferred scale-out (see
 //! [`super::pair::FormatPair::defer`]) is applied per output element whenever
 //! the element's exponent metadata qualifies, with the per-block scale-out
 //! chain as the exact fallback.
@@ -20,10 +21,10 @@ use crate::util::pow2;
 /// `f32` scale-out chain. Rows are processed [`TILE_M`] at a time so each
 /// loaded B column (and its exponents) is reused for the whole tile; per
 /// output element the K loop walks two contiguous code arrays.
-pub(super) fn gemm_span<C: Code>(
-    ap: PlaneView<'_, C>,
+pub(super) fn gemm_span<A: Code, B: Copy + Into<A>>(
+    ap: PlaneView<'_, A>,
     rows: usize,
-    bp: PlaneView<'_, C>,
+    bp: PlaneView<'_, B>,
     n: usize,
     c: i32,
     ctx: DeferCtx,
@@ -52,7 +53,7 @@ pub(super) fn gemm_span<C: Code>(
                         // the whole K reduction, one f32 rounding.
                         let mut total = 0i64;
                         for (ab, bb) in arow.chunks_exact(k1).zip(bcol.chunks_exact(k1)) {
-                            total += C::dot(ab, bb);
+                            total += A::dot(ab, bb);
                         }
                         *slot = (total as f64 * pow2(e + c)) as f32;
                         continue;
@@ -64,7 +65,7 @@ pub(super) fn gemm_span<C: Code>(
                     .zip(bcol.chunks_exact(k1))
                     .zip(aexps.iter().zip(bexps.iter()))
                 {
-                    let d = C::dot(ab, bb);
+                    let d = A::dot(ab, bb);
                     if d != 0 {
                         acc += (d as f64 * pow2(ea + eb + c)) as f32;
                     }

@@ -20,8 +20,9 @@
 //! `mx-serve` batch path ride the serving hot path with no call-site
 //! choices to make.
 //! The plane is cached **on the weight tensor itself**, keyed by
-//! `(weight format, kernel class)`: the codes depend only on the weight
-//! format, the class (`i16` vs `i32` codes) on the activation partner, and
+//! `(weight format, kernel class)`: the codes and their storage width
+//! (`i8` or `i16` in the narrow class) depend only on the weight format,
+//! the class (narrow or wide `i32` codes) on the activation partner, and
 //! a lookup asks each candidate plane whether it
 //! [`accepts`](mx_core::gemm::PackedOperand::accepts) the activation
 //! format — no GEMM is ever run to find out. One plane therefore serves

@@ -360,8 +360,9 @@ fn row_path_matches_per_row_vectors() {
 }
 
 /// Parallel and serial quantization produce bit-identical output on every
-/// kernel (value, rows, cols, packed encode), for tensors large enough to
-/// actually engage the thread pool.
+/// value kernel (flat, rows, cols), for tensors large enough to actually
+/// engage the thread pool. (The packed codec runs serially whatever the
+/// thread budget, so it has no parallel arm to compare.)
 #[test]
 fn parallel_quantization_is_deterministic() {
     let fmt = BdrFormat::MX6;
@@ -370,7 +371,6 @@ fn parallel_quantization_is_deterministic() {
 
     let serial = QuantEngine::new(fmt);
     let value_serial = serial.quantize_dequantize(&x);
-    let bytes_serial = serial.encode(&x);
 
     for threads in [2usize, 3, 8, 0] {
         let par = QuantEngine::new(fmt).with_threads(threads);
@@ -381,11 +381,6 @@ fn parallel_quantization_is_deterministic() {
                 .zip(value_par.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "value path diverged at threads={threads}"
-        );
-        assert_eq!(
-            bytes_serial,
-            par.encode(&x),
-            "packed stream diverged at threads={threads}"
         );
     }
 
@@ -412,31 +407,6 @@ fn parallel_quantization_is_deterministic() {
                 .all(|(x, y)| x.to_bits() == y.to_bits()),
             "{kernel} kernel diverged"
         );
-    }
-}
-
-/// Parallel span decoding of byte-aligned packed streams is bit-identical
-/// to the serial decode, for every preset format (all of which have
-/// byte-aligned full-block footprints) and a ragged tail block.
-#[test]
-fn parallel_decode_is_bit_identical_to_serial() {
-    for fmt in FORMATS {
-        let n = 3 * PARALLEL_GRAIN + 13; // past the threshold, ragged tail
-        let x = stress_vector(n, 41);
-        let bytes = QuantEngine::new(fmt).encode(&x);
-        let serial = QuantEngine::new(fmt).decode(&bytes, n);
-        for threads in [2usize, 3, 8, 0] {
-            let par = QuantEngine::new(fmt)
-                .with_threads(threads)
-                .decode(&bytes, n);
-            assert!(
-                serial
-                    .iter()
-                    .zip(par.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{fmt} decode diverged at threads={threads}"
-            );
-        }
     }
 }
 

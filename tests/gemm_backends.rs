@@ -10,6 +10,11 @@
 //! `f32` grid window, and block counts exceeding the static headroom
 //! bound).
 //!
+//! Generated weight formats add the plane's code width to the matrix: a
+//! narrow plane stores `i8` codes exactly when its format's aligned codes
+//! fit a byte, and every backend reads them to the same bits as the
+//! reference on hostile data.
+//!
 //! The backend, deferral, and VNNI overrides are process-wide, so every test that
 //! touches them serializes on one mutex and restores automatic selection
 //! before releasing it.
@@ -21,9 +26,12 @@ use std::sync::{Mutex, MutexGuard};
 use common::{assert_bits_eq, gemm, stress_vector};
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    force_deferred_scale_out, force_kernel_backend, force_vnni, quantized_gemm_prepacked_scratch,
-    reference_gemm, selected_backend, KernelBackend, PackScratch, PackedOperand,
+    code_domain_supported, force_deferred_scale_out, force_kernel_backend, force_vnni,
+    quantized_gemm_prepacked_scratch, reference_gemm, selected_backend, KernelBackend, PackScratch,
+    PackedOperand,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const PRESETS: [BdrFormat; 5] = [
     BdrFormat::MX4,
@@ -439,5 +447,140 @@ fn wide_pairs_are_backend_invariant() {
         }
         let got = gemm(&a, &b, m, k, n, wide, wide, 1);
         assert_bits_eq(&got, &want, &format!("wide pair under {}", backend.name()));
+    }
+}
+
+/// Hostile operand data, one mode per vector (an A row or a B column),
+/// `v mod 3`: uniform shared exponents (the deferred path), hostile
+/// elements (±NaN, which lowers to code 0; ±Inf, which clamps to
+/// `max_code`; ±0; subnormals; a wide magnitude spread), or blocks
+/// alternating 2⁴⁰ apart with every third block zero (a mixed-exponent
+/// vector: the per-block fallback). Element `i` of vector `v` sits at
+/// `v·vec_stride + i·elem_stride`.
+fn hostile_operand(
+    rng: &mut StdRng,
+    vectors: usize,
+    len: usize,
+    k1: usize,
+    (vec_stride, elem_stride): (usize, usize),
+) -> Vec<f32> {
+    let mut data = vec![0.0f32; vectors * len];
+    for v in 0..vectors {
+        for i in 0..len {
+            let sign = if rng.gen_range(0..2u32) == 0 {
+                1.0
+            } else {
+                -1.0
+            };
+            data[v * vec_stride + i * elem_stride] = match v % 3 {
+                0 => sign * rng.gen_range(1.0f32..2.0),
+                1 => match rng.gen_range(0..10u32) {
+                    0 => f32::NAN,
+                    1 => -f32::NAN,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => 0.0,
+                    5 => -0.0,
+                    6 => sign * f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                    7 => sign * rng.gen_range(0.0f32..1e4),
+                    _ => sign * rng.gen_range(0.0f32..1.0),
+                },
+                _ => match (i / k1) % 3 {
+                    0 => sign * rng.gen_range(1.0f32..2.0),
+                    1 => sign * rng.gen_range(1.0f32..2.0) * 2.0f32.powi(40),
+                    _ => 0.0,
+                },
+            };
+        }
+    }
+    data
+}
+
+/// Generated narrow-class weight formats, half of them at the panel
+/// kernels' `k1 = 16`: the plane holds `i8` codes exactly when
+/// `max_code ≪ β ≤ 127` (read back from `packed_bytes` and `Debug`), it
+/// accepts exactly the partners its class admits, and on every backend it
+/// reproduces the reference bit for bit at M ∈ {1, 4, 33} and threads ∈
+/// {1, 0} — on hostile data, with ragged N (1–3 tail columns past the last
+/// full panel) and odd block counts (the lone final block).
+#[test]
+fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
+    let _guard = lock_knobs();
+    let mut rng = StdRng::seed_from_u64(35);
+    let (mut byte_planes, mut half_planes, mut draws) = (0, 0, 0);
+    while byte_planes < 16 || half_planes < 16 {
+        draws += 1;
+        assert!(draws < 20_000, "{byte_planes} i8, {half_planes} i16 planes");
+        let panel_k1 = draws % 2 == 0;
+        let fb = BdrFormat::random(&mut rng, panel_k1.then_some(16));
+        let fa = BdrFormat::random(&mut rng, Some(fb.k1()));
+        // A partner lands in the narrow class with `fb` when the pair is
+        // supported and both aligned widths and the block dot fit the
+        // 16-bit MAC datapath.
+        let width = |f: &BdrFormat| f.m() + f.max_shift();
+        let ceil_log2 = usize::BITS - (fb.k1() - 1).leading_zeros();
+        let narrow_with = |f: &BdrFormat| {
+            code_domain_supported(f, &fb)
+                && width(f) <= 15
+                && width(&fb) <= 15
+                && width(f) + width(&fb) + ceil_log2 <= 31
+        };
+        if !narrow_with(&fa) {
+            continue;
+        }
+        let byte = (fb.max_code() << fb.max_shift()) <= 127;
+        let (counter, code_bytes) = if byte {
+            (&mut byte_planes, 1)
+        } else {
+            (&mut half_planes, 2)
+        };
+        if *counter >= 16 {
+            continue;
+        }
+        *counter += 1;
+        let k1 = fb.k1();
+        // An odd block count, ragged or whole, and N with 1–3 columns past
+        // a multiple of 4 (and of 8 for the AVX2 panels).
+        let blocks = 2 * rng.gen_range(0..3usize) + 1;
+        let k = (blocks - 1) * k1 + rng.gen_range(1..=k1);
+        let n = [1usize, 2, 3, 5, 6, 7, 9, 10, 11][rng.gen_range(0..9usize)];
+        let b = hostile_operand(&mut rng, n, k, k1, (1, n));
+        for backend in BACKENDS {
+            if !try_force(backend) {
+                continue;
+            }
+            let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
+            let exps = 4 * n * blocks;
+            assert_eq!(
+                pb.packed_bytes(),
+                code_bytes * n * blocks * k1 + exps,
+                "{fa}/{fb}: {pb:?}"
+            );
+            let shown = format!("{pb:?}");
+            let label = if byte { ", i8" } else { ", i16" };
+            assert!(shown.contains(label), "{fa}/{fb}: {shown}");
+            for other in [fa, BdrFormat::MX9, BdrFormat::MX6] {
+                assert_eq!(
+                    pb.accepts(&other),
+                    narrow_with(&other),
+                    "{other} on {shown}"
+                );
+            }
+            let mut scratch = PackScratch::new();
+            for m in [1usize, 4, 33] {
+                let a = hostile_operand(&mut rng, m, k, k1, (k, 1));
+                let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+                for threads in [1usize, 0] {
+                    let got =
+                        quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch)
+                            .unwrap();
+                    assert_bits_eq(
+                        &got,
+                        &want,
+                        &format!("{} {fa}/{fb} {m}x{k}x{n} threads={threads}", backend.name()),
+                    );
+                }
+            }
+        }
     }
 }
