@@ -3,11 +3,11 @@
 //! The workspace's correctness story leans on contracts no compiler pass
 //! checks: every `unsafe` kernel block carries a written justification,
 //! every `#[target_feature]` kernel is reachable only behind runtime CPU
-//! detection, every test suite and bench harness is actually wired into
-//! CI, every `MX_*` environment knob is declared in one registry and
-//! documented, the serving request path never panics, and the core-count
-//! query and every `mx-core` / `mx-nn` thread spawn stay inside
-//! `mx_core::parallel`. `mx-audit` turns those conventions into CI failures.
+//! detection, every test suite is actually wired into CI, every `MX_*`
+//! environment knob is declared in one registry and documented, the
+//! serving request path never panics, and the core-count query and every
+//! `mx-core` / `mx-nn` thread spawn stay inside `mx_core::parallel`.
+//! `mx-audit` turns those conventions into CI failures.
 //!
 //! The binary is dependency-free by design (the build container has no
 //! crates.io access, so `syn` is off the table): [`lexer`] is a small
@@ -104,7 +104,6 @@ pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
         ci_yml: fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap_or_default(),
         readme: fs::read_to_string(root.join("README.md")).unwrap_or_default(),
         test_stems: stems(&root.join("tests")),
-        bench_stems: stems(&root.join("crates/bench/benches")),
     })
 }
 

@@ -20,10 +20,9 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         println!(
-            "mx-audit: OK — {} files, {} test suites, {} bench harnesses audited",
+            "mx-audit: OK — {} files, {} test suites audited",
             ws.files.len(),
-            ws.test_stems.len(),
-            ws.bench_stems.len()
+            ws.test_stems.len()
         );
         ExitCode::SUCCESS
     } else {

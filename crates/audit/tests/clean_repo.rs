@@ -27,11 +27,6 @@ fn workspace_audits_clean() {
         "test suites not discovered: {:?}",
         ws.test_stems
     );
-    assert!(
-        ws.bench_stems.len() >= 5,
-        "bench harnesses not discovered: {:?}",
-        ws.bench_stems
-    );
 
     let findings = mx_audit::run_all(&ws);
     assert!(

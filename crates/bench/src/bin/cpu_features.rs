@@ -1,8 +1,7 @@
 //! CPU-feature probe for CI logs: prints which SIMD feature levels the
 //! runner actually has, plus the kernel backend the dispatch layer picks,
-//! so bench-smoke numbers from heterogeneous runners are interpretable
-//! (an "avx512 beats avx2" claim means nothing without knowing the
-//! machine had AVX-512 to begin with).
+//! so a test log says which backend the default-backend test steps ran
+//! on (a green AVX-512 step proves nothing on a runner without AVX-512).
 //!
 //! Each line is `feature: yes|no`, one feature per line, in dispatch
 //! order; the final line is the resolved backend name.

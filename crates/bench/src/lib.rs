@@ -22,7 +22,9 @@
 //! | `fig9_training_cost` | Fig. 9 — LM loss vs normalized training cost |
 //!
 //! Each binary prints a paper-style table and writes a CSV under
-//! `results/`. Criterion performance benches live in `benches/`.
+//! `results/`. `cpu_features` prints the host's ISA extensions and the
+//! resolved kernel backend. Performance is measured by the separate
+//! `benchmark/` package, not by this crate.
 
 #![warn(missing_docs)]
 
@@ -86,20 +88,6 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// publication-scale settings (slower, closer to the paper's sample sizes).
 pub fn full_scale() -> bool {
     mx_core::knobs::raw("MX_FULL").is_some_and(|v| v == "1")
-}
-
-/// Worker-thread budget for the parallel bench cases: the
-/// `MX_BENCH_THREADS` environment knob, falling back to `default` when the
-/// variable is unset or unparsable. `0` means "all available cores" —
-/// pass it explicitly (`MX_BENCH_THREADS=0`) to restore that behavior when
-/// a bench's default differs. The build container is 1-core, so the
-/// committed `results/` numbers use the serial defaults; rerun the
-/// parallel-scaling suites with this knob on a multi-core box (see the
-/// notes in `results/*.md`).
-pub fn bench_threads(default: usize) -> usize {
-    mx_core::knobs::raw("MX_BENCH_THREADS")
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
 }
 
 /// Formats an `f64` with the given precision, using `-` for NaN.

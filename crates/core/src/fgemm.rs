@@ -178,8 +178,8 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize
 /// bit-identity oracle for [`matmul`]: per output element, one `f32`
 /// product and one `f32` add per `p` in ascending order, skipping zero `a`
 /// elements only when the memoized scan finds `b` entirely finite. The
-/// consistency suites and the `matmul_512` bench baseline all reference
-/// this single copy — it is **not** a fast path.
+/// consistency suites all reference this single copy — it is **not** a
+/// fast path.
 pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     let mut rhs_finite: Option<bool> = None;

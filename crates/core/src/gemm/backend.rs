@@ -58,8 +58,8 @@
 //!    no backend leans on the x86-64 baseline ISA.
 //! 3. **Wire the backend into CI** (rule `ci-wiring`): extend the
 //!    `gemm_backends` suite to force the new variant over the preset
-//!    matrix, and if you add a new test file or bench harness, name it
-//!    in `.github/workflows/ci.yml`.
+//!    matrix, and if you add a new test file, name it in
+//!    `.github/workflows/ci.yml`.
 //! 4. **New tuning knobs go through `mx_core::knobs`** (rule
 //!    `env-knobs`): declare the `MX_*` variable in
 //!    [`crate::knobs::KNOBS`], read it with [`crate::knobs::raw`], and
@@ -93,7 +93,7 @@
 //!    kernel keeps a same-speed-class `vpmaddwd`+`vpaddd` variant behind
 //!    the same call signature so the backend (and its bit-identity) never
 //!    depends on the optional instruction. [`force_vnni`] selects the
-//!    fallback for tests and the `kernel_sweep` bench.
+//!    fallback for tests.
 //! 9. **Consume `FormatPair`, never re-derive.** Kernel class, `k1`, the
 //!    scale-out constant `c`, and the deferral headroom all come from the
 //!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
@@ -105,9 +105,9 @@
 //! # Selection
 //!
 //! [`selected_backend`] resolves, in priority order: the process-wide
-//! programmatic override ([`force_kernel_backend`], used by tests and the
-//! `kernel_sweep` bench), the `MX_KERNEL_BACKEND` environment variable
-//! (`auto` / `scalar` / `avx2` / `avx512`, read once), then the best
+//! programmatic override ([`force_kernel_backend`], used by tests), the
+//! `MX_KERNEL_BACKEND` environment variable (`auto` / `scalar` / `avx2` /
+//! `avx512`, read once), then the best
 //! backend the CPU supports. An environment request the CPU cannot honor
 //! degrades to the best available (forcing `avx512` on a non-AVX-512
 //! machine runs AVX2) with a one-line stderr warning naming what actually
@@ -115,8 +115,8 @@
 //! programmatic [`force_kernel_backend`] refuses outright with
 //! [`BackendUnavailable`]. An unrecognized name warns the same way and
 //! runs the best available backend. [`kernel_backend_name`] reports the
-//! effective choice so benches and `serve_loadgen` can record which
-//! backend actually ran.
+//! effective choice so the `benchmark/` package and the `cpu_features`
+//! probe can record which backend actually ran.
 //!
 //! The choice is honored at **pack time**: each panel backend consumes a
 //! panel-major B plane of its own width (8 columns for AVX2, 4 for
@@ -295,7 +295,8 @@ pub fn selected_backend() -> KernelBackend {
 }
 
 /// Name of the effective backend (`"scalar"` / `"avx2"` / `"avx512"`) —
-/// what benches and `serve_loadgen` report alongside their numbers.
+/// what the `benchmark/` package and the `cpu_features` probe report
+/// alongside their output.
 ///
 /// # Examples
 ///
@@ -332,8 +333,8 @@ impl std::fmt::Display for BackendUnavailable {
 impl std::error::Error for BackendUnavailable {}
 
 /// Forces the dispatch layer onto one backend (process-wide), or back to
-/// automatic selection with `None`. Intended for tests and benches that
-/// sweep backends; affects the layout of subsequently packed B planes as
+/// automatic selection with `None`. Intended for tests that sweep
+/// backends; affects the layout of subsequently packed B planes as
 /// well as kernel choice (pack after forcing — see the module docs).
 ///
 /// # Errors
@@ -369,8 +370,8 @@ static DEFER_OFF: AtomicBool = AtomicBool::new(false);
 /// [`force_deferred_scale_out`] switched it off. Disabling it never changes
 /// results — deferral is applied only where it is provably exact — it only
 /// forces the per-block scale-out everywhere, which is what the
-/// `kernel_sweep` bench and the equivalence tests use to isolate the
-/// deferral win.
+/// equivalence tests use to cover the per-block path on data that would
+/// defer.
 pub fn deferred_scale_out_enabled() -> bool {
     !DEFER_OFF.load(Ordering::Relaxed)
 }
@@ -389,7 +390,7 @@ static VNNI_OFF: AtomicBool = AtomicBool::new(false);
 /// wherever [`avx512_vnni_available`] detected it, unless [`force_vnni`]
 /// selected the `vpmaddwd`+`vpaddd` fallback. Both paths are bit-identical
 /// (`vpdpwssd` computes exactly the fused chain per lane); the hook only
-/// isolates the instruction-count win for the `kernel_sweep` bench.
+/// lets tests cover the fallback on a VNNI machine.
 pub(super) fn vnni_enabled() -> bool {
     avx512_vnni_available() && !VNNI_OFF.load(Ordering::Relaxed)
 }

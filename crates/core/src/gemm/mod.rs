@@ -85,8 +85,7 @@
 //! registers and the scale-out runs once per output element instead of
 //! once per block pair. Elements that cannot be proven exact fall back to
 //! the per-block chain — deferral never changes results, and
-//! [`force_deferred_scale_out`] switches it off wholesale for tests and
-//! the `kernel_sweep` bench.
+//! [`force_deferred_scale_out`] switches it off wholesale for tests.
 //!
 //! # Exactness
 //!

@@ -8,11 +8,6 @@
 //! string literal in the sources). Adding a knob is therefore a three-line
 //! change — the [`KNOBS`] row, the README table row, and the call site —
 //! and forgetting any one of them is a CI failure, not a doc drift.
-//!
-//! The only knob *not* read through [`raw`] is `MX_BENCH_MEASURE_MS`,
-//! consumed by the vendored criterion harness (which cannot depend on
-//! `mx-core`); it still must be declared here so the audit's README
-//! cross-check covers it.
 
 /// Every `MX_*` environment knob the workspace honors, as
 /// `(name, one-line effect)`. `mx-audit` lexically parses this table as
@@ -24,16 +19,8 @@ pub const KNOBS: &[(&str, &str)] = &[
         "force the quantized-GEMM kernel backend: auto | scalar | avx2 | avx512 (can only narrow the ISA, never fake one); the engine's block core and the FP32 GEMM follow it",
     ),
     (
-        "MX_BENCH_THREADS",
-        "worker-thread budget for the parallel bench cases (0 = all cores)",
-    ),
-    (
         "MX_FULL",
         "1 = publication-scale sample sizes in the paper-table binaries",
-    ),
-    (
-        "MX_BENCH_MEASURE_MS",
-        "per-benchmark wall-clock budget (ms) for the vendored criterion harness",
     ),
 ];
 

@@ -23,8 +23,7 @@ use std::fmt;
 ///
 /// The defaults follow standard-cell rules of thumb (full adder ≈ 5 gates,
 /// 2:1 mux ≈ 3 gates/bit, flip-flop ≈ 4 gates); ablations may perturb them
-/// to test the robustness of the Pareto frontier (the `ablation_area_model`
-/// bench does exactly that).
+/// to test the robustness of the Pareto frontier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateCosts {
     /// Full-adder cell (per bit of a ripple/array stage).

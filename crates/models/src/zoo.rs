@@ -349,8 +349,8 @@ impl_batch_model_for_classifier!(TinyViT, TinyResNet, TinyMobileNet);
 /// A single quantized dense layer `[d_in → d_out]` — the GEMM-shaped
 /// serving model. Each request is one feature row, so a coalesced batch is
 /// exactly one `[batch, d_in] × [d_in, d_out]` quantized product over the
-/// shared prepacked weight plane; the `serving_throughput` bench uses it to
-/// isolate the batching win at GPT-ish layer shapes.
+/// shared prepacked weight plane; the `benchmark/` package's dense
+/// workloads serve it to isolate the batching win at GPT-ish layer shapes.
 #[derive(Debug)]
 pub struct DenseGemm {
     layer: Linear,

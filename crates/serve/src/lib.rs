@@ -58,8 +58,8 @@
 //! a batch of one, so its answer is its solo answer too. What batching
 //! buys is throughput: B-side code traffic, kernel dispatch, and the
 //! A-side pack's per-call overhead amortize over the coalesced rows
-//! (measured in the `serving_throughput` bench and the multi-tenant
-//! `serve_loadgen` simulator).
+//! (measured by the `benchmark/` package's `dense_burst` and `gpt_mixed`
+//! workloads).
 //!
 //! ## Example
 //!

@@ -1,5 +1,6 @@
-//! Helpers shared by the GEMM bit-identity suites (`gemm_consistency`,
-//! `gemm_fused`, `gemm_backends`).
+//! Helpers shared by the bit-identity suites (`gemm_consistency`,
+//! `gemm_fused`, `gemm_backends`, `engine_consistency`,
+//! `serve_admission`).
 #![allow(dead_code)] // each suite uses its own subset
 
 use mx::core::bdr::BdrFormat;

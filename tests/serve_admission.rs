@@ -5,13 +5,23 @@
 //! controller with purpose-built models — a `Gate` that blocks its worker
 //! until released and a `Sleeper` with a known service time — so every
 //! assertion is about *which* typed outcome arrives, not about wall-clock
-//! racing.
+//! racing. The one test on real models (bursty mixed-length GPT tenants
+//! under every admission policy at once) asserts only the accounting and
+//! the bits, never which requests were shed.
 
+mod common;
+
+use common::assert_bits_eq;
+use mx::models::data;
+use mx::models::gpt::{Gpt, GptConfig};
 use mx::models::zoo::{BatchModel, InputKind, ZooInput};
 use mx::nn::qflow::QuantConfig;
+use mx::nn::TensorFormat;
 use mx::serve::{
     AdmissionConfig, Priority, Request, RequestInput, ServeError, Server, ServerConfig,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -404,4 +414,127 @@ fn rejections_and_answers_are_printable_errors() {
             "Display must not be Debug: {msg}"
         );
     }
+}
+
+/// Bursty open-loop traffic from four mixed-length GPT-tiny tenants on two
+/// shards, under a shedding 64-deep queue, a 50 ms SLO and short
+/// deadlines on a quarter of the requests. Which requests are shed or
+/// expire depends on timing; what may not is the accounting and the bits:
+/// every submission ends in exactly one typed outcome, the client's counts
+/// equal the server's, and every answer is the padded serial reference.
+#[test]
+fn bursty_mixed_length_tenants_under_admission_control_account_for_every_request() {
+    const TENANTS: usize = 4;
+    const BURST: usize = 8;
+    const BURSTS: usize = 12;
+    let cfg = QuantConfig::weights_activations(TensorFormat::MX6, TensorFormat::MX6);
+    let seq = GptConfig::tiny().seq_len;
+    let buckets = [4, 8, 16];
+    let gpt = |t: usize| {
+        let mut rng = StdRng::seed_from_u64(40 + t as u64);
+        Gpt::new(&mut rng, GptConfig::tiny(), QuantConfig::fp32())
+    };
+    let tokens = |salt: usize, len: usize| -> Vec<usize> {
+        (0..len)
+            .map(|i| (i * 7 + salt * 13) % data::LM_VOCAB)
+            .collect()
+    };
+    // The server's transformation, run alone: pad to the bucket edge,
+    // forward one row, slice back to the request's own length.
+    let mut references: Vec<Gpt> = (0..TENANTS).map(gpt).collect();
+    let mut reference = |t: usize, toks: &[usize]| -> Vec<f32> {
+        let model = &mut references[t];
+        let edge = buckets.iter().copied().find(|&b| b >= toks.len()).unwrap();
+        let mut padded = toks.to_vec();
+        padded.resize(edge, 0);
+        model.set_quant(cfg);
+        let mut out = model.forward_batch(ZooInput::Tokens(&padded), 1);
+        out.truncate(model.output_len(toks.len()));
+        out
+    };
+
+    let mut server = Server::new(
+        ServerConfig::default()
+            .shards(2)
+            .workers(1)
+            .buckets(buckets)
+            .admission(
+                AdmissionConfig::new()
+                    .queue_capacity(64)
+                    .shed_on_full(true)
+                    .slo(Duration::from_millis(50)),
+            ),
+    );
+    let names: Vec<String> = (0..TENANTS).map(|t| format!("t{t}")).collect();
+    for (t, name) in names.iter().enumerate() {
+        server.register(name, Box::new(gpt(t)));
+    }
+    let handle = server.start().expect("valid config");
+
+    // Warm every (tenant, bucket) at High priority, which bypasses the SLO
+    // gate: the first request of a key pays its plan compile, and an SLO
+    // estimate seeded only by that would shed the key for good.
+    for (t, name) in names.iter().enumerate() {
+        for &len in &buckets {
+            let toks = tokens(t, len);
+            let got = handle
+                .infer(
+                    Request::new(name, RequestInput::Tokens(toks.clone()))
+                        .quant(cfg)
+                        .priority(Priority::High),
+                )
+                .expect("warm-up at High priority on an idle server is answered");
+            assert_bits_eq(
+                &got,
+                &reference(t, &toks),
+                &format!("warm-up {name} len {len}"),
+            );
+        }
+    }
+
+    let requests: Vec<(usize, Vec<usize>, bool)> = (0..BURST * BURSTS)
+        .map(|i| {
+            let len = 1 + (i * 5) % seq;
+            (i % TENANTS, tokens(100 + i, len), (i / TENANTS) % 4 == 3)
+        })
+        .collect();
+    let before = handle.stats();
+    let (mut ok, mut shed, mut expired) = (0u64, 0u64, 0u64);
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel();
+        let (handle, requests, names) = (&handle, &requests, &names);
+        s.spawn(move || {
+            for (b, burst) in requests.chunks(BURST).enumerate() {
+                for (j, (t, toks, short)) in burst.iter().enumerate() {
+                    let mut req =
+                        Request::new(&names[*t], RequestInput::Tokens(toks.clone())).quant(cfg);
+                    if *short {
+                        req = req.deadline(Duration::from_millis(2));
+                    }
+                    let _ = tx.send((b * BURST + j, handle.submit(req)));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        // Drain replies while the submitter is still offering load.
+        for (i, submitted) in rx {
+            let (t, toks, _) = &requests[i];
+            match submitted.and_then(|pending| pending.wait()) {
+                Ok(got) => {
+                    assert_bits_eq(&got, &reference(*t, toks), &format!("request {i}"));
+                    ok += 1;
+                }
+                Err(ServeError::Overloaded { .. }) => shed += 1,
+                Err(ServeError::DeadlineExceeded { .. }) => expired += 1,
+                Err(other) => panic!("request {i}: unexpected outcome {other:?}"),
+            }
+        }
+    });
+    let after = handle.stats();
+    assert_eq!(ok + shed + expired, requests.len() as u64);
+    assert_eq!(after.completed - before.completed, ok, "answered");
+    assert_eq!(after.shed - before.shed, shed, "shed");
+    assert_eq!(after.expired - before.expired, expired, "expired");
+    assert_eq!(after.queue_depth, 0, "nothing admitted is left behind");
+    handle.shutdown();
 }

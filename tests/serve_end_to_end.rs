@@ -652,8 +652,8 @@ fn weight_planes_are_shared_across_requests_and_formats() {
 /// the scalar backend answers bit-identically to an identically seeded
 /// server on the best-detected backend, and both match the serial
 /// reference. This is the serving-level restatement of the per-kernel
-/// bit-identity contract behind the `kernel_backend_name` banners in
-/// `serve_loadgen` and the benches: the name is a performance label,
+/// bit-identity contract behind the `kernel_backend_name` label that the
+/// `benchmark/` package records: the name is a performance label,
 /// never an output label. (The override is process-wide, but every
 /// backend is bit-identical by contract, so concurrent suites in this
 /// binary cannot observe the toggle.)
