@@ -98,11 +98,6 @@ impl<'a> BitReader<'a> {
         }
         Some(out)
     }
-
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]

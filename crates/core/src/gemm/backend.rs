@@ -25,13 +25,14 @@
 //!   (two rows at a time where deferral holds) with deferred scale-out
 //!   (generation 2), and an in-register per-block scale-out panel as the
 //!   exact fallback;
-//! - [`super::avx512`] — generation 3: 4-column panels whose B codes are
-//!   packed two `k1`-blocks per 512-bit lane group (narrower panels, but
-//!   each column's K step is twice as deep and every panel streams
-//!   strictly sequentially), four rows paired per
-//!   pass where deferral holds, `vpdpwssd` (AVX-512-VNNI, detected
-//!   separately) fusing the `vpmaddwd`+`vpaddd` chain, and mask-register
-//!   loads covering the odd-block K tail with no scalar remainder loop.
+//! - [`super::avx512`] — generation 3: one kernel body over
+//!   column-in-lane 16-column panels (each column's K pairs interleaved,
+//!   the VNNI GEMM layout), so a broadcast A pair feeds 16 columns per
+//!   `vpdpwssd` (AVX-512-VNNI, detected separately; `vpmaddwd`+`vpaddd`
+//!   without it), each lane ends a block holding one column's block dot,
+//!   and the per-block scale-out is a lane epilogue with no horizontal
+//!   reduce. Up to four rows share each B load; deferral is a
+//!   per-(row, panel) skip of the epilogue; ragged N is a masked store.
 //!
 //! Adding an ISA (NEON next) is: write the module, give it a
 //! [`KernelBackend`] variant, extend [`narrow_span_kernel`] — no changes
@@ -80,20 +81,19 @@
 //!    wide keeps running the AVX2 kernels after the knob moves. A wider
 //!    kernel therefore starts at the packer: define the layout, teach
 //!    `panel_slot` the formula, and only then write the loads.
-//! 7. **Prefer mask registers to remainder loops.** The AVX-512 kernel has
-//!    no scalar ragged-K tail: an odd block count becomes one
-//!    `_mm512_maskz_loadu_epi16` with the low-half mask (masked-out lanes
-//!    are architecturally not accessed, so the load is also the bounds
-//!    guard), and ragged N reuses the same per-column path as
-//!    mixed-exponent panels instead of a second code shape. Fewer paths,
-//!    fewer bit-identity proofs.
+//! 7. **Prefer mask registers and padding to remainder loops.** The
+//!    AVX-512 kernel has no ragged-K tail (the packer zero-pads every
+//!    block to `k1` codes) and no ragged-N path: the last panel is
+//!    zero-padded to 16 columns and its outputs leave through one masked
+//!    store (masked-out lanes are architecturally not accessed). Fewer
+//!    paths, fewer bit-identity proofs.
 //! 8. **Detect optional sub-features separately and fall back in-module.**
 //!    VNNI is not implied by AVX-512F/BW: [`avx512_vnni_available`] gates
 //!    `vpdpwssd` on its own `is_x86_feature_detected!` probe, and the
-//!    kernel keeps a same-speed-class `vpmaddwd`+`vpaddd` variant behind
-//!    the same call signature so the backend (and its bit-identity) never
-//!    depends on the optional instruction. [`force_vnni`] selects the
-//!    fallback for tests.
+//!    kernel compiles its one body a second time with `vpmaddwd`+`vpaddd`
+//!    under the F/BW-only entry point, so the backend (and its
+//!    bit-identity) never depends on the optional instruction.
+//!    [`force_vnni`] selects the fallback for tests.
 //! 9. **Consume `FormatPair`, never re-derive.** Kernel class, `k1`, the
 //!    scale-out constant `c`, and the deferral headroom all come from the
 //!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
@@ -119,7 +119,7 @@
 //! probe can record which backend actually ran.
 //!
 //! The choice is honored at **pack time**: each panel backend consumes a
-//! panel-major B plane of its own width (8 columns for AVX2, 4 for
+//! panel-major B plane of its own width (8 columns for AVX2, 16 for
 //! AVX-512), the scalar kernel a vector-major one, so
 //! [`super::PackedOperand::pack_cols`] lays the plane out for the backend
 //! selected when it runs, and execution always follows the plane's
@@ -142,8 +142,9 @@ pub enum KernelBackend {
     Scalar,
     /// Wide-tile deferred-scale-out kernel over 8-column panel-major B.
     Avx2,
-    /// 512-bit kernel over 4-column chunk-paired panels, with masked
-    /// tails and optional VNNI (`vpdpwssd`) block dots.
+    /// 512-bit kernel over 16-column column-in-lane panels: a lane
+    /// epilogue scales out each block, a masked store handles ragged N,
+    /// and VNNI (`vpdpwssd`) block dots are used where the CPU has them.
     Avx512,
 }
 
@@ -412,7 +413,7 @@ pub(super) type SpanKernel<A, B> =
     fn(PlaneView<'_, A>, usize, PlaneView<'_, B>, usize, i32, DeferCtx, &mut [f32]);
 
 /// The narrow-pair span kernel for a B plane packed with the given panel
-/// width: a 4-wide plane always runs the AVX-512 kernel and an 8-wide
+/// width: a 16-wide plane always runs the AVX-512 kernel and an 8-wide
 /// plane the AVX2 kernels (each layout is only ever built when the CPU
 /// supports its backend); a vector-major plane (`b_panel_n == 0`) runs
 /// the scalar kernel whichever backend is selected (the panel kernels

@@ -77,13 +77,16 @@
 //! to the others and to [`reference_gemm`], so the choice is a pure
 //! performance knob.
 //!
-//! The panel backends (generation-2 AVX2, generation-3 AVX-512)
-//! additionally apply **deferred scale-out**: where the block-plan
-//! exponent metadata proves the per-block `f32` accumulation chain exact
-//! (`FormatPair::defer` documents the headroom invariant and its
-//! per-backend derivation), the integer dots of all K blocks accumulate in
-//! registers and the scale-out runs once per output element instead of
-//! once per block pair. Elements that cannot be proven exact fall back to
+//! The AVX-512 backend keeps one column per register lane, so its
+//! per-block scale-out is a lane epilogue over 16 columns at a time (see
+//! the [`backend`] docs). The panel backends (generation-2 AVX2,
+//! generation-3 AVX-512) additionally apply **deferred scale-out**: where
+//! the block-plan exponent metadata proves the per-block `f32`
+//! accumulation chain exact (`FormatPair::defer` documents the headroom
+//! invariant and its per-backend derivation), the integer dots of all K
+//! blocks accumulate in registers and the scale-out runs once per output
+//! element — on AVX-512, once per (row, panel) — instead of once per
+//! block pair. Elements that cannot be proven exact fall back to
 //! the per-block chain — deferral never changes results, and
 //! [`force_deferred_scale_out`] switches it off wholesale for tests.
 //!
@@ -154,16 +157,13 @@ const TILE_M: usize = 8;
 /// `i32` accumulator registers with room for the operands.
 const PANEL_N: usize = 8;
 
-/// Columns per panel in the chunk-paired panel-major B layout the AVX-512
-/// kernel consumes. Four columns — half the AVX2 width — because the
-/// kernel's depth doubled instead: each column's step is a 32-code chunk
-/// (two `k1`-blocks in one 512-bit load), and a 4-column panel is
-/// exactly what a 4-row group's 16 `zmm` accumulators cover while the
-/// panel's codes stream strictly sequentially (a wider panel would be
-/// walked in strided column-group passes, which measurably starves the
-/// prefetcher). Doubles as the layout tag in `PackedOperand::panel_n`
-/// (see [`pack::panel_slot`] for the slot order).
-const PANEL_N_512: usize = 4;
+/// Columns per panel in the column-in-lane B layout the AVX-512 kernel
+/// consumes: one column per `i32` lane of a `zmm`, so one broadcast A pair
+/// feeds every column of the panel and each lane ends a block holding one
+/// column's block dot. A panel's codes still stream strictly sequentially
+/// (one 32-code pair row after another). Doubles as the layout tag in
+/// `PackedOperand::panel_n` (see [`pack::panel_slot`] for the slot order).
+const PANEL_N_512: usize = 16;
 
 /// Whether the `(fa, fb)` operand pair can run on the integer code-domain
 /// path with an exactness guarantee — the boolean view of the
@@ -362,7 +362,7 @@ impl Gemm<'_> {
         let blocks = k.div_ceil(bp.k1);
         let lower = |r0: usize, rows: usize, buf: &mut CodeBuf<A>| {
             let (row_base, vector_major) = (|i| (r0 + i) * k, |v, kb| v * blocks + kb);
-            pack_into(self.a, rows, k, row_base, 1, vector_major, self.fa, buf);
+            pack_into(self.a, rows, k, row_base, 1, vector_major, 1, self.fa, buf);
         };
         if self.workers <= 1 {
             lower(0, self.m, buf);

@@ -49,7 +49,8 @@ pub(super) struct CodeBuf<C> {
     /// Signed, shift-aligned codes `± code · 2^(β − τ)`, laid out
     /// `[vector][block][k1]` — contiguous along the reduction dimension —
     /// or panel-major for the AVX2/AVX-512 panel kernels (see
-    /// [`PackedOperand::pack_cols`] and [`panel_slot`]).
+    /// [`PackedOperand::pack_cols`] and [`panel_slot`]; the AVX-512 plane
+    /// is padded to whole 16-column panels).
     pub(super) codes: Vec<C>,
     /// Shared exponent per `[vector][block]` slot (0 for all-zero blocks,
     /// whose codes are all zero anyway).
@@ -73,12 +74,13 @@ impl<C> Default for CodeBuf<C> {
 }
 
 impl<C: AlignedCode> CodeBuf<C> {
-    /// Zero-fills the buffers for `vectors` vectors of `blocks` blocks.
-    pub(super) fn reset(&mut self, vectors: usize, blocks: usize, k1: usize) {
+    /// Zero-fills the buffers for `vectors` vectors of `blocks` blocks,
+    /// with code and exponent storage for `stored ≥ vectors` of them.
+    pub(super) fn reset(&mut self, vectors: usize, stored: usize, blocks: usize, k1: usize) {
         self.codes.clear();
-        self.codes.resize(vectors * blocks * k1, C::ZERO);
+        self.codes.resize(stored * blocks * k1, C::ZERO);
         self.exps.clear();
-        self.exps.resize(vectors * blocks, 0);
+        self.exps.resize(stored * blocks, 0);
         self.uexp.clear();
         self.uexp.resize(vectors, 0);
     }
@@ -132,6 +134,11 @@ impl UniformExp {
 /// `(|j| j, vectors)`. `slot_of(v, kb)` picks the storage layout: A and
 /// the scalar kernel's B use vector-major `v·blocks + kb`, the panel
 /// kernels consume B packed panel-major (see [`PackedOperand::pack_cols`]).
+/// With `lanes > 1` the slots come in groups of `lanes` (one block of
+/// every column of a panel, the plane padded to a multiple of `lanes`
+/// columns), and a block's codes are interleaved with its group's in K
+/// pairs (see [`panel_slot`]); `lanes = 1` stores each block's `k1` codes
+/// contiguously.
 /// Inlined so the execute entry's per-span call folds its stride and
 /// layout into the loop.
 #[inline(always)]
@@ -143,13 +150,15 @@ pub(super) fn pack_into<C: AlignedCode>(
     base_of: impl Fn(usize) -> usize,
     stride: usize,
     slot_of: impl Fn(usize, usize) -> usize,
+    lanes: usize,
     fmt: &BdrFormat,
     buf: &mut CodeBuf<C>,
 ) {
     let k1 = fmt.k1();
     let blocks = len.div_ceil(k1);
-    buf.reset(vectors, blocks, k1);
+    buf.reset(vectors, vectors.next_multiple_of(lanes), blocks, k1);
     let core = engine::BlockCore::new(fmt);
+    let mut block = vec![C::ZERO; if lanes > 1 { k1 } else { 0 }];
     for v in 0..vectors {
         let base = base_of(v);
         let mut uniform = UniformExp::default();
@@ -159,14 +168,21 @@ pub(super) fn pack_into<C: AlignedCode>(
             let slot = slot_of(v, kb);
             // The single-pass lowering writes all k1 slots (zeroing the
             // ragged tail, and the whole block when it is all-zero).
-            if let Some(e) = core.lower_block_strided_into(
-                data,
-                base + start * stride,
-                stride,
-                blen,
-                &mut buf.shifts,
-                &mut buf.codes[slot * k1..][..k1],
-            ) {
+            let (src, shifts) = (base + start * stride, &mut buf.shifts);
+            let e = if lanes == 1 {
+                let codes = &mut buf.codes[slot * k1..][..k1];
+                core.lower_block_strided_into(data, src, stride, blen, shifts, codes)
+            } else {
+                let e = core.lower_block_strided_into(data, src, stride, blen, shifts, &mut block);
+                // Interleave the block's code pairs with its panel's other
+                // lanes: pair `i` of lane `l` sits at `i·2·lanes + 2·l`.
+                let (lane, group) = (slot % lanes, (slot - slot % lanes) * k1);
+                for (i, pair) in block.chunks_exact(2).enumerate() {
+                    buf.codes[group + i * 2 * lanes + 2 * lane..][..2].copy_from_slice(pair);
+                }
+                e
+            };
+            if let Some(e) = e {
                 buf.exps[slot] = e;
                 uniform.note(e);
             }
@@ -176,22 +192,21 @@ pub(super) fn pack_into<C: AlignedCode>(
 }
 
 /// Block-slot index of `(column v, block kb)` in a panel-major plane of
-/// `vectors` columns × `blocks` blocks with panels `panel_n` columns wide
-/// (the last one `vectors mod panel_n` wide). Both the codes (scaled by
-/// `k1`) and the per-block exponents use this slot order.
+/// `vectors` columns × `blocks` blocks with panels `panel_n` columns wide:
+/// `[panel][block][lane]`, so a panel's exponents for one block are
+/// contiguous. The per-block exponents use this slot order directly.
 ///
-/// The AVX2 layout (`panel_n == `[`super::PANEL_N`]) is `[block][lane]`
-/// inside each panel, so a panel's exponents for one block are `panel_n`
-/// contiguous entries.
+/// The AVX2 layout (`panel_n == `[`super::PANEL_N`]) stores the last
+/// panel at its own width (`vectors mod panel_n` when nonzero), and a
+/// slot's codes are the `k1` contiguous codes at `slot · k1`.
 ///
-/// The AVX-512 layout (`panel_n == `[`PANEL_N_512`]) is additionally
-/// **chunk-paired**: blocks `2t` and `2t+1` of one lane occupy adjacent
-/// slots (`[chunk row t][lane][block parity]`), so with `k1 = 16` one
-/// column's two consecutive blocks are 32 contiguous codes — exactly one
-/// 512-bit load (`i16`) or one sign-extending 256-bit load (`i8`) in the
-/// kernel's K loop. When `blocks` is odd the lone final block falls back
-/// to `[block][lane]` order (a compact half-chunk row the kernel reads 16
-/// codes at a time); slot count stays exactly `blocks · width` either way.
+/// The AVX-512 layout (`panel_n == `[`PANEL_N_512`]) is **column-in-lane**:
+/// every panel is 16 lanes wide, the last one zero-padded, and
+/// [`pack_into`] interleaves a block's codes with its panel's other lanes
+/// in K pairs — `[panel][block][pair][lane][2]`. With `k1 = 16` one pair
+/// row is the 16 columns' codes `2p` and `2p + 1`, 32 contiguous codes:
+/// one 512-bit load (`i16`) or one sign-extending 256-bit load (`i8`),
+/// and one `vpdpwssd` against a broadcast A pair.
 pub(super) fn panel_slot(
     v: usize,
     kb: usize,
@@ -200,14 +215,13 @@ pub(super) fn panel_slot(
     panel_n: usize,
 ) -> usize {
     let p = v / panel_n;
-    let width = panel_n.min(vectors - p * panel_n);
+    let width = match panel_n {
+        PANEL_N_512 => panel_n,
+        _ => panel_n.min(vectors - p * panel_n),
+    };
     let lane = v - p * panel_n;
     let base = p * panel_n * blocks;
-    if panel_n == PANEL_N_512 && !(kb == blocks - 1 && blocks % 2 == 1) {
-        base + (kb / 2) * (width * 2) + lane * 2 + (kb & 1)
-    } else {
-        base + kb * width + lane
-    }
+    base + kb * width + lane
 }
 
 /// Lowers `B[k,n]`'s columns into a freshly allocated buffer.
@@ -216,10 +230,11 @@ fn pack_cols_buf<C: AlignedCode>(
     k: usize,
     n: usize,
     slot_of: impl Fn(usize, usize) -> usize,
+    lanes: usize,
     fmt: &BdrFormat,
 ) -> CodeBuf<C> {
     let mut buf = CodeBuf::default();
-    pack_into(b, n, k, |j| j, n, slot_of, fmt, &mut buf);
+    pack_into(b, n, k, |j| j, n, slot_of, lanes, fmt, &mut buf);
     buf
 }
 
@@ -278,7 +293,7 @@ pub struct PackedOperand {
     pub(super) vectors: usize,
     /// Panel width of the codes' layout: 0 for vector-major, else the
     /// columns-per-panel the plane was packed with ([`super::PANEL_N`] for
-    /// the AVX2 kernels, [`PANEL_N_512`] chunk-paired for AVX-512 — see
+    /// the AVX2 kernels, [`PANEL_N_512`] column-in-lane for AVX-512 — see
     /// [`panel_slot`]). Execution always follows this recorded width, not
     /// the currently selected backend.
     pub(super) panel_n: usize,
@@ -317,11 +332,12 @@ impl PackedOperand {
     /// columns are grouped into panels of the backend's width
     /// ([`super::PANEL_N`] for AVX2, [`PANEL_N_512`] for AVX-512), and
     /// within a panel the codes are ordered `[block][lane][k1]` (AVX2) or
-    /// chunk-paired `[chunk row][lane][block parity][k1]` (AVX-512 — see
+    /// column-in-lane `[block][pair][lane][2]` (AVX-512 — see
     /// [`panel_slot`]) — so one panel's entire reduction
     /// (`blocks · panel_n · k1` codes, ≈ 4–8 KB at the serving shapes) is
-    /// a single contiguous, L1-resident streak. The last panel is simply
-    /// narrower when `n mod panel_n ≠ 0`. (A plain `[block][column][k1]`
+    /// a single contiguous, L1-resident streak. When `n mod panel_n ≠ 0`
+    /// the last AVX2 panel is simply narrower, and the last AVX-512 panel
+    /// is zero-padded to 16 columns. (A plain `[block][column][k1]`
     /// block-major order would put consecutive blocks of one panel `n·k1`
     /// codes apart — a large power-of-two stride at typical layer widths
     /// that aliases the same L1 sets and thrashes the cache.)
@@ -337,14 +353,17 @@ impl PackedOperand {
             PairClass::Narrow => panel_layout(pair.k1),
             PairClass::Wide => 0,
         };
+        let lanes = if panel_n == PANEL_N_512 { panel_n } else { 1 };
         let slot_of = |v: usize, kb: usize| match panel_n {
             0 => v * blocks + kb,
             w => panel_slot(v, kb, n, blocks, w),
         };
         let plane = match pair.class {
-            PairClass::Narrow if fits_i8(&fb) => Plane::I8(pack_cols_buf(b, k, n, slot_of, &fb)),
-            PairClass::Narrow => Plane::I16(pack_cols_buf(b, k, n, slot_of, &fb)),
-            PairClass::Wide => Plane::I32(pack_cols_buf(b, k, n, slot_of, &fb)),
+            PairClass::Narrow if fits_i8(&fb) => {
+                Plane::I8(pack_cols_buf(b, k, n, slot_of, lanes, &fb))
+            }
+            PairClass::Narrow => Plane::I16(pack_cols_buf(b, k, n, slot_of, lanes, &fb)),
+            PairClass::Wide => Plane::I32(pack_cols_buf(b, k, n, slot_of, lanes, &fb)),
         };
         Some(PackedOperand {
             fmt: fb,

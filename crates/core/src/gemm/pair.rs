@@ -146,25 +146,30 @@ impl FormatPair {
     /// condition takes the per-block scale-out instead — deferral is an
     /// optimization, never a semantics change.
     ///
-    /// ## The same bound under 32-lane (AVX-512) accumulation and VNNI
+    /// ## The same bound under column-in-lane (AVX-512) accumulation and VNNI
     ///
     /// The `2²⁴` bound above is about the *`f32` mantissa*, not about any
-    /// SIMD register, so widening the accumulator vector does not move it —
-    /// but each backend must also show its `i32` lanes cannot wrap before
-    /// the reduce. The AVX-512 kernel splits the deferred total across 16
-    /// `i32` lanes (32 `i16` products feed 16 lanes per `vpdpwssd` /
-    /// `vpmaddwd` step), so any single lane's partial is at most
-    /// `blocks · Dmax / 16 ≤ 2²⁰` under the same static gate — four
-    /// doubling steps below the AVX2 kernel's per-lane bound of
-    /// `blocks · Dmax / 8`, and far inside `i32`. VNNI adds nothing to
-    /// prove: `vpdpwssd` is lane-for-lane `vpmaddwd` (two `i16 × i16`
-    /// products summed in `i32` — exact, since the narrow-pair class
-    /// guarantees `w_a + w_b ≤ 30`) followed by `vpaddd` into the same
-    /// accumulator, so the fused and fallback paths produce identical
-    /// lanes, and both reduce to the same integer total the scalar chain
-    /// would have produced. An `i8` weight plane adds nothing either: its
-    /// codes are sign-extended to `i16` lanes as they load, so the same
-    /// integers enter the same instructions.
+    /// SIMD register, but each backend must also show its `i32` lanes
+    /// cannot wrap and its conversions are exact. The AVX-512 kernel keeps
+    /// one column per `i32` lane; a deferring (row, panel) keeps adding
+    /// that column's block dots into its lane over the whole reduction, so
+    /// a lane only ever holds a partial sum of one output's dots: at most
+    /// `blocks · Dmax ≤ 2²⁴` under the static gate, far inside `i32` and
+    /// exactly representable in `f32` — the deferred total's one
+    /// `vcvtdq2ps` is exact and its one `vscalefps` rounds once. The kernel
+    /// defers a (row, panel) only when the row passes the uniform-exponent
+    /// and grid-window checks against every real column of the panel (the
+    /// zero-padded lanes are never stored). Its per-block epilogue
+    /// converts one block dot at a time, `|dot| ≤ Dmax`: exact in `f32`
+    /// when `Dmax ≤ 2²⁴` (`DeferCtx::exact_f32_dots`, true for every
+    /// preset pair), otherwise converted through `f64`, exact under the
+    /// 52-bit support gate. VNNI adds nothing to prove: `vpdpwssd` is
+    /// lane-for-lane `vpmaddwd` (two `i16 × i16` products summed in `i32`
+    /// — exact, since the narrow-pair class guarantees `w_a + w_b ≤ 30`)
+    /// followed by `vpaddd` into the same accumulator, so the fused and
+    /// fallback paths produce identical lanes. An `i8` weight plane adds
+    /// nothing either: its codes are sign-extended to `i16` lanes as they
+    /// load, so the same integers enter the same instructions.
     pub(super) fn defer(&self, blocks: usize) -> DeferCtx {
         DeferCtx {
             enabled: deferred_scale_out_enabled()
@@ -172,6 +177,7 @@ impl FormatPair {
                 && (blocks as u64).saturating_mul(self.dmax) <= 1 << 24,
             e_lo: -149 - self.c,
             e_hi: 103 - self.c,
+            exact_f32_dots: self.dmax <= 1 << 24,
         }
     }
 }
@@ -185,4 +191,7 @@ pub(super) struct DeferCtx {
     pub(super) enabled: bool,
     pub(super) e_lo: i32,
     pub(super) e_hi: i32,
+    /// Every block dot of the pair converts to `f32` exactly
+    /// (`Dmax ≤ 2²⁴`).
+    pub(super) exact_f32_dots: bool,
 }

@@ -45,12 +45,6 @@ pub fn qsnr_lower_bound_db_raw(m: u32, d2: u32, k1: usize, k2: usize, n: usize) 
     DB_PER_MANTISSA_BIT * m as f64 + 10.0 * (four_beta / denom).log10()
 }
 
-/// The worst-case noise-to-signal *ratio* implied by the bound (linear,
-/// not dB) — convenient for direct comparison with measured ratios.
-pub fn worst_case_noise_to_signal(format: BdrFormat, n: usize) -> f64 {
-    10f64.powf(-qsnr_lower_bound_db(format, n) / 10.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -167,11 +167,6 @@ impl AreaModel {
         Self::default()
     }
 
-    /// Model with custom gate costs (for sensitivity ablations).
-    pub fn with_costs(costs: GateCosts) -> Self {
-        AreaModel { costs }
-    }
-
     /// The gate-cost table in use.
     pub fn costs(&self) -> &GateCosts {
         &self.costs

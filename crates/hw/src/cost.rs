@@ -149,11 +149,6 @@ impl CostModel {
         Self::default()
     }
 
-    /// Model with custom area model and geometry.
-    pub fn with_parts(area: AreaModel, geometry: PipelineGeometry) -> Self {
-        CostModel { area, geometry }
-    }
-
     /// The pipeline geometry in use.
     pub fn geometry(&self) -> PipelineGeometry {
         self.geometry

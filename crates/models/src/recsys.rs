@@ -42,9 +42,6 @@ pub struct CtrModel {
     dhen_mlp: Option<Sequential>,
     top: Sequential,
     top_in: usize,
-    /// When true, the first (bottom) and last (top output) layers stay in
-    /// FP32 — the mixed-precision setting of Table VI.
-    mixed_precision: bool,
 }
 
 fn interaction_width(interaction: Interaction) -> usize {
@@ -115,13 +112,7 @@ impl CtrModel {
             dhen_mlp,
             top,
             top_in,
-            mixed_precision,
         }
-    }
-
-    /// Whether the model runs in the Table VI mixed-precision setting.
-    pub fn is_mixed_precision(&self) -> bool {
-        self.mixed_precision
     }
 
     /// Quantizes the embedding tables themselves (the memory-side

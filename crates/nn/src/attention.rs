@@ -5,7 +5,7 @@
 use crate::format::cast_elementwise;
 use crate::layers::{Activation, ActivationLayer, Layer, LayerNorm, Linear};
 use crate::param::{HasParams, Param};
-use crate::qflow::{quantized_matmul, QuantConfig};
+use crate::qflow::{quantized_matmul, transient_matmul, QuantConfig};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -64,8 +64,9 @@ pub(crate) fn attention_mix(
             let q_h = slice_cols(&q_b, h * dh, (h + 1) * dh);
             let k_h = slice_cols(&k_b, h * dh, (h + 1) * dh);
             let v_h = slice_cols(&v_b, h * dh, (h + 1) * dh);
-            // Scores: Q·Kᵀ is a tensor op -> quantized operands.
-            let mut scores = quantized_matmul(&q_h, &k_h.transpose2d(), fwd).scale(scale);
+            // Scores: Q·Kᵀ is a tensor op -> quantized operands. Kᵀ and V
+            // are fresh per request: their planes live for one product.
+            let mut scores = transient_matmul(&q_h, &k_h.transpose2d(), fwd).scale(scale);
             if causal {
                 // One data_mut borrow for the whole mask (each call
                 // bumps the tensor generation).
@@ -78,7 +79,7 @@ pub(crate) fn attention_mix(
             }
             let probs = cast_elementwise(&scores.softmax_rows(), elem);
             // Context: P·V is a tensor op -> quantized operands.
-            let out_h = quantized_matmul(&probs, &v_h, fwd);
+            let out_h = transient_matmul(&probs, &v_h, fwd);
             let cdata = concat.data_mut();
             for r in 0..t {
                 let dst_row = bi * t + r;

@@ -534,14 +534,6 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
-
-    /// Applies `f` to every [`Linear`]'s quantization config — used to
-    /// direct-cast a trained model to a different format.
-    pub fn for_each_layer(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
-        for l in &mut self.layers {
-            f(l.as_mut());
-        }
-    }
 }
 
 impl Default for Sequential {

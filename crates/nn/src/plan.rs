@@ -156,17 +156,6 @@ enum PlanNode {
         eps: f32,
         elem: TensorFormat,
     },
-    /// Standalone element-wise node over `len` elements per request:
-    /// optional activation then a quantize/cast (either may be trivial);
-    /// `cols` is the row width block-format casts see.
-    Eltwise {
-        src: Loc,
-        dst: Loc,
-        len: usize,
-        cols: usize,
-        act: Option<Activation>,
-        cast: TensorFormat,
-    },
     /// Element-wise sum `dst = a + b` over `len` elements per request,
     /// optionally fused with a ReLU (the residual-then-ReLU idiom of the
     /// CNN blocks).
@@ -417,26 +406,6 @@ impl Stage {
             beta: ln.beta.value.data().to_vec(),
             eps,
             elem,
-        });
-    }
-
-    /// Pushes a standalone element-wise node (activation and/or cast).
-    pub fn eltwise(
-        &mut self,
-        src: Loc,
-        dst: Loc,
-        len: usize,
-        cols: usize,
-        act: Option<Activation>,
-        cast: TensorFormat,
-    ) {
-        self.nodes.push(PlanNode::Eltwise {
-            src,
-            dst,
-            len,
-            cols,
-            act,
-            cast,
         });
     }
 
@@ -900,23 +869,6 @@ fn run_node(
             let _ = normalize_rows(out, cols, eps);
             scale_shift_rows(out, cols, gamma, beta);
             cast_rows(out, cols, elem);
-        }
-        PlanNode::Eltwise {
-            src,
-            dst,
-            len,
-            cols,
-            act,
-            cast,
-        } => {
-            let len = len * nb;
-            let (s, d) = (off(src), off(dst));
-            buf.copy_within(s..s + len, d);
-            let out = &mut buf[d..d + len];
-            if let Some(a) = act {
-                a.apply_slice(out);
-            }
-            cast_rows(out, cols, cast);
         }
         PlanNode::Add {
             a,

@@ -53,6 +53,7 @@ use crate::format::{quantize_along, Axis, TensorFormat};
 use crate::tensor::{CachedPlane, Tensor};
 use mx_core::bdr::BdrFormat;
 use mx_core::gemm::{self, PackScratch, PackedOperand};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,13 +156,6 @@ impl QuantConfig {
         }
     }
 
-    /// Overrides the element-wise format (e.g. BF16 to match the paper's
-    /// vector-op precision exactly).
-    pub fn with_elementwise(mut self, format: TensorFormat) -> Self {
-        self.elementwise = format;
-        self
-    }
-
     /// Whether any tensor op quantizes at all.
     pub fn is_fp32(&self) -> bool {
         self.fwd.is_identity()
@@ -222,6 +216,29 @@ pub fn quantized_matmul(a: &Tensor, b: &Tensor, format: TensorFormat) -> Tensor 
 /// `f32` product whenever `K ≤ k1`), cached plane or not. Identity
 /// (`FP32`) and scalar formats fall back to fake-quantize + `f32` matmul.
 pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorFormat) -> Tensor {
+    matmul_on(a, b, fa, fb, |ba, bb, k, n| weight_plane(b, ba, bb, k, n))
+}
+
+/// [`quantized_matmul`] for a right operand that lives for this one
+/// product — attention's per-head `kᵀ` and `v`. Its plane is packed for
+/// the product and dropped with it: no plane slot on the tensor, no cache
+/// entry, no count in [`plane_cache_counters`]. The plane and the bits are
+/// the cached path's.
+pub(crate) fn transient_matmul(a: &Tensor, b: &Tensor, format: TensorFormat) -> Tensor {
+    matmul_on(a, b, format, format, |ba, bb, k, n| {
+        PackedOperand::pack_cols(b.data(), k, n, ba, bb)
+    })
+}
+
+/// The body of both products: `plane_of(fa, fb, k, n)` supplies `b`'s code
+/// plane, or `None` for the dequantize fallback.
+fn matmul_on<P: Borrow<PackedOperand>>(
+    a: &Tensor,
+    b: &Tensor,
+    fa: TensorFormat,
+    fb: TensorFormat,
+    plane_of: impl FnOnce(BdrFormat, BdrFormat, usize, usize) -> Option<P>,
+) -> Tensor {
     if fa.is_identity() && fb.is_identity() {
         return a.matmul(b);
     }
@@ -230,13 +247,13 @@ pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorF
         assert_eq!(b.shape().len(), 2, "rhs of matmul must be 2-D");
         let (kb, n) = (b.shape()[0], b.shape()[1]);
         assert_eq!(k, kb, "inner dims: {k} vs {kb}");
-        let out = weight_plane(b, ba, bb, k, n).and_then(|plane| {
+        let out = plane_of(ba, bb, k, n).and_then(|plane| {
             PACK_SCRATCH.with(|scratch| {
                 gemm::quantized_gemm_prepacked_scratch(
                     a.data(),
                     m,
                     ba,
-                    &plane,
+                    plane.borrow(),
                     0,
                     &mut scratch.borrow_mut(),
                 )
@@ -274,11 +291,9 @@ pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorF
 ///
 /// The packing work is needed by the GEMM either way, so caching costs no
 /// extra compute; for short-lived activation tensors that pass through as
-/// the right operand, the entry simply drops with the tensor. (Activation
-/// tensors a training cache retains — e.g. attention's per-head V — keep
-/// their plane, roughly half the tensor's size again, alive for one step;
-/// an accepted cost at this repo's scales, and inference retains no such
-/// caches.)
+/// the right operand of the backward pass, the entry simply drops with the
+/// tensor. Attention's forward products skip the cache altogether
+/// ([`transient_matmul`]).
 ///
 /// Hits and packs are tallied in the process-wide counters behind
 /// [`plane_cache_counters`]. `pub(crate)` so the `plan` module pins the

@@ -1,8 +1,9 @@
 //! Forced-backend bit-identity suite: every kernel backend (scalar, AVX2,
 //! AVX-512 where the CPU has them) must reproduce the quantize →
 //! dequantize → `f32` matmul reference **bit for bit** over the full
-//! preset matrix, ragged K tails (including every AVX-512 mask-tail
-//! shape), every serving-relevant M, and every thread count — and
+//! preset matrix, ragged K tails, ragged N (every masked-store width of
+//! the 16-column AVX-512 panel), every serving-relevant M, and every
+//! thread count — and
 //! deferred scale-out must be provably invisible: forcing it on or off
 //! never changes a single output bit, including on adversarial exponent
 //! spreads built to straddle every deferral gate (mixed per-vector
@@ -30,6 +31,7 @@ use mx::core::gemm::{
     quantized_gemm_prepacked_scratch, reference_gemm, selected_backend, KernelBackend, PackScratch,
     PackedOperand,
 };
+use mx::hw::pipeline::{DotProductPipeline, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -326,9 +328,10 @@ fn deferral_and_vnni_agree_under_forced_backends() {
 }
 
 /// The deferral gate sits exactly at `blocks · Dmax ≤ 2²⁴` — and the
-/// 32-lane AVX-512 kernel inherits that bound *unchanged* (it protects the
-/// `f32` mantissa of the deferred sum, not any SIMD register; each `i32`
-/// lane partial stays ≤ 2²⁰ under it, see `FormatPair::defer` in `gemm/pair.rs`).
+/// column-in-lane AVX-512 kernel inherits that bound *unchanged* (it
+/// protects the `f32` mantissa of the deferred sum; each `i32` lane holds
+/// one output's partial sum, at most the same 2²⁴, see `FormatPair::defer`
+/// in `gemm/pair.rs`).
 /// Drive every backend with the block count sitting exactly on the bound
 /// and one past it; bits must match the reference with deferral forced
 /// both ways.
@@ -366,32 +369,52 @@ fn headroom_edge_blocks_sit_exactly_on_the_deferral_bound() {
     }
 }
 
-/// Every AVX-512 mask-tail shape: K % 32 ∈ {1, 15, 16, 17, 31} exercises
-/// odd block counts (the lone-block masked load) and ragged final blocks
-/// on both sides of a two-block chunk boundary, crossed with N covering
-/// every ragged width of the 4-column AVX-512 panel (1, 2, 3 — standalone
-/// and after full panels), the one-past-a-panel case, and widths around
-/// the 8-column AVX2 panel.
+/// Every ragged shape: K % 32 ∈ {1, 15, 16, 17, 31} gives odd and even
+/// block counts with ragged final blocks, crossed with N covering ragged
+/// widths of the 16-column AVX-512 panel (the masked store: standalone,
+/// after one full panel and after two) and of the 8-column AVX2 panel,
+/// and with M covering every remainder of the 4-row group and the 16-row
+/// tile — each with deferral on and off, on stress data and on
+/// uniform-exponent data that defers wherever the gates allow.
 #[test]
 fn mask_tail_shapes_cover_every_ragged_k_and_n() {
     let _guard = lock_knobs();
     let (fa, fb) = (BdrFormat::MX6, BdrFormat::MX9);
     for (ki, k) in [65usize, 79, 80, 81, 95].into_iter().enumerate() {
-        for n in [1usize, 2, 6, 15, 16, 17, 31, 33] {
-            for m in [1usize, 5] {
-                let a = stress_vector(m * k, 601 + 7 * ki);
-                let b = stress_vector(k * n, 701 + 13 * n);
+        for n in [1usize, 2, 6, 15, 16, 17, 31, 33, 47, 48, 49] {
+            for (m, uniform) in [1usize, 2, 3, 4, 5, 17]
+                .into_iter()
+                .flat_map(|m| [(m, false), (m, true)])
+            {
+                let (a, b) = if uniform {
+                    (
+                        exponent_spread_vector(m * k, 5 * (ki + 1)),
+                        exponent_spread_vector(k * n, 5 * n),
+                    )
+                } else {
+                    (
+                        stress_vector(m * k, 601 + 7 * ki),
+                        stress_vector(k * n, 701 + 13 * n),
+                    )
+                };
                 let want = reference_gemm(&a, &b, m, k, n, fa, fb);
                 for backend in BACKENDS {
                     if !try_force(backend) {
                         continue;
                     }
-                    let got = gemm(&a, &b, m, k, n, fa, fb, 1);
-                    assert_bits_eq(
-                        &got,
-                        &want,
-                        &format!("{} k={k} n={n} m={m}", backend.name()),
-                    );
+                    for defer in [true, false] {
+                        force_deferred_scale_out(Some(defer));
+                        let got = gemm(&a, &b, m, k, n, fa, fb, 1);
+                        assert_bits_eq(
+                            &got,
+                            &want,
+                            &format!(
+                                "{} k={k} n={n} m={m} uniform={uniform} defer={defer}",
+                                backend.name()
+                            ),
+                        );
+                    }
+                    force_deferred_scale_out(None);
                 }
             }
         }
@@ -399,10 +422,9 @@ fn mask_tail_shapes_cover_every_ragged_k_and_n() {
 }
 
 /// Mixed per-vector exponents (alternate blocks 2⁴⁰ apart) disqualify
-/// whole-panel deferral inside full panels, forcing the vectorized
-/// per-block fallback (or per-column chain) on one or both operands; bits
-/// must still match the reference at both chunk parities and with a
-/// ragged panel in play.
+/// whole-panel deferral inside full panels, forcing the per-block
+/// epilogue on one or both operands; bits must still match the reference
+/// at even and odd block counts and with a ragged panel in play.
 #[test]
 fn mixed_exponent_vectors_force_the_per_block_fallback() {
     let _guard = lock_knobs();
@@ -501,8 +523,8 @@ fn hostile_operand(
 /// `max_code ≪ β ≤ 127` (read back from `packed_bytes` and `Debug`), it
 /// accepts exactly the partners its class admits, and on every backend it
 /// reproduces the reference bit for bit at M ∈ {1, 4, 33} and threads ∈
-/// {1, 0} — on hostile data, with ragged N (1–3 tail columns past the last
-/// full panel) and odd block counts (the lone final block).
+/// {1, 0} — on hostile data, with ragged N (a partial last panel at every
+/// panel width) and odd block counts.
 #[test]
 fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
     let _guard = lock_knobs();
@@ -539,8 +561,8 @@ fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
         }
         *counter += 1;
         let k1 = fb.k1();
-        // An odd block count, ragged or whole, and N with 1–3 columns past
-        // a multiple of 4 (and of 8 for the AVX2 panels).
+        // An odd block count, ragged or whole, and N short of a whole
+        // 8- or 16-column panel.
         let blocks = 2 * rng.gen_range(0..3usize) + 1;
         let k = (blocks - 1) * k1 + rng.gen_range(1..=k1);
         let n = [1usize, 2, 3, 5, 6, 7, 9, 10, 11][rng.gen_range(0..9usize)];
@@ -550,10 +572,15 @@ fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
                 continue;
             }
             let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-            let exps = 4 * n * blocks;
+            // The AVX-512 layout zero-pads its last panel to 16 columns.
+            let stored = match selected_backend() {
+                KernelBackend::Avx512 if k1 == 16 => n.next_multiple_of(16),
+                _ => n,
+            };
+            let exps = 4 * stored * blocks;
             assert_eq!(
                 pb.packed_bytes(),
-                code_bytes * n * blocks * k1 + exps,
+                code_bytes * stored * blocks * k1 + exps,
                 "{fa}/{fb}: {pb:?}"
             );
             let shown = format!("{pb:?}");
@@ -582,5 +609,93 @@ fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
                 }
             }
         }
+    }
+}
+
+/// Three independent routes to one product agree bit for bit. The Fig. 6
+/// datapath model (`mx_hw::pipeline`) quantizes each block itself into
+/// `i128` significands and, with one block per pass (`r = k1`) and a
+/// lossless fixed-point width (`f = natural_width`), converts each block
+/// result to `f32` once and accumulates in `f32` — per output element,
+/// with no code plane, no kernel and no dequantized matrix. It must equal
+/// `reference_gemm` and every forced backend (VNNI and deferral each both
+/// ways) on the presets and on generated same-format lattice formats, over
+/// hostile data: ±NaN, ±Inf, ±0, subnormals, magnitude and exponent
+/// spreads, ragged K and a ragged 16-column panel.
+#[test]
+fn fig6_datapath_reference_and_backends_agree_bit_for_bit() {
+    let _guard = lock_knobs();
+    let mut rng = StdRng::seed_from_u64(38);
+    // The presets, narrow formats whose block dots exceed 2²⁴ (the widest
+    // the 16-bit MAC path admits: `m + β = 13`, full exponent range) and
+    // generated lattice formats.
+    let mut formats = PRESETS.to_vec();
+    for (m, d2, k2) in [(13, 0, 16), (12, 1, 2), (10, 2, 4)] {
+        formats.push(BdrFormat::new(m, 8, d2, 16, k2).unwrap());
+    }
+    while formats.len() < PRESETS.len() + 3 + 48 {
+        let at_panel_k1 = formats.len().is_multiple_of(2);
+        let fmt = BdrFormat::random(&mut rng, at_panel_k1.then_some(16));
+        if code_domain_supported(&fmt, &fmt) {
+            formats.push(fmt);
+        }
+    }
+    let (m, n) = (3usize, 18usize);
+    for fmt in formats {
+        let k1 = fmt.k1();
+        let config = PipelineConfig::Bdr(fmt);
+        let pipeline = DotProductPipeline::new(config, k1)
+            .with_accumulator_bits(config.natural_width().max(4));
+        let k = rng.gen_range(0..4usize) * k1 + rng.gen_range(1..=k1);
+        let a = hostile_operand(&mut rng, m, k, k1, (k, 1));
+        let b = hostile_operand(&mut rng, n, k, k1, (1, n));
+        // Also both operands scaled by 2⁻⁶⁶: block results land in the
+        // `f32` subnormal range, where a wide block dot's scale-out rounds
+        // at a lower precision than its conversion would.
+        let tiny = |x: &[f32]| x.iter().map(|v| v * 2.0f32.powi(-66)).collect::<Vec<_>>();
+        for (a, b) in [(a.clone(), b.clone()), (tiny(&a), tiny(&b))] {
+            check_three_ways(&pipeline, &a, &b, (m, k, n), fmt);
+        }
+    }
+}
+
+/// The body of [`fig6_datapath_reference_and_backends_agree_bit_for_bit`]
+/// for one operand pair.
+fn check_three_ways(
+    pipeline: &DotProductPipeline,
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    fmt: BdrFormat,
+) {
+    let want = reference_gemm(a, b, m, k, n, fmt, fmt);
+    for i in 0..m {
+        for j in 0..n {
+            let col: Vec<f32> = (0..k).map(|p| b[p * n + j]).collect();
+            let got = pipeline.dot(&a[i * k..][..k], &col);
+            assert_bits_eq(
+                &[got],
+                &[want[i * n + j]],
+                &format!("pipeline {fmt} k={k} ({i}, {j})"),
+            );
+        }
+    }
+    for backend in BACKENDS {
+        if !try_force(backend) {
+            continue;
+        }
+        let pb = PackedOperand::pack_cols(b, k, n, fmt, fmt).unwrap();
+        for (defer, vnni) in [(true, true), (false, true), (true, false), (false, false)] {
+            force_deferred_scale_out(Some(defer));
+            force_vnni(Some(vnni));
+            let got = quantized_gemm_prepacked_scratch(a, m, fmt, &pb, 1, &mut PackScratch::new());
+            assert_bits_eq(
+                &got.unwrap(),
+                &want,
+                &format!("{} {fmt} k={k} defer={defer} vnni={vnni}", backend.name()),
+            );
+        }
+        force_deferred_scale_out(None);
+        force_vnni(None);
     }
 }
