@@ -27,8 +27,9 @@
 //! one **fast block core** (integer exponent scan, exact power-of-two
 //! reciprocal, branch-free ties-to-even): a scalar tier that serves every
 //! block, and an AVX-512 tier, bit-identical to it, that takes contiguous
-//! whole blocks when the selected kernel backend
-//! ([`crate::gemm::selected_backend`]) is `avx512`. The division form
+//! whole blocks — and the GEMM's weight columns 16 at a time — when the
+//! selected kernel backend ([`crate::gemm::selected_backend`]) is
+//! `avx512`. The division form
 //! (per-element exponent scan and `f64` division) lives on only as
 //! [`oracle`], the reference the suites and debug builds compare against.
 //!
@@ -243,9 +244,9 @@ impl QuantEngine {
             for &shift in &shifts {
                 w.write(shift as u64, fmt.d2());
             }
+            // Sign then magnitude, MSB first: one `m + 1`-bit field.
             for (&neg, &code) in signs.iter().zip(&codes) {
-                w.write(u64::from(neg), 1);
-                w.write(code as u64, fmt.m());
+                w.write(u64::from(neg) << fmt.m() | u64::from(code), fmt.m() + 1);
             }
         }
         w.into_bytes()
@@ -270,11 +271,19 @@ impl QuantEngine {
             for _ in 0..block_len.div_ceil(fmt.k2()) {
                 shifts.push(read(fmt.d2()) as u32);
             }
-            for i in 0..block_len {
-                let ulp = ulp_of(fmt, shared_exp, shifts[i / fmt.k2()]);
-                let sign = read(1);
-                let mag = (read(fmt.m()) as f64 * ulp) as f32;
-                out.push(if sign == 1 { -mag } else { mag });
+            let mut left = block_len;
+            for &shift in &shifts {
+                let ulp = ulp_of(fmt, shared_exp, shift);
+                for _ in 0..left.min(fmt.k2()) {
+                    // Sign then magnitude: one `m + 1`-bit field. The sign
+                    // bit goes straight onto the non-negative magnitude.
+                    let field = read(fmt.m() + 1);
+                    let mag = ((field & fmt.max_code()) as f64 * ulp) as f32;
+                    out.push(f32::from_bits(
+                        mag.to_bits() | ((field >> fmt.m()) as u32) << 31,
+                    ));
+                }
+                left = left.saturating_sub(fmt.k2());
             }
         }
         out
@@ -523,9 +532,11 @@ fn aligned_code_fast<C: AlignedCode>(x: f32, inv_ulp: f64, max_code: u64, align:
 /// CPU with AVX-512 F/CD/DQ/BW/VL — while the selected kernel backend is
 /// `avx512`, so `MX_KERNEL_BACKEND` and
 /// [`crate::gemm::force_kernel_backend`] narrow this tier together with
-/// the GEMM kernels — contiguous whole blocks of a shape the vector core
-/// covers go through the `avx512` submodule instead, bit-identically.
-/// Build one per slice or pack call, not per block.
+/// the GEMM kernels — the `avx512` submodule takes, bit-identically,
+/// contiguous whole blocks of a shape it covers
+/// ([`Self::lower_block_strided_into`] at stride 1) and bands of 16
+/// adjacent columns ([`Self::lower_lanes_into`], its vertical tier, for
+/// `k1 = 16`). Build one per slice or pack call, not per block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockCore<'a> {
     fmt: &'a BdrFormat,
@@ -537,19 +548,36 @@ impl<'a> BlockCore<'a> {
     /// Resolves the tier for `fmt` from the selected backend and the
     /// detected CPU features.
     pub(crate) fn new(fmt: &'a BdrFormat) -> Self {
+        Self::with_tier(
+            fmt,
+            crate::gemm::selected_backend() == crate::gemm::KernelBackend::Avx512,
+        )
+    }
+
+    /// The core for `fmt` on the scalar tier alone (`vector = false`), or
+    /// with the vector tier wherever the CPU and the block shape allow it,
+    /// whatever backend is selected.
+    pub(crate) fn with_tier(fmt: &'a BdrFormat, vector: bool) -> Self {
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = vector;
         BlockCore {
             fmt,
             #[cfg(target_arch = "x86_64")]
-            simd: (crate::gemm::selected_backend() == crate::gemm::KernelBackend::Avx512)
-                .then(|| avx512::Kernel::new(fmt))
-                .flatten(),
+            simd: vector.then(|| avx512::Kernel::new(fmt)).flatten(),
         }
+    }
+
+    /// The format the core plans for.
+    pub(crate) fn format(&self) -> &'a BdrFormat {
+        self.fmt
     }
 
     /// Plans the block `data[base + i·stride], i in 0..len` (`len ≤ k1`)
     /// and lowers it straight to shift-aligned signed integer codes in one
-    /// pass — the entry [`crate::gemm`]'s packer walks rows (stride 1) and
-    /// `B[K,N]`'s columns (stride `n`, no transpose materialized) through.
+    /// pass — the entry [`crate::gemm`]'s packer walks rows (stride 1)
+    /// through, and `B[K,N]`'s columns (stride `n`, no transpose
+    /// materialized) for every plane but the AVX-512 one (see
+    /// [`Self::lower_lanes_into`]).
     /// Returns the block's shared exponent, which is also the plan
     /// metadata the packer's deferred-scale-out bookkeeping (per-vector
     /// exponent uniformity) consumes, or `None` for an all-zero block like
@@ -590,6 +618,123 @@ impl<'a> BlockCore<'a> {
             return shared_exp;
         }
         lower_block_scalar(self.fmt, data, base, stride, len, shifts, codes)
+    }
+
+    /// Lowers one band of 16 adjacent columns into the column-in-lane
+    /// layout the AVX-512 GEMM consumes (`k1 = 16`): column `l < lanes` is
+    /// the block `data[base + r·stride + l], r < rows` (`rows ≤ 16`, the
+    /// ragged tail of a column zero-filled as in
+    /// [`Self::lower_block_strided_into`]), lanes from `lanes` on are
+    /// all-zero columns. `codes` (256 slots) receives the 16 blocks
+    /// `[pair][lane][2]`: pair `p` of lane `l` at `p·32 + 2l`. `exps` (16
+    /// slots) receives each lane's shared exponent, 0 for an all-zero
+    /// block, and every live block advances its column's fold in `uexp`
+    /// (`lanes` slots) by [`note_exp`]. Every slot of `codes` and `exps`
+    /// is written.
+    ///
+    /// On the vector tier this is the vertical kernel: a row is one
+    /// contiguous load, the maxima are lane-wise down the rows, and the
+    /// codes are interleaved in registers. The scalar tier lowers each
+    /// column through [`lower_block_scalar`] and interleaves its pairs.
+    /// Both write the same bits; debug builds re-run every vertical group
+    /// on the scalar tier and assert it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `k1 = 16`, `1 ≤ lanes ≤ 16`, `rows ≤ 16` and the
+    /// slices have the sizes above.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // band geometry + scratch + three outputs
+    pub(crate) fn lower_lanes_into<C: AlignedCode>(
+        &self,
+        data: &[f32],
+        base: usize,
+        stride: usize,
+        rows: usize,
+        lanes: usize,
+        shifts: &mut Vec<u32>,
+        codes: &mut [C],
+        exps: &mut [i32],
+        uexp: &mut [i32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(simd) = self.simd.filter(|s| s.lowers_lanes()) {
+            #[cfg(debug_assertions)]
+            let folds = uexp.to_vec();
+            simd.lower_lanes(data, base, stride, rows, lanes, codes, exps, uexp);
+            #[cfg(debug_assertions)]
+            {
+                let (mut check, mut check_exps, mut check_uexp) =
+                    (vec![C::ZERO; codes.len()], [0; LANE_GROUP], folds);
+                let band = (base, stride, rows, lanes);
+                let outs = (&mut check[..], &mut check_exps[..], &mut check_uexp[..]);
+                lower_lanes_scalar(self.fmt, data, band, shifts, outs.0, outs.1, outs.2);
+                debug_assert_eq!(&check[..], &codes[..], "vertical tier: codes");
+                debug_assert_eq!(&check_exps[..], &exps[..], "vertical tier: shared exps");
+                debug_assert_eq!(&check_uexp[..], &uexp[..], "vertical tier: uexp");
+            }
+            return;
+        }
+        let band = (base, stride, rows, lanes);
+        lower_lanes_scalar(self.fmt, data, band, shifts, codes, exps, uexp);
+    }
+}
+
+/// Columns per group of [`BlockCore::lower_lanes_into`]: one per `f32`
+/// lane of a 512-bit vector.
+const LANE_GROUP: usize = 16;
+
+/// Sentinel of a running exponent-uniformity fold ([`note_exp`]) that has
+/// seen no live block yet.
+pub(crate) const EXP_UNSEEN: i32 = i32::MAX;
+
+/// What a running exponent-uniformity fold ([`note_exp`]) reads once two
+/// of its live blocks disagree; it stays there.
+pub(crate) const EXP_MIXED: i32 = i32::MIN;
+
+/// Folds a live block's shared exponent `e` into its vector's running
+/// exponent-uniformity fold `acc` (which starts at [`EXP_UNSEEN`]): the
+/// first live block's exponent, kept while every later one agrees, else
+/// [`EXP_MIXED`]. The GEMM's deferred scale-out reads the finished fold.
+#[inline(always)]
+pub(crate) fn note_exp(acc: i32, e: i32) -> i32 {
+    if acc == EXP_UNSEEN || acc == e {
+        e
+    } else {
+        EXP_MIXED
+    }
+}
+
+/// The scalar tier of [`BlockCore::lower_lanes_into`]; `band` is `(base,
+/// stride, rows, lanes)`.
+#[inline(always)]
+fn lower_lanes_scalar<C: AlignedCode>(
+    fmt: &BdrFormat,
+    data: &[f32],
+    (base, stride, rows, lanes): (usize, usize, usize, usize),
+    shifts: &mut Vec<u32>,
+    codes: &mut [C],
+    exps: &mut [i32],
+    uexp: &mut [i32],
+) {
+    assert!(fmt.k1() == LANE_GROUP && (1..=LANE_GROUP).contains(&lanes));
+    assert!(codes.len() == LANE_GROUP * LANE_GROUP && exps.len() == LANE_GROUP);
+    let mut block = [C::ZERO; LANE_GROUP];
+    for (lane, exp) in exps.iter_mut().enumerate() {
+        let e = if lane < lanes {
+            lower_block_scalar(fmt, data, base + lane, stride, rows, shifts, &mut block)
+        } else {
+            block.fill(C::ZERO);
+            None
+        };
+        // Pair `i` of this lane sits at `i·2·16 + 2·lane`.
+        for (i, pair) in block.chunks_exact(2).enumerate() {
+            codes[i * 2 * LANE_GROUP + 2 * lane..][..2].copy_from_slice(pair);
+        }
+        *exp = e.unwrap_or(0);
+        if let Some(e) = e {
+            uexp[lane] = note_exp(uexp[lane], e);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The AVX-512 tier of the fast block core: the scalar core's block plan
 //! and rounding ([`super::plan_fast`] + [`super::rounded_quotient`]), 16
-//! lanes at a time, for contiguous whole blocks.
+//! lanes at a time, for contiguous whole blocks and for bands of 16
+//! adjacent columns.
 //!
 //! Every constant comes from the run-time [`BdrFormat`] — nothing is baked
 //! per preset — and every IEEE operation the scalar core performs on an
@@ -33,10 +34,22 @@
 //! Block shapes: `k1 ∈ {16, 32, …, 128}` as `k1 / 16` vectors, `k1 = 8` as
 //! two blocks per vector (value path only), `k2` a power of two up to 16
 //! or `d2 = 0` (where τ is 0 whatever the sub-block maxima are).
-//! Everything else — strided blocks, ragged tails, other shapes, other
-//! CPUs — stays on the scalar core.
+//!
+//! **Vertical tier** (`k1 = 16`, the code path): 16 adjacent columns of a
+//! row-major matrix are 16 independent blocks, one per lane. Each of a
+//! band's block rows is one contiguous masked load (absent columns read
+//! as zeros, and so do a ragged band's absent rows — the scalar core's
+//! tail rule); steps 1 and 3–4 run per row as above, while step 2 becomes
+//! a lane-wise maximum down the rows, with no butterfly. The codes of each
+//! row pair are interleaved in registers and leave in one store per pair
+//! row, in the GEMM's column-in-lane `[pair][lane][2]` layout; the 16
+//! shared exponents leave in one store, and each column's
+//! exponent-uniformity fold is kept per lane.
+//!
+//! Everything else — single strided blocks, ragged contiguous tails,
+//! other shapes, other CPUs — stays on the scalar core.
 
-use super::{AlignedCode, ROUND_BIAS};
+use super::{AlignedCode, EXP_MIXED, EXP_UNSEEN, ROUND_BIAS};
 use crate::bdr::BdrFormat;
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
@@ -133,6 +146,47 @@ impl Kernel {
         // SAFETY: a `Kernel` exists only where `available` detected every
         // feature `lower` enables; both lengths were just checked.
         unsafe { self.lower(block, codes) }
+    }
+
+    /// Whether [`Self::lower_lanes`] serves this format: the vertical tier
+    /// holds one block row per vector, so it takes `k1 = 16`.
+    pub(super) fn lowers_lanes(&self) -> bool {
+        self.k1 == LANES
+    }
+
+    /// The vertical tier: lowers one band of up to 16 adjacent columns as
+    /// independent blocks, column `l < lanes` being the block
+    /// `data[base + r·stride + l], r < rows` (rows past `rows` read as
+    /// zeros, lanes past `lanes` as all-zero columns). Each row is one
+    /// contiguous masked load; the codes land column-in-lane,
+    /// `[pair][lane][2]` over 16 lanes, and `exps` gets every lane's shared
+    /// exponent (0 for an all-zero block). `uexp` holds the `lanes`
+    /// columns' running exponent-uniformity folds, which each live block
+    /// advances as [`super::note_exp`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Self::lowers_lanes`], `1 ≤ rows ≤ k1`, `1 ≤ lanes ≤
+    /// 16`, the band's last row ends inside `data`, `codes` holds `16·k1`
+    /// slots, `exps` 16 and `uexp` `lanes`.
+    #[allow(clippy::too_many_arguments)] // band geometry + three outputs
+    pub(super) fn lower_lanes<C: AlignedCode>(
+        &self,
+        data: &[f32],
+        base: usize,
+        stride: usize,
+        rows: usize,
+        lanes: usize,
+        codes: &mut [C],
+        exps: &mut [i32],
+        uexp: &mut [i32],
+    ) {
+        assert!(self.lowers_lanes() && (1..=self.k1).contains(&rows));
+        assert!((1..=LANES).contains(&lanes) && base + (rows - 1) * stride + lanes <= data.len());
+        assert!(codes.len() == LANES * self.k1 && exps.len() == LANES && uexp.len() == lanes);
+        // SAFETY: a `Kernel` exists only where `available` detected every
+        // feature `lanes` enables; the geometry was just checked.
+        unsafe { self.lanes(data, base, stride, rows, lanes, codes, exps, uexp) }
     }
 
     /// Plans one group (one block, or two for `k1 = 8`): fills `e_sub`
@@ -272,6 +326,38 @@ impl Kernel {
         }
     }
 
+    /// The code epilogue on one vector: the shift-aligned signed code of
+    /// every lane of `x` against its lane's `τ` and shared exponent, zero
+    /// in the lanes outside `alive`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/CD/DQ/BW/VL (register-only).
+    #[target_feature(enable = "avx512f,avx512cd,avx512dq,avx512bw,avx512vl")]
+    unsafe fn aligned_codes(
+        &self,
+        x: __m512i,
+        tau: __m512i,
+        shared: __m512i,
+        alive: __mmask16,
+    ) -> __m512i {
+        // SAFETY: register-only helper under this fn's features.
+        let [lo, hi] = unsafe { self.vector_quotients(x, tau, shared) };
+        let code = _mm512_inserti64x4::<1>(
+            _mm512_castsi256_si512(_mm512_cvttpd_epi32(lo.0)),
+            _mm512_cvttpd_epi32(hi.0),
+        );
+        let align = _mm512_sub_epi32(_mm512_set1_epi32(self.beta), tau);
+        let aligned = _mm512_sllv_epi32(code, align);
+        let signed = _mm512_mask_sub_epi32(
+            aligned,
+            _mm512_movepi32_mask(x),
+            _mm512_setzero_si512(),
+            aligned,
+        );
+        _mm512_maskz_mov_epi32(alive, signed)
+    }
+
     /// The code path for one block; returns its shared exponent, `None`
     /// (all codes zero) when no element is finite and nonzero.
     ///
@@ -292,21 +378,7 @@ impl Kernel {
             // helpers are register-only and inherit this fn's features.
             unsafe {
                 let x = _mm512_loadu_si512(chunk.as_ptr().cast());
-                let tau = self.shifts(e, shared);
-                let [lo, hi] = self.vector_quotients(x, tau, shared);
-                let code = _mm512_inserti64x4::<1>(
-                    _mm512_castsi256_si512(_mm512_cvttpd_epi32(lo.0)),
-                    _mm512_cvttpd_epi32(hi.0),
-                );
-                let align = _mm512_sub_epi32(_mm512_set1_epi32(self.beta), tau);
-                let aligned = _mm512_sllv_epi32(code, align);
-                let signed = _mm512_mask_sub_epi32(
-                    aligned,
-                    _mm512_movepi32_mask(x),
-                    _mm512_setzero_si512(),
-                    aligned,
-                );
-                let out = _mm512_maskz_mov_epi32(alive, signed);
+                let out = self.aligned_codes(x, self.shifts(e, shared), shared, alive);
                 // The narrowing is `AlignedCode::from_aligned`'s: lossless
                 // for every pair the code-domain dispatch admits.
                 match size_of::<C>() {
@@ -318,6 +390,117 @@ impl Kernel {
             }
         }
         (alive != 0).then(|| _mm_cvtsi128_si32(_mm512_castsi512_si128(shared)))
+    }
+
+    /// The vertical tier's body; see [`Self::lower_lanes`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/CD/DQ/BW/VL and the geometry
+    /// [`Self::lower_lanes`] asserts.
+    #[target_feature(enable = "avx512f,avx512cd,avx512dq,avx512bw,avx512vl")]
+    #[allow(clippy::too_many_arguments)] // band geometry + three outputs
+    unsafe fn lanes<C: AlignedCode>(
+        &self,
+        data: &[f32],
+        base: usize,
+        stride: usize,
+        rows: usize,
+        lanes: usize,
+        codes: &mut [C],
+        exps: &mut [i32],
+        uexp: &mut [i32],
+    ) {
+        let mask: __mmask16 = u16::MAX >> (LANES - lanes);
+        let no_exp = _mm512_set1_epi32(NO_EXP);
+        let mut x = [_mm512_setzero_si512(); LANES];
+        for (r, row) in x.iter_mut().enumerate().take(rows) {
+            // SAFETY: row `r < rows` starts at `base + r·stride`, and its
+            // `lanes` unmasked elements end inside `data` (asserted by
+            // `lower_lanes`); masked-off lanes are not read.
+            *row = unsafe {
+                _mm512_maskz_loadu_epi32(mask, data[base + r * stride..].as_ptr().cast())
+            };
+        }
+        // Sub-block and block maxima straight down the rows, one lane per
+        // column: no butterfly.
+        let mut e_sub = [no_exp; LANES];
+        let mut top = no_exp;
+        for (xs, es) in x
+            .chunks_exact(self.sub)
+            .zip(e_sub.chunks_exact_mut(self.sub))
+        {
+            let mut e = no_exp;
+            for &row in xs {
+                // SAFETY: register-only helper under this fn's features.
+                e = _mm512_max_epi32(e, unsafe { lane_exponents(row) });
+            }
+            es.fill(e);
+            top = _mm512_max_epi32(top, e);
+        }
+        let alive = _mm512_cmpgt_epi32_mask(top, no_exp);
+        let shared = _mm512_min_epi32(
+            _mm512_max_epi32(top, _mm512_set1_epi32(self.min_exp)),
+            _mm512_set1_epi32(self.max_exp),
+        );
+        // Row pair `p` interleaved lane by lane: `[lane][2]` is lane `l` of
+        // row `2p`, then of row `2p + 1`.
+        let lo_pairs = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let hi_pairs = _mm512_add_epi32(lo_pairs, _mm512_set1_epi32(8));
+        let pairs = x.chunks_exact(2).zip(e_sub.chunks_exact(2));
+        for (dst, (x, e)) in codes.chunks_exact_mut(2 * LANES).zip(pairs) {
+            // SAFETY: `dst` is one pair row, 32 codes of `size_of::<C>()`
+            // bytes, and the stores picked by that size write exactly 32
+            // of them; the helpers are register-only and inherit this fn's
+            // features.
+            unsafe {
+                let c0 = self.aligned_codes(x[0], self.shifts(e[0], shared), shared, alive);
+                let c1 = self.aligned_codes(x[1], self.shifts(e[1], shared), shared, alive);
+                let lo = _mm512_permutex2var_epi32(c0, lo_pairs, c1);
+                let hi = _mm512_permutex2var_epi32(c0, hi_pairs, c1);
+                // The narrowing is `AlignedCode::from_aligned`'s, as in
+                // `lower`.
+                match size_of::<C>() {
+                    1 => _mm256_storeu_si256(
+                        dst.as_mut_ptr().cast(),
+                        _mm256_inserti128_si256::<1>(
+                            _mm256_castsi128_si256(_mm512_cvtepi32_epi8(lo)),
+                            _mm512_cvtepi32_epi8(hi),
+                        ),
+                    ),
+                    2 => _mm512_storeu_si512(
+                        dst.as_mut_ptr().cast(),
+                        _mm512_inserti64x4::<1>(
+                            _mm512_castsi256_si512(_mm512_cvtepi32_epi16(lo)),
+                            _mm512_cvtepi32_epi16(hi),
+                        ),
+                    ),
+                    4 => {
+                        _mm512_storeu_si512(dst.as_mut_ptr().cast(), lo);
+                        _mm512_storeu_si512(dst[LANES..].as_mut_ptr().cast(), hi);
+                    }
+                    _ => unreachable!("aligned codes are i8, i16 or i32"),
+                }
+            }
+        }
+        // SAFETY: `exps` holds 16 slots (asserted by `lower_lanes`).
+        unsafe {
+            _mm512_storeu_si512(
+                exps.as_mut_ptr().cast(),
+                _mm512_maskz_mov_epi32(alive, shared),
+            );
+        }
+        // SAFETY: the masked load and store touch only the `lanes` folds
+        // `uexp` holds (asserted by `lower_lanes`).
+        unsafe {
+            let seen = _mm512_maskz_loadu_epi32(mask, uexp.as_ptr());
+            let unseen = _mm512_cmpeq_epi32_mask(seen, _mm512_set1_epi32(EXP_UNSEEN));
+            let differ = _mm512_cmpneq_epi32_mask(seen, shared);
+            let first = _mm512_mask_mov_epi32(seen, alive & unseen, shared);
+            let mixed = alive & !unseen & differ;
+            let folded = _mm512_mask_mov_epi32(first, mixed, _mm512_set1_epi32(EXP_MIXED));
+            _mm512_mask_storeu_epi32(uexp.as_mut_ptr(), mask, folded);
+        }
     }
 }
 

@@ -10,9 +10,9 @@
 //! skipped only when B is entirely finite (the IEEE `0×∞ → NaN` guard) —
 //! while reorganizing the work for the cache and the vector units:
 //!
-//! - the reduction dimension is processed in [`KC`]-row panels of B, so a
+//! - the reduction dimension is processed in `KC`-row panels of B, so a
 //!   `KC × n` slab is touched repeatedly while it is hot;
-//! - [`MR`] rows of A are register-tiled per pass: the accumulators stay
+//! - `MR` rows of A are register-tiled per pass: the accumulators stay
 //!   in vector registers across the whole K panel and each loaded B
 //!   vector is reused `MR` times, instead of one load-add-store round
 //!   trip per element;

@@ -5,8 +5,8 @@
 //!
 //! # The backend contract
 //!
-//! A backend is a [`SpanKernel`] — a plain function pointer computing one
-//! span of output rows from two already-lowered [`PlaneView`]s. Every
+//! A backend is a `SpanKernel` — a plain function pointer computing one
+//! span of output rows from two already-lowered `PlaneView`s. Every
 //! backend must be **bit-identical** to every other (and to
 //! [`super::reference_gemm`]): same per-block integer dots, same one-`f32`
 //! rounding per scale-out, same K-block accumulation order. Backends are
@@ -17,15 +17,15 @@
 //!
 //! Three backends exist today, each in its own sibling module:
 //!
-//! - [`super::scalar`] — portable Rust, no intrinsics; the reference
+//! - `scalar` — portable Rust, no intrinsics; the reference
 //!   implementation, and the kernel every vector-major plane runs: block
 //!   sizes other than the panel kernels' `k1 = 16`, x86-64 CPUs without
 //!   AVX2, and every other architecture;
-//! - [`super::avx2`] — panel-major B, register-blocked 8-column panels
+//! - `avx2` — panel-major B, register-blocked 8-column panels
 //!   (two rows at a time where deferral holds) with deferred scale-out
 //!   (generation 2), and an in-register per-block scale-out panel as the
 //!   exact fallback;
-//! - [`super::avx512`] — generation 3: one kernel body over
+//! - `avx512` — generation 3: one kernel body over
 //!   column-in-lane 16-column panels (each column's K pairs interleaved,
 //!   the VNNI GEMM layout), so a broadcast A pair feeds 16 columns per
 //!   `vpdpwssd` (AVX-512-VNNI, detected separately; `vpmaddwd`+`vpaddd`
@@ -35,7 +35,7 @@
 //!   per-(row, panel) skip of the epilogue; ragged N is a masked store.
 //!
 //! Adding an ISA (NEON next) is: write the module, give it a
-//! [`KernelBackend`] variant, extend [`narrow_span_kernel`] — no changes
+//! [`KernelBackend`] variant, extend `narrow_span_kernel` — no changes
 //! to packing, dispatch entries, or callers.
 //!
 //! # Backend author checklist
@@ -74,9 +74,9 @@
 //! Lessons the AVX-512 generation added to the list:
 //!
 //! 6. **Panel width is a per-backend property of the packed plane**, not a
-//!    global constant: [`super::pack::panel_slot`] takes the width as a
+//!    global constant: `pack::panel_slot` takes the width as a
 //!    parameter and the plane records which width it was packed with
-//!    (`PackedOperand::panel_n`), so [`narrow_span_kernel`] dispatches on
+//!    (`PackedOperand::panel_n`), so `narrow_span_kernel` dispatches on
 //!    the *plane's* layout, never on the current knob — a plane packed 8
 //!    wide keeps running the AVX2 kernels after the knob moves. A wider
 //!    kernel therefore starts at the packer: define the layout, teach
@@ -88,7 +88,7 @@
 //!    store (masked-out lanes are architecturally not accessed). Fewer
 //!    paths, fewer bit-identity proofs.
 //! 8. **Detect optional sub-features separately and fall back in-module.**
-//!    VNNI is not implied by AVX-512F/BW: [`avx512_vnni_available`] gates
+//!    VNNI is not implied by AVX-512F/BW: `avx512_vnni_available` gates
 //!    `vpdpwssd` on its own `is_x86_feature_detected!` probe, and the
 //!    kernel compiles its one body a second time with `vpmaddwd`+`vpaddd`
 //!    under the F/BW-only entry point, so the backend (and its
@@ -97,7 +97,7 @@
 //! 9. **Consume `FormatPair`, never re-derive.** Kernel class, `k1`, the
 //!    scale-out constant `c`, and the deferral headroom all come from the
 //!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
-//!    them as its `c` / [`DeferCtx`] arguments and the plane's recorded
+//!    them as its `c` / `DeferCtx` arguments and the plane's recorded
 //!    layout). A backend that recomputes any of them from the formats —
 //!    or asks whether a plane fits by running it — gives the decision a
 //!    second home that can drift from the first.

@@ -361,8 +361,7 @@ impl Gemm<'_> {
         let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
         let blocks = k.div_ceil(bp.k1);
         let lower = |r0: usize, rows: usize, buf: &mut CodeBuf<A>| {
-            let (row_base, vector_major) = (|i| (r0 + i) * k, |v, kb| v * blocks + kb);
-            pack_into(self.a, rows, k, row_base, 1, vector_major, 1, self.fa, buf);
+            pack_into(self.a, rows, k, |i| (r0 + i) * k, self.fa, buf);
         };
         if self.workers <= 1 {
             lower(0, self.m, buf);

@@ -1,14 +1,19 @@
 //! Operand lowering: code planes, the weight-side prepack, and the
 //! reusable activation-side scratch.
 //!
-//! Packing is the only stage of the integer GEMM that reads `f32` data,
-//! and [`pack_into`] is its one block loop for both operands: the weight
-//! columns once per plane, each row span's activations on every execute
-//! call. It lowers blocks through the engine's single-pass strided entry
-//! (`engine::BlockCore::lower_block_strided_into` — one branch-light
-//! integer scan for the plan, a hoisted reciprocal multiply and
-//! branch-free round-to-even per element; contiguous whole blocks, i.e.
-//! rows, on the core's vector tier where it has one).
+//! Packing is the only stage of the integer GEMM that reads `f32` data.
+//! It has two block loops, both on the engine's fast block core (one
+//! branch-light integer scan for the plan, a hoisted reciprocal multiply
+//! and branch-free round-to-even per element):
+//!
+//! - [`pack_into`] lowers each row span's activations on every execute
+//!   call, row by row through `engine::BlockCore::lower_block_strided_into`
+//!   (contiguous whole blocks on the core's vector tier where it has one);
+//! - [`pack_cols_into`] lowers the weight columns once per plane, band by
+//!   band: 16-column groups of the AVX-512 column-in-lane layout through
+//!   the core's vertical tier (`engine::BlockCore::lower_lanes_into`), which
+//!   writes the panel's pair rows directly, and every other layout column
+//!   by column on the scalar core.
 //!
 //! While lowering, the packer also records the per-vector **exponent
 //! uniformity** metadata ([`PlaneView::uexp`]) the deferred-scale-out
@@ -19,11 +24,11 @@
 use super::pair::{fits_i8, FormatPair, PairClass};
 use super::{panel_layout, PANEL_N_512};
 use crate::bdr::BdrFormat;
-use crate::engine::{self, AlignedCode};
+use crate::engine::{self, AlignedCode, EXP_UNSEEN};
 
 /// Sentinel for "this vector's nonzero blocks do not share one exponent":
 /// deferral is off for every output element the vector touches.
-pub(super) const MIXED_EXP: i32 = i32::MIN;
+pub(super) const MIXED_EXP: i32 = engine::EXP_MIXED;
 
 /// Borrowed view of a code plane — what the execute kernels actually
 /// consume: `vectors` reduction-dimension vectors (A rows or B columns),
@@ -101,93 +106,130 @@ impl<C: AlignedCode> CodeBuf<C> {
     }
 }
 
-/// Folds one vector's block exponents into its [`PlaneView::uexp`] entry.
-#[derive(Default)]
-pub(super) struct UniformExp {
-    seen: Option<i32>,
-    mixed: bool,
-}
-
-impl UniformExp {
-    /// Records a nonzero block's shared exponent.
-    pub(super) fn note(&mut self, e: i32) {
-        match self.seen {
-            None => self.seen = Some(e),
-            Some(prev) if prev != e => self.mixed = true,
-            _ => {}
-        }
-    }
-
-    /// The uniform exponent, [`MIXED_EXP`], or 0 for an all-zero vector.
-    pub(super) fn finish(self) -> i32 {
-        if self.mixed {
-            MIXED_EXP
-        } else {
-            self.seen.unwrap_or(0)
-        }
+/// A finished exponent-uniformity fold: [`engine::note_exp`]'s running
+/// value, with a vector that saw no live block reading 0.
+fn finished(fold: i32) -> i32 {
+    if fold == EXP_UNSEEN {
+        0
+    } else {
+        fold
     }
 }
 
-/// Lowers `vectors` strided vectors of `len` elements to aligned codes in
-/// `buf`. Vector `v` reads `data[base_of(v) + i·stride]` — rows use
-/// `(|i| i·len, 1)`, columns of a `[len, vectors]` matrix use
-/// `(|j| j, vectors)`. `slot_of(v, kb)` picks the storage layout: A and
-/// the scalar kernel's B use vector-major `v·blocks + kb`, the panel
-/// kernels consume B packed panel-major (see [`PackedOperand::pack_cols`]).
-/// With `lanes > 1` the slots come in groups of `lanes` (one block of
-/// every column of a panel, the plane padded to a multiple of `lanes`
-/// columns), and a block's codes are interleaved with its group's in K
-/// pairs (see [`panel_slot`]); `lanes = 1` stores each block's `k1` codes
-/// contiguously.
-/// Inlined so the execute entry's per-span call folds its stride and
-/// layout into the loop.
+/// Lowers `vectors` rows of `len` elements to aligned codes in `buf`,
+/// vector-major (`[row][block][k1]`): row `v` is `data[base_of(v)..][..len]`.
+/// Contiguous whole blocks run on the core's vector tier where it has one.
+/// Inlined so the execute entry's per-span call folds its row geometry
+/// into the loop.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // operand geometry + layout + buffers
 pub(super) fn pack_into<C: AlignedCode>(
     data: &[f32],
     vectors: usize,
     len: usize,
     base_of: impl Fn(usize) -> usize,
-    stride: usize,
-    slot_of: impl Fn(usize, usize) -> usize,
-    lanes: usize,
     fmt: &BdrFormat,
     buf: &mut CodeBuf<C>,
 ) {
     let k1 = fmt.k1();
     let blocks = len.div_ceil(k1);
-    buf.reset(vectors, vectors.next_multiple_of(lanes), blocks, k1);
+    buf.reset(vectors, vectors, blocks, k1);
     let core = engine::BlockCore::new(fmt);
-    let mut block = vec![C::ZERO; if lanes > 1 { k1 } else { 0 }];
     for v in 0..vectors {
         let base = base_of(v);
-        let mut uniform = UniformExp::default();
+        let mut fold = EXP_UNSEEN;
         for kb in 0..blocks {
             let start = kb * k1;
-            let blen = k1.min(len - start);
-            let slot = slot_of(v, kb);
+            let slot = v * blocks + kb;
             // The single-pass lowering writes all k1 slots (zeroing the
             // ragged tail, and the whole block when it is all-zero).
-            let (src, shifts) = (base + start * stride, &mut buf.shifts);
-            let e = if lanes == 1 {
-                let codes = &mut buf.codes[slot * k1..][..k1];
-                core.lower_block_strided_into(data, src, stride, blen, shifts, codes)
-            } else {
-                let e = core.lower_block_strided_into(data, src, stride, blen, shifts, &mut block);
-                // Interleave the block's code pairs with its panel's other
-                // lanes: pair `i` of lane `l` sits at `i·2·lanes + 2·l`.
-                let (lane, group) = (slot % lanes, (slot - slot % lanes) * k1);
-                for (i, pair) in block.chunks_exact(2).enumerate() {
-                    buf.codes[group + i * 2 * lanes + 2 * lane..][..2].copy_from_slice(pair);
-                }
-                e
-            };
-            if let Some(e) = e {
+            let codes = &mut buf.codes[slot * k1..][..k1];
+            let (blen, shifts) = (k1.min(len - start), &mut buf.shifts);
+            if let Some(e) =
+                core.lower_block_strided_into(data, base + start, 1, blen, shifts, codes)
+            {
                 buf.exps[slot] = e;
-                uniform.note(e);
+                fold = engine::note_exp(fold, e);
             }
         }
-        buf.uexp[v] = uniform.finish();
+        buf.uexp[v] = finished(fold);
+    }
+}
+
+/// Lowers the columns of `B[k,n]` (row-major) into `buf` in the layout
+/// `panel_n` names (see [`PackedOperand::pack_cols`]), **band by band**:
+/// band `kb` is rows `kb·k1 ..` — block `kb` of every column — and is
+/// finished before the next starts, so its rows are read while they are
+/// cache-resident (a column-at-a-time walk strides `n` floats per element
+/// and uses 4 bytes of every cache line it touches). Each column's
+/// [`PlaneView::uexp`] fold runs across the bands.
+///
+/// The column-in-lane layout ([`PANEL_N_512`]) lowers 16-column groups
+/// through `engine::BlockCore::lower_lanes_into` — the vertical tier on a
+/// core that has one, which loads each block row of the group in one go and
+/// writes the panel's interleaved pair rows directly; a ragged last group
+/// reads its absent columns as zeros, and a ragged last band its absent
+/// rows. Every other layout lowers column by column on the scalar core's
+/// strided entry.
+pub(super) fn pack_cols_into<C: AlignedCode>(
+    b: &[f32],
+    k: usize,
+    n: usize,
+    panel_n: usize,
+    core: &engine::BlockCore<'_>,
+    buf: &mut CodeBuf<C>,
+) {
+    let k1 = core.format().k1();
+    let blocks = k.div_ceil(k1);
+    let stored = match panel_n {
+        PANEL_N_512 => n.next_multiple_of(PANEL_N_512),
+        _ => n,
+    };
+    buf.reset(n, stored, blocks, k1);
+    buf.uexp.fill(EXP_UNSEEN);
+    let CodeBuf {
+        codes,
+        exps,
+        uexp,
+        shifts,
+    } = buf;
+    for kb in 0..blocks {
+        let (band, rows) = (kb * k1 * n, k1.min(k - kb * k1));
+        if panel_n == PANEL_N_512 {
+            for j in (0..n).step_by(PANEL_N_512) {
+                let lanes = PANEL_N_512.min(n - j);
+                let slot = panel_slot(j, kb, n, blocks, PANEL_N_512);
+                let group = &mut codes[slot * k1..][..PANEL_N_512 * k1];
+                let (group_exps, folds) =
+                    (&mut exps[slot..][..PANEL_N_512], &mut uexp[j..][..lanes]);
+                core.lower_lanes_into(
+                    b,
+                    band + j,
+                    n,
+                    rows,
+                    lanes,
+                    shifts,
+                    group,
+                    group_exps,
+                    folds,
+                );
+            }
+        } else {
+            for (v, fold) in uexp.iter_mut().enumerate() {
+                let slot = match panel_n {
+                    0 => v * blocks + kb,
+                    w => panel_slot(v, kb, n, blocks, w),
+                };
+                let block = &mut codes[slot * k1..][..k1];
+                if let Some(e) = core.lower_block_strided_into(b, band + v, n, rows, shifts, block)
+                {
+                    exps[slot] = e;
+                    *fold = engine::note_exp(*fold, e);
+                }
+            }
+        }
+    }
+    for fold in uexp.iter_mut() {
+        *fold = finished(*fold);
     }
 }
 
@@ -201,9 +243,10 @@ pub(super) fn pack_into<C: AlignedCode>(
 /// slot's codes are the `k1` contiguous codes at `slot · k1`.
 ///
 /// The AVX-512 layout (`panel_n == `[`PANEL_N_512`]) is **column-in-lane**:
-/// every panel is 16 lanes wide, the last one zero-padded, and
-/// [`pack_into`] interleaves a block's codes with its panel's other lanes
-/// in K pairs — `[panel][block][pair][lane][2]`. With `k1 = 16` one pair
+/// every panel is 16 lanes wide, the last one zero-padded, and a block's
+/// codes are interleaved with its panel's other lanes in K pairs —
+/// `[panel][block][pair][lane][2]`, the order [`pack_cols_into`]'s lane
+/// groups are written in. With `k1 = 16` one pair
 /// row is the 16 columns' codes `2p` and `2p + 1`, 32 contiguous codes:
 /// one 512-bit load (`i16`) or one sign-extending 256-bit load (`i8`),
 /// and one `vpdpwssd` against a broadcast A pair.
@@ -229,12 +272,11 @@ fn pack_cols_buf<C: AlignedCode>(
     b: &[f32],
     k: usize,
     n: usize,
-    slot_of: impl Fn(usize, usize) -> usize,
-    lanes: usize,
-    fmt: &BdrFormat,
+    panel_n: usize,
+    core: &engine::BlockCore<'_>,
 ) -> CodeBuf<C> {
     let mut buf = CodeBuf::default();
-    pack_into(b, n, k, |j| j, n, slot_of, lanes, fmt, &mut buf);
+    pack_cols_into(b, k, n, panel_n, core, &mut buf);
     buf
 }
 
@@ -329,18 +371,27 @@ impl PackedOperand {
     /// When a narrow panel kernel will consume the plane (the selected
     /// backend — see [`super::kernel_backend_name`] — is a panel backend
     /// and the block size matches), columns are laid out **panel-major**:
-    /// columns are grouped into panels of the backend's width
-    /// ([`super::PANEL_N`] for AVX2, [`PANEL_N_512`] for AVX-512), and
-    /// within a panel the codes are ordered `[block][lane][k1]` (AVX2) or
-    /// column-in-lane `[block][pair][lane][2]` (AVX-512 — see
-    /// [`panel_slot`]) — so one panel's entire reduction
-    /// (`blocks · panel_n · k1` codes, ≈ 4–8 KB at the serving shapes) is
-    /// a single contiguous, L1-resident streak. When `n mod panel_n ≠ 0`
-    /// the last AVX2 panel is simply narrower, and the last AVX-512 panel
-    /// is zero-padded to 16 columns. (A plain `[block][column][k1]`
-    /// block-major order would put consecutive blocks of one panel `n·k1`
-    /// codes apart — a large power-of-two stride at typical layer widths
-    /// that aliases the same L1 sets and thrashes the cache.)
+    /// columns are grouped into panels of the backend's width (8 for AVX2,
+    /// 16 for AVX-512), and within a panel the codes are ordered
+    /// `[block][lane][k1]` (AVX2) or column-in-lane `[block][pair][lane][2]`
+    /// (AVX-512: one pair row holds the 16 columns' codes `2p` and
+    /// `2p + 1`) — so one panel's entire reduction (`blocks · panel_n · k1`
+    /// codes, ≈ 4–8 KB at the serving shapes) is a single contiguous,
+    /// L1-resident streak. When `n mod panel_n ≠ 0` the last AVX2 panel is
+    /// simply narrower, and the last AVX-512 panel is zero-padded to 16
+    /// columns. (A plain `[block][column][k1]` block-major order would put
+    /// consecutive blocks of one panel `n·k1` codes apart — a large
+    /// power-of-two stride at typical layer widths that aliases the same
+    /// L1 sets and thrashes the cache.)
+    ///
+    /// The columns are lowered band by band — block `kb` of every column
+    /// before block `kb + 1` of any — so each band of `k1` rows is read
+    /// while it is cache-resident. An AVX-512 plane is written by the
+    /// block core's vertical tier: 16 adjacent columns are 16 independent
+    /// blocks, each block row one contiguous vector load, and the codes go
+    /// straight into the panel's pair rows. Every other plane is lowered
+    /// column by column on the scalar block core. Both write the bits the
+    /// division form ([`crate::engine::oracle`]) defines.
     ///
     /// # Panics
     ///
@@ -348,22 +399,15 @@ impl PackedOperand {
     pub fn pack_cols(b: &[f32], k: usize, n: usize, fa: BdrFormat, fb: BdrFormat) -> Option<Self> {
         let pair = FormatPair::new(&fa, &fb)?;
         assert_eq!(b.len(), k * n, "B is not {k}x{n}");
-        let blocks = k.div_ceil(pair.k1);
         let panel_n = match pair.class {
             PairClass::Narrow => panel_layout(pair.k1),
             PairClass::Wide => 0,
         };
-        let lanes = if panel_n == PANEL_N_512 { panel_n } else { 1 };
-        let slot_of = |v: usize, kb: usize| match panel_n {
-            0 => v * blocks + kb,
-            w => panel_slot(v, kb, n, blocks, w),
-        };
+        let core = engine::BlockCore::new(&fb);
         let plane = match pair.class {
-            PairClass::Narrow if fits_i8(&fb) => {
-                Plane::I8(pack_cols_buf(b, k, n, slot_of, lanes, &fb))
-            }
-            PairClass::Narrow => Plane::I16(pack_cols_buf(b, k, n, slot_of, lanes, &fb)),
-            PairClass::Wide => Plane::I32(pack_cols_buf(b, k, n, slot_of, lanes, &fb)),
+            PairClass::Narrow if fits_i8(&fb) => Plane::I8(pack_cols_buf(b, k, n, panel_n, &core)),
+            PairClass::Narrow => Plane::I16(pack_cols_buf(b, k, n, panel_n, &core)),
+            PairClass::Wide => Plane::I32(pack_cols_buf(b, k, n, panel_n, &core)),
         };
         Some(PackedOperand {
             fmt: fb,
@@ -452,5 +496,219 @@ impl PackScratch {
     /// afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::oracle;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Index of code `i` of column `v`'s block `kb` in a `panel_n` plane,
+    /// and the block's exponent slot.
+    fn position(
+        v: usize,
+        kb: usize,
+        i: usize,
+        n: usize,
+        blocks: usize,
+        k1: usize,
+        panel_n: usize,
+    ) -> (usize, usize) {
+        match panel_n {
+            0 => ((v * blocks + kb) * k1 + i, v * blocks + kb),
+            PANEL_N_512 => {
+                let slot = panel_slot(v, kb, n, blocks, panel_n);
+                let lane = slot % PANEL_N_512;
+                let pair_row = (slot - lane) * k1 + i / 2 * 2 * PANEL_N_512;
+                (pair_row + 2 * lane + i % 2, slot)
+            }
+            w => {
+                let slot = panel_slot(v, kb, n, blocks, w);
+                (slot * k1 + i, slot)
+            }
+        }
+    }
+
+    /// Every column block of `B[k,n]` through the division form: the
+    /// aligned signed codes `±code ≪ (β − τ)` and the shared exponent,
+    /// `None` for a block with no finite nonzero element.
+    fn oracle_blocks(
+        b: &[f32],
+        k: usize,
+        n: usize,
+        fmt: &BdrFormat,
+    ) -> Vec<(Vec<i32>, Option<i32>)> {
+        let (k1, beta) = (fmt.k1(), fmt.max_shift());
+        let mut out = Vec::new();
+        for v in 0..n {
+            for start in (0..k).step_by(k1) {
+                let col: Vec<f32> = (start..k.min(start + k1)).map(|r| b[r * n + v]).collect();
+                let q = oracle::quantize_block_codes(fmt, &col);
+                let codes = (0..col.len())
+                    .map(|i| {
+                        let aligned = (q.codes[i] as i32) << (beta - q.shifts[i / fmt.k2()]);
+                        if q.signs[i] {
+                            -aligned
+                        } else {
+                            aligned
+                        }
+                    })
+                    .collect();
+                let live = col.iter().any(|x| x.is_finite() && *x != 0.0);
+                out.push((codes, live.then_some(q.shared_exp)));
+            }
+        }
+        out
+    }
+
+    /// Packs with the column walker on one tier and layout and compares
+    /// the whole plane — padding included — with the oracle's blocks laid
+    /// out independently, and `uexp` with a direct fold.
+    fn check<C: AlignedCode>(
+        b: &[f32],
+        k: usize,
+        n: usize,
+        fmt: &BdrFormat,
+        want: &[(Vec<i32>, Option<i32>)],
+    ) {
+        let (k1, blocks) = (fmt.k1(), k.div_ceil(fmt.k1()));
+        let layouts: &[usize] = if k1 == PANEL_N_512 {
+            &[0, super::super::PANEL_N, PANEL_N_512]
+        } else {
+            &[0, super::super::PANEL_N]
+        };
+        for &panel_n in layouts {
+            let stored = if panel_n == PANEL_N_512 {
+                n.next_multiple_of(PANEL_N_512)
+            } else {
+                n
+            };
+            let mut codes = vec![C::ZERO; stored * blocks * k1];
+            let mut exps = vec![0; stored * blocks];
+            let mut uexp = vec![0; n];
+            for v in 0..n {
+                let mut live = Vec::new();
+                for kb in 0..blocks {
+                    let (block, e) = &want[v * blocks + kb];
+                    for (i, &c) in block.iter().enumerate() {
+                        codes[position(v, kb, i, n, blocks, k1, panel_n).0] = C::from_aligned(c);
+                    }
+                    if let Some(e) = *e {
+                        exps[position(v, kb, 0, n, blocks, k1, panel_n).1] = e;
+                        live.push(e);
+                    }
+                }
+                uexp[v] = match live.first() {
+                    None => 0,
+                    Some(&e) if live.iter().all(|&x| x == e) => e,
+                    Some(_) => MIXED_EXP,
+                };
+            }
+            for vector in [false, true] {
+                let core = engine::BlockCore::with_tier(fmt, vector);
+                let mut buf = CodeBuf::<C>::default();
+                pack_cols_into(b, k, n, panel_n, &core, &mut buf);
+                let tag = format!(
+                    "{fmt} k={k} n={n} layout {panel_n} vector {vector} {}",
+                    std::any::type_name::<C>()
+                );
+                if let Some(at) = (0..codes.len()).find(|&at| buf.codes.get(at) != Some(&codes[at]))
+                {
+                    panic!(
+                        "{tag}: code {at} is {:?}, want {:?}",
+                        buf.codes.get(at),
+                        codes[at]
+                    );
+                }
+                assert_eq!(buf.codes.len(), codes.len(), "{tag}: plane size");
+                assert_eq!(buf.exps, exps, "{tag}: shared exponents");
+                assert_eq!(buf.uexp, uexp, "{tag}: uexp");
+            }
+        }
+    }
+
+    /// `B[k,n]` with hostile columns: every third-from-seventh column all
+    /// ±0 beside live ones, and per `mode` columns of one exponent each,
+    /// columns whose bands sit binades apart, or every IEEE class (±0,
+    /// ±NaN, ±Inf, subnormals, normals spread across 30 binades) mixed
+    /// inside one block.
+    fn data(rng: &mut StdRng, k: usize, n: usize, mode: usize) -> Vec<f32> {
+        let sign = |rng: &mut StdRng| if rng.gen::<bool>() { -1.0f32 } else { 1.0 };
+        let mut b = vec![0.0; k * n];
+        for r in 0..k {
+            for v in 0..n {
+                b[r * n + v] = if v % 7 == 3 {
+                    sign(rng) * 0.0
+                } else {
+                    let unit = sign(rng) * rng.gen_range(1.0f32..2.0);
+                    match mode {
+                        0 => unit * 2f32.powi(v as i32 % 5 - 2),
+                        1 => unit * 2f32.powi((r / 16 * 3 + v % 3) as i32 - 10),
+                        _ => {
+                            let bits = rng.gen::<u32>();
+                            f32::from_bits(match rng.gen_range(0..10u32) {
+                                0 => bits & 0x8000_0000,
+                                1 => bits | 0x7fc0_0000,
+                                2 => (bits & 0x8000_0000) | 0x7f80_0000,
+                                3 => bits & 0x807f_ffff,
+                                _ => (bits & 0x807f_ffff) | ((100 + rng.gen_range(0..30u32)) << 23),
+                            })
+                        }
+                    }
+                };
+            }
+        }
+        b
+    }
+
+    /// The column walker on every tier, layout and code width a format
+    /// fits, against the division-form oracle: presets and `k1 = 16`
+    /// lattice formats over every sub-block size, ragged and whole
+    /// shapes, hostile data.
+    #[test]
+    fn pack_cols_matches_oracle_on_every_tier_and_layout() {
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut formats = vec![
+            BdrFormat::MX4,
+            BdrFormat::MX6,
+            BdrFormat::MX9,
+            BdrFormat::MSFP12,
+            BdrFormat::MSFP16,
+        ];
+        for k2 in [1, 2, 4, 8, 16] {
+            formats.push(BdrFormat::new(3, 6, 2, 16, k2).unwrap());
+            formats.push(BdrFormat::new(10, 8, 3, 16, k2).unwrap());
+            formats.push(BdrFormat::new(5, 4, 0, 16, k2).unwrap());
+        }
+        formats.push(BdrFormat::new(4, 8, 1, 8, 2).unwrap());
+        let (ns, ks) = ([1, 15, 16, 17, 33, 2048], [1, 4, 8, 15, 16, 17, 48, 512]);
+        for (n, k) in ns.iter().flat_map(|&n| ks.iter().map(move |&k| (n, k))) {
+            // The presets see every mode and the lattice formats the
+            // hostile one; the larger shapes run on hostile data only.
+            let big = n * k > 20_000;
+            for mode in if big { 2..3 } else { 0..3 } {
+                let b = data(&mut rng, k, n, mode);
+                let formats = match (mode, n * k) {
+                    (_, 200_001..) => &formats[1..2], // MX6 (`i8` planes)
+                    (_, 20_001..) => &formats[1..3],  // MX6 and MX9 (`i16`)
+                    (2, _) => &formats[..],
+                    _ => &formats[..5],
+                };
+                for fmt in formats {
+                    let want = oracle_blocks(&b, k, n, fmt);
+                    let width = fmt.m() + fmt.max_shift();
+                    if fits_i8(fmt) {
+                        check::<i8>(&b, k, n, fmt, &want);
+                    }
+                    if width <= 15 {
+                        check::<i16>(&b, k, n, fmt, &want);
+                    }
+                    check::<i32>(&b, k, n, fmt, &want);
+                }
+            }
+        }
     }
 }

@@ -41,14 +41,14 @@
 //!   the executed batch's size. Steady state still allocates per call
 //!   beyond the arena: every GEMM's output vector, the `Tensor`s the
 //!   attention mix builds (its q/k/v copies and what
-//!   [`crate::attention::attention_mix`] returns), a conv's `im2col`
+//!   `attention::attention_mix` returns), a conv's `im2col`
 //!   matrix per image, and the returned output.
 //!
 //! Bit-identity with the dynamic path is by construction: every node
 //! executes through the *same* crate-internal helper the corresponding
 //! layer's `forward` uses (`gemm::quantized_gemm_prepacked_scratch`,
-//! [`crate::layers::normalize_rows`], [`crate::attention::attention_mix`],
-//! [`crate::conv::im2col`], [`crate::format::cast_rows`], the activation
+//! `layers::normalize_rows`, `attention::attention_mix`,
+//! `conv::im2col`, `format::cast_rows`, the activation
 //! slice loop `Activation::apply_slice`, …), with the same
 //! thread count and the same operand values. The `plan_consistency` suite
 //! asserts equality to the bit for every zoo model × format preset ×

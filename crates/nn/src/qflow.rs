@@ -30,7 +30,7 @@
 //! plane for the same weight format coexist, and attention, linear, RNN,
 //! and conv im2col all amortize packing across forward passes — at
 //! inference steady state the weight operand is never re-quantized. The
-//! cache is bounded (see [`MAX_CACHED_PLANES`]) and sits behind a mutex,
+//! cache is bounded (see `MAX_CACHED_PLANES`) and sits behind a mutex,
 //! so concurrent serving threads that select formats per request share
 //! the same warm planes instead of evicting each other — `mx-serve` leans
 //! on exactly this to lower each model's weights once across all
