@@ -35,6 +35,15 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer whose stream holds `bytes` bytes before it
+    /// reallocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `width` bits of `value`, MSB first.
     ///
     /// # Panics

@@ -235,19 +235,41 @@ impl QuantEngine {
     /// with no finite nonzero element is written as all-zero fields.
     pub fn encode(&self, values: &[f32]) -> Vec<u8> {
         let fmt = &self.format;
-        let mut w = BitWriter::new();
-        let (mut shifts, mut signs, mut codes) = (Vec::new(), Vec::new(), Vec::new());
-        for block in values.chunks(fmt.k1()) {
-            let exp_code = block_codes_into(fmt, block, &mut shifts, &mut signs, &mut codes)
+        let (k1, k2) = (fmt.k1(), fmt.k2());
+        let whole = values.len() / k1 * fmt.block_bits(k1);
+        let tail = match values.len() % k1 {
+            0 => 0,
+            len => fmt.block_bits(len),
+        };
+        let mut w = BitWriter::with_capacity((whole + tail).div_ceil(8));
+        let (mut shifts, mut signs, mut codes) =
+            (vec![0; k1.div_ceil(k2)], vec![false; k1], vec![0; k1]);
+        for block in values.chunks(k1) {
+            let len = block.len();
+            let (shifts, signs, codes) = (
+                &mut shifts[..len.div_ceil(k2)],
+                &mut signs[..len],
+                &mut codes[..len],
+            );
+            let exp_code = block_codes_into(fmt, block, shifts, signs, codes)
                 .map_or(0, |e| (e as i64 + fmt.exp_bias()) as u64);
             w.write(exp_code, fmt.d1());
-            for &shift in &shifts {
+            for &shift in shifts.iter() {
                 w.write(shift as u64, fmt.d2());
             }
-            // Sign then magnitude, MSB first: one `m + 1`-bit field.
-            for (&neg, &code) in signs.iter().zip(&codes) {
-                w.write(u64::from(neg) << fmt.m() | u64::from(code), fmt.m() + 1);
+            // Sign then magnitude, MSB first: one `m + 1`-bit field each,
+            // gathered into one write of up to 32 bits.
+            let width = fmt.m() + 1;
+            let (mut fields, mut bits) = (0u64, 0);
+            for (&neg, &code) in signs.iter().zip(codes.iter()) {
+                if bits + width > 32 {
+                    w.write(fields, bits);
+                    (fields, bits) = (0, 0);
+                }
+                fields = fields << width | u64::from(neg) << fmt.m() | u64::from(code);
+                bits += width;
             }
+            w.write(fields, bits);
         }
         w.into_bytes()
     }
@@ -305,7 +327,11 @@ impl QuantEngine {
             block.len(),
             fmt.k1()
         );
-        let (mut shifts, mut signs, mut codes) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut shifts, mut signs, mut codes) = (
+            vec![0; block.len().div_ceil(fmt.k2())],
+            vec![false; block.len()],
+            vec![0; block.len()],
+        );
         let shared_exp = block_codes_into(&fmt, block, &mut shifts, &mut signs, &mut codes);
         QuantizedBlock {
             format: fmt,
@@ -329,17 +355,22 @@ pub(crate) fn ulp_of(fmt: &BdrFormat, shared_exp: i32, shift: u32) -> f64 {
     pow2(shared_exp - shift as i32 - (fmt.m() as i32 - 1))
 }
 
-/// Storage width for shift-aligned signed integer codes (`i8` for a narrow
-/// weight plane whose format's aligned codes fit a byte, `i16` for other
-/// narrow planes and every narrow activation, `i32` for wide pairs) — lets
-/// [`BlockCore::lower_block_strided_into`] write the consuming kernel's
-/// width directly, with no intermediate staging pass. The conversion must
-/// be lossless for every value the code-domain dispatch admits
-/// (`crate::gemm`'s width rules guarantee it).
+/// Storage width for shift-aligned integer codes (`i8` for a narrow weight
+/// plane whose format's aligned codes fit a byte and for the activation
+/// rows the AVX-512 byte-plane kernel reads, the biased byte `u8` for that
+/// kernel's weight planes, `i16` for other narrow planes and activations,
+/// `i32` for wide pairs) — lets [`BlockCore::lower_block_strided_into`]
+/// write the consuming kernel's width directly, with no intermediate
+/// staging pass. The conversion must be lossless for every value the
+/// code-domain dispatch admits (`crate::gemm`'s width rules guarantee it).
 pub(crate) trait AlignedCode: Copy + Send + Sync + PartialEq + std::fmt::Debug {
-    /// All-zero code (block padding).
+    /// The stored form of an aligned zero (block padding):
+    /// `from_aligned(0)`.
     const ZERO: Self;
-    /// Lossless narrowing from the aligned `i32` code.
+    /// What storage adds to every aligned code: 128 for the biased byte,
+    /// 0 for the signed widths.
+    const BIAS: i32 = 0;
+    /// Lossless narrowing from the aligned `i32` code, bias included.
     fn from_aligned(aligned: i32) -> Self;
 }
 
@@ -350,6 +381,20 @@ impl AlignedCode for i8 {
     fn from_aligned(aligned: i32) -> Self {
         debug_assert!(i32::from(aligned as i8) == aligned);
         aligned as i8
+    }
+}
+
+/// The biased byte: an aligned code `b ∈ [−128, 127]` stored as `b + 128`,
+/// the unsigned operand of `vpdpbusd` (`b + 128 = b ^ 0x80` in the low
+/// byte).
+impl AlignedCode for u8 {
+    const ZERO: Self = 0x80;
+    const BIAS: i32 = 128;
+
+    #[inline(always)]
+    fn from_aligned(aligned: i32) -> Self {
+        debug_assert!(i32::from(aligned as i8) == aligned);
+        (aligned + Self::BIAS) as u8
     }
 }
 
@@ -369,6 +414,18 @@ impl AlignedCode for i32 {
     #[inline(always)]
     fn from_aligned(aligned: i32) -> Self {
         aligned
+    }
+}
+
+/// K codes of one column stored side by side in the column-in-lane layout
+/// ([`BlockCore::lower_lanes_into`]): **quads** for byte codes — one
+/// `i32` lane of a `vpdpbusd` operand — and **pairs** for wider ones — one
+/// `i32` lane of a `vpdpwssd` operand.
+pub(crate) const fn lane_k<C>() -> usize {
+    if size_of::<C>() == 1 {
+        4
+    } else {
+        2
     }
 }
 
@@ -625,17 +682,19 @@ impl<'a> BlockCore<'a> {
     /// the block `data[base + r·stride + l], r < rows` (`rows ≤ 16`, the
     /// ragged tail of a column zero-filled as in
     /// [`Self::lower_block_strided_into`]), lanes from `lanes` on are
-    /// all-zero columns. `codes` (256 slots) receives the 16 blocks
-    /// `[pair][lane][2]`: pair `p` of lane `l` at `p·32 + 2l`. `exps` (16
-    /// slots) receives each lane's shared exponent, 0 for an all-zero
-    /// block, and every live block advances its column's fold in `uexp`
-    /// (`lanes` slots) by [`note_exp`]. Every slot of `codes` and `exps`
-    /// is written.
+    /// all-zero columns. `codes` (256 slots) receives the 16 blocks in
+    /// groups of [`lane_k`] K codes per lane: `[quad][lane][4]` for byte
+    /// codes (quad `q` of lane `l` at `q·64 + 4l`), `[pair][lane][2]` for
+    /// wider ones (pair `p` of lane `l` at `p·32 + 2l`), every code stored
+    /// with its width's [`AlignedCode::BIAS`]. `exps` (16 slots) receives
+    /// each lane's shared exponent, 0 for an all-zero block, and every live
+    /// block advances its column's fold in `uexp` (`lanes` slots) by
+    /// [`note_exp`]. Every slot of `codes` and `exps` is written.
     ///
     /// On the vector tier this is the vertical kernel: a row is one
     /// contiguous load, the maxima are lane-wise down the rows, and the
     /// codes are interleaved in registers. The scalar tier lowers each
-    /// column through [`lower_block_scalar`] and interleaves its pairs.
+    /// column through [`lower_block_scalar`] and interleaves its groups.
     /// Both write the same bits; debug builds re-run every vertical group
     /// on the scalar tier and assert it.
     ///
@@ -727,9 +786,10 @@ fn lower_lanes_scalar<C: AlignedCode>(
             block.fill(C::ZERO);
             None
         };
-        // Pair `i` of this lane sits at `i·2·16 + 2·lane`.
-        for (i, pair) in block.chunks_exact(2).enumerate() {
-            codes[i * 2 * LANE_GROUP + 2 * lane..][..2].copy_from_slice(pair);
+        // Group `i` of this lane sits at `i·g·16 + g·lane`.
+        let g = lane_k::<C>();
+        for (i, group) in block.chunks_exact(g).enumerate() {
+            codes[i * g * LANE_GROUP + g * lane..][..g].copy_from_slice(group);
         }
         *exp = e.unwrap_or(0);
         if let Some(e) = e {
@@ -780,39 +840,40 @@ fn lower_block_scalar<C: AlignedCode>(
 
 /// Plans `block` (at most `k1` elements) on the fast core and lowers it to
 /// the unaligned sign/magnitude codes of the packed codec and
-/// [`QuantEngine::quantize_block_codes`]: `shifts` gets one shift per
-/// `k2`-sub-block, `signs` and `codes` one entry per element. Returns the
-/// shared exponent, or `None` — with every shift, sign and code zero — for
-/// a block with no finite nonzero element.
+/// [`QuantEngine::quantize_block_codes`]: `shifts` (one slot per
+/// `k2`-sub-block) gets the microexponent shifts, `signs` and `codes` (one
+/// slot per element) the rest; every slot is written. Returns the shared
+/// exponent, or `None` — with every shift, sign and code zero — for a
+/// block with no finite nonzero element.
 fn block_codes_into(
     fmt: &BdrFormat,
     block: &[f32],
-    shifts: &mut Vec<u32>,
-    signs: &mut Vec<bool>,
-    codes: &mut Vec<u32>,
+    shifts: &mut [u32],
+    signs: &mut [bool],
+    codes: &mut [u32],
 ) -> Option<i32> {
-    let k2 = fmt.k2();
-    shifts.clear();
-    shifts.resize(block.len().div_ceil(k2), 0);
-    signs.clear();
-    codes.clear();
+    debug_assert!(signs.len() == block.len() && codes.len() == block.len());
     let Some(shared_exp) = plan_fast(fmt, block, 0, 1, block.len(), shifts) else {
         shifts.fill(0);
-        signs.resize(block.len(), false);
-        codes.resize(block.len(), 0);
+        signs.fill(false);
+        codes.fill(0);
         return None;
     };
     let max_code = fmt.max_code();
     let m1 = fmt.m() as i32 - 1;
-    for (sub, &tau) in block.chunks(k2).zip(shifts.iter()) {
+    let mut start = 0;
+    for &tau in shifts.iter() {
         let inv_ulp = pow2(-(shared_exp - tau as i32 - m1));
-        for &x in sub {
+        let end = (start + fmt.k2()).min(block.len());
+        for i in start..end {
+            let x = block[i];
             // Zeros (including -0.0) carry sign 0 so code lowering, packed
             // streams and the value path dequantize to the same bit
             // pattern (+0.0).
-            signs.push(x != 0.0 && x.is_sign_negative());
-            codes.push((rounded_quotient(x, inv_ulp) as u64).min(max_code) as u32);
+            signs[i] = x != 0.0 && x.is_sign_negative();
+            codes[i] = (rounded_quotient(x, inv_ulp) as u64).min(max_code) as u32;
         }
+        start = end;
     }
     Some(shared_exp)
 }

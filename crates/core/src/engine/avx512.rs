@@ -40,16 +40,17 @@
 //! band's block rows is one contiguous masked load (absent columns read
 //! as zeros, and so do a ragged band's absent rows — the scalar core's
 //! tail rule); steps 1 and 3–4 run per row as above, while step 2 becomes
-//! a lane-wise maximum down the rows, with no butterfly. The codes of each
-//! row pair are interleaved in registers and leave in one store per pair
-//! row, in the GEMM's column-in-lane `[pair][lane][2]` layout; the 16
-//! shared exponents leave in one store, and each column's
-//! exponent-uniformity fold is kept per lane.
+//! a lane-wise maximum down the rows, with no butterfly. The codes are
+//! interleaved in registers into the GEMM's column-in-lane layout and leave
+//! in one store per group row: byte codes four rows at a time,
+//! `[quad][lane][4]` with the biased byte's `^ 0x80`, wider codes two rows
+//! at a time, `[pair][lane][2]`. The 16 shared exponents leave in one
+//! store, and each column's exponent-uniformity fold is kept per lane.
 //!
 //! Everything else — single strided blocks, ragged contiguous tails,
 //! other shapes, other CPUs — stays on the scalar core.
 
-use super::{AlignedCode, EXP_MIXED, EXP_UNSEEN, ROUND_BIAS};
+use super::{lane_k, AlignedCode, EXP_MIXED, EXP_UNSEEN, ROUND_BIAS};
 use crate::bdr::BdrFormat;
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
@@ -158,8 +159,9 @@ impl Kernel {
     /// independent blocks, column `l < lanes` being the block
     /// `data[base + r·stride + l], r < rows` (rows past `rows` read as
     /// zeros, lanes past `lanes` as all-zero columns). Each row is one
-    /// contiguous masked load; the codes land column-in-lane,
-    /// `[pair][lane][2]` over 16 lanes, and `exps` gets every lane's shared
+    /// contiguous masked load; the codes land column-in-lane over 16 lanes,
+    /// in groups of [`lane_k`] (`[quad][lane][4]` for bytes,
+    /// `[pair][lane][2]` otherwise), and `exps` gets every lane's shared
     /// exponent (0 for an all-zero block). `uexp` holds the `lanes`
     /// columns' running exponent-uniformity folds, which each live block
     /// advances as [`super::note_exp`] does.
@@ -380,9 +382,13 @@ impl Kernel {
                 let x = _mm512_loadu_si512(chunk.as_ptr().cast());
                 let out = self.aligned_codes(x, self.shifts(e, shared), shared, alive);
                 // The narrowing is `AlignedCode::from_aligned`'s: lossless
-                // for every pair the code-domain dispatch admits.
+                // for every pair the code-domain dispatch admits, the
+                // biased byte's `+ 128` included (`vpmovdb` truncates).
                 match size_of::<C>() {
-                    1 => _mm_storeu_si128(dst.as_mut_ptr().cast(), _mm512_cvtepi32_epi8(out)),
+                    1 => _mm_storeu_si128(
+                        dst.as_mut_ptr().cast(),
+                        _mm512_cvtepi32_epi8(_mm512_add_epi32(out, _mm512_set1_epi32(C::BIAS))),
+                    ),
                     2 => _mm256_storeu_si256(dst.as_mut_ptr().cast(), _mm512_cvtepi32_epi16(out)),
                     4 => _mm512_storeu_si512(dst.as_mut_ptr().cast(), out),
                     _ => unreachable!("aligned codes are i8, i16 or i32"),
@@ -443,43 +449,40 @@ impl Kernel {
             _mm512_max_epi32(top, _mm512_set1_epi32(self.min_exp)),
             _mm512_set1_epi32(self.max_exp),
         );
-        // Row pair `p` interleaved lane by lane: `[lane][2]` is lane `l` of
-        // row `2p`, then of row `2p + 1`.
-        let lo_pairs = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
-        let hi_pairs = _mm512_add_epi32(lo_pairs, _mm512_set1_epi32(8));
-        let pairs = x.chunks_exact(2).zip(e_sub.chunks_exact(2));
-        for (dst, (x, e)) in codes.chunks_exact_mut(2 * LANES).zip(pairs) {
-            // SAFETY: `dst` is one pair row, 32 codes of `size_of::<C>()`
-            // bytes, and the stores picked by that size write exactly 32
-            // of them; the helpers are register-only and inherit this fn's
-            // features.
+        // Row group `g` interleaved lane by lane: `[lane][lane_k]` is lane
+        // `l` of each of the group's rows in turn.
+        let k = lane_k::<C>();
+        let groups = x.chunks_exact(k).zip(e_sub.chunks_exact(k));
+        for (dst, (x, e)) in codes.chunks_exact_mut(k * LANES).zip(groups) {
+            // SAFETY: `dst` is one group row, `16·k` codes of
+            // `size_of::<C>()` bytes, and the stores picked by that size
+            // write exactly that many; the helpers are register-only and
+            // inherit this fn's features.
             unsafe {
-                let c0 = self.aligned_codes(x[0], self.shifts(e[0], shared), shared, alive);
-                let c1 = self.aligned_codes(x[1], self.shifts(e[1], shared), shared, alive);
-                let lo = _mm512_permutex2var_epi32(c0, lo_pairs, c1);
-                let hi = _mm512_permutex2var_epi32(c0, hi_pairs, c1);
+                let mut c = [_mm512_setzero_si512(); 4];
+                for (c, (&x, &e)) in c.iter_mut().zip(x.iter().zip(e)) {
+                    *c = self.aligned_codes(x, self.shifts(e, shared), shared, alive);
+                }
                 // The narrowing is `AlignedCode::from_aligned`'s, as in
                 // `lower`.
                 match size_of::<C>() {
-                    1 => _mm256_storeu_si256(
-                        dst.as_mut_ptr().cast(),
-                        _mm256_inserti128_si256::<1>(
-                            _mm256_castsi128_si256(_mm512_cvtepi32_epi8(lo)),
-                            _mm512_cvtepi32_epi8(hi),
-                        ),
-                    ),
-                    2 => _mm512_storeu_si512(
-                        dst.as_mut_ptr().cast(),
-                        _mm512_inserti64x4::<1>(
-                            _mm512_castsi256_si512(_mm512_cvtepi32_epi16(lo)),
-                            _mm512_cvtepi32_epi16(hi),
-                        ),
-                    ),
+                    1 => _mm512_storeu_si512(dst.as_mut_ptr().cast(), quad_bytes::<C>(c)),
+                    2 => {
+                        let [lo, hi] = interleave_pairs(c[0], c[1]);
+                        _mm512_storeu_si512(
+                            dst.as_mut_ptr().cast(),
+                            _mm512_inserti64x4::<1>(
+                                _mm512_castsi256_si512(_mm512_cvtepi32_epi16(lo)),
+                                _mm512_cvtepi32_epi16(hi),
+                            ),
+                        );
+                    }
                     4 => {
+                        let [lo, hi] = interleave_pairs(c[0], c[1]);
                         _mm512_storeu_si512(dst.as_mut_ptr().cast(), lo);
                         _mm512_storeu_si512(dst[LANES..].as_mut_ptr().cast(), hi);
                     }
-                    _ => unreachable!("aligned codes are i8, i16 or i32"),
+                    _ => unreachable!("aligned codes are 1, 2 or 4 bytes"),
                 }
             }
         }
@@ -521,6 +524,44 @@ unsafe fn lane_exponents(x: __m512i) -> __m512i {
     // `31 − lzcnt − 149`; an all-zero lane counts 32 and reads NO_EXP.
     let subnormal = _mm512_sub_epi32(_mm512_set1_epi32(-118), _mm512_lzcnt_epi32(a));
     _mm512_mask_mov_epi32(normal, _mm512_testn_epi32_mask(field, field), subnormal)
+}
+
+/// Rows `2p` and `2p + 1` of a band interleaved lane by lane: lanes 0–7
+/// of the pair row (`[lane][2]`) in the first vector, lanes 8–15 in the
+/// second.
+///
+/// # Safety
+///
+/// Requires AVX-512 F/CD/DQ/BW/VL (register-only).
+#[target_feature(enable = "avx512f,avx512cd,avx512dq,avx512bw,avx512vl")]
+unsafe fn interleave_pairs(c0: __m512i, c1: __m512i) -> [__m512i; 2] {
+    let lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+    let hi = _mm512_add_epi32(lo, _mm512_set1_epi32(8));
+    [
+        _mm512_permutex2var_epi32(c0, lo, c1),
+        _mm512_permutex2var_epi32(c0, hi, c1),
+    ]
+}
+
+/// Rows `4q .. 4q + 4` of a band as one quad row of bytes: lane `l`'s
+/// `i32` holds the four rows' codes of column `l`, row `4q` in the low
+/// byte, each stored with `C`'s bias (`^ 0x80` is `+ 128` on a byte).
+///
+/// # Safety
+///
+/// Requires AVX-512 F/CD/DQ/BW/VL (register-only).
+#[target_feature(enable = "avx512f,avx512cd,avx512dq,avx512bw,avx512vl")]
+unsafe fn quad_bytes<C: AlignedCode>(c: [__m512i; 4]) -> __m512i {
+    let byte = |v| _mm512_and_si512(v, _mm512_set1_epi32(0xff));
+    let word = _mm512_or_si512(
+        _mm512_or_si512(byte(c[0]), _mm512_slli_epi32::<8>(byte(c[1]))),
+        _mm512_or_si512(
+            _mm512_slli_epi32::<16>(byte(c[2])),
+            _mm512_slli_epi32::<24>(c[3]),
+        ),
+    );
+    let bias = (C::BIAS as u32).wrapping_mul(0x0101_0101) as i32;
+    _mm512_xor_si512(word, _mm512_set1_epi32(bias))
 }
 
 /// Log-step butterfly: every lane ends with the maximum over its aligned

@@ -1,7 +1,8 @@
 //! The kernel-backend dispatch layer: which ISA-specific tile kernel
-//! executes the narrow (`i16` activation codes against `i8` or `i16`
-//! weight codes) code-domain path, and whether the deferred-scale-out
-//! optimization is armed.
+//! executes the narrow code-domain path (`i16` activation codes against
+//! `i8` or `i16` weight codes, or — on the AVX-512 byte planes — signed
+//! byte activation digits against biased `u8` weight codes), and whether
+//! the deferred-scale-out optimization is armed.
 //!
 //! # The backend contract
 //!
@@ -25,14 +26,18 @@
 //!   (two rows at a time where deferral holds) with deferred scale-out
 //!   (generation 2), and an in-register per-block scale-out panel as the
 //!   exact fallback;
-//! - `avx512` — generation 3: one kernel body over
-//!   column-in-lane 16-column panels (each column's K pairs interleaved,
-//!   the VNNI GEMM layout), so a broadcast A pair feeds 16 columns per
-//!   `vpdpwssd` (AVX-512-VNNI, detected separately; `vpmaddwd`+`vpaddd`
-//!   without it), each lane ends a block holding one column's block dot,
-//!   and the per-block scale-out is a lane epilogue with no horizontal
-//!   reduce. Up to four rows share each B load; deferral is a
-//!   per-(row, panel) skip of the epilogue; ragged N is a masked store.
+//! - `avx512` — generation 3: one kernel body over column-in-lane
+//!   16-column panels (the VNNI GEMM layout). A byte plane (MX6, MX4,
+//!   MSFP weights) interleaves each column's K **quads** as biased bytes,
+//!   so a broadcast A quad feeds 16 columns per `vpdpbusd` — four MACs
+//!   per lane step, the bias's `128·Σ a` taken out by seeding each
+//!   block's accumulator with `−128·Σ a`, activations wider than a byte
+//!   split into signed byte digits; an `i16` plane (MX9 weights)
+//!   interleaves K **pairs**, one `vpdpwssd` per broadcast A pair. Each
+//!   lane ends a block holding one column's block dot, and the per-block
+//!   scale-out is a lane epilogue with no horizontal reduce. Up to four
+//!   rows share each B load; deferral is a per-(row, panel) skip of the
+//!   epilogue; ragged N is a masked store.
 //!
 //! Adding an ISA (NEON next) is: write the module, give it a
 //! [`KernelBackend`] variant, extend `narrow_span_kernel` — no changes
@@ -87,13 +92,20 @@
 //!    zero-padded to 16 columns and its outputs leave through one masked
 //!    store (masked-out lanes are architecturally not accessed). Fewer
 //!    paths, fewer bit-identity proofs.
-//! 8. **Detect optional sub-features separately and fall back in-module.**
-//!    VNNI is not implied by AVX-512F/BW: `avx512_vnni_available` gates
-//!    `vpdpwssd` on its own `is_x86_feature_detected!` probe, and the
-//!    kernel compiles its one body a second time with `vpmaddwd`+`vpaddd`
-//!    under the F/BW-only entry point, so the backend (and its
-//!    bit-identity) never depends on the optional instruction.
-//!    [`force_vnni`] selects the fallback for tests.
+//! 8. **Detect optional sub-features separately and fall back in-module,
+//!    exactly.** VNNI is not implied by AVX-512F/BW:
+//!    `avx512_vnni_available` gates `vpdpbusd`/`vpdpwssd` on its own
+//!    `is_x86_feature_detected!` probe, and the kernel compiles its one
+//!    body a second time under the F/BW-only entry point, so the backend
+//!    (and its bit-identity) never depends on the optional instruction.
+//!    The fallback must be an exact spelling, not a close one: `vpdpwssd`
+//!    is `vpmaddwd` + `vpaddd`; `vpdpbusd` is the biased bytes
+//!    zero-extended to 16-bit pairs against A's codes sign-extended to
+//!    `i16` (the activation lowering writes them at that width for this
+//!    body), two `vpmaddwd` and two `vpaddd` — never `vpmaddubsw`, which
+//!    saturates its 16-bit pair sums (up to `2·255·128`) at `i16::MAX`.
+//!    [`force_vnni`] selects the fallback for tests, and
+//!    [`byte_plane_body`] names the one running.
 //! 9. **Consume `FormatPair`, never re-derive.** Kernel class, `k1`, the
 //!    scale-out constant `c`, and the deferral headroom all come from the
 //!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
@@ -127,12 +139,12 @@
 //! knob has since changed — each layout exists only on machines that
 //! support its backend).
 
-use super::pack::PlaneView;
+use super::pack::{ByteView, PlaneView};
 use super::{DeferCtx, NarrowCode};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// The ISA tier executing the narrow (`i16`/`i8`-code) integer GEMM path. The
+/// The ISA tier executing the narrow (8- and 16-bit code) integer GEMM path. The
 /// wide (`i32`-code) path for exotic custom formats always runs the
 /// portable scalar kernel — it is not serving-critical and keeps the
 /// backend matrix small.
@@ -144,7 +156,8 @@ pub enum KernelBackend {
     Avx2,
     /// 512-bit kernel over 16-column column-in-lane panels: a lane
     /// epilogue scales out each block, a masked store handles ragged N,
-    /// and VNNI (`vpdpwssd`) block dots are used where the CPU has them.
+    /// and VNNI block dots (`vpdpbusd` on byte planes, `vpdpwssd` on `i16`
+    /// ones) are used where the CPU has them.
     Avx512,
 }
 
@@ -199,9 +212,10 @@ pub(super) fn avx512_available() -> bool {
 }
 
 /// Whether the running CPU additionally supports AVX-512-VNNI
-/// (`vpdpwssd`). Detected separately from [`avx512_available`] — VNNI is
-/// not implied by F/BW, and the kernel carries a `vpmaddwd`+`vpaddd`
-/// fallback so the backend itself never depends on it.
+/// (`vpdpbusd`, `vpdpwssd`). Detected separately from
+/// [`avx512_available`] — VNNI is not implied by F/BW, and the kernel
+/// carries exact `vpmaddwd`+`vpaddd` fallbacks so the backend itself never
+/// depends on it.
 #[cfg(target_arch = "x86_64")]
 pub(super) fn avx512_vnni_available() -> bool {
     static VNNI: OnceLock<bool> = OnceLock::new();
@@ -387,11 +401,11 @@ pub fn force_deferred_scale_out(enabled: Option<bool>) {
 /// Set while [`force_vnni`] holds the AVX-512 kernel on its fallback dots.
 static VNNI_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Whether the AVX-512 kernel uses `vpdpwssd` for its block dots: on
-/// wherever [`avx512_vnni_available`] detected it, unless [`force_vnni`]
-/// selected the `vpmaddwd`+`vpaddd` fallback. Both paths are bit-identical
-/// (`vpdpwssd` computes exactly the fused chain per lane); the hook only
-/// lets tests cover the fallback on a VNNI machine.
+/// Whether the AVX-512 kernel uses `vpdpbusd`/`vpdpwssd` for its block
+/// dots: on wherever [`avx512_vnni_available`] detected it, unless
+/// [`force_vnni`] selected the `vpmaddwd`+`vpaddd` fallback. Both paths are
+/// bit-identical (the fallback spells each fused instruction exactly, lane
+/// by lane); the hook only lets tests cover the fallback on a VNNI machine.
 pub(super) fn vnni_enabled() -> bool {
     avx512_vnni_available() && !VNNI_OFF.load(Ordering::Relaxed)
 }
@@ -412,20 +426,63 @@ pub fn force_vnni(enabled: Option<bool>) {
 pub(super) type SpanKernel<A, B> =
     fn(PlaneView<'_, A>, usize, PlaneView<'_, B>, usize, i32, DeferCtx, &mut [f32]);
 
-/// The narrow-pair span kernel for a B plane packed with the given panel
-/// width: a 16-wide plane always runs the AVX-512 kernel and an 8-wide
-/// plane the AVX2 kernels (each layout is only ever built when the CPU
-/// supports its backend); a vector-major plane (`b_panel_n == 0`) runs
-/// the scalar kernel whichever backend is selected (the panel kernels
-/// require their own layout). Every backend's one kernel body is generic
-/// over the weight code width `B`.
+/// The span kernel of a byte plane on the AVX-512 layout: A arrives as
+/// signed byte digit rows with their bias corrections.
+pub(super) type ByteSpanKernel =
+    fn(ByteView<'_>, usize, PlaneView<'_, u8>, usize, i32, DeferCtx, &mut [f32]);
+
+/// The narrow-pair span kernel for an `i8` or `i16` plane packed with the
+/// given panel width: an 8-wide plane runs the AVX2 kernels (the layout is
+/// only ever built when the CPU supports them), a vector-major plane
+/// (`b_panel_n == 0`) the scalar kernel whichever backend is selected (the
+/// panel kernels require their own layout). Both are generic over the
+/// weight code width `B`. A 16-wide plane is an `i16` one
+/// ([`half_span_kernel`]) or a biased byte one ([`byte_span_kernel`]).
 pub(super) fn narrow_span_kernel<B: NarrowCode>(b_panel_n: usize) -> SpanKernel<i16, B> {
     match b_panel_n {
         #[cfg(target_arch = "x86_64")]
-        super::PANEL_N_512 => super::avx512::gemm_span::<B>,
-        #[cfg(target_arch = "x86_64")]
         super::PANEL_N => super::avx2::gemm_span::<B>,
         _ => super::scalar::gemm_span::<i16, B>,
+    }
+}
+
+/// The span kernel for an `i16` plane: the AVX-512 pair body on a 16-wide
+/// plane, else [`narrow_span_kernel`]'s.
+pub(super) fn half_span_kernel(b_panel_n: usize) -> SpanKernel<i16, i16> {
+    match b_panel_n {
+        #[cfg(target_arch = "x86_64")]
+        super::PANEL_N_512 => super::avx512::gemm_span,
+        w => narrow_span_kernel(w),
+    }
+}
+
+/// The span kernel for a biased byte plane: the AVX-512 quad body, the
+/// only consumer of that layout.
+pub(super) fn byte_span_kernel() -> ByteSpanKernel {
+    #[cfg(target_arch = "x86_64")]
+    {
+        super::avx512::gemm_span_bytes
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("byte planes are packed only for the AVX-512 backend")
+}
+
+/// Which body the AVX-512 byte planes run right now: `"vpdpbusd"` where
+/// the CPU has AVX-512-VNNI and [`force_vnni`] has not switched it off,
+/// else `"vpmaddwd"` — the exact spelling of the same dot. The
+/// `cpu_features` probe prints it, so a log names the path a
+/// default-backend test step took.
+///
+/// # Examples
+///
+/// ```
+/// assert!(["vpdpbusd", "vpmaddwd"].contains(&mx_core::gemm::byte_plane_body()));
+/// ```
+pub fn byte_plane_body() -> &'static str {
+    if vnni_enabled() {
+        "vpdpbusd"
+    } else {
+        "vpmaddwd"
     }
 }
 

@@ -46,13 +46,19 @@
 //!
 //! # Code widths
 //!
-//! A narrow pair multiplies `i16` activation codes against a weight plane
-//! whose width the **weight format alone** decides: `i8` when its largest
-//! shift-aligned magnitude `max_code ≪ β` is at most 127 (MX6, MX4, MSFP12,
-//! MSFP16), `i16` otherwise (MX9). The panel kernels sign-extend `i8`
-//! weight codes to `i16` lanes as they load them, so the integers — and
-//! every bit of the output — are the same as from an `i16` plane; only the
-//! bytes a product streams halve. Wide pairs use `i32` codes on both sides.
+//! A narrow pair multiplies activation codes against a weight plane whose
+//! width the **weight format alone** decides: one byte when its largest
+//! shift-aligned magnitude `max_code ≪ β` is at most 127 (MX6, MX4,
+//! MSFP12, MSFP16), `i16` otherwise (MX9). The scalar and AVX2 kernels
+//! multiply `i16` activation codes and sign-extend `i8` weight codes to
+//! `i16` lanes as they load them. The AVX-512 kernel multiplies a byte
+//! plane at byte width: the plane stores each code biased (`b + 128`, the
+//! unsigned operand of `vpdpbusd`) in K quads, the activation rows are
+//! lowered to signed bytes — split into byte digits when their codes are
+//! wider — and each block's accumulator starts from the bias correction
+//! `−128·Σ a`. Every kernel multiplies the same integers, so every bit of
+//! the output is the same whichever width the plane stores. Wide pairs use
+//! `i32` codes on both sides.
 //!
 //! # Activation lowering
 //!
@@ -138,13 +144,13 @@ mod pair;
 mod scalar;
 
 pub use backend::{
-    deferred_scale_out_enabled, force_deferred_scale_out, force_kernel_backend, force_vnni,
-    kernel_backend_name, selected_backend, BackendUnavailable, KernelBackend,
+    byte_plane_body, deferred_scale_out_enabled, force_deferred_scale_out, force_kernel_backend,
+    force_vnni, kernel_backend_name, selected_backend, BackendUnavailable, KernelBackend,
 };
 pub use pack::{PackScratch, PackedOperand};
 
 use backend::SpanKernel;
-use pack::{pack_into, CodeBuf, Plane, PlaneView};
+use pack::{pack_into, ByteRows, CodeBuf, Plane, PlaneView};
 use pair::{DeferCtx, FormatPair};
 
 /// Rows of A processed per tile: each loaded B column-block is reused for
@@ -158,10 +164,11 @@ const TILE_M: usize = 8;
 const PANEL_N: usize = 8;
 
 /// Columns per panel in the column-in-lane B layout the AVX-512 kernel
-/// consumes: one column per `i32` lane of a `zmm`, so one broadcast A pair
-/// feeds every column of the panel and each lane ends a block holding one
-/// column's block dot. A panel's codes still stream strictly sequentially
-/// (one 32-code pair row after another). Doubles as the layout tag in
+/// consumes: one column per `i32` lane of a `zmm`, so one broadcast A quad
+/// (byte planes) or pair (`i16` planes) feeds every column of the panel and
+/// each lane ends a block holding one column's block dot. A panel's codes
+/// still stream strictly sequentially (one 64-byte quad or pair row after
+/// another). Doubles as the layout tag in
 /// `PackedOperand::panel_n` (see [`pack::panel_slot`] for the slot order).
 const PANEL_N_512: usize = 16;
 
@@ -240,9 +247,10 @@ impl Code for i32 {
     }
 }
 
-/// A weight-plane code width of the narrow class: `i8` or `i16`. The panel
-/// kernels load either as `i16` lanes (`i8` sign-extended on load), so one
-/// kernel body per backend serves both.
+/// A signed weight-plane code width of the narrow class: `i8` or `i16`.
+/// The scalar and AVX2 kernels load either as `i16` lanes (`i8`
+/// sign-extended on load), so one kernel body per backend serves both.
+/// (The AVX-512 byte planes store biased `u8` codes instead.)
 trait NarrowCode: engine::AlignedCode + Into<i16> {}
 
 impl NarrowCode for i8 {}
@@ -347,10 +355,30 @@ struct Gemm<'a> {
 
 impl Gemm<'_> {
     /// Executes `kernel` over whole-row spans, each span first lowering
-    /// its own rows of A: serially into the caller's `buf`, or on
-    /// `workers` threads into one ring per span. Per output element the
-    /// K-block loop order, rounding points, and accumulation do not depend
-    /// on the split, so every `workers` gives the same bits.
+    /// its own rows of A with `lower`: serially into the caller's `buf`,
+    /// or on `workers` threads into one ring per span. Per output element
+    /// the K-block loop order, rounding points, and accumulation do not
+    /// depend on the split, so every `workers` gives the same bits.
+    fn run_with<S: Default>(
+        &self,
+        buf: &mut S,
+        lower: impl Fn(usize, usize, &mut S) + Sync,
+        kernel: impl Fn(&S, usize, &mut [f32]) + Sync,
+        out: &mut [f32],
+    ) {
+        if self.workers <= 1 {
+            lower(0, self.m, buf);
+            kernel(buf, self.m, out);
+        } else {
+            dispatch_rows(self.n, self.workers, out, |r0, rows, part| {
+                let mut ring = S::default();
+                lower(r0, rows, &mut ring);
+                kernel(&ring, rows, part);
+            });
+        }
+    }
+
+    /// [`Self::run_with`] on A rows lowered to `A` codes by `pack_into`.
     fn run<A: Code, B: engine::AlignedCode>(
         &self,
         bp: PlaneView<'_, B>,
@@ -360,19 +388,30 @@ impl Gemm<'_> {
     ) {
         let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
         let blocks = k.div_ceil(bp.k1);
-        let lower = |r0: usize, rows: usize, buf: &mut CodeBuf<A>| {
-            pack_into(self.a, rows, k, |i| (r0 + i) * k, self.fa, buf);
-        };
-        if self.workers <= 1 {
-            lower(0, self.m, buf);
-            kernel(buf.view(blocks, bp.k1), self.m, bp, n, c, ctx, out);
-        } else {
-            dispatch_rows(n, self.workers, out, |r0, rows, part| {
-                let mut ring = CodeBuf::default();
-                lower(r0, rows, &mut ring);
-                kernel(ring.view(blocks, bp.k1), rows, bp, n, c, ctx, part);
-            });
-        }
+        self.run_with(
+            buf,
+            |r0, rows, buf: &mut CodeBuf<A>| {
+                pack_into(self.a, rows, k, |i| (r0 + i) * k, self.fa, buf);
+            },
+            |buf, rows, out| kernel(buf.view(blocks, bp.k1), rows, bp, n, c, ctx, out),
+            out,
+        );
+    }
+
+    /// [`Self::run_with`] on A rows lowered to signed byte digits against
+    /// a biased byte plane.
+    fn run_bytes(&self, bp: PlaneView<'_, u8>, buf: &mut ByteRows, out: &mut [f32]) {
+        let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
+        let blocks = k.div_ceil(bp.k1);
+        let (kernel, vnni) = (backend::byte_span_kernel(), backend::vnni_enabled());
+        self.run_with(
+            buf,
+            |r0, rows, buf: &mut ByteRows| {
+                buf.lower(self.a, rows, k, |i| (r0 + i) * k, self.fa, vnni);
+            },
+            |buf, rows, out| kernel(buf.view(blocks), rows, bp, n, c, ctx, out),
+            out,
+        );
     }
 }
 
@@ -456,9 +495,10 @@ pub fn quantized_gemm_prepacked_scratch(
             &mut scratch.narrow,
             &mut out,
         ),
+        Plane::U8(b) => gemm.run_bytes(b.view(blocks, pair.k1), &mut scratch.bytes, &mut out),
         Plane::I16(b) => gemm.run(
             b.view(blocks, pair.k1),
-            backend::narrow_span_kernel(packed_b.panel_n),
+            backend::half_span_kernel(packed_b.panel_n),
             &mut scratch.narrow,
             &mut out,
         ),
@@ -662,7 +702,7 @@ mod tests {
             // fits a byte.
             let fits_byte = (fb.max_code() << fb.max_shift()) <= 127;
             match (&pb.plane, pair.class) {
-                (Plane::I8(_), PairClass::Narrow) if fits_byte => byte_planes += 1,
+                (Plane::I8(_) | Plane::U8(_), PairClass::Narrow) if fits_byte => byte_planes += 1,
                 (Plane::I16(_), PairClass::Narrow) if !fits_byte => half_planes += 1,
                 (Plane::I32(_), PairClass::Wide) => {}
                 _ => panic!("{fa}/{fb}: {pb:?} for a {:?} pair", pair.class),
@@ -738,7 +778,7 @@ mod tests {
         ] {
             for fa in [BdrFormat::MX4, BdrFormat::MX9, BdrFormat::MSFP16] {
                 let pb = PackedOperand::pack_cols(&b, 32, 3, fa, fb).unwrap();
-                let byte = matches!(pb.plane, Plane::I8(_));
+                let byte = matches!(pb.plane, Plane::I8(_) | Plane::U8(_));
                 assert_eq!(byte, fb != BdrFormat::MX9, "{fa}/{fb}: {pb:?}");
                 assert!(byte || matches!(pb.plane, Plane::I16(_)), "{pb:?}");
             }
@@ -1044,13 +1084,15 @@ mod tests {
                                                              // column 2 stays all-zero
         }
         let pb = PackedOperand::pack_cols(&b, k, 3, fmt, fmt).unwrap();
-        let Plane::I8(ref plane) = pb.plane else {
-            panic!("an MX6 plane must pack i8");
+        let uexp = match &pb.plane {
+            Plane::I8(plane) => &plane.uexp,
+            Plane::U8(plane) => &plane.uexp,
+            _ => panic!("an MX6 plane must pack bytes"),
         };
-        assert_eq!(plane.uexp.len(), 3);
-        assert_ne!(plane.uexp[0], pack::MIXED_EXP);
-        assert_eq!(plane.uexp[1], pack::MIXED_EXP);
-        assert_eq!(plane.uexp[2], 0);
+        assert_eq!(uexp.len(), 3);
+        assert_ne!(uexp[0], pack::MIXED_EXP);
+        assert_eq!(uexp[1], pack::MIXED_EXP);
+        assert_eq!(uexp[2], 0);
     }
 
     #[test]

@@ -166,10 +166,10 @@ pub(super) fn pack_into<C: AlignedCode>(
 /// The column-in-lane layout ([`PANEL_N_512`]) lowers 16-column groups
 /// through `engine::BlockCore::lower_lanes_into` — the vertical tier on a
 /// core that has one, which loads each block row of the group in one go and
-/// writes the panel's interleaved pair rows directly; a ragged last group
-/// reads its absent columns as zeros, and a ragged last band its absent
-/// rows. Every other layout lowers column by column on the scalar core's
-/// strided entry.
+/// writes the panel's interleaved quad rows (biased bytes) or pair rows
+/// (wider codes) directly; a ragged last group reads its absent columns as
+/// zeros, and a ragged last band its absent rows. Every other layout
+/// lowers column by column on the scalar core's strided entry.
 pub(super) fn pack_cols_into<C: AlignedCode>(
     b: &[f32],
     k: usize,
@@ -243,13 +243,21 @@ pub(super) fn pack_cols_into<C: AlignedCode>(
 /// slot's codes are the `k1` contiguous codes at `slot · k1`.
 ///
 /// The AVX-512 layout (`panel_n == `[`PANEL_N_512`]) is **column-in-lane**:
-/// every panel is 16 lanes wide, the last one zero-padded, and a block's
-/// codes are interleaved with its panel's other lanes in K pairs —
-/// `[panel][block][pair][lane][2]`, the order [`pack_cols_into`]'s lane
-/// groups are written in. With `k1 = 16` one pair
-/// row is the 16 columns' codes `2p` and `2p + 1`, 32 contiguous codes:
-/// one 512-bit load (`i16`) or one sign-extending 256-bit load (`i8`),
-/// and one `vpdpwssd` against a broadcast A pair.
+/// every panel is 16 lanes wide, the last one padded, and a block's codes
+/// are interleaved with its panel's other lanes a few K at a time, the
+/// order [`pack_cols_into`]'s lane groups are written in
+/// (`engine::lane_k`). With `k1 = 16`:
+///
+/// - a byte plane is `[panel][block][quad][lane][4]`: one quad row is the
+///   16 columns' codes `4q ..= 4q + 3`, 64 contiguous biased bytes
+///   (`b + 128`), one 512-bit load and one `vpdpbusd` against a broadcast
+///   A quad;
+/// - an `i16` plane is `[panel][block][pair][lane][2]`: one pair row is the
+///   16 columns' codes `2p` and `2p + 1`, 32 contiguous codes, one 512-bit
+///   load and one `vpdpwssd` against a broadcast A pair.
+///
+/// Padded lanes and a ragged band's padded rows hold the stored zero (128
+/// on a byte plane).
 pub(super) fn panel_slot(
     v: usize,
     kb: usize,
@@ -287,8 +295,12 @@ fn pack_cols_buf<C: AlignedCode>(
 #[derive(Clone)]
 pub(super) enum Plane {
     /// `i8` codes: a narrow pair whose weight format's aligned codes fit a
-    /// byte (MX6, MX4, MSFP12, MSFP16).
+    /// byte (MX6, MX4, MSFP12, MSFP16), on the vector-major and AVX2
+    /// layouts.
     I8(CodeBuf<i8>),
+    /// The same codes on the AVX-512 layout: biased bytes `b + 128` in K
+    /// quads, the unsigned operand of `vpdpbusd` (see [`panel_slot`]).
+    U8(CodeBuf<u8>),
     /// `i16` codes: every other narrow pair (MX9 weights).
     I16(CodeBuf<i16>),
     /// `i32` codes (wide custom formats).
@@ -299,7 +311,7 @@ impl Plane {
     /// The kernel class this plane serves.
     fn class(&self) -> PairClass {
         match self {
-            Plane::I8(_) | Plane::I16(_) => PairClass::Narrow,
+            Plane::I8(_) | Plane::U8(_) | Plane::I16(_) => PairClass::Narrow,
             Plane::I32(_) => PairClass::Wide,
         }
     }
@@ -314,8 +326,9 @@ impl Plane {
 /// partner decides the kernel class — narrow or wide (`i32` codes) — and
 /// the storage layout (panel-major when a panel backend will consume it).
 /// Inside the narrow class the weight format alone picks the storage
-/// width: `i8` when its largest aligned magnitude `max_code ≪ β` is at
-/// most 127 (MX6, MX4, MSFP12, MSFP16), `i16` otherwise (MX9). The
+/// width: one byte when its largest aligned magnitude `max_code ≪ β` is at
+/// most 127 (MX6, MX4, MSFP12, MSFP16) — `i8`, or the biased `u8` on the
+/// AVX-512 layout — and `i16` otherwise (MX9). The
 /// plane records that class and answers [`PackedOperand::accepts`] for any
 /// activation format: every partner landing in the same class executes
 /// against it — e.g. a plane packed for an MX6 partner also serves MX9
@@ -352,6 +365,7 @@ impl std::fmt::Debug for PackedOperand {
             self.len,
             match self.plane {
                 Plane::I8(_) => "i8",
+                Plane::U8(_) => "i8 as biased u8",
                 Plane::I16(_) => "i16",
                 Plane::I32(_) => "i32",
             },
@@ -373,9 +387,10 @@ impl PackedOperand {
     /// and the block size matches), columns are laid out **panel-major**:
     /// columns are grouped into panels of the backend's width (8 for AVX2,
     /// 16 for AVX-512), and within a panel the codes are ordered
-    /// `[block][lane][k1]` (AVX2) or column-in-lane `[block][pair][lane][2]`
-    /// (AVX-512: one pair row holds the 16 columns' codes `2p` and
-    /// `2p + 1`) — so one panel's entire reduction (`blocks · panel_n · k1`
+    /// `[block][lane][k1]` (AVX2) or column-in-lane — `[block][quad][lane][4]`
+    /// in biased bytes for a byte plane, `[block][pair][lane][2]` for an
+    /// `i16` one (AVX-512) — so one panel's entire
+    /// reduction (`blocks · panel_n · k1`
     /// codes, ≈ 4–8 KB at the serving shapes) is a single contiguous,
     /// L1-resident streak. When `n mod panel_n ≠ 0` the last AVX2 panel is
     /// simply narrower, and the last AVX-512 panel is zero-padded to 16
@@ -389,7 +404,7 @@ impl PackedOperand {
     /// while it is cache-resident. An AVX-512 plane is written by the
     /// block core's vertical tier: 16 adjacent columns are 16 independent
     /// blocks, each block row one contiguous vector load, and the codes go
-    /// straight into the panel's pair rows. Every other plane is lowered
+    /// straight into the panel's quad or pair rows. Every other plane is lowered
     /// column by column on the scalar block core. Both write the bits the
     /// division form ([`crate::engine::oracle`]) defines.
     ///
@@ -405,6 +420,9 @@ impl PackedOperand {
         };
         let core = engine::BlockCore::new(&fb);
         let plane = match pair.class {
+            PairClass::Narrow if fits_i8(&fb) && panel_n == PANEL_N_512 => {
+                Plane::U8(pack_cols_buf(b, k, n, panel_n, &core))
+            }
             PairClass::Narrow if fits_i8(&fb) => Plane::I8(pack_cols_buf(b, k, n, panel_n, &core)),
             PairClass::Narrow => Plane::I16(pack_cols_buf(b, k, n, panel_n, &core)),
             PairClass::Wide => Plane::I32(pack_cols_buf(b, k, n, panel_n, &core)),
@@ -468,6 +486,7 @@ impl PackedOperand {
     pub fn packed_bytes(&self) -> usize {
         match &self.plane {
             Plane::I8(p) => p.bytes(),
+            Plane::U8(p) => p.bytes(),
             Plane::I16(p) => p.bytes(),
             Plane::I32(p) => p.bytes(),
         }
@@ -478,16 +497,18 @@ impl PackedOperand {
 /// [`super::quantized_gemm_prepacked_scratch`] call lowers its A rows into
 /// them, so a steady-state forward pass allocates nothing for the
 /// activation side (a call that fans out gives each row span a ring of its
-/// own). Activation codes are `i16` for every narrow pair, whatever width
-/// the weight plane stores, and `i32` for wide pairs; the two widths keep
-/// separate buffers, so one scratch serves interleaved format classes
-/// without reallocation churn.
+/// own). Activation codes are `i16` for every narrow pair against an `i8`
+/// or `i16` plane, signed byte digit rows against an AVX-512 byte plane
+/// (`ByteRows`), and `i32` for wide pairs; each kind keeps its own
+/// buffers, so one scratch serves interleaved format classes without
+/// reallocation churn.
 ///
 /// A scratch is plain storage — it carries no format or shape state, so one
 /// instance can serve any sequence of GEMMs (`mx-nn` keeps one per thread).
 #[derive(Default)]
 pub struct PackScratch {
     pub(super) narrow: CodeBuf<i16>,
+    pub(super) bytes: ByteRows,
     pub(super) wide: CodeBuf<i32>,
 }
 
@@ -499,6 +520,142 @@ impl PackScratch {
     }
 }
 
+/// Activation rows lowered for the AVX-512 byte-plane kernel: signed byte
+/// codes, `[row][block][digit][k1]`, and each (row, block)'s bias
+/// correction — or, for the exact fallback on a CPU (or a forced run)
+/// without AVX-512-VNNI, `i16` codes as for every other narrow kernel,
+/// whose pairs the fallback multiplies by zero-extended byte pairs.
+///
+/// A format whose aligned codes fit a byte ([`fits_i8`]) is lowered
+/// straight to `i8` codes: one digit. A wider one is lowered to `i16` and
+/// split into signed byte digits, `a = Σₜ 256ᵗ·dₜ` — two for every
+/// magnitude up to `127·256 + 127 = 32639` (MX9's 254 included), three
+/// above (custom formats up to the narrow class's 15 bits) — so a byte
+/// plane accepts every partner an `i16` plane would.
+///
+/// The kernel multiplies digits by the biased weight bytes `b + 128`, so
+/// each lane's sum runs `128·Σ a` over the true block dot; `corr` holds
+/// `−128·Σ a` per (row, block) for the kernel to start that block's
+/// accumulator from (`corr_rows`, the row's sum of them, for a deferred
+/// row that accumulates the whole reduction). `|Σ a| < 16 · 2¹⁵` over a
+/// block, so a correction fits `i32` with room; a row's sum may wrap, and
+/// the kernel's lanes compute modulo 2³² anyway.
+#[derive(Default)]
+pub(super) struct ByteRows {
+    /// The codes (one digit) or digit rows, with the rows' exponents and
+    /// uniformity when the format fits a byte.
+    bytes: CodeBuf<i8>,
+    /// The `i16` rows and their exponents before the digit split.
+    halves: CodeBuf<i16>,
+    corr: Vec<i32>,
+    corr_rows: Vec<i32>,
+    digits: usize,
+}
+
+/// Borrowed view of [`ByteRows`] — what the byte-plane kernel consumes.
+#[derive(Clone, Copy)]
+pub(super) struct ByteView<'a> {
+    /// Digit rows (`digits ≥ 1`).
+    pub(super) codes: &'a [i8],
+    /// `i16` rows (`digits == 0`).
+    pub(super) halves: &'a [i16],
+    pub(super) exps: &'a [i32],
+    pub(super) uexp: &'a [i32],
+    pub(super) corr: &'a [i32],
+    pub(super) corr_rows: &'a [i32],
+    pub(super) blocks: usize,
+    /// Digit rows per activation row: 1, 2 or 3; 0 for `i16` rows.
+    pub(super) digits: usize,
+}
+
+/// Signed byte digits an aligned activation code of this format needs:
+/// `a = Σₜ 256ᵗ·dₜ`, each `dₜ ∈ [−128, 127]`.
+fn byte_digits(fmt: &BdrFormat) -> usize {
+    match fmt.max_code() << fmt.max_shift() {
+        0..=127 => 1,
+        128..=32639 => 2,
+        _ => 3,
+    }
+}
+
+/// A block's bias correction, `−128·Σ a`.
+fn correction<C: Copy + Into<i32>>(block: &[C]) -> i32 {
+    -128 * block.iter().map(|&a| a.into()).sum::<i32>()
+}
+
+/// Digit `t` of `a = Σₜ 256ᵗ·dₜ`: each `dₜ` is the signed byte congruent
+/// to what is left modulo 256, and what is left minus it is a multiple of
+/// 256.
+fn digit(a: i16, t: usize) -> i8 {
+    let mut rest = i32::from(a);
+    for _ in 0..t {
+        rest = (rest - i32::from(rest as i8)) >> 8;
+    }
+    rest as i8
+}
+
+impl ByteRows {
+    /// Lowers `vectors` rows of `len` elements — row `v` is
+    /// `data[base_of(v)..][..len]` — to digit rows for `vpdpbusd`, or to
+    /// `i16` rows for its exact fallback (`vnni` false), and corrections
+    /// (see [`pack_into`]).
+    #[inline(always)]
+    pub(super) fn lower(
+        &mut self,
+        data: &[f32],
+        vectors: usize,
+        len: usize,
+        base_of: impl Fn(usize) -> usize,
+        fmt: &BdrFormat,
+        vnni: bool,
+    ) {
+        let k1 = fmt.k1();
+        let blocks = len.div_ceil(k1);
+        self.digits = if vnni { byte_digits(fmt) } else { 0 };
+        self.corr.clear();
+        if self.digits == 1 {
+            pack_into(data, vectors, len, base_of, fmt, &mut self.bytes);
+            #[cfg(target_arch = "x86_64")]
+            super::avx512::byte_corrections(&self.bytes.codes, &mut self.corr, correction);
+            #[cfg(not(target_arch = "x86_64"))]
+            self.corr
+                .extend(self.bytes.codes.chunks_exact(k1).map(correction));
+        } else {
+            pack_into(data, vectors, len, base_of, fmt, &mut self.halves);
+            let blocks = self.halves.codes.chunks_exact(k1);
+            self.corr.extend(blocks.map(correction));
+            let codes = &mut self.bytes.codes;
+            codes.clear();
+            for block in self.halves.codes.chunks_exact(k1) {
+                for t in 0..self.digits {
+                    codes.extend(block.iter().map(|&a| digit(a, t)));
+                }
+            }
+        }
+        self.corr_rows.clear();
+        let rows = self.corr.chunks_exact(blocks.max(1));
+        self.corr_rows
+            .extend(rows.map(|r| r.iter().fold(0i32, |s, &c| s.wrapping_add(c))));
+    }
+
+    pub(super) fn view(&self, blocks: usize) -> ByteView<'_> {
+        let (exps, uexp) = match self.digits {
+            1 => (&self.bytes.exps, &self.bytes.uexp),
+            _ => (&self.halves.exps, &self.halves.uexp),
+        };
+        ByteView {
+            codes: &self.bytes.codes,
+            halves: &self.halves.codes,
+            exps,
+            uexp,
+            corr: &self.corr,
+            corr_rows: &self.corr_rows,
+            blocks,
+            digits: self.digits,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,8 +663,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Index of code `i` of column `v`'s block `kb` in a `panel_n` plane,
-    /// and the block's exponent slot.
+    /// Index of code `i` of column `v`'s block `kb` in a `panel_n` plane
+    /// whose column-in-lane groups hold `g` K codes per lane, and the
+    /// block's exponent slot.
+    #[allow(clippy::too_many_arguments)] // a plane's geometry
     fn position(
         v: usize,
         kb: usize,
@@ -516,14 +675,15 @@ mod tests {
         blocks: usize,
         k1: usize,
         panel_n: usize,
+        g: usize,
     ) -> (usize, usize) {
         match panel_n {
             0 => ((v * blocks + kb) * k1 + i, v * blocks + kb),
             PANEL_N_512 => {
                 let slot = panel_slot(v, kb, n, blocks, panel_n);
                 let lane = slot % PANEL_N_512;
-                let pair_row = (slot - lane) * k1 + i / 2 * 2 * PANEL_N_512;
-                (pair_row + 2 * lane + i % 2, slot)
+                let group_row = (slot - lane) * k1 + i / g * g * PANEL_N_512;
+                (group_row + g * lane + i % g, slot)
             }
             w => {
                 let slot = panel_slot(v, kb, n, blocks, w);
@@ -564,22 +724,24 @@ mod tests {
         out
     }
 
-    /// Packs with the column walker on one tier and layout and compares
-    /// the whole plane — padding included — with the oracle's blocks laid
-    /// out independently, and `uexp` with a direct fold.
+    /// Packs with the column walker on both tiers and each of `layouts`
+    /// the format's block size has, and compares the whole plane —
+    /// padding included, which holds the stored zero (128 for the biased
+    /// byte) — with the oracle's blocks laid out independently, and `uexp`
+    /// with a direct fold.
     fn check<C: AlignedCode>(
         b: &[f32],
         k: usize,
         n: usize,
         fmt: &BdrFormat,
         want: &[(Vec<i32>, Option<i32>)],
+        layouts: &[usize],
     ) {
         let (k1, blocks) = (fmt.k1(), k.div_ceil(fmt.k1()));
-        let layouts: &[usize] = if k1 == PANEL_N_512 {
-            &[0, super::super::PANEL_N, PANEL_N_512]
-        } else {
-            &[0, super::super::PANEL_N]
-        };
+        let g = engine::lane_k::<C>();
+        let layouts = layouts
+            .iter()
+            .filter(|&&w| w != PANEL_N_512 || k1 == PANEL_N_512);
         for &panel_n in layouts {
             let stored = if panel_n == PANEL_N_512 {
                 n.next_multiple_of(PANEL_N_512)
@@ -594,10 +756,10 @@ mod tests {
                 for kb in 0..blocks {
                     let (block, e) = &want[v * blocks + kb];
                     for (i, &c) in block.iter().enumerate() {
-                        codes[position(v, kb, i, n, blocks, k1, panel_n).0] = C::from_aligned(c);
+                        codes[position(v, kb, i, n, blocks, k1, panel_n, g).0] = C::from_aligned(c);
                     }
                     if let Some(e) = *e {
-                        exps[position(v, kb, 0, n, blocks, k1, panel_n).1] = e;
+                        exps[position(v, kb, 0, n, blocks, k1, panel_n, g).1] = e;
                         live.push(e);
                     }
                 }
@@ -665,7 +827,8 @@ mod tests {
     }
 
     /// The column walker on every tier, layout and code width a format
-    /// fits, against the division-form oracle: presets and `k1 = 16`
+    /// fits — the biased byte quads of the AVX-512 byte plane included —
+    /// against the division-form oracle: presets and `k1 = 16`
     /// lattice formats over every sub-block size, ragged and whole
     /// shapes, hostile data.
     #[test]
@@ -697,16 +860,23 @@ mod tests {
                     (2, _) => &formats[..],
                     _ => &formats[..5],
                 };
+                let (all, panels) = (
+                    &[0, super::super::PANEL_N, PANEL_N_512][..],
+                    &[0, super::super::PANEL_N][..],
+                );
                 for fmt in formats {
                     let want = oracle_blocks(&b, k, n, fmt);
                     let width = fmt.m() + fmt.max_shift();
+                    // Byte planes: signed on the vector-major and AVX2
+                    // layouts, biased quads on the AVX-512 one.
                     if fits_i8(fmt) {
-                        check::<i8>(&b, k, n, fmt, &want);
+                        check::<i8>(&b, k, n, fmt, &want, panels);
+                        check::<u8>(&b, k, n, fmt, &want, &[PANEL_N_512]);
                     }
                     if width <= 15 {
-                        check::<i16>(&b, k, n, fmt, &want);
+                        check::<i16>(&b, k, n, fmt, &want, all);
                     }
-                    check::<i32>(&b, k, n, fmt, &want);
+                    check::<i32>(&b, k, n, fmt, &want, all);
                 }
             }
         }

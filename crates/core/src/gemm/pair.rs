@@ -10,9 +10,10 @@ use crate::bdr::BdrFormat;
 
 /// How a supported format pair runs on the integer path: `Narrow` pairs use
 /// `i16` activation codes against `i8` or `i16` weight codes (see
-/// [`fits_i8`]) with an `i32` block accumulator (the packed 16-bit MAC
-/// datapath), `Wide` pairs fall back to `i32` codes with an `i64`
-/// accumulator.
+/// [`fits_i8`]; on the AVX-512 byte planes, signed byte activation digits
+/// against biased byte weights) with an `i32` block accumulator (the
+/// packed 8- and 16-bit MAC datapaths), `Wide` pairs fall back to `i32`
+/// codes with an `i64` accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum PairClass {
     Narrow,
@@ -57,8 +58,9 @@ fn pair_class(fa: &BdrFormat, fb: &BdrFormat) -> Option<PairClass> {
 /// when its largest aligned magnitude `max_code ≪ β` is at most 127 — MX6,
 /// MX4, MSFP12 and MSFP16 among the presets; MX9 (`127 ≪ 1`) needs `i16`.
 /// A property of the weight format alone: the narrow-class activation
-/// partner (always `i16`) does not enter, so the integers every kernel
-/// multiplies are the same whichever width the plane stores.
+/// partner does not enter (the AVX-512 byte planes split a wider partner's
+/// codes into byte digits), so the integers every kernel multiplies are
+/// the same whichever width the plane stores.
 pub(super) fn fits_i8(fmt: &BdrFormat) -> bool {
     fmt.max_code() << fmt.max_shift() <= 127
 }
@@ -149,27 +151,54 @@ impl FormatPair {
     /// ## The same bound under column-in-lane (AVX-512) accumulation and VNNI
     ///
     /// The `2²⁴` bound above is about the *`f32` mantissa*, not about any
-    /// SIMD register, but each backend must also show its `i32` lanes
-    /// cannot wrap and its conversions are exact. The AVX-512 kernel keeps
-    /// one column per `i32` lane; a deferring (row, panel) keeps adding
-    /// that column's block dots into its lane over the whole reduction, so
-    /// a lane only ever holds a partial sum of one output's dots: at most
+    /// SIMD register, but each backend must also show its `i32` lanes end
+    /// exact and its conversions are exact. The AVX-512 kernel keeps one
+    /// column per `i32` lane; a deferring (row, panel) keeps adding that
+    /// column's block dots into its lane over the whole reduction, so a
+    /// lane's result is a partial sum of one output's dots: at most
     /// `blocks · Dmax ≤ 2²⁴` under the static gate, far inside `i32` and
     /// exactly representable in `f32` — the deferred total's one
     /// `vcvtdq2ps` is exact and its one `vscalefps` rounds once. The kernel
     /// defers a (row, panel) only when the row passes the uniform-exponent
     /// and grid-window checks against every real column of the panel (the
-    /// zero-padded lanes are never stored). Its per-block epilogue
-    /// converts one block dot at a time, `|dot| ≤ Dmax`: exact in `f32`
-    /// when `Dmax ≤ 2²⁴` (`DeferCtx::exact_f32_dots`, true for every
-    /// preset pair), otherwise converted through `f64`, exact under the
-    /// 52-bit support gate. VNNI adds nothing to prove: `vpdpwssd` is
-    /// lane-for-lane `vpmaddwd` (two `i16 × i16` products summed in `i32`
-    /// — exact, since the narrow-pair class guarantees `w_a + w_b ≤ 30`)
-    /// followed by `vpaddd` into the same accumulator, so the fused and
-    /// fallback paths produce identical lanes. An `i8` weight plane adds
-    /// nothing either: its codes are sign-extended to `i16` lanes as they
-    /// load, so the same integers enter the same instructions.
+    /// padded lanes are never stored). Its per-block epilogue converts one
+    /// block dot at a time, `|dot| ≤ Dmax`: exact in `f32` when
+    /// `Dmax ≤ 2²⁴` (`DeferCtx::exact_f32_dots`, true for every preset
+    /// pair), otherwise converted through `f64`, exact under the 52-bit
+    /// support gate.
+    ///
+    /// How a lane gets there differs by plane, and none of it moves a
+    /// bit:
+    ///
+    /// - **`i16` planes (`vpdpwssd`).** Lane-for-lane `vpmaddwd` (two
+    ///   `i16 × i16` products summed in `i32` — exact, since the narrow
+    ///   class guarantees `w_a + w_b ≤ 30`) followed by `vpaddd` into the
+    ///   same accumulator, so the fused and fallback paths produce
+    ///   identical lanes.
+    /// - **Biased byte planes (`vpdpbusd`).** A weight code `b` is stored
+    ///   as `b + 128 ∈ [1, 255]`, so a lane accumulates
+    ///   `Σ a·(b + 128) = Σ a·b + 128·Σ a`; the block's accumulator starts
+    ///   from `−128·Σ a` (a deferring row's from the sum of its blocks'),
+    ///   which leaves exactly `Σ a·b`. The intermediate values can exceed
+    ///   the final dot, and a deferring lane's running sum can leave the
+    ///   `i32` range on a long reduction, but every step — `vpdpbusd`'s
+    ///   four `u8 × i8` products (each at most `255·128`) and its add,
+    ///   the seeds, the shifts — is exact **modulo 2³²**, and the result
+    ///   the lane ends on (a block dot `≤ Dmax < 2³¹`, or a deferred total
+    ///   `≤ 2²⁴`) is inside `i32`, so the modular result is the integer
+    ///   itself. The exact fallback zero-extends each biased quad into two
+    ///   16-bit pairs and multiplies them by A's codes as `i16` pairs with
+    ///   two `vpmaddwd` (products at most `255 · 2¹⁵`, pair sums exact in
+    ///   `i32`) and two `vpaddd`, seeded the same way: the same lane
+    ///   modulo 2³².
+    /// - **The digit split.** An activation code too wide for a signed
+    ///   byte (MX9's ±254, or up to ±32767 in custom formats) enters as
+    ///   signed byte digits `a = Σₜ 256ᵗ·dₜ` (two digits up to
+    ///   `127·256 + 127`, three above); each digit row multiplies the same
+    ///   biased bytes into accumulators of its own, and the epilogue adds
+    ///   them shifted left by `8t`. Since `Σₜ 256ᵗ·Σ dₜ·(b + 128) =
+    ///   Σ a·(b + 128)`, the one correction `−128·Σ a` still applies, and
+    ///   the shifts are again exact modulo 2³².
     pub(super) fn defer(&self, blocks: usize) -> DeferCtx {
         DeferCtx {
             enabled: deferred_scale_out_enabled()

@@ -90,7 +90,13 @@ pub fn round_half_even(v: f64) -> f64 {
 /// Exact power of two as `f64`.
 ///
 /// Valid for `|e| <= 1022`, far beyond any exponent reachable from `f32`
-/// inputs.
+/// inputs and BDR formats (whose ulps lie in `2^[−164, 128]`).
+///
+/// # Panics
+///
+/// Panics, in every build profile, if `e` is outside `−1022 ..= 1022`:
+/// the bit pattern built below would then be a different `f64`, not a
+/// rounded one.
 ///
 /// # Examples
 ///
@@ -101,9 +107,9 @@ pub fn round_half_even(v: f64) -> f64 {
 /// ```
 #[inline]
 pub fn pow2(e: i32) -> f64 {
-    debug_assert!(
+    assert!(
         (-1022..=1022).contains(&e),
-        "pow2 exponent out of exact range"
+        "pow2 exponent {e} out of exact range"
     );
     f64::from_bits(((e + 1023) as u64) << 52)
 }
@@ -197,6 +203,20 @@ mod tests {
         assert_eq!(pow2(10), 1024.0);
         assert_eq!(pow2(-149), 2.0f64.powi(-149));
         assert_eq!(pow2(300), 2.0f64.powi(300));
+        assert_eq!(pow2(1022), 2.0f64.powi(1022));
+        assert_eq!(pow2(-1022), f64::MIN_POSITIVE);
+    }
+
+    #[test]
+    #[should_panic(expected = "pow2 exponent 1023 out of exact range")]
+    fn pow2_refuses_exponents_past_the_top_in_every_profile() {
+        pow2(1023);
+    }
+
+    #[test]
+    #[should_panic(expected = "pow2 exponent -1023 out of exact range")]
+    fn pow2_refuses_exponents_past_the_bottom_in_every_profile() {
+        pow2(-1023);
     }
 
     #[test]

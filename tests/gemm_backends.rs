@@ -699,3 +699,93 @@ fn check_three_ways(
         force_vnni(None);
     }
 }
+
+/// An operand of `rows × cols` (row-major) whose K runs along `k_axis`
+/// (`0`: along a row, an A operand; `1`: down a column, a B operand),
+/// built from `k1 = 16` blocks of one kind each, cycling with the block
+/// index and `salt`: every element `+v`, every element `−v`, `±v`
+/// alternating, or random values in `(−2, 2)` with zeros. `v = 2 − 2⁻⁶`
+/// is the largest 7-bit mantissa at exponent 0: code 127 for MSFP16
+/// (stored 255 and 1 on a biased byte plane) and aligned code ±254 for
+/// MX9.
+fn extreme_operand(
+    rng: &mut StdRng,
+    rows: usize,
+    cols: usize,
+    k_axis: usize,
+    salt: usize,
+) -> Vec<f32> {
+    let v = 2.0 - 2f32.powi(-6);
+    let mut out = vec![0.0; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            let (kk, other) = if k_axis == 0 { (c, r) } else { (r, c) };
+            out[r * cols + c] = match (kk / 16 + other + salt) % 4 {
+                0 => v,
+                1 => -v,
+                2 if kk % 2 == 0 => v,
+                2 => -v,
+                _ if rng.gen_range(0..5u32) == 0 => 0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            };
+        }
+    }
+    out
+}
+
+/// The AVX-512 byte plane at its extremes, against the reference, with
+/// VNNI and deferral each forced both ways on every backend: weight codes
+/// ±127 (the biased bytes 255 and 1) against activation codes ±127
+/// (MSFP16 × MSFP16: one digit), ±254 (MX9 × MSFP16: two digits,
+/// `a = 256·h + l`) and up to ±32767 (a 15-bit custom activation format:
+/// three digits); all-negative, all-positive and alternating blocks,
+/// ragged K and ragged N. Every block's bias correction and every digit
+/// weight shows in these sums: a lane that kept `128·Σ a` or shifted a
+/// digit by the wrong base misses by far more than an ulp.
+#[test]
+fn byte_planes_keep_every_bit_at_code_extremes_and_digit_splits() {
+    let _guard = lock_knobs();
+    let mut rng = StdRng::seed_from_u64(40);
+    let wide_a = BdrFormat::new(15, 8, 0, 16, 16).unwrap();
+    let pairs = [
+        (BdrFormat::MSFP16, BdrFormat::MSFP16),
+        (BdrFormat::MX9, BdrFormat::MSFP16),
+        (BdrFormat::MX6, BdrFormat::MX6),
+        (wide_a, BdrFormat::MSFP16),
+    ];
+    let shapes = [(1, 16, 16), (4, 40, 17), (33, 73, 31), (7, 512, 33)];
+    for backend in BACKENDS {
+        if !try_force(backend) {
+            continue;
+        }
+        for (fa, fb) in pairs {
+            assert!(code_domain_supported(&fa, &fb), "{fa}/{fb}");
+            for (salt, &(m, k, n)) in shapes.iter().enumerate() {
+                let b = extreme_operand(&mut rng, k, n, 1, salt);
+                let a = extreme_operand(&mut rng, m, k, 0, salt + 1);
+                let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
+                assert!(pb.accepts(&fa), "{fa}/{fb}: {pb:?}");
+                let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+                let mut scratch = PackScratch::new();
+                for (defer, vnni) in [(true, true), (false, true), (true, false), (false, false)] {
+                    force_deferred_scale_out(Some(defer));
+                    force_vnni(Some(vnni));
+                    for threads in [1usize, 0] {
+                        let got =
+                            quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch);
+                        assert_bits_eq(
+                            &got.unwrap(),
+                            &want,
+                            &format!(
+                                "{} {fa}/{fb} {m}x{k}x{n} defer={defer} vnni={vnni} threads={threads}",
+                                backend.name()
+                            ),
+                        );
+                    }
+                }
+                force_deferred_scale_out(None);
+                force_vnni(None);
+            }
+        }
+    }
+}
