@@ -372,6 +372,8 @@ pub(crate) trait AlignedCode: Copy + Send + Sync + PartialEq + std::fmt::Debug {
     const BIAS: i32 = 0;
     /// Lossless narrowing from the aligned `i32` code, bias included.
     fn from_aligned(aligned: i32) -> Self;
+    /// The aligned code back, bias removed: `from_aligned`'s inverse.
+    fn aligned(self) -> i32;
 }
 
 impl AlignedCode for i8 {
@@ -381,6 +383,11 @@ impl AlignedCode for i8 {
     fn from_aligned(aligned: i32) -> Self {
         debug_assert!(i32::from(aligned as i8) == aligned);
         aligned as i8
+    }
+
+    #[inline(always)]
+    fn aligned(self) -> i32 {
+        i32::from(self)
     }
 }
 
@@ -396,6 +403,11 @@ impl AlignedCode for u8 {
         debug_assert!(i32::from(aligned as i8) == aligned);
         (aligned + Self::BIAS) as u8
     }
+
+    #[inline(always)]
+    fn aligned(self) -> i32 {
+        i32::from(self) - Self::BIAS
+    }
 }
 
 impl AlignedCode for i16 {
@@ -406,6 +418,11 @@ impl AlignedCode for i16 {
         debug_assert!(i32::from(aligned as i16) == aligned);
         aligned as i16
     }
+
+    #[inline(always)]
+    fn aligned(self) -> i32 {
+        i32::from(self)
+    }
 }
 
 impl AlignedCode for i32 {
@@ -414,6 +431,11 @@ impl AlignedCode for i32 {
     #[inline(always)]
     fn from_aligned(aligned: i32) -> Self {
         aligned
+    }
+
+    #[inline(always)]
+    fn aligned(self) -> i32 {
+        self
     }
 }
 
@@ -631,9 +653,8 @@ impl<'a> BlockCore<'a> {
 
     /// Plans the block `data[base + i·stride], i in 0..len` (`len ≤ k1`)
     /// and lowers it straight to shift-aligned signed integer codes in one
-    /// pass — the entry [`crate::gemm`]'s packer walks rows (stride 1)
-    /// through, and `B[K,N]`'s columns (stride `n`, no transpose
-    /// materialized) for every plane but the AVX-512 one (see
+    /// pass — the entry [`crate::gemm`]'s activation lowering walks rows
+    /// (stride 1) through (weight columns go through
     /// [`Self::lower_lanes_into`]).
     /// Returns the block's shared exponent, which is also the plan
     /// metadata the packer's deferred-scale-out bookkeeping (per-vector
@@ -678,30 +699,32 @@ impl<'a> BlockCore<'a> {
     }
 
     /// Lowers one band of 16 adjacent columns into the column-in-lane
-    /// layout the AVX-512 GEMM consumes (`k1 = 16`): column `l < lanes` is
-    /// the block `data[base + r·stride + l], r < rows` (`rows ≤ 16`, the
-    /// ragged tail of a column zero-filled as in
-    /// [`Self::lower_block_strided_into`]), lanes from `lanes` on are
-    /// all-zero columns. `codes` (256 slots) receives the 16 blocks in
-    /// groups of [`lane_k`] K codes per lane: `[quad][lane][4]` for byte
-    /// codes (quad `q` of lane `l` at `q·64 + 4l`), `[pair][lane][2]` for
-    /// wider ones (pair `p` of lane `l` at `p·32 + 2l`), every code stored
-    /// with its width's [`AlignedCode::BIAS`]. `exps` (16 slots) receives
-    /// each lane's shared exponent, 0 for an all-zero block, and every live
-    /// block advances its column's fold in `uexp` (`lanes` slots) by
-    /// [`note_exp`]. Every slot of `codes` and `exps` is written.
+    /// layout every GEMM backend consumes: column `l < lanes` is the block
+    /// `data[base + r·stride + l], r < rows` (`rows ≤ k1`, the ragged tail
+    /// of a column zero-filled as in [`Self::lower_block_strided_into`]),
+    /// lanes from `lanes` on are all-zero columns. `codes` (`16·k1g`
+    /// slots, `k1g` being `k1` rounded up to a whole [`lane_k`] group)
+    /// receives the 16 blocks in groups of [`lane_k`] K codes per lane:
+    /// `[quad][lane][4]` for byte codes (quad `q` of lane `l` at
+    /// `q·64 + 4l`), `[pair][lane][2]` for wider ones (pair `p` of lane `l`
+    /// at `p·32 + 2l`), the slots past `k1` in the last group holding zero
+    /// codes, and every code stored with its width's
+    /// [`AlignedCode::BIAS`]. `exps` (16 slots) receives each lane's shared
+    /// exponent, 0 for an all-zero block, and every live block advances
+    /// its column's fold in `uexp` (`lanes` slots) by [`note_exp`]. Every
+    /// slot of `codes` and `exps` is written.
     ///
-    /// On the vector tier this is the vertical kernel: a row is one
-    /// contiguous load, the maxima are lane-wise down the rows, and the
-    /// codes are interleaved in registers. The scalar tier lowers each
-    /// column through [`lower_block_scalar`] and interleaves its groups.
-    /// Both write the same bits; debug builds re-run every vertical group
-    /// on the scalar tier and assert it.
+    /// On the vector tier (`k1 = 16`) this is the vertical kernel: a row is
+    /// one contiguous load, the maxima are lane-wise down the rows, and the
+    /// codes are interleaved in registers. The scalar tier, which takes
+    /// every `k1`, lowers each column through the scalar core straight into
+    /// its lane's slots. Both write the same bits; debug builds re-run
+    /// every vertical group on the scalar tier and assert it.
     ///
     /// # Panics
     ///
-    /// Panics unless `k1 = 16`, `1 ≤ lanes ≤ 16`, `rows ≤ 16` and the
-    /// slices have the sizes above.
+    /// Panics unless `1 ≤ lanes ≤ 16`, `rows ≤ k1` and the slices have the
+    /// sizes above.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // band geometry + scratch + three outputs
     pub(crate) fn lower_lanes_into<C: AlignedCode>(
@@ -776,21 +799,20 @@ fn lower_lanes_scalar<C: AlignedCode>(
     exps: &mut [i32],
     uexp: &mut [i32],
 ) {
-    assert!(fmt.k1() == LANE_GROUP && (1..=LANE_GROUP).contains(&lanes));
-    assert!(codes.len() == LANE_GROUP * LANE_GROUP && exps.len() == LANE_GROUP);
-    let mut block = [C::ZERO; LANE_GROUP];
+    let g = lane_k::<C>();
+    let k1g = fmt.k1().next_multiple_of(g);
+    assert!((1..=LANE_GROUP).contains(&lanes) && rows <= fmt.k1());
+    assert!(codes.len() == LANE_GROUP * k1g && exps.len() == LANE_GROUP);
     for (lane, exp) in exps.iter_mut().enumerate() {
+        // Code `i` of this lane sits in group `i / g`, at `g·lane + i mod g`.
+        let at = |i: usize| i / g * g * LANE_GROUP + g * lane + i % g;
         let e = if lane < lanes {
-            lower_block_scalar(fmt, data, base + lane, stride, rows, shifts, &mut block)
+            let block = (base + lane, stride, rows);
+            lower_block_at(fmt, data, block, shifts, k1g, at, codes)
         } else {
-            block.fill(C::ZERO);
+            (0..k1g).for_each(|i| codes[at(i)] = C::ZERO);
             None
         };
-        // Group `i` of this lane sits at `i·g·16 + g·lane`.
-        let g = lane_k::<C>();
-        for (i, group) in block.chunks_exact(g).enumerate() {
-            codes[i * g * LANE_GROUP + g * lane..][..g].copy_from_slice(group);
-        }
         *exp = e.unwrap_or(0);
         if let Some(e) = e {
             uexp[lane] = note_exp(uexp[lane], e);
@@ -810,13 +832,31 @@ fn lower_block_scalar<C: AlignedCode>(
     codes: &mut [C],
 ) -> Option<i32> {
     debug_assert_eq!(codes.len(), fmt.k1());
+    let block = (base, stride, len);
+    lower_block_at(fmt, data, block, shifts, codes.len(), |i| i, codes)
+}
+
+/// The scalar core's lowering of the block `data[base + i·stride], i in
+/// 0..len` (`block` is `(base, stride, len)`): code `i < slots` goes to
+/// `codes[at(i)]`, the slots past `len` and every slot of an all-zero
+/// block taking the stored zero.
+#[inline(always)]
+fn lower_block_at<C: AlignedCode>(
+    fmt: &BdrFormat,
+    data: &[f32],
+    (base, stride, len): (usize, usize, usize),
+    shifts: &mut Vec<u32>,
+    slots: usize,
+    at: impl Fn(usize) -> usize,
+    codes: &mut [C],
+) -> Option<i32> {
     let k2 = fmt.k2();
-    let slots = len.div_ceil(k2);
-    if shifts.len() != slots {
-        shifts.resize(slots, 0);
+    let subs = len.div_ceil(k2);
+    if shifts.len() != subs {
+        shifts.resize(subs, 0);
     }
     let Some(shared_exp) = plan_fast(fmt, data, base, stride, len, shifts) else {
-        codes.fill(C::ZERO);
+        (0..slots).for_each(|i| codes[at(i)] = C::ZERO);
         return None;
     };
     let beta = fmt.max_shift();
@@ -828,13 +868,13 @@ fn lower_block_scalar<C: AlignedCode>(
         let inv_ulp = pow2(-(shared_exp - tau as i32 - m1));
         let align = beta - tau;
         let mut idx = base + done * stride;
-        for dst in codes[done..done + sub_len].iter_mut() {
-            *dst = aligned_code_fast(data[idx], inv_ulp, max_code, align);
+        for i in done..done + sub_len {
+            codes[at(i)] = aligned_code_fast(data[idx], inv_ulp, max_code, align);
             idx += stride;
         }
         done += sub_len;
     }
-    codes[done..].fill(C::ZERO);
+    (done..slots).for_each(|i| codes[at(i)] = C::ZERO);
     Some(shared_exp)
 }
 

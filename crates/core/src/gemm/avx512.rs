@@ -1,7 +1,7 @@
 //! The AVX-512 backend: one 512-bit span kernel for the narrow code path
-//! with the preset block size `k1 = 16`, consuming a **column-in-lane**
-//! B plane — the VNNI GEMM layout. Columns are grouped into 16-wide
-//! panels ([`super::PANEL_N_512`], the last one zero-padded to 16), and a
+//! with the preset block size `k1 = 16`, consuming the **column-in-lane**
+//! B plane every backend reads — the VNNI GEMM layout. Columns are grouped
+//! into 16-wide panels ([`super::PANEL_COLS`], the last one zero-padded), and a
 //! panel stores the 16 columns' codes of a few consecutive K side by side
 //! (see [`super::pack::panel_slot`]):
 //!
@@ -63,7 +63,7 @@
 //! intermediate wrap-around never reaches a result: both produce the same
 //! bits — as does every other backend, and `super::reference_gemm`.
 
-use super::pack::{ByteView, PlaneView, MIXED_EXP};
+use super::pack::{ByteView, Lhs, Panel, PlaneView, MIXED_EXP};
 use super::DeferCtx;
 use std::arch::x86_64::*;
 
@@ -71,7 +71,7 @@ use std::arch::x86_64::*;
 pub(super) const K1: usize = 16;
 
 /// Columns per panel: one per `i32` lane of a `zmm`.
-const LANES: usize = super::PANEL_N_512;
+const LANES: usize = super::PANEL_COLS;
 
 /// Bytes of one group row — a quad row of bytes or a pair row of `i16`
 /// codes: one `zmm`.
@@ -86,8 +86,9 @@ const GROUP_ROWS: usize = 4;
 const TILE_ROWS: usize = 16;
 
 /// The AVX-512 span kernel for an `i16` plane
-/// ([`super::backend::SpanKernel`] shape): the pair body.
-pub(super) fn gemm_span(
+/// ([`super::backend::SpanKernel`] shape): the pair body, with
+/// `vpdpwssd` or, `VNNI` false, its exact spelling.
+pub(super) fn gemm_span<const VNNI: bool>(
     ap: PlaneView<'_, i16>,
     rows: usize,
     bp: PlaneView<'_, i16>,
@@ -96,26 +97,20 @@ pub(super) fn gemm_span(
     ctx: DeferCtx,
     out: &mut [f32],
 ) {
-    let lhs = Lhs {
-        codes: ap.codes,
-        exps: ap.exps,
-        uexp: ap.uexp,
-        corr: &[],
-        corr_rows: &[],
-        blocks: ap.blocks,
-    };
+    let lhs = Lhs::plain(ap);
     debug_assert!(ap.k1 == K1 && bp.k1 == K1);
     // The two instantiations are bit-identical, so the choice (like the
     // backend itself) is a pure performance knob.
-    if super::backend::vnni_enabled() {
-        // SAFETY: a column-in-lane plane is only built when the backend
-        // layer verified AVX-512 F/BW support at pack time, and
-        // `vnni_enabled` additionally verified AVX-512-VNNI; `ap` holds
+    if VNNI {
+        // SAFETY: the backend layer picks this kernel only in a call whose
+        // selected backend was AVX-512 — selectable only once AVX-512 F/BW
+        // were detected — and its `VNNI` instance only where
+        // `vnni_enabled` additionally detected AVX-512-VNNI; `ap` holds
         // `rows` rows of `i16` codes.
         unsafe { span_vnni::<i16, i16, 1>(lhs, rows, bp, n, c, ctx, out) }
     } else {
-        // SAFETY: F/BW support was verified at pack time (the plane's
-        // layout exists only then); operands as above.
+        // SAFETY: F/BW support was detected before AVX-512 could be
+        // selected; operands as above.
         unsafe { span_bw::<i16, i16, 1>(lhs, rows, bp, n, c, ctx, out) }
     }
 }
@@ -135,24 +130,15 @@ pub(super) fn gemm_span_bytes(
     out: &mut [f32],
 ) {
     debug_assert!(bp.k1 == K1);
-    fn lhs<'a, A>(codes: &'a [A], ap: &ByteView<'a>) -> Lhs<'a, A> {
-        Lhs {
-            codes,
-            exps: ap.exps,
-            uexp: ap.uexp,
-            corr: ap.corr,
-            corr_rows: ap.corr_rows,
-            blocks: ap.blocks,
-        }
-    }
-    let bytes = lhs(ap.codes, &ap);
-    // SAFETY: a byte plane is only built when the backend layer verified
-    // AVX-512 F/BW support at pack time; the lowering wrote byte digits
-    // only where `vnni_enabled` — hence AVX-512-VNNI — held, and `i16`
-    // rows otherwise; `ap` holds `rows` rows of that form.
+    let bytes = Lhs::bytes(ap.codes, &ap);
+    // SAFETY: the backend layer picks this kernel only in a call whose
+    // selected backend was AVX-512, selectable only once AVX-512 F/BW were
+    // detected; that call's lowering wrote byte digits only where its one
+    // read of `vnni_enabled` — hence AVX-512-VNNI — held, and `i16` rows
+    // otherwise; `ap` holds `rows` rows of that form.
     unsafe {
         match ap.digits {
-            0 => span_bw::<i16, u8, 1>(lhs(ap.halves, &ap), rows, bp, n, c, ctx, out),
+            0 => span_bw::<i16, u8, 1>(Lhs::bytes(ap.halves, &ap), rows, bp, n, c, ctx, out),
             1 => span_vnni::<i8, u8, 1>(bytes, rows, bp, n, c, ctx, out),
             2 => span_vnni::<i8, u8, 2>(bytes, rows, bp, n, c, ctx, out),
             _ => span_vnni::<i8, u8, 3>(bytes, rows, bp, n, c, ctx, out),
@@ -240,29 +226,6 @@ unsafe fn span_bw<A, B, const DIGITS: usize>(
     unsafe { span::<A, B, DIGITS, false>(lhs, rows, bp, n, c, ctx, out) }
 }
 
-/// The A side of one span as the body reads it: row `i`'s codes for
-/// block `kb` are the `DIGITS · k1` codes at `(i · blocks + kb) · DIGITS ·
-/// k1` — digit rows one after another on a byte plane — read four bytes
-/// (one broadcast) at a time.
-struct Lhs<'a, A> {
-    codes: &'a [A],
-    exps: &'a [i32],
-    uexp: &'a [i32],
-    /// `−128·Σ a` per `[row][block]` (byte planes; empty for `i16`).
-    corr: &'a [i32],
-    /// The sum of each row's `corr`, modulo 2³² (byte planes).
-    corr_rows: &'a [i32],
-    blocks: usize,
-}
-
-impl<A> Clone for Lhs<'_, A> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<A> Copy for Lhs<'_, A> {}
-
 /// The one kernel body: `rows × n` outputs, tile by tile, panel by panel,
 /// [`GROUP_ROWS`] rows at a time ([`rows_panel`]). A one-byte `B` is a
 /// biased byte plane (the quad body, `A` signed bytes in `DIGITS` digit
@@ -286,19 +249,11 @@ unsafe fn span<A, B, const DIGITS: usize, const VNNI: bool>(
     ctx: DeferCtx,
     out: &mut [f32],
 ) {
-    let blocks = lhs.blocks;
-    let block_codes = K1 * LANES;
     let mut i0 = 0;
     while i0 < rows {
         let tm = TILE_ROWS.min(rows - i0);
         for j in (0..n).step_by(LANES) {
-            let p = j / LANES;
-            let panel = Panel {
-                codes: &bp.codes[p * blocks * block_codes..][..blocks * block_codes],
-                exps: &bp.exps[p * blocks * LANES..][..blocks * LANES],
-                uexp: &bp.uexp[j..n.min(j + LANES)],
-                j,
-            };
+            let panel = bp.panel(j, n);
             let mut row = i0;
             while row < i0 + tm {
                 let take = GROUP_ROWS.min(i0 + tm - row);
@@ -320,17 +275,6 @@ unsafe fn span<A, B, const DIGITS: usize, const VNNI: bool>(
         }
         i0 += tm;
     }
-}
-
-/// One 16-column panel of the B plane: its codes and per-block exponents
-/// over the whole reduction, and its real columns' uniform exponents.
-struct Panel<'a, B> {
-    codes: &'a [B],
-    exps: &'a [i32],
-    /// One entry per real column (at most [`LANES`]).
-    uexp: &'a [i32],
-    /// The panel's first output column.
-    j: usize,
 }
 
 /// `R` rows against one panel: the block loop, the per-block lane

@@ -1,7 +1,7 @@
 //! The kernel-backend dispatch layer: which ISA-specific tile kernel
 //! executes the narrow code-domain path (`i16` activation codes against
-//! `i8` or `i16` weight codes, or — on the AVX-512 byte planes — signed
-//! byte activation digits against biased `u8` weight codes), and whether
+//! biased byte or `i16` weight codes, or — on the AVX-512 byte planes —
+//! signed byte activation digits against the biased bytes), and whether
 //! the deferred-scale-out optimization is armed.
 //!
 //! # The backend contract
@@ -16,20 +16,28 @@
 //! `gemm_backends` integration suite enforces this by forcing every
 //! backend over the full preset matrix.
 //!
-//! Three backends exist today, each in its own sibling module:
+//! Every backend reads the one weight-plane layout, column-in-lane
+//! 16-column panels (the VNNI GEMM layout, see `pack::panel_slot`): a byte
+//! plane (MX6, MX4, MSFP weights) holds each column's K **quads** as
+//! biased bytes, an `i16` or `i32` plane its K **pairs**. Three backends
+//! exist today, each in its own sibling module:
 //!
 //! - `scalar` — portable Rust, no intrinsics; the reference
-//!   implementation, and the kernel every vector-major plane runs: block
-//!   sizes other than the panel kernels' `k1 = 16`, x86-64 CPUs without
-//!   AVX2, and every other architecture;
-//! - `avx2` — panel-major B, register-blocked 8-column panels
-//!   (two rows at a time where deferral holds) with deferred scale-out
-//!   (generation 2), and an in-register per-block scale-out panel as the
-//!   exact fallback;
-//! - `avx512` — generation 3: one kernel body over column-in-lane
-//!   16-column panels (the VNNI GEMM layout). A byte plane (MX6, MX4,
-//!   MSFP weights) interleaves each column's K **quads** as biased bytes,
-//!   so a broadcast A quad feeds 16 columns per `vpdpbusd` — four MACs
+//!   implementation and the readable form of the vector bodies' loop (one
+//!   lane per column, bytes read as `b − 128` against `i16` rows), and the
+//!   kernel of the wide class, of block sizes other than the vector
+//!   bodies' `k1 = 16`, of x86-64 CPUs without AVX2, and of every other
+//!   architecture;
+//! - `avx2` — the AVX-512 body's shape at half the width: a panel is two
+//!   8-lane halves, bytes are zero-extended to 16-bit pairs for
+//!   `vpmaddwd` against `i16` rows (the AVX-512 body's exact `vpdpbusd`
+//!   spelling, each block seeded with `−128·Σ a`), the per-block
+//!   scale-out is a lane epilogue through `f64`, up to four rows share
+//!   each B load, deferral is a per-(row, panel) skip of the epilogue, and
+//!   ragged N is a partial store;
+//! - `avx512` — generation 3: one kernel body over the panels. On a byte
+//!   plane (MX6, MX4, MSFP weights) a broadcast A quad feeds 16 columns'
+//!   biased byte quads per `vpdpbusd` — four MACs
 //!   per lane step, the bias's `128·Σ a` taken out by seeding each
 //!   block's accumulator with `−128·Σ a`, activations wider than a byte
 //!   split into signed byte digits; an `i16` plane (MX9 weights)
@@ -40,8 +48,9 @@
 //!   epilogue; ragged N is a masked store.
 //!
 //! Adding an ISA (NEON next) is: write the module, give it a
-//! [`KernelBackend`] variant, extend `narrow_span_kernel` — no changes
-//! to packing, dispatch entries, or callers.
+//! [`KernelBackend`] variant, extend `span_backend` and
+//! `narrow_span_kernel` — no changes to packing, dispatch entries, or
+//! callers.
 //!
 //! # Backend author checklist
 //!
@@ -78,14 +87,13 @@
 //!
 //! Lessons the AVX-512 generation added to the list:
 //!
-//! 6. **Panel width is a per-backend property of the packed plane**, not a
-//!    global constant: `pack::panel_slot` takes the width as a
-//!    parameter and the plane records which width it was packed with
-//!    (`PackedOperand::panel_n`), so `narrow_span_kernel` dispatches on
-//!    the *plane's* layout, never on the current knob — a plane packed 8
-//!    wide keeps running the AVX2 kernels after the knob moves. A wider
-//!    kernel therefore starts at the packer: define the layout, teach
-//!    `panel_slot` the formula, and only then write the loads.
+//! 6. **The plane layout does not depend on the host or the backend.**
+//!    `pack::panel_slot` has one formula, and a plane packed under any
+//!    backend is the same bytes, so every backend's kernel reads every
+//!    plane and the kernel is picked per execute call, never at pack time.
+//!    A new body therefore starts from the existing layout: read the
+//!    16-column panel in whatever register width the ISA has (AVX2 reads
+//!    two 8-lane halves), and widen its codes in registers.
 //! 7. **Prefer mask registers and padding to remainder loops.** The
 //!    AVX-512 kernel has no ragged-K tail (the packer zero-pads every
 //!    block to `k1` codes) and no ragged-N path: the last panel is
@@ -110,7 +118,7 @@
 //!    scale-out constant `c`, and the deferral headroom all come from the
 //!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
 //!    them as its `c` / `DeferCtx` arguments and the plane's recorded
-//!    layout). A backend that recomputes any of them from the formats —
+//!    block size). A backend that recomputes any of them from the formats —
 //!    or asks whether a plane fits by running it — gives the decision a
 //!    second home that can drift from the first.
 //!
@@ -130,17 +138,19 @@
 //! effective choice so the `benchmark/` package and the `cpu_features`
 //! probe can record which backend actually ran.
 //!
-//! The choice is honored at **pack time**: each panel backend consumes a
-//! panel-major B plane of its own width (8 columns for AVX2, 16 for
-//! AVX-512), the scalar kernel a vector-major one, so
-//! [`super::PackedOperand::pack_cols`] lays the plane out for the backend
-//! selected when it runs, and execution always follows the plane's
-//! recorded layout (a panel plane runs its backend's kernels even if the
-//! knob has since changed — each layout exists only on machines that
-//! support its backend).
+//! The choice is honored **per execute call**, never at pack time: the
+//! weight-plane layout is one and the same on every host and backend (see
+//! [`super::PackedOperand::pack_cols`]), so each call of
+//! [`super::quantized_gemm_prepacked_scratch`] reads the selection and
+//! VNNI once, and its activation lowering and the span kernel of every
+//! row span — fan-out spans included — use that one value. A plane packed
+//! under one backend runs under any other, and a concurrent
+//! [`force_kernel_backend`] cannot pair activation rows lowered for one
+//! body with another body.
 
 use super::pack::{ByteView, PlaneView};
-use super::{DeferCtx, NarrowCode};
+use super::{Code, DeferCtx};
+use crate::engine::AlignedCode;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -152,7 +162,9 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// Portable Rust, no intrinsics.
     Scalar,
-    /// Wide-tile deferred-scale-out kernel over 8-column panel-major B.
+    /// 256-bit kernel reading each 16-column panel as two 8-lane halves:
+    /// a lane epilogue scales out each block, and a partial store handles
+    /// ragged N.
     Avx2,
     /// 512-bit kernel over 16-column column-in-lane panels: a lane
     /// epilogue scales out each block, a masked store handles ragged N,
@@ -349,8 +361,8 @@ impl std::error::Error for BackendUnavailable {}
 
 /// Forces the dispatch layer onto one backend (process-wide), or back to
 /// automatic selection with `None`. Intended for tests that sweep
-/// backends; affects the layout of subsequently packed B planes as
-/// well as kernel choice (pack after forcing — see the module docs).
+/// backends; an execute call already running keeps the backend it read
+/// (see the module docs).
 ///
 /// # Errors
 ///
@@ -426,45 +438,62 @@ pub fn force_vnni(enabled: Option<bool>) {
 pub(super) type SpanKernel<A, B> =
     fn(PlaneView<'_, A>, usize, PlaneView<'_, B>, usize, i32, DeferCtx, &mut [f32]);
 
-/// The span kernel of a byte plane on the AVX-512 layout: A arrives as
-/// signed byte digit rows with their bias corrections.
+/// The span kernel of a byte plane on a vector body: A arrives as signed
+/// byte digit rows or `i16` rows, with their bias corrections.
 pub(super) type ByteSpanKernel =
     fn(ByteView<'_>, usize, PlaneView<'_, u8>, usize, i32, DeferCtx, &mut [f32]);
 
-/// The narrow-pair span kernel for an `i8` or `i16` plane packed with the
-/// given panel width: an 8-wide plane runs the AVX2 kernels (the layout is
-/// only ever built when the CPU supports them), a vector-major plane
-/// (`b_panel_n == 0`) the scalar kernel whichever backend is selected (the
-/// panel kernels require their own layout). Both are generic over the
-/// weight code width `B`. A 16-wide plane is an `i16` one
-/// ([`half_span_kernel`]) or a biased byte one ([`byte_span_kernel`]).
-pub(super) fn narrow_span_kernel<B: NarrowCode>(b_panel_n: usize) -> SpanKernel<i16, B> {
-    match b_panel_n {
+/// The backend whose body runs a narrow plane of block size `k1` in an
+/// execute call that read `selected`: the vector bodies are specialized
+/// for `k1 = 16`, so every other block size runs the scalar kernel. The
+/// plane's layout does not enter — it is the same under every backend.
+pub(super) fn span_backend(selected: KernelBackend, k1: usize) -> KernelBackend {
+    match selected {
         #[cfg(target_arch = "x86_64")]
-        super::PANEL_N => super::avx2::gemm_span::<B>,
-        _ => super::scalar::gemm_span::<i16, B>,
+        KernelBackend::Avx512 if k1 == super::avx512::K1 => selected,
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 if k1 == super::avx2::K1 => selected,
+        _ => KernelBackend::Scalar,
     }
 }
 
-/// The span kernel for an `i16` plane: the AVX-512 pair body on a 16-wide
-/// plane, else [`narrow_span_kernel`]'s.
-pub(super) fn half_span_kernel(b_panel_n: usize) -> SpanKernel<i16, i16> {
-    match b_panel_n {
+/// The narrow-pair span kernel for an `i16` plane on `body` (see
+/// [`span_backend`]), picked per execute call — the plane's layout is the
+/// same on every host and under every backend, so any plane runs on any
+/// kernel: the AVX-512 pair body (`vpdpwssd` when the call read `vnni`,
+/// else its exact spelling), the AVX2 pair body, or the scalar kernel.
+pub(super) fn narrow_span_kernel(body: KernelBackend, vnni: bool) -> SpanKernel<i16, i16> {
+    match body {
         #[cfg(target_arch = "x86_64")]
-        super::PANEL_N_512 => super::avx512::gemm_span,
-        w => narrow_span_kernel(w),
+        KernelBackend::Avx512 if vnni => super::avx512::gemm_span::<true>,
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => super::avx512::gemm_span::<false>,
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => super::avx2::gemm_span,
+        _ => super::scalar::gemm_span::<i16, i16>,
     }
 }
 
-/// The span kernel for a biased byte plane: the AVX-512 quad body, the
-/// only consumer of that layout.
-pub(super) fn byte_span_kernel() -> ByteSpanKernel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        super::avx512::gemm_span_bytes
+/// The quad body for a byte plane on a vector `body`: AVX-512's, over the
+/// byte digit rows (or, with VNNI off, `i16` rows) the call lowered, or
+/// AVX2's, over `i16` rows; both seed each block with its bias
+/// correction. (On the scalar backend a byte plane runs
+/// [`scalar_span_kernel`].)
+pub(super) fn quad_span_kernel(body: KernelBackend) -> ByteSpanKernel {
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => super::avx2::gemm_span_bytes,
+        #[cfg(target_arch = "x86_64")]
+        _ => super::avx512::gemm_span_bytes,
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("no vector body is selected off x86-64"),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("byte planes are packed only for the AVX-512 backend")
+}
+
+/// The portable span kernel: every wide pair (exotic custom formats), and
+/// every narrow plane whose call runs on the scalar backend.
+pub(super) fn scalar_span_kernel<A: Code, B: AlignedCode>() -> SpanKernel<A, B> {
+    super::scalar::gemm_span::<A, B>
 }
 
 /// Which body the AVX-512 byte planes run right now: `"vpdpbusd"` where
@@ -484,12 +513,6 @@ pub fn byte_plane_body() -> &'static str {
     } else {
         "vpmaddwd"
     }
-}
-
-/// The wide-pair span kernel (exotic custom formats): always the portable
-/// generic kernel with the chunked `i64`-accumulator dot.
-pub(super) fn wide_span_kernel() -> SpanKernel<i32, i32> {
-    super::scalar::gemm_span::<i32, i32>
 }
 
 // These tests deliberately avoid mutating the process-wide override slots

@@ -49,23 +49,24 @@
 //! A narrow pair multiplies activation codes against a weight plane whose
 //! width the **weight format alone** decides: one byte when its largest
 //! shift-aligned magnitude `max_code ≪ β` is at most 127 (MX6, MX4,
-//! MSFP12, MSFP16), `i16` otherwise (MX9). The scalar and AVX2 kernels
-//! multiply `i16` activation codes and sign-extend `i8` weight codes to
-//! `i16` lanes as they load them. The AVX-512 kernel multiplies a byte
-//! plane at byte width: the plane stores each code biased (`b + 128`, the
-//! unsigned operand of `vpdpbusd`) in K quads, the activation rows are
+//! MSFP12, MSFP16), `i16` otherwise (MX9). A byte plane stores each code
+//! biased (`b + 128`, the unsigned operand of `vpdpbusd`) in K quads. The
+//! AVX-512 kernel multiplies it at byte width: the activation rows are
 //! lowered to signed bytes — split into byte digits when their codes are
 //! wider — and each block's accumulator starts from the bias correction
-//! `−128·Σ a`. Every kernel multiplies the same integers, so every bit of
-//! the output is the same whichever width the plane stores. Wide pairs use
-//! `i32` codes on both sides.
+//! `−128·Σ a`. The AVX2 kernel (and AVX-512 without VNNI) multiplies `i16`
+//! activation rows by the bytes zero-extended to 16-bit words, seeded the
+//! same way; the scalar kernel multiplies plain `i16` rows by the bytes
+//! read back as `b − 128`. Every kernel multiplies the same integers, so
+//! every bit of the output is the same whichever width the plane stores.
+//! Wide pairs use `i32` codes on both sides.
 //!
 //! # Activation lowering
 //!
 //! A is lowered one row span at a time, at every shape: each span's rows
-//! go through the same block loop that packs the weights (`pack_into`,
-//! vector-major), and the span kernel consumes them at once on the same
-//! thread. A serial GEMM lowers into the caller's [`PackScratch`]; under
+//! go through the same block core that packs the weights (`pack_into`,
+//! `[row][block][k1]`), and the span kernel consumes them at once on the
+//! same thread. A serial GEMM lowers into the caller's [`PackScratch`]; under
 //! fan-out every span lowers its own rows into a ring of its own. The
 //! block plan, rounding rule, kernels, and accumulation order do not
 //! depend on the split, so the result equals [`reference_gemm`] bit for
@@ -79,21 +80,23 @@
 //! dispatch contract is documented). Selection is automatic (best the CPU
 //! supports), overridable with the `MX_KERNEL_BACKEND` env knob or
 //! [`force_kernel_backend`], and reported by [`kernel_backend_name`].
-//! Backends differ only in traversal and ISA — every one is bit-identical
-//! to the others and to [`reference_gemm`], so the choice is a pure
-//! performance knob.
+//! Each execute call reads the selection once and runs both its
+//! activation lowering and its span kernel on it. Backends differ only in
+//! traversal and ISA — every one reads the same weight plane (the layout
+//! does not depend on the host or on the backend that packed it) and is
+//! bit-identical to the others and to [`reference_gemm`], so the choice is
+//! a pure performance knob.
 //!
-//! The AVX-512 backend keeps one column per register lane, so its
-//! per-block scale-out is a lane epilogue over 16 columns at a time (see
-//! the [`backend`] docs). The panel backends (generation-2 AVX2,
-//! generation-3 AVX-512) additionally apply **deferred scale-out**: where
-//! the block-plan exponent metadata proves the per-block `f32`
+//! Every backend keeps one column per lane of a 16-column panel, so the
+//! per-block scale-out is a lane epilogue over a panel's columns (see the
+//! [`backend`] docs). Every backend also applies **deferred scale-out**:
+//! where the block-plan exponent metadata proves the per-block `f32`
 //! accumulation chain exact (`FormatPair::defer` documents the headroom
 //! invariant and its per-backend derivation), the integer dots of all K
-//! blocks accumulate in registers and the scale-out runs once per output
-//! element — on AVX-512, once per (row, panel) — instead of once per
-//! block pair. Elements that cannot be proven exact fall back to
-//! the per-block chain — deferral never changes results, and
+//! blocks accumulate and the scale-out runs once per output element — on
+//! the vector bodies, once per (row, panel) — instead of once per block
+//! pair. Elements that cannot be proven exact fall back to the per-block
+//! chain — deferral never changes results, and
 //! [`force_deferred_scale_out`] switches it off wholesale for tests.
 //!
 //! # Exactness
@@ -149,28 +152,23 @@ pub use backend::{
 };
 pub use pack::{PackScratch, PackedOperand};
 
-use backend::SpanKernel;
+use backend::{ByteSpanKernel, SpanKernel};
 use pack::{pack_into, ByteRows, CodeBuf, Plane, PlaneView};
 use pair::{DeferCtx, FormatPair};
 
-/// Rows of A processed per tile: each loaded B column-block is reused for
-/// this many output rows, cutting B-code traffic by the tile height.
+/// Rows of A processed per tile by the scalar kernel: each B panel is
+/// reused for this many output rows, cutting B-code traffic by the tile
+/// height.
 const TILE_M: usize = 8;
 
-/// Columns per register-blocked panel in the panel-major B layout the AVX2
-/// kernels consume (see [`PackedOperand::pack_cols`]): one panel's codes
-/// for the whole reduction are contiguous, and 8 columns is what fits in
-/// `i32` accumulator registers with room for the operands.
-const PANEL_N: usize = 8;
-
-/// Columns per panel in the column-in-lane B layout the AVX-512 kernel
-/// consumes: one column per `i32` lane of a `zmm`, so one broadcast A quad
-/// (byte planes) or pair (`i16` planes) feeds every column of the panel and
-/// each lane ends a block holding one column's block dot. A panel's codes
-/// still stream strictly sequentially (one 64-byte quad or pair row after
-/// another). Doubles as the layout tag in
-/// `PackedOperand::panel_n` (see [`pack::panel_slot`] for the slot order).
-const PANEL_N_512: usize = 16;
+/// Columns per panel of the one weight-plane layout: one column per `i32`
+/// lane of a `zmm`, so one broadcast A quad (byte planes) or pair (`i16`
+/// planes) feeds every column of the panel and each lane ends a block
+/// holding one column's block dot (the AVX2 body takes a panel as two
+/// `ymm` halves). A panel's codes stream strictly sequentially (one
+/// 64-byte quad or pair row after another; see [`pack::panel_slot`] for
+/// the slot order).
+const PANEL_COLS: usize = 16;
 
 /// Whether the `(fa, fb)` operand pair can run on the integer code-domain
 /// path with an exactness guarantee — the boolean view of the
@@ -198,81 +196,41 @@ pub fn code_domain_supported(fa: &BdrFormat, fb: &BdrFormat) -> bool {
     FormatPair::new(fa, fb).is_some()
 }
 
-/// Storage type for shift-aligned signed **activation** codes, and the
-/// width a weight code widens to before it is multiplied. Narrow format
-/// pairs (every MX/MSFP preset) use `i16`, whose widening
-/// multiply-accumulate maps onto the CPU's packed 16-bit MAC instructions;
-/// wide pairs fall back to `i32` codes with an `i64` accumulator. The
-/// storage width itself (and the lossless narrowing from aligned `i32`
-/// codes, guaranteed to fit by the `FormatPair` width gates and the plane
-/// width rule) lives in [`engine::AlignedCode`], which the engine's
-/// tile-granular lowering writes directly.
+/// Storage type for shift-aligned signed **activation** codes of the
+/// scalar and AVX2 kernels. Narrow format pairs (every MX/MSFP preset) use
+/// `i16`, whose widening multiply-accumulate maps onto the CPU's packed
+/// 16-bit MAC instructions; wide pairs fall back to `i32` codes with an
+/// `i64` accumulator. The storage width itself (and the lossless
+/// narrowing from aligned `i32` codes, guaranteed to fit by the
+/// `FormatPair` width gates and the plane width rule) lives in
+/// [`engine::AlignedCode`], which the engine's tile-granular lowering
+/// writes directly.
 trait Code: engine::AlignedCode {
-    /// Exact integer dot product of two equal-length blocks in portable
-    /// Rust — the block dot of the scalar kernel. `b` holds weight codes
-    /// of this width or a narrower one.
-    fn dot<B: Copy + Into<Self>>(a: &[Self], b: &[B]) -> i64;
+    /// A block dot's accumulator: `i32` for `i16` codes — the narrow gate
+    /// `w_a + w_b + ⌈log2 k1⌉ ≤ 31` keeps a block's sum of product
+    /// magnitudes below 2³¹ — and `i64` for `i32` codes.
+    type Acc: Copy + Default + std::ops::AddAssign + Into<i64>;
+    /// The exact product of this code and a weight code `b` (aligned,
+    /// bias removed: [`engine::AlignedCode::aligned`]).
+    fn mul(self, b: i32) -> Self::Acc;
 }
 
 impl Code for i16 {
+    type Acc = i32;
+
     #[inline(always)]
-    fn dot<B: Copy + Into<Self>>(a: &[Self], b: &[B]) -> i64 {
-        // The i32 accumulator cannot overflow: pairwise i16 products are
-        // below 2^31 because `w_a + w_b ≤ 30`, and the block total is
-        // bounded by the `w_a + w_b + ⌈log2 k1⌉ ≤ 31` dispatch gate.
-        let mut acc = 0i32;
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            acc += i32::from(x) * i32::from(y.into());
-        }
-        acc as i64
+    fn mul(self, b: i32) -> i32 {
+        i32::from(self) * b
     }
 }
 
 impl Code for i32 {
+    type Acc = i64;
+
     #[inline(always)]
-    fn dot<B: Copy + Into<Self>>(a: &[Self], b: &[B]) -> i64 {
-        let mut acc = 0i64;
-        for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-            let mut lane = 0i64;
-            for e in 0..8 {
-                lane += i64::from(ca[e]) * i64::from(cb[e].into());
-            }
-            acc += lane;
-        }
-        let (ra, rb) = (a.chunks_exact(8).remainder(), b.chunks_exact(8).remainder());
-        for (&x, &y) in ra.iter().zip(rb.iter()) {
-            acc += i64::from(x) * i64::from(y.into());
-        }
-        acc
+    fn mul(self, b: i32) -> i64 {
+        i64::from(self) * i64::from(b)
     }
-}
-
-/// A signed weight-plane code width of the narrow class: `i8` or `i16`.
-/// The scalar and AVX2 kernels load either as `i16` lanes (`i8`
-/// sign-extended on load), so one kernel body per backend serves both.
-/// (The AVX-512 byte planes store biased `u8` codes instead.)
-trait NarrowCode: engine::AlignedCode + Into<i16> {}
-
-impl NarrowCode for i8 {}
-
-impl NarrowCode for i16 {}
-
-/// Panel width a B-side pack of this block size should use under the
-/// currently selected backend: [`PANEL_N_512`] for the AVX-512 kernel,
-/// [`PANEL_N`] for AVX2, `0` (vector-major) otherwise — each panel layout
-/// exists only for the backend whose kernels consume it.
-#[cfg(target_arch = "x86_64")]
-fn panel_layout(k1: usize) -> usize {
-    match selected_backend() {
-        KernelBackend::Avx512 if k1 == avx512::K1 => PANEL_N_512,
-        KernelBackend::Avx2 if k1 == avx2::K1 => PANEL_N,
-        _ => 0,
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn panel_layout(_k1: usize) -> usize {
-    0
 }
 
 /// Runs `kernel(start_row, rows, out_span)` over whole-row spans of the
@@ -351,6 +309,9 @@ struct Gemm<'a> {
     c: i32,
     ctx: DeferCtx,
     workers: usize,
+    /// The activation lowering takes the block core's vector tier: the
+    /// call's backend is AVX-512.
+    vector: bool,
 }
 
 impl Gemm<'_> {
@@ -391,23 +352,38 @@ impl Gemm<'_> {
         self.run_with(
             buf,
             |r0, rows, buf: &mut CodeBuf<A>| {
-                pack_into(self.a, rows, k, |i| (r0 + i) * k, self.fa, buf);
+                pack_into(self.a, rows, k, |i| (r0 + i) * k, self.fa, self.vector, buf);
             },
             |buf, rows, out| kernel(buf.view(blocks, bp.k1), rows, bp, n, c, ctx, out),
             out,
         );
     }
 
-    /// [`Self::run_with`] on A rows lowered to signed byte digits against
-    /// a biased byte plane.
-    fn run_bytes(&self, bp: PlaneView<'_, u8>, buf: &mut ByteRows, out: &mut [f32]) {
+    /// [`Self::run_with`] on A rows lowered against a biased byte plane for
+    /// a quad body: to signed byte digits for `vpdpbusd` (`vnni`), else to
+    /// `i16` rows, with each block's bias correction either way.
+    fn run_bytes(
+        &self,
+        bp: PlaneView<'_, u8>,
+        kernel: ByteSpanKernel,
+        vnni: bool,
+        buf: &mut ByteRows,
+        out: &mut [f32],
+    ) {
         let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
         let blocks = k.div_ceil(bp.k1);
-        let (kernel, vnni) = (backend::byte_span_kernel(), backend::vnni_enabled());
         self.run_with(
             buf,
             |r0, rows, buf: &mut ByteRows| {
-                buf.lower(self.a, rows, k, |i| (r0 + i) * k, self.fa, vnni);
+                buf.lower(
+                    self.a,
+                    rows,
+                    k,
+                    |i| (r0 + i) * k,
+                    self.fa,
+                    self.vector,
+                    vnni,
+                );
             },
             |buf, rows, out| kernel(buf.view(blocks), rows, bp, n, c, ctx, out),
             out,
@@ -478,6 +454,11 @@ pub fn quantized_gemm_prepacked_scratch(
         return Some(out);
     }
     let blocks = k.div_ceil(pair.k1);
+    // The call's one read of the selection: the activation lowering and the
+    // span kernel of every row span follow it, whatever another thread
+    // forces meanwhile.
+    let (selected, vnni) = (selected_backend(), backend::vnni_enabled());
+    let body = backend::span_backend(selected, pair.k1);
     let gemm = Gemm {
         a,
         fa: &fa,
@@ -487,24 +468,31 @@ pub fn quantized_gemm_prepacked_scratch(
         c: pair.c,
         ctx: pair.defer(blocks),
         workers: gemm_workers(m, n, k, threads),
+        vector: selected == KernelBackend::Avx512,
     };
-    match &packed_b.plane {
-        Plane::I8(b) => gemm.run(
+    match (&packed_b.plane, body) {
+        (Plane::U8(b), KernelBackend::Scalar) => gemm.run(
             b.view(blocks, pair.k1),
-            backend::narrow_span_kernel(packed_b.panel_n),
+            backend::scalar_span_kernel(),
             &mut scratch.narrow,
             &mut out,
         ),
-        Plane::U8(b) => gemm.run_bytes(b.view(blocks, pair.k1), &mut scratch.bytes, &mut out),
-        Plane::I16(b) => gemm.run(
+        (Plane::U8(b), body) => gemm.run_bytes(
             b.view(blocks, pair.k1),
-            backend::half_span_kernel(packed_b.panel_n),
+            backend::quad_span_kernel(body),
+            vnni && body == KernelBackend::Avx512,
+            &mut scratch.bytes,
+            &mut out,
+        ),
+        (Plane::I16(b), body) => gemm.run(
+            b.view(blocks, pair.k1),
+            backend::narrow_span_kernel(body, vnni),
             &mut scratch.narrow,
             &mut out,
         ),
-        Plane::I32(b) => gemm.run(
+        (Plane::I32(b), _) => gemm.run(
             b.view(blocks, pair.k1),
-            backend::wide_span_kernel(),
+            backend::scalar_span_kernel(),
             &mut scratch.wide,
             &mut out,
         ),
@@ -698,11 +686,11 @@ mod tests {
             let pair = pair.unwrap_or_else(|| panic!("{fa}/{fb}: packed an unsupported pair"));
             assert!(pb.accepts(&fa), "{fa}/{fb}");
             // The storage width is the weight format's alone: inside the
-            // narrow class, `i8` exactly when the largest aligned magnitude
-            // fits a byte.
+            // narrow class, bytes exactly when the largest aligned
+            // magnitude fits one.
             let fits_byte = (fb.max_code() << fb.max_shift()) <= 127;
             match (&pb.plane, pair.class) {
-                (Plane::I8(_) | Plane::U8(_), PairClass::Narrow) if fits_byte => byte_planes += 1,
+                (Plane::U8(_), PairClass::Narrow) if fits_byte => byte_planes += 1,
                 (Plane::I16(_), PairClass::Narrow) if !fits_byte => half_planes += 1,
                 (Plane::I32(_), PairClass::Wide) => {}
                 _ => panic!("{fa}/{fb}: {pb:?} for a {:?} pair", pair.class),
@@ -760,7 +748,7 @@ mod tests {
         );
         assert!(
             byte_planes > 100 && half_planes > 100,
-            "{byte_planes} i8 planes, {half_planes} i16 planes"
+            "{byte_planes} byte planes, {half_planes} i16 planes"
         );
     }
 
@@ -778,7 +766,7 @@ mod tests {
         ] {
             for fa in [BdrFormat::MX4, BdrFormat::MX9, BdrFormat::MSFP16] {
                 let pb = PackedOperand::pack_cols(&b, 32, 3, fa, fb).unwrap();
-                let byte = matches!(pb.plane, Plane::I8(_) | Plane::U8(_));
+                let byte = matches!(pb.plane, Plane::U8(_));
                 assert_eq!(byte, fb != BdrFormat::MX9, "{fa}/{fb}: {pb:?}");
                 assert!(byte || matches!(pb.plane, Plane::I16(_)), "{pb:?}");
             }
@@ -789,7 +777,8 @@ mod tests {
     fn packed_bytes_of_the_served_plane() {
         // The served 512 × 2048 layer: 32 blocks per column, one `i32`
         // shared exponent per block (256 KiB) beside the codes — 1 MiB of
-        // `i8` codes for MX6, 2 MiB of `i16` codes for MX9.
+        // biased byte codes for MX6, 2 MiB of `i16` codes for MX9 — the
+        // same bytes whichever backend packed them.
         let (k, n) = (512, 2048);
         let b = ramp(k * n, 91);
         let exps = (k / 16) * n * 4;
@@ -857,7 +846,6 @@ mod tests {
         let b = ramp(k * n, 42);
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
         assert!(matches!(pb.plane, Plane::I32(_)));
-        assert_eq!(pb.panel_n, 0);
         let got =
             quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut PackScratch::new()).unwrap();
         assert!(bits_eq(&got, &reference_gemm(&a, &b, m, k, n, fmt, fmt)));
@@ -1084,48 +1072,84 @@ mod tests {
                                                              // column 2 stays all-zero
         }
         let pb = PackedOperand::pack_cols(&b, k, 3, fmt, fmt).unwrap();
-        let uexp = match &pb.plane {
-            Plane::I8(plane) => &plane.uexp,
-            Plane::U8(plane) => &plane.uexp,
-            _ => panic!("an MX6 plane must pack bytes"),
+        let Plane::U8(plane) = &pb.plane else {
+            panic!("an MX6 plane must pack bytes")
         };
+        let uexp = &plane.uexp;
         assert_eq!(uexp.len(), 3);
         assert_ne!(uexp[0], pack::MIXED_EXP);
         assert_eq!(uexp[1], pack::MIXED_EXP);
         assert_eq!(uexp[2], 0);
     }
 
+    /// Whether two planes hold the same codes, exponents and `uexp`.
+    fn same_plane(x: &Plane, y: &Plane) -> bool {
+        fn eq<C: PartialEq>(x: &CodeBuf<C>, y: &CodeBuf<C>) -> bool {
+            x.codes == y.codes && x.exps == y.exps && x.uexp == y.uexp
+        }
+        match (x, y) {
+            (Plane::U8(x), Plane::U8(y)) => eq(x, y),
+            (Plane::I16(x), Plane::I16(y)) => eq(x, y),
+            (Plane::I32(x), Plane::I32(y)) => eq(x, y),
+            _ => false,
+        }
+    }
+
     #[test]
     fn forced_backends_and_deferral_match_reference() {
-        // The in-module smoke version of the `gemm_backends` suite: every
-        // backend × deferral on/off reproduces the reference bit for bit.
-        // (Serialized against other tests by the override being
-        // process-wide: this is the only in-module test that touches it.)
-        let fmt = BdrFormat::MX6;
+        // The in-module smoke version of the `gemm_backends` suite: one
+        // plane, packed once before any override, runs under every
+        // available backend × deferral on/off × VNNI on/off and reproduces
+        // the reference bit for bit; and each backend's own pack is that
+        // plane, byte for byte. (Serialized against other tests by the
+        // overrides being process-wide: this is the only in-module test
+        // that touches them.)
         let (m, k, n) = (9, 80, 11);
         let a = ramp(m * k, 101);
         let b = ramp(k * n, 102);
-        let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Avx2,
-            KernelBackend::Avx512,
-        ] {
-            for defer in [true, false] {
+        for fmt in [BdrFormat::MX6, BdrFormat::MX9] {
+            let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
+            let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+            for backend in [
+                KernelBackend::Scalar,
+                KernelBackend::Avx2,
+                KernelBackend::Avx512,
+            ] {
                 if force_kernel_backend(Some(backend)).is_err() {
                     // This CPU lacks the ISA; the integration suite skips
                     // it the same way.
                     continue;
                 }
-                force_deferred_scale_out(Some(defer));
-                let got = gemm(&a, &b, m, k, n, fmt, fmt, 1).unwrap();
+                let own = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+                let mut got = Vec::new();
+                for (defer, vnni) in [(true, true), (false, true), (true, false), (false, false)] {
+                    force_deferred_scale_out(Some(defer));
+                    force_vnni(Some(vnni));
+                    let y = quantized_gemm_prepacked_scratch(
+                        &a,
+                        m,
+                        fmt,
+                        &pb,
+                        1,
+                        &mut PackScratch::new(),
+                    );
+                    got.push((defer, vnni, y.unwrap()));
+                }
                 force_kernel_backend(None).unwrap();
                 force_deferred_scale_out(None);
+                force_vnni(None);
                 assert!(
-                    bits_eq(&got, &want),
-                    "backend={} defer={defer}",
+                    same_plane(&own.plane, &pb.plane),
+                    "{fmt}: the plane packed under {} differs",
                     backend.name()
                 );
+                for (defer, vnni, y) in got {
+                    assert!(
+                        bits_eq(&y, &want),
+                        "{fmt} backend={} defer={defer} vnni={vnni}",
+                        backend.name()
+                    );
+                }
             }
         }
     }

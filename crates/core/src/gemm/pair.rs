@@ -9,11 +9,11 @@ use super::backend::deferred_scale_out_enabled;
 use crate::bdr::BdrFormat;
 
 /// How a supported format pair runs on the integer path: `Narrow` pairs use
-/// `i16` activation codes against `i8` or `i16` weight codes (see
-/// [`fits_i8`]; on the AVX-512 byte planes, signed byte activation digits
-/// against biased byte weights) with an `i32` block accumulator (the
-/// packed 8- and 16-bit MAC datapaths), `Wide` pairs fall back to `i32`
-/// codes with an `i64` accumulator.
+/// `i16` activation codes against biased byte or `i16` weight codes (see
+/// [`fits_i8`]; on AVX-512 with VNNI, signed byte activation digits
+/// against the biased bytes) with an `i32` block accumulator (the packed
+/// 8- and 16-bit MAC datapaths), `Wide` pairs fall back to `i32` codes
+/// with an `i64` accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum PairClass {
     Narrow,
@@ -54,13 +54,13 @@ fn pair_class(fa: &BdrFormat, fb: &BdrFormat) -> Option<PairClass> {
     }
 }
 
-/// The plane width rule: a weight format's shift-aligned codes fit `i8`
-/// when its largest aligned magnitude `max_code ≪ β` is at most 127 — MX6,
-/// MX4, MSFP12 and MSFP16 among the presets; MX9 (`127 ≪ 1`) needs `i16`.
-/// A property of the weight format alone: the narrow-class activation
-/// partner does not enter (the AVX-512 byte planes split a wider partner's
-/// codes into byte digits), so the integers every kernel multiplies are
-/// the same whichever width the plane stores.
+/// The plane width rule: a weight format's shift-aligned codes fit a
+/// (biased) byte when its largest aligned magnitude `max_code ≪ β` is at
+/// most 127 — MX6, MX4, MSFP12 and MSFP16 among the presets; MX9
+/// (`127 ≪ 1`) needs `i16`. A property of the weight format alone: the
+/// narrow-class activation partner does not enter (the AVX-512 byte body
+/// splits a wider partner's codes into byte digits), so the integers every
+/// kernel multiplies are the same whichever width the plane stores.
 pub(super) fn fits_i8(fmt: &BdrFormat) -> bool {
     fmt.max_code() << fmt.max_shift() <= 127
 }
@@ -148,13 +148,14 @@ impl FormatPair {
     /// condition takes the per-block scale-out instead — deferral is an
     /// optimization, never a semantics change.
     ///
-    /// ## The same bound under column-in-lane (AVX-512) accumulation and VNNI
+    /// ## The same bound under column-in-lane accumulation and VNNI
     ///
     /// The `2²⁴` bound above is about the *`f32` mantissa*, not about any
     /// SIMD register, but each backend must also show its `i32` lanes end
-    /// exact and its conversions are exact. The AVX-512 kernel keeps one
-    /// column per `i32` lane; a deferring (row, panel) keeps adding that
-    /// column's block dots into its lane over the whole reduction, so a
+    /// exact and its conversions are exact. The AVX-512 kernel (and the
+    /// AVX2 one, over two 8-lane halves) keeps one column per `i32` lane;
+    /// a deferring (row, panel) keeps adding that column's block dots into
+    /// its lane over the whole reduction, so a
     /// lane's result is a partial sum of one output's dots: at most
     /// `blocks · Dmax ≤ 2²⁴` under the static gate, far inside `i32` and
     /// exactly representable in `f32` — the deferred total's one
@@ -190,7 +191,9 @@ impl FormatPair {
     ///   16-bit pairs and multiplies them by A's codes as `i16` pairs with
     ///   two `vpmaddwd` (products at most `255 · 2¹⁵`, pair sums exact in
     ///   `i32`) and two `vpaddd`, seeded the same way: the same lane
-    ///   modulo 2³².
+    ///   modulo 2³². The AVX2 body spells it the same way on 8 lanes. Its
+    ///   per-block epilogue converts every dot through `f64` (exact) and
+    ///   rounds once.
     /// - **The digit split.** An activation code too wide for a signed
     ///   byte (MX9's ±254, or up to ±32767 in custom formats) enters as
     ///   signed byte digits `a = Σₜ 256ᵗ·dₜ` (two digits up to

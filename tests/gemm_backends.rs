@@ -12,7 +12,7 @@
 //! bound).
 //!
 //! Generated weight formats add the plane's code width to the matrix: a
-//! narrow plane stores `i8` codes exactly when its format's aligned codes
+//! narrow plane stores byte codes exactly when its format's aligned codes
 //! fit a byte, and every backend reads them to the same bits as the
 //! reference on hostile data.
 //!
@@ -119,7 +119,7 @@ fn exponent_spread_vector(n: usize, salt: usize) -> Vec<f32> {
 /// Every backend × the full preset matrix × ragged K × all serving Ms
 /// (both sides of the 8-row tile and of a 32-row serving batch)
 /// reproduces the reference bit for bit. Packing happens after forcing, so
-/// each backend also exercises its own B-plane layout.
+/// each backend also exercises the pack under its own block-core tier.
 #[test]
 fn forced_backend_matrix_is_bit_identical_to_reference() {
     let _guard = lock_knobs();
@@ -188,8 +188,9 @@ fn forced_backends_are_thread_count_invariant() {
 }
 
 /// A B plane packed under one backend still executes correctly after the
-/// knob moves: execution follows the plane's layout, and results stay
-/// bit-identical to the reference regardless of which backend packed it.
+/// knob moves: the layout is the same under every backend, each call runs
+/// the backend selected when it starts, and results stay bit-identical to
+/// the reference regardless of which backend packed the plane.
 #[test]
 fn planes_packed_under_one_backend_execute_under_another() {
     let _guard = lock_knobs();
@@ -371,10 +372,11 @@ fn headroom_edge_blocks_sit_exactly_on_the_deferral_bound() {
 
 /// Every ragged shape: K % 32 ∈ {1, 15, 16, 17, 31} gives odd and even
 /// block counts with ragged final blocks, crossed with N covering ragged
-/// widths of the 16-column AVX-512 panel (the masked store: standalone,
-/// after one full panel and after two) and of the 8-column AVX2 panel,
-/// and with M covering every remainder of the 4-row group and the 16-row
-/// tile — each with deferral on and off, on stress data and on
+/// widths of the 16-column panel every backend reads (the AVX-512 masked
+/// store and the AVX2 partial store: standalone, after one full panel and
+/// after two, and on either side of the AVX2 body's 8-lane halves), and
+/// with M covering every remainder of the 4-row and 2-row groups and the
+/// 16-row tile — each with deferral on and off, on stress data and on
 /// uniform-exponent data that defers wherever the gates allow.
 #[test]
 fn mask_tail_shapes_cover_every_ragged_k_and_n() {
@@ -429,7 +431,7 @@ fn mask_tail_shapes_cover_every_ragged_k_and_n() {
 fn mixed_exponent_vectors_force_the_per_block_fallback() {
     let _guard = lock_knobs();
     let fmt = BdrFormat::MX6;
-    let (m, n) = (6usize, 33usize); // full panels at both widths + ragged 1
+    let (m, n) = (6usize, 33usize); // two full panels + ragged 1
     for k in [80usize, 96] {
         // salt ≡ 1 (mod 5) selects the mixed-exponent spread.
         let a_mixed = exponent_spread_vector(m * k, 1 + 5 * k);
@@ -518,13 +520,15 @@ fn hostile_operand(
     data
 }
 
-/// Generated narrow-class weight formats, half of them at the panel
-/// kernels' `k1 = 16`: the plane holds `i8` codes exactly when
-/// `max_code ≪ β ≤ 127` (read back from `packed_bytes` and `Debug`), it
-/// accepts exactly the partners its class admits, and on every backend it
-/// reproduces the reference bit for bit at M ∈ {1, 4, 33} and threads ∈
-/// {1, 0} — on hostile data, with ragged N (a partial last panel at every
-/// panel width) and odd block counts.
+/// Generated narrow-class weight formats, half of them at the vector
+/// bodies' `k1 = 16`: the plane holds byte codes exactly when
+/// `max_code ≪ β ≤ 127` (read back from `packed_bytes` and `Debug`), on
+/// every backend in the one layout — 16-column panels, blocks padded to a
+/// whole lane group — it accepts exactly the partners its class admits,
+/// and on every backend it reproduces the reference bit for bit at
+/// M ∈ {1, 4, 33} and threads ∈ {1, 0} — on hostile data, with ragged N
+/// (a partial last panel, short of and past the AVX2 half) and odd block
+/// counts.
 #[test]
 fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
     let _guard = lock_knobs();
@@ -532,7 +536,10 @@ fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
     let (mut byte_planes, mut half_planes, mut draws) = (0, 0, 0);
     while byte_planes < 16 || half_planes < 16 {
         draws += 1;
-        assert!(draws < 20_000, "{byte_planes} i8, {half_planes} i16 planes");
+        assert!(
+            draws < 20_000,
+            "{byte_planes} byte, {half_planes} i16 planes"
+        );
         let panel_k1 = draws % 2 == 0;
         let fb = BdrFormat::random(&mut rng, panel_k1.then_some(16));
         let fa = BdrFormat::random(&mut rng, Some(fb.k1()));
@@ -562,7 +569,7 @@ fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
         *counter += 1;
         let k1 = fb.k1();
         // An odd block count, ragged or whole, and N short of a whole
-        // 8- or 16-column panel.
+        // 16-column panel.
         let blocks = 2 * rng.gen_range(0..3usize) + 1;
         let k = (blocks - 1) * k1 + rng.gen_range(1..=k1);
         let n = [1usize, 2, 3, 5, 6, 7, 9, 10, 11][rng.gen_range(0..9usize)];
@@ -572,15 +579,14 @@ fn generated_weight_formats_pick_the_plane_width_and_keep_every_bit() {
                 continue;
             }
             let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-            // The AVX-512 layout zero-pads its last panel to 16 columns.
-            let stored = match selected_backend() {
-                KernelBackend::Avx512 if k1 == 16 => n.next_multiple_of(16),
-                _ => n,
-            };
+            // Every backend zero-pads the last panel to 16 columns, and
+            // each block to whole quads (bytes) or pairs (`i16`).
+            let stored = n.next_multiple_of(16);
+            let slots = k1.next_multiple_of(4 / code_bytes);
             let exps = 4 * stored * blocks;
             assert_eq!(
                 pb.packed_bytes(),
-                code_bytes * stored * blocks * k1 + exps,
+                code_bytes * stored * blocks * slots + exps,
                 "{fa}/{fb}: {pb:?}"
             );
             let shown = format!("{pb:?}");

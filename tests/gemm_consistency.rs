@@ -151,14 +151,14 @@ fn nn_matmul_routes_through_code_domain() {
     assert_eq!(exact, a.matmul(&b));
 }
 
-/// Formats that cannot take a panel kernel (block size ≠ 16, or operand
-/// codes wider than `i16`) dispatch to the portable generic kernels; those
-/// must honor the same bit-identity guarantee. Covers the `i16` kernel via
-/// a `k1 = 32` narrow format and the `i32` one via a 16-bit-mantissa
-/// format.
+/// Formats that cannot take a vector body (block size ≠ 16, or operand
+/// codes wider than `i16`) pack into the same plane layout and run the
+/// portable scalar kernel on every backend; it must honor the same
+/// bit-identity guarantee. Covers the `i16` kernel via a `k1 = 32` narrow
+/// format and the `i32` one via a 16-bit-mantissa format.
 #[test]
 fn generic_fallback_kernels_match_reference() {
-    // k1 = 32, d2 = 2: narrow i16 codes, but not the AVX2 block size.
+    // k1 = 32, d2 = 2: narrow i16 codes, but not the vector bodies' block size.
     let k32 = BdrFormat::new(4, 8, 2, 32, 4).unwrap();
     // m = 16: aligned codes exceed 15 bits, forcing the i32/i64 path.
     let wide = BdrFormat::new(16, 4, 0, 16, 2).unwrap();
@@ -216,9 +216,10 @@ fn prepacked_parallel_is_bit_identical() {
     }
 }
 
-/// A plane in a generic (non-panel) layout serves every partner of its
-/// kernel class: a `k1 = 32` narrow plane packed for one partner executes
-/// another, and a wide plane refuses a narrow-class partner outright.
+/// A plane that runs the scalar kernel (`k1 ≠ 16`, or `i32` codes) in the
+/// one layout serves every partner of its kernel class: a `k1 = 32`
+/// narrow plane packed for one partner executes another, and a wide plane
+/// refuses a narrow-class partner outright.
 #[test]
 fn prepacked_generic_kernels_match_reference() {
     let k32 = BdrFormat::new(4, 8, 2, 32, 4).unwrap();

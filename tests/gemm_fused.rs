@@ -124,10 +124,11 @@ fn fused_wide_format_pair() {
     check(&[1], 16, 1, wide, wide, 62);
 }
 
-/// A narrow pair with a non-preset block size runs the generic
-/// (vector-major, non-panel) kernel.
+/// A narrow pair with a block size other than 16 (`k1 = 32`) packs into
+/// the one plane layout like every other pair and runs the scalar kernel,
+/// whatever backend is selected.
 #[test]
-fn fused_non_panel_major_narrow_pair() {
+fn fused_narrow_pair_with_k1_other_than_16() {
     let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
     check(&[3, 33], 80, 4, k32, k32, 71);
     check(&[1], 32, 6, k32, k32, 72);
