@@ -705,6 +705,36 @@ mod tests {
     }
 
     #[test]
+    fn target_feature_generic_entry_over_an_inlined_body_is_clean() {
+        // The vector GEMM's shape: one generic `#[inline(always)]` body,
+        // no feature attr of its own, compiled only inside restricted-
+        // visibility generic entry points whose signatures span lines.
+        let body = "/// # Safety\n/// Inline into a fn enabling the ISA.\n#[inline(always)]\npub(super) unsafe fn span<L: Lanes, const D: usize>(x: usize) {}\n";
+        let entry = "/// # Safety\n/// Requires AVX-512 F/BW/VNNI.\n#[target_feature(enable = \"avx512f,avx512bw,avx512vnni\")]\npub(super) unsafe fn span_vnni<A, B, const DIGITS: usize>(\n    x: usize,\n) {\n    // SAFETY: same ISA.\n    unsafe { span::<Zmm<true>, DIGITS>(x) }\n}\n";
+        let gate = "fn gates() -> bool {\n    std::arch::is_x86_feature_detected!(\"avx512f\")\n        && std::arch::is_x86_feature_detected!(\"avx512bw\")\n        && std::arch::is_x86_feature_detected!(\"avx512vnni\")\n}\n";
+        let w = ws(vec![
+            file("crates/core/src/body.rs", body),
+            file("crates/core/src/kern.rs", entry),
+            file("crates/core/src/gate.rs", gate),
+        ]);
+        let mut found = Vec::new();
+        rule_target_feature(&w, &mut found);
+        assert!(found.is_empty(), "{found:?}");
+        // Without the gates the entry, not the body, fires once per feature.
+        let w = ws(vec![
+            file("crates/core/src/body.rs", body),
+            file("crates/core/src/kern.rs", entry),
+        ]);
+        let mut found = Vec::new();
+        rule_target_feature(&w, &mut found);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(
+            found.iter().all(|f| f.path.ends_with("kern.rs")),
+            "{found:?}"
+        );
+    }
+
+    #[test]
     fn ci_wiring_flags_unnamed_suites_and_benches() {
         let mut w = ws(vec![]);
         w.test_stems = vec!["alpha".into(), "beta".into()];

@@ -4,11 +4,12 @@
 //! on (a green AVX-512 step proves nothing on a runner without AVX-512).
 //!
 //! Each line is `feature: yes|no`, one feature per line, in dispatch
-//! order; then the resolved backend name, and the body the AVX-512 byte
-//! planes (MX6/MX4/MSFP weights) run under it: `vpdpbusd`, or its exact
-//! `vpmaddwd` spelling on a CPU without AVX-512-VNNI.
+//! order; then the resolved backend name, and the body the byte planes
+//! (MX6/MX4/MSFP weights) take under it: the scalar `b − 128` loop,
+//! AVX2's zero-extended pairs on `vpmaddwd`, or AVX-512's `vpdpbusd` — or
+//! its exact `vpmaddwd` spelling on a CPU without AVX-512-VNNI.
 
-use mx_core::gemm::{byte_plane_body, kernel_backend_name, selected_backend, KernelBackend};
+use mx_core::gemm::{byte_plane_body, kernel_backend_name};
 
 #[cfg(target_arch = "x86_64")]
 fn print_features() {
@@ -31,8 +32,5 @@ fn main() {
     println!("== CPU feature probe ==");
     print_features();
     println!("kernel backend: {}", kernel_backend_name());
-    match selected_backend() {
-        KernelBackend::Avx512 => println!("avx512 byte-plane body: {}", byte_plane_body()),
-        _ => println!("avx512 byte-plane body: none (no byte planes on this backend)"),
-    }
+    println!("byte-plane body: {}", byte_plane_body());
 }

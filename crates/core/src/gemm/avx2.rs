@@ -1,122 +1,177 @@
-//! The AVX2 backend: the AVX-512 body's shape at half the register width,
-//! for the narrow code path with the preset block size `k1 = 16`. It reads
-//! the one **column-in-lane** B plane every backend reads (see
-//! [`super::pack::panel_slot`]): 16-column panels, a byte plane's codes as
-//! biased K quads, an `i16` plane's as K pairs. A panel is two 8-lane
-//! halves, one `ymm` of `i32` lanes each, one column per lane.
+//! The AVX2 instance of the one vector body ([`super::vector::span`]): a
+//! panel's 16 columns are two 8-lane halves, one `ymm` of `i32` lanes
+//! each. One group row loads per step and each row keeps one accumulator
+//! (two `ymm`): four rows' accumulators, a step's widened B row and the
+//! broadcast A group fill the 16 `ymm` registers.
 //!
-//! The body, [`span`]:
-//!
-//! - **A pair feeds 8 columns.** Row `i`'s codes `a[2p], a[2p + 1]` are
-//!   broadcast as one 32-bit value, and one `vpmaddwd` + `vpaddd` adds
-//!   their dot with each column's two codes into every column's lane. On
-//!   an `i16` plane a half's pair row is one 32-byte load.
-//! - **Bytes are widened exactly, and the bias costs no instruction.** A
-//!   half's quad row (32 biased bytes `b + 128`) is split per lane into its
-//!   two pairs by two in-lane `vpshufb`s that zero-extend the bytes to
-//!   16-bit words, once per load and shared by every row of the group;
-//!   A's `i16` rows multiply them as on an `i16` plane, two `vpmaddwd` +
-//!   `vpaddd` per quad (never `vpmaddubsw`, which saturates its 16-bit
-//!   pair sums). The lanes so compute `Σ a·(b + 128)`, and each block's
-//!   accumulator starts from the lowering's `−128·Σ a`
-//!   ([`super::pack::ByteRows`] — the same `i16` rows and seeds the
-//!   AVX-512 body's exact `vpdpbusd` spelling takes), which leaves
-//!   `Σ a·b`.
-//! - **The scale-out is a lane epilogue.** The reference chain
-//!   `acc ← f32(acc + f32(dot · 2^(e_a + e_b + c)))` runs per block on 8
-//!   columns at a time through `f64` ([`scale8`]): the conversion and the
-//!   scale are exact, `vcvtpd2ps` rounds once.
-//! - **Up to four rows share every B load**, so at serving batch sizes
-//!   the plane streams, and its bytes are widened, once per four rows.
-//! - **Deferral is a skip of that epilogue** for a (row, panel) whose
-//!   exponent metadata proves the chain exact (see
-//!   [`super::pair::FormatPair::defer`]): its lanes keep accumulating the
-//!   integer dots of the whole reduction, seeded once with the row's total
-//!   correction, and are scaled out once.
-//! - **Ragged N is a partial store**: the padded lanes compute values no
-//!   one reads, and only the real columns are stored. Ragged K needs
-//!   nothing — the packer pads every block to `k1` codes.
-//!
-//! Every `i32` lane computes modulo 2³², and the block dot (or deferred
-//! total) it ends on is below 2³¹ in magnitude, so every lane ends on the
-//! scalar kernel's integer, and every rounding point is the reference
-//! chain's: the backend is bit-identical to [`super::scalar`] — and to
-//! `super::reference_gemm` — everywhere.
+//! A byte plane's biased bytes are zero-extended to 16-bit pairs, once per
+//! load and shared by every row of the group, and multiplied by `i16` rows
+//! with `vpmaddwd` — the AVX-512 F/BW instance's exact `vpdpbusd`
+//! spelling, seeded the same way (never `vpmaddubsw`, which saturates its
+//! 16-bit pair sums). AVX2 has no `vscalefps`: the per-block scale-out
+//! goes through `f64` ([`scale4`]), and a ragged panel leaves through a
+//! lane copy.
 
-use super::pack::{ByteView, Lhs, Panel, PlaneView, MIXED_EXP};
+use super::pack::{Lhs, PlaneView};
+use super::vector::{self, Lanes, MAX_BLOCKING, ROW_BYTES};
 use super::{DeferCtx, PANEL_COLS};
-use crate::engine::AlignedCode;
 use std::arch::x86_64::*;
-
-/// The preset first-level block size this kernel is specialized for.
-pub(super) const K1: usize = 16;
 
 /// Columns per half panel: one per `i32` lane of a `ymm`.
 const HALF: usize = 8;
 
-/// Bytes of one group row — a quad row of bytes or a pair row of `i16`
-/// codes over the panel's 16 lanes: two `ymm`s, one per half.
-const ROW_BYTES: usize = 64;
+/// Sixteen lanes in two `ymm` halves.
+pub(super) struct Ymm;
 
-/// Rows sharing each B load: their two accumulators each, one half's B
-/// operands and the constants fill the 16 `ymm` registers.
-const GROUP_ROWS: usize = 4;
+impl Lanes for Ymm {
+    type Ints = [__m256i; 2];
+    type Floats = [__m256; 2];
+    /// Per half: the raw pairs twice, or a biased quad row's two
+    /// zero-extended pair vectors.
+    type Row = [[__m256i; 2]; 2];
+    const GROUP: usize = 1;
+    const ACCS: usize = 1;
+    const BYTE_DOTS: bool = false;
 
-/// Row-tile height: every panel is reused from L1 for this many output
-/// rows. A 16-row tile's A codes (16 KB at `K = 512`) plus one panel
-/// (8 KB of byte codes and 2 KB of exponents) fit L1d.
-const TILE_ROWS: usize = 16;
+    /// # Safety
+    ///
+    /// As [`Lanes::splat`]: AVX2.
+    #[inline(always)]
+    unsafe fn splat(x: i32) -> [__m256i; 2] {
+        // SAFETY: a register-only AVX intrinsic, enabled by the caller.
+        unsafe { [_mm256_set1_epi32(x); 2] }
+    }
 
-/// The AVX2 span kernel for an `i16` plane
-/// ([`super::backend::SpanKernel`] shape): the pair body.
-pub(super) fn gemm_span(
-    ap: PlaneView<'_, i16>,
-    rows: usize,
-    bp: PlaneView<'_, i16>,
-    n: usize,
-    c: i32,
-    ctx: DeferCtx,
-    out: &mut [f32],
-) {
-    let lhs = Lhs::plain(ap);
-    debug_assert!(ap.k1 == K1 && bp.k1 == K1);
-    // SAFETY: the backend layer picks this kernel only in a call whose
-    // selected backend was AVX2, selectable only once AVX2 was detected;
-    // `ap` holds `rows` rows of `i16` codes and `bp` the plane of `n`
-    // columns, both with `k1 = 16` and the same block count.
-    unsafe { span(lhs, rows, bp, n, c, ctx, out) }
+    /// # Safety
+    ///
+    /// As [`Lanes::zero`]: AVX2.
+    #[inline(always)]
+    unsafe fn zero() -> [__m256; 2] {
+        // SAFETY: a register-only AVX intrinsic, enabled by the caller.
+        unsafe { [_mm256_setzero_ps(); 2] }
+    }
+
+    /// Each half's biased quads are split here into `[bytes 0 and 1 of
+    /// each lane, bytes 2 and 3]` as 16-bit words (one in-lane `vpshufb`
+    /// each); each product `vpmaddwd` then forms is at most `255 · 2¹⁵`,
+    /// and each pair sum is exact in `i32`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes::load`]: AVX2, 64 readable bytes at `p`.
+    #[inline(always)]
+    unsafe fn load<B>(p: *const u8) -> [[__m256i; 2]; 2] {
+        // SAFETY: two 32-byte loads inside the 64 readable bytes at `p`;
+        // the rest is register-only AVX2.
+        unsafe {
+            let lo = _mm256_loadu_si256(p.cast());
+            let hi = _mm256_loadu_si256(p.add(ROW_BYTES / 2).cast());
+            if size_of::<B>() == 1 {
+                [widen(lo), widen(hi)]
+            } else {
+                [[lo, lo], [hi, hi]]
+            }
+        }
+    }
+
+    /// A quad's two `i16` pairs `(a[0], a[1])`, `(a[2], a[3])` against a
+    /// byte row's two pair vectors, or one pair against an `i16` row: one
+    /// broadcast feeds both halves.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes::mac`]: AVX2.
+    #[inline(always)]
+    unsafe fn mac<B>(acc: [__m256i; 2], a: *const u8, b: Self::Row) -> [__m256i; 2] {
+        // SAFETY: four-byte reads inside the A group this fn's caller
+        // vouches for; the rest is register-only AVX2.
+        unsafe {
+            if size_of::<B>() == 1 {
+                let (lo, hi) = (broadcast(a), broadcast(a.add(4)));
+                [
+                    madd(madd(acc[0], b[0][0], lo), b[0][1], hi),
+                    madd(madd(acc[1], b[1][0], lo), b[1][1], hi),
+                ]
+            } else {
+                let pair = broadcast(a);
+                [madd(acc[0], b[0][0], pair), madd(acc[1], b[1][0], pair)]
+            }
+        }
+    }
+
+    /// One accumulator, one digit: the accumulator itself.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes::lane_sum`] (no intrinsic).
+    #[inline(always)]
+    unsafe fn lane_sum<const DIGITS: usize>(d: [[__m256i; 2]; MAX_BLOCKING]) -> [__m256i; 2] {
+        d[0]
+    }
+
+    /// Through `f64` whatever `exact` says ([`scale8`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes::scale_out`]: AVX2, 16 readable `i32`s at `eb`.
+    #[inline(always)]
+    unsafe fn scale_out(
+        acc: [__m256; 2],
+        d: [__m256i; 2],
+        ea: i32,
+        eb: *const i32,
+        _exact: bool,
+    ) -> [__m256; 2] {
+        // SAFETY: two 32-byte loads inside the 16 `i32`s at `eb`; the rest
+        // is register-only AVX2 and `scale8`, under the caller's AVX2.
+        unsafe {
+            let ea = _mm256_set1_epi32(ea);
+            let e0 = _mm256_add_epi32(ea, _mm256_loadu_si256(eb.cast()));
+            let e1 = _mm256_add_epi32(ea, _mm256_loadu_si256(eb.add(HALF).cast()));
+            [
+                _mm256_add_ps(acc[0], scale8(d[0], e0)),
+                _mm256_add_ps(acc[1], scale8(d[1], e1)),
+            ]
+        }
+    }
+
+    /// Two stores for a whole panel; a ragged one goes through a copy of
+    /// its lanes.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes::store`]: AVX2.
+    #[inline(always)]
+    unsafe fn store(dst: *mut f32, acc: [__m256; 2], mask: u16) {
+        // SAFETY: the two full stores write the 16 lanes when `mask` sets
+        // every one, and otherwise only the lanes it sets are written, as
+        // this fn's caller vouches; the stores into `all` stay inside it.
+        unsafe {
+            if mask == u16::MAX {
+                _mm256_storeu_ps(dst, acc[0]);
+                _mm256_storeu_ps(dst.add(HALF), acc[1]);
+            } else {
+                let mut all = [0.0f32; PANEL_COLS];
+                _mm256_storeu_ps(all.as_mut_ptr(), acc[0]);
+                _mm256_storeu_ps(all[HALF..].as_mut_ptr(), acc[1]);
+                for (l, &v) in all.iter().enumerate() {
+                    if mask >> l & 1 == 1 {
+                        dst.add(l).write(v);
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// The AVX2 span kernel for a byte plane
-/// ([`super::backend::ByteSpanKernel`] shape): the quad body, over the
-/// `i16` rows and bias corrections the call lowered (`ap.digits == 0`).
-pub(super) fn gemm_span_bytes(
-    ap: ByteView<'_>,
-    rows: usize,
-    bp: PlaneView<'_, u8>,
-    n: usize,
-    c: i32,
-    ctx: DeferCtx,
-    out: &mut [f32],
-) {
-    let lhs = Lhs::bytes(ap.halves, &ap);
-    debug_assert!(ap.digits == 0 && bp.k1 == K1);
-    // SAFETY: as `gemm_span`; the lowering wrote `rows` rows of `i16`
-    // codes and their corrections.
-    unsafe { span(lhs, rows, bp, n, c, ctx, out) }
-}
-
-/// The one kernel body: `rows × n` outputs, tile by tile, panel by panel,
-/// [`GROUP_ROWS`] rows at a time ([`rows_panel`]).
+/// [`vector::span`] on AVX2, over `i16` rows: the pair body, or the quad
+/// body on the zero-extended bytes.
 ///
 /// # Safety
 ///
-/// Requires AVX2. `lhs` must hold `rows` rows of `i16` codes (and their
-/// corrections on a byte plane) and `bp` a plane of at least `n` columns,
-/// both with `k1 = 16` and the same block count; `out` must hold
-/// `rows × n`.
+/// Requires AVX2; operand preconditions as [`vector::span`].
 #[target_feature(enable = "avx2")]
-unsafe fn span<B: AlignedCode>(
+pub(super) unsafe fn span<B>(
     lhs: Lhs<'_, i16>,
     rows: usize,
     bp: PlaneView<'_, B>,
@@ -125,196 +180,53 @@ unsafe fn span<B: AlignedCode>(
     ctx: DeferCtx,
     out: &mut [f32],
 ) {
-    let mut i0 = 0;
-    while i0 < rows {
-        let tm = TILE_ROWS.min(rows - i0);
-        for j in (0..n).step_by(PANEL_COLS) {
-            let panel = bp.panel(j, n);
-            let mut row = i0;
-            while row < i0 + tm {
-                let take = GROUP_ROWS.min(i0 + tm - row);
-                let outs = &mut out[row * n..][..take * n];
-                // SAFETY: AVX2 is enabled on this fn; `row + take ≤ rows`,
-                // `outs` is `take` whole `n`-wide rows, and `panel` holds
-                // the whole reduction of columns `j .. j + 16` (the padded
-                // lanes included).
-                unsafe {
-                    match take {
-                        4 => rows_panel::<B, 4>(lhs, row, &panel, n, c, ctx, outs),
-                        3 => rows_panel::<B, 3>(lhs, row, &panel, n, c, ctx, outs),
-                        2 => rows_panel::<B, 2>(lhs, row, &panel, n, c, ctx, outs),
-                        _ => rows_panel::<B, 1>(lhs, row, &panel, n, c, ctx, outs),
-                    }
-                }
-                row += take;
-            }
-        }
-        i0 += tm;
-    }
+    // SAFETY: this fn's preconditions are the body's under `Ymm`.
+    unsafe { vector::span::<Ymm, i16, B, 1>(lhs, rows, bp, n, c, ctx, out) }
 }
 
-/// `R` rows against one panel: the block loop, the per-block lane
-/// epilogue (skipped for rows whose scale-out defers), and one store of
-/// the real columns per row.
+/// A `ymm` of biased byte quads zero-extended to 16-bit words, each lane's
+/// quad split into its two pairs: `[bytes 0 and 1 of each lane, bytes 2
+/// and 3]` (one in-lane `vpshufb` each, a set top bit (`-1`) zeroing a
+/// word's high byte).
 ///
 /// # Safety
 ///
-/// Must be inlined into a fn enabling AVX2. Rows `row .. row + R` must
-/// exist in `lhs`, `panel` must hold `lhs.blocks` blocks of 16 lanes with
-/// `k1 = 16`, and `outs` must be `R` whole `n`-wide rows with
-/// `panel.j + panel.uexp.len() ≤ n`.
+/// Must be inlined into a fn enabling AVX2.
 #[inline(always)]
-unsafe fn rows_panel<B: AlignedCode, const R: usize>(
-    lhs: Lhs<'_, i16>,
-    row: usize,
-    panel: &Panel<'_, B>,
-    n: usize,
-    c: i32,
-    ctx: DeferCtx,
-    outs: &mut [f32],
-) {
-    let quad = size_of::<B>() == 1;
-    let blocks = lhs.blocks;
-    // Group rows per block: 4 quad rows or 8 pair rows.
-    let group_rows = K1 * PANEL_COLS * size_of::<B>() / ROW_BYTES;
-    let width = panel.uexp.len();
-    let arows: [&[i16]; R] =
-        std::array::from_fn(|r| &lhs.codes[(row + r) * blocks * K1..][..blocks * K1]);
-    let aus: [i32; R] = std::array::from_fn(|r| lhs.uexp[row + r]);
-    let defers: [bool; R] = std::array::from_fn(|r| {
-        ctx.enabled
-            && aus[r] != MIXED_EXP
-            && panel
-                .uexp
-                .iter()
-                .all(|&u| u != MIXED_EXP && (ctx.e_lo..=ctx.e_hi).contains(&(aus[r] + u)))
-    });
-    // A block's accumulators start from its correction (the bias's
-    // `−128·Σ a`) on a byte plane, from zero on an `i16` one; a deferring
-    // row starts once, from its whole row's correction.
-    let seed = |r: usize, kb: usize| -> i32 {
-        match (quad, defers[r]) {
-            (false, _) => 0,
-            (true, true) => lhs.corr_rows[row + r],
-            (true, false) if kb < blocks => lhs.corr[(row + r) * blocks + kb],
-            (true, false) => 0,
-        }
-    };
-    // SAFETY: this fn's ISA precondition covers every intrinsic below. The
-    // B loads read group row `x` of block `kb`, 64 bytes, inside the
-    // panel's `blocks · K1 · 16` codes; each A read is two `i16` codes at
-    // `kb · K1 + 4x` or `+ 4x + 2` (a quad's two pairs, `x < 4`) or at
-    // `kb · K1 + 2x` (a pair, `x < 8`), inside the row's `blocks · K1`
-    // codes; the exponent loads read block `kb`'s 16 lanes
-    // inside the panel's `blocks · 16`; and each store writes only row
-    // `r`'s real columns `panel.j .. panel.j + width ≤ n` of `outs`.
+unsafe fn widen(raw: __m256i) -> [__m256i; 2] {
+    // SAFETY: register-only AVX2 intrinsics, enabled by the caller.
     unsafe {
-        let mut dots: [[__m256i; 2]; R] =
-            std::array::from_fn(|r| [_mm256_set1_epi32(seed(r, 0)); 2]);
-        let mut accs = [[_mm256_setzero_ps(); 2]; R];
-        let bbase = panel.codes.as_ptr().cast::<u8>();
-        for kb in 0..blocks {
-            for x in 0..group_rows {
-                let bptr = bbase.add((kb * group_rows + x) * ROW_BYTES);
-                // One half at a time, shared by every row of the group.
-                for h in 0..2 {
-                    let b = load_b(quad, bptr.add(h * ROW_BYTES / 2));
-                    for (d, arow) in dots.iter_mut().zip(&arows) {
-                        let pa = arow.as_ptr().add(kb * K1);
-                        let read = |at: usize| {
-                            _mm256_set1_epi32(pa.add(at).cast::<i32>().read_unaligned())
-                        };
-                        // Quad `x`: the pairs `(a[4x], a[4x + 1])` and
-                        // `(a[4x + 2], a[4x + 3])`; pair `x`: `(a[2x], a[2x + 1])`.
-                        d[h] = if quad {
-                            let lo = _mm256_madd_epi16(b[0], read(4 * x));
-                            let hi = _mm256_madd_epi16(b[1], read(4 * x + 2));
-                            _mm256_add_epi32(_mm256_add_epi32(d[h], lo), hi)
-                        } else {
-                            _mm256_add_epi32(d[h], _mm256_madd_epi16(b[0], read(2 * x)))
-                        };
-                    }
-                }
-            }
-            if defers.iter().all(|&d| d) {
-                continue;
-            }
-            let eb = panel.exps.as_ptr().add(kb * PANEL_COLS);
-            for r in 0..R {
-                if !defers[r] {
-                    let ea = _mm256_set1_epi32(lhs.exps[(row + r) * blocks + kb] + c);
-                    for h in 0..2 {
-                        let e = _mm256_add_epi32(ea, _mm256_loadu_si256(eb.add(h * HALF).cast()));
-                        accs[r][h] = _mm256_add_ps(accs[r][h], scale8(dots[r][h], e));
-                    }
-                    dots[r] = [_mm256_set1_epi32(seed(r, kb + 1)); 2];
-                }
-            }
-        }
-        if defers.iter().any(|&d| d) {
-            // The padded lanes' exponents read 0; they are never stored.
-            let mut eu = [0i32; PANEL_COLS];
-            eu[..width].copy_from_slice(panel.uexp);
-            for r in 0..R {
-                if defers[r] {
-                    // A deferred total is at most 2²⁴: the `f64` route is
-                    // exact up to its one rounding.
-                    let ea = _mm256_set1_epi32(aus[r] + c);
-                    for h in 0..2 {
-                        let e = _mm256_add_epi32(
-                            ea,
-                            _mm256_loadu_si256(eu[h * HALF..].as_ptr().cast()),
-                        );
-                        accs[r][h] = _mm256_add_ps(accs[r][h], scale8(dots[r][h], e));
-                    }
-                }
-            }
-        }
-        for (r, acc) in accs.iter().enumerate() {
-            let dst = &mut outs[r * n + panel.j..][..width];
-            if width == PANEL_COLS {
-                _mm256_storeu_ps(dst.as_mut_ptr(), acc[0]);
-                _mm256_storeu_ps(dst[HALF..].as_mut_ptr(), acc[1]);
-            } else {
-                let mut all = [0.0f32; PANEL_COLS];
-                _mm256_storeu_ps(all.as_mut_ptr(), acc[0]);
-                _mm256_storeu_ps(all[HALF..].as_mut_ptr(), acc[1]);
-                dst.copy_from_slice(&all[..width]);
-            }
-        }
+        let z = -1;
+        let lo = _mm256_broadcastsi128_si256(_mm_setr_epi8(
+            0, z, 1, z, 4, z, 5, z, 8, z, 9, z, 12, z, 13, z,
+        ));
+        let hi = _mm256_add_epi8(lo, _mm256_set1_epi16(2));
+        [_mm256_shuffle_epi8(raw, lo), _mm256_shuffle_epi8(raw, hi)]
     }
 }
 
-/// One half group row of B — 32 bytes at `p` — as `vpmaddwd` operands:
-/// the raw pairs of an `i16` plane (`[raw, raw]`), or a byte plane's
-/// biased quads zero-extended to 16-bit words, each lane's quad split into
-/// its two pairs: `[bytes 0 and 1 of each lane, bytes 2 and 3]` (one
-/// in-lane `vpshufb` each). Each product is at most `255 · 2¹⁵` and each
-/// pair sum exact in `i32`.
+/// `acc + vpmaddwd(b, a)`: each lane's two 16-bit products summed.
 ///
 /// # Safety
 ///
-/// Must be inlined into a fn enabling AVX2; `p` must point at 32 readable
+/// Must be inlined into a fn enabling AVX2.
+#[inline(always)]
+unsafe fn madd(acc: __m256i, b: __m256i, a: __m256i) -> __m256i {
+    // SAFETY: register-only AVX2 intrinsics, enabled by the caller.
+    unsafe { _mm256_add_epi32(acc, _mm256_madd_epi16(b, a)) }
+}
+
+/// The four bytes at `p` broadcast to every `i32` lane.
+///
+/// # Safety
+///
+/// Must be inlined into a fn enabling AVX2; `p` must point at 4 readable
 /// bytes.
 #[inline(always)]
-unsafe fn load_b(quad: bool, p: *const u8) -> [__m256i; 2] {
-    // SAFETY: one 32-byte load, readable by this fn's precondition; the
-    // rest is register-only AVX2.
-    unsafe {
-        let raw = _mm256_loadu_si256(p.cast());
-        if quad {
-            // Byte `i` of each dword to a word, a set top bit (`-1`)
-            // zeroing the high byte.
-            let z = -1;
-            let lo = _mm256_broadcastsi128_si256(_mm_setr_epi8(
-                0, z, 1, z, 4, z, 5, z, 8, z, 9, z, 12, z, 13, z,
-            ));
-            let hi = _mm256_add_epi8(lo, _mm256_set1_epi16(2));
-            [_mm256_shuffle_epi8(raw, lo), _mm256_shuffle_epi8(raw, hi)]
-        } else {
-            [raw, raw]
-        }
-    }
+unsafe fn broadcast(p: *const u8) -> __m256i {
+    // SAFETY: a four-byte read, readable by this fn's precondition, and a
+    // register-only AVX intrinsic.
+    unsafe { _mm256_set1_epi32(p.cast::<i32>().read_unaligned()) }
 }
 
 /// The reference chain's scaled dot on 8 columns: `f32(d · 2^e)` per lane,
@@ -345,15 +257,19 @@ unsafe fn scale8(d: __m256i, e: __m256i) -> __m256 {
 ///
 /// # Safety
 ///
-/// Requires AVX2 (register-only: no memory access, no other precondition).
-#[target_feature(enable = "avx2")]
+/// Must be inlined into a fn enabling AVX2 (register-only: no memory
+/// access, no other precondition).
+#[inline(always)]
 unsafe fn scale4(dots: __m128i, es: __m128i) -> __m128 {
-    let bits = _mm256_slli_epi64(
-        _mm256_add_epi64(_mm256_cvtepi32_epi64(es), _mm256_set1_epi64x(1023)),
-        52,
-    );
-    _mm256_cvtpd_ps(_mm256_mul_pd(
-        _mm256_cvtepi32_pd(dots),
-        _mm256_castsi256_pd(bits),
-    ))
+    // SAFETY: register-only AVX2 intrinsics, enabled by the caller.
+    unsafe {
+        let bits = _mm256_slli_epi64(
+            _mm256_add_epi64(_mm256_cvtepi32_epi64(es), _mm256_set1_epi64x(1023)),
+            52,
+        );
+        _mm256_cvtpd_ps(_mm256_mul_pd(
+            _mm256_cvtepi32_pd(dots),
+            _mm256_castsi256_pd(bits),
+        ))
+    }
 }

@@ -1,56 +1,52 @@
-//! The kernel-backend dispatch layer: which ISA-specific tile kernel
-//! executes the narrow code-domain path (`i16` activation codes against
-//! biased byte or `i16` weight codes, or — on the AVX-512 byte planes —
-//! signed byte activation digits against the biased bytes), and whether
-//! the deferred-scale-out optimization is armed.
+//! The kernel-backend dispatch layer: which ISA runs the narrow
+//! code-domain path (`i16` activation codes against biased byte or `i16`
+//! weight codes, or — on AVX-512 with VNNI — signed byte activation digits
+//! against the biased bytes), and whether the deferred-scale-out
+//! optimization is armed. It selects and detects; the kernels are called
+//! directly by the execute entry's one `(plane, body)` match.
 //!
 //! # The backend contract
 //!
-//! A backend is a `SpanKernel` — a plain function pointer computing one
-//! span of output rows from two already-lowered `PlaneView`s. Every
-//! backend must be **bit-identical** to every other (and to
-//! [`super::reference_gemm`]): same per-block integer dots, same one-`f32`
-//! rounding per scale-out, same K-block accumulation order. Backends are
-//! therefore free to differ in *how* they traverse the planes (tile
-//! shapes, SIMD width, deferral) but never in what they round. The
+//! A backend computes one span of output rows from two already-lowered
+//! code planes. Every backend must be **bit-identical** to every other
+//! (and to [`super::reference_gemm`]): same per-block integer dots, same
+//! one-`f32` rounding per scale-out, same K-block accumulation order.
+//! Backends are therefore free to differ in *how* they traverse the planes
+//! (tile shapes, SIMD width, deferral) but never in what they round. The
 //! `gemm_backends` integration suite enforces this by forcing every
 //! backend over the full preset matrix.
 //!
 //! Every backend reads the one weight-plane layout, column-in-lane
 //! 16-column panels (the VNNI GEMM layout, see `pack::panel_slot`): a byte
 //! plane (MX6, MX4, MSFP weights) holds each column's K **quads** as
-//! biased bytes, an `i16` or `i32` plane its K **pairs**. Three backends
-//! exist today, each in its own sibling module:
+//! biased bytes, an `i16` or `i32` plane its K **pairs**. Two kernels
+//! serve the three backends:
 //!
 //! - `scalar` — portable Rust, no intrinsics; the reference
-//!   implementation and the readable form of the vector bodies' loop (one
+//!   implementation and the readable form of the vector body's loop (one
 //!   lane per column, bytes read as `b − 128` against `i16` rows), and the
 //!   kernel of the wide class, of block sizes other than the vector
-//!   bodies' `k1 = 16`, of x86-64 CPUs without AVX2, and of every other
+//!   body's `k1 = 16`, of x86-64 CPUs without AVX2, and of every other
 //!   architecture;
-//! - `avx2` — the AVX-512 body's shape at half the width: a panel is two
-//!   8-lane halves, bytes are zero-extended to 16-bit pairs for
-//!   `vpmaddwd` against `i16` rows (the AVX-512 body's exact `vpdpbusd`
-//!   spelling, each block seeded with `−128·Σ a`), the per-block
-//!   scale-out is a lane epilogue through `f64`, up to four rows share
-//!   each B load, deferral is a per-(row, panel) skip of the epilogue, and
-//!   ragged N is a partial store;
-//! - `avx512` — generation 3: one kernel body over the panels. On a byte
-//!   plane (MX6, MX4, MSFP weights) a broadcast A quad feeds 16 columns'
-//!   biased byte quads per `vpdpbusd` — four MACs
-//!   per lane step, the bias's `128·Σ a` taken out by seeding each
-//!   block's accumulator with `−128·Σ a`, activations wider than a byte
-//!   split into signed byte digits; an `i16` plane (MX9 weights)
-//!   interleaves K **pairs**, one `vpdpwssd` per broadcast A pair. Each
-//!   lane ends a block holding one column's block dot, and the per-block
-//!   scale-out is a lane epilogue with no horizontal reduce. Up to four
-//!   rows share each B load; deferral is a per-(row, panel) skip of the
-//!   epilogue; ragged N is a masked store.
+//! - `vector` — the one vector body, written once over a 16-lane trait
+//!   (`Lanes`) and instantiated for AVX2 (two `ymm` halves per panel) and
+//!   AVX-512 (one `zmm`, with VNNI and without). A broadcast A quad (byte
+//!   plane) or pair (`i16` plane) feeds the panel's 16 columns, one per
+//!   `i32` lane; the bias's `128·Σ a` is taken out by seeding each
+//!   block's accumulator with `−128·Σ a`; each lane ends a block holding
+//!   one column's block dot, and the per-block scale-out is a lane
+//!   epilogue with no horizontal reduce. Up to four rows share each B
+//!   load; deferral is a per-(row, panel) skip of the epilogue; ragged N
+//!   is a masked store. The body owns the tile, panel and row-group walk,
+//!   the deferral test, the seeds, the epilogue order and the store mask;
+//!   an ISA's impl (`avx2`, `avx512`) owns only its register blocking and
+//!   primitives: the group-row load, the MAC, the digit lane sum, the lane
+//!   epilogue and the store.
 //!
-//! Adding an ISA (NEON next) is: write the module, give it a
-//! [`KernelBackend`] variant, extend `span_backend` and
-//! `narrow_span_kernel` — no changes to packing, dispatch entries, or
-//! callers.
+//! Adding an ISA (NEON next) is: implement `Lanes` for its registers,
+//! give the impl a `#[target_feature]` entry point and a
+//! [`KernelBackend`] variant, and extend `span_backend` and the entry's
+//! match — no changes to the body, packing or callers.
 //!
 //! # Backend author checklist
 //!
@@ -85,35 +81,39 @@
 //!    [`super::reference_gemm`] in `gemm_backends` before enabling it
 //!    in [`selected_backend`].
 //!
-//! Lessons the AVX-512 generation added to the list:
+//! Lessons the vector generations added to the list:
 //!
 //! 6. **The plane layout does not depend on the host or the backend.**
 //!    `pack::panel_slot` has one formula, and a plane packed under any
 //!    backend is the same bytes, so every backend's kernel reads every
 //!    plane and the kernel is picked per execute call, never at pack time.
-//!    A new body therefore starts from the existing layout: read the
-//!    16-column panel in whatever register width the ISA has (AVX2 reads
-//!    two 8-lane halves), and widen its codes in registers.
-//! 7. **Prefer mask registers and padding to remainder loops.** The
-//!    AVX-512 kernel has no ragged-K tail (the packer zero-pads every
-//!    block to `k1` codes) and no ragged-N path: the last panel is
-//!    zero-padded to 16 columns and its outputs leave through one masked
-//!    store (masked-out lanes are architecturally not accessed). Fewer
-//!    paths, fewer bit-identity proofs.
-//! 8. **Detect optional sub-features separately and fall back in-module,
-//!    exactly.** VNNI is not implied by AVX-512F/BW:
-//!    `avx512_vnni_available` gates `vpdpbusd`/`vpdpwssd` on its own
-//!    `is_x86_feature_detected!` probe, and the kernel compiles its one
-//!    body a second time under the F/BW-only entry point, so the backend
-//!    (and its bit-identity) never depends on the optional instruction.
-//!    The fallback must be an exact spelling, not a close one: `vpdpwssd`
-//!    is `vpmaddwd` + `vpaddd`; `vpdpbusd` is the biased bytes
-//!    zero-extended to 16-bit pairs against A's codes sign-extended to
-//!    `i16` (the activation lowering writes them at that width for this
-//!    body), two `vpmaddwd` and two `vpaddd` — never `vpmaddubsw`, which
-//!    saturates its 16-bit pair sums (up to `2·255·128`) at `i16::MAX`.
-//!    [`force_vnni`] selects the fallback for tests, and
-//!    [`byte_plane_body`] names the one running.
+//!    A new ISA therefore starts from the existing layout and the existing
+//!    body: its `Lanes` impl holds the 16-column panel in whatever
+//!    registers the ISA has (AVX2 two 8-lane halves) and widens codes in
+//!    registers, and its associated constants set the register blocking
+//!    (AVX-512 loads four group rows per step into four accumulators per
+//!    row; AVX2 one into one, which is what 16 `ymm` hold).
+//! 7. **Prefer masks and padding to remainder loops.** The body has no
+//!    ragged-K tail (the packer zero-pads every block to `k1` codes) and no
+//!    ragged-N path: the last panel is zero-padded to 16 columns and each
+//!    row's outputs leave through one store under the real columns' mask
+//!    (AVX-512 masks the store, and masked-out lanes are architecturally
+//!    not accessed; AVX2 copies the masked lanes). Fewer paths, fewer
+//!    bit-identity proofs.
+//! 8. **Detect optional sub-features separately and fall back exactly.**
+//!    VNNI is not implied by AVX-512F/BW: `avx512_vnni_available` gates
+//!    `vpdpbusd`/`vpdpwssd` on its own `is_x86_feature_detected!` probe,
+//!    and the one body is instantiated a second time under the F/BW-only
+//!    entry point, so the backend (and its bit-identity) never depends on
+//!    the optional instruction. The fallback must be an exact spelling,
+//!    not a close one: `vpdpwssd` is `vpmaddwd` + `vpaddd`; `vpdpbusd` is
+//!    the biased bytes zero-extended to 16-bit pairs against A's codes
+//!    sign-extended to `i16` (the activation lowering writes them at that
+//!    width for this instance), two `vpmaddwd` and two `vpaddd` — never
+//!    `vpmaddubsw`, which saturates its 16-bit pair sums (up to
+//!    `2·255·128`) at `i16::MAX`. The AVX2 instance runs the same
+//!    spelling. [`force_vnni`] selects the fallback for tests, and
+//!    [`byte_plane_body`] names the body the byte planes take.
 //! 9. **Consume `FormatPair`, never re-derive.** Kernel class, `k1`, the
 //!    scale-out constant `c`, and the deferral headroom all come from the
 //!    one `FormatPair::new(fa, fb)` the entry point built (a kernel sees
@@ -148,9 +148,6 @@
 //! [`force_kernel_backend`] cannot pair activation rows lowered for one
 //! body with another body.
 
-use super::pack::{ByteView, PlaneView};
-use super::{Code, DeferCtx};
-use crate::engine::AlignedCode;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -431,87 +428,44 @@ pub fn force_vnni(enabled: Option<bool>) {
     VNNI_OFF.store(enabled == Some(false), Ordering::Relaxed);
 }
 
-/// A span kernel: computes the `rows × n` output slice `out` from an A
-/// plane of `A` codes holding exactly those `rows` rows and a B plane of
-/// `B` codes — the unit of work the row-span dispatch schedules. See the
-/// module docs for the bit-identity contract.
-pub(super) type SpanKernel<A, B> =
-    fn(PlaneView<'_, A>, usize, PlaneView<'_, B>, usize, i32, DeferCtx, &mut [f32]);
-
-/// The span kernel of a byte plane on a vector body: A arrives as signed
-/// byte digit rows or `i16` rows, with their bias corrections.
-pub(super) type ByteSpanKernel =
-    fn(ByteView<'_>, usize, PlaneView<'_, u8>, usize, i32, DeferCtx, &mut [f32]);
-
 /// The backend whose body runs a narrow plane of block size `k1` in an
-/// execute call that read `selected`: the vector bodies are specialized
-/// for `k1 = 16`, so every other block size runs the scalar kernel. The
+/// execute call that read `selected`: the vector body is specialized for
+/// `k1 = 16`, so every other block size runs the scalar kernel. The
 /// plane's layout does not enter — it is the same under every backend.
 pub(super) fn span_backend(selected: KernelBackend, k1: usize) -> KernelBackend {
     match selected {
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 if k1 == super::avx512::K1 => selected,
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 if k1 == super::avx2::K1 => selected,
+        KernelBackend::Avx2 | KernelBackend::Avx512 if k1 == super::vector::K1 => selected,
         _ => KernelBackend::Scalar,
     }
 }
 
-/// The narrow-pair span kernel for an `i16` plane on `body` (see
-/// [`span_backend`]), picked per execute call — the plane's layout is the
-/// same on every host and under every backend, so any plane runs on any
-/// kernel: the AVX-512 pair body (`vpdpwssd` when the call read `vnni`,
-/// else its exact spelling), the AVX2 pair body, or the scalar kernel.
-pub(super) fn narrow_span_kernel(body: KernelBackend, vnni: bool) -> SpanKernel<i16, i16> {
-    match body {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 if vnni => super::avx512::gemm_span::<true>,
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => super::avx512::gemm_span::<false>,
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => super::avx2::gemm_span,
-        _ => super::scalar::gemm_span::<i16, i16>,
-    }
-}
-
-/// The quad body for a byte plane on a vector `body`: AVX-512's, over the
-/// byte digit rows (or, with VNNI off, `i16` rows) the call lowered, or
-/// AVX2's, over `i16` rows; both seed each block with its bias
-/// correction. (On the scalar backend a byte plane runs
-/// [`scalar_span_kernel`].)
-pub(super) fn quad_span_kernel(body: KernelBackend) -> ByteSpanKernel {
-    match body {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => super::avx2::gemm_span_bytes,
-        #[cfg(target_arch = "x86_64")]
-        _ => super::avx512::gemm_span_bytes,
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("no vector body is selected off x86-64"),
-    }
-}
-
-/// The portable span kernel: every wide pair (exotic custom formats), and
-/// every narrow plane whose call runs on the scalar backend.
-pub(super) fn scalar_span_kernel<A: Code, B: AlignedCode>() -> SpanKernel<A, B> {
-    super::scalar::gemm_span::<A, B>
-}
-
-/// Which body the AVX-512 byte planes run right now: `"vpdpbusd"` where
-/// the CPU has AVX-512-VNNI and [`force_vnni`] has not switched it off,
-/// else `"vpmaddwd"` — the exact spelling of the same dot. The
-/// `cpu_features` probe prints it, so a log names the path a
+/// Which body a byte plane (MX6, MX4, MSFP weights at the preset
+/// `k1 = 16`) takes under the backend selected right now:
+///
+/// - `scalar`: `"b - 128 loop"`, each biased byte read back as `b − 128`
+///   against `i16` rows;
+/// - `avx2`: `"vpmaddwd, zero-extended pairs"`, the bytes zero-extended to
+///   16-bit pairs against `i16` rows;
+/// - `avx512`: `"vpdpbusd"` where the CPU has AVX-512-VNNI and
+///   [`force_vnni`] has not switched it off, else `"vpmaddwd"` — its exact
+///   spelling, the AVX2 instance's at full width.
+///
+/// The `cpu_features` probe prints it, so a log names the path a
 /// default-backend test step took.
 ///
 /// # Examples
 ///
 /// ```
-/// assert!(["vpdpbusd", "vpmaddwd"].contains(&mx_core::gemm::byte_plane_body()));
+/// let bodies = ["b - 128 loop", "vpmaddwd, zero-extended pairs", "vpdpbusd", "vpmaddwd"];
+/// assert!(bodies.contains(&mx_core::gemm::byte_plane_body()));
 /// ```
 pub fn byte_plane_body() -> &'static str {
-    if vnni_enabled() {
-        "vpdpbusd"
-    } else {
-        "vpmaddwd"
+    match selected_backend() {
+        KernelBackend::Scalar => "b - 128 loop",
+        KernelBackend::Avx2 => "vpmaddwd, zero-extended pairs",
+        KernelBackend::Avx512 if vnni_enabled() => "vpdpbusd",
+        KernelBackend::Avx512 => "vpmaddwd",
     }
 }
 

@@ -51,14 +51,15 @@
 //! shift-aligned magnitude `max_code ≪ β` is at most 127 (MX6, MX4,
 //! MSFP12, MSFP16), `i16` otherwise (MX9). A byte plane stores each code
 //! biased (`b + 128`, the unsigned operand of `vpdpbusd`) in K quads. The
-//! AVX-512 kernel multiplies it at byte width: the activation rows are
-//! lowered to signed bytes — split into byte digits when their codes are
-//! wider — and each block's accumulator starts from the bias correction
-//! `−128·Σ a`. The AVX2 kernel (and AVX-512 without VNNI) multiplies `i16`
-//! activation rows by the bytes zero-extended to 16-bit words, seeded the
-//! same way; the scalar kernel multiplies plain `i16` rows by the bytes
-//! read back as `b − 128`. Every kernel multiplies the same integers, so
-//! every bit of the output is the same whichever width the plane stores.
+//! vector body on AVX-512 with VNNI multiplies it at byte width: the
+//! activation rows are lowered to signed bytes — split into byte digits
+//! when their codes are wider — and each block's accumulator starts from
+//! the bias correction `−128·Σ a`. Its other instances (AVX-512 without
+//! VNNI, and AVX2) multiply `i16` activation rows by the bytes
+//! zero-extended to 16-bit words, seeded the same way; the scalar kernel
+//! multiplies plain `i16` rows by the bytes read back as `b − 128`. Every
+//! kernel multiplies the same integers, so every bit of the output is the
+//! same whichever width the plane stores.
 //! Wide pairs use `i32` codes on both sides.
 //!
 //! # Activation lowering
@@ -75,26 +76,28 @@
 //! # Kernel backends
 //!
 //! The execute stage runs on one of three interchangeable **backends** —
-//! portable scalar, AVX2, and AVX-512, each its own submodule behind
-//! the span-kernel function-pointer seam in [`backend`] (where the full
-//! dispatch contract is documented). Selection is automatic (best the CPU
-//! supports), overridable with the `MX_KERNEL_BACKEND` env knob or
-//! [`force_kernel_backend`], and reported by [`kernel_backend_name`].
-//! Each execute call reads the selection once and runs both its
-//! activation lowering and its span kernel on it. Backends differ only in
-//! traversal and ISA — every one reads the same weight plane (the layout
-//! does not depend on the host or on the backend that packed it) and is
-//! bit-identical to the others and to [`reference_gemm`], so the choice is
-//! a pure performance knob.
+//! portable scalar, AVX2, and AVX-512 — selected in [`backend`] (where the
+//! full dispatch contract is documented). Two kernels serve them: the
+//! portable scalar one, and one vector body written once over a 16-lane
+//! trait whose AVX2 and AVX-512 impls supply only register blocking and
+//! ISA primitives; the entry's one `(plane, backend)` match calls them.
+//! Selection is automatic (best the CPU supports), overridable with the
+//! `MX_KERNEL_BACKEND` env knob or [`force_kernel_backend`], and reported
+//! by [`kernel_backend_name`]. Each execute call reads the selection once
+//! and runs both its activation lowering and its span kernel on it.
+//! Backends differ only in traversal and ISA — every one reads the same
+//! weight plane (the layout does not depend on the host or on the backend
+//! that packed it) and is bit-identical to the others and to
+//! [`reference_gemm`], so the choice is a pure performance knob.
 //!
 //! Every backend keeps one column per lane of a 16-column panel, so the
 //! per-block scale-out is a lane epilogue over a panel's columns (see the
 //! [`backend`] docs). Every backend also applies **deferred scale-out**:
 //! where the block-plan exponent metadata proves the per-block `f32`
 //! accumulation chain exact (`FormatPair::defer` documents the headroom
-//! invariant and its per-backend derivation), the integer dots of all K
+//! invariant and its per-kernel derivation), the integer dots of all K
 //! blocks accumulate and the scale-out runs once per output element — on
-//! the vector bodies, once per (row, panel) — instead of once per block
+//! the vector body, once per (row, panel) — instead of once per block
 //! pair. Elements that cannot be proven exact fall back to the per-block
 //! chain — deferral never changes results, and
 //! [`force_deferred_scale_out`] switches it off wholesale for tests.
@@ -145,6 +148,8 @@ pub mod backend;
 mod pack;
 mod pair;
 mod scalar;
+#[cfg(target_arch = "x86_64")]
+mod vector;
 
 pub use backend::{
     byte_plane_body, deferred_scale_out_enabled, force_deferred_scale_out, force_kernel_backend,
@@ -152,8 +157,7 @@ pub use backend::{
 };
 pub use pack::{PackScratch, PackedOperand};
 
-use backend::{ByteSpanKernel, SpanKernel};
-use pack::{pack_into, ByteRows, CodeBuf, Plane, PlaneView};
+use pack::{pack_into, CodeBuf, Plane, PlaneView};
 use pair::{DeferCtx, FormatPair};
 
 /// Rows of A processed per tile by the scalar kernel: each B panel is
@@ -164,7 +168,7 @@ const TILE_M: usize = 8;
 /// Columns per panel of the one weight-plane layout: one column per `i32`
 /// lane of a `zmm`, so one broadcast A quad (byte planes) or pair (`i16`
 /// planes) feeds every column of the panel and each lane ends a block
-/// holding one column's block dot (the AVX2 body takes a panel as two
+/// holding one column's block dot (the AVX2 instance takes a panel as two
 /// `ymm` halves). A panel's codes stream strictly sequentially (one
 /// 64-byte quad or pair row after another; see [`pack::panel_slot`] for
 /// the slot order).
@@ -197,14 +201,13 @@ pub fn code_domain_supported(fa: &BdrFormat, fb: &BdrFormat) -> bool {
 }
 
 /// Storage type for shift-aligned signed **activation** codes of the
-/// scalar and AVX2 kernels. Narrow format pairs (every MX/MSFP preset) use
-/// `i16`, whose widening multiply-accumulate maps onto the CPU's packed
-/// 16-bit MAC instructions; wide pairs fall back to `i32` codes with an
-/// `i64` accumulator. The storage width itself (and the lossless
-/// narrowing from aligned `i32` codes, guaranteed to fit by the
-/// `FormatPair` width gates and the plane width rule) lives in
-/// [`engine::AlignedCode`], which the engine's tile-granular lowering
-/// writes directly.
+/// scalar kernel. Narrow format pairs (every MX/MSFP preset) use `i16`,
+/// whose widening multiply-accumulate maps onto the CPU's packed 16-bit
+/// MAC instructions; wide pairs fall back to `i32` codes with an `i64`
+/// accumulator. The storage width itself (and the lossless narrowing from
+/// aligned `i32` codes, guaranteed to fit by the `FormatPair` width gates
+/// and the plane width rule) lives in [`engine::AlignedCode`], which the
+/// engine's tile-granular lowering writes directly.
 trait Code: engine::AlignedCode {
     /// A block dot's accumulator: `i32` for `i16` codes — the narrow gate
     /// `w_a + w_b + ⌈log2 k1⌉ ≤ 31` keeps a block's sum of product
@@ -340,52 +343,38 @@ impl Gemm<'_> {
     }
 
     /// [`Self::run_with`] on A rows lowered to `A` codes by `pack_into`.
-    fn run<A: Code, B: engine::AlignedCode>(
+    fn run<A: engine::AlignedCode>(
         &self,
-        bp: PlaneView<'_, B>,
-        kernel: SpanKernel<A, B>,
+        k1: usize,
         buf: &mut CodeBuf<A>,
+        kernel: impl Fn(PlaneView<'_, A>, usize, &mut [f32]) + Sync,
         out: &mut [f32],
     ) {
-        let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
-        let blocks = k.div_ceil(bp.k1);
+        let (a, k, blocks) = (self.a, self.k, self.k.div_ceil(k1));
         self.run_with(
             buf,
             |r0, rows, buf: &mut CodeBuf<A>| {
-                pack_into(self.a, rows, k, |i| (r0 + i) * k, self.fa, self.vector, buf);
+                pack_into(a, rows, k, |i| (r0 + i) * k, self.fa, self.vector, buf);
             },
-            |buf, rows, out| kernel(buf.view(blocks, bp.k1), rows, bp, n, c, ctx, out),
+            |buf, rows, out| kernel(buf.view(blocks, k1), rows, out),
             out,
         );
     }
 
-    /// [`Self::run_with`] on A rows lowered against a biased byte plane for
-    /// a quad body: to signed byte digits for `vpdpbusd` (`vnni`), else to
-    /// `i16` rows, with each block's bias correction either way.
-    fn run_bytes(
+    /// [`Self::run`] on the portable kernel against the plane `b`.
+    fn scalar<A: Code, B: engine::AlignedCode>(
         &self,
-        bp: PlaneView<'_, u8>,
-        kernel: ByteSpanKernel,
-        vnni: bool,
-        buf: &mut ByteRows,
+        b: &CodeBuf<B>,
+        k1: usize,
+        buf: &mut CodeBuf<A>,
         out: &mut [f32],
     ) {
-        let (k, n, c, ctx) = (self.k, self.n, self.c, self.ctx);
-        let blocks = k.div_ceil(bp.k1);
-        self.run_with(
+        let (n, c, ctx) = (self.n, self.c, self.ctx);
+        let bp = b.view(self.k.div_ceil(k1), k1);
+        self.run(
+            k1,
             buf,
-            |r0, rows, buf: &mut ByteRows| {
-                buf.lower(
-                    self.a,
-                    rows,
-                    k,
-                    |i| (r0 + i) * k,
-                    self.fa,
-                    self.vector,
-                    vnni,
-                );
-            },
-            |buf, rows, out| kernel(buf.view(blocks), rows, bp, n, c, ctx, out),
+            |ap, rows, out| scalar::gemm_span(ap, rows, bp, n, c, ctx, out),
             out,
         );
     }
@@ -453,49 +442,53 @@ pub fn quantized_gemm_prepacked_scratch(
     if m == 0 || n == 0 || k == 0 {
         return Some(out);
     }
-    let blocks = k.div_ceil(pair.k1);
+    let (k1, blocks) = (pair.k1, k.div_ceil(pair.k1));
+    let (c, ctx) = (pair.c, pair.defer(blocks));
     // The call's one read of the selection: the activation lowering and the
     // span kernel of every row span follow it, whatever another thread
     // forces meanwhile.
-    let (selected, vnni) = (selected_backend(), backend::vnni_enabled());
-    let body = backend::span_backend(selected, pair.k1);
+    let selected = selected_backend();
+    let body = backend::span_backend(selected, k1);
+    let vnni = body == KernelBackend::Avx512 && backend::vnni_enabled();
     let gemm = Gemm {
         a,
         fa: &fa,
         m,
         k,
         n,
-        c: pair.c,
-        ctx: pair.defer(blocks),
+        c,
+        ctx,
         workers: gemm_workers(m, n, k, threads),
         vector: selected == KernelBackend::Avx512,
     };
-    match (&packed_b.plane, body) {
-        (Plane::U8(b), KernelBackend::Scalar) => gemm.run(
-            b.view(blocks, pair.k1),
-            backend::scalar_span_kernel(),
-            &mut scratch.narrow,
-            &mut out,
-        ),
-        (Plane::U8(b), body) => gemm.run_bytes(
-            b.view(blocks, pair.k1),
-            backend::quad_span_kernel(body),
-            vnni && body == KernelBackend::Avx512,
-            &mut scratch.bytes,
-            &mut out,
-        ),
-        (Plane::I16(b), body) => gemm.run(
-            b.view(blocks, pair.k1),
-            backend::narrow_span_kernel(body, vnni),
-            &mut scratch.narrow,
-            &mut out,
-        ),
-        (Plane::I32(b), _) => gemm.run(
-            b.view(blocks, pair.k1),
-            backend::scalar_span_kernel(),
-            &mut scratch.wide,
-            &mut out,
-        ),
+    match (&packed_b.plane, body, vnni) {
+        #[cfg(target_arch = "x86_64")]
+        (Plane::U8(b), KernelBackend::Avx2 | KernelBackend::Avx512, vnni) => {
+            let bp = b.view(blocks, k1);
+            // Byte digit rows for `vpdpbusd`, else `i16` rows, with each
+            // block's bias correction either way.
+            gemm.run_with(
+                &mut scratch.bytes,
+                |r0, rows, buf: &mut pack::ByteRows| {
+                    buf.lower(a, rows, k, |i| (r0 + i) * k, &fa, gemm.vector, vnni);
+                },
+                |buf, rows, out| vector::quads(body, buf.view(blocks), rows, bp, n, c, ctx, out),
+                &mut out,
+            );
+        }
+        #[cfg(target_arch = "x86_64")]
+        (Plane::I16(b), KernelBackend::Avx2 | KernelBackend::Avx512, vnni) => {
+            let bp = b.view(blocks, k1);
+            gemm.run(
+                k1,
+                &mut scratch.narrow,
+                |ap, rows, out| vector::pairs(body, vnni, ap, rows, bp, n, c, ctx, out),
+                &mut out,
+            );
+        }
+        (Plane::U8(b), ..) => gemm.scalar(b, k1, &mut scratch.narrow, &mut out),
+        (Plane::I16(b), ..) => gemm.scalar(b, k1, &mut scratch.narrow, &mut out),
+        (Plane::I32(b), ..) => gemm.scalar(b, k1, &mut scratch.wide, &mut out),
     }
     Some(out)
 }

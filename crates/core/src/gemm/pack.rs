@@ -493,9 +493,9 @@ impl PackScratch {
 /// Activation rows lowered for a byte plane's quad body: signed byte
 /// codes, `[row][block][digit][k1]`, and each (row, block)'s bias
 /// correction — or, for the exact `vpdpbusd` spelling on a CPU (or a
-/// forced run) without AVX-512-VNNI and for the AVX2 body, `i16` codes as
-/// for every other narrow kernel, whose pairs those bodies multiply by
-/// zero-extended byte pairs.
+/// forced run) without AVX-512-VNNI and for the AVX2 instance, `i16` codes
+/// as for every other narrow kernel, whose pairs those instances multiply
+/// by zero-extended byte pairs.
 ///
 /// A format whose aligned codes fit a byte ([`fits_i8`]) is lowered
 /// straight to `i8` codes: one digit. A wider one is lowered to `i16` and
@@ -539,7 +539,7 @@ pub(super) struct ByteView<'a> {
     pub(super) digits: usize,
 }
 
-/// The A side of one span as the vector bodies read it: row `i`'s codes
+/// The A side of one span as the vector body reads it: row `i`'s codes
 /// for block `kb` are the `digits · k1` codes at `(i · blocks + kb) ·
 /// digits · k1` — digit rows one after another when a byte plane's
 /// activations were split — with the rows' exponents and, against a byte

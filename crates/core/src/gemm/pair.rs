@@ -151,22 +151,24 @@ impl FormatPair {
     /// ## The same bound under column-in-lane accumulation and VNNI
     ///
     /// The `2²⁴` bound above is about the *`f32` mantissa*, not about any
-    /// SIMD register, but each backend must also show its `i32` lanes end
-    /// exact and its conversions are exact. The AVX-512 kernel (and the
-    /// AVX2 one, over two 8-lane halves) keeps one column per `i32` lane;
-    /// a deferring (row, panel) keeps adding that column's block dots into
-    /// its lane over the whole reduction, so a
-    /// lane's result is a partial sum of one output's dots: at most
-    /// `blocks · Dmax ≤ 2²⁴` under the static gate, far inside `i32` and
-    /// exactly representable in `f32` — the deferred total's one
-    /// `vcvtdq2ps` is exact and its one `vscalefps` rounds once. The kernel
-    /// defers a (row, panel) only when the row passes the uniform-exponent
-    /// and grid-window checks against every real column of the panel (the
-    /// padded lanes are never stored). Its per-block epilogue converts one
-    /// block dot at a time, `|dot| ≤ Dmax`: exact in `f32` when
-    /// `Dmax ≤ 2²⁴` (`DeferCtx::exact_f32_dots`, true for every preset
-    /// pair), otherwise converted through `f64`, exact under the 52-bit
-    /// support gate.
+    /// SIMD register, but each kernel must also show its `i32` lanes end
+    /// exact and its conversions are exact. The vector body (every
+    /// instance: one `zmm`, or two `ymm` halves, per 16-column panel)
+    /// keeps one column per `i32` lane; a deferring (row, panel) keeps
+    /// adding that column's block dots into its lane over the whole
+    /// reduction, so a lane's result is a partial sum of one output's
+    /// dots: at most `blocks · Dmax ≤ 2²⁴` under the static gate, far
+    /// inside `i32` and exactly representable in `f32` — the deferred
+    /// total's one conversion is exact and its one scale rounds once. The
+    /// body defers a (row, panel) only when the row passes the
+    /// uniform-exponent and grid-window checks against every real column of
+    /// the panel (the padded lanes are never stored). Its per-block
+    /// epilogue converts one block dot at a time, `|dot| ≤ Dmax`: on
+    /// AVX-512 exact in `f32` when `Dmax ≤ 2²⁴` (`DeferCtx::exact_f32_dots`,
+    /// true for every preset pair) and scaled by `vscalefps`, otherwise —
+    /// and always on AVX2, which has no `vscalefps` — converted and scaled
+    /// through `f64`, exact under the 52-bit support gate, with one
+    /// rounding to `f32`.
     ///
     /// How a lane gets there differs by plane, and none of it moves a
     /// bit:
@@ -191,9 +193,8 @@ impl FormatPair {
     ///   16-bit pairs and multiplies them by A's codes as `i16` pairs with
     ///   two `vpmaddwd` (products at most `255 · 2¹⁵`, pair sums exact in
     ///   `i32`) and two `vpaddd`, seeded the same way: the same lane
-    ///   modulo 2³². The AVX2 body spells it the same way on 8 lanes. Its
-    ///   per-block epilogue converts every dot through `f64` (exact) and
-    ///   rounds once.
+    ///   modulo 2³². The AVX2 instance runs that spelling on two 8-lane
+    ///   halves.
     /// - **The digit split.** An activation code too wide for a signed
     ///   byte (MX9's ±254, or up to ±32767 in custom formats) enters as
     ///   signed byte digits `a = Σₜ 256ᵗ·dₜ` (two digits up to

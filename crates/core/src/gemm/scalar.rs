@@ -1,10 +1,10 @@
 //! The portable span kernel — the reference backend every other backend is
 //! bit-identical to, and the readable form of their loop. It runs the wide
-//! (`i32`) class, narrow planes whose block size is not the vector bodies'
+//! (`i32`) class, narrow planes whose block size is not the vector body's
 //! `k1 = 16`, x86-64 CPUs without AVX2, and every other architecture.
 //!
 //! It reads the one weight-plane layout (see [`super::pack::panel_slot`])
-//! the way the vector bodies do: a 16-column panel at a time, one column
+//! the way the vector body does: a 16-column panel at a time, one column
 //! per lane. Each A code of a block multiplies the 16 lanes' codes at its
 //! K — stored codes read back as aligned integers, `b − 128` on a byte
 //! plane, against plain `i16` (or `i32`) activation rows — into 16 block

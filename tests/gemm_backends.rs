@@ -455,6 +455,62 @@ fn mixed_exponent_vectors_force_the_per_block_fallback() {
     }
 }
 
+/// A row group that mixes deferring and per-block rows: B is a
+/// uniform-exponent panel plus a ragged one, so every uniform A row defers
+/// against both, and A alternates uniform rows with rows whose blocks sit
+/// 2⁴⁰ apart, which take the per-block epilogue. Every row group of two,
+/// three or four rows (M ∈ {2, 3, 5, 6, 7, 15, 17, 33} reaches each
+/// remainder of the 4-row group and the 16-row tile) then holds both
+/// kinds, and each row must take its own seed — the row's total bias
+/// correction, or its block's — on every backend, with VNNI and deferral
+/// each forced both ways: one byte digit (MX6 × MX6), two (MX9 × MX6),
+/// three (a 15-bit custom format against MX4, the widest weights whose
+/// block dots still let such a row defer) and the `i16` plane (MX9 × MX9).
+#[test]
+fn row_groups_mixing_deferred_and_per_block_rows_keep_every_bit() {
+    let _guard = lock_knobs();
+    let wide_a = BdrFormat::new(15, 8, 0, 16, 16).unwrap();
+    let pairs = [
+        (BdrFormat::MX6, BdrFormat::MX6),
+        (BdrFormat::MX9, BdrFormat::MX6),
+        (wide_a, BdrFormat::MX4),
+        (BdrFormat::MX9, BdrFormat::MX9),
+    ];
+    let (k, n) = (72, 16 + 9); // five blocks, the last ragged
+                               // Salt 0 (mod 5): uniform exponents; salt 1 (mod 5): blocks 2⁴⁰ apart.
+    let b = exponent_spread_vector(k * n, 20);
+    for backend in BACKENDS {
+        if !try_force(backend) {
+            continue;
+        }
+        for (fa, fb) in pairs {
+            let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
+            let mut scratch = PackScratch::new();
+            for m in [2usize, 3, 5, 6, 7, 15, 17, 33] {
+                let a: Vec<f32> = (0..m)
+                    .flat_map(|i| exponent_spread_vector(k, 5 * i + i % 2))
+                    .collect();
+                let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+                for (defer, vnni) in [(true, true), (false, true), (true, false), (false, false)] {
+                    force_deferred_scale_out(Some(defer));
+                    force_vnni(Some(vnni));
+                    let got = quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch);
+                    assert_bits_eq(
+                        &got.unwrap(),
+                        &want,
+                        &format!(
+                            "{} {fa}/{fb} m={m} defer={defer} vnni={vnni}",
+                            backend.name()
+                        ),
+                    );
+                }
+            }
+            force_deferred_scale_out(None);
+            force_vnni(None);
+        }
+    }
+}
+
 /// Wide custom formats (i32 codes) always run the portable kernel; forcing
 /// any backend neither crashes nor changes their bits.
 #[test]
