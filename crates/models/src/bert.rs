@@ -54,6 +54,7 @@ impl BertQa {
         for b in &mut self.blocks {
             b.set_quant(qcfg);
         }
+        self.ln.set_quant(qcfg);
         self.span_head.set_quant(qcfg);
     }
 
@@ -84,7 +85,7 @@ impl BertQa {
         }
         let mut s = Stage::new(t * d, t * 2);
         let normed = s.alloc(t * d);
-        s.norm(&self.ln, Loc::In, normed, t);
+        s.norm(&self.ln, Loc::In, normed, t, cfg);
         s.gemm(&self.span_head, normed, Loc::Out, t, cfg, None)?;
         p.push_stage(s);
         p.finish(batch)

@@ -273,6 +273,7 @@ impl Gpt {
         for m in self.moes.iter_mut().flatten() {
             m.0.set_quant(qcfg);
         }
+        self.ln_f.set_quant(qcfg);
         self.head.set_quant(qcfg);
     }
 
@@ -303,7 +304,7 @@ impl Gpt {
         }
         let mut s = Stage::new(t * d, t * self.config.vocab);
         let normed = s.alloc(t * d);
-        s.norm(&self.ln_f, Loc::In, normed, t);
+        s.norm(&self.ln_f, Loc::In, normed, t, cfg);
         s.gemm(&self.head, normed, Loc::Out, t, cfg, None)?;
         p.push_stage(s);
         p.finish(batch)

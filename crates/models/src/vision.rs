@@ -6,7 +6,7 @@
 use crate::data::{self, LabeledImage, IMAGE_SIDE, SHAPE_CLASSES};
 use crate::metrics::top1_accuracy;
 use mx_nn::attention::TransformerBlock;
-use mx_nn::conv::{Conv2d, GlobalAvgPool};
+use mx_nn::conv::{mean_pool, patchify, Conv2d, GlobalAvgPool};
 use mx_nn::layers::{Layer, LayerNorm, Linear};
 use mx_nn::loss::softmax_cross_entropy;
 use mx_nn::optim::Adam;
@@ -74,7 +74,7 @@ impl TinyViT {
         }
         let mut s = Stage::new(t * d, SHAPE_CLASSES);
         let normed = s.alloc(t * d);
-        s.norm(&self.ln, Loc::In, normed, t);
+        s.norm(&self.ln, Loc::In, normed, t, cfg);
         let pooled = s.alloc(d);
         s.mean_pool(normed, pooled, t, d);
         s.free(normed, t * d);
@@ -84,23 +84,10 @@ impl TinyViT {
     }
 
     fn patchify(&self, x: &Tensor) -> Tensor {
-        let b = x.shape()[0];
-        let s = IMAGE_SIDE;
-        let per_side = s / PATCH;
-        let mut out = Vec::with_capacity(b * self.patches * PATCH * PATCH);
-        for bi in 0..b {
-            let img = &x.data()[bi * s * s..(bi + 1) * s * s];
-            for py in 0..per_side {
-                for px in 0..per_side {
-                    for dy in 0..PATCH {
-                        for dx in 0..PATCH {
-                            out.push(img[(py * PATCH + dy) * s + px * PATCH + dx]);
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[b * self.patches, PATCH * PATCH])
+        let rows = x.shape()[0] * self.patches;
+        let mut out = Tensor::zeros(&[rows, PATCH * PATCH]);
+        patchify(x.data(), out.data_mut(), IMAGE_SIDE, PATCH);
+        out
     }
 }
 
@@ -127,20 +114,8 @@ impl ImageClassifier for TinyViT {
         let h2d = self
             .ln
             .forward(&h.reshape(&[b * self.patches, self.d_model]), train);
-        // Mean pool over patches.
         let mut pooled = Tensor::zeros(&[b, self.d_model]);
-        {
-            let pd = pooled.data_mut();
-            for bi in 0..b {
-                for p in 0..self.patches {
-                    for c in 0..self.d_model {
-                        pd[bi * self.d_model + c] += h2d.data()
-                            [(bi * self.patches + p) * self.d_model + c]
-                            / self.patches as f32;
-                    }
-                }
-            }
-        }
+        mean_pool(h2d.data(), pooled.data_mut(), self.patches, self.d_model);
         self.head.forward(&pooled, train)
     }
 
@@ -173,6 +148,7 @@ impl ImageClassifier for TinyViT {
         for b in &mut self.blocks {
             b.set_quant(qcfg);
         }
+        self.ln.set_quant(qcfg);
         self.head.set_quant(qcfg);
     }
 }

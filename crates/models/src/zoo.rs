@@ -425,7 +425,9 @@ impl BatchModel for DenseGemm {
 mod tests {
     use super::*;
     use crate::data;
+    use crate::gpt::GptConfig;
     use mx_nn::format::TensorFormat;
+    use mx_nn::plan::{PlanArena, PlanInput};
     use rand::SeedableRng;
 
     /// Runs `batch` requests of `per_in` elements each through one coalesced
@@ -542,6 +544,36 @@ mod tests {
         assert_ne!(fp32, q, "direct cast must change the output");
         BatchModel::set_quant(&mut m, QuantConfig::fp32());
         assert_eq!(m.forward_batch(ZooInput::Pixels(&px), 1), fp32);
+    }
+
+    /// A direct cast carries `elementwise` to every element-wise cast, and a
+    /// plan takes it from the config it is compiled for: an FP32-built GPT
+    /// cast to an element-wise BF16 config changes its output bits, and
+    /// matches both a GPT built with that config from the same seed and a
+    /// plan compiled for it before the cast.
+    #[test]
+    fn direct_cast_moves_every_elementwise_cast() {
+        let bf16 = QuantConfig {
+            elementwise: TensorFormat::Bf16,
+            ..mx6()
+        };
+        let build = |cfg| Gpt::new(&mut StdRng::seed_from_u64(17), GptConfig::tiny(), cfg);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let mut m = build(QuantConfig::fp32());
+        let per = BatchModel::input_len(&m);
+        let tokens: Vec<usize> = (0..2 * per).map(|i| (i * 3) % data::LM_VOCAB).collect();
+        let input = ZooInput::Tokens(&tokens);
+        let plan = m.compile_plan(bf16, 2, per).expect("plan");
+        BatchModel::set_quant(&mut m, mx6());
+        let fp32_elementwise = bits(m.forward_batch(input, 2));
+        BatchModel::set_quant(&mut m, bf16);
+        let cast = bits(m.forward_batch(input, 2));
+        assert_ne!(cast, fp32_elementwise, "the cast must change the output");
+        let built = bits(build(bf16).forward_batch(input, 2));
+        assert_eq!(cast, built, "cast and built-with models differ");
+        let planned = plan.execute(PlanInput::Tokens(&tokens), &mut PlanArena::new());
+        let planned = bits(planned.expect("execute"));
+        assert_eq!(cast, planned, "plan and cast differ");
     }
 
     #[test]

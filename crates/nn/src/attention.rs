@@ -8,17 +8,26 @@ use crate::param::{HasParams, Param};
 use crate::qflow::{quantized_matmul, transient_matmul, QuantConfig};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
+use std::ops::Range;
 
-/// Extracts columns `start..end` of a 2-D tensor.
-fn slice_cols(t: &Tensor, start: usize, end: usize) -> Tensor {
-    let n = t.cols();
-    let m = t.rows();
-    let w = end - start;
+/// Rows `rows`, columns `cols` of a row-major matrix `d` wide, copied once
+/// into a tensor: one head of one sequence.
+fn block(x: &[f32], d: usize, rows: Range<usize>, cols: Range<usize>) -> Tensor {
+    let (m, w) = (rows.len(), cols.len());
     let mut out = Vec::with_capacity(m * w);
-    for r in 0..m {
-        out.extend_from_slice(&t.data()[r * n + start..r * n + end]);
+    for row in x[rows.start * d..rows.end * d].chunks_exact(d) {
+        out.extend_from_slice(&row[cols.clone()]);
     }
     Tensor::from_vec(out, &[m, w])
+}
+
+/// Writes `src` (`cols.len()` wide) over columns `cols` of the rows of a
+/// row-major matrix `d` wide starting at row `row0`: [`block`]'s inverse.
+fn put_block(x: &mut [f32], d: usize, row0: usize, cols: Range<usize>, src: &[f32]) {
+    let rows = x[row0 * d..].chunks_exact_mut(d);
+    for (row, s) in rows.zip(src.chunks_exact(cols.len())) {
+        row[cols.clone()].copy_from_slice(s);
+    }
 }
 
 /// Per-(batch, head) cache for the backward pass.
@@ -32,38 +41,39 @@ pub(crate) struct HeadCache {
 
 /// The head-mixing core of attention — per (batch, head): `softmax(Q·Kᵀ/√dh)`
 /// (optionally causally masked), cast to the element-wise format, times `V`,
-/// scattered back into a `[b·t, d]` concat.
+/// scattered into `concat`. `q`, `k`, `v` and `concat` are row-major
+/// `[b·t, d]` with `d = concat.len() / (b·t)`; `b` follows from their
+/// length.
 ///
 /// Shared verbatim by [`MultiHeadAttention::forward`] and the `plan`
-/// executor's `AttnMix` node, which is what keeps planned execution
-/// bit-identical to the dynamic path. `caches` collects the per-head
-/// tensors the backward pass needs (training only; the plan path passes
-/// `None`). The geometry/format sextet genuinely varies per call site.
+/// executor's `AttnMix` node (which passes arena slices), which is what
+/// keeps planned execution bit-identical to the dynamic path. `caches`
+/// collects the per-head tensors the backward pass needs (training only;
+/// the plan path passes `None`). The operands, geometry and formats
+/// genuinely vary per call site.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attention_mix(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    b: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    concat: &mut [f32],
     t: usize,
+    d: usize,
     n_heads: usize,
     causal: bool,
     fwd: crate::format::TensorFormat,
     elem: crate::format::TensorFormat,
     mut caches: Option<&mut Vec<HeadCache>>,
-) -> Tensor {
-    let d = q.cols();
+) {
     let dh = d / n_heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut concat = Tensor::zeros(&[b * t, d]);
-    for bi in 0..b {
-        let q_b = q.slice_rows(bi * t, (bi + 1) * t);
-        let k_b = k.slice_rows(bi * t, (bi + 1) * t);
-        let v_b = v.slice_rows(bi * t, (bi + 1) * t);
+    for bi in 0..concat.len() / (t * d).max(1) {
+        let rows = bi * t..(bi + 1) * t;
         for h in 0..n_heads {
-            let q_h = slice_cols(&q_b, h * dh, (h + 1) * dh);
-            let k_h = slice_cols(&k_b, h * dh, (h + 1) * dh);
-            let v_h = slice_cols(&v_b, h * dh, (h + 1) * dh);
+            let cols = h * dh..(h + 1) * dh;
+            let q_h = block(q, d, rows.clone(), cols.clone());
+            let k_h = block(k, d, rows.clone(), cols.clone());
+            let v_h = block(v, d, rows.clone(), cols.clone());
             // Scores: Q·Kᵀ is a tensor op -> quantized operands. Kᵀ and V
             // are fresh per request: their planes live for one product.
             let mut scores = transient_matmul(&q_h, &k_h.transpose2d(), fwd).scale(scale);
@@ -80,13 +90,7 @@ pub(crate) fn attention_mix(
             let probs = cast_elementwise(&scores.softmax_rows(), elem);
             // Context: P·V is a tensor op -> quantized operands.
             let out_h = transient_matmul(&probs, &v_h, fwd);
-            let cdata = concat.data_mut();
-            for r in 0..t {
-                let dst_row = bi * t + r;
-                for c in 0..dh {
-                    cdata[dst_row * d + h * dh + c] = out_h.data()[r * dh + c];
-                }
-            }
+            put_block(concat, d, rows.start, cols, out_h.data());
             if let Some(caches) = caches.as_deref_mut() {
                 caches.push(HeadCache {
                     q: q_h,
@@ -97,7 +101,6 @@ pub(crate) fn attention_mix(
             }
         }
     }
-    concat
 }
 
 /// Multi-head self-attention with optional causal masking.
@@ -157,12 +160,14 @@ impl MultiHeadAttention {
         let k = self.wk.forward(&x2d, train);
         let v = self.wv.forward(&x2d, train);
         let mut caches = Vec::new();
-        let concat = attention_mix(
-            &q,
-            &k,
-            &v,
-            b,
+        let mut concat = Tensor::zeros(&[b * t, d]);
+        attention_mix(
+            q.data(),
+            k.data(),
+            v.data(),
+            concat.data_mut(),
             t,
+            d,
             self.n_heads,
             self.causal,
             self.cfg.fwd,
@@ -202,10 +207,8 @@ impl MultiHeadAttention {
         for bi in 0..b {
             for h in 0..self.n_heads {
                 let cache = &caches[bi * self.n_heads + h];
-                let d_out = {
-                    let rows = d_concat.slice_rows(bi * t, (bi + 1) * t);
-                    slice_cols(&rows, h * dh, (h + 1) * dh)
-                };
+                let cols = h * dh..(h + 1) * dh;
+                let d_out = block(d_concat.data(), d, bi * t..(bi + 1) * t, cols.clone());
                 // dV = Q(Pᵀ)·Q(dOut); dP = Q(dOut)·Q(Vᵀ).
                 let dv = quantized_matmul(&cache.probs.transpose2d(), &d_out, self.cfg.bwd);
                 let dp = quantized_matmul(&d_out, &cache.v.transpose2d(), self.cfg.bwd);
@@ -224,14 +227,8 @@ impl MultiHeadAttention {
                 let ds = ds.scale(scale);
                 let dq = quantized_matmul(&ds, &cache.k, self.cfg.bwd);
                 let dk = quantized_matmul(&ds.transpose2d(), &cache.q, self.cfg.bwd);
-                let base = bi * t;
-                let (dqd, dkd, dvd) = (dq_all.data_mut(), dk_all.data_mut(), dv_all.data_mut());
-                for r in 0..t {
-                    for c in 0..dh {
-                        dqd[(base + r) * d + h * dh + c] = dq.data()[r * dh + c];
-                        dkd[(base + r) * d + h * dh + c] = dk.data()[r * dh + c];
-                        dvd[(base + r) * d + h * dh + c] = dv.data()[r * dh + c];
-                    }
+                for (all, g) in [(&mut dq_all, dq), (&mut dk_all, dk), (&mut dv_all, dv)] {
+                    put_block(all.data_mut(), d, bi * t, cols.clone(), g.data());
                 }
             }
         }
@@ -283,10 +280,14 @@ impl TransformerBlock {
         }
     }
 
-    /// Replaces the quantization config everywhere in the block.
+    /// Replaces the quantization config everywhere in the block: every
+    /// tensor op, and the element-wise casts of both norms and the GELU.
     pub fn set_quant(&mut self, cfg: QuantConfig) {
+        self.ln1.set_quant(cfg);
         self.attn.set_quant(cfg);
+        self.ln2.set_quant(cfg);
         self.fc1.set_quant(cfg);
+        self.act.set_quant(cfg);
         self.fc2.set_quant(cfg);
     }
 

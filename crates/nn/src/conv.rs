@@ -2,7 +2,9 @@
 //! reduction dimension of a convolution is the flattened patch
 //! (`in_channels × kh × kw`), so MX blocks tile along it exactly as the
 //! paper's compute flow requires for CNN benchmarks (ResNet/MobileNet rows
-//! of Table III).
+//! of Table III). Also the image-side slice kernels (the convolution
+//! epilogue, global average pooling, ViT patch extraction and token mean)
+//! that each layer shares with its `plan` executor node.
 
 use crate::param::{HasParams, Param};
 use crate::qflow::{quantized_matmul, QuantConfig};
@@ -42,6 +44,66 @@ pub(crate) fn im2col(x: &[f32], in_ch: usize, k: usize, pad: usize, h: usize, w:
     Tensor::from_vec(out, &[oh * ow, patch])
 }
 
+/// Bias add and channel-major reorder of one image's `[h·w, out_ch]`
+/// im2col product `y` into `out` (`[out_ch, h·w]`, `out_ch = bias.len()`).
+/// The one epilogue behind [`Conv2d`]'s forward pass and the `plan`
+/// executor's `Conv` node.
+pub(crate) fn scatter_channels(y: &[f32], bias: &[f32], out: &mut [f32]) {
+    let hw = y.len() / bias.len();
+    for (p, row) in y.chunks_exact(bias.len()).enumerate() {
+        for (oc, (&v, &b)) in row.iter().zip(bias).enumerate() {
+            out[oc * hw + p] = v + b;
+        }
+    }
+}
+
+/// Mean of each `spatial`-sized chunk of `x` into the matching element of
+/// `out` (sum, then divide). The one loop behind [`GlobalAvgPool`] and the
+/// `plan` executor's `AvgPool` node.
+pub(crate) fn avg_pool(x: &[f32], out: &mut [f32], spatial: usize) {
+    for (o, chunk) in out.iter_mut().zip(x.chunks_exact(spatial)) {
+        *o = chunk.iter().sum::<f32>() / spatial as f32;
+    }
+}
+
+/// Cuts each `side × side` image of `images` into `patch × patch` tiles,
+/// row-major over the tile grid, and writes every tile as one
+/// `patch²`-wide row of `out`. The ViT patch embedding's input, shared with
+/// the `plan` executor's `Patchify` node.
+pub fn patchify(images: &[f32], out: &mut [f32], side: usize, patch: usize) {
+    let grid = side / patch;
+    let mut rows = out.chunks_exact_mut(patch);
+    for img in images.chunks_exact(side * side) {
+        for py in 0..grid {
+            for px in 0..grid {
+                for dy in 0..patch {
+                    let at = (py * patch + dy) * side + px * patch;
+                    let row = rows.next().expect("out holds every tile");
+                    row.copy_from_slice(&img[at..at + patch]);
+                }
+            }
+        }
+    }
+}
+
+/// Mean over each request's `groups` rows of `cols` (`x` holds
+/// `out.len() / cols` requests): every row is divided by `groups`, then
+/// accumulated in order. The ViT token pooling, shared with the `plan`
+/// executor's `MeanPool` node.
+pub fn mean_pool(x: &[f32], out: &mut [f32], groups: usize, cols: usize) {
+    out.fill(0.0);
+    for (o, rows) in out
+        .chunks_exact_mut(cols)
+        .zip(x.chunks_exact(groups * cols))
+    {
+        for row in rows.chunks_exact(cols) {
+            for (acc, &v) in o.iter_mut().zip(row) {
+                *acc += v / groups as f32;
+            }
+        }
+    }
+}
+
 /// 2-D convolution with square kernels, stride 1, and symmetric zero
 /// padding.
 #[derive(Debug, Clone)]
@@ -73,10 +135,6 @@ impl Conv2d {
             cfg,
             cache: None,
         }
-    }
-
-    fn im2col(&self, x: &[f32], h: usize, w: usize) -> Tensor {
-        im2col(x, self.in_ch, self.k, self.pad, h, w)
     }
 
     /// `(in_ch, out_ch, kernel, pad)` — what the `plan` module needs to
@@ -126,25 +184,19 @@ impl Layer for Conv2d {
         assert_eq!(s.len(), 4, "Conv2d expects [B, C, H, W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         assert_eq!(c, self.in_ch, "channel mismatch");
-        let mut out = Vec::with_capacity(b * self.out_ch * h * w);
+        let mut out = vec![0.0f32; b * self.out_ch * h * w];
         let mut cols_cache = Vec::new();
-        for bi in 0..b {
-            let xb = &x.data()[bi * c * h * w..(bi + 1) * c * h * w];
-            let cols = self.im2col(xb, h, w);
+        let images = x.data().chunks_exact(c * h * w);
+        for (xb, ob) in images.zip(out.chunks_exact_mut(self.out_ch * h * w)) {
+            let cols = im2col(xb, self.in_ch, self.k, self.pad, h, w);
             // y [oh*ow, out_ch] = quantized cols · W.
             let y = crate::qflow::quantized_matmul_ab(
                 &cols,
                 &self.w.value,
                 self.cfg.fwd,
                 self.cfg.fwd_w,
-            )
-            .add_row(&self.b.value);
-            // Reorder to [out_ch, h, w].
-            for oc in 0..self.out_ch {
-                for p in 0..h * w {
-                    out.push(y.data()[p * self.out_ch + oc]);
-                }
-            }
+            );
+            scatter_channels(y.data(), self.b.value.data(), ob);
             if train {
                 cols_cache.push(cols);
             }
@@ -161,13 +213,7 @@ impl Layer for Conv2d {
         for (bi, cols) in cols_cache.iter().enumerate() {
             // Back to [oh*ow, out_ch] layout.
             let gb = &grad_out.data()[bi * self.out_ch * h * w..(bi + 1) * self.out_ch * h * w];
-            let mut g2d = vec![0.0f32; h * w * self.out_ch];
-            for oc in 0..self.out_ch {
-                for p in 0..h * w {
-                    g2d[p * self.out_ch + oc] = gb[oc * h * w + p];
-                }
-            }
-            let g2d = Tensor::from_vec(g2d, &[h * w, self.out_ch]);
+            let g2d = Tensor::from_vec(gb.to_vec(), &[self.out_ch, h * w]).transpose2d();
             let dw = quantized_matmul(&cols.transpose2d(), &g2d, self.cfg.bwd);
             self.w.accumulate(&dw);
             self.b.accumulate(&g2d.sum_rows());
@@ -207,11 +253,8 @@ impl Layer for GlobalAvgPool {
         if train {
             self.cache = Some([b, c, h, w]);
         }
-        let mut out = Vec::with_capacity(b * c);
-        for bc in 0..b * c {
-            let sum: f32 = x.data()[bc * h * w..(bc + 1) * h * w].iter().sum();
-            out.push(sum / (h * w) as f32);
-        }
+        let mut out = vec![0.0f32; b * c];
+        avg_pool(x.data(), &mut out, h * w);
         Tensor::from_vec(out, &[b, c])
     }
 

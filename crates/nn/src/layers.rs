@@ -10,7 +10,7 @@ use crate::init;
 use crate::param::{HasParams, Param};
 use crate::qflow::{quantized_matmul, QuantConfig};
 use crate::tanh::tanh;
-use crate::tensor::Tensor;
+use crate::tensor::{add_row_slice, Tensor};
 use mx_core::gemm::{self, KernelBackend};
 use rand::rngs::StdRng;
 
@@ -30,8 +30,9 @@ pub trait Layer: HasParams {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Replaces the quantization configuration on every tensor op this layer
-    /// owns (no-op for layers without tensor ops). This is the paper's
-    /// "direct cast": switching a trained model's formats in place.
+    /// owns, and moves every element-wise cast it owns to
+    /// `cfg.elementwise` (no-op for layers with neither). This is the
+    /// paper's "direct cast": switching a trained model's formats in place.
     fn set_quant(&mut self, _cfg: QuantConfig) {}
 }
 
@@ -87,11 +88,12 @@ impl Layer for Linear {
         if train {
             self.cached_x = Some(x.clone());
         }
-        let y = crate::qflow::quantized_matmul_ab(x, &self.w.value, self.cfg.fwd, self.cfg.fwd_w);
-        match &self.b {
-            Some(b) => y.add_row(&b.value),
-            None => y,
+        let mut y =
+            crate::qflow::quantized_matmul_ab(x, &self.w.value, self.cfg.fwd, self.cfg.fwd_w);
+        if let Some(b) = &self.b {
+            add_row_slice(y.data_mut(), b.value.data());
         }
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -284,10 +286,11 @@ impl ActivationLayer {
         }
     }
 
-    /// `(activation, element-wise format)` — what the `plan` module needs to
-    /// fuse this layer into the preceding GEMM node.
-    pub(crate) fn plan_parts(&self) -> (Activation, TensorFormat) {
-        (self.act, self.elem)
+    /// The activation — what the `plan` module needs to fuse this layer
+    /// into the preceding GEMM node (the node's cast follows the plan's
+    /// config, as [`Layer::set_quant`] moves this layer's).
+    pub(crate) fn plan_parts(&self) -> Activation {
+        self.act
     }
 }
 
@@ -309,6 +312,10 @@ impl Layer for ActivationLayer {
         let x = self.cached_x.as_ref().expect("backward before forward");
         let g = x.zip_map(grad_out, |xv, gv| self.act.derivative(xv) * gv);
         cast_elementwise(&g, self.elem)
+    }
+
+    fn set_quant(&mut self, cfg: QuantConfig) {
+        self.elem = cfg.elementwise;
     }
 }
 
@@ -336,29 +343,37 @@ impl LayerNorm {
         }
     }
 
-    /// `(epsilon, element-wise format)` — what the `plan` module needs to
-    /// lower this layer into a `Norm` node.
-    pub(crate) fn plan_parts(&self) -> (f32, TensorFormat) {
-        (self.eps, self.elem)
+    /// The epsilon — what the `plan` module needs to lower this layer into
+    /// a `Norm` node (the node's cast follows the plan's config, as
+    /// [`Layer::set_quant`] moves this layer's).
+    pub(crate) fn plan_parts(&self) -> f32 {
+        self.eps
     }
 }
 
 /// In-place row normalization (mean 0, variance 1 per `cols`-wide row),
-/// returning the per-row `1/std`. The one implementation behind both
-/// [`LayerNorm::forward`] and the `plan` executor's `Norm` node — sharing
-/// the exact accumulation order is what keeps the two paths bit-identical.
-pub(crate) fn normalize_rows(data: &mut [f32], cols: usize, eps: f32) -> Vec<f32> {
-    let mut inv_stds = Vec::with_capacity(data.len() / cols.max(1));
+/// pushing each row's `1/std` onto `inv_stds` when given one (the
+/// training cache asks; inference does not). The one implementation
+/// behind both [`LayerNorm::forward`] and the `plan` executor's `Norm`
+/// node — sharing the exact accumulation order is what keeps the two paths
+/// bit-identical.
+pub(crate) fn normalize_rows(
+    data: &mut [f32],
+    cols: usize,
+    eps: f32,
+    mut inv_stds: Option<&mut Vec<f32>>,
+) {
     for row in data.chunks_mut(cols) {
         let mean = row.iter().sum::<f32>() / cols as f32;
         let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
         let inv_std = 1.0 / (var + eps).sqrt();
-        inv_stds.push(inv_std);
+        if let Some(inv_stds) = inv_stds.as_deref_mut() {
+            inv_stds.push(inv_std);
+        }
         for v in row.iter_mut() {
             *v = (*v - mean) * inv_std;
         }
     }
-    inv_stds
 }
 
 /// In-place per-feature gain/bias (`v ← v·γ[i % cols] + β[i % cols]`), the
@@ -379,18 +394,18 @@ impl HasParams for LayerNorm {
 impl Layer for LayerNorm {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let n = x.cols();
-        let mut normalized = x.clone();
-        let inv_stds = normalize_rows(normalized.data_mut(), n, self.eps);
-        let mut y = normalized.clone();
+        let mut y = x.clone();
+        let mut inv_stds = Vec::new();
+        normalize_rows(y.data_mut(), n, self.eps, train.then_some(&mut inv_stds));
+        if train {
+            self.cache = Some((y.clone(), inv_stds));
+        }
         scale_shift_rows(
             y.data_mut(),
             n,
             self.gamma.value.data(),
             self.beta.value.data(),
         );
-        if train {
-            self.cache = Some((normalized, inv_stds));
-        }
         cast_elementwise(&y, self.elem)
     }
 
@@ -425,6 +440,10 @@ impl Layer for LayerNorm {
             }
         }
         cast_elementwise(&dx, self.elem)
+    }
+
+    fn set_quant(&mut self, cfg: QuantConfig) {
+        self.elem = cfg.elementwise;
     }
 }
 

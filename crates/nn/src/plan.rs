@@ -38,28 +38,46 @@
 //!   nothing of the model it was lowered from.
 //! - **Arena scratch** — one liveness-ordered first-fit layout maps every
 //!   intermediate into a single reusable buffer ([`PlanArena`]), grown to
-//!   the executed batch's size. Steady state still allocates per call
-//!   beyond the arena: every GEMM's output vector, the `Tensor`s the
-//!   attention mix builds (its q/k/v copies and what
-//!   `attention::attention_mix` returns), a conv's `im2col`
-//!   matrix per image, and the returned output.
+//!   the executed batch's size. The attention mix reads its q, k and v
+//!   from the arena and writes its heads back in place. Steady state
+//!   still allocates per call beyond the arena: every GEMM's output
+//!   vector, the attention mix's per-head tensors (each head's q, k and v
+//!   cut out once, its scores and probabilities, and the one-product
+//!   planes of kᵀ and v), a conv's `im2col` matrix per image, and the
+//!   returned output.
 //!
-//! Bit-identity with the dynamic path is by construction: every node
-//! executes through the *same* crate-internal helper the corresponding
-//! layer's `forward` uses (`gemm::quantized_gemm_prepacked_scratch`,
-//! `layers::normalize_rows`, `attention::attention_mix`,
-//! `conv::im2col`, `format::cast_rows`, the activation
-//! slice loop `Activation::apply_slice`, …), with the same
-//! thread count and the same operand values. The `plan_consistency` suite
-//! asserts equality to the bit for every zoo model × format preset ×
-//! bucket, at every executed batch up to the compiled capacity.
+//! Bit-identity with the dynamic path is by construction: every node but
+//! two executes through the *same* crate-internal function the
+//! corresponding layer's `forward` calls, with the same thread count and
+//! the same operand values:
+//!
+//! - `PackedGemm`: `gemm::quantized_gemm_prepacked_scratch` (or
+//!   `fgemm::matmul`), `tensor::add_row_slice`, `Activation::apply_slice`
+//!   and `format::cast_rows`;
+//! - `Norm`: `layers::normalize_rows`, `layers::scale_shift_rows` and
+//!   `format::cast_rows`;
+//! - `AttnMix`: `attention::attention_mix`;
+//! - `Conv`: `conv::im2col`, the GEMM of `PackedGemm` and
+//!   `conv::scatter_channels`; a fused ReLU (the `max(0)` the CNN models
+//!   apply after the layer) runs `Activation::apply_slice`;
+//! - `Patchify`, `MeanPool` and `AvgPool`: `conv::patchify`,
+//!   `conv::mean_pool` and `conv::avg_pool`.
+//!
+//! The two exceptions are the `Add` node, a four-line element-wise sum,
+//! and the `Embed` node, which gathers from tables cast through their
+//! storage format **once at plan time** (the layer casts the gathered rows
+//! on every lookup) — the one intended difference from the layer walk,
+//! valid because that cast commutes with gathering rows (see
+//! `hoist_table`). The `plan_consistency` suite asserts equality to the
+//! bit for every zoo model × format preset × bucket, at every executed
+//! batch up to the compiled capacity.
 
 use crate::attention::{attention_mix, TransformerBlock};
-use crate::conv::{im2col, Conv2d};
+use crate::conv::{avg_pool, im2col, mean_pool, patchify, scatter_channels, Conv2d};
 use crate::format::{cast_rows, TensorFormat};
 use crate::layers::{normalize_rows, scale_shift_rows, Activation, Embedding, LayerNorm, Linear};
 use crate::qflow::{weight_plane, QuantConfig};
-use crate::tensor::Tensor;
+use crate::tensor::{add_row_slice, Tensor};
 use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
 use mx_core::gemm::{self, PackScratch, PackedOperand};
@@ -144,8 +162,8 @@ enum PlanNode {
         act: Option<Activation>,
         cast: Option<TensorFormat>,
     },
-    /// Layer norm over `rows × cols` per request, including the layer's
-    /// element-wise cast.
+    /// Layer norm over `rows × cols` per request, including the
+    /// element-wise cast of the plan's config.
     Norm {
         src: Loc,
         dst: Loc,
@@ -367,8 +385,8 @@ impl Stage {
 
     /// Lowers a [`Linear`] into a fused GEMM node over `m` rows per
     /// request, running the hoisted format-support gate and pinning the
-    /// weight plane. `fused` optionally folds a following activation
-    /// layer's `(activation, element-wise format)` into the node.
+    /// weight plane. `act` optionally folds a following activation layer
+    /// into the node, with that layer's cast to `cfg.elementwise`.
     pub fn gemm(
         &mut self,
         lin: &Linear,
@@ -376,7 +394,7 @@ impl Stage {
         dst: Loc,
         m: usize,
         cfg: QuantConfig,
-        fused: Option<(Activation, TensorFormat)>,
+        act: Option<Activation>,
     ) -> Result<(), PlanError> {
         let (k, n) = (lin.d_in(), lin.d_out());
         self.nodes.push(PlanNode::PackedGemm {
@@ -387,16 +405,15 @@ impl Stage {
             n,
             weights: lower_weights(&lin.w.value, cfg.fwd, cfg.fwd_w, k, n)?,
             bias: lin.b.as_ref().map(|b| b.value.data().to_vec()),
-            act: fused.map(|(a, _)| a),
-            cast: fused.map(|(_, f)| f),
+            act,
+            cast: act.map(|_| cfg.elementwise),
         });
         Ok(())
     }
 
     /// Lowers a [`LayerNorm`] over `rows` rows per request into a norm
-    /// node.
-    pub fn norm(&mut self, ln: &LayerNorm, src: Loc, dst: Loc, rows: usize) {
-        let (eps, elem) = ln.plan_parts();
+    /// node casting to `cfg.elementwise`.
+    pub fn norm(&mut self, ln: &LayerNorm, src: Loc, dst: Loc, rows: usize, cfg: QuantConfig) {
         self.nodes.push(PlanNode::Norm {
             src,
             dst,
@@ -404,8 +421,8 @@ impl Stage {
             cols: ln.gamma.value.numel(),
             gamma: ln.gamma.value.data().to_vec(),
             beta: ln.beta.value.data().to_vec(),
-            eps,
-            elem,
+            eps: ln.plan_parts(),
+            elem: cfg.elementwise,
         });
     }
 
@@ -616,7 +633,7 @@ impl Planner {
         let len = t * d;
         let mut s = Stage::new(len, len);
         let normed = s.alloc(len);
-        s.norm(ln1, Loc::In, normed, t);
+        s.norm(ln1, Loc::In, normed, t, cfg);
         let (q, k, v) = (s.alloc(len), s.alloc(len), s.alloc(len));
         s.gemm(wq, normed, q, t, cfg, None)?;
         s.gemm(wk, normed, k, t, cfg, None)?;
@@ -634,7 +651,7 @@ impl Planner {
         s.add(Loc::In, attn_out, x1, len, false);
         s.free(attn_out, len);
         let normed2 = s.alloc(len);
-        s.norm(ln2, x1, normed2, t);
+        s.norm(ln2, x1, normed2, t, cfg);
         let h = s.alloc(t * fc1.d_out());
         s.gemm(fc1, normed2, h, t, cfg, Some(act.plan_parts()))?;
         s.free(normed2, len);
@@ -835,15 +852,9 @@ fn run_node(
             let y = run_gemm(weights, &buf[s..s + m * k], m, k, n, scratch)?;
             let d = off(dst);
             let out = &mut buf[d..d + m * n];
-            match bias {
-                Some(bias) => {
-                    for (row, y_row) in out.chunks_exact_mut(n).zip(y.chunks_exact(n)) {
-                        for ((v, &y), &b) in row.iter_mut().zip(y_row).zip(&bias[..n]) {
-                            *v = y + b;
-                        }
-                    }
-                }
-                None => out.copy_from_slice(&y),
+            out.copy_from_slice(&y);
+            if let Some(bias) = bias {
+                add_row_slice(out, bias);
             }
             if let Some(a) = act {
                 a.apply_slice(out);
@@ -866,7 +877,7 @@ fn run_node(
             let (s, d) = (off(src), off(dst));
             buf.copy_within(s..s + len, d);
             let out = &mut buf[d..d + len];
-            let _ = normalize_rows(out, cols, eps);
+            normalize_rows(out, cols, eps, None);
             scale_shift_rows(out, cols, gamma, beta);
             cast_rows(out, cols, elem);
         }
@@ -918,12 +929,8 @@ fn run_node(
             elem,
         } => {
             let len = nb * t * d;
-            let grab =
-                |o: usize, buf: &[f32]| Tensor::from_vec(buf[o..o + len].to_vec(), &[nb * t, d]);
-            let (qt, kt, vt) = (grab(off(q), buf), grab(off(k), buf), grab(off(v), buf));
-            let concat = attention_mix(&qt, &kt, &vt, nb, t, heads, causal, fwd, elem, None);
-            let o = off(dst);
-            buf[o..o + len].copy_from_slice(concat.data());
+            let [q, k, v, out] = ranges(buf, [q, k, v, dst].map(|at| (off(at), len)))?;
+            attention_mix(q, k, v, out, t, d, heads, causal, fwd, elem, None);
         }
         PlanNode::Conv {
             src,
@@ -939,20 +946,14 @@ fn run_node(
             relu,
         } => {
             let (chw, ohw, patch) = (in_ch * h * w, h * w, in_ch * k * k);
-            let (s, d) = (off(src), off(dst));
-            for bi in 0..nb {
-                let cols = im2col(&buf[s + bi * chw..s + (bi + 1) * chw], in_ch, k, pad, h, w);
+            let [x, out] = ranges(buf, [(off(src), nb * chw), (off(dst), nb * out_ch * ohw)])?;
+            for (img, img_out) in x.chunks_exact(chw).zip(out.chunks_exact_mut(out_ch * ohw)) {
+                let cols = im2col(img, in_ch, k, pad, h, w);
                 let y = run_gemm(weights, cols.data(), ohw, patch, out_ch, scratch)?;
-                let bbase = d + bi * out_ch * ohw;
-                for oc in 0..out_ch {
-                    for p in 0..ohw {
-                        let mut v = y[p * out_ch + oc] + bias[oc];
-                        if relu {
-                            v = v.max(0.0);
-                        }
-                        buf[bbase + oc * ohw + p] = v;
-                    }
-                }
+                scatter_channels(&y, bias, img_out);
+            }
+            if relu {
+                Activation::Relu.apply_slice(out);
             }
         }
         PlanNode::Patchify {
@@ -961,23 +962,9 @@ fn run_node(
             side,
             patch,
         } => {
-            let per = side * side;
-            let grid = side / patch;
-            let (s, d) = (off(src), off(dst));
-            let mut idx = d;
-            for bi in 0..nb {
-                let img = s + bi * per;
-                for py in 0..grid {
-                    for px in 0..grid {
-                        for dy in 0..patch {
-                            for dx in 0..patch {
-                                buf[idx] = buf[img + (py * patch + dy) * side + px * patch + dx];
-                                idx += 1;
-                            }
-                        }
-                    }
-                }
-            }
+            let len = nb * side * side;
+            let [x, out] = ranges(buf, [(off(src), len), (off(dst), len)])?;
+            patchify(x, out, side, patch);
         }
         PlanNode::MeanPool {
             src,
@@ -985,16 +972,8 @@ fn run_node(
             groups,
             cols,
         } => {
-            let (s, d) = (off(src), off(dst));
-            buf[d..d + nb * cols].fill(0.0);
-            for bi in 0..nb {
-                for p in 0..groups {
-                    for c in 0..cols {
-                        buf[d + bi * cols + c] +=
-                            buf[s + (bi * groups + p) * cols + c] / groups as f32;
-                    }
-                }
-            }
+            let [x, out] = ranges(buf, [(off(src), nb * groups * cols), (off(dst), nb * cols)])?;
+            mean_pool(x, out, groups, cols);
         }
         PlanNode::AvgPool {
             src,
@@ -1002,14 +981,25 @@ fn run_node(
             chunks,
             spatial,
         } => {
-            let (s, d) = (off(src), off(dst));
-            for i in 0..chunks * nb {
-                let sum: f32 = buf[s + i * spatial..s + (i + 1) * spatial].iter().sum();
-                buf[d + i] = sum / spatial as f32;
-            }
+            let [x, out] = ranges(
+                buf,
+                [(off(src), nb * chunks * spatial), (off(dst), nb * chunks)],
+            )?;
+            avg_pool(x, out, spatial);
         }
     }
     Ok(())
+}
+
+/// Borrows a node's `(offset, len)` ranges of the arena at once. The
+/// planner never overlaps two ranges one node touches, so only a broken
+/// plan fails here.
+fn ranges<const N: usize>(
+    buf: &mut [f32],
+    at: [(usize, usize); N],
+) -> Result<[&mut [f32]; N], PlanError> {
+    buf.get_disjoint_mut(at.map(|(o, len)| o..o + len))
+        .map_err(|_| PlanError::Internal("a node's arena ranges overlap"))
 }
 
 /// Runs the GEMM core of a node on its plan-time-chosen path, under the

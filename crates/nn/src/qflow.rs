@@ -21,7 +21,8 @@
 //! choices to make.
 //! The plane is cached **on the weight tensor itself**, keyed by
 //! `(weight format, kernel class)`: the codes and their storage width
-//! (`i8` or `i16` in the narrow class) depend only on the weight format,
+//! (biased `u8` bytes, `b + 128`, or `i16` in the narrow class) depend
+//! only on the weight format,
 //! the class (narrow or wide `i32` codes) on the activation partner, and
 //! a lookup asks each candidate plane whether it
 //! [`accepts`](mx_core::gemm::PackedOperand::accepts) the activation

@@ -343,11 +343,8 @@ impl Tensor {
     pub fn add_row(&self, row: &Tensor) -> Tensor {
         assert_eq!(row.shape.len(), 1);
         assert_eq!(row.numel(), self.cols(), "bias width mismatch");
-        let n = self.cols();
         let mut out = self.data.clone();
-        for (i, v) in out.iter_mut().enumerate() {
-            *v += row.data[i % n];
-        }
+        add_row_slice(&mut out, &row.data);
         Tensor::with_data(self.shape.clone(), out)
     }
 
@@ -424,6 +421,17 @@ impl Tensor {
             rows += p.rows();
         }
         Tensor::from_vec(data, &[rows, n])
+    }
+}
+
+/// Adds `row` to every `row.len()`-wide row of `data` in place (nothing
+/// for an empty `row`). The one bias add behind [`Tensor::add_row`],
+/// `Linear`'s forward pass and the `plan` executor's GEMM nodes.
+pub(crate) fn add_row_slice(data: &mut [f32], row: &[f32]) {
+    for chunk in data.chunks_exact_mut(row.len().max(1)) {
+        for (v, &b) in chunk.iter_mut().zip(row) {
+            *v += b;
+        }
     }
 }
 

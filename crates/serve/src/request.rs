@@ -118,8 +118,8 @@ impl Request {
 
     /// Latency deadline, measured from submission. A request that expires
     /// before execution is answered with
-    /// [`crate::ServeError::DeadlineExceeded`] — checked at submit, at
-    /// dispatch, and again just before the batch runs.
+    /// [`crate::ServeError::DeadlineExceeded`] — checked at submit, and
+    /// again by the worker just before the batch runs.
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self

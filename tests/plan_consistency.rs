@@ -18,15 +18,26 @@ use mx::nn::tensor::Tensor;
 use mx::nn::TensorFormat;
 use std::sync::Arc;
 
-/// The preset format pairs the serving layer direct-casts between.
+/// The preset format pairs the serving layer direct-casts between, plus
+/// the MX6 preset with element-wise BF16 and MX9 casts, so the fused casts
+/// of the GEMM, norm and attention nodes are compared with the layer walk.
 fn presets() -> Vec<QuantConfig> {
+    let mx6 = QuantConfig::uniform(TensorFormat::MX6);
     vec![
         QuantConfig::fp32(),
         QuantConfig::uniform(TensorFormat::MX9),
-        QuantConfig::uniform(TensorFormat::MX6),
+        mx6,
         QuantConfig::uniform(TensorFormat::MX4),
         QuantConfig::weights_activations(TensorFormat::MX6, TensorFormat::MX6),
         QuantConfig::weights_activations(TensorFormat::MX4, TensorFormat::MX9),
+        QuantConfig {
+            elementwise: TensorFormat::Bf16,
+            ..mx6
+        },
+        QuantConfig {
+            elementwise: TensorFormat::MX9,
+            ..mx6
+        },
     ]
 }
 
