@@ -12,20 +12,22 @@
 //!
 //! - the reduction dimension is processed in `KC`-row panels of B, so a
 //!   `KC × n` slab is touched repeatedly while it is hot;
-//! - `MR` rows of A are register-tiled per pass: the accumulators stay
-//!   in vector registers across the whole K panel and each loaded B
-//!   vector is reused `MR` times, instead of one load-add-store round
-//!   trip per element;
-//! - the column loop runs 16 lanes at a time under AVX2 (8 under the SSE2
-//!   x86-64 baseline, plain autovectorizable loops elsewhere; the AVX2
-//!   tile runs unless the selected kernel backend,
-//!   [`crate::gemm::selected_backend`], is `scalar`), using
-//!   separate multiply and add instructions — **never FMA**, which would
-//!   skip the per-product rounding and break bit-identity with the scalar
-//!   loop;
+//! - one register tile, written once in portable Rust with no intrinsics,
+//!   holds `R ≤ MR` rows of accumulators (`[[f32; W]; R]`) across the
+//!   whole K panel, so each B row segment loaded is reused `R` times; the
+//!   same loop then takes the columns left one vector, and finally one
+//!   column, at a time;
+//! - that tile is compiled per kernel tier and runs on the one
+//!   [`crate::gemm::selected_backend`] names, as the activation loop and
+//!   the GEMM kernels do: an AVX-512F build, an AVX2 build, and the plain
+//!   build (SSE2 on x86-64, NEON on AArch64); only the step width `W`
+//!   differs, two or four of the tier's vectors. Every build multiplies
+//!   and adds separately — **never FMA**, which would skip the per-product
+//!   rounding and break bit-identity with the scalar loop — so every tier
+//!   computes the same bits;
 //! - the zero-skip policy is resolved once per tile (scan the tile's A
 //!   panel for zeros; only if one exists, resolve the memoized "is B all
-//!   finite" scan) and the kernels are monomorphized over it, so the hot
+//!   finite" scan) and the tile is monomorphized over it, so the hot
 //!   loops carry no calls and at most one predictable compare.
 //!
 //! Because only the iteration *shape* changes and not the order of rounded
@@ -34,9 +36,7 @@
 //! reference copy of that loop in the test suite. Row spans are whole rows,
 //! so the multi-threaded result is bit-identical to serial as well.
 
-use crate::gemm::{dispatch_rows, gemm_workers};
-#[cfg(target_arch = "x86_64")]
-use crate::gemm::{selected_backend, KernelBackend};
+use crate::gemm::{dispatch_rows, gemm_workers, selected_backend, KernelBackend};
 use std::sync::OnceLock;
 
 /// Reduction-dimension panel: a `KC × n` slab of B (256 KiB of `f32` at
@@ -72,6 +72,21 @@ const MR: usize = 4;
 /// assert_eq!(matmul(&a, &b, 2, 3, 2, 1), vec![58.0, 64.0, 139.0, 154.0]);
 /// ```
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize) -> Vec<f32> {
+    matmul_on(selected_backend(), a, b, m, k, n, threads)
+}
+
+/// [`matmul`] on the `backend` tier's build of the tile, or the plain
+/// build when this CPU lacks that tier's ISA; every tier computes the same
+/// bits.
+fn matmul_on(
+    backend: KernelBackend,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "A is not {m}x{k}");
     assert_eq!(b.len(), k * n, "B is not {k}x{n}");
     let mut out = vec![0.0f32; m * n];
@@ -82,92 +97,37 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize
     // computes the scan, everyone else reuses the answer.
     let rhs_finite_memo: OnceLock<bool> = OnceLock::new();
     let rhs_finite = &|| *rhs_finite_memo.get_or_init(|| b.iter().all(|v| v.is_finite()));
-    // The AVX2 tile follows the kernel-backend selection
-    // (`MX_KERNEL_BACKEND=scalar` runs the SSE2 tile); the feature check
-    // is what makes the AVX2 tile safe to call.
-    #[cfg(target_arch = "x86_64")]
-    let use_avx2 =
-        selected_backend() != KernelBackend::Scalar && std::arch::is_x86_feature_detected!("avx2");
     let workers = gemm_workers(m, n, k, threads);
     dispatch_rows(n, workers, &mut out, |r0, rows, part| {
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
+            let b = &b[pc * n..][..kc * n];
             for i0 in (0..rows).step_by(MR) {
                 let mr = MR.min(rows - i0);
-                let abase = (r0 + i0) * k;
+                // The tile's A panel: row `r` of it starts at `r·k`.
+                let a = &a[(r0 + i0) * k + pc..][..(mr - 1) * k + kc];
                 let tile = &mut part[i0 * n..][..mr * n];
                 // Resolve the zero-skip policy for this tile up front so
-                // the kernels stay call-free: skipping only happens when a
+                // the tile stays call-free: skipping only happens when a
                 // zero exists in the tile's A panel AND B is all finite
                 // (the memoized scan runs at most once per matmul). With
-                // `skip == false` the kernels do the adds unconditionally —
+                // `skip == false` the tile does the adds unconditionally —
                 // either there is no zero to skip, or B is non-finite and
                 // the seed loop would include the products too.
                 // (f32 PartialEq: `contains(&0.0)` also matches -0.0,
                 // exactly like the seed's `v == 0.0` test.)
-                let has_zero = (0..mr).any(|r| a[abase + r * k + pc..][..kc].contains(&0.0));
+                let has_zero = (0..mr).any(|r| a[r * k..][..kc].contains(&0.0));
                 let skip = has_zero && rhs_finite();
-                #[cfg(target_arch = "x86_64")]
-                {
-                    // SAFETY: slice bounds were just established (`tile` is
-                    // `mr × n`, A rows `abase .. abase + mr·k` exist, B rows
-                    // `pc .. pc + kc` exist), and the AVX2 variant only runs
-                    // after `is_x86_feature_detected!` confirmed support.
-                    unsafe {
-                        match (use_avx2, mr, skip) {
-                            (true, 4, true) => {
-                                tile_avx2::<4, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 4, false) => {
-                                tile_avx2::<4, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 3, true) => {
-                                tile_avx2::<3, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 3, false) => {
-                                tile_avx2::<3, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 2, true) => {
-                                tile_avx2::<2, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 2, false) => {
-                                tile_avx2::<2, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, _, true) => {
-                                tile_avx2::<1, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, _, false) => {
-                                tile_avx2::<1, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 4, true) => {
-                                tile_sse2::<4, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 4, false) => {
-                                tile_sse2::<4, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 3, true) => {
-                                tile_sse2::<3, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 3, false) => {
-                                tile_sse2::<3, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 2, true) => {
-                                tile_sse2::<2, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 2, false) => {
-                                tile_sse2::<2, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, _, true) => {
-                                tile_sse2::<1, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, _, false) => {
-                                tile_sse2::<1, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                        }
-                    }
+                match (mr, skip) {
+                    (4, true) => tile_on::<4, true>(backend, a, b, k, n, kc, tile),
+                    (4, false) => tile_on::<4, false>(backend, a, b, k, n, kc, tile),
+                    (3, true) => tile_on::<3, true>(backend, a, b, k, n, kc, tile),
+                    (3, false) => tile_on::<3, false>(backend, a, b, k, n, kc, tile),
+                    (2, true) => tile_on::<2, true>(backend, a, b, k, n, kc, tile),
+                    (2, false) => tile_on::<2, false>(backend, a, b, k, n, kc, tile),
+                    (_, true) => tile_on::<1, true>(backend, a, b, k, n, kc, tile),
+                    (_, false) => tile_on::<1, false>(backend, a, b, k, n, kc, tile),
                 }
-                #[cfg(not(target_arch = "x86_64"))]
-                tile_portable(a, b, abase, mr, k, n, pc, kc, tile, skip);
             }
         }
     });
@@ -199,238 +159,157 @@ pub fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f
     out
 }
 
-/// Scalar K-panel accumulation for the columns `jt..n` of one register tile
-/// — the ragged tail the vector kernels hand off to. Same per-element
-/// order and skip rule as the vector body.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // a GEMM tile is dims + panel + operands
-fn tail_cols<const R: usize, const SKIP: bool>(
+/// [`tile`] on the `backend` tier's build, or the plain build when this
+/// CPU lacks that tier's ISA.
+fn tile_on<const R: usize, const SKIP: bool>(
+    backend: KernelBackend,
     a: &[f32],
     b: &[f32],
-    abase: usize,
     k: usize,
     n: usize,
-    pc: usize,
     kc: usize,
-    jt: usize,
     out: &mut [f32],
 ) {
-    for j in jt..n {
-        for r in 0..R {
-            let mut acc = out[r * n + j];
-            for p in pc..pc + kc {
-                let av = a[abase + r * k + p];
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
+            // SAFETY: AVX-512F was detected on this CPU by the guard.
+            unsafe { avx512_tile::<R, SKIP>(a, b, k, n, kc, out) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: AVX2 was detected on this CPU by the guard.
+            unsafe { avx2_tile::<R, SKIP>(a, b, k, n, kc, out) }
+        }
+        _ => plain_tile::<R, SKIP>(a, b, k, n, kc, out),
+    }
+}
+
+/// [`tile`] compiled for AVX-512F: four vectors (64 columns) per step, at
+/// most 16 accumulators, half the `zmm` registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn avx512_tile<const R: usize, const SKIP: bool>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    kc: usize,
+    out: &mut [f32],
+) {
+    tile::<R, SKIP, 64, 16>(a, b, k, n, kc, out);
+}
+
+/// [`tile`] compiled for AVX2: four vectors (32 columns) per step for one
+/// row, two (16 columns) for more, so the accumulators never outgrow half
+/// the 16 `ymm` registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2_tile<const R: usize, const SKIP: bool>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    kc: usize,
+    out: &mut [f32],
+) {
+    if R == 1 {
+        tile::<R, SKIP, 32, 8>(a, b, k, n, kc, out);
+    } else {
+        tile::<R, SKIP, 16, 8>(a, b, k, n, kc, out);
+    }
+}
+
+/// [`tile`] in the plain build (SSE2 on x86-64, NEON on AArch64): four
+/// 4-lane vectors (16 columns) per step for one row, two (8 columns) for
+/// more, as in the AVX2 build.
+fn plain_tile<const R: usize, const SKIP: bool>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    kc: usize,
+    out: &mut [f32],
+) {
+    if R == 1 {
+        tile::<R, SKIP, 16, 4>(a, b, k, n, kc, out);
+    } else {
+        tile::<R, SKIP, 8, 4>(a, b, k, n, kc, out);
+    }
+}
+
+/// The register tile: `R` rows of `out` (`R × n`) accumulate the `kc`-row
+/// B panel `b` (`kc × n`) against A panel `a` (row `r` at `r·k`). Columns
+/// go `W` at a time (two or four of the tier's vectors per row, so each
+/// row has that many independent add chains), then `V` at a time (one
+/// vector), then one at a time for the scalar tail — the same loop,
+/// [`cols`], at three widths. Inlined into each tier's entry, so every
+/// instantiation is vectorized with that tier's features.
+#[inline(always)]
+fn tile<const R: usize, const SKIP: bool, const W: usize, const V: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    kc: usize,
+    out: &mut [f32],
+) {
+    let mut rows = [&a[..0]; R];
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = &a[r * k..][..kc];
+    }
+    let j = cols::<R, SKIP, W>(&rows, b, n, 0, out);
+    let j = cols::<R, SKIP, V>(&rows, b, n, j, out);
+    cols::<R, SKIP, 1>(&rows, b, n, j, out);
+}
+
+/// Columns `j..` of the tile, `NR` per step while a whole step fits, each
+/// step's `[[f32; NR]; R]` accumulators held across the whole K panel so
+/// every B row segment loaded is reused `R` times. Returns the first column
+/// left. Plain loops only: a closure is a function of its own, which a
+/// tier's target features do not reach.
+#[inline(always)]
+fn cols<const R: usize, const SKIP: bool, const NR: usize>(
+    rows: &[&[f32]; R],
+    b: &[f32],
+    n: usize,
+    mut j: usize,
+    out: &mut [f32],
+) -> usize {
+    while j + NR <= n {
+        let mut acc = [[0.0f32; NR]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&out[r * n + j..][..NR]);
+        }
+        // Row `p` of the panel from column `j` on, ascending `p`.
+        for (p, brow) in b[j..].chunks(n).enumerate() {
+            let bv: [f32; NR] = brow[..NR].try_into().unwrap();
+            for (row, ar) in acc.iter_mut().zip(rows) {
+                let av = ar[p];
                 if SKIP && av == 0.0 {
                     continue;
                 }
-                acc += av * b[p * n + j];
-            }
-            out[r * n + j] = acc;
-        }
-    }
-}
-
-/// AVX2 register tile: `R` rows × 16 columns per step (two 8-lane
-/// accumulators per row, held in registers across the whole K panel), with
-/// an 8-lane step and a scalar loop mopping up the column tail.
-///
-/// # Safety
-///
-/// Requires AVX2; `out` must be `R × n`, A must hold rows
-/// `abase .. abase + R·k`, and B rows `pc .. pc + kc`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // a GEMM tile is dims + panel + operands
-unsafe fn tile_avx2<const R: usize, const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    abase: usize,
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(out.len() == R * n);
-    debug_assert!(R >= 1 && abase + (R - 1) * k + pc + kc <= a.len());
-    let mut j = 0;
-    // Main step: 16 columns, 2·R accumulator registers.
-    while j + 16 <= n {
-        // SAFETY: `j + 16 ≤ n` keeps every 8-lane load/store at
-        // `r·n + j (+8)` inside `out` (`R × n`) and every B load at
-        // `p·n + j (+8)` inside rows `pc .. pc + kc` of B (`k × n`);
-        // `a.get_unchecked(abase + r·k + p)` is in bounds because A holds
-        // rows `abase .. abase + R·k` (debug-asserted above).
-        unsafe {
-            let mut acc0 = [_mm256_setzero_ps(); R];
-            let mut acc1 = [_mm256_setzero_ps(); R];
-            for r in 0..R {
-                acc0[r] = _mm256_loadu_ps(out.as_ptr().add(r * n + j));
-                acc1[r] = _mm256_loadu_ps(out.as_ptr().add(r * n + j + 8));
-            }
-            for p in pc..pc + kc {
-                let vb0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                let vb1 = _mm256_loadu_ps(b.as_ptr().add(p * n + j + 8));
-                for r in 0..R {
-                    let av = *a.get_unchecked(abase + r * k + p);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    // Separate mul + add: each product rounds to f32
-                    // before the accumulate, exactly like the scalar
-                    // `acc += a * b`.
-                    let va = _mm256_set1_ps(av);
-                    acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(va, vb0));
-                    acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(va, vb1));
+                // Separate mul + add: each product rounds to f32 before
+                // the accumulate, exactly like the scalar `acc += a * b`.
+                for (o, &bv) in row.iter_mut().zip(&bv) {
+                    *o += av * bv;
                 }
             }
-            for r in 0..R {
-                _mm256_storeu_ps(out.as_mut_ptr().add(r * n + j), acc0[r]);
-                _mm256_storeu_ps(out.as_mut_ptr().add(r * n + j + 8), acc1[r]);
-            }
         }
-        j += 16;
-    }
-    // Single-vector step for an 8..16-column remainder.
-    while j + 8 <= n {
-        // SAFETY: `j + 8 ≤ n` bounds the single 8-lane column group the
-        // same way as the 16-column step above.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); R];
-            for (r, slot) in acc.iter_mut().enumerate() {
-                *slot = _mm256_loadu_ps(out.as_ptr().add(r * n + j));
-            }
-            for p in pc..pc + kc {
-                let vb = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    let av = *a.get_unchecked(abase + r * k + p);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    *slot = _mm256_add_ps(*slot, _mm256_mul_ps(_mm256_set1_ps(av), vb));
-                }
-            }
-            for (r, slot) in acc.iter().enumerate() {
-                _mm256_storeu_ps(out.as_mut_ptr().add(r * n + j), *slot);
-            }
+        for (r, row) in acc.iter().enumerate() {
+            out[r * n + j..][..NR].copy_from_slice(row);
         }
-        j += 8;
+        j += NR;
     }
-    tail_cols::<R, SKIP>(a, b, abase, k, n, pc, kc, j, out);
-}
-
-/// SSE2 register tile (`R` rows × 8 columns per step, 4-lane remainder) —
-/// the x86-64 baseline, used when AVX2 is not available.
-///
-/// # Safety
-///
-/// `out` must be `R × n`, A must hold rows `abase .. abase + R·k`, and B
-/// rows `pc .. pc + kc`. (SSE2 itself is part of the x86-64 baseline ABI.)
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // a GEMM tile is dims + panel + operands
-unsafe fn tile_sse2<const R: usize, const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    abase: usize,
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let mut j = 0;
-    while j + 8 <= n {
-        // SAFETY: `j + 8 ≤ n` keeps every 4-lane load/store at
-        // `r·n + j (+4)` inside `out` (`R × n`) and every B load at
-        // `p·n + j (+4)` inside rows `pc .. pc + kc` of B (`k × n`);
-        // `a.get_unchecked(abase + r·k + p)` is in bounds because A holds
-        // rows `abase .. abase + R·k`. SSE2 is x86-64 baseline, so the
-        // intrinsics themselves are always available.
-        unsafe {
-            let mut acc0 = [_mm_setzero_ps(); R];
-            let mut acc1 = [_mm_setzero_ps(); R];
-            for r in 0..R {
-                acc0[r] = _mm_loadu_ps(out.as_ptr().add(r * n + j));
-                acc1[r] = _mm_loadu_ps(out.as_ptr().add(r * n + j + 4));
-            }
-            for p in pc..pc + kc {
-                let vb0 = _mm_loadu_ps(b.as_ptr().add(p * n + j));
-                let vb1 = _mm_loadu_ps(b.as_ptr().add(p * n + j + 4));
-                for r in 0..R {
-                    let av = *a.get_unchecked(abase + r * k + p);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    let va = _mm_set1_ps(av);
-                    acc0[r] = _mm_add_ps(acc0[r], _mm_mul_ps(va, vb0));
-                    acc1[r] = _mm_add_ps(acc1[r], _mm_mul_ps(va, vb1));
-                }
-            }
-            for r in 0..R {
-                _mm_storeu_ps(out.as_mut_ptr().add(r * n + j), acc0[r]);
-                _mm_storeu_ps(out.as_mut_ptr().add(r * n + j + 4), acc1[r]);
-            }
-        }
-        j += 8;
-    }
-    while j + 4 <= n {
-        // SAFETY: `j + 4 ≤ n` bounds the single 4-lane column group the
-        // same way as the 8-column step above.
-        unsafe {
-            let mut acc = [_mm_setzero_ps(); R];
-            for (r, slot) in acc.iter_mut().enumerate() {
-                *slot = _mm_loadu_ps(out.as_ptr().add(r * n + j));
-            }
-            for p in pc..pc + kc {
-                let vb = _mm_loadu_ps(b.as_ptr().add(p * n + j));
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    let av = *a.get_unchecked(abase + r * k + p);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    *slot = _mm_add_ps(*slot, _mm_mul_ps(_mm_set1_ps(av), vb));
-                }
-            }
-            for (r, slot) in acc.iter().enumerate() {
-                _mm_storeu_ps(out.as_mut_ptr().add(r * n + j), *slot);
-            }
-        }
-        j += 4;
-    }
-    tail_cols::<R, SKIP>(a, b, abase, k, n, pc, kc, j, out);
-}
-
-/// Portable register tile for non-x86 targets: unrolled over `mr` rows with
-/// an autovectorizable axpy inner loop, same order and skip rule.
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)] // a GEMM tile is dims + panel + operands
-fn tile_portable(
-    a: &[f32],
-    b: &[f32],
-    abase: usize,
-    mr: usize,
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    out: &mut [f32],
-    skip: bool,
-) {
-    for p in pc..pc + kc {
-        let brow = &b[p * n..][..n];
-        for r in 0..mr {
-            let av = a[abase + r * k + p];
-            if skip && av == 0.0 {
-                continue;
-            }
-            let orow = &mut out[r * n..][..n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
+    j
 }
 
 #[cfg(test)]
@@ -540,6 +419,67 @@ mod tests {
             for threads in [2usize, 3, 7, 0] {
                 let par = matmul(&a, &b, m, k, n, threads);
                 assert_bits_eq(&par, &serial, &format!("m={m} threads={threads}"));
+            }
+        }
+    }
+
+    /// The tiers this CPU can run (the others fall back to the plain build
+    /// and test nothing new).
+    fn tiers() -> Vec<KernelBackend> {
+        let mut tiers = vec![KernelBackend::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(KernelBackend::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(KernelBackend::Avx512);
+            }
+        }
+        tiers
+    }
+
+    #[test]
+    fn every_tier_matches_the_seed_loop() {
+        // Every build of the tile, through its tier entry (the process-wide
+        // backend is left alone), on every width step and tail: rows below,
+        // at and beyond `MR`, columns around each tier's vector and step
+        // widths, K panels around `KC`.
+        for m in [1, 2, 3, 4, 5, 33] {
+            for n in [1, 7, 8, 15, 16, 17, 33, 100] {
+                for k in [1, 127, 128, 129, 300] {
+                    // A: ramp zeros, -0.0, and a zero (or -0.0) in column
+                    // `k / 2` for two rows in three.
+                    let mut a = ramp(m * k, m + n);
+                    for (i, row) in a.chunks_mut(k).enumerate() {
+                        row[(i * 5) % k] = -0.0;
+                        if i % 3 != 2 {
+                            row[k / 2] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                        }
+                    }
+                    // B finite: the skip runs wherever a tile has a zero.
+                    // B with ±∞ and NaN, one of them in row `k / 2`: the
+                    // skip is off, and `0 × ∞` must reach the output.
+                    let finite = ramp(k * n, k + n);
+                    let mut non_finite = finite.clone();
+                    non_finite[(k / 2) * n + n / 2] = f32::INFINITY;
+                    non_finite[n - 1] = f32::NEG_INFINITY;
+                    non_finite[(k - 1) * n] = f32::NAN;
+                    for b in [&finite, &non_finite] {
+                        let want = naive_matmul(&a, b, m, k, n);
+                        for tier in tiers() {
+                            for threads in [1, 0] {
+                                let got = matmul_on(tier, &a, b, m, k, n, threads);
+                                for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                                    assert!(
+                                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                        "{tier:?} threads={threads} {m}x{k}x{n} at {i}: {x} vs {y}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

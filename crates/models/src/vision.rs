@@ -7,7 +7,7 @@ use crate::data::{self, LabeledImage, IMAGE_SIDE, SHAPE_CLASSES};
 use crate::metrics::top1_accuracy;
 use mx_nn::attention::TransformerBlock;
 use mx_nn::conv::{mean_pool, patchify, Conv2d, GlobalAvgPool};
-use mx_nn::layers::{Layer, LayerNorm, Linear};
+use mx_nn::layers::{Activation, Layer, LayerNorm, Linear};
 use mx_nn::loss::softmax_cross_entropy;
 use mx_nn::optim::Adam;
 use mx_nn::param::{HasParams, Param};
@@ -153,6 +153,13 @@ impl ImageClassifier for TinyViT {
     }
 }
 
+/// The CNNs' ReLU, in place: the activation loop the plan's fused `Conv`
+/// and `Add` nodes run.
+fn relu(mut t: Tensor) -> Tensor {
+    Activation::Relu.apply_slice(t.data_mut());
+    t
+}
+
 /// Residual CNN (ResNet stand-in): stem conv + `n_blocks` residual pairs +
 /// global pool + linear.
 #[derive(Debug)]
@@ -231,16 +238,16 @@ impl HasParams for TinyResNet {
 impl ImageClassifier for TinyResNet {
     fn logits(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.acts.clear();
-        let mut h = self.stem.forward(x, train).map(|v| v.max(0.0));
+        let mut h = relu(self.stem.forward(x, train));
         if train {
             self.stem_act = Some(h.clone());
         }
         for (c1, c2) in &mut self.blocks {
             let input = h.clone();
-            let a1 = c1.forward(&h, train).map(|v| v.max(0.0));
+            let a1 = relu(c1.forward(&h, train));
             let a2 = c2.forward(&a1, train);
             let pre = input.add(&a2);
-            h = pre.map(|v| v.max(0.0));
+            h = relu(pre.clone());
             if train {
                 self.acts.push((pre, a1));
             }
@@ -343,13 +350,12 @@ impl HasParams for TinyMobileNet {
 impl ImageClassifier for TinyMobileNet {
     fn logits(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.acts.clear();
-        let mut h = self.stem.forward(x, train).map(|v| v.max(0.0));
+        let mut h = relu(self.stem.forward(x, train));
         for c in &mut self.pointwise {
             if train {
                 self.acts.push(h.clone());
             }
-            let pre = c.forward(&h, train);
-            h = pre.map(|v| v.max(0.0));
+            h = relu(c.forward(&h, train));
             if train {
                 self.acts.push(h.clone());
             }

@@ -214,10 +214,11 @@ impl Activation {
     /// Applies the activation to every element of `xs` in place, on the
     /// instantiation [`gemm::selected_backend`] names — the same selection
     /// the GEMM kernels and the engine's block core follow. The one loop
-    /// behind both the dynamic layer walk ([`ActivationLayer`]) and the
-    /// `plan` executor's fused epilogues, so the two paths share their bits
-    /// by sharing the code; every tier computes the same bits.
-    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
+    /// behind the dynamic layer walk ([`ActivationLayer`]), the vision
+    /// CNNs' ReLU and the `plan` executor's fused epilogues, so the paths
+    /// share their bits by sharing the code; every tier computes the same
+    /// bits.
+    pub fn apply_slice(self, xs: &mut [f32]) {
         self.apply_slice_on(gemm::selected_backend(), xs);
     }
 

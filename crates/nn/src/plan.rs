@@ -47,7 +47,7 @@
 //!   returned output.
 //!
 //! Bit-identity with the dynamic path is by construction: every node but
-//! two executes through the *same* crate-internal function the
+//! `Embed` executes through the *same* crate-internal function the
 //! corresponding layer's `forward` calls, with the same thread count and
 //! the same operand values:
 //!
@@ -58,16 +58,19 @@
 //!   `format::cast_rows`;
 //! - `AttnMix`: `attention::attention_mix`;
 //! - `Conv`: `conv::im2col`, the GEMM of `PackedGemm` and
-//!   `conv::scatter_channels`; a fused ReLU (the `max(0)` the CNN models
-//!   apply after the layer) runs `Activation::apply_slice`;
+//!   `conv::scatter_channels`; a fused ReLU runs `Activation::apply_slice`,
+//!   the ReLU the CNN models apply after the layer;
+//! - `Add`: a fused ReLU runs `Activation::apply_slice` over the
+//!   destination, as the residual CNN applies it after the skip; the sum
+//!   before it is a loop of its own, one `a + b` per element like
+//!   `Tensor::add`;
 //! - `Patchify`, `MeanPool` and `AvgPool`: `conv::patchify`,
 //!   `conv::mean_pool` and `conv::avg_pool`.
 //!
-//! The two exceptions are the `Add` node, a four-line element-wise sum,
-//! and the `Embed` node, which gathers from tables cast through their
-//! storage format **once at plan time** (the layer casts the gathered rows
-//! on every lookup) — the one intended difference from the layer walk,
-//! valid because that cast commutes with gathering rows (see
+//! The `Embed` node gathers from tables cast through their storage format
+//! **once at plan time** (the layer casts the gathered rows on every
+//! lookup) — the one intended difference from the layer walk, valid
+//! because that cast commutes with gathering rows (see
 //! `hoist_table`). The `plan_consistency` suite asserts equality to the
 //! bit for every zoo model × format preset × bucket, at every executed
 //! batch up to the compiled capacity.
@@ -890,8 +893,10 @@ fn run_node(
         } => {
             let (ao, bo, d) = (off(a), off(b), off(dst));
             for i in 0..len * nb {
-                let v = buf[ao + i] + buf[bo + i];
-                buf[d + i] = if relu { v.max(0.0) } else { v };
+                buf[d + i] = buf[ao + i] + buf[bo + i];
+            }
+            if relu {
+                Activation::Relu.apply_slice(&mut buf[d..][..len * nb]);
             }
         }
         PlanNode::Embed {

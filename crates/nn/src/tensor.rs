@@ -10,8 +10,6 @@ use mx_core::gemm::PackedOperand;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-// (`Arc` is still used by `CachedPlane::plane`, shared with the executing
-// GEMM after the slot's lock is released.)
 
 /// Process-wide monotone counter behind [`Tensor::generation`]: every
 /// tensor construction or mutable-data access draws a fresh, globally
@@ -393,35 +391,6 @@ impl Tensor {
         }
         Tensor::with_data(self.shape.clone(), out)
     }
-
-    /// Extracts rows `start..end` (2-D view).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the row count.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Tensor {
-        let n = self.cols();
-        assert!(end <= self.rows() && start <= end, "row slice out of range");
-        Tensor::from_vec(self.data[start * n..end * n].to_vec(), &[end - start, n])
-    }
-
-    /// Stacks 2-D tensors on top of each other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ or `parts` is empty.
-    pub fn concat_rows(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat of nothing");
-        let n = parts[0].cols();
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for p in parts {
-            assert_eq!(p.cols(), n, "width mismatch in concat");
-            data.extend_from_slice(&p.data);
-            rows += p.rows();
-        }
-        Tensor::from_vec(data, &[rows, n])
-    }
 }
 
 /// Adds `row` to every `row.len()`-wide row of `data` in place (nothing
@@ -509,14 +478,6 @@ mod tests {
         }
         // Large logits do not overflow (max subtraction).
         assert!((s.data()[3] - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn slicing_and_concat() {
-        let a = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[4, 3]);
-        let top = a.slice_rows(0, 2);
-        let bottom = a.slice_rows(2, 4);
-        assert_eq!(Tensor::concat_rows(&[&top, &bottom]), a);
     }
 
     #[test]
